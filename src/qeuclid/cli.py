@@ -2,8 +2,9 @@
 
 Subcommands: parse, expand, eval, verify, propagator, expectation, sample.
 Exit codes: 0 on success, 1 on verification failures, 2 on usage or syntax
-errors.  JSON output is canonical (sorted keys, no timestamps), so fixed
-seed and configuration reproduce byte-identical reports.
+errors, reported on one line of stderr.  JSON output is canonical (sorted
+keys, no timestamps), so fixed seed and configuration reproduce
+byte-identical reports.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .starcalc import Poly, coord_poly_to_json, coord_poly_from_json
 from . import dsl
 from .verify import run_suite
 from .schrodinger import (
+    PacketError,
     propagator_momentum,
     gaussian_packet,
     heine_phase_report,
@@ -25,10 +27,51 @@ from .schrodinger import (
 from .lattice import QLattice, LatticeFn, log_gaussian
 
 
+class UsageError(Exception):
+    """Bad command-line input; ``main`` reports it on one line and exits 2."""
+
+
 def _parse_q(text: str) -> float:
-    if "/" in text:
-        return float(Fraction(text))
-    return float(text)
+    try:
+        return float(Fraction(text)) if "/" in text else float(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"--q is not a number: {text!r}") from None
+
+
+def _lattice(q0: float, j_min: int, j_max: int) -> QLattice:
+    try:
+        return QLattice(q0, j_min, j_max)
+    except ValueError as exc:
+        raise UsageError(f"bad lattice (q0={q0}, j in [{j_min}, {j_max}]): {exc}") from None
+
+
+def _order(order: int) -> int:
+    if order < 0:
+        raise UsageError(f"--order must be >= 0, got {order}")
+    return order
+
+
+def _read_packet(path: str):
+    """The lattice and the gaussian_packet arguments of a packet file."""
+    try:
+        with open(path) as fh:
+            config = json.load(fh)
+        lat, pk = config["lattice"], config["packet"]
+        poly = pk.get("momentum_poly")
+        return _lattice(float(lat["q0"]), int(lat["j_min"]), int(lat["j_max"])), dict(
+            mass=Fraction(config.get("mass", "1")),
+            center_j=float(pk.get("center_j", 0.0)),
+            width_j=float(pk.get("width_j", 1.0)),
+            odd_fraction=float(pk.get("odd_fraction", 0.0)),
+            momentum_poly=coord_poly_from_json(poly) if poly else None,
+            phase_order=int(config.get("phase_order", 16)),
+        )
+    except OSError as exc:
+        raise UsageError(f"cannot read packet file {path}: {exc.strerror}") from None
+    except KeyError as exc:
+        raise UsageError(f"packet file {path}: missing entry {exc}") from None
+    except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"packet file {path}: {exc}") from None
 
 
 def _poly_to_text(value) -> str:
@@ -95,6 +138,8 @@ def cmd_eval(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     q0 = _parse_q(args.q)
+    if q0 == 0:
+        raise UsageError("--q must be nonzero")
     if isinstance(value, QScalar):
         v = value.eval(q0)
         print(f"{v.real!r} {v.imag!r}")
@@ -138,7 +183,7 @@ def cmd_verify(args) -> int:
 def cmd_propagator(args) -> int:
     branch = 1 if args.branch == "retarded" else -1
     prop = propagator_momentum(
-        args.family, branch, args.order, Fraction(args.mass)
+        args.family, branch, _order(args.order), Fraction(args.mass)
     )
     if args.json:
         print(json.dumps(prop.to_json(), sort_keys=True))
@@ -149,26 +194,13 @@ def cmd_propagator(args) -> int:
 
 
 def cmd_expectation(args) -> int:
-    with open(args.packet) as fh:
-        config = json.load(fh)
-    lat_cfg = config["lattice"]
-    lat = QLattice(
-        float(lat_cfg["q0"]), int(lat_cfg["j_min"]), int(lat_cfg["j_max"])
-    )
-    pk = config["packet"]
-    poly = None
-    if pk.get("momentum_poly"):
-        poly = coord_poly_from_json(pk["momentum_poly"])
-    wp = gaussian_packet(
-        lat,
-        Fraction(config.get("mass", "1")),
-        center_j=float(pk.get("center_j", 0.0)),
-        width_j=float(pk.get("width_j", 1.0)),
-        odd_fraction=float(pk.get("odd_fraction", 0.0)),
-        momentum_poly=poly,
-        phase_order=int(config.get("phase_order", 16)),
-    )
+    lat, kwargs = _read_packet(args.packet)
     t = args.t
+    try:
+        wp = gaussian_packet(lat, **kwargs)
+        wp.coefficients_at(t)  # rejects a t the phase series does not reach
+    except PacketError as exc:
+        raise UsageError(f"packet file {args.packet}: {exc}") from None
     out = {
         "t": t,
         "norm_check": wp.norm_check(t),
@@ -184,9 +216,12 @@ def cmd_expectation(args) -> int:
 
 
 def cmd_heine(args) -> int:
+    q0 = _parse_q(args.q)
+    if q0 in (0.0, 1.0, -1.0) or args.mass == 0:
+        raise UsageError("the phase report needs --q not in {0, 1, -1} and a nonzero --mass")
     rows = heine_phase_report(
-        args.order,
-        _parse_q(args.q),
+        _order(args.order),
+        q0,
         args.t,
         args.mass,
         [(0.8, 1.1, 0.9), (1.3, 0.7, 1.1)],
@@ -196,7 +231,7 @@ def cmd_heine(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    lat = QLattice(_parse_q(args.q), -args.grid, args.grid)
+    lat = _lattice(_parse_q(args.q), -args.grid, args.grid)
     env = log_gaussian(lat, args.center, args.width)
     fn = LatticeFn.sample(
         lat, "x", lambda a, b, c: env(a) * env(b) * env(c)
@@ -273,9 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    return args.fn(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.fn(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -14,10 +14,15 @@ Two carriers are provided:
   window); used for Stokes-type checks and CSV export.
 
 * :class:`StructuredFn` - finite sums  coeff * monomial * per-axis
-  envelopes, with envelopes as exact callables.  This carrier supports an
-  exact star product against operands whose coupled axes are envelope-free
-  (the pairing classes used by the expectation-value suite), because the
-  star's degree-coupled scaling operators then act as argument dilations.
+  envelopes, each envelope (:class:`AxisFn`) a product of leaves
+  x -> base(+-q0^m x).  Every envelope operation (slot scalings,
+  conjugation, Jackson shifts) dilates by +-q0^m, which is arithmetic on
+  the leaves and, on the lattice, an index shift plus a branch swap.  This
+  carrier supports an exact star product against operands whose coupled
+  axes are envelope-free (the pairing classes used by the expectation-value
+  suite), because the star's degree-coupled scaling operators then act as
+  such dilations.  One routine, :func:`_axis_rows`, samples envelopes on
+  the integration lattice; it keeps nothing between calls.
 """
 
 from __future__ import annotations
@@ -29,8 +34,10 @@ import numpy as np
 
 from .qarith import QScalar
 
-#: shared uid counter for cache-keyable objects (lattices, axis functions)
-_AXISFN_COUNTER = [0]
+#: byte bound on one gathered block of envelope samples in _axis_rows
+_BLOCK_BYTES = 1 << 20
+#: bound on the (left term, right term, k) triples a star integral reduces at once
+_BLOCK_TRIPLES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -54,8 +61,6 @@ class QLattice:
             raise ValueError("q0 must be > 1")
         if self.j_min > self.j_max:
             raise ValueError("empty lattice window")
-        _AXISFN_COUNTER[0] += 1
-        object.__setattr__(self, "uid", _AXISFN_COUNTER[0])
 
     @property
     def n_points(self) -> int:
@@ -80,68 +85,74 @@ class QLattice:
         )
 
 
-# -- per-axis functions ---------------------------------------------------------
+# -- per-axis envelopes ---------------------------------------------------------
 
 
 class AxisFn:
-    """A per-axis factor: an exact callable on coordinate values.
+    """A per-axis envelope: a product of leaves.
 
-    Wrapped callables must be vectorized over numpy arrays and defined on
-    the whole real line minus zero (evaluations happen at dilated lattice
-    points of either sign).  Each instance carries a unique id so evaluated
-    profiles can be cached, and argument dilations are memoized so repeated
-    scalings return identical objects.
+    A leaf ``(base, m, sign, conj)`` is the function
+    x -> base(sign * q0^m * x), complex-conjugated when ``conj`` is set;
+    ``AxisFn(fn)`` is the single leaf ``(fn, 0, 1, False)``.  Bases must be
+    vectorized over numpy arrays and defined on the whole real line minus
+    zero (they are evaluated at dilated lattice points of either sign).
+    Envelopes are values: equal leaf products compare and hash equal, so
+    carriers merge equal terms without any identity bookkeeping.
     """
 
-    __slots__ = ("fn", "uid", "_scaled")
+    __slots__ = ("leaves",)
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray]):
-        self.fn = fn
-        _AXISFN_COUNTER[0] += 1
-        self.uid = _AXISFN_COUNTER[0]
-        self._scaled = {}
+        self.leaves = ((fn, 0, 1, False),)
+
+    @classmethod
+    def _of(cls, leaves) -> "AxisFn":
+        env = object.__new__(cls)
+        env.leaves = tuple(sorted(leaves, key=lambda lf: (id(lf[0]),) + lf[1:]))
+        return env
+
+    def __eq__(self, other):
+        return isinstance(other, AxisFn) and self.leaves == other.leaves
+
+    def __hash__(self):
+        return hash(self.leaves)
+
+    def values(self, x, q0: float) -> np.ndarray:
+        """The envelope at the points x of a lattice with base q0."""
+        x = np.asarray(x, dtype=float)
+        out = 1.0
+        for base, m, sign, conj in self.leaves:
+            v = base(sign * q0**m * x)
+            out = out * (np.conjugate(v) if conj else v)
+        return out
 
     def __call__(self, x):
-        return self.fn(np.asarray(x, dtype=float))
+        """Values of an envelope no carrier has dilated."""
+        if any(m for _, m, _, _ in self.leaves):
+            raise ValueError("a dilated envelope needs its lattice: use values(x, q0)")
+        return self.values(x, 1.0)
 
-    def scaled_arg(self, factor: float) -> "AxisFn":
-        if factor == 1.0:
-            return self
-        cached = self._scaled.get(("s", factor))
-        if cached is None:
-            f = self.fn
-            cached = AxisFn(lambda x: f(factor * x))
-            self._scaled[("s", factor)] = cached
-        return cached
 
-    def times(self, other: "AxisFn") -> "AxisFn":
-        cached = self._scaled.get(("t", other.uid))
-        if cached is None:
-            f, g = self.fn, other.fn
-            cached = AxisFn(lambda x: f(x) * g(x))
-            self._scaled[("t", other.uid)] = cached
-        return cached
+def _dilate(env, m: int, sign: int = 1, conj: bool = False):
+    """x -> env(sign * q0^m * x), complex-conjugated if ``conj``; the
+    absent envelope (None, the constant 1) stays absent."""
+    if env is None or (m == 0 and sign == 1 and not conj):
+        return env
+    return AxisFn._of(
+        (base, bm + m, bs * sign, bc != conj) for base, bm, bs, bc in env.leaves
+    )
 
-    def conjugated(self, arg_factor: float) -> "AxisFn":
-        """x -> conj(f(arg_factor * x)): the per-axis piece of quantum
-        space conjugation."""
-        cached = self._scaled.get(("c", arg_factor))
-        if cached is None:
-            f = self.fn
-            cached = AxisFn(lambda x: np.conjugate(f(arg_factor * x)))
-            self._scaled[("c", arg_factor)] = cached
-        return cached
 
-    def jackson_with_monomial(self, n: int, Q: float) -> "AxisFn":
-        """Envelope part of D_Q(x^n e): (Q^n e(Qx) - e(x)) / (Q - 1)."""
-        f = self.fn
-        qn = Q**n
-        return AxisFn(lambda x: (qn * f(Q * x) - f(x)) / (Q - 1.0))
+def _times(e1, e2):
+    if e1 is None:
+        return e2
+    if e2 is None:
+        return e1
+    return AxisFn._of(e1.leaves + e2.leaves)
 
-    def jackson_bare(self, Q: float) -> "AxisFn":
-        """D_Q e = (e(Qx) - e(x)) / ((Q - 1) x), kept on the same axis."""
-        f = self.fn
-        return AxisFn(lambda x: (f(Q * x) - f(x)) / ((Q - 1.0) * x))
+
+def _with(items: tuple, slot: int, value) -> tuple:
+    return items[:slot] + (value,) + items[slot + 1 :]
 
 
 def log_gaussian(
@@ -170,6 +181,80 @@ def odd_log_gaussian(lattice: QLattice, center_j=0.0, width_j=2.0) -> AxisFn:
         return np.sign(x) * base(x)
 
     return AxisFn(fn)
+
+
+def _axis_rows(lat: QLattice, slot: int, envs, env_idx, shifts, ns):
+    """Weighted samples of per-axis factors on the slot's integration
+    lattice, yielded as ``(start, rows)`` blocks of consecutive factors.
+
+    Factor f is x^ns[f] times the product over p of the envelope
+    ``envs[env_idx[f, p]]`` (None is the constant 1) dilated by
+    q0^shifts[f, p].  Its row holds w_j (s x_j)^n (product)(s x_j) for the
+    signs s = +1, -1 (axis 1) and the integration points x_j with Jackson
+    weights w_j (axis 2).  Each distinct base is evaluated once, on the
+    index window the leaves' shifts reach.
+    """
+    n_f, n_p = env_idx.shape
+    if n_f == 0:
+        return
+    js = lat.integration_js(slot)
+    # each envelope's leaves as integer arrays, padded with base row 0 (= 1)
+    n_l = max([len(e.leaves) for e in envs if e is not None], default=1)
+    lb, lm, ls, lc = (np.zeros((len(envs), n_l), dtype=int) for _ in range(4))
+    bases: dict = {}
+    for e, env in enumerate(envs):
+        for l, (base, m, sign, conj) in enumerate(env.leaves if env is not None else ()):
+            lb[e, l] = bases.setdefault(base, len(bases) + 1)
+            lm[e, l], ls[e, l], lc[e, l] = m, sign < 0, conj
+    lb, ls, lc = lb[env_idx], ls[env_idx], lc[env_idx]
+    m_all = np.where(lb > 0, lm[env_idx] + shifts[:, :, None], 0)
+    lo = js[0] + m_all.min()
+    pts = lat.q0 ** np.arange(lo, js[-1] + m_all.max() + 1).astype(float)
+    table = np.ones((len(bases) + 1, 2, 2, pts.size), dtype=complex)  # base, conj, sign, j
+    for base, b in bases.items():
+        table[b, 0] = base(pts), base(-pts)
+    table[:, 1] = np.conjugate(table[:, 0])
+    xs = lat.q0 ** js.astype(float)
+    degrees, n_row = np.unique(ns, return_inverse=True)
+    mono = lat.integration_weights(slot) * np.stack([xs, -xs]) ** degrees[:, None, None]
+    step = max(1, _BLOCK_BYTES // (n_p * n_l * 2 * js.size * 16))
+    sign_row = np.arange(2)[:, None]
+    for start in range(0, n_f, step):
+        blk = slice(start, start + step)
+        vals = table[
+            lb[blk, :, :, None, None],
+            lc[blk, :, :, None, None],
+            sign_row ^ ls[blk, :, :, None, None],
+            m_all[blk, :, :, None, None] + (js - lo),
+        ]
+        yield start, np.prod(vals, axis=(1, 2)) * mono[n_row[blk]]
+
+
+def _factor_sums(lat: QLattice, slot: int, envs, env_idx, shifts, ns) -> np.ndarray:
+    """Per-factor integrals over one axis (factors as in :func:`_axis_rows`),
+    each distinct factor summed once."""
+    keys = np.column_stack([env_idx, shifts, ns])
+    if not len(keys):
+        return np.zeros(0, dtype=complex)
+    lo = keys.min(axis=0)
+    code = np.ravel_multi_index((keys - lo).T, keys.max(axis=0) - lo + 1)
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    uniq = keys[first]
+    n_p = env_idx.shape[1]
+    sums = np.zeros(len(uniq), dtype=complex)
+    for start, rows in _axis_rows(lat, slot, envs, uniq[:, :n_p], uniq[:, n_p:-1], uniq[:, -1]):
+        sums[start : start + len(rows)] = rows.sum(axis=(1, 2))
+    return sums[inverse.ravel()]
+
+
+def _falling(dmax: int, Q: float) -> np.ndarray:
+    """The q-falling factorials [[d]]_Q [[d-1]]_Q ... [[d-k+1]]_Q at [d, k]
+    for 0 <= k <= d <= dmax; [k, k] is [[k]]_Q!."""
+    qn = np.concatenate([[0.0], np.cumsum(Q ** np.arange(dmax, dtype=float))])
+    fall = np.zeros((dmax + 1, dmax + 1))
+    for d in range(dmax + 1):
+        fall[d, : d + 1] = np.cumprod(np.concatenate([[1.0], qn[d:0:-1]]))
+    return fall
 
 
 # -- structured carrier -----------------------------------------------------------
@@ -209,6 +294,11 @@ def integral_all_space(fn, boundary_tol: float | None = None) -> complex:
 class StructuredFn:
     """Finite sum of  coeff * (slot monomial) * (per-axis envelopes).
 
+    Slot degrees are integers; a negative degree appears only on an
+    enveloped slot, after a Jackson derivative.  Envelopes are
+    :class:`AxisFn` values or None; terms with equal degrees and equal
+    envelopes are merged on construction.
+
     Implements the same operand interface as the symbolic carrier
     (`jackson_d`, `scale_slot`, `mul_slot_var`, `scale_q`, `conjugate`,
     arithmetic), so the derivative representations in
@@ -221,16 +311,11 @@ class StructuredFn:
     def __init__(self, lattice: QLattice, sector_kind: str, terms: Sequence[STerm]):
         self.lattice = lattice
         self.sector_kind = sector_kind
-        # consolidate duplicates; envelope combinators are memoized by id,
-        # so equal envelopes share uids and merging is effective
         acc: dict = {}
         for t in terms:
             if t.coeff == 0:
                 continue
-            key = (
-                t.exps,
-                tuple(e.uid if e is not None else 0 for e in t.envs),
-            )
+            key = (t.exps, t.envs)
             prev = acc.get(key)
             if prev is None:
                 acc[key] = t
@@ -302,28 +387,19 @@ class StructuredFn:
     # -- operand interface for the derivative representations ----------------
 
     def jackson_d(self, sector_index: int, slot: int, base_exp: int) -> "StructuredFn":
+        """D_Q on one slot, Q = q0^base_exp, through the identity
+        D_Q(x^n e) = x^(n-1) (Q^n e(Qx) - e(x)) / (Q - 1), which holds for
+        every integer n.  On an envelope-free slot the two terms merge into
+        [[n]]_Q x^(n-1), and cancel for n = 0."""
         assert sector_index == 0
         Q = self.lattice.q0**base_exp
         out = []
         for t in self.terms:
             n = t.exps[slot]
-            env = t.envs[slot]
-            if env is None:
-                if n == 0:
-                    continue
-                qn = _q_number_numeric(n, Q)
-                exps = list(t.exps)
-                exps[slot] = n - 1
-                out.append(STerm(t.coeff * qn, tuple(exps), t.envs))
-            else:
-                exps = list(t.exps)
-                envs = list(t.envs)
-                if n > 0:
-                    exps[slot] = n - 1
-                    envs[slot] = env.jackson_with_monomial(n, Q)
-                else:
-                    envs[slot] = env.jackson_bare(Q)
-                out.append(STerm(t.coeff, tuple(exps), tuple(envs)))
+            exps = _with(t.exps, slot, n - 1)
+            shifted = _with(t.envs, slot, _dilate(t.envs[slot], base_exp))
+            out.append(STerm(t.coeff * Q**n / (Q - 1.0), exps, shifted))
+            out.append(STerm(-t.coeff / (Q - 1.0), exps, t.envs))
         return self._new(out)
 
     def jackson_d_inv(self, *args):
@@ -334,21 +410,15 @@ class StructuredFn:
         factor = self.lattice.q0**q_exp
         out = []
         for t in self.terms:
-            coeff = t.coeff * factor ** t.exps[slot]
-            envs = list(t.envs)
-            if envs[slot] is not None:
-                envs[slot] = envs[slot].scaled_arg(factor)
-            out.append(STerm(coeff, t.exps, tuple(envs)))
+            envs = _with(t.envs, slot, _dilate(t.envs[slot], q_exp))
+            out.append(STerm(t.coeff * factor ** t.exps[slot], t.exps, envs))
         return self._new(out)
 
     def mul_slot_var(self, sector_index: int, slot: int, power: int = 1) -> "StructuredFn":
         assert sector_index == 0
-        out = []
-        for t in self.terms:
-            exps = list(t.exps)
-            exps[slot] += power
-            out.append(STerm(t.coeff, tuple(exps), t.envs))
-        return self._new(out)
+        return self._new(
+            [STerm(t.coeff, _with(t.exps, slot, t.exps[slot] + power), t.envs) for t in self.terms]
+        )
 
     def d_dt(self):
         raise NotImplementedError("lattice carriers hold no symbolic time")
@@ -357,257 +427,159 @@ class StructuredFn:
 
     def conjugate(self) -> "StructuredFn":
         """Quantum space conjugation; swaps the outer axes with the metric's
-        sign and scale factors and conjugates envelopes at scaled arguments."""
+        sign and scale factors and conjugates envelopes at dilated
+        arguments."""
         q0 = self.lattice.q0
-        if self.sector_kind == "x":
-            first_fac, last_fac = -q0, -1.0 / q0  # x+ -> -q x-, x- -> -x+/q
-        else:
-            first_fac, last_fac = -1.0 / q0, -q0  # p- -> -p+/q, p+ -> -q p-
+        if self.sector_kind == "x":  # x+ -> -q x-, x- -> -x+/q
+            first_fac, first_m, last_fac, last_m = -q0, 1, -1.0 / q0, -1
+        else:  # p- -> -p+/q, p+ -> -q p-
+            first_fac, first_m, last_fac, last_m = -1.0 / q0, -1, -q0, 1
         out = []
         for t in self.terms:
             a, b, c = t.exps
             e1, e2, e3 = t.envs
             coeff = np.conjugate(t.coeff) * first_fac**a * last_fac**c
             envs = (
-                None if e3 is None else e3.conjugated(last_fac),
-                None if e2 is None else e2.conjugated(1.0),
-                None if e1 is None else e1.conjugated(first_fac),
+                _dilate(e3, last_m, -1, True),
+                _dilate(e2, 0, 1, True),
+                _dilate(e1, first_m, -1, True),
             )
             out.append(STerm(coeff, (c, b, a), envs))
         return self._new(out)
 
     # -- star product -----------------------------------------------------------
 
-    def _star_terms(self, other: "StructuredFn", mirror: bool):
-        """Generate the product terms of the W star (mirror=False) or the
-        Wt star (mirror=True).
+    def _star_triples(self, other: "StructuredFn", mirror: bool):
+        """The W star (mirror=False) or the Wt star (mirror=True) term by
+        term, as arrays over the triples (left term, right term, k) in
+        blocks of left terms.
 
         The left operand must be polynomial on the axis its Jackson
         derivatives act on (last slot for W, first for Wt) and likewise the
         right operand on its own coupled axis; the coupled scaling operators
-        act on the remaining envelopes as exact argument dilations.
+        act on the middle envelopes as dilations.  Yields
+        ``(i1, i2, coeff, exps, shift1, shift2)``: the term indices, the
+        product term's coefficient and degrees (shape (N, 3)), and the
+        powers of q0 dilating the left and right middle envelopes.
         """
         if other.sector_kind != self.sector_kind:
             raise ValueError("sector mismatch")
+        l_slot, r_slot = (0, 2) if mirror else (2, 0)
+        for side, f, slot in (("left", self, l_slot), ("right", other, r_slot)):
+            if any(t.envs[slot] is not None for t in f.terms):
+                raise ClassConstraintError(
+                    f"{side} star operand must be polynomial on its coupled axis"
+                )
+        if not self.terms or not other.terms:
+            return
         q0 = self.lattice.q0
         sgn = -1 if mirror else 1
         lam = sgn * (q0 - 1.0 / q0)
-        Q = q0 ** (4 * sgn)
-        l_slot, r_slot = (0, 2) if mirror else (2, 0)
-        for t1 in self.terms:
-            if t1.envs[l_slot] is not None:
-                raise ClassConstraintError(
-                    "left star operand must be polynomial on its coupled axis"
-                )
-            a1, b1, c1 = t1.exps
-            d1 = t1.exps[l_slot]
-            for t2 in other.terms:
-                if t2.envs[r_slot] is not None:
-                    raise ClassConstraintError(
-                        "right star operand must be polynomial on its coupled axis"
-                    )
-                a2, b2, c2 = t2.exps
-                d2 = t2.exps[r_slot]
-                for k in range(min(d1, d2) + 1):
-                    coeff = (
-                        t1.coeff
-                        * t2.coeff
-                        * lam**k
-                        / _q_factorial_numeric(k, Q)
-                        * _falling_numeric(d1, k, Q)
-                        * _falling_numeric(d2, k, Q)
-                    )
-                    coeff *= q0 ** (
-                        2.0 * sgn * (b1 * (d2 - k) + (d1 - k) * b2)
-                    )
-                    env_mid_1 = t1.envs[1]
-                    if env_mid_1 is not None:
-                        env_mid_1 = env_mid_1.scaled_arg(
-                            q0 ** (2 * sgn * (d2 - k))
-                        )
-                    env_mid_2 = t2.envs[1]
-                    if env_mid_2 is not None:
-                        env_mid_2 = env_mid_2.scaled_arg(
-                            q0 ** (2 * sgn * (d1 - k))
-                        )
-                    first_env = t2.envs[0] if mirror else t1.envs[0]
-                    last_env = t1.envs[2] if mirror else t2.envs[2]
-                    exps = (a1 + a2 - k, b1 + b2 + 2 * k, c1 + c2 - k)
-                    yield coeff, exps, first_env, env_mid_1, env_mid_2, last_env
+        c1 = np.array([t.coeff for t in self.terms], dtype=complex)
+        c2 = np.array([t.coeff for t in other.terms], dtype=complex)
+        e1 = np.array([t.exps for t in self.terms], dtype=int)
+        e2 = np.array([t.exps for t in other.terms], dtype=int)
+        d1, d2 = e1[:, l_slot], e2[:, r_slot]
+        fall = _falling(int(max(d1.max(), d2.max())), q0 ** (4 * sgn))
+        counts = np.minimum.outer(d1, d2) + 1  # k = 0 .. min(d1, d2)
+        step = max(1, _BLOCK_TRIPLES // int(counts.sum(axis=1).max()))
+        for lo in range(0, len(c1), step):
+            n = counts[lo : lo + step].ravel()
+            pair = np.repeat(np.arange(n.size), n)
+            k = np.arange(pair.size) - np.repeat(np.cumsum(n) - n, n)
+            i1, i2 = np.divmod(pair, len(c2))
+            i1 += lo
+            (a1, b1, x1), (a2, b2, x2) = e1[i1].T, e2[i2].T
+            k1, k2 = d1[i1] - k, d2[i2] - k
+            coeff = (
+                c1[i1] * c2[i2] * lam**k / fall[k, k] * fall[d1[i1], k] * fall[d2[i2], k]
+            )
+            coeff *= q0 ** (2.0 * sgn * (b1 * k2 + k1 * b2))
+            exps = np.stack([a1 + a2 - k, b1 + b2 + 2 * k, x1 + x2 - k], axis=1)
+            yield i1, i2, coeff, exps, 2 * sgn * k2, 2 * sgn * k1
 
-    @staticmethod
-    def _combine_mid(e1, e2):
-        if e1 is None:
-            return e2
-        if e2 is None:
-            return e1
-        return e1.times(e2)
+    def _star(self, other: "StructuredFn", mirror: bool) -> "StructuredFn":
+        out = []
+        for block in self._star_triples(other, mirror):
+            for i1, i2, c, exps, s1, s2 in zip(*(a.tolist() for a in block)):
+                t1, t2 = self.terms[i1], other.terms[i2]
+                first, last = (t2, t1) if mirror else (t1, t2)
+                mid = _times(_dilate(t1.envs[1], s1), _dilate(t2.envs[1], s2))
+                out.append(STerm(c, tuple(exps), (first.envs[0], mid, last.envs[2])))
+        return self._new(out)
 
     def star(self, other: "StructuredFn") -> "StructuredFn":
         """The deformed product, exact on the pairing classes."""
-        out = [
-            STerm(c, e, (f, self._combine_mid(m1, m2), l))
-            for c, e, f, m1, m2, l in self._star_terms(other, mirror=False)
-        ]
-        return self._new(out)
+        return self._star(other, mirror=False)
 
     def star_wt(self, other: "StructuredFn") -> "StructuredFn":
         """The Wt-ordered star product (the hatted calculus' product)."""
-        out = [
-            STerm(c, e, (f, self._combine_mid(m1, m2), l))
-            for c, e, f, m1, m2, l in self._star_terms(other, mirror=True)
-        ]
-        return self._new(out)
+        return self._star(other, mirror=True)
 
     def star_integral(self, other: "StructuredFn", mirror: bool = False) -> complex:
-        """Integral over all space of self (star) other, accumulated without
-        materializing the product (per-axis profile sums are cached)."""
+        """Integral over all space of self (star) other, the Wt star with
+        ``mirror``, reduced over the product's terms without building them:
+        per block of triples, each distinct per-axis factor is summed once."""
         lat = self.lattice
+        first, last = (other, self) if mirror else (self, other)
+        first_envs = [t.envs[0] for t in first.terms]
+        last_envs = [t.envs[2] for t in last.terms]
+        mid_envs = [t.envs[1] for t in self.terms] + [t.envs[1] for t in other.terms]
         total = 0j
-        for c, exps, f_env, m1, m2, l_env in self._star_terms(other, mirror):
-            s1 = _axis_sum_cached(lat, 0, f_env, exps[0])
-            s2 = _axis_pair_sum_cached(lat, 1, m1, m2, exps[1])
-            s3 = _axis_sum_cached(lat, 2, l_env, exps[2])
-            total += c * s1 * s2 * s3
+        for i1, i2, coeff, exps, s1, s2 in self._star_triples(other, mirror):
+            i_first, i_last = (i2, i1) if mirror else (i1, i2)
+            zero = np.zeros((len(coeff), 1), dtype=int)
+            f0 = _factor_sums(lat, 0, first_envs, i_first[:, None], zero, exps[:, 0])
+            mids = np.stack([i1, len(self.terms) + i2], axis=1)
+            f1 = _factor_sums(lat, 1, mid_envs, mids, np.stack([s1, s2], axis=1), exps[:, 1])
+            f2 = _factor_sums(lat, 2, last_envs, i_last[:, None], zero, exps[:, 2])
+            total += np.sum(coeff * f0 * f1 * f2)
         return complex(total)
 
     # -- evaluation and integration ----------------------------------------------
 
+    def _slot_factors(self, slot: int):
+        """Each term's factor on one slot, as :func:`_axis_rows` arguments."""
+        n = len(self.terms)
+        return (
+            [t.envs[slot] for t in self.terms],
+            np.arange(n)[:, None],
+            np.zeros((n, 1), dtype=int),
+            np.array([t.exps[slot] for t in self.terms], dtype=int),
+        )
+
     def integral_all_space(self) -> complex:
         """Nested smaller-lattice Jackson sums; separable per term."""
-        total = 0j
-        for t in self.terms:
-            prod = t.coeff
-            for slot in range(3):
-                prod *= _axis_sum_cached(
-                    self.lattice, slot, t.envs[slot], t.exps[slot]
-                )
-            total += prod
-        return complex(total)
-
-    def _axis_profile(self, slot: int, term: STerm) -> np.ndarray:
-        lat = self.lattice
-        js = lat.integration_js(slot).astype(float)
-        w = lat.integration_weights(slot)
-        xs = lat.q0**js
-        n = term.exps[slot]
-        env = term.envs[slot]
-        prof = np.zeros(len(js))
-        for sign in (1.0, -1.0):
-            pts = sign * xs
-            vals = pts**n if n else np.ones_like(pts, dtype=float)
-            if env is not None:
-                vals = vals * env(pts)
-            prof = prof + np.abs(w * vals)
-        return prof
+        total = np.array([t.coeff for t in self.terms], dtype=complex)
+        for slot in range(3):
+            total = total * _factor_sums(self.lattice, slot, *self._slot_factors(slot))
+        return complex(total.sum())
 
     def boundary_mass(self) -> float:
         """Relative weight carried by the outermost included shell of each
         axis; small values certify that the window truncation is harmless."""
         worst = 0.0
-        for t in self.terms:
-            if t.coeff == 0:
-                continue
-            for slot in range(3):
-                prof = self._axis_profile(slot, t)
-                total = float(np.sum(prof))
-                if total == 0.0:
-                    continue
-                edge = float(prof[0] + prof[-1])
-                worst = max(worst, edge / total)
+        for slot in range(3):
+            for _, rows in _axis_rows(self.lattice, slot, *self._slot_factors(slot)):
+                prof = np.abs(rows).sum(axis=1)
+                total = prof.sum(axis=1)
+                edge = prof[:, 0] + prof[:, -1]
+                nz = total != 0.0
+                worst = max(worst, float(np.max(edge[nz] / total[nz], initial=0.0)))
         return worst
 
     def values_on(self, pts1, pts2, pts3) -> np.ndarray:
         """Evaluate on a meshgrid of per-axis point arrays."""
-        g1, g2, g3 = np.meshgrid(pts1, pts2, pts3, indexing="ij")
-        acc = np.zeros(g1.shape, dtype=complex)
+        grids = np.meshgrid(pts1, pts2, pts3, indexing="ij")
+        acc = np.zeros(grids[0].shape, dtype=complex)
         for t in self.terms:
-            v = t.coeff * g1 ** t.exps[0] * g2 ** t.exps[1] * g3 ** t.exps[2]
-            if t.envs[0] is not None:
-                v = v * t.envs[0](g1)
-            if t.envs[1] is not None:
-                v = v * t.envs[1](g2)
-            if t.envs[2] is not None:
-                v = v * t.envs[2](g3)
+            v = t.coeff
+            for g, n, env in zip(grids, t.exps, t.envs):
+                v = v * g**n
+                if env is not None:
+                    v = v * env.values(g, self.lattice.q0)
             acc += v
         return acc
-
-
-_AXIS_SUM_CACHE: dict = {}
-
-
-def _axis_sum_cached(lat: QLattice, slot: int, env, n: int) -> complex:
-    key = (lat.uid, slot, env.uid if env is not None else 0, n)
-    val = _AXIS_SUM_CACHE.get(key)
-    if val is None:
-        js = lat.integration_js(slot).astype(float)
-        w = lat.integration_weights(slot)
-        xs = lat.q0**js
-        total = 0j
-        for sign in (1.0, -1.0):
-            pts = sign * xs
-            vals = pts**n if n else np.ones_like(pts, dtype=float)
-            if env is not None:
-                vals = vals * env(pts)
-            total += np.sum(w * vals)
-        val = complex(total)
-        _AXIS_SUM_CACHE[key] = val
-    return val
-
-
-def _axis_pair_sum_cached(lat: QLattice, slot: int, e1, e2, n: int) -> complex:
-    u1 = e1.uid if e1 is not None else 0
-    u2 = e2.uid if e2 is not None else 0
-    if u2 < u1:
-        u1, u2, e1, e2 = u2, u1, e2, e1
-    key = (lat.uid, slot, u1, u2, n)
-    val = _AXIS_SUM_CACHE.get(key)
-    if val is None:
-        js = lat.integration_js(slot).astype(float)
-        w = lat.integration_weights(slot)
-        xs = lat.q0**js
-        total = 0j
-        for sign in (1.0, -1.0):
-            pts = sign * xs
-            vals = pts**n if n else np.ones_like(pts, dtype=float)
-            if e1 is not None:
-                vals = vals * e1(pts)
-            if e2 is not None:
-                vals = vals * e2(pts)
-            total += np.sum(w * vals)
-        val = complex(total)
-        _AXIS_SUM_CACHE[key] = val
-    return val
-
-
-from functools import lru_cache
-
-
-@lru_cache(maxsize=None)
-def _q_number_numeric(n: int, Q: float) -> float:
-    # [[n]]_Q = 1 + Q + ... + Q^(n-1)
-    total = 0.0
-    p = 1.0
-    for _ in range(n):
-        total += p
-        p *= Q
-    return total
-
-
-@lru_cache(maxsize=None)
-def _q_factorial_numeric(n: int, Q: float) -> float:
-    out = 1.0
-    for k in range(1, n + 1):
-        out *= _q_number_numeric(k, Q)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _falling_numeric(n: int, k: int, Q: float) -> float:
-    out = 1.0
-    for j in range(k):
-        out *= _q_number_numeric(n - j, Q)
-    return out
 
 
 # -- dense carrier ------------------------------------------------------------------

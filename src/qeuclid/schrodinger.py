@@ -765,21 +765,6 @@ def gaussian_packet(
     return packet.normalized()
 
 
-def expectation_momentum(wp: WavePacket, index: str, t: float = 0.0, position: str = "upper") -> complex:
-    """Module-level form of the packet's momentum expectation value."""
-    return wp.expectation_momentum(index, t, position)
-
-
-def expectation_position(wp: WavePacket, index: str, t: float = 0.0, position: str = "upper") -> complex:
-    """Module-level form of the packet's position expectation value."""
-    return wp.expectation_position(index, t, position)
-
-
-def norm_check(wp: WavePacket, t: float = 0.0) -> float:
-    """|1 - norm integral| for a packet."""
-    return wp.norm_check(t)
-
-
 def phase_factor_construction_residual(order: int, mass: Fraction) -> Poly:
     """The phase factor must equal the C(k,l) double sum term by term; this
     rebuilds it independently and subtracts (asserting by construction that

@@ -133,7 +133,7 @@ def _case(cases, name, fn, repro=""):
         ok, detail = fn()
     except Exception as exc:  # a crash is a failure with the exception text
         ok, detail = False, f"exception: {exc!r}"
-    cases.append(CaseResult(name, ok, "" if ok else detail, repro))
+    cases.append(CaseResult(name, bool(ok), "" if ok else detail, repro))
 
 
 # -- qarith ------------------------------------------------------------------------

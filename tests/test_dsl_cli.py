@@ -1,20 +1,28 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import qeuclid
 from qeuclid import dsl
 from qeuclid.cli import main
 from qeuclid.qarith import QScalar, LAMBDA
 from qeuclid.starcalc import coord_variable, star_product
 
 
+#: the import root of the qeuclid under test, handed on to the subprocesses
+SRC = os.path.dirname(os.path.dirname(qeuclid.__file__))
+
+
 def run_cli(*argv):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "qeuclid.cli", *argv],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -125,3 +133,23 @@ def test_main_entry_direct(capsys):
     assert main(["expand", "exp[x_ip](1)"]) == 0
     captured = capsys.readouterr()
     assert "p+" in captured.out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--q", "1", "--out", "{tmp}/g.csv"],
+        ["expectation", "--packet", "{tmp}/missing.json"],
+        ["expectation", "--packet", "{tmp}/no_j_min.json"],
+        ["eval", "star(x-, x+)", "--q", "0"],
+        ["eval", "star(x3, x+) - q^2 * star(x+, x3)", "--q", "0"],
+        ["heine", "--q", "1"],
+        ["propagator", "--order", "-1"],
+    ],
+)
+def test_cli_bad_input_exits_2(tmp_path, argv):
+    config = {"lattice": {"q0": 1.1, "j_max": 10}, "packet": {}}
+    (tmp_path / "no_j_min.json").write_text(json.dumps(config))
+    code, out, err = run_cli(*(a.format(tmp=tmp_path) for a in argv))
+    lines = [ln for ln in err.splitlines() if ln.strip()]
+    assert code == 2 and out == "" and len(lines) == 1, err

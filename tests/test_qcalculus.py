@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from qeuclid.lattice import (
     log_gaussian,
     odd_log_gaussian,
 )
+from qeuclid.verify import run_suite
 
 xp, x3, xm, tv = (coord_variable(v) for v in ("x+", "x3", "x-", "t"))
 
@@ -185,6 +188,40 @@ def test_integration_by_parts(lat):
     assert worst <= 1e-9
 
 
+def test_star_integral_matches_materialized_product(lat):
+    rng = np.random.default_rng(7)
+
+    def term(envs):
+        exps = tuple(int(v) for v in rng.integers(0, 3, 3))
+        return STerm(complex(rng.normal(), rng.normal()), exps, envs)
+
+    # W class data (left polynomial on the last slot, right on the first),
+    # with negative degrees from a Jackson derivative on an enveloped slot
+    g0 = StructuredFn(lat, "x", [term((None, _mix(lat, rng), _mix(lat, rng))) for _ in range(3)])
+    f = g0.conjugate().jackson_d(0, 1, 2)
+    g = apply_derivative(d("-"), g0)
+    assert any(min(t.exps) < 0 for t in f.terms)
+    fh, gh = f.conjugate(), g.conjugate()  # the Wt classes
+    for lhs, rhs in (
+        (f.star_integral(g), f.star(g).integral_all_space()),
+        (fh.star_integral(gh, mirror=True), fh.star_wt(gh).integral_all_space()),
+    ):
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+
+
+def test_equal_dilation_chains_merge(lat):
+    rng = np.random.default_rng(8)
+    f = StructuredFn(lat, "x", [
+        STerm(0.3 - 1.1j, (2, 0, 1), (_mix(lat, rng), _mix(lat, rng), None)),
+        STerm(0.8 + 0.5j, (0, 0, 3), (None, _mix(lat, rng), _mix(lat, rng))),
+    ])
+    assert (f.scale_slot(0, 1, 2).scale_slot(0, 1, -2) - f).is_zero()
+
+
+def test_verify_qcalculus_report_is_json():
+    json.dumps(run_suite("qcalculus").to_json(), sort_keys=True)
+
+
 def test_conjugation_of_integrals(lat):
     rng = np.random.default_rng(6)
     for _ in range(4):
@@ -194,6 +231,12 @@ def test_conjugation_of_integrals(lat):
         lhs = np.conjugate(f.integral_all_space())
         rhs = f.conjugate().integral_all_space()
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+    # complex envelope values, which conjugation has to reach
+    env = log_gaussian(lat, 0.2, 1.0, amplitude=0.6 - 0.8j)
+    f = StructuredFn(lat, "x", [STerm(0.5 + 0.1j, (2, 0, 2), (env, env, env))])
+    lhs = np.conjugate(f.integral_all_space())
+    rhs = f.conjugate().integral_all_space()
+    assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
 def test_boundary_rejection(lat):
