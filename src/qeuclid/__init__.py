@@ -16,7 +16,6 @@ line surface.
 from .qarith import (
     GRat,
     QScalar,
-    DeformationConstants,
     LAMBDA,
     LAMBDA_PLUS,
     KAPPA,
@@ -40,7 +39,6 @@ from .lattice import QLattice, StructuredFn, LatticeFn
 __all__ = [
     "GRat",
     "QScalar",
-    "DeformationConstants",
     "LAMBDA",
     "LAMBDA_PLUS",
     "KAPPA",

@@ -1,6 +1,7 @@
 """Command-line surface.
 
-Subcommands: parse, expand, eval, verify, propagator, expectation, sample.
+Subcommands: parse, expand, eval, verify, propagator, expectation, heine,
+sample.
 Exit codes: 0 on success, 1 on verification failures, 2 on usage or syntax
 errors, reported on one line of stderr.  JSON output is canonical (sorted
 keys, no timestamps), so fixed seed and configuration reproduce
@@ -45,10 +46,20 @@ def _lattice(q0: float, j_min: int, j_max: int) -> QLattice:
         raise UsageError(f"bad lattice (q0={q0}, j in [{j_min}, {j_max}]): {exc}") from None
 
 
-def _order(order: int) -> int:
+def _order(order: int, flag: str = "--order") -> int:
     if order < 0:
-        raise UsageError(f"--order must be >= 0, got {order}")
+        raise UsageError(f"{flag} must be >= 0, got {order}")
     return order
+
+
+def _mass(text) -> Fraction:
+    try:
+        mass = Fraction(text)
+    except (TypeError, ValueError, ZeroDivisionError):
+        mass = 0
+    if mass == 0:
+        raise UsageError(f"mass must be a nonzero rational, got {text!r}")
+    return mass
 
 
 def _read_packet(path: str):
@@ -59,7 +70,7 @@ def _read_packet(path: str):
         lat, pk = config["lattice"], config["packet"]
         poly = pk.get("momentum_poly")
         return _lattice(float(lat["q0"]), int(lat["j_min"]), int(lat["j_max"])), dict(
-            mass=Fraction(config.get("mass", "1")),
+            mass=_mass(config.get("mass", "1")),
             center_j=float(pk.get("center_j", 0.0)),
             width_j=float(pk.get("width_j", 1.0)),
             odd_fraction=float(pk.get("odd_fraction", 0.0)),
@@ -159,15 +170,18 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = run_suite(
-        args.suite,
-        seed=args.seed,
-        q0=_parse_q(args.q),
-        N=args.N,
-        K=args.K,
-        j_min=-args.grid,
-        j_max=args.grid,
-    )
+    try:
+        report = run_suite(
+            args.suite,
+            seed=args.seed,
+            q0=_parse_q(args.q),
+            N=_order(args.N, "--N"),
+            K=_order(args.K, "--K"),
+            j_min=-args.grid,
+            j_max=args.grid,
+        )
+    except ValueError as exc:  # a bad configuration; cases report their own errors
+        raise UsageError(f"bad verify configuration: {exc}") from None
     if args.json:
         print(json.dumps(report.to_json(), sort_keys=True))
     elif args.csv:
@@ -182,9 +196,7 @@ def cmd_verify(args) -> int:
 
 def cmd_propagator(args) -> int:
     branch = 1 if args.branch == "retarded" else -1
-    prop = propagator_momentum(
-        args.family, branch, _order(args.order), Fraction(args.mass)
-    )
+    prop = propagator_momentum(args.family, branch, _order(args.order), _mass(args.mass))
     if args.json:
         print(json.dumps(prop.to_json(), sort_keys=True))
     else:

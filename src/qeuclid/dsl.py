@@ -18,13 +18,12 @@ Grammar (LL(1), whitespace-insensitive, ASCII only):
 
 ``op |> expr`` and ``op(expr)`` both apply an operator.  Syntax errors
 carry the offending position.  Parsing then printing a canonical-form
-expression is the identity.
+expression is the identity.  Expressions nest at most ``MAX_DEPTH`` deep.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .qarith import QScalar, I, GRat
@@ -47,6 +46,12 @@ COORDS = ("x+", "x3", "x-", "t", "p-", "p3", "p+")
 OPS = ("d", "dhat", "dinv")
 CALLS = ("star", "conj", "translate", "invert", "exp")
 INDICES = ("+", "3", "-", "0")
+
+#: the deepest nesting the parser accepts, both in brackets, calls and
+#: operators around a token and in syntax-tree height (a chain a + b + c
+#: nests to the left).  It keeps the parser (four frames per bracket),
+#: ``evaluate`` and the printers well inside Python's recursion limit.
+MAX_DEPTH = 100
 
 
 def tokenize(src: str):
@@ -74,6 +79,28 @@ class Parser:
     def __init__(self, src: str):
         self.tokens = tokenize(src)
         self.k = 0
+        self.depth = 0  # brackets, calls and operators open at the cursor
+        self.heights = {}  # id(node) -> (height, node) for inner nodes
+
+    def node(self, pos, *parts):
+        """An inner AST node; leaves are the children not in ``heights``."""
+        height = 1 + max(
+            (self.heights.get(id(p), (1,))[0] for p in parts if isinstance(p, tuple)),
+            default=0,
+        )
+        if height > MAX_DEPTH:
+            raise SyntaxErr("expression nested too deeply", pos)
+        self.heights[id(parts)] = (height, parts)  # holding it keeps its id unique
+        return parts
+
+    def nested(self, parse):
+        """Run ``parse`` one nesting level deeper."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise SyntaxErr("expression nested too deeply", self.pos())
+        node = parse()
+        self.depth -= 1
+        return node
 
     def peek(self):
         return self.tokens[self.k][0]
@@ -101,11 +128,11 @@ class Parser:
 
     def pipeline(self):
         if self.peek() in OPS:
-            save = self.k
+            save, pos = self.k, self.pos()
             op, index = self.operator()
             if self.peek() == "|>":
                 self.next()
-                return ("apply", op, index, self.pipeline())
+                return self.node(pos, "apply", op, index, self.nested(self.pipeline))
             self.k = save  # operator used in call form; re-parse as atom
         return self.sum()
 
@@ -121,24 +148,26 @@ class Parser:
     def sum(self):
         node = self.product()
         while self.peek() in ("+", "-"):
-            op, _ = self.next()
-            rhs = self.product()
-            node = ("add" if op == "+" else "sub", node, rhs)
+            op, pos = self.next()
+            node = self.node(pos, "add" if op == "+" else "sub", node, self.product())
         return node
 
     def product(self):
         node = self.atom()
         while self.peek() == "*":
-            self.next()
-            node = ("mul", node, self.atom())
+            _, pos = self.next()
+            node = self.node(pos, "mul", node, self.atom())
         return node
 
     def atom(self):
+        return self.nested(self._atom)
+
+    def _atom(self):
         tok = self.peek()
         pos = self.pos()
         if tok == "-":
             self.next()
-            return ("neg", self.atom())
+            return self.node(pos, "neg", self.atom())
         if tok == "(":
             self.next()
             node = self.pipeline()
@@ -172,7 +201,7 @@ class Parser:
             self.expect("(")
             inner = self.pipeline()
             self.expect(")")
-            return ("apply", op, index, inner)
+            return self.node(pos, "apply", op, index, inner)
         if tok == "star":
             self.next()
             self.expect("(")
@@ -180,13 +209,13 @@ class Parser:
             self.expect(",")
             b = self.pipeline()
             self.expect(")")
-            return ("star", a, b)
+            return self.node(pos, "star", a, b)
         if tok == "conj":
             self.next()
             self.expect("(")
             a = self.pipeline()
             self.expect(")")
-            return ("conj", a)
+            return self.node(pos, "conj", a)
         if tok in ("translate", "invert"):
             self.next()
             kind = None
@@ -205,7 +234,7 @@ class Parser:
             self.expect("(")
             a = self.pipeline()
             self.expect(")")
-            return (tok, kind, a)
+            return self.node(pos, tok, kind, a)
         if tok == "exp":
             self.next()
             self.expect("[")

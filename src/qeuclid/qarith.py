@@ -139,10 +139,6 @@ def _dense(terms: Terms) -> tuple[int, list[GRat]]:
     return lo, coeffs
 
 
-def _sparse(offset: int, coeffs: list[GRat]) -> Terms:
-    return {offset + k: c for k, c in enumerate(coeffs) if not c.is_zero()}
-
-
 def _poly_divmod(num: list[GRat], den: list[GRat]):
     """Ordinary dense polynomial division over the Gaussian rationals."""
     num = list(num)
@@ -261,10 +257,6 @@ class QScalar:
     def numerator_terms(self) -> dict[int, GRat]:
         self._reduce_inplace()
         return dict(self._num)
-
-    def denominator_terms(self) -> dict[int, GRat]:
-        self._reduce_inplace()
-        return dict(self._den)
 
     def is_polynomial(self) -> bool:
         self._reduce_inplace()
@@ -513,15 +505,6 @@ LAMBDA_PLUS = QScalar({1: GRAT_ONE, -1: GRAT_ONE})
 KAPPA = QScalar.q(6)
 
 
-@dataclass(frozen=True)
-class DeformationConstants:
-    """The stock of deformation scalars used by the calculus."""
-
-    lam: QScalar = LAMBDA
-    lam_plus: QScalar = LAMBDA_PLUS
-    kappa: QScalar = KAPPA
-
-
 @lru_cache(maxsize=None)
 def q_number(a: int, base_exponent: int = 1) -> QScalar:
     """[[a]] in base q**base_exponent: 1 + q^b + ... + q^(b(a-1)).
@@ -585,12 +568,3 @@ def q_double_factorial_even(k: int, base_exponent: int = 1) -> QScalar:
     for j in range(1, k + 1):
         out = out * q_number(2 * j, base_exponent)
     return out
-
-
-def eval_numeric(s: QScalar, q0: complex) -> complex:
-    """Numeric bridge used by the lattice backend."""
-    return s.eval(q0)
-
-
-def gaussian_rational(re, im=0) -> GRat:
-    return GRat(Fraction(re), Fraction(im))

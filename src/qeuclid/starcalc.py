@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .qarith import (
     GRat,
@@ -244,13 +244,6 @@ class Poly:
         return Poly(
             self.sectors,
             {k: c * coeff for k, c in self.terms.items()},
-            self.convention,
-        )
-
-    def map_coeffs(self, fn: Callable[[QScalar], QScalar]) -> "Poly":
-        return Poly(
-            self.sectors,
-            {k: fn(c) for k, c in self.terms.items()},
             self.convention,
         )
 
@@ -527,27 +520,11 @@ class Poly:
 
     # -- degrees and filters ----------------------------------------------------
 
-    def sector_degree(self, key: Key, sector_index: int) -> int:
-        return sum(key[0][sector_index])
-
     def filter_terms(self, predicate) -> "Poly":
         return Poly(
             self.sectors,
             {k: c for k, c in self.terms.items() if predicate(k)},
             self.convention,
-        )
-
-    def max_degree(self, sector_index: int) -> int:
-        return max(
-            (sum(tr[sector_index]) for (tr, _) in self.terms), default=0
-        )
-
-    def truncate_sector_degree(self, sector_index: int, max_deg: int) -> "Poly":
-        """Drop terms above a sector-degree bound.  The star product adds
-        sector degrees exactly, so early truncation is lossless for any
-        computation whose result is filtered below the same bound."""
-        return self.filter_terms(
-            lambda key: sum(key[0][sector_index]) <= max_deg
         )
 
     # -- evaluation ---------------------------------------------------------------
@@ -599,12 +576,6 @@ class Poly:
 # -- public CoordPoly / PhaseSpacePoly layer -------------------------------------
 
 
-def coord_poly(sector_kind: str = "x", convention: str = "W") -> Poly:
-    """Zero polynomial in a single coordinate sector."""
-    sector = X_SECTOR if sector_kind == "x" else P_SECTOR
-    return Poly.zero((sector,), convention)
-
-
 def coord_variable(name: str, convention: str = "W") -> Poly:
     """One of x+, x3, x-, t, p-, p3, p+ as a single-sector Poly."""
     if name == "t":
@@ -642,10 +613,6 @@ def coord_lower(sector_kind: str, index: str, convention: str = "W") -> Poly:
     partner, g = Metric.lower(index)
     slot = idx.index(partner)
     return coord_variable(names[slot], convention).scale(g)
-
-
-def phase_space_zero(convention: str = "W") -> Poly:
-    return Poly.zero((X_SECTOR, P_SECTOR), convention)
 
 
 def to_phase_space(poly: Poly, which: str) -> Poly:

@@ -374,6 +374,7 @@ def _suite_starcalc(rnd, cfg):
 
 def _suite_qcalculus(rnd, cfg):
     cases = []
+    lat = QLattice(cfg["q0"], cfg["j_min"], cfg["j_max"])
 
     def kronecker():
         for a in ("+", "3", "-"):
@@ -412,8 +413,6 @@ def _suite_qcalculus(rnd, cfg):
         return True, ""
 
     _case(cases, "inverse derivatives: round trips", inverses)
-
-    lat = QLattice(cfg["q0"], cfg["j_min"], cfg["j_max"])
 
     def mix_env():
         # keep the support well inside the window so boundary truncation
@@ -594,6 +593,7 @@ def _suite_schrodinger(rnd, cfg):
     cases = []
     N, K = cfg["N"], cfg["K"]
     mass = cfg["mass"]
+    lat = QLattice(cfg["q0"], cfg["j_min"], cfg["j_max"])
 
     def cq():
         for k in range(1, 13):
@@ -689,8 +689,6 @@ def _suite_schrodinger(rnd, cfg):
                 "diagnostic incomplete or pipeline depends on resummed form")
 
     _case(cases, "Heine diagnostic runs; pipeline uses the double sum", heine)
-
-    lat = QLattice(cfg["q0"], cfg["j_min"], cfg["j_max"])
 
     def packet_suite():
         wp = srd.gaussian_packet(

@@ -135,6 +135,14 @@ def test_main_entry_direct(capsys):
     assert "p+" in captured.out
 
 
+#: expressions whose syntax tree is n levels high
+NESTED = {
+    "parens": lambda n: "(" * (n - 1) + "x3" + ")" * (n - 1),
+    "conj": lambda n: "conj(" * (n - 1) + "x3" + ")" * (n - 1),
+    "sum": lambda n: " + ".join(["x3"] * n),
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -145,11 +153,28 @@ def test_main_entry_direct(capsys):
         ["eval", "star(x3, x+) - q^2 * star(x+, x3)", "--q", "0"],
         ["heine", "--q", "1"],
         ["propagator", "--order", "-1"],
+        ["propagator", "--mass", "0"],
+        ["propagator", "--mass", "abc"],
+        ["propagator", "--mass", "1/0"],
+        ["expectation", "--packet", "{tmp}/zero_mass.json", "--t", "0.1"],
+        ["verify", "--suite", "qcalculus", "--q", "1"],
+        ["verify", "--suite", "schrodinger", "--grid", "-3"],
+        ["verify", "--suite", "qexp", "--N", "-1"],
+        *(["expand", nested(dsl.MAX_DEPTH + 1)] for nested in NESTED.values()),
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, argv):
     config = {"lattice": {"q0": 1.1, "j_max": 10}, "packet": {}}
     (tmp_path / "no_j_min.json").write_text(json.dumps(config))
+    config = {"lattice": {"q0": 1.1, "j_min": -10, "j_max": 10}, "mass": "0", "packet": {}}
+    (tmp_path / "zero_mass.json").write_text(json.dumps(config))
     code, out, err = run_cli(*(a.format(tmp=tmp_path) for a in argv))
     lines = [ln for ln in err.splitlines() if ln.strip()]
     assert code == 2 and out == "" and len(lines) == 1, err
+
+
+@pytest.mark.parametrize("shape", NESTED)
+def test_nesting_cap(shape):
+    x3 = coord_variable("x3")
+    want = x3.scale(QScalar.from_rational(dsl.MAX_DEPTH)) if shape == "sum" else x3
+    assert dsl.evaluate(dsl.parse_expression(NESTED[shape](dsl.MAX_DEPTH))) == want

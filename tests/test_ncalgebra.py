@@ -52,12 +52,6 @@ def test_confluence_and_degree(rnd, rand_poly):
         assert left.total_degrees() <= prod.total_degrees()
 
 
-def test_weyl_roundtrip(rand_poly):
-    for _ in range(50):
-        f = rand_poly(deg=5)
-        assert weyl_unmap(weyl_map(f), f.sectors[0], "W") == f
-
-
 def test_weyl_map_example():
     f = Poly.monomial((X_SECTOR,), ((2, 1, 0),), 1, ONE)
     F = weyl_map(f)

@@ -100,16 +100,6 @@ def test_q_binomial_stays_in_the_ring():
             assert q_binomial(n, k, 4).is_polynomial()
 
 
-def test_pascal_identity_bruteforce():
-    for n in range(1, 11):
-        for k in range(n + 1):
-            first = q_binomial(n - 1, k - 1) if k >= 1 else QScalar.zero()
-            second = (
-                q_binomial(n - 1, k).shift(k) if k <= n - 1 else QScalar.zero()
-            )
-            assert q_binomial(n, k) == first + second
-
-
 def test_pochhammer():
     z = QScalar.q(1)
     assert q_pochhammer(z, 0).is_one()

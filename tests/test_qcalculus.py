@@ -7,7 +7,6 @@ from qeuclid.qarith import QScalar, ONE, LAMBDA, q_number
 from qeuclid.starcalc import Poly, X_SECTOR, coord_upper, coord_variable, conjugate
 from qeuclid.qcalculus import (
     ConventionError,
-    DerivativeLabel,
     apply_derivative,
     braiding_operator,
     d,

@@ -1,6 +1,4 @@
-import pytest
-
-from qeuclid.qarith import QScalar, ONE, I, q_factorial
+from qeuclid.qarith import I, q_factorial
 from qeuclid.starcalc import Poly, P_SECTOR, X_SECTOR, coord_variable
 from qeuclid.qexp import (
     VARIANTS,

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from qeuclid.qarith import QScalar, ONE, LAMBDA_PLUS
+from qeuclid.qarith import QScalar, LAMBDA_PLUS
 from qeuclid.starcalc import Poly, P_SECTOR
 from qeuclid.schrodinger import (
     Hamiltonian,
@@ -202,7 +202,7 @@ def test_unconverged_phase_rejected(packet):
 
 
 def test_degenerate_packet_rejected():
-    from qeuclid.lattice import StructuredFn, STerm
+    from qeuclid.lattice import StructuredFn
     from qeuclid.schrodinger import WavePacket
 
     lat = QLattice(1.1, -12, 12)

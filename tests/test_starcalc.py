@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qeuclid.qarith import QScalar, ONE, I, LAMBDA, LAMBDA_PLUS
+from qeuclid.qarith import QScalar, I, LAMBDA, LAMBDA_PLUS
 from qeuclid.starcalc import (
     Metric,
     Poly,
