@@ -116,7 +116,11 @@ def cmd_parse(args) -> int:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2
     print(dsl.to_sexp(node))
-    if dsl.parse_expression(dsl.print_expression(node)) != node:
+    try:
+        same = dsl.parse_expression(dsl.print_expression(node)) == node
+    except dsl.SyntaxErr:
+        same = False
+    if not same:
         print("warning: print/parse round trip failed", file=sys.stderr)
     return 0
 

@@ -265,6 +265,18 @@ def parse_expression(src: str):
     return Parser(src).parse()
 
 
+#: how tightly each node kind binds as an operand; leaves, calls and
+#: negation bind tightest (3), a pipeline ``op[i] |> a`` loosest
+_BINDING = {"apply": 0, "add": 1, "sub": 1, "mul": 2}
+
+
+def _operand(node, binding: int) -> str:
+    """``print_expression(node)``, bracketed if it binds looser than the
+    context needs (sums and products associate to the left)."""
+    text = print_expression(node)
+    return f"({text})" if _BINDING.get(node[0], 3) < binding else text
+
+
 def print_expression(node) -> str:
     kind = node[0]
     if kind == "coord":
@@ -281,12 +293,12 @@ def print_expression(node) -> str:
                 return str(c.re)
         return f"({s})"
     if kind == "neg":
-        return f"-{print_expression(node[1])}"
+        return f"-{_operand(node[1], 3)}"
     if kind in ("add", "sub"):
         op = "+" if kind == "add" else "-"
-        return f"{print_expression(node[1])} {op} {print_expression(node[2])}"
+        return f"{_operand(node[1], 1)} {op} {_operand(node[2], 2)}"
     if kind == "mul":
-        return f"{print_expression(node[1])}*{print_expression(node[2])}"
+        return f"{_operand(node[1], 2)}*{_operand(node[2], 3)}"
     if kind == "star":
         return f"star({print_expression(node[1])}, {print_expression(node[2])})"
     if kind == "conj":

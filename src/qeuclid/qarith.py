@@ -2,13 +2,15 @@
 
 The coefficient scalars used everywhere in this package are exact rational
 expressions in the deformation parameter ``q`` over the Gaussian rationals,
-stored as a reduced fraction of Laurent polynomials.  Ring elements (the
-overwhelmingly common case) have denominator 1 and serialize in the plain
-``{"terms": [[exp, re, im], ...]}`` form; genuine fractions only enter
-through series coefficients such as ``1/[[n]]_q!`` in exponentials and
-antiderivatives.  Everything is canonical, so identity checking is equality
-of normal forms; there is no floating point in the symbolic layer and ``i``
-is a first-class scalar.
+stored as a reduced fraction of Laurent polynomials with Gaussian integer
+coefficients.  A rational coefficient's denominator lives in the
+denominator polynomial, so a ring element (the overwhelmingly common case)
+is an integer polynomial over a positive integer constant; it serializes in
+the plain ``{"terms": [[exp, re, im], ...]}`` form.  Genuine fractions only
+enter through series coefficients such as ``1/[[n]]_q!`` in exponentials
+and antiderivatives.  Everything is canonical, so identity checking is
+equality of normal forms; there is no floating point in the symbolic layer
+and ``i`` is a first-class scalar.
 
 Conventions:
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterator, Mapping
 
 
@@ -34,43 +37,11 @@ class ExactnessError(ArithmeticError):
 
 @dataclass(frozen=True)
 class GRat:
-    """A Gaussian rational a + b*i with exact rational parts."""
+    """A Gaussian rational a + b*i with exact rational parts: the public
+    coefficient type that ``QScalar`` takes and hands out."""
 
     re: Fraction = Fraction(0)
     im: Fraction = Fraction(0)
-
-    def __add__(self, other: "GRat") -> "GRat":
-        return GRat(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GRat") -> "GRat":
-        return GRat(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "GRat":
-        return GRat(-self.re, -self.im)
-
-    def __mul__(self, other: "GRat") -> "GRat":
-        return GRat(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __truediv__(self, other: "GRat") -> "GRat":
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GRat(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
-
-    def conjugate(self) -> "GRat":
-        return GRat(self.re, -self.im)
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
 
     def __str__(self) -> str:
         if self.im == 0:
@@ -81,11 +52,6 @@ class GRat:
         return f"({self.re}{sign}{abs(self.im)}*i)"
 
 
-GRAT_ZERO = GRat()
-GRAT_ONE = GRat(Fraction(1))
-GRAT_I = GRat(Fraction(0), Fraction(1))
-
-
 def _coerce_grat(value) -> GRat:
     if isinstance(value, GRat):
         return value
@@ -94,89 +60,200 @@ def _coerce_grat(value) -> GRat:
     raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
 
 
-# -- raw Laurent dictionaries ----------------------------------------------------
+# -- Gaussian-integer Laurent dictionaries ---------------------------------------
 
-Terms = dict[int, GRat]
+#: a Gaussian integer a + b*i as the pair (a, b)
+GInt = tuple[int, int]
+Terms = dict[int, GInt]
+
+_ONE_DEN: Terms = {0: (1, 0)}
 
 
-def _d_clean(terms) -> Terms:
-    return {int(e): c for e, c in terms.items() if not c.is_zero()}
+def _gauss(value) -> tuple[int, GInt]:
+    """``(L, (a, b))`` with ``value = (a + b*i)/L`` and ``L > 0`` minimal."""
+    c = _coerce_grat(value)
+    re, im = Fraction(c.re), Fraction(c.im)
+    den = lcm(re.denominator, im.denominator)
+    return den, (
+        re.numerator * (den // re.denominator),
+        im.numerator * (den // im.denominator),
+    )
+
+
+def _from_grats(terms: Mapping[int, GRat]) -> tuple[Terms, int]:
+    """Gaussian-rational terms as integer terms over one common denominator."""
+    pairs = {int(e): _gauss(c) for e, c in terms.items()}
+    den = lcm(*(l for l, _ in pairs.values()))
+    return {
+        e: (a * (den // l), b * (den // l))
+        for e, (l, (a, b)) in pairs.items()
+        if a or b
+    }, den
+
+
+def _to_grats(terms: Terms, den: int) -> dict[int, GRat]:
+    return {
+        e: GRat(Fraction(a, den), Fraction(b, den)) for e, (a, b) in terms.items()
+    }
 
 
 def _d_add(a: Terms, b: Terms) -> Terms:
     out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, GRAT_ZERO) + c
-        if s.is_zero():
-            out.pop(e, None)
+    for e, (c, d) in b.items():
+        if e in out:
+            x, y = out[e]
+            x += c
+            y += d
+            if x or y:
+                out[e] = (x, y)
+            else:
+                del out[e]
         else:
-            out[e] = s
+            out[e] = (c, d)
     return out
+
+
+def _d_scale(a: Terms, shift: int, c: GInt) -> Terms:
+    """``a * c * q**shift`` for a nonzero Gaussian integer c."""
+    cr, ci = c
+    if ci == 0:
+        if cr == 1:
+            return {e + shift: v for e, v in a.items()} if shift else a
+        return {e + shift: (x * cr, y * cr) for e, (x, y) in a.items()}
+    return {e + shift: (x * cr - y * ci, x * ci + y * cr) for e, (x, y) in a.items()}
 
 
 def _d_mul(a: Terms, b: Terms) -> Terms:
     if not a or not b:
         return {}
-    out: Terms = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
+    if len(b) == 1:
+        ((e, c),) = b.items()
+        return _d_scale(a, e, c)
+    if len(a) == 1:
+        ((e, c),) = a.items()
+        return _d_scale(b, e, c)
+    re: dict[int, int] = {}
+    im: dict[int, int] = {}
+    for e1, (x1, y1) in a.items():
+        for e2, (x2, y2) in b.items():
             e = e1 + e2
-            s = out.get(e, GRAT_ZERO) + c1 * c2
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-    return out
+            re[e] = re.get(e, 0) + x1 * x2 - y1 * y2
+            im[e] = im.get(e, 0) + x1 * y2 + y1 * x2
+    return {e: (x, im[e]) for e, x in re.items() if x or im[e]}
 
 
-def _dense(terms: Terms) -> tuple[int, list[GRat]]:
+def _dense(terms: Terms) -> tuple[int, list[GInt]]:
     """Return (offset, coefficient list) with list[0] the offset coefficient."""
     lo = min(terms)
-    hi = max(terms)
-    coeffs = [GRAT_ZERO] * (hi - lo + 1)
+    coeffs = [(0, 0)] * (max(terms) - lo + 1)
     for e, c in terms.items():
         coeffs[e - lo] = c
     return lo, coeffs
 
 
-def _poly_divmod(num: list[GRat], den: list[GRat]):
-    """Ordinary dense polynomial division over the Gaussian rationals."""
-    num = list(num)
-    while num and num[-1].is_zero():
-        num.pop()
-    if len(num) < len(den):
-        return [], num
-    quot = [GRAT_ZERO] * (len(num) - len(den) + 1)
-    lead = den[-1]
-    for k in range(len(quot) - 1, -1, -1):
-        c = num[k + len(den) - 1] / lead
-        quot[k] = c
-        if not c.is_zero():
-            for j, dcf in enumerate(den):
-                num[k + j] = num[k + j] - c * dcf
-    while num and num[-1].is_zero():
-        num.pop()
-    return quot, num
+def _sparse(shift: int, coeffs: list[GInt]) -> Terms:
+    return {shift + k: c for k, c in enumerate(coeffs) if c[0] or c[1]}
 
 
-def _poly_gcd(a: list[GRat], b: list[GRat]) -> list[GRat]:
-    a = [c for c in a]
-    b = [c for c in b]
-    while b and any(not c.is_zero() for c in b):
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    lead = a[-1]
-    return [c / lead for c in a]
+def _poly_divmod(num: list[GInt], den: list[GInt]):
+    """Dense polynomial division over the Gaussian integers.
+
+    Returns ``(quot, rem, s)`` with ``s * num = quot * den + rem``, the
+    remainder of lower degree than ``den`` and ``s`` a positive integer.
+    ``s`` grows only where a leading division is not exact in Z[i]; it stays
+    1 whenever ``den``'s leading coefficient is a unit.
+    """
+    nr = [c[0] for c in num]
+    ni = [c[1] for c in num]
+    while nr and not (nr[-1] or ni[-1]):
+        nr.pop()
+        ni.pop()
+    m = len(den)
+    if len(nr) < m:
+        return [], list(zip(nr, ni)), 1
+    br, bi = den[-1]
+    norm = br * br + bi * bi
+    size = len(nr) - m + 1
+    qr = [0] * size
+    qi = [0] * size
+    s = 1
+    for k in range(size - 1, -1, -1):
+        tr, ti = nr[k + m - 1], ni[k + m - 1]
+        if not (tr or ti):
+            continue
+        # c = t / lead = t * conj(lead) / |lead|^2
+        xr = tr * br + ti * bi
+        xi = ti * br - tr * bi
+        if norm != 1 and (xr % norm or xi % norm):
+            f = norm // gcd(xr, xi, norm)
+            for lst in (nr, ni, qr, qi):
+                lst[:] = [v * f for v in lst]
+            s *= f
+            xr *= f
+            xi *= f
+        cr, ci = xr // norm, xi // norm
+        qr[k], qi[k] = cr, ci
+        for j, (dr, di) in enumerate(den):
+            nr[k + j] -= cr * dr - ci * di
+            ni[k + j] -= cr * di + ci * dr
+    rem = list(zip(nr[: m - 1], ni[: m - 1]))
+    while rem and not (rem[-1][0] or rem[-1][1]):
+        rem.pop()
+    return list(zip(qr, qi)), rem, s
+
+
+def _primitive(p: list[GInt]) -> list[GInt]:
+    """p divided by the integer gcd of all its parts."""
+    g = gcd(*(x for c in p for x in c))
+    if g <= 1:
+        return p
+    return [(a // g, b // g) for a, b in p]
+
+
+def _poly_gcd(a: list[GInt], b: list[GInt]) -> list[GInt]:
+    """A gcd over Q(i) by a primitive pseudo-remainder sequence."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        _, r, _ = _poly_divmod(a, b)
+        a, b = b, _primitive(r)
+    return a
+
+
+def _reduce(num: Terms, den: Terms, coprime: bool = False) -> tuple[Terms, Terms]:
+    """Canonicalize a fraction: coprime, denominator with lowest exponent 0
+    and a positive integer leading coefficient, joint integer content 1.
+    ``coprime`` skips the gcd when the caller knows there is none."""
+    if not coprime and len(num) > 1 and len(den) > 1:
+        lo_n, dn = _dense(num)
+        lo_d, dd = _dense(den)
+        g = _poly_gcd(dn, dd)
+        if len(g) > 1:
+            dn, _, sn = _poly_divmod(dn, g)
+            dd, _, sd = _poly_divmod(dd, g)
+            # dn/dd = (quot_n/sn) / (quot_d/sd)
+            num = _sparse(lo_n, [(a * sd, b * sd) for a, b in dn])
+            den = _sparse(lo_d, [(a * sn, b * sn) for a, b in dd])
+    lo = min(den)
+    br, bi = den[max(den)]
+    lead = (br, -bi) if bi or br < 0 else (1, 0)
+    num = _d_scale(num, -lo, lead)
+    den = _d_scale(den, -lo, lead)
+    g = gcd(*(x for terms in (num, den) for c in terms.values() for x in c))
+    if g > 1:
+        num = {e: (a // g, b // g) for e, (a, b) in num.items()}
+        den = {e: (a // g, b // g) for e, (a, b) in den.items()}
+    return num, den
 
 
 class QScalar:
-    """Fraction of Laurent polynomials in q over the Gaussian rationals.
+    """Fraction of Laurent polynomials in q over the Gaussian integers.
 
     Values compare by cross-multiplication, so fractions are reduced lazily:
-    canonicalization (coprime, denominator with lowest exponent zero and
-    monic leading coefficient) happens on demand and is cached.  Ring
-    elements have ``_den == {0: 1}``.  Instances behave as immutable values;
-    all arithmetic returns fresh objects.
+    canonicalization (see ``_reduce``) happens on demand and is cached.  A
+    denominator of one term is reduced at once, so ring elements are always
+    canonical; those with integer coefficients have ``_den == {0: (1, 0)}``.
+    Instances behave as immutable values; all arithmetic returns fresh
+    objects.
     """
 
     __slots__ = ("_num", "_den", "_canonical")
@@ -185,20 +262,16 @@ class QScalar:
     _REDUCE_THRESHOLD = 24
 
     def __init__(self, terms: Mapping[int, GRat] | None = None, den=None):
-        num = _d_clean(terms) if terms else {}
-        d = _d_clean(den) if den else {0: GRAT_ONE}
+        num, num_den = _from_grats(terms or {})
+        d, den_den = _from_grats(den) if den else (_ONE_DEN, 1)
         if not d:
             raise ZeroDivisionError("zero denominator")
-        canonical = d == {0: GRAT_ONE}
-        if not num:
-            d = {0: GRAT_ONE}
-            canonical = True
-        elif not canonical and len(d) > self._REDUCE_THRESHOLD:
-            num, d = _reduce(num, d)
-            canonical = True
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_den", d)
-        object.__setattr__(self, "_canonical", canonical)
+        # (num/num_den) / (d/den_den)
+        made = QScalar._make(
+            _d_scale(num, 0, (den_den, 0)), _d_scale(d, 0, (num_den, 0))
+        )
+        for slot in QScalar.__slots__:
+            object.__setattr__(self, slot, getattr(made, slot))
 
     def __setattr__(self, *a):
         raise AttributeError("QScalar is immutable")
@@ -220,6 +293,19 @@ class QScalar:
         object.__setattr__(out, "_canonical", canonical)
         return out
 
+    @staticmethod
+    def _make(num: Terms, den: Terms, coprime: bool = False) -> "QScalar":
+        """Internal constructor for clean integer dictionaries, ``den``
+        nonzero; ``coprime`` promises that num and den have no common
+        factor of positive degree."""
+        if not num:
+            return ZERO
+        if den == _ONE_DEN:
+            return QScalar._raw(num, _ONE_DEN, True)
+        if coprime or len(den) == 1 or len(den) > QScalar._REDUCE_THRESHOLD:
+            return QScalar._raw(*_reduce(num, den, coprime), True)
+        return QScalar._raw(num, den, False)
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -228,15 +314,15 @@ class QScalar:
 
     @staticmethod
     def one() -> "QScalar":
-        return QScalar({0: GRAT_ONE})
+        return QScalar._raw({0: (1, 0)}, _ONE_DEN, True)
 
     @staticmethod
     def i() -> "QScalar":
-        return QScalar({0: GRAT_I})
+        return QScalar._raw({0: (0, 1)}, _ONE_DEN, True)
 
     @staticmethod
     def q(exponent: int = 1) -> "QScalar":
-        return QScalar({exponent: GRAT_ONE})
+        return QScalar._raw({exponent: (1, 0)}, _ONE_DEN, True)
 
     @staticmethod
     def from_rational(value, imag=0) -> "QScalar":
@@ -248,19 +334,23 @@ class QScalar:
 
     # -- inspection --------------------------------------------------------
 
+    def _lead_den(self) -> int:
+        """The canonical denominator's leading coefficient."""
+        self._reduce_inplace()
+        return self._den[max(self._den)][0]
+
     @property
     def terms(self) -> dict[int, GRat]:
         if not self.is_polynomial():
             raise ExactnessError("terms requested on a non-polynomial scalar")
-        return dict(self._num)
+        return _to_grats(self._num, self._den[0][0])
 
     def numerator_terms(self) -> dict[int, GRat]:
-        self._reduce_inplace()
-        return dict(self._num)
+        return _to_grats(self._num, self._lead_den())
 
     def is_polynomial(self) -> bool:
         self._reduce_inplace()
-        return self._den == {0: GRAT_ONE}
+        return len(self._den) == 1
 
     def is_zero(self) -> bool:
         return not self._num
@@ -294,11 +384,8 @@ class QScalar:
 
     def __add__(self, other: "QScalar") -> "QScalar":
         if self._den == other._den:
-            num = _d_add(self._num, other._num)
-            if not num:
-                return ZERO
-            return QScalar._raw(num, self._den, self._den == QScalar._TRIVIAL_DEN)
-        return QScalar(
+            return QScalar._make(_d_add(self._num, other._num), self._den)
+        return QScalar._make(
             _d_add(_d_mul(self._num, other._den), _d_mul(other._num, self._den)),
             _d_mul(self._den, other._den),
         )
@@ -308,48 +395,35 @@ class QScalar:
 
     def __neg__(self) -> "QScalar":
         return QScalar._raw(
-            {e: -c for e, c in self._num.items()}, self._den, self._canonical
+            {e: (-a, -b) for e, (a, b) in self._num.items()},
+            self._den,
+            self._canonical,
         )
 
-    _TRIVIAL_DEN = None  # set after class definition
-
     def __mul__(self, other: "QScalar") -> "QScalar":
-        # monomial fast paths: multiplication by c q^e is a shift and scale
-        if other._den == QScalar._TRIVIAL_DEN and len(other._num) == 1:
-            ((e, c),) = other._num.items()
-            if c is GRAT_ONE or c == GRAT_ONE:
-                return self.shift(e)
-            return QScalar._raw(
-                {k + e: v * c for k, v in self._num.items()},
-                self._den,
-                self._canonical,
-            )
-        if self._den == QScalar._TRIVIAL_DEN and len(self._num) == 1:
-            ((e, c),) = self._num.items()
-            if c is GRAT_ONE or c == GRAT_ONE:
-                return other.shift(e)
-            return QScalar._raw(
-                {k + e: v * c for k, v in other._num.items()},
-                other._den,
-                other._canonical,
-            )
-        return QScalar(
-            _d_mul(self._num, other._num), _d_mul(self._den, other._den)
+        # a factor c q^e brings no common factor into the other's fraction
+        coprime = (
+            self._canonical and other._den == _ONE_DEN and len(other._num) == 1
+        ) or (other._canonical and self._den == _ONE_DEN and len(self._num) == 1)
+        return QScalar._make(
+            _d_mul(self._num, other._num), _d_mul(self._den, other._den), coprime
         )
 
     def __truediv__(self, other: "QScalar") -> "QScalar":
         if other.is_zero():
             raise ZeroDivisionError("QScalar division by zero")
-        return QScalar(
+        return QScalar._make(
             _d_mul(self._num, other._den), _d_mul(self._den, other._num)
         )
 
     def scale(self, value) -> "QScalar":
-        c = _coerce_grat(value)
-        if c.is_zero():
-            return QScalar()
-        return QScalar._raw(
-            {e: v * c for e, v in self._num.items()}, self._den, self._canonical
+        den, c = _gauss(value)
+        if c == (0, 0):
+            return ZERO
+        return QScalar._make(
+            _d_scale(self._num, 0, c),
+            _d_scale(self._den, 0, (den, 0)),
+            self._canonical,
         )
 
     def shift(self, exponent: int) -> "QScalar":
@@ -375,41 +449,57 @@ class QScalar:
         return out
 
     def exact_div(self, other: "QScalar") -> "QScalar":
-        """Division that must stay in the Laurent ring; raises otherwise."""
-        out = self / other
-        if not out.is_polynomial():
+        """Division that must stay in the Laurent ring; raises otherwise.
+
+        One dense divmod of ``num * other.den`` by ``den * other.num``; a
+        nonzero remainder raises ``ExactnessError``.
+        """
+        if other.is_zero():
+            raise ZeroDivisionError("QScalar division by zero")
+        top = _d_mul(self._num, other._den)
+        if not top:
+            return ZERO
+        lo_t, dt = _dense(top)
+        lo_b, db = _dense(_d_mul(self._den, other._num))
+        quot, rem, s = _poly_divmod(dt, db)
+        if rem:
             raise ExactnessError("non-exact QScalar division")
-        return out
+        return QScalar._make(_sparse(lo_t - lo_b, quot), {0: (s, 0)})
 
     # -- structure maps ----------------------------------------------------
 
     def subs_q_inverse(self) -> "QScalar":
         """The involution q -> 1/q."""
-        return QScalar(
+        return QScalar._make(
             {-e: c for e, c in self._num.items()},
             {-e: c for e, c in self._den.items()},
+            self._canonical,
         )
 
     def conjugate(self) -> "QScalar":
         """Complex conjugation of coefficients; q is fixed (treated as real)."""
-        return QScalar(
-            {e: c.conjugate() for e, c in self._num.items()},
-            {e: c.conjugate() for e, c in self._den.items()},
+        return QScalar._raw(
+            {e: (a, -b) for e, (a, b) in self._num.items()},
+            {e: (a, -b) for e, (a, b) in self._den.items()},
+            self._canonical,
         )
 
     def eval(self, q0: complex) -> complex:
         """Numeric evaluation at q = q0 (q0 must be nonzero)."""
         if q0 == 0:
             raise ZeroDivisionError("QScalar evaluation at q = 0")
-        num = 0j
-        for e, c in self._num.items():
-            num += c.to_complex() * q0**e
-        if self._den == {0: GRAT_ONE}:
+        lead = self._lead_den()
+
+        def value(terms: Terms) -> complex:
+            out = 0j
+            for e, (a, b) in terms.items():
+                out += (complex(a / lead) + 1j * complex(b / lead)) * q0**e
+            return out
+
+        num = value(self._num)
+        if len(self._den) == 1:
             return num
-        den = 0j
-        for e, c in self._den.items():
-            den += c.to_complex() * q0**e
-        return num / den
+        return num / value(self._den)
 
     # -- presentation ------------------------------------------------------
 
@@ -417,7 +507,7 @@ class QScalar:
         return f"QScalar({self})"
 
     @staticmethod
-    def _fmt_terms(terms: Terms) -> str:
+    def _fmt_terms(terms: dict[int, GRat]) -> str:
         if not terms:
             return "0"
         parts = []
@@ -433,30 +523,26 @@ class QScalar:
         return " + ".join(parts).replace("+ -", "- ")
 
     def __str__(self) -> str:
-        self._reduce_inplace()
-        num = self._fmt_terms(self._num)
-        if self._den == {0: GRAT_ONE}:
+        lead = self._lead_den()
+        num = self._fmt_terms(_to_grats(self._num, lead))
+        if len(self._den) == 1:
             return num
-        return f"({num})/({self._fmt_terms(self._den)})"
+        return f"({num})/({self._fmt_terms(_to_grats(self._den, lead))})"
 
     def to_json(self) -> dict:
-        self._reduce_inplace()
-        num = {
-            "terms": [
-                [e, str(c.re), str(c.im)] for e, c in sorted(self._num.items())
-            ]
-        }
-        if self._den == {0: GRAT_ONE}:
-            return num
-        return {
-            "num": num,
-            "den": {
+        lead = self._lead_den()
+
+        def dump(terms: Terms) -> dict:
+            return {
                 "terms": [
                     [e, str(c.re), str(c.im)]
-                    for e, c in sorted(self._den.items())
+                    for e, c in sorted(_to_grats(terms, lead).items())
                 ]
-            },
-        }
+            }
+
+        if len(self._den) == 1:
+            return dump(self._num)
+        return {"num": dump(self._num), "den": dump(self._den)}
 
     @staticmethod
     def from_json(data: dict) -> "QScalar":
@@ -471,36 +557,15 @@ class QScalar:
         return QScalar(load(data["num"]), load(data["den"]))
 
 
-def _reduce(num: Terms, den: Terms) -> tuple[Terms, Terms]:
-    """Canonicalize a fraction: coprime, denominator with lowest exponent 0
-    and monic highest coefficient."""
-    lo_n, dn = _dense(num)
-    lo_d, dd = _dense(den)
-    g = _poly_gcd(dn, dd)
-    if len(g) > 1:
-        dn, _ = _poly_divmod(dn, g)
-        dd, _ = _poly_divmod(dd, g)
-    # normalize q-power offsets: shift all of den's offset into num
-    shift = lo_n - lo_d
-    lead = dd[-1]
-    num_out = {
-        shift + k: c / lead for k, c in enumerate(dn) if not c.is_zero()
-    }
-    den_out = {k: c / lead for k, c in enumerate(dd) if not c.is_zero()}
-    return num_out, den_out
-
-
-QScalar._TRIVIAL_DEN = {0: GRAT_ONE}
-
-ZERO = QScalar.zero()
+ZERO = QScalar._raw({}, _ONE_DEN, True)
 ONE = QScalar.one()
 I = QScalar.i()
-I_INV = QScalar({0: GRat(Fraction(0), Fraction(-1))})  # 1/i = -i
+I_INV = QScalar._raw({0: (0, -1)}, _ONE_DEN, True)  # 1/i = -i
 
 #: lambda = q - 1/q
-LAMBDA = QScalar({1: GRAT_ONE, -1: -GRAT_ONE})
+LAMBDA = QScalar._raw({1: (1, 0), -1: (-1, 0)}, _ONE_DEN, True)
 #: lambda_+ = q + 1/q
-LAMBDA_PLUS = QScalar({1: GRAT_ONE, -1: GRAT_ONE})
+LAMBDA_PLUS = QScalar._raw({1: (1, 0), -1: (1, 0)}, _ONE_DEN, True)
 #: kappa = q^6
 KAPPA = QScalar.q(6)
 
@@ -513,16 +578,11 @@ def q_number(a: int, base_exponent: int = 1) -> QScalar:
     """
     if a < 0:
         raise ValueError("q_number requires a >= 0")
-    b = base_exponent
-    terms: Terms = {}
+    counts: dict[int, int] = {}
     for k in range(a):
-        e = b * k
-        c = terms.get(e, GRAT_ZERO) + GRAT_ONE
-        if c.is_zero():
-            terms.pop(e, None)
-        else:
-            terms[e] = c
-    return QScalar(terms)
+        e = base_exponent * k
+        counts[e] = counts.get(e, 0) + 1
+    return QScalar._make({e: (n, 0) for e, n in counts.items()}, _ONE_DEN)
 
 
 @lru_cache(maxsize=None)

@@ -1,8 +1,14 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from qeuclid.verify import rand_coord_poly
+
+# Property tests draw the same examples on every machine and run, with no
+# per-example deadline: cold q-function caches and machine load vary.
+settings.register_profile("qeuclid", derandomize=True, deadline=None)
+settings.load_profile("qeuclid")
 
 
 @pytest.fixture

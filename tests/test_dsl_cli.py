@@ -55,6 +55,28 @@ def test_print_parse_roundtrip():
         assert dsl.parse_expression(dsl.print_expression(node)) == node
 
 
+@pytest.mark.parametrize(
+    "src",
+    [
+        "x3 * d[+](x+)",
+        "-(x3 + x+)",
+        "-(x3 * x+)",
+        "-d[3](x3) * (x3 + 1/2)",
+        "x3 - (x+ - x-)",
+        "x3 + (x+ + x-)",
+        "x3 * (x+ * x-)",
+        "(d[+] |> x+) + x3 * (x- - q^-1)",
+        "star(x+, d[-] |> x3) - -x3",
+    ],
+)
+def test_print_parse_roundtrip_brackets(src, capsys):
+    node = dsl.parse_expression(src)
+    assert dsl.parse_expression(dsl.print_expression(node)) == node
+    assert main(["parse", "--", src]) == 0
+    out, err = capsys.readouterr()
+    assert out.strip() == dsl.to_sexp(node) and err == ""
+
+
 def test_evaluate_star():
     value = dsl.evaluate(dsl.parse_expression("star(x-, x+)"))
     xm, xp, x3 = (coord_variable(v) for v in ("x-", "x+", "x3"))

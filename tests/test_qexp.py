@@ -5,10 +5,8 @@ from qeuclid.qexp import (
     addition_theorem_residual,
     below_shell,
     build_exponential,
-    counit_residuals,
     eigen_residual,
     exponential_to_json,
-    hopf_antipode_residuals,
     inverse_exponential_residual,
     normalization_residuals,
     q_invert,
@@ -77,14 +75,6 @@ def test_translation_routes_agree(rand_poly):
         assert q_translate(f, "plus").polynomial == q_translate_oracle_plus(f).polynomial
 
 
-def test_counit_laws(rand_poly):
-    for _ in range(5):
-        f = rand_poly(deg=3, nterm=3, with_t=False)
-        for barred in (False, True):
-            r1, r2 = counit_residuals(f, barred)
-            assert r1.is_zero() and r2.is_zero()
-
-
 def test_inversion_values_and_classical():
     xp = coord_variable("x+")
     assert q_invert(Poly.one((X_SECTOR,)), "minus") == Poly.one((X_SECTOR,))
@@ -97,14 +87,6 @@ def test_inversion_values_and_classical():
 def test_u_operators_mutually_inverse(rand_poly):
     f = rand_poly(deg=2, nterm=3, with_t=False)
     assert u_operator(u_operator(f, True), False) == f
-
-
-def test_antipode_laws(rand_poly):
-    for _ in range(3):
-        f = rand_poly(deg=2, nterm=2, with_t=False)
-        for barred in (False, True):
-            r1, r2 = hopf_antipode_residuals(f, barred)
-            assert r1.is_zero() and r2.is_zero()
 
 
 def test_addition_theorem():

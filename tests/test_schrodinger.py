@@ -10,7 +10,6 @@ from qeuclid.schrodinger import (
     PacketError,
     build_plane_wave,
     cq_coefficient,
-    cq_recurrence_residual,
     cq_value,
     energy_residual,
     gaussian_packet,
@@ -40,12 +39,6 @@ def test_cq_values():
     assert cq_coefficient(1, 1) == QScalar.q(-2)
     with pytest.raises(ValueError):
         cq_coefficient(1, 2)
-
-
-def test_cq_recurrence():
-    for k in range(1, 13):
-        for l in range(k + 1):
-            assert cq_recurrence_residual(k, l).is_zero()
 
 
 def test_cq_numeric_evaluator():
