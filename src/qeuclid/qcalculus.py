@@ -4,30 +4,35 @@ Four families of derivative actions exist on the carriers:
 
 * plain derivatives acting from the left (W ordering),
 * hatted derivatives acting from the left through the bar action
-  (Wt ordering); hatted and plain differ by the scalar q^6 on spatial
-  indices, so mixed combinations are scalar multiples,
+  (Wt ordering),
 * the two right actions, obtained from the left ones by conjugation:
   ``f <| d = -conj(d |> conj(f))`` with the index position flipped.
 
-The concrete operator representations on commutative monomials are
+Each action side carries one family of its own (plain on the left and
+right-bar sides, hatted on the bar and right sides); the other variant is a
+scalar multiple of it, d^_A = q^6 d_A on spatial indices.
+
+One definition serves every family.  On commutative monomials the plain
+left action is
 
     d+  |> f = D_{q^4, x+} f
     d3  |> f = D_{q^2, x3} f(q^2 x+, x3, x-)
     d-  |> f = D_{q^4, x-} f(x+, q^2 x3, x-)  +  lam x+ D^2_{q^2, x3} f
     d0  |> f = df/dt
 
-and the hatted family is the image under (q -> 1/q, +/- swapped).
+and the hatted bar action is its mirror image: the slots x+ and x- trade
+places and so do the indices + and -, every Jackson base and dilation
+exponent changes sign (q -> 1/q), and lam becomes -lam.  Momentum-space
+derivatives (needed for position expectation values) are the same
+operators on momentum carriers at the slot-mirrored index, times q^-2, 1,
+q^+2 on p^-, p^3, p^+; these prefactors are fixed by the requirement that
+the deformed exponentials be their eigenfunctions.
 
 All operators are written against a small operand interface (`jackson_d`,
 `scale_slot`, `mul_slot_var`, `d_dt`, `scale_q`, `+`, `-`) implemented by
 both the symbolic :class:`~qeuclid.starcalc.Poly` and the lattice-numeric
 carriers, so the symbolic and numeric layers share one definition of every
 operator.
-
-Momentum-space derivatives (needed for position expectation values) act on
-momentum carriers; their representations are fixed by the requirement that
-the deformed exponentials be their eigenfunctions, which pins them to the
-slot-mirrored position operators times q^-2, 1, q^+2.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .qarith import QScalar, ONE, LAMBDA
-from .starcalc import Metric, Poly
+from .starcalc import SLOT_NAMES, Metric, Poly
 
 SPATIAL = ("+", "3", "-")
 
@@ -83,102 +88,103 @@ def _check_convention(f, side: str):
         )
 
 
-# -- core left representations (position sector) -------------------------------
-
-
-def _x_plain_left(index: str, f, s: int):
-    if index == "+":
-        return f.jackson_d(s, 0, 4)
-    if index == "3":
-        return f.scale_slot(s, 0, 2).jackson_d(s, 1, 2)
-    if index == "-":
-        main = f.scale_slot(s, 1, 2).jackson_d(s, 2, 4)
-        corr = f.jackson_d(s, 1, 2).jackson_d(s, 1, 2).mul_slot_var(s, 0)
-        return main + corr.scale_q(LAMBDA)
-    if index == "0":
-        return f.d_dt()
-    raise AssertionError(index)
-
-
-def _x_hat_left_bar(index: str, f, s: int):
-    if index == "-":
-        return f.jackson_d(s, 2, -4)
-    if index == "3":
-        return f.scale_slot(s, 2, -2).jackson_d(s, 1, -2)
-    if index == "+":
-        main = f.scale_slot(s, 1, -2).jackson_d(s, 0, -4)
-        corr = f.jackson_d(s, 1, -2).jackson_d(s, 1, -2).mul_slot_var(s, 2)
-        return main - corr.scale_q(LAMBDA)
-    if index == "0":
-        return f.d_dt()
-    raise AssertionError(index)
-
-
-# -- core left representations (momentum sector, upper index) ------------------
+# -- the core left representation and its inverse --------------------------------
 #
-# The momentum algebra mirrors the coordinate algebra slot-for-slot; the
-# extra q^{-2}, 1, q^{+2} prefactors are forced by the eigenvalue equations
-# of the deformed exponentials (they make i d_p^A act on the second
-# exponential family exactly as right star multiplication by x^A).
+# m = +1 is the plain action from the left, m = -1 the hatted bar action:
+# the mirror image that swaps slots 0 and 2 and the indices + and -, flips
+# the sign of every Jackson base and dilation exponent, and takes lam to
+# -lam.  Both act at the lower index position of a position sector; the
+# momentum sector reuses them at the slot-mirrored index.
+
+_SWAP = {"+": "-", "3": "3", "-": "+", "0": "0"}
 
 
-def _p_plain_left_upper(index: str, f, s: int):
-    if index == "-":
-        return f.jackson_d(s, 0, 4).scale_q(QScalar.q(-2))
-    if index == "3":
-        return f.scale_slot(s, 0, 2).jackson_d(s, 1, 2)
+def _mirror(index: str, m: int):
+    """The index and the (low, high) end slots seen through the mirror m."""
+    return (index, 0, 2) if m > 0 else (_SWAP[index], 2, 0)
+
+
+def _left_rep(index: str, f, s: int, m: int):
+    index, lo, hi = _mirror(index, m)
     if index == "+":
-        main = f.scale_slot(s, 1, 2).jackson_d(s, 2, 4)
-        corr = f.jackson_d(s, 1, 2).jackson_d(s, 1, 2).mul_slot_var(s, 0)
-        return (main + corr.scale_q(LAMBDA)).scale_q(QScalar.q(2))
+        return f.jackson_d(s, lo, 4 * m)
+    if index == "3":
+        return f.scale_slot(s, lo, 2 * m).jackson_d(s, 1, 2 * m)
+    if index == "-":
+        main = f.scale_slot(s, 1, 2 * m).jackson_d(s, hi, 4 * m)
+        corr = f.jackson_d(s, 1, 2 * m).jackson_d(s, 1, 2 * m).mul_slot_var(s, lo)
+        return main + corr.scale_q(LAMBDA if m > 0 else -LAMBDA)
     if index == "0":
         return f.d_dt()
     raise AssertionError(index)
 
 
-def _p_hat_left_bar_upper(index: str, f, s: int):
+def _left_rep_inverse(index: str, f, s: int, m: int):
+    index, lo, hi = _mirror(index, m)
     if index == "+":
-        return f.jackson_d(s, 2, -4).scale_q(QScalar.q(2))
+        return f.jackson_d_inv(s, lo, 4 * m)
     if index == "3":
-        return f.scale_slot(s, 2, -2).jackson_d(s, 1, -2)
+        return f.scale_slot(s, lo, -2 * m).jackson_d_inv(s, 1, 2 * m)
     if index == "-":
-        main = f.scale_slot(s, 1, -2).jackson_d(s, 0, -4)
-        corr = f.jackson_d(s, 1, -2).jackson_d(s, 1, -2).mul_slot_var(s, 2)
-        return (main - corr.scale_q(LAMBDA)).scale_q(QScalar.q(-2))
+        neg_lam = -LAMBDA if m > 0 else LAMBDA
+        total = None
+        k = 0
+        while True:
+            term = f.scale_slot(s, 1, -2 * m * (k + 1)).jackson_d_inv(s, hi, 4 * m)
+            for _ in range(k):
+                term = (
+                    term.jackson_d(s, 1, 2 * m)
+                    .jackson_d(s, 1, 2 * m)
+                    .jackson_d_inv(s, hi, 4 * m)
+                    .mul_slot_var(s, lo)
+                    .scale_q(neg_lam)
+                )
+            term = term.scale_q(QScalar.q(2 * m * k * (k + 1)))
+            if term.is_zero():
+                break
+            total = term if total is None else total + term
+            k += 1
+        return total if total is not None else f.scale_q(QScalar.zero())
     if index == "0":
-        return f.d_dt()
+        return f.t_integral()
     raise AssertionError(index)
 
+
+#: momentum prefactors by upper index, forced by the eigenvalue equations of
+#: the deformed exponentials (they make i d_p^A act on the second exponential
+#: family exactly as right star multiplication by x^A)
+_P_PREFACTOR = {"-": QScalar.q(-2), "3": ONE, "+": QScalar.q(2), "0": ONE}
 
 _Q6 = QScalar.q(6)
 _Q6_INV = QScalar.q(-6)
 
 
-def _left_action(label: DerivativeLabel, f, s: int, kind: str):
-    """Dispatch a left-side action at the natural index position of the
-    sector kind (lower for x, upper for p)."""
-    idx = label.index
-    if kind == "x":
-        if label.side == "left":
-            out = _x_plain_left(idx, f, s)
-            if label.variant == "hat" and idx != "0":
-                out = out.scale_q(_Q6)
-            return out
-        out = _x_hat_left_bar(idx, f, s)
-        if label.variant == "plain" and idx != "0":
-            out = out.scale_q(_Q6_INV)
-        return out
-    if kind == "p":
-        if label.side == "left":
-            out = _p_plain_left_upper(idx, f, s)
-            if label.variant == "hat" and idx != "0":
-                out = out.scale_q(_Q6)
-            return out
-        out = _p_hat_left_bar_upper(idx, f, s)
-        if label.variant == "plain" and idx != "0":
-            out = out.scale_q(_Q6_INV)
-        return out
-    raise ValueError(kind)
+def _variant_scale(label: DerivativeLabel) -> QScalar:
+    """The factor between the label's variant and its side's own family:
+    q^6 for a hatted label on a plain side, q^-6 for a plain label on a
+    hatted side, 1 otherwise and for d0."""
+    own = "plain" if _required_convention(label.side) == "W" else "hat"
+    if label.index == "0" or label.variant == own:
+        return ONE
+    return _Q6 if label.variant == "hat" else _Q6_INV
+
+
+def _mirror_label(label: DerivativeLabel) -> DerivativeLabel:
+    """The left label a right action is transported from by conjugation:
+    right_bar from the plain left action, right from the hatted bar action,
+    each at the flipped index position."""
+    side = "left" if label.side == "right_bar" else "left_bar"
+    variant = "plain" if side == "left" else "hat"
+    flipped = "upper" if label.position == "lower" else "lower"
+    return DerivativeLabel(label.index, variant, side, flipped)
+
+
+def _scaled(f, *factors: QScalar):
+    """f scaled by each factor in turn, skipping unit factors."""
+    for c in factors:
+        if not c.is_one():
+            f = f.scale_q(c)
+    return f
 
 
 def _natural_position(kind: str) -> str:
@@ -205,25 +211,19 @@ def apply_derivative(label: DerivativeLabel, f, sector_index: int = 0):
     _check_convention(f, label.side)
     lab, g = _resolve_index(label, kind)
     if lab.side in ("left", "left_bar"):
-        out = _left_action(lab, f, sector_index, kind)
-        return out if g.is_one() else out.scale_q(g)
-
-    # right actions: f <|  = -conj( mirror |> conj f ), index position flipped
-    mirror_side = "left" if lab.side == "right_bar" else "left_bar"
-    mirror_variant = "plain" if mirror_side == "left" else "hat"
-    flipped = "upper" if lab.position == "lower" else "lower"
-    inner = DerivativeLabel(lab.index, mirror_variant, mirror_side, flipped)
-    scale = ONE
-    if lab.index != "0":
-        if lab.variant == "plain" and lab.side == "right":
-            scale = _Q6_INV  # f <| d = q^-6 (f <| dhat)
-        elif lab.variant == "hat" and lab.side == "right_bar":
-            scale = _Q6  # f <|bar dhat = q^6 (f <|bar d)
-    fc = _conj_retag(f, _required_convention(mirror_side))
+        m = 1 if lab.side == "left" else -1
+        if kind == "x":
+            out = _left_rep(lab.index, f, sector_index, m)
+            pref = ONE
+        else:
+            out = _left_rep(_SWAP[lab.index], f, sector_index, m)
+            pref = _P_PREFACTOR[lab.index]
+        return _scaled(out, pref, _variant_scale(lab), g)
+    inner = _mirror_label(lab)
+    fc = _conj_retag(f, _required_convention(inner.side))
     acted = apply_derivative(inner, fc, sector_index)
     out = -_conj_retag(acted, _required_convention(lab.side))
-    out = out if g.is_one() else out.scale_q(g)
-    return out if scale.is_one() else out.scale_q(scale)
+    return _scaled(out, g, _variant_scale(lab))
 
 
 def _sector_kind(f, sector_index: int) -> str:
@@ -252,88 +252,33 @@ def jackson_derivative(f, var: str, k: int):
     if ":" in var:
         pre, var = var.split(":", 1)
         sector_index = int(pre)
-    from .starcalc import SLOT_NAMES
-
     kind = _sector_kind(f, sector_index)
     slot = SLOT_NAMES[kind].index(var)
     return f.jackson_d(sector_index, slot, k)
 
 
-# -- inverse derivatives ---------------------------------------------------------
-
-
 def inverse_partial(label: DerivativeLabel, f, sector_index: int = 0):
     """Solve  apply_derivative(label, F) = f  for F (no integration constant).
 
-    Defined for position-sector actions.  The d- family is the terminating
-    series of nested antiderivatives; termination is guaranteed because each
-    loop applies a double Jackson derivative in x3.
+    Defined for position-sector actions.  The d- family (d+ for the hatted
+    bar action) is the terminating series of nested antiderivatives;
+    termination is guaranteed because each loop applies a double Jackson
+    derivative in x3.
     """
     kind = _sector_kind(f, sector_index)
     if kind != "x":
         raise ValueError("inverse_partial is defined on position sectors")
     _check_convention(f, label.side)
     lab, g = _resolve_index(label, kind)
-    if not g.is_one():
-        # (g dB)^-1 = g^-1 dB^-1 with g a metric monomial
-        return inverse_partial(replace(lab, position="lower"), f, sector_index).scale_q(
-            g ** (-1)
-        )
     if lab.side in ("left", "left_bar"):
-        combos = {("plain", "left"): ONE, ("hat", "left"): _Q6_INV,
-                  ("plain", "left_bar"): _Q6, ("hat", "left_bar"): ONE}
-        scale = combos[(lab.variant, lab.side)]
-        if lab.index == "0":
-            scale = ONE
-        core = (
-            _x_plain_left_inverse if lab.side == "left" else _x_hat_left_bar_inverse
-        )
-        out = core(lab.index, f, sector_index)
-        return out if scale.is_one() else out.scale_q(scale)
-    # right-side inverses through conjugation, mirroring apply_derivative
-    mirror_side = "left" if lab.side == "right_bar" else "left_bar"
-    mirror_variant = "plain" if mirror_side == "left" else "hat"
-    flipped = "upper" if lab.position == "lower" else "lower"
-    inner = DerivativeLabel(lab.index, mirror_variant, mirror_side, flipped)
-    scale = ONE
-    if lab.index != "0":
-        if lab.variant == "plain" and lab.side == "right":
-            scale = _Q6  # inverse picks up the reciprocal factor
-        elif lab.variant == "hat" and lab.side == "right_bar":
-            scale = _Q6_INV
-    fc = _conj_retag(f, _required_convention(mirror_side))
-    solved = inverse_partial(inner, -fc, sector_index)
-    out = _conj_retag(solved, _required_convention(lab.side))
-    return out if scale.is_one() else out.scale_q(scale)
-
-
-def _x_plain_left_inverse(index: str, f, s: int):
-    if index == "+":
-        return f.jackson_d_inv(s, 0, 4)
-    if index == "3":
-        return f.scale_slot(s, 0, -2).jackson_d_inv(s, 1, 2)
-    if index == "-":
-        total = None
-        k = 0
-        while True:
-            term = f.scale_slot(s, 1, -2 * (k + 1)).jackson_d_inv(s, 2, 4)
-            for _ in range(k):
-                term = (
-                    term.jackson_d(s, 1, 2)
-                    .jackson_d(s, 1, 2)
-                    .jackson_d_inv(s, 2, 4)
-                    .mul_slot_var(s, 0)
-                    .scale_q(-LAMBDA)
-                )
-            term = term.scale_q(QScalar.q(2 * k * (k + 1)))
-            if term.is_zero():
-                break
-            total = term if total is None else total + term
-            k += 1
-        return total if total is not None else f.scale_q(QScalar.zero())
-    if index == "0":
-        return f.t_integral()
-    raise AssertionError(index)
+        out = _left_rep_inverse(lab.index, f, sector_index, 1 if lab.side == "left" else -1)
+    else:
+        inner = _mirror_label(lab)
+        fc = _conj_retag(f, _required_convention(inner.side))
+        solved = inverse_partial(inner, -fc, sector_index)
+        out = _conj_retag(solved, _required_convention(lab.side))
+    # (g dB)^-1 = g^-1 dB^-1 with g a metric monomial; likewise the variant
+    return _scaled(out, _variant_scale(lab) ** -1, g ** -1)
 
 
 # -- integration adjoints (the right representations of integration by parts) ----
@@ -369,8 +314,6 @@ def _unit_coordinate(f, sector_index: int, slot: int):
     """The coordinate variable of one slot, in f's carrier type."""
     sectors = getattr(f, "sectors", None)
     if sectors is not None:
-        from .starcalc import Poly
-
         return Poly.variable(f.sectors, sector_index, slot, f.convention)
     from .lattice import StructuredFn, STerm
 
@@ -423,32 +366,3 @@ def integration_adjoint(index: str, f, variant: str = "plain", position: str = "
         corr = braiding_operator(index, col, u, variant, sector_index)
         out = out - integration_adjoint(col, corr, variant, "lower", sector_index)
     return out
-
-
-def _x_hat_left_bar_inverse(index: str, f, s: int):
-    if index == "-":
-        return f.jackson_d_inv(s, 2, -4)
-    if index == "3":
-        return f.scale_slot(s, 2, 2).jackson_d_inv(s, 1, -2)
-    if index == "+":
-        total = None
-        k = 0
-        while True:
-            term = f.scale_slot(s, 1, 2 * (k + 1)).jackson_d_inv(s, 0, -4)
-            for _ in range(k):
-                term = (
-                    term.jackson_d(s, 1, -2)
-                    .jackson_d(s, 1, -2)
-                    .jackson_d_inv(s, 0, -4)
-                    .mul_slot_var(s, 2)
-                    .scale_q(LAMBDA)
-                )
-            term = term.scale_q(QScalar.q(-2 * k * (k + 1)))
-            if term.is_zero():
-                break
-            total = term if total is None else total + term
-            k += 1
-        return total if total is not None else f.scale_q(QScalar.zero())
-    if index == "0":
-        return f.t_integral()
-    raise AssertionError(index)

@@ -22,6 +22,7 @@ single opaque symbol (E +- i eps); the defining identity
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,7 +45,7 @@ from .starcalc import (
     coord_upper,
     Metric,
 )
-from .qcalculus import DerivativeLabel, apply_derivative, d
+from .qcalculus import DerivativeLabel, _conj_retag, apply_derivative, d
 from .qexp import build_exponential
 
 PLANE_WAVE_FAMILIES = ("u_lower", "u_upper", "ustar_lower", "ustar_upper")
@@ -92,19 +93,12 @@ class Hamiltonian:
             )
             return out.scale(self.prefactor() * scale)
         if side == "right_bar":
-            inner = self.apply(_conj(f, "W"), "left", sector_index)
-            return _conj(inner, "W")
+            inner = self.apply(_conj_retag(f, "W"), "left", sector_index)
+            return _conj_retag(inner, "W")
         if side == "right":
-            inner = self.apply(_conj(f, "Wt"), "left_bar", sector_index)
-            return _conj(inner, "Wt")
+            inner = self.apply(_conj_retag(f, "Wt"), "left_bar", sector_index)
+            return _conj_retag(inner, "Wt")
         raise ValueError(f"unknown action side {side!r}")
-
-
-def _conj(f, convention):
-    out = f.conjugate()
-    if getattr(out, "convention", None) is not None:
-        out = out.with_convention(convention)
-    return out
 
 
 def hamiltonian_momentum_commutator(h: Hamiltonian, f: Poly, index: str) -> Poly:
@@ -196,7 +190,7 @@ def phase_factor(
     acc = Poly.zero((P_SECTOR,), convention)
     for k in range(order + 1):
         rat = Fraction(sign) ** k / (
-            Fraction(math_factorial(k)) * (2 * mass) ** k
+            Fraction(math.factorial(k)) * (2 * mass) ** k
         )
         coeff = (I**k).scale(GRat(rat))
         if t_value is not None:
@@ -206,13 +200,6 @@ def phase_factor(
             term = psq_power(k, convention).scale(coeff).mul_t(k)
         acc = acc + term
     return acc
-
-
-def math_factorial(k: int) -> int:
-    out = 1
-    for j in range(2, k + 1):
-        out *= j
-    return out
 
 
 # -- plane waves --------------------------------------------------------------------
@@ -286,7 +273,7 @@ def plane_wave_printed(order_space: int, order_time: int, mass: Fraction) -> Pol
                         coeff = (
                             (-LAMBDA_PLUS) ** (k - l) * q_binomial(k, l, 4)
                         ).shift(-2 * l + 2 * n3 * (k - l))
-                        rat = Fraction(1, math_factorial(k)) / (2 * mass) ** k
+                        rat = Fraction(1, math.factorial(k)) / (2 * mass) ** k
                         coeff = coeff.scale(GRat(rat)) / base
                         ipow = (np_ + n3 + nm + 3 * k) % 4
                         for _ in range(ipow):
@@ -519,7 +506,7 @@ def heine_phase_report(
     lamp = LAMBDA_PLUS.eval(q0).real
     for k in range(order + 1):
         for pm, p3, pp in samples:
-            pref = (sign * 1j * t / (2 * mass)) ** k / math_factorial(k)
+            pref = (sign * 1j * t / (2 * mass)) ** k / math.factorial(k)
             double_sum = 0j
             for l in range(k + 1):
                 c = cq_value(k, l, q0)
@@ -527,7 +514,7 @@ def heine_phase_report(
             double_sum *= pref
             # printed product form
             prod_pref = (-sign * 1j * t * lamp * pm * pp / (2 * mass)) ** k
-            prod_pref /= math_factorial(k)
+            prod_pref /= math.factorial(k)
             z = p3**2 / (-(q0**2) * lamp * pm * pp)
             den = 1.0
             for j in range(k):
@@ -772,7 +759,7 @@ def phase_factor_construction_residual(order: int, mass: Fraction) -> Poly:
     direct = Poly.zero((P_SECTOR,), "W")
     for k in range(order + 1):
         rat = Fraction(-1) ** k / (
-            Fraction(math_factorial(k)) * (2 * mass) ** k
+            Fraction(math.factorial(k)) * (2 * mass) ** k
         )
         coeff = (I**k).scale(GRat(rat))
         terms = {}

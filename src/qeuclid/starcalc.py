@@ -298,11 +298,11 @@ class Poly:
                 pieces: list[tuple[QScalar, list[Triple]]] = [(c1 * c2, [])]
                 for m1, m2 in zip(tr1, tr2):
                     expansion = mono_star(m1, m2)
+                    # nonzero pieces times nonzero weights: no product vanishes
                     pieces = [
                         (coeff * w, triples + [m])
                         for coeff, triples in pieces
                         for w, m in expansion
-                        if not (coeff * w).is_zero()
                     ]
                 for coeff, triples in pieces:
                     key = (tuple(triples), t1 + t2)

@@ -17,6 +17,7 @@ from fractions import Fraction
 from .qarith import (
     GRat,
     QScalar,
+    I,
     ONE,
     LAMBDA,
     LAMBDA_PLUS,
@@ -36,6 +37,7 @@ from .starcalc import (
     conjugate,
     coord_poly_to_json,
     coord_poly_from_json,
+    to_phase_space,
 )
 from . import ncalgebra
 from .qcalculus import (
@@ -583,6 +585,27 @@ def _suite_qexp(rnd, cfg):
         return r.is_zero(), "inverse exponential residual nonzero"
 
     _case(cases, "inverse exponential collapses to 1 below shell", inverse_exp)
+
+    def momentum_eigen():
+        # i d_p^A acts on each family as star multiplication by x^A
+        rules = (
+            ("ipinv_x", "plain", "left", "r"),
+            ("x_ip", "plain", "right_bar", "l"),
+            ("bar_ipinv_x", "hat", "left_bar", "r"),
+            ("bar_x_ip", "hat", "right", "l"),
+        )
+        for variant, family, side, star_side in rules:
+            body = qexp.build_exponential(variant, N).body
+            for a in ("+", "3", "-"):
+                acted = apply_derivative(d(a, family, side, "upper"), body, 1).scale(I)
+                xa = to_phase_space(coord_upper("x", a, body.convention), "x")
+                expected = body.star(xa) if star_side == "r" else xa.star(body)
+                if not qexp.below_shell(acted - expected, N, sector_index=1).is_zero():
+                    return False, f"{variant} index {a}"
+        return True, ""
+
+    _case(cases, f"momentum derivatives: exponentials are eigenfunctions (N={N})",
+          momentum_eigen)
     return cases
 
 

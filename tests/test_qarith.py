@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -146,7 +147,6 @@ def test_json_roundtrip_fraction():
 
 # -- cross-check against sympy rational functions in q ---------------------------
 
-sympy = pytest.importorskip("sympy")
 Q = sympy.Symbol("q", real=True)
 
 

@@ -1,10 +1,8 @@
-import json
-
 import numpy as np
 import pytest
 
 from qeuclid.qarith import QScalar, ONE, LAMBDA, q_number
-from qeuclid.starcalc import Poly, X_SECTOR, coord_upper, coord_variable, conjugate
+from qeuclid.starcalc import Poly, X_SECTOR, coord_variable, conjugate
 from qeuclid.qcalculus import (
     ConventionError,
     apply_derivative,
@@ -23,7 +21,6 @@ from qeuclid.lattice import (
     log_gaussian,
     odd_log_gaussian,
 )
-from qeuclid.verify import run_suite
 
 xp, x3, xm, tv = (coord_variable(v) for v in ("x+", "x3", "x-", "t"))
 
@@ -44,14 +41,6 @@ def test_derivative_examples():
     assert r == Poly.one((X_SECTOR,), "Wt")
 
 
-def test_kronecker_pairing():
-    for a in ("+", "3", "-"):
-        for b in ("+", "3", "-"):
-            r = apply_derivative(d(a), coord_upper("x", b))
-            want = Poly.one((X_SECTOR,)) if a == b else Poly.zero((X_SECTOR,))
-            assert r == want
-
-
 def test_convention_guard():
     with pytest.raises(ConventionError):
         apply_derivative(d("+", "hat", "left_bar"), xp)
@@ -59,11 +48,14 @@ def test_convention_guard():
 
 def test_hat_family_is_substituted(rand_poly):
     sigma = {"+": "-", "3": "3", "-": "+", "0": "0"}
-    for _ in range(10):
-        f = rand_poly()
-        for a in ("+", "3", "-", "0"):
-            lhs = apply_derivative(d(sigma[a], "hat", "left_bar"), f.subs_q_inverse_swap())
-            assert lhs == apply_derivative(d(a), f).subs_q_inverse_swap()
+    for sector, positions in (("x", ("lower",)), ("p", ("upper", "lower"))):
+        for _ in range(10):
+            f = rand_poly(sector=sector)
+            for a in ("+", "3", "-", "0"):
+                for pos in positions:
+                    hat = d(sigma[a], "hat", "left_bar", pos)
+                    lhs = apply_derivative(hat, f.subs_q_inverse_swap())
+                    assert lhs == apply_derivative(d(a, position=pos), f).subs_q_inverse_swap()
 
 
 def test_variant_scalars(rand_poly):
@@ -99,6 +91,12 @@ def test_inverse_roundtrips(rand_poly):
     for a in ("+", "3", "-"):
         F = inverse_partial(d(a, "hat", "left_bar"), fwt)
         assert apply_derivative(d(a, "hat", "left_bar"), F) == fwt
+    for side, conv in (("right_bar", "W"), ("right", "Wt")):
+        g = rand_poly(conv=conv)
+        for variant in ("plain", "hat"):
+            for a in ("+", "3", "-", "0"):
+                lab = d(a, variant, side)
+                assert apply_derivative(lab, inverse_partial(lab, g)) == g
 
 
 # -- lattice layer -------------------------------------------------------------
@@ -215,10 +213,6 @@ def test_equal_dilation_chains_merge(lat):
         STerm(0.8 + 0.5j, (0, 0, 3), (None, _mix(lat, rng), _mix(lat, rng))),
     ])
     assert (f.scale_slot(0, 1, 2).scale_slot(0, 1, -2) - f).is_zero()
-
-
-def test_verify_qcalculus_report_is_json():
-    json.dumps(run_suite("qcalculus").to_json(), sort_keys=True)
 
 
 def test_conjugation_of_integrals(lat):
