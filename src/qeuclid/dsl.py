@@ -194,6 +194,8 @@ class Parser:
                 dtok, dpos = self.next()
                 if not (dtok or "").isdigit():
                     raise SyntaxErr("expected denominator", dpos)
+                if int(dtok) == 0:
+                    raise SyntaxErr("zero denominator", dpos)
                 return ("lit", QScalar.from_rational(Fraction(num, int(dtok))))
             return ("lit", QScalar.from_rational(num))
         if tok in OPS:
@@ -359,6 +361,10 @@ def evaluate(node):
             }[kind]
         if a.sectors != b.sectors:
             a, b = _unify_sectors(a, b)
+        if a.convention != b.convention:
+            raise EvalError(
+                f"operands use different orderings: {a.convention} vs {b.convention}"
+            )
         if kind == "add":
             return a + b
         if kind == "sub":
@@ -391,6 +397,8 @@ def evaluate(node):
             label = DerivativeLabel(index, "hat", "left_bar", "lower")
             return apply_derivative(label, _as_wt(v)).with_convention(v.convention)
         if op == "dinv":
+            if v.sectors[0].kind != "x":
+                raise EvalError("dinv acts on position-sector polynomials")
             label = DerivativeLabel(index, "plain", "left", "lower")
             return inverse_partial(label, _as_w(v))
         raise EvalError(f"unknown operator {op!r}")

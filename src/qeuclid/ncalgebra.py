@@ -20,8 +20,8 @@ engine serves as the oracle for both sectors.
 
 from __future__ import annotations
 
-from .qarith import QScalar, ZERO, ONE, LAMBDA
-from .starcalc import Poly, Sector
+from .qarith import QScalar, ONE, LAMBDA
+from .starcalc import Poly, Sector, _add_term
 
 XP, X3, XM, X0 = "X+", "X3", "X-", "X0"
 LETTERS = (XP, X3, XM, X0)
@@ -62,11 +62,7 @@ class NCPoly:
     def __add__(self, other: "NCPoly") -> "NCPoly":
         out = dict(self.terms)
         for w, c in other.terms.items():
-            s = out.get(w, ZERO) + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
+            _add_term(out, w, c)
         return NCPoly(out)
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
@@ -118,12 +114,7 @@ def nc_multiply(a: NCPoly, b: NCPoly) -> NCPoly:
     out: dict[Word, QScalar] = {}
     for w1, c1 in a.terms.items():
         for w2, c2 in b.terms.items():
-            w = w1 + w2
-            s = out.get(w, ZERO) + c1 * c2
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
+            _add_term(out, w1 + w2, c1 * c2)
     return NCPoly(out)
 
 
@@ -202,11 +193,7 @@ def normal_order(f: NCPoly, convention: str = "W", strategy: str = "leftmost") -
                 coeff = coeff * _lam_power(lam)
             if neg:
                 coeff = -coeff
-            s = out.get(word, ZERO) + coeff
-            if s.is_zero():
-                out.pop(word, None)
-            else:
-                out[word] = s
+            _add_term(out, word, coeff)
             continue
         for repl, dshift, dlam, flip in _swap_pair(
             word[i], word[i + 1], convention
@@ -258,15 +245,12 @@ def weyl_map(f: Poly, convention: str | None = None) -> NCPoly:
     if len(f.sectors) != 1:
         raise ValueError("weyl_map takes a single-sector polynomial")
     conv = convention or f.convention
-    out: dict[Word, QScalar] = {}
-    for (triples, t), coeff in f.terms.items():
-        w = _word_from_mono(triples[0], t, conv)
-        s = out.get(w, ZERO) + coeff
-        if s.is_zero():
-            out.pop(w, None)
-        else:
-            out[w] = s
-    return NCPoly(out)
+    return NCPoly(
+        {
+            _word_from_mono(triples[0], t, conv): coeff
+            for (triples, t), coeff in f.terms.items()
+        }
+    )
 
 
 def weyl_unmap(F: NCPoly, sector: Sector, convention: str = "W") -> Poly:

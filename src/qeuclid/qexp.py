@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .qarith import (
-    ZERO,
     ONE,
     I,
     I_INV,
@@ -38,6 +37,7 @@ from .starcalc import (
     Sector,
     X_SECTOR,
     P_SECTOR,
+    _add_term,
     coord_upper,
     to_phase_space,
 )
@@ -357,6 +357,14 @@ def _u_hat(f: Poly, inverse: bool, sector_index: int = 0) -> Poly:
     return total
 
 
+def _substituted(coeff, triple, outer: int, mid: int):
+    """The coefficient of x+^a x3^b x-^c under x+- -> -q^outer x+-,
+    x3 -> -q^mid x3."""
+    a, b, c = triple
+    w = coeff.shift(outer * (a + c) + mid * b)
+    return -w if (a + b + c) % 2 else w
+
+
 def _inversion_series(f: Poly, sector_index: int = 0) -> Poly:
     """The composite scaling series S with  f(minus x) = U[S[f]]."""
     s = sector_index
@@ -365,22 +373,27 @@ def _inversion_series(f: Poly, sector_index: int = 0) -> Poly:
     while True:
         # argument substitution (read by variable name): x- -> -q^(2-4i) x-,
         # x3 -> -q^(1-2i) x3, x+ -> -q^(2-4i) x+
-        g = Poly.zero(f.sectors, f.convention)
-        for (triples, t), coeff in f.terms.items():
-            a, b, c = triples[s]
-            w = coeff.shift((2 - 4 * i) * (a + c) + (1 - 2 * i) * b)
-            if (a + b + c) % 2:
-                w = -w
-            g = g + Poly(f.sectors, {(triples, t): w}, f.convention)
+        g = Poly(
+            f.sectors,
+            {
+                key: _substituted(coeff, key[0][s], 2 - 4 * i, 1 - 2 * i)
+                for key, coeff in f.terms.items()
+            },
+            f.convention,
+        )
         for _ in range(2 * i):
             g = g.jackson_d(s, 1, -2)
         if g.is_zero() and i > 0:
             break
-        out = Poly.zero(f.sectors, f.convention)
-        for (triples, t), coeff in g.terms.items():
-            a, b, c = triples[s]
-            w = coeff.shift(-2 * a * (a + b) - 2 * c * (c + b) - b * b)
-            out = out + Poly(f.sectors, {(triples, t): w}, f.convention)
+        out = Poly(
+            f.sectors,
+            {
+                key: coeff.shift(-2 * a * (a + b) - 2 * c * (c + b) - b * b)
+                for key, coeff in g.terms.items()
+                for a, b, c in (key[0][s],)
+            },
+            f.convention,
+        )
         coeff = ((-LAMBDA * LAMBDA_PLUS).shift(1)) ** i / q_double_factorial_even(
             i, -2
         )
@@ -419,22 +432,13 @@ def u_operator(f: Poly, inverse: bool = False, sector_index: int = 0) -> Poly:
 
 def _apply_to_sector(xy: Poly, sector_index: int, fn) -> Poly:
     """Map a per-monomial operator over one sector of a two-sector carrier."""
-    other = 1 - sector_index
-    total = Poly.zero(xy.sectors, xy.convention)
+    i = sector_index
+    out: dict = {}
     for (triples, t), coeff in xy.terms.items():
-        single = Poly(
-            (xy.sectors[sector_index],),
-            {((triples[sector_index],), 0): ONE},
-            xy.convention,
-        )
-        mapped = fn(single)
-        for (mt, _), w in mapped.terms.items():
-            tr = list(triples)
-            tr[sector_index] = mt[0]
-            total = total + Poly(
-                xy.sectors, {(tuple(tr), t): coeff * w}, xy.convention
-            )
-    return total
+        single = Poly((xy.sectors[i],), {((triples[i],), 0): ONE}, xy.convention)
+        for (mt, _), w in fn(single).terms.items():
+            _add_term(out, (triples[:i] + mt + triples[i + 1 :], t), coeff * w)
+    return Poly(xy.sectors, out, xy.convention)
 
 
 def hopf_antipode_residuals(f: Poly, barred: bool = False) -> tuple[Poly, Poly]:
@@ -513,12 +517,7 @@ def addition_theorem_residual(order: int) -> Poly:
             Poly.monomial((X_SECTOR,), (xm,), 0, ONE), "plusbar"
         ).polynomial
         for (tr2, _), c2 in T.terms.items():
-            key = ((tr2[0], tr2[1], pm), 0)
-            s = lhs_terms.get(key, ZERO) + coeff * c2
-            if s.is_zero():
-                lhs_terms.pop(key, None)
-            else:
-                lhs_terms[key] = s
+            _add_term(lhs_terms, ((tr2[0], tr2[1], pm), 0), coeff * c2)
     lhs = Poly(sectors3, lhs_terms, "W")
     diff = lhs - _substituted_exponential(order)
     return diff.filter_terms(

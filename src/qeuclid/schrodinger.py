@@ -41,9 +41,11 @@ from .starcalc import (
     Poly,
     P_SECTOR,
     X_SECTOR,
+    _add_term,
     coord_lower,
     coord_upper,
     Metric,
+    metric_contract,
 )
 from .qcalculus import DerivativeLabel, _conj_retag, apply_derivative, d
 from .qexp import build_exponential
@@ -146,11 +148,7 @@ def psq(convention: str = "W") -> Poly:
     """p^2 = p^A * p_A as a normal-ordered momentum polynomial."""
     upper = {a: coord_upper("p", a, convention) for a in Metric.indices}
     lower = {a: coord_lower("p", a, convention) for a in Metric.indices}
-    acc = None
-    for a in Metric.indices:
-        term = upper[a].star(lower[a])
-        acc = term if acc is None else acc + term
-    return acc
+    return metric_contract(upper, lower)
 
 
 def psq_power(k: int, convention: str = "W") -> Poly:
@@ -285,11 +283,7 @@ def plane_wave_printed(order_space: int, order_time: int, mass: Fraction) -> Pol
                             ),
                             k,
                         )
-                        s = terms.get(key, ZERO) + coeff
-                        if s.is_zero():
-                            terms.pop(key, None)
-                        else:
-                            terms[key] = s
+                        _add_term(terms, key, coeff)
     return Poly((X_SECTOR, P_SECTOR), terms, "W")
 
 
@@ -427,11 +421,10 @@ class MomentumPropagator:
 
     def to_json(self) -> dict:
         series = []
-        for k in range(self.order + 1):
-            poly = psq_power(k).scale(self.coefficient(k))
+        for power, poly in self.expanded().items():
             series.append(
                 {
-                    "energy_power": -(k + 1),
+                    "energy_power": power,
                     "terms": [
                         [list(tr[0]), coeff.to_json()]
                         for (tr, _), coeff in sorted(poly.terms.items())

@@ -151,6 +151,31 @@ def _star_mono_wt(m1: Triple, m2: Triple) -> tuple[tuple[QScalar, Triple], ...]:
     )
 
 
+def _add_term(out: dict, key, coeff: QScalar) -> None:
+    """Add ``coeff`` at ``key`` of a sparse sum.
+
+    A key whose sum cancels is removed and a zero is never stored, so the
+    surviving keys keep the order in which they first appeared.
+    """
+    old = out.get(key)
+    if old is None:
+        if not coeff.is_zero():
+            out[key] = coeff
+        return
+    s = old + coeff
+    if s.is_zero():
+        del out[key]
+    else:
+        out[key] = s
+
+
+def _bump(triples: tuple[Triple, ...], sector: int, slot: int, delta: int):
+    """``triples`` with one slot exponent moved by ``delta``."""
+    m = list(triples[sector])
+    m[slot] += delta
+    return triples[:sector] + (tuple(m),) + triples[sector + 1 :]
+
+
 class Poly:
     """Sparse polynomial over a tuple of commuting sectors plus central t.
 
@@ -221,11 +246,7 @@ class Poly:
         self._check_compatible(other)
         out = dict(self.terms)
         for key, coeff in other.terms.items():
-            s = out.get(key, ZERO) + coeff
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
+            _add_term(out, key, coeff)
         return Poly(self.sectors, out, self.convention)
 
     def __sub__(self, other: "Poly") -> "Poly":
@@ -280,12 +301,7 @@ class Poly:
                     (a1 + a2, b1 + b2, c1_ + c2_)
                     for (a1, b1, c1_), (a2, b2, c2_) in zip(tr1, tr2)
                 )
-                key = (tr, t1 + t2)
-                s = out.get(key, ZERO) + c1 * c2
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+                _add_term(out, (tr, t1 + t2), c1 * c2)
         return Poly(self.sectors, out, self.convention)
 
     def star(self, other: "Poly") -> "Poly":
@@ -305,12 +321,7 @@ class Poly:
                         for w, m in expansion
                     ]
                 for coeff, triples in pieces:
-                    key = (tuple(triples), t1 + t2)
-                    s = out.get(key, ZERO) + coeff
-                    if s.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
+                    _add_term(out, (tuple(triples), t1 + t2), coeff)
         return Poly(self.sectors, out, self.convention)
 
     # -- structure maps -------------------------------------------------------
@@ -322,25 +333,25 @@ class Poly:
         and moves to the (c,b,a) slot; the momentum sector mirrors this with
         (-q)^(a-c).  Coefficients are complex-conjugated.
         """
-        out: dict[Key, QScalar] = {}
-        for (triples, t), coeff in self.terms.items():
-            new_triples = []
-            factor = coeff.conjugate()
-            for sector, (a, b, c) in zip(self.sectors, triples):
-                new_triples.append((c, b, a))
-                # (x+)^a .. (x-)^c  |->  (-q x-)^a .. (-x+/q)^c  and mirrored
-                # with inverted q-powers in the momentum sector
-                d = (a - c) if sector.kind == "x" else (c - a)
-                factor = factor.shift(d)
-                if d % 2:
-                    factor = -factor
-            key = (tuple(new_triples), t)
-            s = out.get(key, ZERO) + factor
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return Poly(self.sectors, out, self.convention)
+
+        def image(triples, coeff):
+            # (x+)^a .. (x-)^c  |->  (-q x-)^a .. (-x+/q)^c  and mirrored
+            # with inverted q-powers in the momentum sector
+            d = sum(
+                (a - c) if sector.kind == "x" else (c - a)
+                for sector, (a, _, c) in zip(self.sectors, triples)
+            )
+            factor = coeff.conjugate().shift(d)
+            return -factor if d % 2 else factor
+
+        return Poly(
+            self.sectors,
+            {
+                (tuple((c, b, a) for a, b, c in triples), t): image(triples, coeff)
+                for (triples, t), coeff in self.terms.items()
+            },
+            self.convention,
+        )
 
     def subs_q_inverse_swap(self) -> "Poly":
         """The substitution (q -> 1/q, +/- swapped) on every sector.
@@ -348,17 +359,13 @@ class Poly:
         This is the involution carrying each identity of the plain calculus
         to the hatted one; it toggles the ordering convention tag.
         """
-        out: dict[Key, QScalar] = {}
-        for (triples, t), coeff in self.terms.items():
-            new_triples = tuple((c, b, a) for (a, b, c) in triples)
-            key = (new_triples, t)
-            s = out.get(key, ZERO) + coeff.subs_q_inverse()
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
         return Poly(
-            self.sectors, out, "Wt" if self.convention == "W" else "W"
+            self.sectors,
+            {
+                (tuple((c, b, a) for a, b, c in triples), t): coeff.subs_q_inverse()
+                for (triples, t), coeff in self.terms.items()
+            },
+            "Wt" if self.convention == "W" else "W",
         )
 
     def with_convention(self, convention: str) -> "Poly":
@@ -370,75 +377,61 @@ class Poly:
 
     def jackson_d(self, sector_index: int, slot: int, base_exp: int) -> "Poly":
         """Jackson derivative D_{q^base_exp} on one slot: x^n -> [[n]] x^(n-1)."""
-        out: dict[Key, QScalar] = {}
-        for (triples, t), coeff in self.terms.items():
-            n = triples[sector_index][slot]
-            if n == 0:
-                continue
-            tr = list(triples)
-            m = list(tr[sector_index])
-            m[slot] = n - 1
-            tr[sector_index] = tuple(m)
-            key = (tuple(tr), t)
-            s = out.get(key, ZERO) + coeff * q_number(n, base_exp)
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return Poly(self.sectors, out, self.convention)
+        return Poly(
+            self.sectors,
+            {
+                (_bump(triples, sector_index, slot, -1), t): coeff
+                * q_number(triples[sector_index][slot], base_exp)
+                for (triples, t), coeff in self.terms.items()
+                if triples[sector_index][slot]
+            },
+            self.convention,
+        )
 
     def jackson_d_inv(self, sector_index: int, slot: int, base_exp: int) -> "Poly":
         """Antiderivative of jackson_d with no constant term: x^n -> x^(n+1)/[[n+1]]."""
-        out: dict[Key, QScalar] = {}
-        for (triples, t), coeff in self.terms.items():
-            n = triples[sector_index][slot]
-            tr = list(triples)
-            m = list(tr[sector_index])
-            m[slot] = n + 1
-            tr[sector_index] = tuple(m)
-            key = (tuple(tr), t)
-            s = out.get(key, ZERO) + coeff / q_number(n + 1, base_exp)
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return Poly(self.sectors, out, self.convention)
+        return Poly(
+            self.sectors,
+            {
+                (_bump(triples, sector_index, slot, 1), t): coeff
+                / q_number(triples[sector_index][slot] + 1, base_exp)
+                for (triples, t), coeff in self.terms.items()
+            },
+            self.convention,
+        )
 
     def scale_slot(self, sector_index: int, slot: int, q_exp: int) -> "Poly":
         """Substitute var -> q^q_exp * var on one slot."""
-        out: dict[Key, QScalar] = {}
-        for (triples, t), coeff in self.terms.items():
-            n = triples[sector_index][slot]
-            s = out.get((triples, t), ZERO) + coeff.shift(q_exp * n)
-            if s.is_zero():
-                out.pop((triples, t), None)
-            else:
-                out[(triples, t)] = s
-        return Poly(self.sectors, out, self.convention)
+        return Poly(
+            self.sectors,
+            {
+                (triples, t): coeff.shift(q_exp * triples[sector_index][slot])
+                for (triples, t), coeff in self.terms.items()
+            },
+            self.convention,
+        )
 
     def mul_slot_var(self, sector_index: int, slot: int, power: int = 1) -> "Poly":
         """Commutative multiplication by a slot variable to some power."""
-        out: dict[Key, QScalar] = {}
-        for (triples, t), coeff in self.terms.items():
-            tr = list(triples)
-            m = list(tr[sector_index])
-            m[slot] += power
-            tr[sector_index] = tuple(m)
-            out[(tuple(tr), t)] = coeff
-        return Poly(self.sectors, out, self.convention)
+        return Poly(
+            self.sectors,
+            {
+                (_bump(triples, sector_index, slot, power), t): coeff
+                for (triples, t), coeff in self.terms.items()
+            },
+            self.convention,
+        )
 
     def d_dt(self) -> "Poly":
-        out: dict[Key, QScalar] = {}
-        for (triples, t), coeff in self.terms.items():
-            if t == 0:
-                continue
-            key = (triples, t - 1)
-            s = out.get(key, ZERO) + coeff.scale(t)
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return Poly(self.sectors, out, self.convention)
+        return Poly(
+            self.sectors,
+            {
+                (triples, t - 1): coeff.scale(t)
+                for (triples, t), coeff in self.terms.items()
+                if t
+            },
+            self.convention,
+        )
 
     def t_integral(self) -> "Poly":
         out = {}
@@ -455,17 +448,7 @@ class Poly:
 
     def set_slot_zero(self, sector_index: int) -> "Poly":
         """Set all three variables of one sector to zero."""
-        out: dict[Key, QScalar] = {}
-        for (triples, t), coeff in self.terms.items():
-            if triples[sector_index] != (0, 0, 0):
-                continue
-            key = (triples, t)
-            s = out.get(key, ZERO) + coeff
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return Poly(self.sectors, out, self.convention)
+        return self.filter_terms(lambda key: key[0][sector_index] == (0, 0, 0))
 
     def drop_sector(self, sector_index: int) -> "Poly":
         """Remove a sector whose exponents are all zero."""
@@ -501,7 +484,7 @@ class Poly:
         if self.sectors[i].kind != self.sectors[j].kind:
             raise SectorMismatch("cannot merge sectors of different kinds")
         single = (self.sectors[i],)
-        acc = Poly.zero(self.sectors[:j] + self.sectors[j + 1 :], self.convention)
+        out: dict[Key, QScalar] = {}
         for (triples, t), coeff in self.terms.items():
             left = Poly(single, {((triples[i],), 0): ONE}, self.convention)
             right = Poly(single, {((triples[j],), 0): ONE}, self.convention)
@@ -510,13 +493,8 @@ class Poly:
                 tr = list(triples)
                 tr[i] = m
                 del tr[j]
-                key = (tuple(tr), t)
-                s = acc.terms.get(key, ZERO) + coeff * w
-                if s.is_zero():
-                    acc.terms.pop(key, None)
-                else:
-                    acc.terms[key] = s
-        return acc
+                _add_term(out, (tuple(tr), t), coeff * w)
+        return Poly(self.sectors[:j] + self.sectors[j + 1 :], out, self.convention)
 
     # -- degrees and filters ----------------------------------------------------
 

@@ -37,6 +37,7 @@ from .starcalc import (
     conjugate,
     coord_poly_to_json,
     coord_poly_from_json,
+    metric_contract,
     to_phase_space,
 )
 from . import ncalgebra
@@ -334,10 +335,7 @@ def _suite_starcalc(rnd, cfg):
     def metric():
         upper = {a: coord_upper("p", a) for a in Metric.indices}
         lower = {a: coord_lower("p", a) for a in Metric.indices}
-        psq = None
-        for a in Metric.indices:
-            term = upper[a].star(lower[a])
-            psq = term if psq is None else psq + term
+        psq = metric_contract(upper, lower)
         want = Poly.monomial((P_SECTOR,), ((0, 2, 0),), 0, QScalar.q(-2)) + Poly.monomial(
             (P_SECTOR,), ((1, 0, 1),), 0, -LAMBDA_PLUS
         )

@@ -183,6 +183,10 @@ NESTED = {
         ["verify", "--suite", "schrodinger", "--grid", "-3"],
         ["verify", "--suite", "qexp", "--N", "-1"],
         *(["expand", nested(dsl.MAX_DEPTH + 1)] for nested in NESTED.values()),
+        *([cmd, "1/0"] for cmd in ("parse", "expand", "eval")),
+        ["expand", "exp[bar_x_ip](1) + exp[x_ip](1)"],
+        ["expand", "star(exp[bar_x_ip](1), exp[x_ip](1))"],
+        ["expand", "dinv[+](p3)"],
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, argv):

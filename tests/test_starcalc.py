@@ -2,33 +2,23 @@ import json
 
 import pytest
 
-from qeuclid.qarith import QScalar, I, LAMBDA, LAMBDA_PLUS
+from qeuclid.qarith import QScalar, I, LAMBDA
 from qeuclid.starcalc import (
     Metric,
     Poly,
-    P_SECTOR,
     X_SECTOR,
     SectorMismatch,
     conjugate,
-    coord_lower,
     coord_upper,
     coord_variable,
     coord_poly_from_json,
     coord_poly_to_json,
     lower_index,
-    metric_contract,
     raise_index,
     star_product,
 )
 
 xp, x3, xm = (coord_variable(v) for v in ("x+", "x3", "x-"))
-
-
-def test_defining_relations():
-    assert star_product(x3, xp) == star_product(xp, x3).scale(QScalar.q(2))
-    assert star_product(x3, xm) == star_product(xm, x3).scale(QScalar.q(-2))
-    want = star_product(xp, xm) + x3.mul_pointwise(x3).scale(LAMBDA)
-    assert star_product(xm, xp) == want
 
 
 def test_unit_and_sector_guard():
@@ -66,12 +56,6 @@ def test_conjugation_involution_antimult(rand_poly):
         assert conjugate(star_product(f, g)) == star_product(conjugate(g), conjugate(f))
 
 
-def test_time_central(rand_poly):
-    tv = coord_variable("t")
-    f = rand_poly()
-    assert star_product(tv, f) == star_product(f, tv) == tv.mul_pointwise(f)
-
-
 def test_metric_entries_and_inverse():
     assert Metric.entry("+", "-") == -QScalar.q(1)
     assert Metric.entry("-", "+") == -QScalar.q(-1)
@@ -86,16 +70,6 @@ def test_metric_entries_and_inverse():
 def test_raise_lower_roundtrip():
     comps = {a: coord_upper("x", a) for a in Metric.indices}
     assert raise_index(lower_index(comps)) == comps
-
-
-def test_metric_contraction_momentum_square():
-    upper = {a: coord_upper("p", a) for a in Metric.indices}
-    lower = {a: coord_lower("p", a) for a in Metric.indices}
-    psq = metric_contract(upper, lower)
-    want = Poly.monomial((P_SECTOR,), ((0, 2, 0),), 0, QScalar.q(-2)) + Poly.monomial(
-        (P_SECTOR,), ((1, 0, 1),), 0, -LAMBDA_PLUS
-    )
-    assert psq == want
 
 
 def test_classical_limit(rand_poly):
