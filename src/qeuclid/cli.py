@@ -29,7 +29,8 @@ from .lattice import QLattice, LatticeFn, log_gaussian
 
 
 class UsageError(Exception):
-    """Bad command-line input; ``main`` reports it on one line and exits 2."""
+    """Bad command-line input; ``main`` reports it, like a DSL syntax or
+    evaluation error, on one line and exits 2."""
 
 
 def _parse_q(text: str) -> float:
@@ -110,11 +111,7 @@ def _poly_json(value):
 
 
 def cmd_parse(args) -> int:
-    try:
-        node = dsl.parse_expression(args.expr)
-    except dsl.SyntaxErr as exc:
-        print(f"syntax error: {exc}", file=sys.stderr)
-        return 2
+    node = dsl.parse_expression(args.expr)
     print(dsl.to_sexp(node))
     try:
         same = dsl.parse_expression(dsl.print_expression(node)) == node
@@ -126,15 +123,7 @@ def cmd_parse(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    try:
-        node = dsl.parse_expression(args.expr)
-        value = dsl.evaluate(node)
-    except dsl.SyntaxErr as exc:
-        print(f"syntax error: {exc}", file=sys.stderr)
-        return 2
-    except dsl.EvalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    value = dsl.evaluate(dsl.parse_expression(args.expr))
     if args.json:
         print(json.dumps(_poly_json(value), sort_keys=True))
     else:
@@ -143,15 +132,7 @@ def cmd_expand(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    try:
-        node = dsl.parse_expression(args.expr)
-        value = dsl.evaluate(node)
-    except dsl.SyntaxErr as exc:
-        print(f"syntax error: {exc}", file=sys.stderr)
-        return 2
-    except dsl.EvalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    value = dsl.evaluate(dsl.parse_expression(args.expr))
     q0 = _parse_q(args.q)
     if q0 == 0:
         raise UsageError("--q must be nonzero")
@@ -327,7 +308,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
+    except dsl.SyntaxErr as exc:
+        print(f"syntax error: {exc}", file=sys.stderr)
+        return 2
+    except (UsageError, dsl.EvalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -271,26 +271,6 @@ class ClassConstraintError(ValueError):
     """An exact lattice star product needs the coupled axes envelope-free."""
 
 
-class BoundaryError(ValueError):
-    """The integrand carries non-negligible mass on the window boundary."""
-
-
-def integral_all_space(fn, boundary_tol: float | None = None) -> complex:
-    """Integrate a lattice carrier over all space.
-
-    With ``boundary_tol`` given, non-decaying integrands are rejected with
-    the measured boundary mass in the message.
-    """
-    if boundary_tol is not None:
-        bm = fn.boundary_mass()
-        if not bm < boundary_tol:
-            raise BoundaryError(
-                f"integrand does not decay on the lattice window "
-                f"(boundary mass {bm:.3e} >= {boundary_tol:.1e})"
-            )
-    return fn.integral_all_space()
-
-
 class StructuredFn:
     """Finite sum of  coeff * (slot monomial) * (per-axis envelopes).
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .qarith import QScalar, ONE, LAMBDA
+from .qarith import KAPPA, QScalar, ONE, LAMBDA
 from .starcalc import SLOT_NAMES, Metric, Poly
 
 SPATIAL = ("+", "3", "-")
@@ -155,9 +155,6 @@ def _left_rep_inverse(index: str, f, s: int, m: int):
 #: family exactly as right star multiplication by x^A)
 _P_PREFACTOR = {"-": QScalar.q(-2), "3": ONE, "+": QScalar.q(2), "0": ONE}
 
-_Q6 = QScalar.q(6)
-_Q6_INV = QScalar.q(-6)
-
 
 def _variant_scale(label: DerivativeLabel) -> QScalar:
     """The factor between the label's variant and its side's own family:
@@ -166,7 +163,7 @@ def _variant_scale(label: DerivativeLabel) -> QScalar:
     own = "plain" if _required_convention(label.side) == "W" else "hat"
     if label.index == "0" or label.variant == own:
         return ONE
-    return _Q6 if label.variant == "hat" else _Q6_INV
+    return KAPPA if label.variant == "hat" else KAPPA ** -1
 
 
 def _mirror_label(label: DerivativeLabel) -> DerivativeLabel:

@@ -38,6 +38,7 @@ from .starcalc import (
     X_SECTOR,
     P_SECTOR,
     _add_term,
+    coord_lower,
     coord_upper,
     to_phase_space,
 )
@@ -145,6 +146,23 @@ _EIGEN_RULES = {
 }
 
 
+def _star_on(body: Poly, factor: Poly, star_side: str) -> Poly:
+    """body * factor for star side "r", factor * body for "l"."""
+    return body.star(factor) if star_side == "r" else factor.star(body)
+
+
+def _eigen_residual(body: Poly, variant: str, index: str, position: str) -> Poly:
+    """(1/i) d_A acting on the variant's side minus p_A star-multiplied on
+    its star side, at either index position of A.  ``body`` is the
+    exponential or any product of it with a central factor."""
+    dvariant, side, star_side = _EIGEN_RULES[variant]
+    label = DerivativeLabel(index, dvariant, side, position)
+    acted = apply_derivative(label, body, sector_index=0).scale(I_INV)
+    coord = coord_upper if position == "upper" else coord_lower
+    p = to_phase_space(coord("p", index, body.convention), "p")
+    return acted - _star_on(body, p, star_side)
+
+
 def eigen_residual(exp: QExponential, index: str) -> Poly:
     """Residual of the defining eigenvalue equation for one index.
 
@@ -153,16 +171,7 @@ def eigen_residual(exp: QExponential, index: str) -> Poly:
     of position degree <= N-1 cancel exactly; only the truncation shell
     survives.
     """
-    variant, side, star_side = _EIGEN_RULES[exp.variant]
-    conv = exp.body.convention
-    label = DerivativeLabel(index, variant, side, "upper")
-    acted = apply_derivative(label, exp.body, sector_index=0).scale(I_INV)
-    p_upper = to_phase_space(coord_upper("p", index, conv), "p")
-    if star_side == "r":
-        expected = exp.body.star(p_upper)
-    else:
-        expected = p_upper.star(exp.body)
-    return acted - expected
+    return _eigen_residual(exp.body, exp.variant, index, "upper")
 
 
 def below_shell(poly: Poly, order: int, sector_index: int = 0) -> Poly:
@@ -320,7 +329,7 @@ def q_translate_oracle_plus(f: Poly) -> TranslationResult:
 # -- q-inversions ------------------------------------------------------------------
 
 
-def _u_hat(f: Poly, inverse: bool, sector_index: int = 0) -> Poly:
+def u_operator(f: Poly, inverse: bool = False, sector_index: int = 0) -> Poly:
     """The scaling operators U (inverse=False) and U^-1 (inverse=True).
 
     U   = sum_k (-lam)^k (x3)^{2k}/[[k]]_{q^-4}! q^{-2 n3(n+ + n- + k)} D^k_{q^-4,x+} D^k_{q^-4,x-}
@@ -413,18 +422,13 @@ def q_invert(f: Poly, kind: str = "minus", sector_index: int = 0) -> Poly:
     Both series terminate on polynomials.
     """
     if kind == "minus":
-        return _u_hat(_inversion_series(f, sector_index), inverse=False, sector_index=sector_index)
+        return u_operator(_inversion_series(f, sector_index), sector_index=sector_index)
     if kind == "minusbar":
         conv = f.convention
         flipped = f.subs_q_inverse_swap()
         out = q_invert(flipped, "minus", sector_index)
         return out.subs_q_inverse_swap().with_convention(conv)
     raise ValueError(f"unknown inversion kind {kind!r}")
-
-
-def u_operator(f: Poly, inverse: bool = False, sector_index: int = 0) -> Poly:
-    """The scaling operators U and U^-1 (exported for the mutual-inverse test)."""
-    return _u_hat(f, inverse=inverse, sector_index=sector_index)
 
 
 # -- Hopf-axiom realizations ---------------------------------------------------------

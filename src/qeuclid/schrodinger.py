@@ -1,19 +1,27 @@
 """Free-particle layer: Hamiltonian, plane waves, propagators.
 
-The free Hamiltonian is H0 = -(2m)^-1 d^A d_A.  Its eigenfunctions are the
-deformed exponentials; multiplying by the time-dependent phase factor
-(a star-exponential series in the central element p^2) produces the four
-plane-wave families
+The free Hamiltonian is H0 = -(2m)^-1 d^A d_A, the metric contraction of
+``apply_derivative`` on any of the four action sides (the right sides reach
+it through the same conjugation transport as every derivative).  Its
+eigenfunctions are the deformed exponentials; star-multiplying one by the
+time-dependent phase factor (a star-exponential series in the central
+element p^2) on the exponential's star side, with sign -1 on the right and
++1 on the left, produces the four plane-wave families (the formal volume
+normalization is treated as 1 in symbolic mode)
 
     u_p      = exp(x|ip) * phase(-)          left / plain
     u^p      = phase(+) * exp(1/i p|x)       right-bar / plain
     (u*)_p   = phase(+) * exp*(ip|x)         right / twisted
     (u*)^p   = exp*(x|1/i p) * phase(-)      left-bar / twisted
 
-(the formal volume normalization is treated as 1 in symbolic mode).  Powers
-of p^2 expand over normal-ordered momentum monomials with the coefficient
-family C(k, l) = q^{-2l} (-lam_+)^{k-l} [k choose l]_{q^4}, which satisfies
-the recurrence C(k, l) = -lam_+ q^{4l} C(k-1, l) + q^-2 C(k-1, l-1).
+``PLANE_WAVES`` names each family's exponential; the action side, the star
+side and the ordering are those of the exponential's eigenvalue rule in
+``qexp``.
+
+Powers of p^2 expand over normal-ordered momentum monomials with the
+coefficient family C(k, l) = q^{-2l} (-lam_+)^{k-l} [k choose l]_{q^4},
+which satisfies the recurrence
+C(k, l) = -lam_+ q^{4l} C(k-1, l) + q^-2 C(k-1, l-1).
 
 Momentum-space propagators are carried as formal Laurent series in the
 single opaque symbol (E +- i eps); the defining identity
@@ -46,11 +54,19 @@ from .starcalc import (
     coord_upper,
     Metric,
     metric_contract,
+    to_phase_space,
 )
-from .qcalculus import DerivativeLabel, _conj_retag, apply_derivative, d
-from .qexp import build_exponential
+from .qcalculus import DerivativeLabel, apply_derivative, d
+from .qexp import _EIGEN_RULES, _eigen_residual, _star_on, build_exponential
 
-PLANE_WAVE_FAMILIES = ("u_lower", "u_upper", "ustar_lower", "ustar_upper")
+#: plane-wave family -> the deformed exponential it is built on
+PLANE_WAVES = {
+    "u_lower": "x_ip",
+    "u_upper": "ipinv_x",
+    "ustar_lower": "star_ip_x",
+    "ustar_upper": "star_x_ipinv",
+}
+PLANE_WAVE_FAMILIES = tuple(PLANE_WAVES)
 
 
 # -- Hamiltonian -----------------------------------------------------------------
@@ -72,35 +88,23 @@ class Hamiltonian:
     def apply(self, f, side: str = "left", sector_index: int = 0):
         """Act with H0 through the requested action side.
 
-        The contraction d^A d_A = -q d- d+ + d3 d3 - 1/q d+ d- is composed
-        with the inner (lower-index) derivative acting first; right actions
-        go through the conjugation identities like every other operator.
+        The contraction d^A d_A = sum_A g^AB d_B d_A is composed of plain
+        derivatives acting on ``side``, the inner d_A first.  The labels sit
+        at the lower index on the left sides and at the upper index on the
+        right sides, because the conjugation that transports a right action
+        flips index positions.
         """
-        if side in ("left", "left_bar"):
-            variant = "plain" if side == "left" else "hat"
-            scale = ONE if side == "left" else QScalar.q(-12)
+        pos = "lower" if side in ("left", "left_bar") else "upper"
 
-            def two(first_idx, then_idx):
-                inner = apply_derivative(
-                    d(then_idx, variant, side), f, sector_index
-                )
-                return apply_derivative(
-                    d(first_idx, variant, side), inner, sector_index
-                )
+        def act(index, g):
+            return apply_derivative(d(index, "plain", side, pos), g, sector_index)
 
-            out = (
-                -two("-", "+").scale(QScalar.q(1))
-                + two("3", "3")
-                - two("+", "-").scale(QScalar.q(-1))
-            )
-            return out.scale(self.prefactor() * scale)
-        if side == "right_bar":
-            inner = self.apply(_conj_retag(f, "W"), "left", sector_index)
-            return _conj_retag(inner, "W")
-        if side == "right":
-            inner = self.apply(_conj_retag(f, "Wt"), "left_bar", sector_index)
-            return _conj_retag(inner, "Wt")
-        raise ValueError(f"unknown action side {side!r}")
+        out = None
+        for a in Metric.indices:
+            partner, g = Metric.raise_(a)
+            term = act(partner, act(a, f)).scale(g)
+            out = term if out is None else out + term
+        return out.scale(self.prefactor())
 
 
 def hamiltonian_momentum_commutator(h: Hamiltonian, f: Poly, index: str) -> Poly:
@@ -212,38 +216,25 @@ class PlaneWave:
     body: Poly  # (x, p) carrier with t powers
 
 
-def _lift_phase(ph: Poly) -> Poly:
-    return ph.insert_sector(0, X_SECTOR)
-
-
 def build_plane_wave(
     family: str, order_space: int, order_time: int, mass: Fraction
 ) -> PlaneWave:
-    """Star product of the family's exponential with its phase factor.
+    """The family's exponential star-multiplied by its phase factor.
 
-    The twisted families live in the Wt ordering and use the substituted
-    phase coefficients; the formal volume factor is 1.
+    The phase sits on the exponential's star side, with sign -1 on the
+    right and +1 on the left, in the exponential's ordering (the twisted
+    families use the substituted Wt coefficients); the formal volume factor
+    is 1.
     """
-    N, K = order_space, order_time
-    if family == "u_lower":
-        e = build_exponential("x_ip", N).body
-        ph = _lift_phase(phase_factor(-1, K, mass))
-        body = e.star(ph)
-    elif family == "u_upper":
-        e = build_exponential("ipinv_x", N).body
-        ph = _lift_phase(phase_factor(+1, K, mass))
-        body = ph.star(e)
-    elif family == "ustar_lower":
-        e = build_exponential("star_ip_x", N).body
-        ph = _lift_phase(phase_factor(+1, K, mass, convention="Wt"))
-        body = ph.star(e)
-    elif family == "ustar_upper":
-        e = build_exponential("star_x_ipinv", N).body
-        ph = _lift_phase(phase_factor(-1, K, mass, convention="Wt"))
-        body = e.star(ph)
-    else:
+    if family not in PLANE_WAVES:
         raise ValueError(f"unknown plane-wave family {family!r}")
-    return PlaneWave(family, N, K, mass, body)
+    variant = PLANE_WAVES[family]
+    e = build_exponential(variant, order_space).body
+    star_side = _EIGEN_RULES[variant][2]
+    sign = -1 if star_side == "r" else 1
+    ph = phase_factor(sign, order_time, mass, convention=e.convention)
+    body = _star_on(e, to_phase_space(ph, "p"), star_side)
+    return PlaneWave(family, order_space, order_time, mass, body)
 
 
 def plane_wave_printed(order_space: int, order_time: int, mass: Fraction) -> Poly:
@@ -287,23 +278,9 @@ def plane_wave_printed(order_space: int, order_time: int, mass: Fraction) -> Pol
     return Poly((X_SECTOR, P_SECTOR), terms, "W")
 
 
-#: per family: (time side, spatial action (variant, side), momentum star side)
-_WAVE_RULES = {
-    "u_lower": ("left", ("plain", "left"), "r"),
-    "u_upper": ("right_bar", ("plain", "right_bar"), "l"),
-    "ustar_lower": ("right", ("plain", "right"), "l"),
-    "ustar_upper": ("left_bar", ("plain", "left_bar"), "r"),
-}
-
-
-def _p_factor(index: str | None, position: str, convention: str) -> Poly:
-    if index is None:
-        poly = psq(convention)
-    elif position == "upper":
-        poly = coord_upper("p", index, convention)
-    else:
-        poly = coord_lower("p", index, convention)
-    return poly.insert_sector(0, X_SECTOR)
+def _rule(w: PlaneWave) -> tuple[str, str, str]:
+    """The (derivative variant, side, star side) of the wave's exponential."""
+    return _EIGEN_RULES[PLANE_WAVES[w.family]]
 
 
 def schrodinger_residual(w: PlaneWave) -> Poly:
@@ -311,7 +288,7 @@ def schrodinger_residual(w: PlaneWave) -> Poly:
 
     Vanishes identically for spatial degree <= N-2 and t-degree <= K-1.
     """
-    side = _WAVE_RULES[w.family][0]
+    side = _rule(w)[1]
     h = Hamiltonian(w.mass)
     t_lab = DerivativeLabel("0", "plain", side, "lower")
     left = apply_derivative(t_lab, w.body, 0).scale(I)
@@ -322,25 +299,19 @@ def schrodinger_residual(w: PlaneWave) -> Poly:
 def momentum_residual(w: PlaneWave, index: str, position: str = "lower") -> Poly:
     """(1/i) dA acting on the family's side minus star multiplication by pA
     on the family's side.  Vanishes for spatial degree <= N-1."""
-    _, (variant, side), star_side = _WAVE_RULES[w.family]
-    lab = DerivativeLabel(index, variant, side, position)
-    acted = apply_derivative(lab, w.body, 0).scale(I_INV)
-    pA = _p_factor(index, position, w.body.convention)
-    expected = w.body.star(pA) if star_side == "r" else pA.star(w.body)
-    return acted - expected
+    return _eigen_residual(w.body, PLANE_WAVES[w.family], index, position)
 
 
 def energy_residual(w: PlaneWave) -> Poly:
     """H0 acting on the family's side minus p^2/(2m) on the star side.
     Vanishes for spatial degree <= N-2."""
-    side, _, star_side = _WAVE_RULES[w.family]
+    _, side, star_side = _rule(w)
     h = Hamiltonian(w.mass)
     acted = h.apply(w.body, side)
-    p2 = _p_factor(None, "lower", w.body.convention).scale(
+    p2 = to_phase_space(psq(w.body.convention), "p").scale(
         QScalar.from_rational(Fraction(1, 2) / w.mass)
     )
-    expected = w.body.star(p2) if star_side == "r" else p2.star(w.body)
-    return acted - expected
+    return acted - _star_on(w.body, p2, star_side)
 
 
 def wave_below_shell(

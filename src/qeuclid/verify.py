@@ -651,6 +651,9 @@ def _suite_schrodinger(rnd, cfg):
             f = rand_coord_poly(rnd, deg=2, nterm=3)
             if h.apply(f, "left").conjugate() != h.apply(f.conjugate(), "right_bar"):
                 return False, f"trial={trial}"
+            ft = f.with_convention("Wt")
+            if h.apply(ft, "left_bar").conjugate() != h.apply(ft.conjugate(), "right"):
+                return False, f"trial={trial} hatted"
         return True, ""
 
     _case(cases, "H0 conjugation covariance", reality)
@@ -757,18 +760,21 @@ _SUITES = {
 }
 
 
+#: fixed parts of every suite's configuration, reported in its ``config``
+MASS = Fraction(2)
+PAIRS = 40
+TRIPLES = 25
+BASE = 1
+
+
 def run_suite(
     name: str,
     seed: int = 2024,
     q0: float = 1.1,
     N: int = 3,
     K: int = 2,
-    mass: Fraction = Fraction(2),
     j_min: int = -12,
     j_max: int = 12,
-    pairs: int = 40,
-    triples: int = 25,
-    base: int = 1,
 ) -> SuiteReport:
     if name not in _SUITES and name != "all":
         raise ValueError(f"unknown suite {name!r}")
@@ -776,12 +782,12 @@ def run_suite(
         "q0": q0,
         "N": N,
         "K": K,
-        "mass": mass,
+        "mass": MASS,
         "j_min": j_min,
         "j_max": j_max,
-        "pairs": pairs,
-        "triples": triples,
-        "base": base,
+        "pairs": PAIRS,
+        "triples": TRIPLES,
+        "base": BASE,
     }
     rnd = random.Random(seed)
     t0 = time.time()

@@ -5,27 +5,19 @@ import pytest
 from qeuclid.qarith import QScalar, LAMBDA_PLUS
 from qeuclid.starcalc import Poly, P_SECTOR
 from qeuclid.schrodinger import (
-    Hamiltonian,
-    PLANE_WAVE_FAMILIES,
     PacketError,
     build_plane_wave,
     cq_coefficient,
     cq_value,
-    energy_residual,
     gaussian_packet,
-    hamiltonian_momentum_commutator,
     heine_phase_report,
-    momentum_residual,
     phase_factor,
     phase_factor_construction_residual,
     phase_group_law_residual,
-    plane_wave_printed,
     propagator_defining_residual,
     propagator_momentum,
     psq_power,
     psq_star_power,
-    schrodinger_residual,
-    wave_below_shell,
     zwischen_reorder_residual,
 )
 from qeuclid.lattice import QLattice
@@ -58,21 +50,6 @@ def test_psq_powers():
         assert psq_power(k) == psq_star_power(k)
 
 
-def test_hamiltonian_centrality_and_reality(rand_poly):
-    h = Hamiltonian(MASS)
-    for _ in range(5):
-        f = rand_poly(deg=2, nterm=3)
-        for a in ("+", "3", "-"):
-            assert hamiltonian_momentum_commutator(h, f, a).is_zero()
-        assert h.apply(f, "left").conjugate() == h.apply(f.conjugate(), "right_bar")
-
-
-def test_plane_wave_matches_printed_formula():
-    for N, K in ((2, 2), (3, 3)):
-        w = build_plane_wave("u_lower", N, K, MASS)
-        assert w.body == plane_wave_printed(N, K, MASS)
-
-
 def test_plane_wave_time_slice_is_exponential():
     from qeuclid.qexp import build_exponential
 
@@ -89,16 +66,6 @@ def test_plane_wave_conjugation_pairs():
         us = build_plane_wave("ustar_lower", N, K, MASS)
         usu = build_plane_wave("ustar_upper", N, K, MASS)
         assert us.body.conjugate() == usu.body
-
-
-def test_all_residuals_below_shell():
-    N, K = 3, 2
-    for fam in PLANE_WAVE_FAMILIES:
-        w = build_plane_wave(fam, N, K, MASS)
-        assert wave_below_shell(schrodinger_residual(w), N, K, drop=1).is_zero(), fam
-        for a in ("+", "3", "-"):
-            assert wave_below_shell(momentum_residual(w, a), N).is_zero(), (fam, a)
-        assert wave_below_shell(energy_residual(w), N, None, drop=1).is_zero(), fam
 
 
 def test_reordering_rule():
