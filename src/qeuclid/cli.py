@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from .qarith import QScalar
-from .starcalc import Poly, coord_poly_to_json, coord_poly_from_json
+from .starcalc import Poly, coord_poly_to_json
 from . import dsl
 from .verify import run_suite
 from .schrodinger import (
@@ -63,19 +63,27 @@ def _mass(text) -> Fraction:
     return mass
 
 
+#: the entries a packet file's ``packet`` object may hold
+_PACKET_ENTRIES = ("center_j", "width_j", "odd_fraction")
+
+
 def _read_packet(path: str):
     """The lattice and the gaussian_packet arguments of a packet file."""
     try:
         with open(path) as fh:
             config = json.load(fh)
         lat, pk = config["lattice"], config["packet"]
-        poly = pk.get("momentum_poly")
+        unknown = sorted(set(pk) - set(_PACKET_ENTRIES))
+        if unknown:
+            raise UsageError(
+                f"packet file {path}: unknown packet entry {unknown[0]!r} "
+                f"(accepted: {', '.join(_PACKET_ENTRIES)})"
+            )
         return _lattice(float(lat["q0"]), int(lat["j_min"]), int(lat["j_max"])), dict(
             mass=_mass(config.get("mass", "1")),
             center_j=float(pk.get("center_j", 0.0)),
             width_j=float(pk.get("width_j", 1.0)),
             odd_fraction=float(pk.get("odd_fraction", 0.0)),
-            momentum_poly=coord_poly_from_json(poly) if poly else None,
             phase_order=int(config.get("phase_order", 16)),
         )
     except OSError as exc:
@@ -228,6 +236,8 @@ def cmd_heine(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if not args.width > 0:
+        raise UsageError(f"--width must be positive, got {args.width}")
     lat = _lattice(_parse_q(args.q), -args.grid, args.grid)
     env = log_gaussian(lat, args.center, args.width)
     fn = LatticeFn.sample(

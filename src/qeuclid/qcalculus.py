@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .qarith import KAPPA, QScalar, ONE, LAMBDA
-from .starcalc import SLOT_NAMES, Metric, Poly
+from .starcalc import Metric, Poly
 
 SPATIAL = ("+", "3", "-")
 
@@ -235,23 +235,6 @@ def _conj_retag(f, convention: str):
     if hasattr(out, "with_convention") and getattr(out, "convention", None) is not None:
         out = out.with_convention(convention)
     return out
-
-
-def jackson_derivative(f, var: str, k: int):
-    """D_{q^k, var} on a carrier; on monomials x^n -> [[n]]_{q^k} x^(n-1).
-
-    ``var`` is one of the slot variable names of the carrier's sector
-    (for multi-sector polynomials, qualify as 'sector_index:var').
-    """
-    if k == 0:
-        raise ValueError("jackson_derivative needs k != 0")
-    sector_index = 0
-    if ":" in var:
-        pre, var = var.split(":", 1)
-        sector_index = int(pre)
-    kind = _sector_kind(f, sector_index)
-    slot = SLOT_NAMES[kind].index(var)
-    return f.jackson_d(sector_index, slot, k)
 
 
 def inverse_partial(label: DerivativeLabel, f, sector_index: int = 0):

@@ -455,10 +455,9 @@ def heine_phase_report(
     t: float,
     mass: float,
     samples: list[tuple[float, float, float]],
-    sign: int = -1,
 ) -> list[dict]:
-    """Per-k comparison of the double-sum phase factor against the printed
-    resummed product form.
+    """Per-k comparison of the double-sum phase factor exp(-i t p^2 / 2m)
+    against the printed resummed product form.
 
     The double sum is the form the pipeline uses (normal-ordered monomials
     evaluated as commuting samples); the product form divides by the
@@ -469,15 +468,13 @@ def heine_phase_report(
     rows = []
     lamp = LAMBDA_PLUS.eval(q0).real
     for k in range(order + 1):
+        terms = _phase_term(k, -1, t, mass, q0)
         for pm, p3, pp in samples:
-            pref = (sign * 1j * t / (2 * mass)) ** k / math.factorial(k)
-            double_sum = 0j
-            for l in range(k + 1):
-                c = cq_value(k, l, q0)
-                double_sum += c * pm ** (k - l) * p3 ** (2 * l) * pp ** (k - l)
-            double_sum *= pref
+            double_sum = sum(
+                c * pm**a * p3**b * pp**e for c, (a, b, e) in terms
+            )
             # printed product form
-            prod_pref = (-sign * 1j * t * lamp * pm * pp / (2 * mass)) ** k
+            prod_pref = (1j * t * lamp * pm * pp / (2 * mass)) ** k
             prod_pref /= math.factorial(k)
             z = p3**2 / (-(q0**2) * lamp * pm * pp)
             den = 1.0
@@ -503,38 +500,39 @@ class PacketError(ValueError):
     pass
 
 
+def _phase_term(k: int, sign: int, t: float, mass, q0: float):
+    """Term k of the numeric phase series of exp(sign i t p^2 / 2m): the
+    pairs (coefficient, degrees) of (sign i t / 2m)^k / k! C(k, l) on the
+    momentum monomial (k-l, 2l, k-l), for l = 0..k."""
+    fact = 1.0  # a float product: past k = 170 it is inf, not an OverflowError
+    for j in range(2, k + 1):
+        fact *= j
+    pref = (sign * 1j * t / (2.0 * float(mass))) ** k / fact
+    return [(cq_value(k, l, q0) * pref, (k - l, 2 * l, k - l)) for l in range(k + 1)]
+
+
 def _numeric_phase(lattice, sign: int, order: int, mass: Fraction, t: float):
     """The phase factor at numeric time t as an envelope-free lattice carrier
     (truncated central star-series of exp(sign i t p^2 / 2m))."""
     from .lattice import StructuredFn, STerm
 
-    q0 = lattice.q0
-    terms = []
-    fact = 1.0
-    for k in range(order + 1):
-        if k:
-            fact *= k
-        pref = (sign * 1j * t / (2.0 * float(mass))) ** k / fact
-        for l in range(k + 1):
-            c = cq_value(k, l, q0) * pref
-            terms.append(STerm(c, (k - l, 2 * l, k - l), (None, None, None)))
+    terms = [
+        STerm(c, degrees, (None, None, None))
+        for k in range(order + 1)
+        for c, degrees in _phase_term(k, sign, t, mass, lattice.q0)
+    ]
     return StructuredFn(lattice, "p", terms)
 
 
 def _phase_tail_estimate(lattice, order, mass, t, support_j):
     """Magnitude of the next star-series term on the packet's support shell;
     the convergence guard for the asymptotic series."""
-    q0 = lattice.q0
     k = order + 1
-    fact = 1.0
-    for j in range(2, k + 1):
-        fact *= j
-    pmax = q0 ** float(support_j)
-    worst = 0.0
-    for l in range(k + 1):
-        mono = pmax ** (2 * (k - l)) * pmax ** (2 * l)
-        worst = max(worst, abs(cq_value(k, l, q0)) * mono)
-    return (abs(t) / (2.0 * float(mass))) ** k / fact * worst
+    pmax = lattice.q0 ** float(support_j)
+    mags = [abs(c) for c, _ in _phase_term(k, 1, t, mass, lattice.q0)]
+    # a part that overflowed to nan must fail the guard, not vanish in max()
+    worst = max(mags) if all(map(math.isfinite, mags)) else math.inf
+    return worst * pmax ** (2 * k)  # every part has total degree 2k
 
 
 @dataclass
@@ -542,26 +540,24 @@ class WavePacket:
     """Lattice-sampled momentum coefficients of a Schroedinger solution.
 
     ``c`` carries the expansion coefficients (class: polynomial in the first
-    momentum slot, envelopes on the other two); ``cstar`` the conjugate-family
-    coefficients (mirrored class), by default the quantum space conjugate of
-    ``c``.  The remaining two coefficient families follow by conjugation.
+    momentum slot, envelopes on the other two) and the lattice they live on.
+    The conjugate-family coefficients are its quantum space conjugate,
+    c* = conj(c) (mirrored class), computed once.  The two remaining
+    families, conj(c) and conj(c*), are then c* and c again, so the pair
+    (c, c*) carries every integral.
     """
 
-    lattice: object
     c: object
-    cstar: object
     mass: Fraction = Fraction(1)
     phase_order: int = 16
     support_j: float = 8.0
 
     def __post_init__(self):
+        self._cstar = self.c.conjugate()
         self._coeff_cache = {}
 
-    def conj_families(self):
-        return self.c.conjugate(), self.cstar.conjugate()  # c^p, (c*)^p
-
     def boundary_mass(self) -> float:
-        return self.cstar.star(self.c).boundary_mass()
+        return self._cstar.star(self.c).boundary_mass()
 
     def require_decay(self, tol: float = 1e-12):
         bm = self.boundary_mass()
@@ -573,17 +569,16 @@ class WavePacket:
     # -- time evolution ------------------------------------------------------
 
     def _phases(self, t: float):
-        if t == 0.0:
-            return None
+        lattice = self.c.lattice
         # lowest adequate truncation of the (asymptotic) central series
         order = None
         for cand in range(6, self.phase_order + 1):
-            if _phase_tail_estimate(self.lattice, cand, self.mass, t, self.support_j) < 1e-12:
+            if _phase_tail_estimate(lattice, cand, self.mass, t, self.support_j) < 1e-12:
                 order = cand
                 break
         if order is None:
             tail = _phase_tail_estimate(
-                self.lattice, self.phase_order, self.mass, t, self.support_j
+                lattice, self.phase_order, self.mass, t, self.support_j
             )
             if not tail < 1e-11:
                 raise PacketError(
@@ -591,36 +586,30 @@ class WavePacket:
                     f"(tail estimate {tail:.2e}); reduce t or tighten the packet"
                 )
             order = self.phase_order
-        minus = _numeric_phase(self.lattice, -1, order, self.mass, t)
-        plus = _numeric_phase(self.lattice, +1, order, self.mass, t)
+        minus = _numeric_phase(lattice, -1, order, self.mass, t)
+        plus = _numeric_phase(lattice, +1, order, self.mass, t)
         return minus, plus
 
     def coefficients_at(self, t: float):
-        """(c(t), c*(t), c^(t), c*^(t)) with the central-series phases."""
+        """(c(t), c*(t)) = (phase(-) * c, c* * phase(+)) with the
+        central-series phases."""
         cached = self._coeff_cache.get(t)
         if cached is not None:
             return cached
-        c_up, cstar_up = self.conj_families()
         if t == 0.0:
-            out = (self.c, self.cstar, c_up, cstar_up)
+            out = (self.c, self._cstar)
         else:
             minus, plus = self._phases(t)
-            out = (
-                minus.star(self.c),
-                self.cstar.star(plus),
-                c_up.star(plus),
-                minus.star(cstar_up),
-            )
+            out = (minus.star(self.c), self._cstar.star(plus))
         self._coeff_cache[t] = out
         return out
 
     # -- integrals -------------------------------------------------------------
 
     def norm(self, t: float = 0.0) -> complex:
-        ct, cst, cut, csut = self.coefficients_at(t)
-        term1 = cst.star_integral(ct)
-        term2 = cut.star_integral(csut)
-        return 0.5 * (term1 + term2)
+        """Int c*(t) * c(t)."""
+        ct, cst = self.coefficients_at(t)
+        return cst.star_integral(ct)
 
     def norm_check(self, t: float = 0.0) -> float:
         return abs(1.0 - self.norm(t))
@@ -631,23 +620,17 @@ class WavePacket:
             raise PacketError(f"norm pairing is not positive ({n:.3e})")
         s = 1.0 / (n.real**0.5)
         return WavePacket(
-            self.lattice,
-            self.c.scale_complex(s),
-            self.cstar.scale_complex(s),
-            self.mass,
-            self.phase_order,
-            self.support_j,
+            self.c.scale_complex(s), self.mass, self.phase_order, self.support_j
         )
 
     def expectation_momentum(self, index: str, t: float = 0.0, position: str = "upper") -> complex:
+        """Int c*(t) * (p^A * c(t)), or p_A at ``position="lower"``."""
         from .lattice import StructuredFn
 
-        ct, cst, cut, csut = self.coefficients_at(t)
+        ct, cst = self.coefficients_at(t)
         build = coord_upper if position == "upper" else coord_lower
-        pA = StructuredFn.from_poly(self.lattice, build("p", index))
-        term1 = cst.star_integral(pA.star(ct))
-        term2 = cut.star_integral(pA.star(csut))
-        return 0.5 * (term1 + term2)
+        pA = StructuredFn.from_poly(self.c.lattice, build("p", index))
+        return cst.star_integral(pA.star(ct))
 
     def _position_term(self, index: str, t: float, position: str) -> complex:
         """i Int ((c*)(t) <|bar d_p^A) * c(t).
@@ -657,7 +640,7 @@ class WavePacket:
         (which holds exactly for the integration-adjoint pairing) lands it
         on the bra coefficients, where it is the conjugation-transported
         local operator."""
-        ct, cst, _, _ = self.coefficients_at(t)
+        ct, cst = self.coefficients_at(t)
         lab = DerivativeLabel(index, "plain", "right_bar", position)
         acted = apply_derivative(lab, cst)
         return 1j * acted.star_integral(ct)
@@ -666,7 +649,11 @@ class WavePacket:
         """(1/2)[T(A) + conj(T(A, flipped))]: the two coefficient-family
         terms of the position expectation are exact conjugate mirrors, so
         the second is computed as the conjugate of the first at the flipped
-        index position."""
+        index position.
+
+        So the value at ``position="lower"`` is, bit for bit, the complex
+        conjugate of the value at ``"upper"``: a comparison of the two holds
+        by construction and pins nothing about <X^A>(t)."""
         flipped = "lower" if position == "upper" else "upper"
         t1 = self._position_term(index, t, position)
         t2 = self._position_term(index, t, flipped).conjugate()
@@ -686,16 +673,22 @@ def gaussian_packet(
     center_j: float = 0.0,
     width_j: float = 1.1,
     odd_fraction: float = 0.0,
-    momentum_poly=None,
     phase_order: int = 16,
 ) -> WavePacket:
     """A normalized packet with log-Gaussian envelopes on the enveloped
-    momentum slots (and optional polynomial content on the first).
+    momentum slots and the constant 1 on the first.
 
-    ``odd_fraction`` admixes a sign-odd component so expectation values are
-    not killed by parity.
+    Its coefficient pair is c and c* = conj(c).  ``odd_fraction`` admixes a
+    sign-odd component so expectation values are not killed by parity.
+    ``width_j`` must be positive and ``phase_order`` non-negative; the
+    phase-series guard works on the support shell |center_j| + 6 width_j.
     """
     from .lattice import StructuredFn, STerm, AxisFn, log_gaussian, odd_log_gaussian
+
+    if not width_j > 0:
+        raise PacketError(f"width_j must be positive, got {width_j}")
+    if phase_order < 0:
+        raise PacketError(f"phase_order must be >= 0, got {phase_order}")
 
     def env():
         base = log_gaussian(lattice, center_j, width_j)
@@ -707,13 +700,8 @@ def gaussian_packet(
     c = StructuredFn(
         lattice, "p", [STerm(1.0, (0, 0, 0), (None, env(), env()))]
     )
-    if momentum_poly is not None:
-        c = StructuredFn.from_poly(lattice, momentum_poly).star(c)
     support = abs(center_j) + 6.0 * width_j
-    packet = WavePacket(
-        lattice, c, c.conjugate(), mass, phase_order, support
-    )
-    return packet.normalized()
+    return WavePacket(c, mass, phase_order, support).normalized()
 
 
 def phase_factor_construction_residual(order: int, mass: Fraction) -> Poly:

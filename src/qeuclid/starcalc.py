@@ -620,24 +620,6 @@ def metric_contract(upper: dict[str, Poly], lower: dict[str, Poly]) -> Poly:
     return acc
 
 
-def raise_index(components: dict[str, Poly]) -> dict[str, Poly]:
-    """v^A = g^{AB} v_B from lower components."""
-    out = {}
-    for a in Metric.indices:
-        b, g = Metric.raise_(a)
-        out[a] = components[b].scale(g)
-    return out
-
-
-def lower_index(components: dict[str, Poly]) -> dict[str, Poly]:
-    """v_A = g_{AB} v^B from upper components."""
-    out = {}
-    for a in Metric.indices:
-        b, g = Metric.lower(a)
-        out[a] = components[b].scale(g)
-    return out
-
-
 # -- JSON (external interface) ------------------------------------------------
 
 

@@ -187,13 +187,26 @@ NESTED = {
         ["expand", "exp[bar_x_ip](1) + exp[x_ip](1)"],
         ["expand", "star(exp[bar_x_ip](1), exp[x_ip](1))"],
         ["expand", "dinv[+](p3)"],
+        ["expectation", "--packet", "{tmp}/negative_order.json", "--t", "0.1"],
+        ["expectation", "--packet", "{tmp}/zero_width.json"],
+        ["expectation", "--packet", "{tmp}/negative_width.json", "--t", "1.0"],
+        ["expectation", "--packet", "{tmp}/unknown_entry.json"],
+        ["sample", "--grid", "3", "--width", "0", "--out", "{tmp}/g.csv"],
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, argv):
-    config = {"lattice": {"q0": 1.1, "j_max": 10}, "packet": {}}
-    (tmp_path / "no_j_min.json").write_text(json.dumps(config))
-    config = {"lattice": {"q0": 1.1, "j_min": -10, "j_max": 10}, "mass": "0", "packet": {}}
-    (tmp_path / "zero_mass.json").write_text(json.dumps(config))
+    window = {"q0": 1.1, "j_min": -10, "j_max": 10}
+    packet = {"center_j": 0.3, "width_j": 0.9}
+    files = {
+        "no_j_min": {"lattice": {"q0": 1.1, "j_max": 10}, "packet": {}},
+        "zero_mass": {"lattice": window, "mass": "0", "packet": {}},
+        "negative_order": {"lattice": window, "phase_order": -3, "packet": packet},
+        "zero_width": {"lattice": window, "packet": {**packet, "width_j": 0}},
+        "negative_width": {"lattice": window, "packet": {**packet, "width_j": -0.9}},
+        "unknown_entry": {"lattice": window, "packet": {**packet, "centre_j": 0.5}},
+    }
+    for name, config in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(config))
     code, out, err = run_cli(*(a.format(tmp=tmp_path) for a in argv))
     lines = [ln for ln in err.splitlines() if ln.strip()]
     assert code == 2 and out == "" and len(lines) == 1, err

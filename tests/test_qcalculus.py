@@ -10,7 +10,6 @@ from qeuclid.qcalculus import (
     d,
     integration_adjoint,
     inverse_partial,
-    jackson_derivative,
 )
 from qeuclid.lattice import (
     AxisFn,
@@ -23,13 +22,6 @@ from qeuclid.lattice import (
 )
 
 xp, x3, xm, tv = (coord_variable(v) for v in ("x+", "x3", "x-", "t"))
-
-
-def test_jackson_derivative_monomials():
-    assert jackson_derivative(xp, "x+", 4) == Poly.one((X_SECTOR,))
-    sq = xp.mul_pointwise(xp)
-    assert jackson_derivative(sq, "x+", 4) == xp.scale(ONE + QScalar.q(4))
-    assert jackson_derivative(xp, "x3", 2).is_zero()
 
 
 def test_derivative_examples():

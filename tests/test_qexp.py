@@ -49,8 +49,6 @@ def test_normalization_conditions():
 
 
 def test_conjugation_table():
-    lhs = build_exponential("x_ip", N).body.conjugate()
-    assert lhs == build_exponential("ipinv_x", N).body
     lhs = build_exponential("bar_x_ip", N).body.conjugate()
     assert lhs == build_exponential("bar_ipinv_x", N).body
 

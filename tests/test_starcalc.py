@@ -9,12 +9,9 @@ from qeuclid.starcalc import (
     X_SECTOR,
     SectorMismatch,
     conjugate,
-    coord_upper,
     coord_variable,
     coord_poly_from_json,
     coord_poly_to_json,
-    lower_index,
-    raise_index,
     star_product,
 )
 
@@ -65,11 +62,6 @@ def test_metric_entries_and_inverse():
         b, g = Metric.lower(a)
         b2, g2 = Metric.raise_(b)
         assert (a, True) == (b2, (g * g2).is_one())
-
-
-def test_raise_lower_roundtrip():
-    comps = {a: coord_upper("x", a) for a in Metric.indices}
-    assert raise_index(lower_index(comps)) == comps
 
 
 def test_classical_limit(rand_poly):
