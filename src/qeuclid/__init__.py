@@ -34,7 +34,7 @@ from .starcalc import (
 from .qcalculus import DerivativeLabel, apply_derivative, inverse_partial
 from .qexp import build_exponential, q_translate, q_invert
 from .schrodinger import Hamiltonian, build_plane_wave, propagator_momentum
-from .lattice import QLattice, StructuredFn, LatticeFn
+from .lattice import QLattice, StructuredFn
 
 __all__ = [
     "GRat",
@@ -62,7 +62,6 @@ __all__ = [
     "propagator_momentum",
     "QLattice",
     "StructuredFn",
-    "LatticeFn",
 ]
 
 __version__ = "0.1.0"

@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import product
 
 from .qarith import QScalar
 from .starcalc import Poly, coord_poly_to_json
@@ -25,7 +26,7 @@ from .schrodinger import (
     gaussian_packet,
     heine_phase_report,
 )
-from .lattice import QLattice, LatticeFn, log_gaussian
+from .lattice import QLattice, StructuredFn, log_gaussian
 
 
 class UsageError(Exception):
@@ -224,14 +225,16 @@ def cmd_heine(args) -> int:
     q0 = _parse_q(args.q)
     if q0 in (0.0, 1.0, -1.0) or args.mass == 0:
         raise UsageError("the phase report needs --q not in {0, 1, -1} and a nonzero --mass")
-    rows = heine_phase_report(
-        _order(args.order),
-        q0,
-        args.t,
-        args.mass,
-        [(0.8, 1.1, 0.9), (1.3, 0.7, 1.1)],
-    )
-    print(json.dumps(rows, sort_keys=True))
+    order = _order(args.order)
+    samples = [(0.8, 1.1, 0.9), (1.3, 0.7, 1.1)]
+    try:
+        rows = heine_phase_report(order, q0, args.t, args.mass, samples)
+        text = json.dumps(rows, sort_keys=True, allow_nan=False)
+    except (OverflowError, ValueError):  # k! past k = 170, or a nan or inf row
+        raise UsageError(
+            f"the phase report leaves the float range at --order {order}, --q {args.q}"
+        ) from None
+    print(text)
     return 0
 
 
@@ -240,10 +243,15 @@ def cmd_sample(args) -> int:
         raise UsageError(f"--width must be positive, got {args.width}")
     lat = _lattice(_parse_q(args.q), -args.grid, args.grid)
     env = log_gaussian(lat, args.center, args.width)
-    fn = LatticeFn.sample(
-        lat, "x", lambda a, b, c: env(a) * env(b) * env(c)
-    )
-    fn.to_csv(args.out)
+    axis = lat.axis_values()
+    pts = [*axis, *-axis]  # sign + then -, j ascending within each
+    f = StructuredFn.from_envelopes(lat, "x", (env, env, env))
+    values = f.values_on(pts, pts, pts)
+    with open(args.out, "w") as fh:
+        fh.write("x1,x2,x3,re,im\n")
+        for (x1, x2, x3), v in zip(product(pts, repeat=3), values.flat):
+            if v != 0:
+                fh.write(f"{x1},{x2},{x3},{v.real},{v.imag}\n")
     print(f"wrote {args.out}")
     return 0
 

@@ -1,28 +1,23 @@
-"""Numeric q-lattice backend: Jackson integrals, lattice carriers, wave
+"""Numeric q-lattice backend: Jackson integrals, the lattice carrier, wave
 packets' raw material.
 
 Points live on the geometric lattice {+- q0^j : j_min <= j <= j_max} per
 axis.  The integral over all space is the nested Jackson sum on the smaller
-lattice: base q^2 on the outer axes and q on the middle one, with
-configurable coset offsets (default (0, 0, 1), which makes the integral
-exactly compatible with quantum space conjugation).
+lattice: base q^2 on the outer axes and q on the middle one, with the fixed
+coset offsets (0, 0, 1), which make the integral exactly compatible with
+quantum space conjugation.
 
-Two carriers are provided:
-
-* :class:`LatticeFn` - dense samples over the full 3d grid.  Exact under
-  Jackson derivatives and dilations (lattice shifts, zero beyond the
-  window); used for Stokes-type checks and CSV export.
-
-* :class:`StructuredFn` - finite sums  coeff * monomial * per-axis
-  envelopes, each envelope (:class:`AxisFn`) a product of leaves
-  x -> base(+-q0^m x).  Every envelope operation (slot scalings,
-  conjugation, Jackson shifts) dilates by +-q0^m, which is arithmetic on
-  the leaves and, on the lattice, an index shift plus a branch swap.  This
-  carrier supports an exact star product against operands whose coupled
-  axes are envelope-free (the pairing classes used by the expectation-value
-  suite), because the star's degree-coupled scaling operators then act as
-  such dilations.  One routine, :func:`_axis_rows`, samples envelopes on
-  the integration lattice; it keeps nothing between calls.
+The carrier, :class:`StructuredFn`, is a finite sum  coeff * monomial *
+per-axis envelopes, each envelope (:class:`AxisFn`) a product of leaves
+x -> base(+-q0^m x).  Every envelope operation (slot scalings, conjugation,
+Jackson shifts) dilates by +-q0^m, which is arithmetic on the leaves and, on
+the lattice, an index shift plus a branch swap.  The carrier supports an
+exact star product against operands whose coupled axes are envelope-free
+(the pairing classes used by the expectation-value suite), because the
+star's degree-coupled scaling operators then act as such dilations.  One
+routine, :func:`_axis_rows`, samples envelopes on the integration lattice;
+it keeps nothing between calls.  :meth:`StructuredFn.values_on` evaluates a
+carrier at arbitrary points, for export and for pointwise checks.
 """
 
 from __future__ import annotations
@@ -38,33 +33,31 @@ from .qarith import QScalar
 _BLOCK_BYTES = 1 << 20
 #: bound on the (left term, right term, k) triples a star integral reduces at once
 _BLOCK_TRIPLES = 1 << 13
+#: per-slot Jackson bases of the all-space integral, as exponents of q0
+STEPS = (2, 1, 2)
+#: the residue class of j (mod the slot's step) each slot sums over
+COSETS = (0, 0, 1)
 
 
 @dataclass(frozen=True)
 class QLattice:
     """Grid config: base q0 > 1 and the exponent window [j_min, j_max].
 
-    ``steps`` are the per-slot Jackson bases (exponents of q0) of the
-    all-space integral; ``cosets`` pick which residue class of j each axis
-    sums over.  The defaults implement the smaller-lattice integral with
-    conjugation-compatible offsets.
+    The all-space integral sums slot s over the window's j with
+    j = COSETS[s] mod STEPS[s], weighted by the Jackson weights of base
+    q0^STEPS[s]: the smaller-lattice integral with conjugation-compatible
+    offsets.
     """
 
     q0: float
     j_min: int = -20
     j_max: int = 20
-    steps: tuple[int, int, int] = (2, 1, 2)
-    cosets: tuple[int, int, int] = (0, 0, 1)
 
     def __post_init__(self):
         if not self.q0 > 1:
             raise ValueError("q0 must be > 1")
         if self.j_min > self.j_max:
             raise ValueError("empty lattice window")
-
-    @property
-    def n_points(self) -> int:
-        return self.j_max - self.j_min + 1
 
     def js(self) -> np.ndarray:
         return np.arange(self.j_min, self.j_max + 1)
@@ -74,15 +67,12 @@ class QLattice:
 
     def integration_js(self, slot: int) -> np.ndarray:
         js = self.js()
-        step, coset = self.steps[slot], self.cosets[slot]
-        return js[(js % step) == (coset % step)]
+        return js[js % STEPS[slot] == COSETS[slot]]
 
     def integration_weights(self, slot: int) -> np.ndarray:
         """(Q - 1) q0^j for the slot's sub-lattice, Q = q0^step."""
         js = self.integration_js(slot)
-        return (self.q0 ** self.steps[slot] - 1.0) * self.q0 ** js.astype(
-            float
-        )
+        return (self.q0 ** STEPS[slot] - 1.0) * self.q0 ** js.astype(float)
 
 
 # -- per-axis envelopes ---------------------------------------------------------
@@ -560,186 +550,3 @@ class StructuredFn:
                     v = v * env.values(g, self.lattice.q0)
             acc += v
         return acc
-
-
-# -- dense carrier ------------------------------------------------------------------
-
-
-class LatticeFn:
-    """Dense complex samples over the full (sign, j)^3 grid.
-
-    Indices: values[s1, j1, s2, j2, s3, j3] with sign index 0 for +, 1 for
-    -, and j offset by j_min.  Dilations shift the j axes exactly; samples
-    shifted beyond the window enter as zero, so the carrier is meant for
-    compactly supported data.
-    """
-
-    __slots__ = ("lattice", "sector_kind", "values")
-
-    def __init__(self, lattice: QLattice, sector_kind: str, values: np.ndarray):
-        n = lattice.n_points
-        expected = (2, n, 2, n, 2, n)
-        if values.shape != expected:
-            raise ValueError(f"values must have shape {expected}")
-        self.lattice = lattice
-        self.sector_kind = sector_kind
-        self.values = values.astype(complex)
-
-    @staticmethod
-    def sample(lattice: QLattice, sector_kind: str, fn) -> "LatticeFn":
-        """Sample fn(x1, x2, x3) (vectorized) over the grid."""
-        axis = lattice.axis_values()
-        coords = np.concatenate([axis, -axis])  # sign index 0 then 1
-        n = lattice.n_points
-        c = coords.reshape(2, n)
-        g1 = c[:, :, None, None, None, None]
-        g2 = c[None, None, :, :, None, None]
-        g3 = c[None, None, None, None, :, :]
-        vals = fn(
-            np.broadcast_to(g1, (2, n, 2, n, 2, n)),
-            np.broadcast_to(g2, (2, n, 2, n, 2, n)),
-            np.broadcast_to(g3, (2, n, 2, n, 2, n)),
-        )
-        return LatticeFn(lattice, sector_kind, np.asarray(vals, dtype=complex))
-
-    def _new(self, values) -> "LatticeFn":
-        return LatticeFn(self.lattice, self.sector_kind, values)
-
-    def __add__(self, other: "LatticeFn") -> "LatticeFn":
-        return self._new(self.values + other.values)
-
-    def __sub__(self, other: "LatticeFn") -> "LatticeFn":
-        return self._new(self.values - other.values)
-
-    def __neg__(self) -> "LatticeFn":
-        return self._new(-self.values)
-
-    def scale_complex(self, c: complex) -> "LatticeFn":
-        return self._new(self.values * c)
-
-    def scale_q(self, s: QScalar) -> "LatticeFn":
-        return self.scale_complex(s.eval(self.lattice.q0))
-
-    def _shift(self, slot: int, amount: int) -> np.ndarray:
-        """values at j + amount on one axis, zero-filled at the window."""
-        axis = 1 + 2 * slot
-        v = np.zeros_like(self.values)
-        n = self.lattice.n_points
-        if amount == 0:
-            return self.values.copy()
-        idx_src = [slice(None)] * 6
-        idx_dst = [slice(None)] * 6
-        if amount > 0:
-            idx_dst[axis] = slice(0, n - amount)
-            idx_src[axis] = slice(amount, n)
-        else:
-            idx_dst[axis] = slice(-amount, n)
-            idx_src[axis] = slice(0, n + amount)
-        v[tuple(idx_dst)] = self.values[tuple(idx_src)]
-        return v
-
-    def _coords(self, slot: int) -> np.ndarray:
-        axis_vals = self.lattice.axis_values()
-        coords = np.stack([axis_vals, -axis_vals])  # (2, n)
-        shape = [1] * 6
-        shape[2 * slot] = 2
-        shape[2 * slot + 1] = self.lattice.n_points
-        return coords.reshape(shape)
-
-    def jackson_d(self, sector_index: int, slot: int, base_exp: int) -> "LatticeFn":
-        assert sector_index == 0
-        Q = self.lattice.q0**base_exp
-        shifted = self._shift(slot, base_exp)
-        return self._new((shifted - self.values) / ((Q - 1.0) * self._coords(slot)))
-
-    def scale_slot(self, sector_index: int, slot: int, q_exp: int) -> "LatticeFn":
-        assert sector_index == 0
-        return self._new(self._shift(slot, q_exp))
-
-    def mul_slot_var(self, sector_index: int, slot: int, power: int = 1) -> "LatticeFn":
-        assert sector_index == 0
-        return self._new(self.values * self._coords(slot) ** power)
-
-    def mul_pointwise(self, other: "LatticeFn") -> "LatticeFn":
-        return self._new(self.values * other.values)
-
-    def d_dt(self):
-        raise NotImplementedError("lattice carriers hold no symbolic time")
-
-    def conjugate(self) -> "LatticeFn":
-        """Quantum space conjugation on dense samples.
-
-        conj(f)(y1, y2, y3) = conj(f(a*y3, y2, b*y1)) where (a, b) are the
-        metric factors (-q, -1/q) for positions and (-1/q, -q) for momenta;
-        on the lattice the sign flips move between branches and the q powers
-        become index shifts (zero beyond the window).
-        """
-        n = self.lattice.n_points
-        if self.sector_kind == "x":
-            d_first, d_last = +1, -1  # x1 arg = -q y3, x3 arg = -y1/q
-        else:
-            d_first, d_last = -1, +1
-        pad = np.zeros((2, n + 2, 2, n + 2, 2, n + 2), dtype=complex)
-        pad[:, 1 : n + 1, :, 1 : n + 1, :, 1 : n + 1] = np.conjugate(
-            self.values
-        )
-        s = np.arange(2)
-        j = np.arange(n)
-        S1, J1, S2, J2, S3, J3 = np.meshgrid(s, j, s, j, s, j, indexing="ij")
-        out = pad[
-            1 - S3,
-            J3 + d_first + 1,
-            S2,
-            J2 + 1,
-            1 - S1,
-            J1 + d_last + 1,
-        ]
-        return self._new(out)
-
-    def integral_all_space(self) -> complex:
-        """Smaller-lattice nested Jackson sums over the dense grid."""
-        lat = self.lattice
-        total = self.values
-        for slot in (2, 1, 0):
-            js_idx = lat.integration_js(slot) - lat.j_min
-            w = lat.integration_weights(slot)
-            sel = np.take(total, js_idx, axis=2 * slot + 1)
-            summed = sel.sum(axis=2 * slot)  # both sign branches
-            total = np.tensordot(summed, w, axes=([2 * slot], [0]))
-        return complex(total)
-
-    def boundary_mass(self) -> float:
-        """Fraction of absolute mass on the outermost j shells."""
-        a = np.abs(self.values)
-        total = float(a.sum())
-        if total == 0.0:
-            return 1.0
-        edge = float(
-            a[:, 0].sum()
-            + a[:, -1].sum()
-            + a[:, :, :, 0].sum()
-            + a[:, :, :, -1].sum()
-            + a[..., 0].sum()
-            + a[..., -1].sum()
-        )
-        return edge / total
-
-    def to_csv(self, path: str) -> None:
-        lat = self.lattice
-        axis = lat.axis_values()
-        coords = np.stack([axis, -axis])
-        with open(path, "w") as fh:
-            fh.write("x1,x2,x3,re,im\n")
-            for s1 in range(2):
-                for j1 in range(lat.n_points):
-                    for s2 in range(2):
-                        for j2 in range(lat.n_points):
-                            for s3 in range(2):
-                                for j3 in range(lat.n_points):
-                                    v = self.values[s1, j1, s2, j2, s3, j3]
-                                    if v == 0:
-                                        continue
-                                    fh.write(
-                                        f"{coords[s1, j1]},{coords[s2, j2]},"
-                                        f"{coords[s3, j3]},{v.real},{v.imag}\n"
-                                    )

@@ -148,7 +148,9 @@ def test_cli_heine_and_sample(tmp_path):
     assert {r["k"] for r in rows} == {0, 1, 2, 3}
     out_csv = tmp_path / "g.csv"
     code, _, _ = run_cli("sample", "--grid", "3", "--out", str(out_csv))
-    assert code == 0 and out_csv.exists()
+    assert code == 0
+    lines = out_csv.read_text().splitlines()
+    assert lines[0] == "x1,x2,x3,re,im" and len(lines) - 1 == (2 * 7) ** 3
 
 
 def test_main_entry_direct(capsys):
@@ -192,6 +194,8 @@ NESTED = {
         ["expectation", "--packet", "{tmp}/negative_width.json", "--t", "1.0"],
         ["expectation", "--packet", "{tmp}/unknown_entry.json"],
         ["sample", "--grid", "3", "--width", "0", "--out", "{tmp}/g.csv"],
+        ["heine", "--order", "100"],
+        ["heine", "--order", "200"],
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, argv):

@@ -13,7 +13,6 @@ from qeuclid.qcalculus import (
 )
 from qeuclid.lattice import (
     AxisFn,
-    LatticeFn,
     QLattice,
     StructuredFn,
     STerm,
@@ -230,26 +229,18 @@ def test_boundary_rejection(lat):
 
 
 def test_dense_lattice_roundtrip(lat):
-    env = log_gaussian(lat, 0.0, 1.4)
-    f = LatticeFn.sample(lat, "x", lambda a, b, c: env(a) * env(b) * env(c))
-    s = StructuredFn.from_envelopes(lat, "x", (env, env, env))
-    assert abs(f.integral_all_space() - s.integral_all_space()) <= 1e-12 * abs(
-        s.integral_all_space()
-    )
-    odd = odd_log_gaussian(lat, 0.0, 1.6)
-    g = LatticeFn.sample(lat, "x", lambda a, b, c: env(a) * odd(b) * env(c))
+    """integral_all_space against the nested Jackson sum written out: samples
+    on each slot's integration points of both signs, times their weights."""
+    pts, weights = [], []
+    for slot in range(3):
+        x = lat.q0 ** lat.integration_js(slot).astype(float)
+        pts.append(np.concatenate([x, -x]))
+        weights.append(np.tile(lat.integration_weights(slot), 2))
+    env, odd = log_gaussian(lat, 0.0, 1.4), odd_log_gaussian(lat, 0.0, 1.6)
+    # x1 odd(x1) is even: its negative branch needs both signs sampled right
+    s = StructuredFn(lat, "x", [STerm(1.0, (0, 0, 0), (env, env, env)),
+                                STerm(0.5, (1, 2, 0), (odd, env, env))])
+    brute = np.einsum("ijk,i,j,k->", s.values_on(*pts), *weights)
+    assert abs(brute - s.integral_all_space()) <= 1e-12 * abs(s.integral_all_space())
+    g = StructuredFn.from_envelopes(lat, "x", (env, odd, env))
     assert abs(g.integral_all_space()) <= 1e-12
-    for a in ("+", "3", "-"):
-        r = apply_derivative(d(a, "plain", "left", "upper"), f).integral_all_space()
-        assert abs(r) <= 1e-10
-
-
-def test_dense_csv_export(lat, tmp_path):
-    small = QLattice(1.2, -2, 2)
-    env = log_gaussian(small, 0.0, 1.0)
-    f = LatticeFn.sample(small, "x", lambda a, b, c: env(a) * env(b) * env(c))
-    out = tmp_path / "fn.csv"
-    f.to_csv(str(out))
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "x1,x2,x3,re,im"
-    assert len(lines) > 10

@@ -2,12 +2,10 @@ from qeuclid.qarith import I, q_factorial
 from qeuclid.starcalc import Poly, P_SECTOR, X_SECTOR, coord_variable
 from qeuclid.qexp import (
     VARIANTS,
-    addition_theorem_residual,
     below_shell,
     build_exponential,
     eigen_residual,
     exponential_to_json,
-    inverse_exponential_residual,
     normalization_residuals,
     q_invert,
     q_translate,
@@ -85,11 +83,3 @@ def test_inversion_values_and_classical():
 def test_u_operators_mutually_inverse(rand_poly):
     f = rand_poly(deg=2, nterm=3, with_t=False)
     assert u_operator(u_operator(f, True), False) == f
-
-
-def test_addition_theorem():
-    assert addition_theorem_residual(3).is_zero()
-
-
-def test_inverse_exponential():
-    assert inverse_exponential_residual(3).is_zero()
