@@ -95,10 +95,6 @@ def _read_packet(path: str):
         raise UsageError(f"packet file {path}: {exc}") from None
 
 
-def _poly_to_text(value) -> str:
-    return str(value)
-
-
 def _poly_json(value):
     if isinstance(value, QScalar):
         return value.to_json()
@@ -136,7 +132,7 @@ def cmd_expand(args) -> int:
     if args.json:
         print(json.dumps(_poly_json(value), sort_keys=True))
     else:
-        print(_poly_to_text(value))
+        print(value)
     return 0
 
 
@@ -238,9 +234,15 @@ def cmd_heine(args) -> int:
     return 0
 
 
+#: the largest ``sample --grid``: time, memory and CSV size grow as grid^3
+_MAX_SAMPLE_GRID = 16
+
+
 def cmd_sample(args) -> int:
     if not args.width > 0:
         raise UsageError(f"--width must be positive, got {args.width}")
+    if args.grid > _MAX_SAMPLE_GRID:
+        raise UsageError(f"--grid must be <= {_MAX_SAMPLE_GRID}, got {args.grid}")
     lat = _lattice(_parse_q(args.q), -args.grid, args.grid)
     env = log_gaussian(lat, args.center, args.width)
     axis = lat.axis_values()

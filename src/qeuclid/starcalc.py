@@ -20,15 +20,17 @@ with FF the falling q-factorial in base q^4.  Distinct sectors commute;
 star products act sector-wise.
 
 Two orderings are supported.  "W" is the ascending normal ordering; "Wt"
-is the descending one, whose star product is the conjugate of the W star
-under the substitution (q -> 1/q, first <-> last), implemented exactly
-that way.
+is the descending one, whose star product is the mirror image of the W star
+under the substitution (q -> 1/q, first <-> last).  One monomial routine
+serves both orderings: the mirror sign selects the formula above or its
+image.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable
 
 from .qarith import (
@@ -106,9 +108,6 @@ class Metric:
         return _metric_entry(a, b)
 
 
-from functools import lru_cache
-
-
 def _falling(n: int, k: int, base: int) -> QScalar:
     out = ONE
     for j in range(k):
@@ -117,38 +116,31 @@ def _falling(n: int, k: int, base: int) -> QScalar:
 
 
 @lru_cache(maxsize=None)
-def _star_coeff(c1: int, a2: int, k: int) -> QScalar:
+def _star_coeff(c1: int, a2: int, k: int, m: int) -> QScalar:
     """lam^k FF(c1,k) FF(a2,k) / [[k]]_{q^4}!  (a Laurent polynomial; the
-    falling factorials against [[k]]! form a binomial-type quotient)."""
+    falling factorials against [[k]]! form a binomial-type quotient), or
+    its q -> 1/q image for the mirror sign ``m = -1``."""
+    if m < 0:
+        return _star_coeff(c1, a2, k, 1).subs_q_inverse()
     coeff = (_falling(c1, k, 4) * _falling(a2, k, 4)).exact_div(
         q_factorial(k, 4)
     )
     return coeff * LAMBDA**k
 
 
-@lru_cache(maxsize=None)
-def _star_mono_w(m1: Triple, m2: Triple) -> tuple[tuple[QScalar, Triple], ...]:
-    """W-ordered star product of two slot monomials."""
-    a1, b1, c1 = m1
-    a2, b2, c2 = m2
-    out = []
-    for k in range(min(c1, a2) + 1):
-        coeff = _star_coeff(c1, a2, k).shift(
-            2 * (b1 * (a2 - k) + (c1 - k) * b2)
+def _star_mono(m1: Triple, m2: Triple, m: int) -> list[tuple[QScalar, Triple]]:
+    """Star product of two slot monomials: the W formula for ``m = +1``; for
+    ``m = -1`` its mirror image, the Wt star (slot triples reversed, q-shift
+    negated, coefficients under q -> 1/q)."""
+    a1, b1, c1 = m1[::m]
+    a2, b2, c2 = m2[::m]
+    return [
+        (
+            _star_coeff(c1, a2, k, m).shift(2 * m * (b1 * (a2 - k) + (c1 - k) * b2)),
+            (a1 + a2 - k, b1 + b2 + 2 * k, c1 + c2 - k)[::m],
         )
-        out.append((coeff, (a1 + a2 - k, b1 + b2 + 2 * k, c1 + c2 - k)))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _star_mono_wt(m1: Triple, m2: Triple) -> tuple[tuple[QScalar, Triple], ...]:
-    """Wt-ordered star: conjugate the W star by (q -> 1/q, first <-> last)."""
-    f1 = (m1[2], m1[1], m1[0])
-    f2 = (m2[2], m2[1], m2[0])
-    return tuple(
-        (coeff.subs_q_inverse(), (m[2], m[1], m[0]))
-        for coeff, m in _star_mono_w(f1, f2)
-    )
+        for k in range(min(c1, a2) + 1)
+    ]
 
 
 def _add_term(out: dict, key, coeff: QScalar) -> None:
@@ -307,18 +299,18 @@ class Poly:
     def star(self, other: "Poly") -> "Poly":
         """Sector-wise star product; distinct sectors commute."""
         self._check_compatible(other)
-        mono_star = _star_mono_w if self.convention == "W" else _star_mono_wt
+        m = 1 if self.convention == "W" else -1  # the mirror sign
         out: dict[Key, QScalar] = {}
         for (tr1, t1), c1 in self.terms.items():
             for (tr2, t2), c2 in other.terms.items():
                 pieces: list[tuple[QScalar, list[Triple]]] = [(c1 * c2, [])]
                 for m1, m2 in zip(tr1, tr2):
-                    expansion = mono_star(m1, m2)
+                    expansion = _star_mono(m1, m2, m)
                     # nonzero pieces times nonzero weights: no product vanishes
                     pieces = [
-                        (coeff * w, triples + [m])
+                        (coeff * w, triples + [mono])
                         for coeff, triples in pieces
-                        for w, m in expansion
+                        for w, mono in expansion
                     ]
                 for coeff, triples in pieces:
                     _add_term(out, (tuple(triples), t1 + t2), coeff)
@@ -483,15 +475,12 @@ class Poly:
         (i's factor on the left), then drop sector j."""
         if self.sectors[i].kind != self.sectors[j].kind:
             raise SectorMismatch("cannot merge sectors of different kinds")
-        single = (self.sectors[i],)
+        m = 1 if self.convention == "W" else -1  # the mirror sign
         out: dict[Key, QScalar] = {}
         for (triples, t), coeff in self.terms.items():
-            left = Poly(single, {((triples[i],), 0): ONE}, self.convention)
-            right = Poly(single, {((triples[j],), 0): ONE}, self.convention)
-            prod = left.star(right)
-            for ((m,), _), w in prod.terms.items():
+            for w, mono in _star_mono(triples[i], triples[j], m):
                 tr = list(triples)
-                tr[i] = m
+                tr[i] = mono
                 del tr[j]
                 _add_term(out, (tuple(tr), t), coeff * w)
         return Poly(self.sectors[:j] + self.sectors[j + 1 :], out, self.convention)

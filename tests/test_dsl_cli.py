@@ -196,6 +196,7 @@ NESTED = {
         ["sample", "--grid", "3", "--width", "0", "--out", "{tmp}/g.csv"],
         ["heine", "--order", "100"],
         ["heine", "--order", "200"],
+        ["sample", "--grid", "17", "--out", "{tmp}/g.csv"],
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, argv):
@@ -214,6 +215,7 @@ def test_cli_bad_input_exits_2(tmp_path, argv):
     code, out, err = run_cli(*(a.format(tmp=tmp_path) for a in argv))
     lines = [ln for ln in err.splitlines() if ln.strip()]
     assert code == 2 and out == "" and len(lines) == 1, err
+    assert not (tmp_path / "g.csv").exists()
 
 
 @pytest.mark.parametrize("shape", NESTED)

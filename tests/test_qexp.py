@@ -2,14 +2,10 @@ from qeuclid.qarith import I, q_factorial
 from qeuclid.starcalc import Poly, P_SECTOR, X_SECTOR, coord_variable
 from qeuclid.qexp import (
     VARIANTS,
-    below_shell,
     build_exponential,
-    eigen_residual,
     exponential_to_json,
-    normalization_residuals,
     q_invert,
     q_translate,
-    q_translate_oracle_plus,
     u_operator,
 )
 
@@ -33,19 +29,6 @@ def test_low_order_terms():
     assert coeff == (I * I) / q_factorial(2, 4)
 
 
-def test_eigen_residuals_all_variants():
-    for variant in VARIANTS:
-        e = build_exponential(variant, N)
-        for a in ("+", "3", "-"):
-            assert below_shell(eigen_residual(e, a), N).is_zero(), (variant, a)
-
-
-def test_normalization_conditions():
-    for variant in VARIANTS:
-        r1, r2 = normalization_residuals(build_exponential(variant, N))
-        assert r1.is_zero() and r2.is_zero()
-
-
 def test_conjugation_table():
     lhs = build_exponential("bar_x_ip", N).body.conjugate()
     assert lhs == build_exponential("bar_ipinv_x", N).body
@@ -63,12 +46,6 @@ def test_translation_classical_limit():
     T = q_translate(x3, "plus").polynomial
     v = T.eval_classical(1.0, ((0.3, 0.7, -0.2), (0.11, 0.5, 0.9)))
     assert abs(v - (0.7 + 0.5)) < 1e-12
-
-
-def test_translation_routes_agree(rand_poly):
-    for _ in range(5):
-        f = rand_poly(deg=2, nterm=3, with_t=False)
-        assert q_translate(f, "plus").polynomial == q_translate_oracle_plus(f).polynomial
 
 
 def test_inversion_values_and_classical():
