@@ -7,7 +7,9 @@ The package has three layers:
 * the free-particle layer: plane waves, phase factors, momentum-space
   propagators (``schrodinger``),
 * a numeric q-lattice backend for integrals, wave packets and expectation
-  values (``lattice``).
+  values (``lattice``).  It is the only layer that needs numpy; ``QLattice``
+  and ``StructuredFn`` load it on first access, so the exact layers start
+  without numpy.
 
 ``verify`` drives the per-module property suites; ``cli`` is the command
 line surface.
@@ -34,7 +36,9 @@ from .starcalc import (
 from .qcalculus import DerivativeLabel, apply_derivative, inverse_partial
 from .qexp import build_exponential, q_translate, q_invert
 from .schrodinger import Hamiltonian, build_plane_wave, propagator_momentum
-from .lattice import QLattice, StructuredFn
+
+#: names this package re-exports from ``lattice``, loaded on first access
+_LATTICE_NAMES = ("QLattice", "StructuredFn")
 
 __all__ = [
     "GRat",
@@ -65,3 +69,11 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _LATTICE_NAMES:
+        from . import lattice
+
+        return getattr(lattice, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

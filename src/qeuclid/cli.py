@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from itertools import product
@@ -19,14 +20,12 @@ from itertools import product
 from .qarith import QScalar
 from .starcalc import Poly, coord_poly_to_json
 from . import dsl
-from .verify import run_suite
 from .schrodinger import (
     PacketError,
     propagator_momentum,
     gaussian_packet,
     heine_phase_report,
 )
-from .lattice import QLattice, StructuredFn, log_gaussian
 
 
 class UsageError(Exception):
@@ -36,12 +35,17 @@ class UsageError(Exception):
 
 def _parse_q(text: str) -> float:
     try:
-        return float(Fraction(text)) if "/" in text else float(text)
+        q0 = float(Fraction(text)) if "/" in text else float(text)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"--q is not a number: {text!r}") from None
+    if q0 == 0 or not math.isfinite(q0):
+        raise UsageError(f"--q must be finite and nonzero, got {text!r}")
+    return q0
 
 
 def _lattice(q0: float, j_min: int, j_max: int) -> QLattice:
+    from .lattice import QLattice
+
     try:
         return QLattice(q0, j_min, j_max)
     except ValueError as exc:
@@ -139,27 +143,30 @@ def cmd_expand(args) -> int:
 def cmd_eval(args) -> int:
     value = dsl.evaluate(dsl.parse_expression(args.expr))
     q0 = _parse_q(args.q)
-    if q0 == 0:
-        raise UsageError("--q must be nonzero")
-    if isinstance(value, QScalar):
-        v = value.eval(q0)
-        print(f"{v.real!r} {v.imag!r}")
-        return 0
-    rows = []
-    for (triples, t), coeff in sorted(value.terms.items()):
-        v = coeff.eval(q0)
-        rows.append(
-            {
-                "exps": [list(tr) for tr in triples],
-                "t": t,
-                "value": [v.real, v.imag],
-            }
-        )
+    try:
+        if isinstance(value, QScalar):
+            v = value.eval(q0)
+            print(f"{v.real!r} {v.imag!r}")
+            return 0
+        rows = []
+        for (triples, t), coeff in sorted(value.terms.items()):
+            v = coeff.eval(q0)
+            rows.append(
+                {
+                    "exps": [list(tr) for tr in triples],
+                    "t": t,
+                    "value": [v.real, v.imag],
+                }
+            )
+    except OverflowError:  # a power of q0 past the float range
+        raise UsageError(f"the value leaves the float range at --q {args.q}") from None
     print(json.dumps(rows, sort_keys=True))
     return 0
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suite
+
     try:
         report = run_suite(
             args.suite,
@@ -186,7 +193,10 @@ def cmd_verify(args) -> int:
 
 def cmd_propagator(args) -> int:
     branch = 1 if args.branch == "retarded" else -1
-    prop = propagator_momentum(args.family, branch, _order(args.order), _mass(args.mass))
+    order = _order(args.order)
+    if order > dsl.MAX_ORDER:
+        raise UsageError(f"--order must be <= {dsl.MAX_ORDER}, got {order}")
+    prop = propagator_momentum(args.family, branch, order, _mass(args.mass))
     if args.json:
         print(json.dumps(prop.to_json(), sort_keys=True))
     else:
@@ -219,8 +229,8 @@ def cmd_expectation(args) -> int:
 
 def cmd_heine(args) -> int:
     q0 = _parse_q(args.q)
-    if q0 in (0.0, 1.0, -1.0) or args.mass == 0:
-        raise UsageError("the phase report needs --q not in {0, 1, -1} and a nonzero --mass")
+    if q0 in (1.0, -1.0) or args.mass == 0:
+        raise UsageError("the phase report needs --q not in {1, -1} and a nonzero --mass")
     order = _order(args.order)
     samples = [(0.8, 1.1, 0.9), (1.3, 0.7, 1.1)]
     try:
@@ -239,6 +249,8 @@ _MAX_SAMPLE_GRID = 16
 
 
 def cmd_sample(args) -> int:
+    from .lattice import StructuredFn, log_gaussian
+
     if not args.width > 0:
         raise UsageError(f"--width must be positive, got {args.width}")
     if args.grid > _MAX_SAMPLE_GRID:
@@ -249,11 +261,14 @@ def cmd_sample(args) -> int:
     pts = [*axis, *-axis]  # sign + then -, j ascending within each
     f = StructuredFn.from_envelopes(lat, "x", (env, env, env))
     values = f.values_on(pts, pts, pts)
-    with open(args.out, "w") as fh:
-        fh.write("x1,x2,x3,re,im\n")
-        for (x1, x2, x3), v in zip(product(pts, repeat=3), values.flat):
-            if v != 0:
-                fh.write(f"{x1},{x2},{x3},{v.real},{v.imag}\n")
+    try:
+        with open(args.out, "w") as fh:
+            fh.write("x1,x2,x3,re,im\n")
+            for (x1, x2, x3), v in zip(product(pts, repeat=3), values.flat):
+                if v != 0:
+                    fh.write(f"{x1},{x2},{x3},{v.real},{v.imag}\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.out}: {exc.strerror}") from None
     print(f"wrote {args.out}")
     return 0
 

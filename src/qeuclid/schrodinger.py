@@ -559,13 +559,6 @@ class WavePacket:
     def boundary_mass(self) -> float:
         return self._cstar.star(self.c).boundary_mass()
 
-    def require_decay(self, tol: float = 1e-12):
-        bm = self.boundary_mass()
-        if not bm < tol:
-            raise PacketError(
-                f"packet does not decay on the lattice window (boundary mass {bm:.2e})"
-            )
-
     # -- time evolution ------------------------------------------------------
 
     def _phases(self, t: float):

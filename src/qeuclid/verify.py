@@ -14,8 +14,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .qarith import (
     GRat,
     QScalar,
@@ -51,14 +49,6 @@ from .qcalculus import (
 )
 from . import qexp
 from . import schrodinger as srd
-from .lattice import (
-    QLattice,
-    AxisFn,
-    StructuredFn,
-    STerm,
-    log_gaussian,
-    odd_log_gaussian,
-)
 
 
 @dataclass
@@ -374,6 +364,10 @@ def _suite_starcalc(rnd, cfg):
 
 
 def _suite_qcalculus(rnd, cfg):
+    import numpy as np
+
+    from .lattice import QLattice, AxisFn, StructuredFn, STerm, log_gaussian, odd_log_gaussian
+
     cases = []
     lat = QLattice(cfg["q0"], cfg["j_min"], cfg["j_max"])
 
@@ -613,6 +607,8 @@ def _suite_qexp(rnd, cfg):
 
 
 def _suite_schrodinger(rnd, cfg):
+    from .lattice import QLattice
+
     cases = []
     N, K = cfg["N"], cfg["K"]
     mass = cfg["mass"]

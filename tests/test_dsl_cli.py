@@ -16,15 +16,19 @@ from qeuclid.starcalc import coord_variable, star_product
 SRC = os.path.dirname(os.path.dirname(qeuclid.__file__))
 
 
-def run_cli(*argv):
+def run_python(*args):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "qeuclid.cli", *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_cli(*argv):
+    return run_python("-m", "qeuclid.cli", *argv)
 
 
 def test_parse_examples():
@@ -197,6 +201,13 @@ NESTED = {
         ["heine", "--order", "100"],
         ["heine", "--order", "200"],
         ["sample", "--grid", "17", "--out", "{tmp}/g.csv"],
+        ["sample", "--grid", "2", "--out", "{tmp}/missing/g.csv"],
+        ["eval", "q^-5", "--q", "1e-300"],
+        ["eval", "q", "--q", "nan"],
+        ["sample", "--q", "inf", "--grid", "2", "--out", "{tmp}/g.csv"],
+        ["verify", "--suite", "qarith", "--q", "0"],
+        ["expand", f"exp[x_ip]({dsl.MAX_ORDER + 1})"],
+        ["propagator", "--order", str(dsl.MAX_ORDER + 1)],
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, argv):
@@ -216,6 +227,42 @@ def test_cli_bad_input_exits_2(tmp_path, argv):
     lines = [ln for ln in err.splitlines() if ln.strip()]
     assert code == 2 and out == "" and len(lines) == 1, err
     assert not (tmp_path / "g.csv").exists()
+
+
+#: run in a fresh interpreter: the package and the symbolic commands and
+#: suites never load numpy; the lattice names load it on first access
+SYMBOLIC_SCRIPT = """
+import contextlib, io, sys
+import qeuclid
+assert "qeuclid.lattice" not in sys.modules and "numpy" not in sys.modules
+from qeuclid.cli import main
+for argv in (
+    ["parse", "star(x-, x+)"],
+    ["expand", "star(x-, x+)"],
+    ["eval", "star(x-, x+)"],
+    ["propagator", "--order", "2"],
+    ["heine", "--order", "3"],
+    ["verify", "--suite", "qarith"],
+    ["verify", "--suite", "ncalgebra"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+assert qeuclid.QLattice is qeuclid.lattice.QLattice
+from qeuclid import StructuredFn
+assert StructuredFn is qeuclid.lattice.StructuredFn
+try:
+    qeuclid.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("unknown attribute")
+"""
+
+
+def test_symbolic_commands_load_no_numpy():
+    code, out, err = run_python("-c", SYMBOLIC_SCRIPT)
+    assert code == 0 and out == "" and err == "", err
 
 
 @pytest.mark.parametrize("shape", NESTED)
