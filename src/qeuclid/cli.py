@@ -52,9 +52,11 @@ def _lattice(q0: float, j_min: int, j_max: int) -> QLattice:
         raise UsageError(f"bad lattice (q0={q0}, j in [{j_min}, {j_max}]): {exc}") from None
 
 
-def _order(order: int, flag: str = "--order") -> int:
+def _order(order: int, flag: str = "--order", cap: int | None = None) -> int:
     if order < 0:
         raise UsageError(f"{flag} must be >= 0, got {order}")
+    if cap is not None and order > cap:
+        raise UsageError(f"{flag} must be <= {cap}, got {order}")
     return order
 
 
@@ -172,13 +174,15 @@ def cmd_verify(args) -> int:
             args.suite,
             seed=args.seed,
             q0=_parse_q(args.q),
-            N=_order(args.N, "--N"),
-            K=_order(args.K, "--K"),
+            N=_order(args.N, "--N", dsl.MAX_ORDER),
+            K=_order(args.K, "--K", dsl.MAX_ORDER),
             j_min=-args.grid,
             j_max=args.grid,
         )
     except ValueError as exc:  # a bad configuration; cases report their own errors
         raise UsageError(f"bad verify configuration: {exc}") from None
+    except OverflowError:  # a power of q0 past the float range
+        raise UsageError(f"the suite leaves the float range at --q {args.q}") from None
     if args.json:
         print(json.dumps(report.to_json(), sort_keys=True))
     elif args.csv:
@@ -193,9 +197,7 @@ def cmd_verify(args) -> int:
 
 def cmd_propagator(args) -> int:
     branch = 1 if args.branch == "retarded" else -1
-    order = _order(args.order)
-    if order > dsl.MAX_ORDER:
-        raise UsageError(f"--order must be <= {dsl.MAX_ORDER}, got {order}")
+    order = _order(args.order, cap=dsl.MAX_ORDER)
     prop = propagator_momentum(args.family, branch, order, _mass(args.mass))
     if args.json:
         print(json.dumps(prop.to_json(), sort_keys=True))
@@ -253,6 +255,8 @@ def cmd_sample(args) -> int:
 
     if not args.width > 0:
         raise UsageError(f"--width must be positive, got {args.width}")
+    if not math.isfinite(args.center):
+        raise UsageError(f"--center must be finite, got {args.center}")
     if args.grid > _MAX_SAMPLE_GRID:
         raise UsageError(f"--grid must be <= {_MAX_SAMPLE_GRID}, got {args.grid}")
     lat = _lattice(_parse_q(args.q), -args.grid, args.grid)

@@ -14,14 +14,22 @@ Jackson shifts) dilates by +-q0^m, which is arithmetic on the leaves and, on
 the lattice, an index shift plus a branch swap.  The carrier supports an
 exact star product against operands whose coupled axes are envelope-free
 (the pairing classes used by the expectation-value suite), because the
-star's degree-coupled scaling operators then act as such dilations.  One
-routine, :func:`_axis_rows`, samples envelopes on the integration lattice;
-it keeps nothing between calls.  :meth:`StructuredFn.values_on` evaluates a
-carrier at arbitrary points, for export and for pointwise checks.
+star's degree-coupled scaling operators then act as such dilations.
+
+One routine, :func:`_axis_rows`, samples envelopes on the integration
+lattice; it keeps nothing between calls.  An integral writes each envelope as
+a root and an offset (the root dilated by q0^offset), so every dilation of
+one envelope shares its root: :func:`_factor_sums` samples each distinct
+dilated envelope product once and reduces all of them against every
+monomial degree in one matrix product.  :meth:`StructuredFn.values_on`
+evaluates a carrier at arbitrary points, for export and for pointwise
+checks.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -46,7 +54,8 @@ class QLattice:
     The all-space integral sums slot s over the window's j with
     j = COSETS[s] mod STEPS[s], weighted by the Jackson weights of base
     q0^STEPS[s]: the smaller-lattice integral with conjugation-compatible
-    offsets.
+    offsets.  The window's end points q0^j_min and q0^j_max must be normal
+    floats.
     """
 
     q0: float
@@ -58,6 +67,13 @@ class QLattice:
             raise ValueError("q0 must be > 1")
         if self.j_min > self.j_max:
             raise ValueError("empty lattice window")
+        for j in (self.j_min, self.j_max):
+            try:
+                x = float(self.q0) ** j
+            except OverflowError:
+                x = math.inf
+            if not sys.float_info.min <= x < math.inf:
+                raise ValueError(f"q0^{j} is not a normal float")
 
     def js(self) -> np.ndarray:
         return np.arange(self.j_min, self.j_max + 1)
@@ -69,10 +85,13 @@ class QLattice:
         js = self.js()
         return js[js % STEPS[slot] == COSETS[slot]]
 
+    def integration_points(self, slot: int) -> np.ndarray:
+        """q0^j for the slot's sub-lattice."""
+        return self.q0 ** self.integration_js(slot).astype(float)
+
     def integration_weights(self, slot: int) -> np.ndarray:
         """(Q - 1) q0^j for the slot's sub-lattice, Q = q0^step."""
-        js = self.integration_js(slot)
-        return (self.q0 ** STEPS[slot] - 1.0) * self.q0 ** js.astype(float)
+        return (self.q0 ** STEPS[slot] - 1.0) * self.integration_points(slot)
 
 
 # -- per-axis envelopes ---------------------------------------------------------
@@ -173,40 +192,55 @@ def odd_log_gaussian(lattice: QLattice, center_j=0.0, width_j=2.0) -> AxisFn:
     return AxisFn(fn)
 
 
-def _axis_rows(lat: QLattice, slot: int, envs, env_idx, shifts, ns):
-    """Weighted samples of per-axis factors on the slot's integration
-    lattice, yielded as ``(start, rows)`` blocks of consecutive factors.
-
-    Factor f is x^ns[f] times the product over p of the envelope
-    ``envs[env_idx[f, p]]`` (None is the constant 1) dilated by
-    q0^shifts[f, p].  Its row holds w_j (s x_j)^n (product)(s x_j) for the
-    signs s = +1, -1 (axis 1) and the integration points x_j with Jackson
-    weights w_j (axis 2).  Each distinct base is evaluated once, on the
-    index window the leaves' shifts reach.
+def _canonical(envs):
+    """Each envelope as a root and an offset: the offset is its smallest leaf
+    shift m, the root the envelope dilated by q0^-m, so that every dilation
+    of one envelope has the same root.  Returns ``(roots, idx, off)``: the
+    distinct roots as a list whose entry 0 is None (the constant 1), and per
+    envelope its root's index and its offset; the absent envelope is (0, 0).
     """
-    n_f, n_p = env_idx.shape
+    roots: dict = {}
+    idx = np.zeros(len(envs), dtype=int)
+    off = np.zeros(len(envs), dtype=int)
+    for e, env in enumerate(envs):
+        if env is not None:
+            m = min(leaf[1] for leaf in env.leaves)
+            idx[e], off[e] = roots.setdefault(_dilate(env, -m), len(roots) + 1), m
+    return [None, *roots], idx, off
+
+
+def _axis_rows(lat: QLattice, slot: int, roots, root_idx, offsets):
+    """Weighted samples of envelope profiles on the slot's integration
+    lattice, yielded as ``(start, rows)`` blocks of consecutive profiles.
+
+    Profile f is the product over p of the envelope ``roots[root_idx[f, p]]``
+    (None is the constant 1) dilated by q0^offsets[f, p].  Its row holds
+    w_j (product)(s x_j) for the signs s = +1, -1 (axis 1) and the
+    integration points x_j with Jackson weights w_j (axis 2); it carries no
+    monomial.  Each distinct base is evaluated once, on the index window the
+    leaves' shifts reach.
+    """
+    n_f, n_p = root_idx.shape
     if n_f == 0:
         return
     js = lat.integration_js(slot)
-    # each envelope's leaves as integer arrays, padded with base row 0 (= 1)
-    n_l = max([len(e.leaves) for e in envs if e is not None], default=1)
-    lb, lm, ls, lc = (np.zeros((len(envs), n_l), dtype=int) for _ in range(4))
+    # each root's leaves as integer arrays, padded with base row 0 (= 1)
+    n_l = max([len(e.leaves) for e in roots if e is not None], default=1)
+    lb, lm, ls, lc = (np.zeros((len(roots), n_l), dtype=int) for _ in range(4))
     bases: dict = {}
-    for e, env in enumerate(envs):
+    for e, env in enumerate(roots):
         for l, (base, m, sign, conj) in enumerate(env.leaves if env is not None else ()):
             lb[e, l] = bases.setdefault(base, len(bases) + 1)
             lm[e, l], ls[e, l], lc[e, l] = m, sign < 0, conj
-    lb, ls, lc = lb[env_idx], ls[env_idx], lc[env_idx]
-    m_all = np.where(lb > 0, lm[env_idx] + shifts[:, :, None], 0)
+    lb, ls, lc = lb[root_idx], ls[root_idx], lc[root_idx]
+    m_all = np.where(lb > 0, lm[root_idx] + offsets[:, :, None], 0)
     lo = js[0] + m_all.min()
     pts = lat.q0 ** np.arange(lo, js[-1] + m_all.max() + 1).astype(float)
     table = np.ones((len(bases) + 1, 2, 2, pts.size), dtype=complex)  # base, conj, sign, j
     for base, b in bases.items():
         table[b, 0] = base(pts), base(-pts)
     table[:, 1] = np.conjugate(table[:, 0])
-    xs = lat.q0 ** js.astype(float)
-    degrees, n_row = np.unique(ns, return_inverse=True)
-    mono = lat.integration_weights(slot) * np.stack([xs, -xs]) ** degrees[:, None, None]
+    weights = lat.integration_weights(slot)
     step = max(1, _BLOCK_BYTES // (n_p * n_l * 2 * js.size * 16))
     sign_row = np.arange(2)[:, None]
     for start in range(0, n_f, step):
@@ -217,24 +251,29 @@ def _axis_rows(lat: QLattice, slot: int, envs, env_idx, shifts, ns):
             sign_row ^ ls[blk, :, :, None, None],
             m_all[blk, :, :, None, None] + (js - lo),
         ]
-        yield start, np.prod(vals, axis=(1, 2)) * mono[n_row[blk]]
+        yield start, np.prod(vals, axis=(1, 2)) * weights
 
 
-def _factor_sums(lat: QLattice, slot: int, envs, env_idx, shifts, ns) -> np.ndarray:
-    """Per-factor integrals over one axis (factors as in :func:`_axis_rows`),
-    each distinct factor summed once."""
-    keys = np.column_stack([env_idx, shifts, ns])
-    if not len(keys):
+def _factor_sums(lat: QLattice, slot: int, roots, root_idx, offsets, ns) -> np.ndarray:
+    """Per-factor integrals over one axis: factor f is x^ns[f] times the
+    envelope profile ``(root_idx[f], offsets[f])`` of :func:`_axis_rows`.
+
+    Each distinct profile is sampled once, and all of them are reduced
+    against every distinct degree in one matrix product."""
+    if not len(ns):
         return np.zeros(0, dtype=complex)
+    keys = np.concatenate([root_idx, np.where(root_idx > 0, offsets, 0)], axis=1)
     lo = keys.min(axis=0)
     code = np.ravel_multi_index((keys - lo).T, keys.max(axis=0) - lo + 1)
-    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-    uniq = keys[first]
-    n_p = env_idx.shape[1]
-    sums = np.zeros(len(uniq), dtype=complex)
-    for start, rows in _axis_rows(lat, slot, envs, uniq[:, :n_p], uniq[:, n_p:-1], uniq[:, -1]):
-        sums[start : start + len(rows)] = rows.sum(axis=(1, 2))
-    return sums[inverse.ravel()]
+    _, first, profile = np.unique(code, return_index=True, return_inverse=True)
+    degrees, degree = np.unique(ns, return_inverse=True)
+    xs = lat.integration_points(slot)
+    mono = (np.stack([xs, -xs]) ** degrees[:, None, None]).reshape(len(degrees), -1)
+    n_p = root_idx.shape[1]
+    sums = np.empty((len(first), len(degrees)), dtype=complex)
+    for start, rows in _axis_rows(lat, slot, roots, keys[first, :n_p], keys[first, n_p:]):
+        sums[start : start + len(rows)] = rows.reshape(len(rows), -1) @ mono.T
+    return sums[profile.ravel(), degree.ravel()]
 
 
 def _falling(dmax: int, Q: float) -> np.ndarray:
@@ -488,35 +527,34 @@ class StructuredFn:
 
     def star_integral(self, other: "StructuredFn", mirror: bool = False) -> complex:
         """Integral over all space of self (star) other, the Wt star with
-        ``mirror``, reduced over the product's terms without building them:
-        per block of triples, each distinct per-axis factor is summed once."""
+        ``mirror``, reduced over the product's terms without building them.
+        Each operand's envelopes are written as roots and offsets once; per
+        block of triples, each axis samples every distinct dilated envelope
+        product once (:func:`_factor_sums`)."""
         lat = self.lattice
         first, last = (other, self) if mirror else (self, other)
-        first_envs = [t.envs[0] for t in first.terms]
-        last_envs = [t.envs[2] for t in last.terms]
-        mid_envs = [t.envs[1] for t in self.terms] + [t.envs[1] for t in other.terms]
+        roots0, idx0, off0 = _canonical([t.envs[0] for t in first.terms])
+        roots1, idx1, off1 = _canonical([t.envs[1] for t in self.terms + other.terms])
+        roots2, idx2, off2 = _canonical([t.envs[2] for t in last.terms])
         total = 0j
         for i1, i2, coeff, exps, s1, s2 in self._star_triples(other, mirror):
             i_first, i_last = (i2, i1) if mirror else (i1, i2)
-            zero = np.zeros((len(coeff), 1), dtype=int)
-            f0 = _factor_sums(lat, 0, first_envs, i_first[:, None], zero, exps[:, 0])
             mids = np.stack([i1, len(self.terms) + i2], axis=1)
-            f1 = _factor_sums(lat, 1, mid_envs, mids, np.stack([s1, s2], axis=1), exps[:, 1])
-            f2 = _factor_sums(lat, 2, last_envs, i_last[:, None], zero, exps[:, 2])
+            f0 = _factor_sums(lat, 0, roots0, idx0[i_first, None], off0[i_first, None], exps[:, 0])
+            f1 = _factor_sums(
+                lat, 1, roots1, idx1[mids], off1[mids] + np.stack([s1, s2], axis=1), exps[:, 1]
+            )
+            f2 = _factor_sums(lat, 2, roots2, idx2[i_last, None], off2[i_last, None], exps[:, 2])
             total += np.sum(coeff * f0 * f1 * f2)
         return complex(total)
 
     # -- evaluation and integration ----------------------------------------------
 
     def _slot_factors(self, slot: int):
-        """Each term's factor on one slot, as :func:`_axis_rows` arguments."""
-        n = len(self.terms)
-        return (
-            [t.envs[slot] for t in self.terms],
-            np.arange(n)[:, None],
-            np.zeros((n, 1), dtype=int),
-            np.array([t.exps[slot] for t in self.terms], dtype=int),
-        )
+        """Each term's factor on one slot, as :func:`_factor_sums` arguments."""
+        roots, idx, off = _canonical([t.envs[slot] for t in self.terms])
+        ns = np.array([t.exps[slot] for t in self.terms], dtype=int)
+        return roots, idx[:, None], off[:, None], ns
 
     def integral_all_space(self) -> complex:
         """Nested smaller-lattice Jackson sums; separable per term."""
@@ -530,7 +568,10 @@ class StructuredFn:
         axis; small values certify that the window truncation is harmless."""
         worst = 0.0
         for slot in range(3):
-            for _, rows in _axis_rows(self.lattice, slot, *self._slot_factors(slot)):
+            roots, idx, off, ns = self._slot_factors(slot)
+            xs = self.lattice.integration_points(slot)
+            for start, rows in _axis_rows(self.lattice, slot, roots, idx, off):
+                rows = rows * np.stack([xs, -xs]) ** ns[start : start + len(rows), None, None]
                 prof = np.abs(rows).sum(axis=1)
                 total = prof.sum(axis=1)
                 edge = prof[:, 0] + prof[:, -1]
@@ -539,14 +580,19 @@ class StructuredFn:
         return worst
 
     def values_on(self, pts1, pts2, pts3) -> np.ndarray:
-        """Evaluate on a meshgrid of per-axis point arrays."""
-        grids = np.meshgrid(pts1, pts2, pts3, indexing="ij")
-        acc = np.zeros(grids[0].shape, dtype=complex)
-        for t in self.terms:
-            v = t.coeff
-            for g, n, env in zip(grids, t.exps, t.envs):
-                v = v * g**n
-                if env is not None:
-                    v = v * env.values(g, self.lattice.q0)
-            acc += v
-        return acc
+        """Evaluate on a meshgrid of per-axis point arrays: the sum over terms
+        of the outer product of their per-axis factors, each distinct
+        envelope sampled once per axis."""
+        coeff = np.array([t.coeff for t in self.terms], dtype=complex)
+        factors = []
+        for slot, pts in enumerate((pts1, pts2, pts3)):
+            x = np.asarray(pts, dtype=float)
+            sampled = {None: 1.0}
+            rows = np.empty((len(self.terms), x.size), dtype=complex)
+            for i, t in enumerate(self.terms):
+                env = t.envs[slot]
+                if env not in sampled:
+                    sampled[env] = env.values(x, self.lattice.q0)
+                rows[i] = x ** t.exps[slot] * sampled[env]
+            factors.append(rows)
+        return np.einsum("t,ti,tj,tk->ijk", coeff, *factors)

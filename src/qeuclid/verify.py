@@ -123,9 +123,14 @@ def rand_coord_poly(rnd, deg=3, nterm=4, with_t=True, sector="x", conv="W") -> P
 
 
 def _case(cases, name, fn, repro=""):
+    """Run one case; a crash is a failure with the exception text, except an
+    ``OverflowError``, which is a configuration outside the float range and
+    propagates to the caller."""
     try:
         ok, detail = fn()
-    except Exception as exc:  # a crash is a failure with the exception text
+    except OverflowError:
+        raise
+    except Exception as exc:
         ok, detail = False, f"exception: {exc!r}"
     cases.append(CaseResult(name, bool(ok), "" if ok else detail, repro))
 

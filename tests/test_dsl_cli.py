@@ -208,6 +208,10 @@ NESTED = {
         ["verify", "--suite", "qarith", "--q", "0"],
         ["expand", f"exp[x_ip]({dsl.MAX_ORDER + 1})"],
         ["propagator", "--order", str(dsl.MAX_ORDER + 1)],
+        ["sample", "--q", "1e300", "--grid", "2", "--out", "{tmp}/g.csv"],
+        ["sample", "--center", "nan", "--grid", "2", "--out", "{tmp}/g.csv"],
+        ["verify", "--suite", "qarith", "--q", "1e300"],
+        ["verify", "--suite", "qexp", "--N", str(dsl.MAX_ORDER + 1)],
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, argv):
