@@ -213,18 +213,23 @@ def cmd_expectation(args) -> int:
     try:
         wp = gaussian_packet(lat, **kwargs)
         wp.coefficients_at(t)  # rejects a t the phase series does not reach
+        out = {
+            "t": t,
+            "norm_check": wp.norm_check(t),
+            "boundary_mass": wp.boundary_mass(),
+        }
+        for a in ("+", "3", "-"):
+            p = wp.expectation_momentum(a, t)
+            x = wp.expectation_position(a, t)
+            out[f"P^{a}"] = [p.real, p.imag]
+            out[f"X^{a}"] = [x.real, x.imag]
     except PacketError as exc:
         raise UsageError(f"packet file {args.packet}: {exc}") from None
-    out = {
-        "t": t,
-        "norm_check": wp.norm_check(t),
-        "boundary_mass": wp.boundary_mass(),
-    }
-    for a in ("+", "3", "-"):
-        p = wp.expectation_momentum(a, t)
-        x = wp.expectation_position(a, t)
-        out[f"P^{a}"] = [p.real, p.imag]
-        out[f"X^{a}"] = [x.real, x.imag]
+    except OverflowError:  # a power of q0 past the float range
+        raise UsageError(
+            f"packet file {args.packet}: the packet leaves the float range "
+            f"at q0 = {lat.q0}"
+        ) from None
     print(json.dumps(out, sort_keys=True))
     return 0
 

@@ -20,7 +20,7 @@ engine serves as the oracle for both sectors.
 
 from __future__ import annotations
 
-from .qarith import QScalar, ONE, LAMBDA
+from .qarith import QScalar, ONE, _ONE_DEN
 from .starcalc import Poly, Sector, _add_term
 
 XP, X3, XM, X0 = "X+", "X3", "X-", "X0"
@@ -118,95 +118,139 @@ def nc_multiply(a: NCPoly, b: NCPoly) -> NCPoly:
     return NCPoly(out)
 
 
+#: integer Laurent polynomials {exponent: coefficient} carry the multipliers
+#: of the rewriting; none is mutated once built, so results can share them
+_UNIT = {0: 1}
+
+
 def _swap_pair(u: str, v: str, convention: str):
     """Rewrite the out-of-order pair u v as a combination of v u (and the
     lam correction when the pair is (X-, X+) or (X+, X-)).
 
-    Coefficients are carried as (q-shift, lam-power, sign-flip) so the
-    rewriting loop stays in integer arithmetic.
+    Each coefficient is an integer Laurent polynomial {exponent: coefficient}
+    (lam = q - 1/q is {1: 1, -1: -1}), so the rewriting stays in integer
+    arithmetic.
     """
     if X0 in (u, v):
-        return (((v, u), 0, 0, False),)
+        return (((v, u), _UNIT),)
     pair = (u, v)
     if convention == "W":
         if pair == (X3, XP):
-            return (((XP, X3), 2, 0, False),)
+            return (((XP, X3), {2: 1}),)
         if pair == (XM, X3):
-            return (((X3, XM), 2, 0, False),)
+            return (((X3, XM), {2: 1}),)
         if pair == (XM, XP):
-            return (((XP, XM), 0, 0, False), ((X3, X3), 0, 1, False))
+            return (((XP, XM), _UNIT), ((X3, X3), {1: 1, -1: -1}))
     else:
         if pair == (XP, X3):
-            return (((X3, XP), -2, 0, False),)
+            return (((X3, XP), {-2: 1}),)
         if pair == (X3, XM):
-            return (((XM, X3), -2, 0, False),)
+            return (((XM, X3), {-2: 1}),)
         if pair == (XP, XM):
-            return (((XM, XP), 0, 0, False), ((X3, X3), 0, 1, True))
+            return (((XM, XP), _UNIT), ((X3, X3), {1: -1, -1: 1}))
     raise AssertionError(f"pair {pair} is not out of order in {convention}")
 
 
-_LAM_POWS = [ONE, LAMBDA]
+def _l_add(out: dict, key, m: dict) -> None:
+    """Add the multiplier ``m`` at ``key`` of a sparse sum; drop a cancelled key."""
+    old = out.get(key)
+    if old is None:
+        out[key] = m
+        return
+    s = dict(old)
+    for e, c in m.items():
+        c += s.get(e, 0)
+        if c:
+            s[e] = c
+        else:
+            del s[e]
+    if s:
+        out[key] = s
+    else:
+        del out[key]
 
 
-def _lam_power(m: int) -> QScalar:
-    while len(_LAM_POWS) <= m:
-        _LAM_POWS.append(_LAM_POWS[-1] * LAMBDA)
-    return _LAM_POWS[m]
+def _l_mul(a: dict, b: dict) -> dict:
+    """Product of two multipliers; the unit returns the other operand itself."""
+    if a is _UNIT:
+        return b
+    if b is _UNIT:
+        return a
+    if len(a) == 1:
+        ((ea, ca),) = a.items()
+        return {e + ea: c * ca for e, c in b.items()}
+    out: dict[int, int] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
 
 
-def _first_inversion(word: Word, rank: dict[str, int]) -> int:
-    for i in range(len(word) - 1):
-        if rank[word[i]] > rank[word[i + 1]]:
-            return i
-    return -1
+def _insert(s: Word, x: str, at_end: bool, convention: str, memo: dict) -> dict:
+    """Normal form of ``s x`` (``at_end``) or ``x s``, for a sorted ``s``, as
+    {sorted word: multiplier}.
 
-
-def _last_inversion(word: Word, rank: dict[str, int]) -> int:
-    for i in range(len(word) - 2, -1, -1):
-        if rank[word[i]] > rank[word[i + 1]]:
-            return i
-    return -1
+    The one inversion is the pair at the seam, the leftmost redex of ``s x``
+    and the rightmost of ``x s``.  Its replacement ``a b`` is inserted one
+    letter at a time into the rest of ``s``, the letter next to the rest
+    first.  Results are memoized in ``memo`` per (s, x): equal rewrite states
+    reached along different paths are reduced once.
+    """
+    if not s:
+        return {(x,): _UNIT}
+    u, v, rest = (s[-1], x, s[:-1]) if at_end else (x, s[0], s[1:])
+    rank = _RANK[convention]
+    if rank[u] <= rank[v]:
+        return {(s + (x,) if at_end else (x,) + s): _UNIT}
+    key = (s, x)
+    got = memo.get(key)
+    if got is not None:
+        return got
+    got = {}
+    for (a, b), c in _swap_pair(u, v, convention):
+        first, second = (a, b) if at_end else (b, a)
+        for t, m in _insert(rest, first, at_end, convention, memo).items():
+            cm = _l_mul(c, m)
+            for w, n in _insert(t, second, at_end, convention, memo).items():
+                _l_add(got, w, _l_mul(cm, n))
+    memo[key] = got
+    return got
 
 
 def normal_order(f: NCPoly, convention: str = "W", strategy: str = "leftmost") -> NCPoly:
     """Rewrite every word into the sorted PBW basis of the convention.
 
-    The relations are homogeneous quadratic, so each rewrite strictly lowers
-    the number of inversions and the procedure terminates with the unique
-    normal form.  ``strategy`` picks which redex is reduced first; the result
-    is independent of it (tested), which is the confluence property.
+    Each rewrite either swaps an out-of-order pair, lowering the number of
+    inversions by one, or (the lam term of X- X+) removes one X+ and one X-.
+    So the pair (number of X+ and X- letters, number of inversions) falls
+    lexicographically, and the procedure terminates with the unique normal
+    form.  ``strategy`` picks the reduction order; the result is independent
+    of it (tested), which is the confluence property.  ``"leftmost"`` folds
+    each word from the left, inserting the next letter at the end of the
+    normal-ordered prefix, so the redex reduced is always the leftmost one;
+    ``"rightmost"`` is its mirror image, folding from the right and inserting
+    at the front of the normal-ordered suffix.  Insertions are memoized for
+    the duration of the call, and multipliers stay integer Laurent
+    polynomials until one scalar per (input word, output word) is built.
     """
     if convention not in _RANK:
         raise ValueError(f"unknown convention {convention!r}")
-    rank = _RANK[convention]
-    find = _first_inversion if strategy == "leftmost" else _last_inversion
+    if strategy not in ("leftmost", "rightmost"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    at_end = strategy == "leftmost"
+    memo: dict = {}
     out: dict[Word, QScalar] = {}
-    stack: list[tuple[Word, QScalar, int, int, bool]] = [
-        (w, c, 0, 0, False) for w, c in f.terms.items()
-    ]
-    while stack:
-        word, base, shift, lam, neg = stack.pop()
-        i = find(word, rank)
-        if i < 0:
-            coeff = base.shift(shift)
-            if lam:
-                coeff = coeff * _lam_power(lam)
-            if neg:
-                coeff = -coeff
-            _add_term(out, word, coeff)
-            continue
-        for repl, dshift, dlam, flip in _swap_pair(
-            word[i], word[i + 1], convention
-        ):
-            stack.append(
-                (
-                    word[:i] + repl + word[i + 2 :],
-                    base,
-                    shift + dshift,
-                    lam + dlam,
-                    neg ^ flip,
-                )
-            )
+    for word, coeff in f.terms.items():
+        state: dict[Word, dict] = {(): _UNIT}
+        for x in (word if at_end else reversed(word)):
+            step: dict[Word, dict] = {}
+            for s, m in state.items():
+                for t, n in _insert(s, x, at_end, convention, memo).items():
+                    _l_add(step, t, _l_mul(m, n))
+            state = step
+        for t, m in state.items():
+            scalar = QScalar._raw({e: (c, 0) for e, c in m.items()}, _ONE_DEN, True)
+            _add_term(out, t, coeff * scalar)
     return NCPoly(out)
 
 

@@ -212,6 +212,7 @@ NESTED = {
         ["sample", "--center", "nan", "--grid", "2", "--out", "{tmp}/g.csv"],
         ["verify", "--suite", "qarith", "--q", "1e300"],
         ["verify", "--suite", "qexp", "--N", str(dsl.MAX_ORDER + 1)],
+        ["expectation", "--packet", "{tmp}/huge_q0.json", "--t", "0.1"],
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, argv):
@@ -224,6 +225,8 @@ def test_cli_bad_input_exits_2(tmp_path, argv):
         "zero_width": {"lattice": window, "packet": {**packet, "width_j": 0}},
         "negative_width": {"lattice": window, "packet": {**packet, "width_j": -0.9}},
         "unknown_entry": {"lattice": window, "packet": {**packet, "centre_j": 0.5}},
+        "huge_q0": {"lattice": {"q0": 1e100, "j_min": -2, "j_max": 2},
+                    "packet": {"center_j": 0.0, "width_j": 0.5}},
     }
     for name, config in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(config))

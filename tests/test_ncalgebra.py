@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from qeuclid.qarith import QScalar, ONE, LAMBDA
@@ -42,14 +44,45 @@ def test_normal_order_idempotent(rand_poly):
         assert normal_order(once) == once
 
 
-def test_confluence_and_degree(rnd, rand_poly):
-    for _ in range(30):
-        prod = nc_multiply(weyl_map(rand_poly(deg=3, nterm=3)),
-                           weyl_map(rand_poly(deg=3, nterm=3)))
-        left = normal_order(prod, "W", "leftmost")
-        right = normal_order(prod, "W", "rightmost")
-        assert left == right
-        assert left.total_degrees() <= prod.total_degrees()
+def test_confluence_and_degree(rand_poly):
+    for conv in ("W", "Wt"):
+        for _ in range(30):
+            prod = nc_multiply(weyl_map(rand_poly(deg=3, nterm=3, conv=conv)),
+                               weyl_map(rand_poly(deg=3, nterm=3, conv=conv)))
+            left = normal_order(prod, conv, "leftmost")
+            right = normal_order(prod, conv, "rightmost")
+            assert left == right
+            assert left.total_degrees() <= prod.total_degrees()
+
+
+@pytest.mark.parametrize("conv", ["W", "Wt"])
+def test_long_words(conv):
+    # X-^8 X+^8 and its mirror: 64 inversions and up to 8 lam terms per word
+    xm = Poly.monomial((X_SECTOR,), ((0, 0, 8),), 0, ONE, conv)
+    xp = Poly.monomial((X_SECTOR,), ((8, 0, 0),), 0, ONE, conv)
+    for f, g in ((xm, xp), (xp, xm)):
+        prod = nc_multiply(weyl_map(f), weyl_map(g))
+        want = star_product(f, g)
+        for strategy in ("leftmost", "rightmost"):
+            got = normal_order(prod, conv, strategy)
+            assert weyl_unmap(got, X_SECTOR, conv) == want
+
+
+def test_unknown_strategy_rejected():
+    with pytest.raises(ValueError, match="strategy"):
+        normal_order(NCPoly.word(XM, XP), "W", "leftmots")
+
+
+def test_oracle_leaves_no_cyclic_garbage(rand_poly):
+    # the per-call memo must be freed by reference counting alone
+    f, g = rand_poly(deg=4, nterm=3), rand_poly(deg=4, nterm=3)
+    gc.collect()
+    gc.disable()
+    try:
+        assert star_via_weyl(f, g) == star_product(f, g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_weyl_map_example():
