@@ -43,6 +43,12 @@ def _parse_q(text: str) -> float:
     return q0
 
 
+def _finite(value: float, flag: str) -> float:
+    if not math.isfinite(value):
+        raise UsageError(f"{flag} must be finite, got {value}")
+    return value
+
+
 def _lattice(q0: float, j_min: int, j_max: int) -> QLattice:
     from .lattice import QLattice
 
@@ -208,8 +214,8 @@ def cmd_propagator(args) -> int:
 
 
 def cmd_expectation(args) -> int:
+    t = _finite(args.t, "--t")
     lat, kwargs = _read_packet(args.packet)
-    t = args.t
     try:
         wp = gaussian_packet(lat, **kwargs)
         wp.coefficients_at(t)  # rejects a t the phase series does not reach
@@ -239,9 +245,10 @@ def cmd_heine(args) -> int:
     if q0 in (1.0, -1.0) or args.mass == 0:
         raise UsageError("the phase report needs --q not in {1, -1} and a nonzero --mass")
     order = _order(args.order)
+    t = _finite(args.t, "--t")
     samples = [(0.8, 1.1, 0.9), (1.3, 0.7, 1.1)]
     try:
-        rows = heine_phase_report(order, q0, args.t, args.mass, samples)
+        rows = heine_phase_report(order, q0, t, args.mass, samples)
         text = json.dumps(rows, sort_keys=True, allow_nan=False)
     except (OverflowError, ValueError):  # k! past k = 170, or a nan or inf row
         raise UsageError(
@@ -260,8 +267,7 @@ def cmd_sample(args) -> int:
 
     if not args.width > 0:
         raise UsageError(f"--width must be positive, got {args.width}")
-    if not math.isfinite(args.center):
-        raise UsageError(f"--center must be finite, got {args.center}")
+    _finite(args.center, "--center")
     if args.grid > _MAX_SAMPLE_GRID:
         raise UsageError(f"--grid must be <= {_MAX_SAMPLE_GRID}, got {args.grid}")
     lat = _lattice(_parse_q(args.q), -args.grid, args.grid)

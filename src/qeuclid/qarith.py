@@ -10,12 +10,16 @@ the plain ``{"terms": [[exp, re, im], ...]}`` form.  Genuine fractions only
 enter through series coefficients such as ``1/[[n]]_q!`` in exponentials
 and antiderivatives.  Everything is canonical, so identity checking is
 equality of normal forms; there is no floating point in the symbolic layer
-and ``i`` is a first-class scalar.
+and ``i`` is a first-class scalar.  ``to_json`` and ``str`` write each
+coefficient a/L straight from the integers, reduced by one integer gcd;
+``Fraction`` is built only where ``GRat`` coefficients go in or come out
+(constructors, ``terms``, ``numerator_terms``).
 
 Conventions:
 
 * ``[[a]]_q = (1 - q^a)/(1 - q) = 1 + q + ... + q^(a-1)`` (big q-numbers),
-* q-factorials, q-binomials, q-Pochhammer symbols are built from these,
+* q-factorials and q-Pochhammer symbols are products of these; q-binomials
+  are the product formula with one exact division by ``1 - q^j`` per factor,
 * substitution ``q -> 1/q`` is an involution, used to move between the two
   differential calculi,
 * conjugation treats ``q`` as real and complex-conjugates coefficients.
@@ -26,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from typing import Iterator, Mapping
 
 
@@ -95,6 +99,24 @@ def _to_grats(terms: Terms, den: int) -> dict[int, GRat]:
     return {
         e: GRat(Fraction(a, den), Fraction(b, den)) for e, (a, b) in terms.items()
     }
+
+
+def _fmt_ratio(a: int, lead: int) -> str:
+    """``str(Fraction(a, lead))`` for a positive ``lead``, from the integers."""
+    g = gcd(a, lead)
+    if g == lead:
+        return str(a // g)
+    return f"{a // g}/{lead // g}"
+
+
+def _fmt_gauss(a: int, b: int, lead: int) -> str:
+    """``str(GRat(Fraction(a, lead), Fraction(b, lead)))``, from the integers."""
+    if b == 0:
+        return _fmt_ratio(a, lead)
+    if a == 0:
+        return f"{_fmt_ratio(b, lead)}*i"
+    sign = "+" if b > 0 else "-"
+    return f"({_fmt_ratio(a, lead)}{sign}{_fmt_ratio(abs(b), lead)}*i)"
 
 
 def _d_add(a: Terms, b: Terms) -> Terms:
@@ -507,13 +529,13 @@ class QScalar:
         return f"QScalar({self})"
 
     @staticmethod
-    def _fmt_terms(terms: dict[int, GRat]) -> str:
+    def _fmt_terms(terms: Terms, lead: int) -> str:
         if not terms:
             return "0"
         parts = []
-        for e, c in sorted(terms.items()):
+        for e, (a, b) in sorted(terms.items()):
             base = "" if e == 0 else ("q" if e == 1 else f"q^{e}")
-            cs = str(c)
+            cs = _fmt_gauss(a, b, lead)
             if base and cs == "1":
                 parts.append(base)
             elif base and cs == "-1":
@@ -524,10 +546,10 @@ class QScalar:
 
     def __str__(self) -> str:
         lead = self._lead_den()
-        num = self._fmt_terms(_to_grats(self._num, lead))
+        num = self._fmt_terms(self._num, lead)
         if len(self._den) == 1:
             return num
-        return f"({num})/({self._fmt_terms(_to_grats(self._den, lead))})"
+        return f"({num})/({self._fmt_terms(self._den, lead)})"
 
     def to_json(self) -> dict:
         lead = self._lead_den()
@@ -535,8 +557,8 @@ class QScalar:
         def dump(terms: Terms) -> dict:
             return {
                 "terms": [
-                    [e, str(c.re), str(c.im)]
-                    for e, c in sorted(_to_grats(terms, lead).items())
+                    [e, _fmt_ratio(a, lead), _fmt_ratio(b, lead)]
+                    for e, (a, b) in sorted(terms.items())
                 ]
             }
 
@@ -596,18 +618,56 @@ def q_factorial(n: int, base_exponent: int = 1) -> QScalar:
     return out
 
 
+def _times_binomial(p: list[int], m: int) -> list[int]:
+    """``p * (1 - q^m)`` on an integer coefficient list (``p[i]`` multiplies
+    ``q^i``)."""
+    out = p + [0] * m
+    for i, c in enumerate(p):
+        out[i + m] -= c
+    return out
+
+
+def _div_binomial(p: list[int], m: int) -> list[int]:
+    """``p / (1 - q^m)`` on an integer coefficient list, ``m > 0``.
+
+    Runs the quotient up from the constant term, ``r[i] = p[i] + r[i - m]``;
+    then ``p = r_low * (1 - q^m) + r_top`` with ``r_top`` the last ``m``
+    entries, which must vanish: a nonzero remainder raises
+    ``ExactnessError``.
+    """
+    out = p[:]
+    for i in range(m, len(out)):
+        out[i] += out[i - m]
+    if any(out[-m:]):
+        raise ExactnessError(f"non-exact division by 1 - q^{m}")
+    return out[:-m]
+
+
 def q_binomial(n: int, k: int, base_exponent: int = 1) -> QScalar:
     """Gaussian binomial [n choose k] in base q**base_exponent.
 
-    Computed as an exact factorial quotient (the ring-exactness check is an
-    internal consistency assertion), not by a recurrence; the Pascal-type
-    identity therefore stays an independent test.
+    Computed in base q by the product formula
+    prod_{j=1..k} (1 - q^(n-k+j)) / (1 - q^j), with k replaced by
+    min(k, n - k): each step multiplies by one binomial and divides exactly
+    by another, and every division checks that its remainder is zero (an
+    internal consistency assertion that the result stays in the ring).
+    Base q**b is the exponent map e -> b*e, which for b < 0 is q -> 1/q of
+    the base q**|b| result; base 1 (b = 0) is ``math.comb``.  This is not a
+    recurrence in n, so the Pascal-type identity stays an independent test.
     """
     if k < 0 or n < 0 or k > n:
         raise ValueError("q_binomial requires 0 <= k <= n")
-    num = q_factorial(n, base_exponent)
-    den = q_factorial(n - k, base_exponent) * q_factorial(k, base_exponent)
-    return num.exact_div(den)
+    if base_exponent == 0:
+        return QScalar._raw({0: (comb(n, k), 0)}, _ONE_DEN, True)
+    k = min(k, n - k)
+    coeffs = [1]
+    for j in range(1, k + 1):
+        coeffs = _div_binomial(_times_binomial(coeffs, n - k + j), j)
+    return QScalar._raw(
+        {base_exponent * e: (c, 0) for e, c in enumerate(coeffs)},
+        _ONE_DEN,
+        True,
+    )
 
 
 def q_pochhammer(z: QScalar, k: int) -> QScalar:

@@ -1,14 +1,19 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qeuclid
 from qeuclid import dsl
 from qeuclid.cli import main
 from qeuclid.qarith import QScalar, LAMBDA
+from qeuclid.qexp import VARIANTS
 from qeuclid.starcalc import coord_variable, star_product
 
 
@@ -213,6 +218,9 @@ NESTED = {
         ["verify", "--suite", "qarith", "--q", "1e300"],
         ["verify", "--suite", "qexp", "--N", str(dsl.MAX_ORDER + 1)],
         ["expectation", "--packet", "{tmp}/huge_q0.json", "--t", "0.1"],
+        ["expectation", "--packet", "{tmp}/plain.json", "--t", "nan"],
+        ["expectation", "--packet", "{tmp}/plain.json", "--t", "inf"],
+        ["heine", "--t", "nan"],
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, argv):
@@ -227,6 +235,7 @@ def test_cli_bad_input_exits_2(tmp_path, argv):
         "unknown_entry": {"lattice": window, "packet": {**packet, "centre_j": 0.5}},
         "huge_q0": {"lattice": {"q0": 1e100, "j_min": -2, "j_max": 2},
                     "packet": {"center_j": 0.0, "width_j": 0.5}},
+        "plain": {"lattice": window, "packet": packet},
     }
     for name, config in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(config))
@@ -234,6 +243,8 @@ def test_cli_bad_input_exits_2(tmp_path, argv):
     lines = [ln for ln in err.splitlines() if ln.strip()]
     assert code == 2 and out == "" and len(lines) == 1, err
     assert not (tmp_path / "g.csv").exists()
+    if argv[-2:] in (["--t", "nan"], ["--t", "inf"]):
+        assert "--t" in lines[0], err
 
 
 #: run in a fresh interpreter: the package and the symbolic commands and
@@ -277,3 +288,72 @@ def test_nesting_cap(shape):
     x3 = coord_variable("x3")
     want = x3.scale(QScalar.from_rational(dsl.MAX_DEPTH)) if shape == "sum" else x3
     assert dsl.evaluate(dsl.parse_expression(NESTED[shape](dsl.MAX_DEPTH))) == want
+
+
+# -- DSL fuzz through the CLI ---------------------------------------------------------
+
+#: the leaves of the grammar: coordinates, literals and short exponentials
+LEAVES = st.one_of(
+    st.sampled_from([*dsl.COORDS, "i", "q"]),
+    st.integers(0, 5).map(str),
+    st.tuples(st.integers(0, 5), st.integers(0, 4)).map(lambda nd: f"{nd[0]}/{nd[1]}"),
+    st.integers(-3, 3).map(lambda e: f"q^{e}"),
+    st.tuples(st.sampled_from(VARIANTS), st.integers(0, 3)).map(
+        lambda vn: f"exp[{vn[0]}]({vn[1]})"
+    ),
+)
+KINDS = ("plus", "plusbar", "minus", "minusbar")
+
+
+def dsl_text(depth: int):
+    """Strings of the grammar's productions, nested at most ``depth`` deep."""
+    if depth == 0:
+        return LEAVES
+    sub = dsl_text(depth - 1)
+    op = st.tuples(st.sampled_from(dsl.OPS), st.sampled_from(dsl.INDICES))
+    return st.one_of(
+        LEAVES,
+        sub.map(lambda a: f"({a})"),
+        sub.map(lambda a: f"-{a}"),
+        sub.map(lambda a: f"conj({a})"),
+        st.tuples(sub, st.sampled_from(" + | - | * ".split("|")), sub).map("".join),
+        st.tuples(sub, sub).map(lambda ab: f"star({ab[0]}, {ab[1]})"),
+        st.tuples(st.sampled_from(("translate", "invert")), st.sampled_from(KINDS), sub)
+        .map(lambda c: f"{c[0]}[{c[1]}]({c[2]})"),
+        st.tuples(op, sub).map(lambda o: f"{o[0][0]}[{o[0][1]}]({o[1]})"),
+        st.tuples(op, sub).map(lambda o: f"{o[0][0]}[{o[0][1]}] |> {o[1]}"),
+    )
+
+
+#: token soup: the grammar's tokens in any order, mostly syntax errors
+TOKEN_SOUP = st.lists(
+    st.sampled_from([*dsl.COORDS, *dsl.OPS, *dsl.CALLS, *dsl.INDICES, *VARIANTS, *KINDS,
+                     "i", "q", "^", "2", "1/2", "(", ")", "[", "]", ",", "+", "-", "*", "|>"]),
+    max_size=8,
+).map(" ".join)
+
+
+def run_dsl_commands(src: str):
+    """``parse``, ``expand`` and ``eval`` of one string in-process: no
+    exception escapes ``main``, exit codes stay in {0, 1, 2} and exit 2
+    prints one line."""
+    for argv in (["parse", "--", src], ["expand", "--", src],
+                 ["eval", "--q", "11/10", "--", src]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, code)
+        if code == 2:
+            assert len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
+
+
+@given(dsl_text(4))
+@settings(max_examples=300)
+def test_dsl_fuzz_grammar(src):
+    run_dsl_commands(src)
+
+
+@given(TOKEN_SOUP)
+@settings(max_examples=200)
+def test_dsl_fuzz_token_soup(src):
+    run_dsl_commands(src)

@@ -5,6 +5,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qeuclid import qarith
 from qeuclid.qarith import (
     ExactnessError,
     GRat,
@@ -99,6 +100,23 @@ def test_q_binomial_stays_in_the_ring():
     for n in range(9):
         for k in range(n + 1):
             assert q_binomial(n, k, 4).is_polynomial()
+
+
+@pytest.mark.parametrize("base", [-4, -2, -1, 0, 1, 2, 4])
+def test_q_binomial_is_the_factorial_quotient(base):
+    for n in range(15):
+        for k in range(n + 1):
+            want = q_factorial(n, base).exact_div(
+                q_factorial(k, base) * q_factorial(n - k, base)
+            )
+            assert q_binomial(n, k, base).to_json() == want.to_json(), (n, k, base)
+
+
+def test_binomial_division_checks_its_remainder():
+    # (1 - q^3)(1 + q^3) / (1 - q^3) and (1 + q^3) / (1 - q^2)
+    assert qarith._div_binomial([1, 0, 0, 0, 0, 0, -1], 3) == [1, 0, 0, 1]
+    with pytest.raises(ExactnessError):
+        qarith._div_binomial([1, 0, 0, 1], 2)
 
 
 def test_pochhammer():
@@ -291,3 +309,66 @@ def test_json_roundtrip_is_canonical(case):
     data = s.to_json()
     assert QScalar.from_json(data).to_json() == data
     assert hash(QScalar.from_json(data)) == hash(s)
+
+
+# -- printing from the integer form -------------------------------------------------
+
+
+def old_format(s: QScalar):
+    """``to_json()`` and ``str()`` built from ``GRat`` coefficients, as
+    before the integer formatter."""
+    lead = s._lead_den()
+    parts = [qarith._to_grats(s._num, lead)]
+    if not s.is_polynomial():
+        parts.append(qarith._to_grats(s._den, lead))
+
+    def dump(terms):
+        return {"terms": [[e, str(c.re), str(c.im)] for e, c in sorted(terms.items())]}
+
+    def text(terms):
+        if not terms:
+            return "0"
+        out = []
+        for e, c in sorted(terms.items()):
+            base = "" if e == 0 else ("q" if e == 1 else f"q^{e}")
+            cs = str(c)
+            if base and cs in ("1", "-1"):
+                out.append(base if cs == "1" else f"-{base}")
+            else:
+                out.append(f"{cs}*{base}" if base else cs)
+        return " + ".join(out).replace("+ -", "- ")
+
+    if len(parts) == 1:
+        return dump(parts[0]), text(parts[0])
+    return (
+        {"num": dump(parts[0]), "den": dump(parts[1])},
+        f"({text(parts[0])})/({text(parts[1])})",
+    )
+
+
+@given(fraction_case())
+@settings(max_examples=100)
+def test_integer_formatting_matches_grat_formatting(case):
+    s, _ = case
+    assert (s.to_json(), str(s)) == old_format(s)
+
+
+def test_formatting_builds_no_fraction(monkeypatch):
+    made = []
+
+    class Counting(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    num = LAMBDA.scale(Fraction(2, 3)) + QScalar.monomial(
+        2, GRat(Fraction(1, 6), Fraction(-3, 4))
+    )
+    s = num / (q_factorial(2, 4).scale(Fraction(5, 7)) + QScalar.i())
+    assert not s.is_polynomial() and s._lead_den() > 1
+    monkeypatch.setattr(qarith, "Fraction", Counting)
+    s.to_json()
+    str(s)
+    assert made == []
+    s.numerator_terms()  # the GRat accessors still build them
+    assert made
