@@ -69,15 +69,15 @@ def _order(order: int, flag: str = "--order", cap: int | None = None) -> int:
 def _mass(text) -> Fraction:
     try:
         mass = Fraction(text)
-    except (TypeError, ValueError, ZeroDivisionError):
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         mass = 0
     if mass == 0:
         raise UsageError(f"mass must be a nonzero rational, got {text!r}")
     return mass
 
 
-#: the entries a packet file's ``packet`` object may hold
-_PACKET_ENTRIES = ("center_j", "width_j", "odd_fraction")
+#: the entries a packet file's ``packet`` object may hold, with their defaults
+_PACKET_ENTRIES = {"center_j": 0.0, "width_j": 1.0, "odd_fraction": 0.0}
 
 
 def _read_packet(path: str):
@@ -92,18 +92,20 @@ def _read_packet(path: str):
                 f"packet file {path}: unknown packet entry {unknown[0]!r} "
                 f"(accepted: {', '.join(_PACKET_ENTRIES)})"
             )
+        shape = {
+            key: _finite(float(pk.get(key, default)), f"packet file {path}: {key}")
+            for key, default in _PACKET_ENTRIES.items()
+        }
         return _lattice(float(lat["q0"]), int(lat["j_min"]), int(lat["j_max"])), dict(
             mass=_mass(config.get("mass", "1")),
-            center_j=float(pk.get("center_j", 0.0)),
-            width_j=float(pk.get("width_j", 1.0)),
-            odd_fraction=float(pk.get("odd_fraction", 0.0)),
             phase_order=int(config.get("phase_order", 16)),
+            **shape,
         )
     except OSError as exc:
         raise UsageError(f"cannot read packet file {path}: {exc.strerror}") from None
     except KeyError as exc:
         raise UsageError(f"packet file {path}: missing entry {exc}") from None
-    except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (AttributeError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise UsageError(f"packet file {path}: {exc}") from None
 
 
@@ -216,22 +218,25 @@ def cmd_propagator(args) -> int:
 def cmd_expectation(args) -> int:
     t = _finite(args.t, "--t")
     lat, kwargs = _read_packet(args.packet)
+    import numpy as np
+
     try:
-        wp = gaussian_packet(lat, **kwargs)
-        wp.coefficients_at(t)  # rejects a t the phase series does not reach
-        out = {
-            "t": t,
-            "norm_check": wp.norm_check(t),
-            "boundary_mass": wp.boundary_mass(),
-        }
-        for a in ("+", "3", "-"):
-            p = wp.expectation_momentum(a, t)
-            x = wp.expectation_position(a, t)
-            out[f"P^{a}"] = [p.real, p.imag]
-            out[f"X^{a}"] = [x.real, x.imag]
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            wp = gaussian_packet(lat, **kwargs)
+            wp.coefficients_at(t)  # rejects a t the phase series does not reach
+            out = {
+                "t": t,
+                "norm_check": wp.norm_check(t),
+                "boundary_mass": wp.boundary_mass(),
+            }
+            for a in ("+", "3", "-"):
+                p = wp.expectation_momentum(a, t)
+                x = wp.expectation_position(a, t)
+                out[f"P^{a}"] = [p.real, p.imag]
+                out[f"X^{a}"] = [x.real, x.imag]
     except PacketError as exc:
         raise UsageError(f"packet file {args.packet}: {exc}") from None
-    except OverflowError:  # a power of q0 past the float range
+    except (OverflowError, FloatingPointError):  # a value past the float range
         raise UsageError(
             f"packet file {args.packet}: the packet leaves the float range "
             f"at q0 = {lat.q0}"
@@ -242,13 +247,14 @@ def cmd_expectation(args) -> int:
 
 def cmd_heine(args) -> int:
     q0 = _parse_q(args.q)
-    if q0 in (1.0, -1.0) or args.mass == 0:
+    mass = _finite(args.mass, "--mass")
+    if q0 in (1.0, -1.0) or mass == 0:
         raise UsageError("the phase report needs --q not in {1, -1} and a nonzero --mass")
     order = _order(args.order)
     t = _finite(args.t, "--t")
     samples = [(0.8, 1.1, 0.9), (1.3, 0.7, 1.1)]
     try:
-        rows = heine_phase_report(order, q0, t, args.mass, samples)
+        rows = heine_phase_report(order, q0, t, mass, samples)
         text = json.dumps(rows, sort_keys=True, allow_nan=False)
     except (OverflowError, ValueError):  # k! past k = 170, or a nan or inf row
         raise UsageError(

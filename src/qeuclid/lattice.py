@@ -19,11 +19,12 @@ star's degree-coupled scaling operators then act as such dilations.
 One routine, :func:`_axis_rows`, samples envelopes on the integration
 lattice; it keeps nothing between calls.  An integral writes each envelope as
 a root and an offset (the root dilated by q0^offset), so every dilation of
-one envelope shares its root: :func:`_factor_sums` samples each distinct
-dilated envelope product once and reduces all of them against every
-monomial degree in one matrix product.  :meth:`StructuredFn.values_on`
-evaluates a carrier at arbitrary points, for export and for pointwise
-checks.
+one envelope shares its root.  :func:`_profiles` codes each factor's dilated
+envelope product as one integer and finds the distinct ones;
+:func:`_factor_sums` samples each of them once and reduces all of them
+against every monomial degree in one matrix product.
+:meth:`StructuredFn.values_on` evaluates a carrier at arbitrary points, for
+export and for pointwise checks.
 """
 
 from __future__ import annotations
@@ -218,12 +219,14 @@ def _axis_rows(lat: QLattice, slot: int, roots, root_idx, offsets):
     w_j (product)(s x_j) for the signs s = +1, -1 (axis 1) and the
     integration points x_j with Jackson weights w_j (axis 2); it carries no
     monomial.  Each distinct base is evaluated once, on the index window the
-    leaves' shifts reach.
+    leaves' shifts reach.  A window holding no j of the slot's coset (one
+    exponent only) yields no block: the slot's rows are empty and its
+    integrals 0.
     """
     n_f, n_p = root_idx.shape
-    if n_f == 0:
-        return
     js = lat.integration_js(slot)
+    if n_f == 0 or js.size == 0:
+        return
     # each root's leaves as integer arrays, padded with base row 0 (= 1)
     n_l = max([len(e.leaves) for e in roots if e is not None], default=1)
     lb, lm, ls, lc = (np.zeros((len(roots), n_l), dtype=int) for _ in range(4))
@@ -254,26 +257,80 @@ def _axis_rows(lat: QLattice, slot: int, roots, root_idx, offsets):
         yield start, np.prod(vals, axis=(1, 2)) * weights
 
 
-def _factor_sums(lat: QLattice, slot: int, roots, root_idx, offsets, ns) -> np.ndarray:
-    """Per-factor integrals over one axis: factor f is x^ns[f] times the
-    envelope profile ``(root_idx[f], offsets[f])`` of :func:`_axis_rows`.
+def _profiles(columns):
+    """The distinct envelope profiles among n factors, as ``(idx, off, profile)``.
 
-    Each distinct profile is sampled once, and all of them are reduced
-    against every distinct degree in one matrix product."""
-    if not len(ns):
-        return np.zeros(0, dtype=complex)
-    keys = np.concatenate([root_idx, np.where(root_idx > 0, offsets, 0)], axis=1)
-    lo = keys.min(axis=0)
-    code = np.ravel_multi_index((keys - lo).T, keys.max(axis=0) - lo + 1)
-    _, first, profile = np.unique(code, return_index=True, return_inverse=True)
-    degrees, degree = np.unique(ns, return_inverse=True)
+    ``columns`` holds one ``(root_idx, offsets)`` pair of 1-D arrays per
+    envelope position p.  Factor f is coded as one int64 mixed-radix
+    number, built position by position: the digit of p is the root index
+    times the position's offset span, plus the offset above the least of 0
+    and the position's offsets (an absent envelope's offset counts as 0).
+    One ``np.unique`` over the codes finds the distinct profiles; their
+    codes are decoded into the ``(n_u, n_p)`` arrays ``idx`` and ``off``
+    that :func:`_axis_rows` takes, and ``profile[f]`` is factor f's row in
+    them.  The code space, the product of (roots x span) over the
+    positions, stays far inside int64 for the one or two positions of an
+    integral."""
+    code = np.zeros(len(columns[0][0]), dtype=np.int64)
+    radices = []
+    for root, offset in columns:
+        offset = np.where(root > 0, offset, 0)
+        lo = offset.min(initial=0)
+        span = offset.max(initial=0) - lo + 1
+        radix = (root.max(initial=0) + 1) * span
+        code = code * radix + (root * span + (offset - lo))
+        radices.append((lo, span, radix))
+    assert math.prod(int(r) for _, _, r in radices) < 1 << 63
+    codes, profile = np.unique(code, return_inverse=True)
+    idx = np.empty((len(codes), len(columns)), dtype=int)
+    off = np.empty_like(idx)
+    for p in reversed(range(len(columns))):
+        lo, span, radix = radices[p]
+        codes, digit = np.divmod(codes, radix)
+        idx[:, p], off[:, p] = np.divmod(digit, span)
+        off[:, p] += lo
+    return idx, off, profile
+
+
+def _profile_rows(lat: QLattice, slot: int, roots, idx, off) -> np.ndarray:
+    """:func:`_axis_rows` of the profiles ``(idx, off)``, one flat row each."""
+    out = np.empty((len(idx), 2 * lat.integration_js(slot).size), dtype=complex)
+    for start, rows in _axis_rows(lat, slot, roots, idx, off):
+        out[start : start + len(rows)] = rows.reshape(len(rows), -1)
+    return out
+
+
+def _reduce(lat: QLattice, slot: int, rows, profile, ns) -> np.ndarray:
+    """Per-factor integrals: factor f is x^ns[f] times the sampled profile
+    ``rows[profile[f]]``.  Degrees index the range ns.min() .. ns.max();
+    all profiles are reduced in one matrix product against the degrees
+    present, found by counting, without sorting.  Absent degrees get no
+    column: a star's middle-slot degrees b1 + b2 + 2k often take every
+    other value, and a product twice as wide would also cross the size at
+    which the BLAS starts a second thread."""
+    lo = ns.min()
+    d = ns - lo
+    present = np.bincount(d) > 0
+    degrees = lo + np.flatnonzero(present)
     xs = lat.integration_points(slot)
     mono = (np.stack([xs, -xs]) ** degrees[:, None, None]).reshape(len(degrees), -1)
-    n_p = root_idx.shape[1]
-    sums = np.empty((len(first), len(degrees)), dtype=complex)
-    for start, rows in _axis_rows(lat, slot, roots, keys[first, :n_p], keys[first, n_p:]):
-        sums[start : start + len(rows)] = rows.reshape(len(rows), -1) @ mono.T
-    return sums[profile.ravel(), degree.ravel()]
+    sums = np.zeros((len(rows), len(present)), dtype=complex)
+    sums[:, present] = rows @ mono.T
+    return sums[profile, d]
+
+
+def _factor_sums(lat: QLattice, slot: int, roots, columns, ns) -> np.ndarray:
+    """Per-factor integrals over one axis: factor f is x^ns[f] times the
+    product over positions p of the envelope ``roots[root_idx]`` dilated by
+    q0^offsets, for ``(root_idx, offsets) = columns[p]`` at f.
+
+    Each distinct profile (:func:`_profiles`) is sampled once.  For n
+    factors the arrays held are O(n): the codes, and at most n sampled rows
+    of 2 x (integration points) values, reduced in :func:`_reduce`."""
+    if not len(ns):
+        return np.zeros(0, dtype=complex)
+    idx, off, profile = _profiles(columns)
+    return _reduce(lat, slot, _profile_rows(lat, slot, roots, idx, off), profile, ns)
 
 
 def _falling(dmax: int, Q: float) -> np.ndarray:
@@ -466,10 +523,11 @@ class StructuredFn:
         The left operand must be polynomial on the axis its Jackson
         derivatives act on (last slot for W, first for Wt) and likewise the
         right operand on its own coupled axis; the coupled scaling operators
-        act on the middle envelopes as dilations.  Yields
-        ``(i1, i2, coeff, exps, shift1, shift2)``: the term indices, the
-        product term's coefficient and degrees (shape (N, 3)), and the
-        powers of q0 dilating the left and right middle envelopes.
+        act on the middle envelopes as dilations.  The operands are checked
+        and the q-factorials computed on the call, which returns an iterator
+        of blocks ``(i1, i2, coeff, exps, shift1, shift2)``: the term
+        indices, the product term's coefficient and degrees (shape (N, 3)),
+        and the powers of q0 dilating the left and right middle envelopes.
         """
         if other.sector_kind != self.sector_kind:
             raise ValueError("sector mismatch")
@@ -480,7 +538,7 @@ class StructuredFn:
                     f"{side} star operand must be polynomial on its coupled axis"
                 )
         if not self.terms or not other.terms:
-            return
+            return iter(())
         q0 = self.lattice.q0
         sgn = -1 if mirror else 1
         lam = sgn * (q0 - 1.0 / q0)
@@ -492,20 +550,24 @@ class StructuredFn:
         fall = _falling(int(max(d1.max(), d2.max())), q0 ** (4 * sgn))
         counts = np.minimum.outer(d1, d2) + 1  # k = 0 .. min(d1, d2)
         step = max(1, _BLOCK_TRIPLES // int(counts.sum(axis=1).max()))
-        for lo in range(0, len(c1), step):
-            n = counts[lo : lo + step].ravel()
-            pair = np.repeat(np.arange(n.size), n)
-            k = np.arange(pair.size) - np.repeat(np.cumsum(n) - n, n)
-            i1, i2 = np.divmod(pair, len(c2))
-            i1 += lo
-            (a1, b1, x1), (a2, b2, x2) = e1[i1].T, e2[i2].T
-            k1, k2 = d1[i1] - k, d2[i2] - k
-            coeff = (
-                c1[i1] * c2[i2] * lam**k / fall[k, k] * fall[d1[i1], k] * fall[d2[i2], k]
-            )
-            coeff *= q0 ** (2.0 * sgn * (b1 * k2 + k1 * b2))
-            exps = np.stack([a1 + a2 - k, b1 + b2 + 2 * k, x1 + x2 - k], axis=1)
-            yield i1, i2, coeff, exps, 2 * sgn * k2, 2 * sgn * k1
+
+        def blocks():
+            for lo in range(0, len(c1), step):
+                n = counts[lo : lo + step].ravel()
+                pair = np.repeat(np.arange(n.size), n)
+                k = np.arange(pair.size) - np.repeat(np.cumsum(n) - n, n)
+                i1, i2 = np.divmod(pair, len(c2))
+                i1 += lo
+                (a1, b1, x1), (a2, b2, x2) = e1[i1].T, e2[i2].T
+                k1, k2 = d1[i1] - k, d2[i2] - k
+                coeff = (
+                    c1[i1] * c2[i2] * lam**k / fall[k, k] * fall[d1[i1], k] * fall[d2[i2], k]
+                )
+                coeff *= q0 ** (2.0 * sgn * (b1 * k2 + k1 * b2))
+                exps = np.stack([a1 + a2 - k, b1 + b2 + 2 * k, x1 + x2 - k], axis=1)
+                yield i1, i2, coeff, exps, 2 * sgn * k2, 2 * sgn * k1
+
+        return blocks()
 
     def _star(self, other: "StructuredFn", mirror: bool) -> "StructuredFn":
         out = []
@@ -528,39 +590,50 @@ class StructuredFn:
     def star_integral(self, other: "StructuredFn", mirror: bool = False) -> complex:
         """Integral over all space of self (star) other, the Wt star with
         ``mirror``, reduced over the product's terms without building them.
-        Each operand's envelopes are written as roots and offsets once; per
-        block of triples, each axis samples every distinct dilated envelope
-        product once (:func:`_factor_sums`)."""
+
+        Each operand's envelopes are written as roots and offsets once.  An
+        outer slot's envelope is one operand term's, so each term's outer
+        profile is found and every distinct one sampled once per call; a
+        block of triples only gathers them by term.  The middle slot's
+        profile pairs both terms' middle envelopes, dilated by k, so each
+        block codes and samples its own (:func:`_factor_sums`).  Beyond the
+        operands' per-term arrays, memory is O(_BLOCK_TRIPLES)."""
         lat = self.lattice
+        blocks = self._star_triples(other, mirror)
         first, last = (other, self) if mirror else (self, other)
-        roots0, idx0, off0 = _canonical([t.envs[0] for t in first.terms])
+        outer = []
+        for slot, f in ((0, first), (2, last)):
+            roots, idx, off = _canonical([t.envs[slot] for t in f.terms])
+            u_idx, u_off, profile = _profiles([(idx, off)])
+            outer.append((_profile_rows(lat, slot, roots, u_idx, u_off), profile))
+        (rows0, prof0), (rows2, prof2) = outer
         roots1, idx1, off1 = _canonical([t.envs[1] for t in self.terms + other.terms])
-        roots2, idx2, off2 = _canonical([t.envs[2] for t in last.terms])
+        n1 = len(self.terms)
         total = 0j
-        for i1, i2, coeff, exps, s1, s2 in self._star_triples(other, mirror):
+        for i1, i2, coeff, exps, s1, s2 in blocks:
             i_first, i_last = (i2, i1) if mirror else (i1, i2)
-            mids = np.stack([i1, len(self.terms) + i2], axis=1)
-            f0 = _factor_sums(lat, 0, roots0, idx0[i_first, None], off0[i_first, None], exps[:, 0])
-            f1 = _factor_sums(
-                lat, 1, roots1, idx1[mids], off1[mids] + np.stack([s1, s2], axis=1), exps[:, 1]
-            )
-            f2 = _factor_sums(lat, 2, roots2, idx2[i_last, None], off2[i_last, None], exps[:, 2])
+            mid = [(idx1[i1], off1[i1] + s1), (idx1[n1 + i2], off1[n1 + i2] + s2)]
+            f0 = _reduce(lat, 0, rows0, prof0[i_first], exps[:, 0])
+            f1 = _factor_sums(lat, 1, roots1, mid, exps[:, 1])
+            f2 = _reduce(lat, 2, rows2, prof2[i_last], exps[:, 2])
             total += np.sum(coeff * f0 * f1 * f2)
         return complex(total)
 
     # -- evaluation and integration ----------------------------------------------
 
     def _slot_factors(self, slot: int):
-        """Each term's factor on one slot, as :func:`_factor_sums` arguments."""
+        """Each term's envelope on one slot as a root index and an offset
+        into the slot's roots (:func:`_canonical`), and its degree."""
         roots, idx, off = _canonical([t.envs[slot] for t in self.terms])
         ns = np.array([t.exps[slot] for t in self.terms], dtype=int)
-        return roots, idx[:, None], off[:, None], ns
+        return roots, idx, off, ns
 
     def integral_all_space(self) -> complex:
         """Nested smaller-lattice Jackson sums; separable per term."""
         total = np.array([t.coeff for t in self.terms], dtype=complex)
         for slot in range(3):
-            total = total * _factor_sums(self.lattice, slot, *self._slot_factors(slot))
+            roots, idx, off, ns = self._slot_factors(slot)
+            total = total * _factor_sums(self.lattice, slot, roots, [(idx, off)], ns)
         return complex(total.sum())
 
     def boundary_mass(self) -> float:
@@ -570,7 +643,7 @@ class StructuredFn:
         for slot in range(3):
             roots, idx, off, ns = self._slot_factors(slot)
             xs = self.lattice.integration_points(slot)
-            for start, rows in _axis_rows(self.lattice, slot, roots, idx, off):
+            for start, rows in _axis_rows(self.lattice, slot, roots, idx[:, None], off[:, None]):
                 rows = rows * np.stack([xs, -xs]) ** ns[start : start + len(rows), None, None]
                 prof = np.abs(rows).sum(axis=1)
                 total = prof.sum(axis=1)

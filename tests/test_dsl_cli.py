@@ -1,9 +1,11 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -221,6 +223,12 @@ NESTED = {
         ["expectation", "--packet", "{tmp}/plain.json", "--t", "nan"],
         ["expectation", "--packet", "{tmp}/plain.json", "--t", "inf"],
         ["heine", "--t", "nan"],
+        ["heine", "--mass", "nan"],
+        ["heine", "--mass", "inf"],
+        ["expectation", "--packet", "{tmp}/one_exponent.json", "--t", "0.05"],
+        ["expectation", "--packet", "{tmp}/tiny_width.json"],
+        ["expectation", "--packet", "{tmp}/nan_odd_fraction.json"],
+        ["expectation", "--packet", "{tmp}/infinite_order.json"],
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, argv):
@@ -236,6 +244,10 @@ def test_cli_bad_input_exits_2(tmp_path, argv):
         "huge_q0": {"lattice": {"q0": 1e100, "j_min": -2, "j_max": 2},
                     "packet": {"center_j": 0.0, "width_j": 0.5}},
         "plain": {"lattice": window, "packet": packet},
+        "one_exponent": {"lattice": {"q0": 1.1, "j_min": 0, "j_max": 0}, "packet": packet},
+        "tiny_width": {"lattice": window, "packet": {**packet, "width_j": 1e-300}},
+        "nan_odd_fraction": {"lattice": window, "packet": {**packet, "odd_fraction": math.nan}},
+        "infinite_order": {"lattice": window, "phase_order": math.inf, "packet": packet},
     }
     for name, config in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(config))
@@ -243,8 +255,10 @@ def test_cli_bad_input_exits_2(tmp_path, argv):
     lines = [ln for ln in err.splitlines() if ln.strip()]
     assert code == 2 and out == "" and len(lines) == 1, err
     assert not (tmp_path / "g.csv").exists()
-    if argv[-2:] in (["--t", "nan"], ["--t", "inf"]):
-        assert "--t" in lines[0], err
+    if argv[-1] in ("nan", "inf") and argv[-2] in ("--t", "--mass"):
+        assert argv[-2] in lines[0], err
+    if argv[-1].endswith("nan_odd_fraction.json"):
+        assert "odd_fraction must be finite" in lines[0], err
 
 
 #: run in a fresh interpreter: the package and the symbolic commands and
@@ -358,3 +372,91 @@ def test_dsl_fuzz_grammar(src):
 @settings(max_examples=200)
 def test_dsl_fuzz_token_soup(src):
     run_dsl_commands(src)
+
+
+# -- packet files through ``expectation`` ---------------------------------------------
+
+#: an entry the packet file leaves out
+MISSING = object()
+#: wrong types, non-finite numbers and missing entries
+JUNK = st.sampled_from(
+    [MISSING, None, "x", "", [], {}, True, [1.1], float("nan"), float("inf"), -float("inf")]
+)
+#: packet files that ``expectation`` accepts, on windows up to +-6
+GOOD_PACKET_FILE = st.fixed_dictionaries(
+    {
+        "lattice": st.fixed_dictionaries({
+            "q0": st.sampled_from([1.1, 1.2, 1.5]),
+            "j_min": st.integers(-6, 0),
+            "j_max": st.integers(0, 6),
+        }),
+        "packet": st.fixed_dictionaries({}, optional={
+            "center_j": st.floats(-1.0, 1.0),
+            "width_j": st.floats(0.5, 1.5),
+            "odd_fraction": st.floats(0.0, 0.5),
+        }),
+    },
+    optional={
+        "mass": st.sampled_from(["1", "2", "3/2", "-2", 2, 0.5]),
+        "phase_order": st.integers(0, 24),
+    },
+)
+#: where a packet file can go wrong: an entry (or the whole file, at ())
+#: and a value that replaces it
+BAD_ENTRY = st.tuples(
+    st.sampled_from([
+        (), ("lattice",), ("lattice", "q0"), ("lattice", "j_min"), ("lattice", "j_max"),
+        ("packet",), ("packet", "center_j"), ("packet", "width_j"),
+        ("packet", "odd_fraction"), ("packet", "centre_j"), ("mass",), ("phase_order",),
+    ]),
+    JUNK | st.sampled_from(
+        [0, -1, 7, 1e-300, 1e300, 1.0, 0.5, 2.5, "0", "1/0", "abc", "1e400", "20", -3, 10**30]
+    ),
+)
+
+
+def corrupt(config: dict, bad: list) -> object:
+    """``config`` with each ``(path, value)`` of ``bad`` put in place."""
+    for path, value in bad:
+        if not path:
+            config = value
+            continue
+        if not isinstance(config, dict):
+            continue
+        node = config
+        for key in path[:-1]:
+            node = node.get(key)
+            if not isinstance(node, dict):
+                break
+        else:
+            if value is MISSING:
+                node.pop(path[-1], None)
+            else:
+                node[path[-1]] = value
+    return None if config is MISSING else config
+
+
+PACKET_FILE = st.builds(corrupt, GOOD_PACKET_FILE, st.lists(BAD_ENTRY, max_size=2))
+
+
+@pytest.fixture(scope="module")
+def packet_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("packets")
+
+
+@given(PACKET_FILE, st.sampled_from(["0", "0.05"]))
+@settings(max_examples=250)
+def test_expectation_fuzz_packet_files(packet_dir, config, t):
+    """``expectation`` on packet files with windows up to +-6, with up to
+    two entries (or the whole file) replaced by wrong types, non-finite
+    numbers, out-of-range values or nothing: no exception escapes ``main``,
+    exit codes stay in {0, 1, 2} and exit 2 prints one line."""
+    fd, path = tempfile.mkstemp(suffix=".json", dir=packet_dir)
+    with os.fdopen(fd, "w") as fh:
+        fh.write(json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["expectation", "--packet", path, "--t", t])
+    assert code in (0, 1, 2), (config, code)
+    if code == 2:
+        assert len(err.getvalue().splitlines()) == 1, (config, err.getvalue())
