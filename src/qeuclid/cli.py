@@ -98,7 +98,11 @@ def _read_packet(path: str):
         }
         return _lattice(float(lat["q0"]), int(lat["j_min"]), int(lat["j_max"])), dict(
             mass=_mass(config.get("mass", "1")),
-            phase_order=int(config.get("phase_order", 16)),
+            phase_order=_order(
+                int(config.get("phase_order", 16)),
+                f"packet file {path}: phase_order",
+                dsl.MAX_ORDER,
+            ),
             **shape,
         )
     except OSError as exc:

@@ -402,6 +402,7 @@ def evaluate(node):
             label = DerivativeLabel(index, "plain", "left", "lower")
             return apply_derivative(label, _as_w(v))
         if op == "dhat":
+            # relabels, not re-orderings: wrong on ordered products (ROADMAP item 1)
             label = DerivativeLabel(index, "hat", "left_bar", "lower")
             return apply_derivative(label, _as_wt(v)).with_convention(v.convention)
         if op == "dinv":
@@ -413,6 +414,7 @@ def evaluate(node):
     raise EvalError(f"cannot evaluate node {kind!r}")
 
 
+# relabels, not re-orderings: wrong on ordered products (ROADMAP item 1)
 def _as_w(v: Poly) -> Poly:
     return v if v.convention == "W" else v.with_convention("W")
 

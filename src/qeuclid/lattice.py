@@ -37,6 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .qarith import QScalar
+from .starcalc import Sector
 
 #: byte bound on one gathered block of envelope samples in _axis_rows
 _BLOCK_BYTES = 1 << 20
@@ -365,18 +366,21 @@ class StructuredFn:
     :class:`AxisFn` values or None; terms with equal degrees and equal
     envelopes are merged on construction.
 
-    Implements the same operand interface as the symbolic carrier
-    (`jackson_d`, `scale_slot`, `mul_slot_var`, `scale_q`, `conjugate`,
-    arithmetic), so the derivative representations in
-    :mod:`qeuclid.qcalculus` apply unchanged.  ``sector_kind`` is "x" or
-    "p"; slot order matches the symbolic carriers.
+    Implements the operand interface of :mod:`qeuclid.qcalculus`, as the
+    symbolic carrier does, so the derivative representations apply
+    unchanged.  ``sector_kind`` is "x" or "p"; slot order matches the
+    symbolic carriers.  ``convention`` is the ordering tag "W" or "Wt": it
+    selects the star formula, and operands of ``+`` and ``star`` share it.
     """
 
-    __slots__ = ("lattice", "sector_kind", "terms")
+    __slots__ = ("lattice", "sector_kind", "convention", "terms")
 
-    def __init__(self, lattice: QLattice, sector_kind: str, terms: Sequence[STerm]):
+    def __init__(self, lattice: QLattice, sector_kind: str, terms: Sequence[STerm], convention="W"):
+        if convention not in ("W", "Wt"):
+            raise ValueError(f"unknown convention {convention!r}")
         self.lattice = lattice
         self.sector_kind = sector_kind
+        self.convention = convention
         acc: dict = {}
         for t in terms:
             if t.coeff == 0:
@@ -402,15 +406,17 @@ class StructuredFn:
         envs,
         exps=(0, 0, 0),
         coeff: complex = 1.0,
+        convention: str = "W",
     ) -> "StructuredFn":
         return StructuredFn(
-            lattice, sector_kind, [STerm(coeff, tuple(exps), tuple(envs))]
+            lattice, sector_kind, [STerm(coeff, tuple(exps), tuple(envs))], convention
         )
 
     @staticmethod
     def from_poly(lattice: QLattice, poly, t0: complex = 0.0) -> "StructuredFn":
         """Evaluate a single-sector symbolic Poly's coefficients at q0 (and
-        the central time at t0) and wrap it as an envelope-free carrier."""
+        the central time at t0) and wrap it as an envelope-free carrier in
+        the polynomial's ordering."""
         if len(poly.sectors) != 1:
             raise ValueError("from_poly needs a single-sector polynomial")
         terms = []
@@ -419,16 +425,31 @@ class StructuredFn:
             if t:
                 c = c * t0**t
             terms.append(STerm(c, triples[0], (None, None, None)))
-        return StructuredFn(lattice, poly.sectors[0].kind, terms)
+        return StructuredFn(lattice, poly.sectors[0].kind, terms, poly.convention)
 
     def _new(self, terms) -> "StructuredFn":
-        return StructuredFn(self.lattice, self.sector_kind, terms)
+        return StructuredFn(self.lattice, self.sector_kind, terms, self.convention)
+
+    @property
+    def sectors(self) -> tuple[Sector]:
+        """The carrier's one sector, as the symbolic carrier lists its sectors."""
+        return (Sector(self.sector_kind, self.sector_kind),)
+
+    def coordinate(self, sector_index: int, slot: int) -> "StructuredFn":
+        """The coordinate variable of one slot, in this carrier's ordering."""
+        assert sector_index == 0
+        return self._new([STerm(1.0, _with((0, 0, 0), slot, 1), (None, None, None))])
+
+    def _check_compatible(self, other: "StructuredFn"):
+        if other.sector_kind != self.sector_kind:
+            raise ValueError("sector mismatch")
+        if other.convention != self.convention:
+            raise ValueError(f"convention mismatch: {self.convention} vs {other.convention}")
 
     # -- linear structure ---------------------------------------------------
 
     def __add__(self, other: "StructuredFn") -> "StructuredFn":
-        if other.sector_kind != self.sector_kind:
-            raise ValueError("sector mismatch")
+        self._check_compatible(other)
         return self._new(list(self.terms) + list(other.terms))
 
     def __sub__(self, other: "StructuredFn") -> "StructuredFn":
@@ -515,10 +536,10 @@ class StructuredFn:
 
     # -- star product -----------------------------------------------------------
 
-    def _star_triples(self, other: "StructuredFn", mirror: bool):
-        """The W star (mirror=False) or the Wt star (mirror=True) term by
-        term, as arrays over the triples (left term, right term, k) in
-        blocks of left terms.
+    def _star_triples(self, other: "StructuredFn"):
+        """The star of the operands' ordering (the W star, or for Wt its
+        mirror image) term by term, as arrays over the triples (left term,
+        right term, k) in blocks of left terms.
 
         The left operand must be polynomial on the axis its Jackson
         derivatives act on (last slot for W, first for Wt) and likewise the
@@ -529,8 +550,8 @@ class StructuredFn:
         indices, the product term's coefficient and degrees (shape (N, 3)),
         and the powers of q0 dilating the left and right middle envelopes.
         """
-        if other.sector_kind != self.sector_kind:
-            raise ValueError("sector mismatch")
+        self._check_compatible(other)
+        mirror = self.convention == "Wt"
         l_slot, r_slot = (0, 2) if mirror else (2, 0)
         for side, f, slot in (("left", self, l_slot), ("right", other, r_slot)):
             if any(t.envs[slot] is not None for t in f.terms):
@@ -569,9 +590,13 @@ class StructuredFn:
 
         return blocks()
 
-    def _star(self, other: "StructuredFn", mirror: bool) -> "StructuredFn":
+    def star(self, other: "StructuredFn") -> "StructuredFn":
+        """The deformed product of the operands' ordering, exact on the
+        pairing classes: the W star, or for Wt its mirror image (the hatted
+        calculus' product)."""
+        mirror = self.convention == "Wt"
         out = []
-        for block in self._star_triples(other, mirror):
+        for block in self._star_triples(other):
             for i1, i2, c, exps, s1, s2 in zip(*(a.tolist() for a in block)):
                 t1, t2 = self.terms[i1], other.terms[i2]
                 first, last = (t2, t1) if mirror else (t1, t2)
@@ -579,17 +604,9 @@ class StructuredFn:
                 out.append(STerm(c, tuple(exps), (first.envs[0], mid, last.envs[2])))
         return self._new(out)
 
-    def star(self, other: "StructuredFn") -> "StructuredFn":
-        """The deformed product, exact on the pairing classes."""
-        return self._star(other, mirror=False)
-
-    def star_wt(self, other: "StructuredFn") -> "StructuredFn":
-        """The Wt-ordered star product (the hatted calculus' product)."""
-        return self._star(other, mirror=True)
-
-    def star_integral(self, other: "StructuredFn", mirror: bool = False) -> complex:
-        """Integral over all space of self (star) other, the Wt star with
-        ``mirror``, reduced over the product's terms without building them.
+    def star_integral(self, other: "StructuredFn") -> complex:
+        """Integral over all space of self (star) other, in the operands'
+        ordering, reduced over the product's terms without building them.
 
         Each operand's envelopes are written as roots and offsets once.  An
         outer slot's envelope is one operand term's, so each term's outer
@@ -599,7 +616,8 @@ class StructuredFn:
         block codes and samples its own (:func:`_factor_sums`).  Beyond the
         operands' per-term arrays, memory is O(_BLOCK_TRIPLES)."""
         lat = self.lattice
-        blocks = self._star_triples(other, mirror)
+        blocks = self._star_triples(other)
+        mirror = self.convention == "Wt"
         first, last = (other, self) if mirror else (self, other)
         outer = []
         for slot, f in ((0, first), (2, last)):

@@ -28,11 +28,16 @@ operators on momentum carriers at the slot-mirrored index, times q^-2, 1,
 q^+2 on p^-, p^3, p^+; these prefactors are fixed by the requirement that
 the deformed exponentials be their eigenfunctions.
 
-All operators are written against a small operand interface (`jackson_d`,
-`scale_slot`, `mul_slot_var`, `d_dt`, `scale_q`, `+`, `-`) implemented by
-both the symbolic :class:`~qeuclid.starcalc.Poly` and the lattice-numeric
-carriers, so the symbolic and numeric layers share one definition of every
-operator.
+All operators are written against one operand interface, implemented by
+both the symbolic :class:`~qeuclid.starcalc.Poly` and the lattice carrier
+:class:`~qeuclid.lattice.StructuredFn`, so both layers share one definition
+of every operator and never ask which carrier they hold: the ordering tag
+``convention`` ("W" or "Wt", which each action side checks), ``sectors``
+(whose ``kind`` selects a space or a momentum derivative), ``star`` in the
+carrier's ordering, ``conjugate`` (keeping the tag), the unit coordinate
+``coordinate(sector_index, slot)``, and the slot operations ``jackson_d``,
+``jackson_d_inv``, ``scale_slot``, ``mul_slot_var``, ``d_dt``,
+``t_integral``, ``scale_q``, ``is_zero``, ``+`` and ``-``.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .qarith import KAPPA, QScalar, ONE, LAMBDA
-from .starcalc import Metric, Poly
+from .starcalc import Metric
 
 SPATIAL = ("+", "3", "-")
 
@@ -80,10 +85,9 @@ def _required_convention(side: str) -> str:
 
 
 def _check_convention(f, side: str):
-    conv = getattr(f, "convention", None)
-    if conv is not None and conv != _required_convention(side):
+    if f.convention != _required_convention(side):
         raise ConventionError(
-            f"operand tagged {conv}, but a {side} action needs "
+            f"operand tagged {f.convention}, but a {side} action needs "
             f"{_required_convention(side)}"
         )
 
@@ -204,7 +208,7 @@ def apply_derivative(label: DerivativeLabel, f, sector_index: int = 0):
     the sector acted on; its kind decides whether this is a space or a
     momentum derivative.
     """
-    kind = _sector_kind(f, sector_index)
+    kind = f.sectors[sector_index].kind
     _check_convention(f, label.side)
     lab, g = _resolve_index(label, kind)
     if lab.side in ("left", "left_bar"):
@@ -216,25 +220,10 @@ def apply_derivative(label: DerivativeLabel, f, sector_index: int = 0):
             out = _left_rep(_SWAP[lab.index], f, sector_index, m)
             pref = _P_PREFACTOR[lab.index]
         return _scaled(out, pref, _variant_scale(lab), g)
-    inner = _mirror_label(lab)
-    fc = _conj_retag(f, _required_convention(inner.side))
-    acted = apply_derivative(inner, fc, sector_index)
-    out = -_conj_retag(acted, _required_convention(lab.side))
-    return _scaled(out, g, _variant_scale(lab))
-
-
-def _sector_kind(f, sector_index: int) -> str:
-    sectors = getattr(f, "sectors", None)
-    if sectors is not None:
-        return sectors[sector_index].kind
-    return f.sector_kind  # lattice carriers
-
-
-def _conj_retag(f, convention: str):
-    out = f.conjugate()
-    if hasattr(out, "with_convention") and getattr(out, "convention", None) is not None:
-        out = out.with_convention(convention)
-    return out
+    # the mirror label's side needs the same ordering as the right side, and
+    # conjugation keeps the tag
+    acted = apply_derivative(_mirror_label(lab), f.conjugate(), sector_index)
+    return _scaled(-acted.conjugate(), g, _variant_scale(lab))
 
 
 def inverse_partial(label: DerivativeLabel, f, sector_index: int = 0):
@@ -245,7 +234,7 @@ def inverse_partial(label: DerivativeLabel, f, sector_index: int = 0):
     termination is guaranteed because each loop applies a double Jackson
     derivative in x3.
     """
-    kind = _sector_kind(f, sector_index)
+    kind = f.sectors[sector_index].kind
     if kind != "x":
         raise ValueError("inverse_partial is defined on position sectors")
     _check_convention(f, label.side)
@@ -253,10 +242,7 @@ def inverse_partial(label: DerivativeLabel, f, sector_index: int = 0):
     if lab.side in ("left", "left_bar"):
         out = _left_rep_inverse(lab.index, f, sector_index, 1 if lab.side == "left" else -1)
     else:
-        inner = _mirror_label(lab)
-        fc = _conj_retag(f, _required_convention(inner.side))
-        solved = inverse_partial(inner, -fc, sector_index)
-        out = _conj_retag(solved, _required_convention(lab.side))
+        out = inverse_partial(_mirror_label(lab), -f.conjugate(), sector_index).conjugate()
     # (g dB)^-1 = g^-1 dB^-1 with g a metric monomial; likewise the variant
     return _scaled(out, _variant_scale(lab) ** -1, g ** -1)
 
@@ -278,39 +264,11 @@ def inverse_partial(label: DerivativeLabel, f, sector_index: int = 0):
 # representations are distinct operators from the conjugation-transported
 # right actions; both are carried, each where its defining identities live.
 
-#: inverse diagonal scaling exponents (q-power per slot) of O_A^A
-_ADJ_DIAG_INV = {
-    "plain": {"+": (-4, -2, 0), "3": (-2, -2, -2), "-": (0, -2, -4)},
-    "hat": {"+": (4, 2, 0), "3": (2, 2, 2), "-": (0, 2, 4)},
-}
-#: correction rows of the triangular solve, in dependency order
-_ADJ_ROWS = {
-    "plain": {"+": (), "3": ("+",), "-": ("+", "3")},
-    "hat": {"-": (), "3": ("-",), "+": ("-", "3")},
-}
-
-
-def _unit_coordinate(f, sector_index: int, slot: int):
-    """The coordinate variable of one slot, in f's carrier type."""
-    sectors = getattr(f, "sectors", None)
-    if sectors is not None:
-        return Poly.variable(f.sectors, sector_index, slot, f.convention)
-    from .lattice import StructuredFn, STerm
-
-    exps = [0, 0, 0]
-    exps[slot] = 1
-    return StructuredFn(
-        f.lattice, f.sector_kind, [STerm(1.0, tuple(exps), (None, None, None))]
-    )
-
-
-def _star_dispatch(f, g, variant: str):
-    if variant == "plain":
-        return f.star(g)
-    if hasattr(f, "star_wt"):
-        return f.star_wt(g)
-    return f.star(g)  # symbolic Poly: the Wt star is selected by the tag
-
+#: inverse diagonal scaling exponents (q-power per slot) of O_A^A and the
+#: correction rows of the triangular solve, in dependency order, for the
+#: plain family; the hatted family reads them through the mirror
+_ADJ_DIAG_INV = {"+": (-4, -2, 0), "3": (-2, -2, -2), "-": (0, -2, -4)}
+_ADJ_ROWS = {"+": (), "3": ("+",), "-": ("+", "3")}
 
 _SLOT_OF_INDEX = {"+": 0, "3": 1, "-": 2}
 
@@ -319,9 +277,9 @@ def braiding_operator(index: str, col: str, f, variant: str = "plain", sector_in
     """O_A^C |> f extracted from its defining Leibniz difference."""
     side = "left" if variant == "plain" else "left_bar"
     lab = DerivativeLabel(index, variant, side, "lower")
-    xc = _unit_coordinate(f, sector_index, _SLOT_OF_INDEX[col])
-    first = apply_derivative(lab, _star_dispatch(f, xc, variant), sector_index)
-    second = _star_dispatch(apply_derivative(lab, f, sector_index), xc, variant)
+    xc = f.coordinate(sector_index, _SLOT_OF_INDEX[col])
+    first = apply_derivative(lab, f.star(xc), sector_index)
+    second = apply_derivative(lab, f, sector_index).star(xc)
     return first - second
 
 
@@ -335,14 +293,15 @@ def integration_adjoint(index: str, f, variant: str = "plain", position: str = "
         out = integration_adjoint(partner, f, variant, "lower", sector_index)
         return out.scale_q(g)
     side = "left" if variant == "plain" else "left_bar"
-    inv = _ADJ_DIAG_INV[variant][index]
+    m = 1 if variant == "plain" else -1
+    plain = _mirror(index, m)[0]
     u = f
-    for slot, e in enumerate(inv):
+    for slot, e in enumerate(_ADJ_DIAG_INV[plain][::m]):
         if e:
-            u = u.scale_slot(sector_index, slot, e)
+            u = u.scale_slot(sector_index, slot, m * e)
     lab = DerivativeLabel(index, variant, side, "lower")
     out = -apply_derivative(lab, u, sector_index)
-    for col in _ADJ_ROWS[variant][index]:
+    for col in (_mirror(c, m)[0] for c in _ADJ_ROWS[plain]):
         corr = braiding_operator(index, col, u, variant, sector_index)
         out = out - integration_adjoint(col, corr, variant, "lower", sector_index)
     return out

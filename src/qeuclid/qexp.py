@@ -228,12 +228,11 @@ def _as_xy(f: Poly) -> Poly:
 
 def _translate_plus_formula(f: Poly) -> Poly:
     """The printed quadruple-sum realization of f(x (+) y)."""
-    conv = f.convention
-    fxy = _as_xy(f.with_convention("W"))
+    fxy = _as_xy(f)
     deg3 = max((tr[0][1] for tr, _ in f.terms), default=0)
     degm = max((tr[0][2] for tr, _ in f.terms), default=0)
     degp = max((tr[0][0] for tr, _ in f.terms), default=0)
-    total = Poly.zero((X_SECTOR, Y_SECTOR), "W")
+    total = Poly.zero((X_SECTOR, Y_SECTOR), f.convention)
     for i_p in range(degp + 1):
         for i_m in range(degm + 1):
             for i_3 in range(deg3 + 1):
@@ -261,7 +260,7 @@ def _translate_plus_formula(f: Poly) -> Poly:
                     g = g.mul_slot_var(0, 0, i_p + k).mul_slot_var(0, 1, i_3 - k)
                     g = g.mul_slot_var(0, 2, i_m)
                     total = total + g
-    return total.with_convention(conv)
+    return total
 
 
 def _exp_action_translate(f: Poly, bar: bool) -> Poly:
@@ -273,9 +272,11 @@ def _exp_action_translate(f: Poly, bar: bool) -> Poly:
     conv = f.convention
     order = max((sum(tr[0]) for tr, _ in f.terms), default=0)
     if bar:
+        # relabel: the derivative formulas read only the commutative monomials
         work = f.rename_sectors((Y_SECTOR,)).with_convention("W")
         base_sign, variant, side = +1, "plain", "left"
     else:
+        # relabel: likewise, the hatted formulas read only the monomials
         work = f.rename_sectors((Y_SECTOR,)).with_convention("Wt")
         base_sign, variant, side = -1, "hat", "left_bar"
     total = Poly.zero((X_SECTOR, Y_SECTOR), work.convention)
@@ -305,6 +306,7 @@ def _exp_action_translate(f: Poly, bar: bool) -> Poly:
         g = g.insert_sector(0, X_SECTOR)
         g = g.mul_slot_var(0, 0, np_).mul_slot_var(0, 1, n3).mul_slot_var(0, 2, nm)
         total = total + g
+    # relabel back: a translation of commutative monomials keeps f's tag
     return total.with_convention(conv)
 
 
@@ -424,10 +426,9 @@ def q_invert(f: Poly, kind: str = "minus", sector_index: int = 0) -> Poly:
     if kind == "minus":
         return u_operator(_inversion_series(f, sector_index), sector_index=sector_index)
     if kind == "minusbar":
-        conv = f.convention
         flipped = f.subs_q_inverse_swap()
         out = q_invert(flipped, "minus", sector_index)
-        return out.subs_q_inverse_swap().with_convention(conv)
+        return out.subs_q_inverse_swap()
     raise ValueError(f"unknown inversion kind {kind!r}")
 
 
@@ -464,7 +465,9 @@ def hopf_antipode_residuals(f: Poly, barred: bool = False) -> tuple[Poly, Poly]:
             T, side, lambda g: q_invert(g.rename_sectors((X_SECTOR,)), kind_s)
             .rename_sectors((T.sectors[side],))
         )
+        # relabel: the matched pair fixes its product m, whatever f's tag
         merged = flipped.with_convention(merge_conv).merge_sectors_star(0, 1)
+        # relabel back: m (S (x) id) Delta f = f(0), a constant in every ordering
         merged = merged.rename_sectors((X_SECTOR,)).with_convention(
             f.convention
         )

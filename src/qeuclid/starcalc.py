@@ -222,6 +222,10 @@ class Poly:
         triples[sector_index][slot] = 1
         return cls.monomial(sectors, triples, 0, ONE, convention)
 
+    def coordinate(self, sector_index: int, slot: int) -> "Poly":
+        """The coordinate variable of one slot, in this carrier's ordering."""
+        return Poly.variable(self.sectors, sector_index, slot, self.convention)
+
     def _check_compatible(self, other: "Poly"):
         if self.sectors != other.sectors:
             raise SectorMismatch(

@@ -426,9 +426,10 @@ def _suite_qcalculus(rnd, cfg):
     def stokes():
         worst = 0.0
         for trial in range(4):
-            f = StructuredFn(lat, "x", [STerm(1.0, (0, 0, 0), (mix_env(), mix_env(), mix_env()))])
+            envs = (mix_env(), mix_env(), mix_env())
             for a in ("+", "3", "-"):
-                for variant, side in (("plain", "left"), ("hat", "left_bar")):
+                for variant, side, conv in (("plain", "left", "W"), ("hat", "left_bar", "Wt")):
+                    f = StructuredFn.from_envelopes(lat, "x", envs, convention=conv)
                     r = apply_derivative(
                         d(a, variant, side, "upper"), f
                     ).integral_all_space()
@@ -654,6 +655,7 @@ def _suite_schrodinger(rnd, cfg):
             f = rand_coord_poly(rnd, deg=2, nterm=3)
             if h.apply(f, "left").conjugate() != h.apply(f.conjugate(), "right_bar"):
                 return False, f"trial={trial}"
+            # relabel: covariance holds for every element, so f's monomials read in Wt serve
             ft = f.with_convention("Wt")
             if h.apply(ft, "left_bar").conjugate() != h.apply(ft.conjugate(), "right"):
                 return False, f"trial={trial} hatted"

@@ -170,9 +170,10 @@ def test_criterion_09_lattice_stokes_by_parts():
             return AxisFn(lambda x: base(x) + of * odd(x))
 
         # Stokes, both families, Gaussian data on all axes
-        f0 = StructuredFn(lat, "x", [STerm(1.0, (0, 0, 0), (mix(), mix(), mix()))])
+        envs = (mix(), mix(), mix())
         for a in ("+", "3", "-"):
-            for variant, side in (("plain", "left"), ("hat", "left_bar")):
+            for variant, side, conv in (("plain", "left", "W"), ("hat", "left_bar", "Wt")):
+                f0 = StructuredFn.from_envelopes(lat, "x", envs, convention=conv)
                 r = apply_derivative(d(a, variant, side, "upper"), f0).integral_all_space()
                 worst = max(worst, abs(r))
         # integration by parts, both families, Gaussian-enveloped class data
@@ -192,14 +193,14 @@ def test_criterion_09_lattice_stokes_by_parts():
             fh = StructuredFn(lat, "x", [
                 STerm(complex(rng.normal(), rng.normal()),
                       tuple(int(v) for v in rng.integers(0, 3, 3)),
-                      (None, mix(), mix()))])
+                      (None, mix(), mix()))], "Wt")
             gh = StructuredFn(lat, "x", [
                 STerm(complex(rng.normal(), rng.normal()),
                       tuple(int(v) for v in rng.integers(0, 3, 3)),
-                      (mix(), mix(), None))])
+                      (mix(), mix(), None))], "Wt")
             for a in ("+", "3", "-"):
-                L = fh.star_wt(apply_derivative(d(a, "hat", "left_bar", "upper"), gh)).integral_all_space()
-                R = integration_adjoint(a, fh, "hat", "upper").star_wt(gh).integral_all_space()
+                L = fh.star(apply_derivative(d(a, "hat", "left_bar", "upper"), gh)).integral_all_space()
+                R = integration_adjoint(a, fh, "hat", "upper").star(gh).integral_all_space()
                 worst = max(worst, abs(L - R) / max(1.0, abs(L)))
     elapsed = time.time() - t0
     ok = worst <= 1e-9 and elapsed < 20.0

@@ -229,6 +229,7 @@ NESTED = {
         ["expectation", "--packet", "{tmp}/tiny_width.json"],
         ["expectation", "--packet", "{tmp}/nan_odd_fraction.json"],
         ["expectation", "--packet", "{tmp}/infinite_order.json"],
+        ["expectation", "--packet", "{tmp}/huge_order.json", "--t", "0.05"],
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, argv):
@@ -248,6 +249,8 @@ def test_cli_bad_input_exits_2(tmp_path, argv):
         "tiny_width": {"lattice": window, "packet": {**packet, "width_j": 1e-300}},
         "nan_odd_fraction": {"lattice": window, "packet": {**packet, "odd_fraction": math.nan}},
         "infinite_order": {"lattice": window, "phase_order": math.inf, "packet": packet},
+        "huge_order": {"lattice": {"q0": 1.2, "j_min": -1, "j_max": 0}, "mass": "3/2",
+                       "packet": {"width_j": 0.59}, "phase_order": 1e300},
     }
     for name, config in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(config))
@@ -259,6 +262,8 @@ def test_cli_bad_input_exits_2(tmp_path, argv):
         assert argv[-2] in lines[0], err
     if argv[-1].endswith("nan_odd_fraction.json"):
         assert "odd_fraction must be finite" in lines[0], err
+    if argv[-3:-2] == ["{tmp}/huge_order.json"]:
+        assert f"phase_order must be <= {dsl.MAX_ORDER}" in lines[0], err
 
 
 #: run in a fresh interpreter: the package and the symbolic commands and

@@ -32,9 +32,16 @@ def test_derivative_examples():
     assert r == Poly.one((X_SECTOR,), "Wt")
 
 
-def test_convention_guard():
+def test_convention_guard(lat):
     with pytest.raises(ConventionError):
         apply_derivative(d("+", "hat", "left_bar"), xp)
+    sx = StructuredFn.from_poly(lat, xp)
+    with pytest.raises(ConventionError):
+        apply_derivative(d("+", "hat", "left_bar"), sx)
+    sxt = StructuredFn(lat, "x", sx.terms, "Wt")
+    for combine in (sx.__add__, sx.star, sx.star_integral):
+        with pytest.raises(ValueError, match="convention mismatch"):
+            combine(sxt)
 
 
 def test_hat_family_is_substituted(rand_poly):
@@ -109,16 +116,17 @@ def _mix(lat, rng):
 def test_structured_matches_symbolic(lat, rand_poly):
     pts = np.array([lat.q0**j for j in (-2, 0, 3)])
     ptsm = np.concatenate([pts, -pts])
-    for _ in range(6):
-        f, g = rand_poly(with_t=False), rand_poly(with_t=False)
-        sf = StructuredFn.from_poly(lat, f)
-        sg = StructuredFn.from_poly(lat, g)
-        lhs = sf.star(sg).values_on(ptsm, ptsm, ptsm)
-        rhs = StructuredFn.from_poly(lat, f.star(g)).values_on(ptsm, ptsm, ptsm)
-        assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
-        lhs = sf.conjugate().values_on(ptsm, ptsm, ptsm)
-        rhs = StructuredFn.from_poly(lat, conjugate(f)).values_on(ptsm, ptsm, ptsm)
-        assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+    for conv in ("W", "Wt"):
+        for _ in range(6):
+            f, g = rand_poly(with_t=False, conv=conv), rand_poly(with_t=False, conv=conv)
+            sf = StructuredFn.from_poly(lat, f)
+            sg = StructuredFn.from_poly(lat, g)
+            lhs = sf.star(sg).values_on(ptsm, ptsm, ptsm)
+            rhs = StructuredFn.from_poly(lat, f.star(g)).values_on(ptsm, ptsm, ptsm)
+            assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+            lhs = sf.conjugate().values_on(ptsm, ptsm, ptsm)
+            rhs = StructuredFn.from_poly(lat, conjugate(f)).values_on(ptsm, ptsm, ptsm)
+            assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
 def test_leibniz_closure_on_class_data(lat):
@@ -138,9 +146,10 @@ def test_leibniz_closure_on_class_data(lat):
 
 def test_stokes(lat):
     rng = np.random.default_rng(4)
-    f = StructuredFn(lat, "x", [STerm(1.0, (0, 0, 0), (_mix(lat, rng), _mix(lat, rng), _mix(lat, rng)))])
+    envs = (_mix(lat, rng), _mix(lat, rng), _mix(lat, rng))
     for a in ("+", "3", "-"):
-        for variant, side in (("plain", "left"), ("hat", "left_bar")):
+        for variant, side, conv in (("plain", "left", "W"), ("hat", "left_bar", "Wt")):
+            f = StructuredFn.from_envelopes(lat, "x", envs, convention=conv)
             r = apply_derivative(d(a, variant, side, "upper"), f).integral_all_space()
             assert abs(r) <= 1e-10
 
@@ -164,14 +173,14 @@ def test_integration_by_parts(lat):
         fh = StructuredFn(lat, "x", [
             STerm(complex(rng.normal(), rng.normal()),
                   tuple(int(v) for v in rng.integers(0, 3, 3)),
-                  (None, _mix(lat, rng), _mix(lat, rng)))])
+                  (None, _mix(lat, rng), _mix(lat, rng)))], "Wt")
         gh = StructuredFn(lat, "x", [
             STerm(complex(rng.normal(), rng.normal()),
                   tuple(int(v) for v in rng.integers(0, 3, 3)),
-                  (_mix(lat, rng), _mix(lat, rng), None))])
+                  (_mix(lat, rng), _mix(lat, rng), None))], "Wt")
         for a in ("+", "3", "-"):
-            L = fh.star_wt(apply_derivative(d(a, "hat", "left_bar", "upper"), gh)).integral_all_space()
-            R = integration_adjoint(a, fh, "hat", "upper").star_wt(gh).integral_all_space()
+            L = fh.star(apply_derivative(d(a, "hat", "left_bar", "upper"), gh)).integral_all_space()
+            R = integration_adjoint(a, fh, "hat", "upper").star(gh).integral_all_space()
             worst = max(worst, abs(L - R) / max(1.0, abs(L)))
     assert worst <= 1e-9
 
@@ -189,10 +198,11 @@ def test_star_integral_matches_materialized_product(lat):
     f = g0.conjugate().jackson_d(0, 1, 2)
     g = apply_derivative(d("-"), g0)
     assert any(min(t.exps) < 0 for t in f.terms)
-    fh, gh = f.conjugate(), g.conjugate()  # the Wt classes
+    # the conjugates are the Wt classes
+    fh, gh = (StructuredFn(lat, "x", h.conjugate().terms, "Wt") for h in (f, g))
     for lhs, rhs in (
         (f.star_integral(g), f.star(g).integral_all_space()),
-        (fh.star_integral(gh, mirror=True), fh.star_wt(gh).integral_all_space()),
+        (fh.star_integral(gh), fh.star(gh).integral_all_space()),
     ):
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
