@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
@@ -59,10 +60,12 @@ def _lattice(q0: float, j_min: int, j_max: int) -> QLattice:
 
 
 def _order(order: int, flag: str = "--order", cap: int | None = None) -> int:
+    # keep the error on one short line: int(1e300) alone has 301 digits
+    shown = order if abs(order) < 10**20 else f"{Decimal(order):.3g}"
     if order < 0:
-        raise UsageError(f"{flag} must be >= 0, got {order}")
+        raise UsageError(f"{flag} must be >= 0, got {shown}")
     if cap is not None and order > cap:
-        raise UsageError(f"{flag} must be <= {cap}, got {order}")
+        raise UsageError(f"{flag} must be <= {cap}, got {shown}")
     return order
 
 

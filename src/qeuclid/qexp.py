@@ -331,14 +331,14 @@ def q_translate_oracle_plus(f: Poly) -> TranslationResult:
 # -- q-inversions ------------------------------------------------------------------
 
 
-def u_operator(f: Poly, inverse: bool = False, sector_index: int = 0) -> Poly:
+def u_operator(f: Poly, inverse: bool = False) -> Poly:
     """The scaling operators U (inverse=False) and U^-1 (inverse=True).
 
     U   = sum_k (-lam)^k (x3)^{2k}/[[k]]_{q^-4}! q^{-2 n3(n+ + n- + k)} D^k_{q^-4,x+} D^k_{q^-4,x-}
     U^-1 mirrors with q -> 1/q in the explicit parameters.  The series
     terminates on polynomials: the double derivative eventually annihilates.
+    It acts on sector 0 of ``f``.
     """
-    s = sector_index
     sign = 1 if inverse else -1  # sign of the exponent in the scaling factor
     base = 4 * sign
     total = Poly.zero(f.sectors, f.convention)
@@ -346,9 +346,9 @@ def u_operator(f: Poly, inverse: bool = False, sector_index: int = 0) -> Poly:
     while True:
         g = f
         for _ in range(k):
-            g = g.jackson_d(s, 0, base)
+            g = g.jackson_d(0, 0, base)
         for _ in range(k):
-            g = g.jackson_d(s, 2, base)
+            g = g.jackson_d(0, 2, base)
         if g.is_zero():
             if k > 0:
                 break
@@ -356,11 +356,11 @@ def u_operator(f: Poly, inverse: bool = False, sector_index: int = 0) -> Poly:
             continue
         terms = {}
         for (triples, t), coeff in g.terms.items():
-            a, b, c = triples[s]
+            a, b, c = triples[0]
             terms[(triples, t)] = coeff.shift(2 * sign * b * (a + c + k))
         scaled = Poly(f.sectors, terms, f.convention)
         lam_fac = (LAMBDA if inverse else -LAMBDA) ** k
-        term = scaled.mul_slot_var(s, 1, 2 * k).scale(
+        term = scaled.mul_slot_var(0, 1, 2 * k).scale(
             lam_fac / q_factorial(k, base)
         )
         total = total + term
@@ -376,9 +376,8 @@ def _substituted(coeff, triple, outer: int, mid: int):
     return -w if (a + b + c) % 2 else w
 
 
-def _inversion_series(f: Poly, sector_index: int = 0) -> Poly:
+def _inversion_series(f: Poly) -> Poly:
     """The composite scaling series S with  f(minus x) = U[S[f]]."""
-    s = sector_index
     total = Poly.zero(f.sectors, f.convention)
     i = 0
     while True:
@@ -387,13 +386,13 @@ def _inversion_series(f: Poly, sector_index: int = 0) -> Poly:
         g = Poly(
             f.sectors,
             {
-                key: _substituted(coeff, key[0][s], 2 - 4 * i, 1 - 2 * i)
+                key: _substituted(coeff, key[0][0], 2 - 4 * i, 1 - 2 * i)
                 for key, coeff in f.terms.items()
             },
             f.convention,
         )
         for _ in range(2 * i):
-            g = g.jackson_d(s, 1, -2)
+            g = g.jackson_d(0, 1, -2)
         if g.is_zero() and i > 0:
             break
         out = Poly(
@@ -401,33 +400,33 @@ def _inversion_series(f: Poly, sector_index: int = 0) -> Poly:
             {
                 key: coeff.shift(-2 * a * (a + b) - 2 * c * (c + b) - b * b)
                 for key, coeff in g.terms.items()
-                for a, b, c in (key[0][s],)
+                for a, b, c in (key[0][0],)
             },
             f.convention,
         )
         coeff = ((-LAMBDA * LAMBDA_PLUS).shift(1)) ** i / q_double_factorial_even(
             i, -2
         )
-        term = out.mul_slot_var(s, 0, i).mul_slot_var(s, 2, i).scale(coeff)
+        term = out.mul_slot_var(0, 0, i).mul_slot_var(0, 2, i).scale(coeff)
         total = total + term
         i += 1
-        if 2 * i > max((tr[s][1] for tr, _ in f.terms), default=0):
+        if 2 * i > max((tr[0][1] for tr, _ in f.terms), default=0):
             break
     return total
 
 
-def q_invert(f: Poly, kind: str = "minus", sector_index: int = 0) -> Poly:
+def q_invert(f: Poly, kind: str = "minus") -> Poly:
     """Realize f(minus x) (kind "minus") or f(minusbar x) (kind "minusbar").
 
     The unbarred inversion composes the printed scaling series with the
     operator U; the barred one is its image under (q -> 1/q, +/- swap).
-    Both series terminate on polynomials.
+    Both series terminate on polynomials and act on sector 0 of ``f``.
     """
     if kind == "minus":
-        return u_operator(_inversion_series(f, sector_index), sector_index=sector_index)
+        return u_operator(_inversion_series(f))
     if kind == "minusbar":
         flipped = f.subs_q_inverse_swap()
-        out = q_invert(flipped, "minus", sector_index)
+        out = q_invert(flipped, "minus")
         return out.subs_q_inverse_swap()
     raise ValueError(f"unknown inversion kind {kind!r}")
 

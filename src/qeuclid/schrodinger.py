@@ -468,7 +468,7 @@ def heine_phase_report(
     rows = []
     lamp = LAMBDA_PLUS.eval(q0).real
     for k in range(order + 1):
-        terms = _phase_term(k, -1, t, mass, q0)
+        terms = _phase_term(k, t, mass, q0)
         for pm, p3, pp in samples:
             double_sum = sum(
                 c * pm**a * p3**b * pp**e for c, (a, b, e) in terms
@@ -500,39 +500,15 @@ class PacketError(ValueError):
     pass
 
 
-def _phase_term(k: int, sign: int, t: float, mass, q0: float):
-    """Term k of the numeric phase series of exp(sign i t p^2 / 2m): the
-    pairs (coefficient, degrees) of (sign i t / 2m)^k / k! C(k, l) on the
-    momentum monomial (k-l, 2l, k-l), for l = 0..k."""
+def _phase_term(k: int, t: float, mass, q0: float):
+    """Term k of the numeric phase series of exp(-i t p^2 / 2m): the pairs
+    (coefficient, degrees) of (-i t / 2m)^k / k! C(k, l) on the momentum
+    monomial (k-l, 2l, k-l), for l = 0..k."""
     fact = 1.0  # a float product: past k = 170 it is inf, not an OverflowError
     for j in range(2, k + 1):
         fact *= j
-    pref = (sign * 1j * t / (2.0 * float(mass))) ** k / fact
+    pref = (-1j * t / (2.0 * float(mass))) ** k / fact
     return [(cq_value(k, l, q0) * pref, (k - l, 2 * l, k - l)) for l in range(k + 1)]
-
-
-def _numeric_phase(lattice, sign: int, order: int, mass: Fraction, t: float):
-    """The phase factor at numeric time t as an envelope-free lattice carrier
-    (truncated central star-series of exp(sign i t p^2 / 2m))."""
-    from .lattice import StructuredFn, STerm
-
-    terms = [
-        STerm(c, degrees, (None, None, None))
-        for k in range(order + 1)
-        for c, degrees in _phase_term(k, sign, t, mass, lattice.q0)
-    ]
-    return StructuredFn(lattice, "p", terms)
-
-
-def _phase_tail_estimate(lattice, order, mass, t, support_j):
-    """Magnitude of the next star-series term on the packet's support shell;
-    the convergence guard for the asymptotic series."""
-    k = order + 1
-    pmax = lattice.q0 ** float(support_j)
-    mags = [abs(c) for c, _ in _phase_term(k, 1, t, mass, lattice.q0)]
-    # a part that overflowed to nan must fail the guard, not vanish in max()
-    worst = max(mags) if all(map(math.isfinite, mags)) else math.inf
-    return worst * pmax ** (2 * k)  # every part has total degree 2k
 
 
 @dataclass
@@ -542,9 +518,10 @@ class WavePacket:
     ``c`` carries the expansion coefficients (class: polynomial in the first
     momentum slot, envelopes on the other two) and the lattice they live on.
     The conjugate-family coefficients are its quantum space conjugate,
-    c* = conj(c) (mirrored class), computed once.  The two remaining
-    families, conj(c) and conj(c*), are then c* and c again, so the pair
-    (c, c*) carries every integral.
+    c* = conj(c) (mirrored class).  The two remaining families, conj(c) and
+    conj(c*), are then c* and c again, so the pair (c, c*) carries every
+    integral.  In time the packet evolves by one phase series,
+    c(t) = exp(-i t p^2 / 2m) * c, and c*(t) = conj(c(t)).
     """
 
     c: object
@@ -553,47 +530,53 @@ class WavePacket:
     support_j: float = 8.0
 
     def __post_init__(self):
-        self._cstar = self.c.conjugate()
         self._coeff_cache = {}
 
     def boundary_mass(self) -> float:
-        return self._cstar.star(self.c).boundary_mass()
+        c, cst = self.coefficients_at(0.0)
+        return cst.star(c).boundary_mass()
 
     # -- time evolution ------------------------------------------------------
 
-    def _phases(self, t: float):
-        lattice = self.c.lattice
-        # lowest adequate truncation of the (asymptotic) central series
-        order = None
-        for cand in range(6, self.phase_order + 1):
-            if _phase_tail_estimate(lattice, cand, self.mass, t, self.support_j) < 1e-12:
-                order = cand
+    def _phase(self, t: float):
+        """exp(-i t p^2 / 2m) as an envelope-free lattice carrier: the
+        central series, which is asymptotic, truncated before the first term
+        k >= 7 whose magnitude on the support shell is below 1e-12, or else
+        after ``phase_order``, whose next term must be below 1e-11."""
+        from .lattice import StructuredFn, STerm
+
+        q0 = self.c.lattice.q0
+        pmax = q0 ** float(self.support_j)
+        terms = []
+        for k in range(self.phase_order + 2):
+            term = _phase_term(k, t, self.mass, q0)
+            mags = [abs(c) for c, _ in term]
+            # a part that overflowed to nan must fail the guard, not vanish in max()
+            worst = max(mags) if all(map(math.isfinite, mags)) else math.inf
+            tail = worst * pmax ** (2 * k)  # every part has total degree 2k
+            if k >= 7 and tail < 1e-12:
                 break
-        if order is None:
-            tail = _phase_tail_estimate(
-                lattice, self.phase_order, self.mass, t, self.support_j
-            )
-            if not tail < 1e-11:
-                raise PacketError(
-                    f"phase series not converged at order {self.phase_order} "
-                    f"(tail estimate {tail:.2e}); reduce t or tighten the packet"
-                )
-            order = self.phase_order
-        minus = _numeric_phase(lattice, -1, order, self.mass, t)
-        plus = _numeric_phase(lattice, +1, order, self.mass, t)
-        return minus, plus
+            if k > self.phase_order:
+                if not tail < 1e-11:
+                    raise PacketError(
+                        f"phase series not converged at order {self.phase_order} "
+                        f"(tail estimate {tail:.2e}); reduce t or tighten the packet"
+                    )
+                break
+            terms += [STerm(c, degrees, (None, None, None)) for c, degrees in term]
+        return StructuredFn(self.c.lattice, "p", terms)
 
     def coefficients_at(self, t: float):
-        """(c(t), c*(t)) = (phase(-) * c, c* * phase(+)) with the
-        central-series phases."""
+        """(c(t), c*(t)) with c(t) = phase * c and c*(t) = conj(c(t)).
+
+        Conjugation is antimultiplicative and maps exp(-i t p^2 / 2m) to
+        exp(+i t p^2 / 2m), so conj(c(t)) is c* * phase(+) without a second
+        series or star product."""
         cached = self._coeff_cache.get(t)
         if cached is not None:
             return cached
-        if t == 0.0:
-            out = (self.c, self._cstar)
-        else:
-            minus, plus = self._phases(t)
-            out = (minus.star(self.c), self._cstar.star(plus))
+        ct = self.c if t == 0.0 else self._phase(t).star(self.c)
+        out = (ct, ct.conjugate())
         self._coeff_cache[t] = out
         return out
 
@@ -601,8 +584,7 @@ class WavePacket:
 
     def norm(self, t: float = 0.0) -> complex:
         """Int c*(t) * c(t)."""
-        ct, cst = self.coefficients_at(t)
-        return cst.star_integral(ct)
+        return self.inner(self, t)
 
     def norm_check(self, t: float = 0.0) -> float:
         return abs(1.0 - self.norm(t))

@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qeuclid.qarith import QScalar, LAMBDA_PLUS
@@ -17,7 +19,7 @@ from qeuclid.schrodinger import (
     psq_power,
     zwischen_reorder_residual,
 )
-from qeuclid.lattice import QLattice
+from qeuclid.lattice import QLattice, StructuredFn, STerm
 
 MASS = Fraction(2)
 
@@ -126,6 +128,48 @@ def test_position_expectations(packet):
         packet.expectation_position("3", 0.2) - packet.expectation_position("3", 0.0)
     )
     assert abs(drift) > 1e-6  # position genuinely evolves
+
+
+@pytest.mark.parametrize("t", [0.1, 0.2])
+def test_conjugate_family_is_evolved_by_the_conjugate_phase(packet, t):
+    """c*(t) = conj(phase(-) * c) is c* * phase(+): conjugation is
+    antimultiplicative, and phase(+), the series of exp(+i t p^2 / 2m), has
+    the complex-conjugate coefficients of phase(-)."""
+    minus = packet._phase(t)
+    plus = StructuredFn(
+        minus.lattice, "p", [STerm(m.coeff.conjugate(), m.exps, m.envs) for m in minus.terms]
+    )
+    ct, cst = packet.coefficients_at(t)
+    want = packet.c.conjugate().star(plus)
+    x = packet.c.lattice.axis_values()
+    pts = np.concatenate([x, -x])
+    got_values, want_values = cst.values_on(pts, pts, pts), want.values_on(pts, pts, pts)
+    assert np.max(np.abs(got_values - want_values)) <= 1e-12 * np.max(np.abs(want_values))
+    assert abs(cst.star_integral(ct) - want.star_integral(ct)) <= 1e-12
+
+
+def test_position_velocity_tends_to_momentum_over_mass():
+    """d<X^A>/dt / (<P^A>/m) goes to 1 (Ehrenfest) as q0 -> 1.
+
+    The criterion-10 packet in physical units: its j-units are scaled by
+    s = ln 1.1 / ln q0.  The velocity is a central difference at t = 0.05."""
+    t, h = 0.05, 1e-3
+    deviation = {a: [] for a in ("+", "3", "-")}
+    for q0 in (1.1, 1.05, 1.03, 1.015, 1.01):
+        s = math.log(1.1) / math.log(q0)
+        window = round(12 * s)
+        wp = gaussian_packet(
+            QLattice(q0, -window, window), MASS, center_j=0.3 * s, width_j=0.9 * s,
+            odd_fraction=0.35, phase_order=20,
+        )
+        for a, devs in deviation.items():
+            velocity = (
+                wp.expectation_position(a, t + h) - wp.expectation_position(a, t - h)
+            ) / (2 * h)
+            ratio = velocity / (wp.expectation_momentum(a, t) / float(MASS))
+            devs.append(abs(ratio - 1))
+    for a, devs in deviation.items():
+        assert all(d1 > d2 for d1, d2 in zip(devs, devs[1:])), (a, devs)
 
 
 def test_unconverged_phase_rejected(packet):
