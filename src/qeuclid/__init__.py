@@ -7,73 +7,49 @@ The package has three layers:
 * the free-particle layer: plane waves, phase factors, momentum-space
   propagators (``schrodinger``),
 * a numeric q-lattice backend for integrals, wave packets and expectation
-  values (``lattice``).  It is the only layer that needs numpy; ``QLattice``
-  and ``StructuredFn`` load it on first access, so the exact layers start
-  without numpy.
+  values (``lattice``).  It is the only layer that needs numpy.
 
 ``verify`` drives the per-module property suites; ``cli`` is the command
 line surface.
+
+Importing the package loads none of them.  Every re-export below and every
+submodule (``qeuclid.lattice``, ...) loads on first access, so a process
+pays only for the layers it uses: the exact layers start without numpy,
+and ``qeuclid parse`` without the calculus.
 """
 
-from .qarith import (
-    GRat,
-    QScalar,
-    LAMBDA,
-    LAMBDA_PLUS,
-    KAPPA,
-    q_number,
-    q_factorial,
-    q_binomial,
-    q_pochhammer,
-)
-from .starcalc import (
-    Poly,
-    Metric,
-    coord_variable,
-    star_product,
-    conjugate,
-)
-from .qcalculus import DerivativeLabel, apply_derivative, inverse_partial
-from .qexp import build_exponential, q_translate, q_invert
-from .schrodinger import Hamiltonian, build_plane_wave, propagator_momentum
+import sys
 
-#: names this package re-exports from ``lattice``, loaded on first access
-_LATTICE_NAMES = ("QLattice", "StructuredFn")
+#: each re-exported name -> the submodule that defines it
+_EXPORTS = {
+    **dict.fromkeys(
+        ("GRat", "QScalar", "LAMBDA", "LAMBDA_PLUS", "KAPPA",
+         "q_number", "q_factorial", "q_binomial", "q_pochhammer"),
+        "qarith",
+    ),
+    **dict.fromkeys(
+        ("Poly", "Metric", "coord_variable", "star_product", "conjugate"), "starcalc"
+    ),
+    **dict.fromkeys(("DerivativeLabel", "apply_derivative", "inverse_partial"), "qcalculus"),
+    **dict.fromkeys(("build_exponential", "q_translate", "q_invert"), "qexp"),
+    **dict.fromkeys(("Hamiltonian", "build_plane_wave", "propagator_momentum"), "schrodinger"),
+    **dict.fromkeys(("QLattice", "StructuredFn"), "lattice"),
+}
 
-__all__ = [
-    "GRat",
-    "QScalar",
-    "LAMBDA",
-    "LAMBDA_PLUS",
-    "KAPPA",
-    "q_number",
-    "q_factorial",
-    "q_binomial",
-    "q_pochhammer",
-    "Poly",
-    "Metric",
-    "coord_variable",
-    "star_product",
-    "conjugate",
-    "DerivativeLabel",
-    "apply_derivative",
-    "inverse_partial",
-    "build_exponential",
-    "q_translate",
-    "q_invert",
-    "Hamiltonian",
-    "build_plane_wave",
-    "propagator_momentum",
-    "QLattice",
-    "StructuredFn",
-]
+_SUBMODULES = (
+    "qarith", "starcalc", "ncalgebra", "qcalculus", "qexp",
+    "schrodinger", "lattice", "verify", "dsl", "cli",
+)
+
+__all__ = list(_EXPORTS)
 
 __version__ = "0.1.0"
 
 
 def __getattr__(name):
-    if name in _LATTICE_NAMES:
-        from . import lattice
-
-        return getattr(lattice, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _EXPORTS.get(name, name)
+    if module not in _SUBMODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    __import__(f"{__name__}.{module}")  # as an import statement: -X importtime shows it
+    value = sys.modules[f"{__name__}.{module}"]
+    return value if module == name else getattr(value, name)

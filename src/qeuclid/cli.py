@@ -6,6 +6,10 @@ Exit codes: 0 on success, 1 on verification failures, 2 on usage or syntax
 errors, reported on one line of stderr.  JSON output is canonical (sorted
 keys, no timestamps), so fixed seed and configuration reproduce
 byte-identical reports.
+
+Each command checks its arguments first and then imports the layers it
+runs: ``parse`` needs only ``dsl`` and ``qarith``, and numpy loads only
+where a lattice is sampled.
 """
 
 from __future__ import annotations
@@ -19,14 +23,7 @@ from fractions import Fraction
 from itertools import product
 
 from .qarith import QScalar
-from .starcalc import Poly, coord_poly_to_json
 from . import dsl
-from .schrodinger import (
-    PacketError,
-    propagator_momentum,
-    gaussian_packet,
-    heine_phase_report,
-)
 
 
 class UsageError(Exception):
@@ -51,12 +48,15 @@ def _finite(value: float, flag: str) -> float:
 
 
 def _lattice(q0: float, j_min: int, j_max: int) -> QLattice:
+    where = f"bad lattice (q0={q0}, j in [{j_min}, {j_max}])"
+    if not q0 > 1:  # QLattice checks it too, but only after numpy has loaded
+        raise UsageError(f"{where}: q0 must be > 1")
     from .lattice import QLattice
 
     try:
         return QLattice(q0, j_min, j_max)
     except ValueError as exc:
-        raise UsageError(f"bad lattice (q0={q0}, j in [{j_min}, {j_max}]): {exc}") from None
+        raise UsageError(f"{where}: {exc}") from None
 
 
 def _order(order: int, flag: str = "--order", cap: int | None = None) -> int:
@@ -67,6 +67,13 @@ def _order(order: int, flag: str = "--order", cap: int | None = None) -> int:
     if cap is not None and order > cap:
         raise UsageError(f"{flag} must be <= {cap}, got {shown}")
     return order
+
+
+def _integer(value, what: str) -> int:
+    # a JSON integer: int() would read true as 1 and truncate 19.9 to 19
+    if type(value) is not int:
+        raise UsageError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def _mass(text) -> Fraction:
@@ -84,7 +91,8 @@ _PACKET_ENTRIES = {"center_j": 0.0, "width_j": 1.0, "odd_fraction": 0.0}
 
 
 def _read_packet(path: str):
-    """The lattice and the gaussian_packet arguments of a packet file."""
+    """The lattice and the gaussian_packet arguments of a packet file; every
+    entry is checked before the lattice layer loads."""
     try:
         with open(path) as fh:
             config = json.load(fh)
@@ -95,19 +103,18 @@ def _read_packet(path: str):
                 f"packet file {path}: unknown packet entry {unknown[0]!r} "
                 f"(accepted: {', '.join(_PACKET_ENTRIES)})"
             )
-        shape = {
+        kwargs = {
             key: _finite(float(pk.get(key, default)), f"packet file {path}: {key}")
             for key, default in _PACKET_ENTRIES.items()
         }
-        return _lattice(float(lat["q0"]), int(lat["j_min"]), int(lat["j_max"])), dict(
-            mass=_mass(config.get("mass", "1")),
-            phase_order=_order(
-                int(config.get("phase_order", 16)),
-                f"packet file {path}: phase_order",
-                dsl.MAX_ORDER,
-            ),
-            **shape,
+        kwargs["mass"] = _mass(config.get("mass", "1"))
+        flag = f"packet file {path}: phase_order"
+        kwargs["phase_order"] = _order(
+            _integer(config.get("phase_order", 16), flag), flag, dsl.MAX_ORDER
         )
+        j_min, j_max = (_integer(lat[key], f"packet file {path}: {key}")
+                        for key in ("j_min", "j_max"))
+        return _lattice(float(lat["q0"]), j_min, j_max), kwargs
     except OSError as exc:
         raise UsageError(f"cannot read packet file {path}: {exc.strerror}") from None
     except KeyError as exc:
@@ -119,7 +126,9 @@ def _read_packet(path: str):
 def _poly_json(value):
     if isinstance(value, QScalar):
         return value.to_json()
-    if isinstance(value, Poly) and len(value.sectors) == 1:
+    if len(value.sectors) == 1:
+        from .starcalc import coord_poly_to_json
+
         return coord_poly_to_json(value)
     # generic multi-sector dump
     return {
@@ -158,8 +167,8 @@ def cmd_expand(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    value = dsl.evaluate(dsl.parse_expression(args.expr))
     q0 = _parse_q(args.q)
+    value = dsl.evaluate(dsl.parse_expression(args.expr))
     try:
         if isinstance(value, QScalar):
             v = value.eval(q0)
@@ -182,17 +191,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    q0 = _parse_q(args.q)
+    N = _order(args.N, "--N", dsl.MAX_ORDER)
+    K = _order(args.K, "--K", dsl.MAX_ORDER)
     from .verify import run_suite
 
     try:
         report = run_suite(
-            args.suite,
-            seed=args.seed,
-            q0=_parse_q(args.q),
-            N=_order(args.N, "--N", dsl.MAX_ORDER),
-            K=_order(args.K, "--K", dsl.MAX_ORDER),
-            j_min=-args.grid,
-            j_max=args.grid,
+            args.suite, seed=args.seed, q0=q0, N=N, K=K, j_min=-args.grid, j_max=args.grid
         )
     except ValueError as exc:  # a bad configuration; cases report their own errors
         raise UsageError(f"bad verify configuration: {exc}") from None
@@ -213,7 +219,10 @@ def cmd_verify(args) -> int:
 def cmd_propagator(args) -> int:
     branch = 1 if args.branch == "retarded" else -1
     order = _order(args.order, cap=dsl.MAX_ORDER)
-    prop = propagator_momentum(args.family, branch, order, _mass(args.mass))
+    mass = _mass(args.mass)
+    from .schrodinger import propagator_momentum
+
+    prop = propagator_momentum(args.family, branch, order, mass)
     if args.json:
         print(json.dumps(prop.to_json(), sort_keys=True))
     else:
@@ -226,6 +235,8 @@ def cmd_expectation(args) -> int:
     t = _finite(args.t, "--t")
     lat, kwargs = _read_packet(args.packet)
     import numpy as np
+
+    from .schrodinger import PacketError, gaussian_packet
 
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -259,6 +270,8 @@ def cmd_heine(args) -> int:
         raise UsageError("the phase report needs --q not in {1, -1} and a nonzero --mass")
     order = _order(args.order)
     t = _finite(args.t, "--t")
+    from .schrodinger import heine_phase_report
+
     samples = [(0.8, 1.1, 0.9), (1.3, 0.7, 1.1)]
     try:
         rows = heine_phase_report(order, q0, t, mass, samples)
@@ -276,25 +289,30 @@ _MAX_SAMPLE_GRID = 16
 
 
 def cmd_sample(args) -> int:
-    from .lattice import StructuredFn, log_gaussian
-
     if not args.width > 0:
         raise UsageError(f"--width must be positive, got {args.width}")
+    _finite(args.width, "--width")
     _finite(args.center, "--center")
     if args.grid > _MAX_SAMPLE_GRID:
         raise UsageError(f"--grid must be <= {_MAX_SAMPLE_GRID}, got {args.grid}")
     lat = _lattice(_parse_q(args.q), -args.grid, args.grid)
+    from .lattice import StructuredFn, log_gaussian
+
     env = log_gaussian(lat, args.center, args.width)
     axis = lat.axis_values()
-    pts = [*axis, *-axis]  # sign + then -, j ascending within each
+    pts = [*axis.tolist(), *(-axis).tolist()]  # sign + then -, j ascending within each
     f = StructuredFn.from_envelopes(lat, "x", (env, env, env))
     values = f.values_on(pts, pts, pts)
+    # Python floats print the shortest repr, as numpy's float64 scalars do,
+    # and far faster; each axis point is formatted once
+    labels = [repr(x) for x in pts]
+    rows = zip(product(labels, repeat=3), values.real.ravel().tolist(),
+               values.imag.ravel().tolist())
     try:
         with open(args.out, "w") as fh:
             fh.write("x1,x2,x3,re,im\n")
-            for (x1, x2, x3), v in zip(product(pts, repeat=3), values.flat):
-                if v != 0:
-                    fh.write(f"{x1},{x2},{x3},{v.real},{v.imag}\n")
+            fh.writelines(f"{x1},{x2},{x3},{re},{im}\n"
+                          for (x1, x2, x3), re, im in rows if re or im)
     except OSError as exc:
         raise UsageError(f"cannot write {args.out}: {exc.strerror}") from None
     print(f"wrote {args.out}")

@@ -20,17 +20,21 @@ Grammar (LL(1), whitespace-insensitive, ASCII only):
 carry the offending position.  Parsing then printing a canonical-form
 expression is the identity.  Expressions nest at most ``MAX_DEPTH`` deep,
 and an exponential is truncated at order ``MAX_ORDER`` at most.
+
+Parsing and printing need only ``qarith``; ``evaluate`` loads the layer a
+node needs (``starcalc``, ``qcalculus``, ``qexp``) when it meets one.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .qarith import QScalar, I, GRat
-from .starcalc import Poly, coord_variable, star_product
-from .qcalculus import DerivativeLabel, apply_derivative, inverse_partial
-from .qexp import build_exponential, q_translate, q_invert, VARIANTS
+from .qarith import QScalar, I, GRat, VARIANTS
+
+if TYPE_CHECKING:
+    from .starcalc import Poly
 
 
 class SyntaxErr(ValueError):
@@ -341,11 +345,12 @@ class EvalError(ValueError):
 
 
 def _coerce_pair(a, b):
-    """Lift scalars to the partner's carrier for mixed arithmetic."""
-    if isinstance(a, QScalar) and isinstance(b, Poly):
-        return Poly.scalar(b.sectors, a, b.convention), b
-    if isinstance(b, QScalar) and isinstance(a, Poly):
-        return a, Poly.scalar(a.sectors, b, a.convention)
+    """Lift a scalar to its partner's carrier (a ``Poly``) for mixed
+    arithmetic."""
+    if isinstance(a, QScalar) and not isinstance(b, QScalar):
+        return b.scalar(b.sectors, a, b.convention), b
+    if isinstance(b, QScalar) and not isinstance(a, QScalar):
+        return a, a.scalar(a.sectors, b, a.convention)
     return a, b
 
 
@@ -353,6 +358,8 @@ def evaluate(node):
     """Evaluate an AST to a QScalar or a symbolic Poly."""
     kind = node[0]
     if kind == "coord":
+        from .starcalc import coord_variable
+
         return coord_variable(node[1])
     if kind == "lit":
         return node[1]
@@ -379,23 +386,33 @@ def evaluate(node):
             return a - b
         if kind == "mul":
             return a.mul_pointwise(b)
+        from .starcalc import star_product
+
         return star_product(a, b)
     if kind == "conj":
         v = evaluate(node[1])
         return v.conjugate()
     if kind == "exp":
+        from .qexp import build_exponential
+
         return build_exponential(node[1], node[2]).body
     if kind == "translate":
+        from .qexp import q_translate
+
         v = evaluate(node[2])
         _require_position(v, "translate")
         return q_translate(v, node[1]).polynomial
     if kind == "invert":
+        from .qexp import q_invert
+
         v = evaluate(node[2])
         _require_position(v, "invert")
         return q_invert(v, node[1])
     if kind == "apply":
+        from .qcalculus import DerivativeLabel, apply_derivative, inverse_partial
+
         v = evaluate(node[3])
-        if not isinstance(v, Poly):
+        if isinstance(v, QScalar):
             raise EvalError("derivatives act on polynomials")
         op, index = node[1], node[2]
         if op == "d":
@@ -424,7 +441,7 @@ def _as_wt(v: Poly) -> Poly:
 
 
 def _require_position(v, what):
-    if not isinstance(v, Poly) or len(v.sectors) != 1 or v.sectors[0].kind != "x":
+    if isinstance(v, QScalar) or len(v.sectors) != 1 or v.sectors[0].kind != "x":
         raise EvalError(f"{what} acts on single position-sector polynomials")
 
 

@@ -591,6 +591,18 @@ LAMBDA_PLUS = QScalar._raw({1: (1, 0), -1: (1, 0)}, _ONE_DEN, True)
 #: kappa = q^6
 KAPPA = QScalar.q(6)
 
+#: the names of the six truncated q-exponentials (``qexp.build_exponential``);
+#: defined at the bottom layer so the expression parser checks a name
+#: without loading the calculus
+VARIANTS = (
+    "x_ip",
+    "ipinv_x",
+    "bar_x_ip",
+    "bar_ipinv_x",
+    "star_ip_x",
+    "star_x_ipinv",
+)
+
 
 @lru_cache(maxsize=None)
 def q_number(a: int, base_exponent: int = 1) -> QScalar:

@@ -29,6 +29,7 @@ from .qarith import (
     I_INV,
     LAMBDA,
     LAMBDA_PLUS,
+    VARIANTS,  # re-exported: the names build_exponential accepts
     q_factorial,
     q_double_factorial_even,
 )
@@ -45,15 +46,6 @@ from .starcalc import (
 from .qcalculus import DerivativeLabel, apply_derivative, d
 
 Y_SECTOR = Sector("x", "y")
-
-VARIANTS = (
-    "x_ip",
-    "ipinv_x",
-    "bar_x_ip",
-    "bar_ipinv_x",
-    "star_ip_x",
-    "star_x_ipinv",
-)
 
 
 @dataclass(frozen=True)

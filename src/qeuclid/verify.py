@@ -3,7 +3,9 @@
 Each module contributes a suite of named cases; a case either passes or
 reports a failure with a reproduction hint.  Reports are deterministic for
 a fixed seed and configuration (wall time is carried on the report object
-but stays out of the canonical JSON form).
+but stays out of the canonical JSON form).  Each suite imports the layers it
+checks, so ``--suite qarith`` loads neither the star product nor the
+free-particle layer.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .qarith import (
     GRat,
@@ -21,34 +24,14 @@ from .qarith import (
     ONE,
     LAMBDA,
     LAMBDA_PLUS,
+    VARIANTS,
     q_number,
     q_binomial,
     q_pochhammer,
 )
-from .starcalc import (
-    Poly,
-    X_SECTOR,
-    P_SECTOR,
-    Metric,
-    coord_variable,
-    coord_upper,
-    coord_lower,
-    star_product,
-    conjugate,
-    coord_poly_to_json,
-    coord_poly_from_json,
-    metric_contract,
-    to_phase_space,
-)
-from . import ncalgebra
-from .qcalculus import (
-    apply_derivative,
-    inverse_partial,
-    integration_adjoint,
-    d,
-)
-from . import qexp
-from . import schrodinger as srd
+
+if TYPE_CHECKING:
+    from .starcalc import Poly
 
 
 @dataclass
@@ -113,6 +96,8 @@ def _rand_scalar(rnd) -> QScalar:
 
 
 def rand_coord_poly(rnd, deg=3, nterm=4, with_t=True, sector="x", conv="W") -> Poly:
+    from .starcalc import Poly, X_SECTOR, P_SECTOR
+
     sec = X_SECTOR if sector == "x" else P_SECTOR
     p = Poly.zero((sec,), conv)
     for _ in range(nterm):
@@ -208,6 +193,9 @@ def _suite_qarith(rnd, cfg):
 
 
 def _suite_ncalgebra(rnd, cfg):
+    from . import ncalgebra
+    from .starcalc import star_product
+
     cases = []
 
     def confluence():
@@ -264,6 +252,20 @@ def _suite_ncalgebra(rnd, cfg):
 
 
 def _suite_starcalc(rnd, cfg):
+    from .starcalc import (
+        Poly,
+        P_SECTOR,
+        Metric,
+        coord_variable,
+        coord_upper,
+        coord_lower,
+        star_product,
+        conjugate,
+        coord_poly_to_json,
+        coord_poly_from_json,
+        metric_contract,
+    )
+
     cases = []
     xp, x3, xm = (coord_variable(v) for v in ("x+", "x3", "x-"))
 
@@ -371,6 +373,8 @@ def _suite_starcalc(rnd, cfg):
 def _suite_qcalculus(rnd, cfg):
     import numpy as np
 
+    from .starcalc import Poly, X_SECTOR, coord_upper
+    from .qcalculus import apply_derivative, inverse_partial, integration_adjoint, d
     from .lattice import QLattice, AxisFn, StructuredFn, STerm, log_gaussian, odd_log_gaussian
 
     cases = []
@@ -503,11 +507,15 @@ def _suite_qcalculus(rnd, cfg):
 
 
 def _suite_qexp(rnd, cfg):
+    from . import qexp
+    from .starcalc import coord_variable, coord_upper, to_phase_space
+    from .qcalculus import apply_derivative, d
+
     cases = []
     N = cfg["N"]
 
     def eigen():
-        for variant in qexp.VARIANTS:
+        for variant in VARIANTS:
             e = qexp.build_exponential(variant, N)
             for a in ("+", "3", "-"):
                 r = qexp.below_shell(qexp.eigen_residual(e, a), N)
@@ -519,7 +527,7 @@ def _suite_qexp(rnd, cfg):
           eigen, "verify --suite qexp")
 
     def normalization():
-        for variant in qexp.VARIANTS:
+        for variant in VARIANTS:
             e = qexp.build_exponential(variant, N)
             r1, r2 = qexp.normalization_residuals(e)
             if not (r1.is_zero() and r2.is_zero()):
@@ -613,6 +621,7 @@ def _suite_qexp(rnd, cfg):
 
 
 def _suite_schrodinger(rnd, cfg):
+    from . import schrodinger as srd
     from .lattice import QLattice
 
     cases = []

@@ -230,6 +230,11 @@ NESTED = {
         ["expectation", "--packet", "{tmp}/nan_odd_fraction.json"],
         ["expectation", "--packet", "{tmp}/infinite_order.json"],
         ["expectation", "--packet", "{tmp}/huge_order.json", "--t", "0.05"],
+        ["expectation", "--packet", "{tmp}/true_phase_order.json"],
+        ["expectation", "--packet", "{tmp}/fractional_phase_order.json"],
+        ["expectation", "--packet", "{tmp}/fractional_j_min.json"],
+        ["expectation", "--packet", "{tmp}/true_j_max.json"],
+        ["sample", "--grid", "2", "--out", "{tmp}/g.csv", "--width", "inf"],
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, argv):
@@ -250,7 +255,12 @@ def test_cli_bad_input_exits_2(tmp_path, argv):
         "nan_odd_fraction": {"lattice": window, "packet": {**packet, "odd_fraction": math.nan}},
         "infinite_order": {"lattice": window, "phase_order": math.inf, "packet": packet},
         "huge_order": {"lattice": {"q0": 1.2, "j_min": -1, "j_max": 0}, "mass": "3/2",
-                       "packet": {"width_j": 0.59}, "phase_order": 1e300},
+                       "packet": {"width_j": 0.59}, "phase_order": 10**300},
+        # integer entries are JSON integers: int() would run true as 1, 19.9 as 19
+        "true_phase_order": {"lattice": window, "phase_order": True, "packet": packet},
+        "fractional_phase_order": {"lattice": window, "phase_order": 19.9, "packet": packet},
+        "fractional_j_min": {"lattice": {**window, "j_min": -8.7}, "packet": packet},
+        "true_j_max": {"lattice": {**window, "j_max": True}, "packet": packet},
     }
     for name, config in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(config))
@@ -258,8 +268,12 @@ def test_cli_bad_input_exits_2(tmp_path, argv):
     lines = [ln for ln in err.splitlines() if ln.strip()]
     assert code == 2 and out == "" and len(lines) == 1, err
     assert not (tmp_path / "g.csv").exists()
-    if argv[-1] in ("nan", "inf") and argv[-2] in ("--t", "--mass"):
+    if argv[-1] in ("nan", "inf") and argv[-2] in ("--t", "--mass", "--width"):
         assert argv[-2] in lines[0], err
+    name = os.path.basename(argv[2]) if argv[0] == "expectation" else ""
+    if name.startswith(("true_", "fractional_")):
+        entry = name.removesuffix(".json").split("_", 1)[1]
+        assert f"{entry} must be an integer" in lines[0], err
     if argv[-1].endswith("nan_odd_fraction.json"):
         assert "odd_fraction must be finite" in lines[0], err
     if argv[-3:-2] == ["{tmp}/huge_order.json"]:
@@ -268,24 +282,45 @@ def test_cli_bad_input_exits_2(tmp_path, argv):
         assert len(lines[0].replace(str(tmp_path), "")) < 120, err
 
 
-#: run in a fresh interpreter: the package and the symbolic commands and
-#: suites never load numpy; the lattice names load it on first access
+#: run in a fresh interpreter: importing the package loads no layer, each
+#: command loads only the layers it runs and checks its arguments first, the
+#: symbolic commands and suites never load numpy, and the re-exported names
+#: load their layer on first access
 SYMBOLIC_SCRIPT = """
 import contextlib, io, sys
 import qeuclid
-assert "qeuclid.lattice" not in sys.modules and "numpy" not in sys.modules
+
+def loaded():
+    return {m.split(".", 1)[1] for m in sys.modules if m.startswith("qeuclid.")}
+
+def run(argv, code=0):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == code, argv
+
+assert loaded() == set() and "numpy" not in sys.modules, loaded()
 from qeuclid.cli import main
+run(["parse", "star(x-, x+)"])
+run(["parse", "star(x-,"], 2)
+run(["parse", "exp[nope](2)"], 2)
 for argv in (
-    ["parse", "star(x-, x+)"],
-    ["expand", "star(x-, x+)"],
-    ["eval", "star(x-, x+)"],
+    ["sample", "--q", "1", "--out", "no-such-dir/g.csv"],
+    ["propagator", "--order", "-1"],
+    ["heine", "--q", "1"],
+    ["expectation", "--packet", "no-such-dir/packet.json"],
+):
+    run(argv, 2)
+assert loaded() == {"cli", "dsl", "qarith"} and "numpy" not in sys.modules, loaded()
+run(["verify", "--suite", "qarith"])
+assert "starcalc" not in loaded(), loaded()
+run(["expand", "star(x-, x+)"])
+run(["eval", "star(x-, x+)"])
+assert not loaded() & {"qcalculus", "qexp", "schrodinger"}, loaded()
+for argv in (
     ["propagator", "--order", "2"],
     ["heine", "--order", "3"],
-    ["verify", "--suite", "qarith"],
     ["verify", "--suite", "ncalgebra"],
 ):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv) == 0, argv
+    run(argv)
     assert "numpy" not in sys.modules, argv
 assert qeuclid.QLattice is qeuclid.lattice.QLattice
 from qeuclid import StructuredFn
@@ -296,12 +331,37 @@ except AttributeError:
     pass
 else:
     raise AssertionError("unknown attribute")
+for name in qeuclid.__all__:
+    getattr(qeuclid, name)
 """
 
 
 def test_symbolic_commands_load_no_numpy():
     code, out, err = run_python("-c", SYMBOLIC_SCRIPT)
     assert code == 0 and out == "" and err == "", err
+
+
+@pytest.mark.parametrize("center", ["0", "0.5"])
+def test_sample_csv_matches_row_by_row_formula(tmp_path, center, capsys):
+    """``sample`` writes the bytes of the row-by-row loop over numpy scalars
+    that it replaced."""
+    from itertools import product
+
+    from qeuclid.lattice import QLattice, StructuredFn, log_gaussian
+
+    path = tmp_path / "g.csv"
+    assert main(["sample", "--grid", "3", "--center", center, "--out", str(path)]) == 0
+    lat = QLattice(1.1, -3, 3)
+    env = log_gaussian(lat, float(center), 1.2)
+    axis = lat.axis_values()
+    pts = [*axis, *-axis]
+    values = StructuredFn.from_envelopes(lat, "x", (env, env, env)).values_on(pts, pts, pts)
+    want = "x1,x2,x3,re,im\n" + "".join(
+        f"{x1},{x2},{x3},{v.real},{v.imag}\n"
+        for (x1, x2, x3), v in zip(product(pts, repeat=3), values.flat)
+        if v != 0
+    )
+    assert path.read_text() == want
 
 
 @pytest.mark.parametrize("shape", NESTED)
