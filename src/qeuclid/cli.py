@@ -8,8 +8,9 @@ keys, no timestamps), so fixed seed and configuration reproduce
 byte-identical reports.
 
 Each command checks its arguments first and then imports the layers it
-runs: ``parse`` needs only ``dsl`` and ``qarith``, and numpy loads only
-where a lattice is sampled.
+runs: ``parse`` needs only ``dsl`` and ``qarith``, a bad argument is
+reported before any other qeuclid module loads, and numpy loads only where
+a lattice is sampled.
 """
 
 from __future__ import annotations
@@ -18,22 +19,49 @@ import argparse
 import json
 import math
 import sys
-from decimal import Decimal
-from fractions import Fraction
 from itertools import product
 
-from .qarith import QScalar
-from . import dsl
+from . import MAX_ORDER
 
 
 class UsageError(Exception):
-    """Bad command-line input; ``main`` reports it, like a DSL syntax or
-    evaluation error, on one line and exits 2."""
+    """Bad command-line input, a DSL evaluation error among them; ``main``
+    reports it on one line of stderr, after ``prefix``, and exits 2."""
+
+    prefix = "error"
+
+
+class ExpressionSyntaxError(UsageError):
+    prefix = "syntax error"
+
+
+def _parse(text: str):
+    """The ``dsl`` module and the syntax tree of ``text``."""
+    from . import dsl
+
+    try:
+        return dsl, dsl.parse_expression(text)
+    except dsl.SyntaxErr as exc:
+        raise ExpressionSyntaxError(exc) from None
+
+
+def _evaluate(text: str):
+    """The value of the expression ``text``: a ``QScalar`` or a ``Poly``."""
+    dsl, node = _parse(text)
+    try:
+        return dsl.evaluate(node)
+    except dsl.EvalError as exc:
+        raise UsageError(exc) from None
 
 
 def _parse_q(text: str) -> float:
     try:
-        q0 = float(Fraction(text)) if "/" in text else float(text)
+        if "/" in text:
+            from fractions import Fraction
+
+            q0 = float(Fraction(text))
+        else:
+            q0 = float(text)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"--q is not a number: {text!r}") from None
     if q0 == 0 or not math.isfinite(q0):
@@ -61,7 +89,12 @@ def _lattice(q0: float, j_min: int, j_max: int) -> QLattice:
 
 def _order(order: int, flag: str = "--order", cap: int | None = None) -> int:
     # keep the error on one short line: int(1e300) alone has 301 digits
-    shown = order if abs(order) < 10**20 else f"{Decimal(order):.3g}"
+    if abs(order) < 10**20:
+        shown = order
+    else:
+        from decimal import Decimal
+
+        shown = f"{Decimal(order):.3g}"
     if order < 0:
         raise UsageError(f"{flag} must be >= 0, got {shown}")
     if cap is not None and order > cap:
@@ -77,6 +110,8 @@ def _integer(value, what: str) -> int:
 
 
 def _mass(text) -> Fraction:
+    from fractions import Fraction
+
     try:
         mass = Fraction(text)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
@@ -110,7 +145,7 @@ def _read_packet(path: str):
         kwargs["mass"] = _mass(config.get("mass", "1"))
         flag = f"packet file {path}: phase_order"
         kwargs["phase_order"] = _order(
-            _integer(config.get("phase_order", 16), flag), flag, dsl.MAX_ORDER
+            _integer(config.get("phase_order", 16), flag), flag, MAX_ORDER
         )
         j_min, j_max = (_integer(lat[key], f"packet file {path}: {key}")
                         for key in ("j_min", "j_max"))
@@ -124,6 +159,8 @@ def _read_packet(path: str):
 
 
 def _poly_json(value):
+    from .qarith import QScalar
+
     if isinstance(value, QScalar):
         return value.to_json()
     if len(value.sectors) == 1:
@@ -146,7 +183,7 @@ def _poly_json(value):
 
 
 def cmd_parse(args) -> int:
-    node = dsl.parse_expression(args.expr)
+    dsl, node = _parse(args.expr)
     print(dsl.to_sexp(node))
     try:
         same = dsl.parse_expression(dsl.print_expression(node)) == node
@@ -158,7 +195,7 @@ def cmd_parse(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    value = dsl.evaluate(dsl.parse_expression(args.expr))
+    value = _evaluate(args.expr)
     if args.json:
         print(json.dumps(_poly_json(value), sort_keys=True))
     else:
@@ -168,7 +205,9 @@ def cmd_expand(args) -> int:
 
 def cmd_eval(args) -> int:
     q0 = _parse_q(args.q)
-    value = dsl.evaluate(dsl.parse_expression(args.expr))
+    value = _evaluate(args.expr)
+    from .qarith import QScalar
+
     try:
         if isinstance(value, QScalar):
             v = value.eval(q0)
@@ -192,8 +231,8 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     q0 = _parse_q(args.q)
-    N = _order(args.N, "--N", dsl.MAX_ORDER)
-    K = _order(args.K, "--K", dsl.MAX_ORDER)
+    N = _order(args.N, "--N", MAX_ORDER)
+    K = _order(args.K, "--K", MAX_ORDER)
     from .verify import run_suite
 
     try:
@@ -218,7 +257,7 @@ def cmd_verify(args) -> int:
 
 def cmd_propagator(args) -> int:
     branch = 1 if args.branch == "retarded" else -1
-    order = _order(args.order, cap=dsl.MAX_ORDER)
+    order = _order(args.order, cap=MAX_ORDER)
     mass = _mass(args.mass)
     from .schrodinger import propagator_momentum
 
@@ -296,13 +335,22 @@ def cmd_sample(args) -> int:
     if args.grid > _MAX_SAMPLE_GRID:
         raise UsageError(f"--grid must be <= {_MAX_SAMPLE_GRID}, got {args.grid}")
     lat = _lattice(_parse_q(args.q), -args.grid, args.grid)
+    import numpy as np
+
     from .lattice import StructuredFn, log_gaussian
 
-    env = log_gaussian(lat, args.center, args.width)
     axis = lat.axis_values()
     pts = [*axis.tolist(), *(-axis).tolist()]  # sign + then -, j ascending within each
-    f = StructuredFn.from_envelopes(lat, "x", (env, env, env))
-    values = f.values_on(pts, pts, pts)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            env = log_gaussian(lat, args.center, args.width)
+            f = StructuredFn.from_envelopes(lat, "x", (env, env, env))
+            values = f.values_on(pts, pts, pts)
+    except FloatingPointError:  # say, a width so small that 1/w^2 overflows
+        raise UsageError(
+            f"the sample leaves the float range at --center {args.center}, "
+            f"--width {args.width}"
+        ) from None
     # Python floats print the shortest repr, as numpy's float64 scalars do,
     # and far faster; each axis point is formatted once
     labels = [repr(x) for x in pts]
@@ -389,11 +437,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except dsl.SyntaxErr as exc:
-        print(f"syntax error: {exc}", file=sys.stderr)
-        return 2
-    except (UsageError, dsl.EvalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except UsageError as exc:
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
         return 2
 
 

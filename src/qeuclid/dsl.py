@@ -31,6 +31,7 @@ import re
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
+from . import MAX_ORDER  # the cap on exp[...](N), also read as dsl.MAX_ORDER
 from .qarith import QScalar, I, GRat, VARIANTS
 
 if TYPE_CHECKING:
@@ -57,11 +58,6 @@ INDICES = ("+", "3", "-", "0")
 #: nests to the left).  It keeps the parser (four frames per bracket),
 #: ``evaluate`` and the printers well inside Python's recursion limit.
 MAX_DEPTH = 100
-
-#: the highest truncation order of an exact series: ``exp[...](N)`` here and
-#: ``propagator --order`` in the CLI.  Term count, time and printed size grow
-#: steeply with the order (a propagator takes 0.3 s at order 20, 15 s at 40).
-MAX_ORDER = 20
 
 
 def tokenize(src: str):

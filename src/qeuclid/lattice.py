@@ -29,14 +29,14 @@ export and for pointwise checks.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .qarith import QScalar
+from .qarith import QScalar, _Frozen
 from .starcalc import Sector
 
 #: byte bound on one gathered block of envelope samples in _axis_rows
@@ -49,33 +49,44 @@ STEPS = (2, 1, 2)
 COSETS = (0, 0, 1)
 
 
-@dataclass(frozen=True)
-class QLattice:
+class QLattice(_Frozen):
     """Grid config: base q0 > 1 and the exponent window [j_min, j_max].
 
     The all-space integral sums slot s over the window's j with
     j = COSETS[s] mod STEPS[s], weighted by the Jackson weights of base
     q0^STEPS[s]: the smaller-lattice integral with conjugation-compatible
     offsets.  The window's end points q0^j_min and q0^j_max must be normal
-    floats.
+    floats.  A value: equal and hashed by (q0, j_min, j_max).
     """
 
-    q0: float
-    j_min: int = -20
-    j_max: int = 20
+    __slots__ = ("q0", "j_min", "j_max")
 
-    def __post_init__(self):
-        if not self.q0 > 1:
+    def __init__(self, q0: float, j_min: int = -20, j_max: int = 20):
+        if not q0 > 1:
             raise ValueError("q0 must be > 1")
-        if self.j_min > self.j_max:
+        if j_min > j_max:
             raise ValueError("empty lattice window")
-        for j in (self.j_min, self.j_max):
+        for j in (j_min, j_max):
             try:
-                x = float(self.q0) ** j
+                x = float(q0) ** j
             except OverflowError:
                 x = math.inf
             if not sys.float_info.min <= x < math.inf:
                 raise ValueError(f"q0^{j} is not a normal float")
+        object.__setattr__(self, "q0", q0)
+        object.__setattr__(self, "j_min", j_min)
+        object.__setattr__(self, "j_max", j_max)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.q0, self.j_min, self.j_max) == (other.q0, other.j_min, other.j_max)
+
+    def __hash__(self):
+        return hash((self.q0, self.j_min, self.j_max))
+
+    def __repr__(self):
+        return f"QLattice(q0={self.q0!r}, j_min={self.j_min!r}, j_max={self.j_max!r})"
 
     def js(self) -> np.ndarray:
         return np.arange(self.j_min, self.j_max + 1)
@@ -347,11 +358,30 @@ def _falling(dmax: int, Q: float) -> np.ndarray:
 # -- structured carrier -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class STerm:
-    coeff: complex
-    exps: tuple[int, int, int]
-    envs: tuple[AxisFn | None, AxisFn | None, AxisFn | None]
+class STerm(_Frozen):
+    """One term of a :class:`StructuredFn`: ``coeff`` times the slot
+    monomial of degrees ``exps`` times the per-slot envelopes ``envs``
+    (:class:`AxisFn` or None).  A value: equal and hashed by its three
+    fields."""
+
+    __slots__ = ("coeff", "exps", "envs")
+
+    def __init__(self, coeff: complex, exps: tuple[int, int, int],
+                 envs: tuple[AxisFn | None, AxisFn | None, AxisFn | None]):
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "exps", exps)
+        object.__setattr__(self, "envs", envs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.coeff, self.exps, self.envs) == (other.coeff, other.exps, other.envs)
+
+    def __hash__(self):
+        return hash((self.coeff, self.exps, self.envs))
+
+    def __repr__(self):
+        return f"STerm(coeff={self.coeff!r}, exps={self.exps!r}, envs={self.envs!r})"
 
 
 class ClassConstraintError(ValueError):
@@ -614,7 +644,9 @@ class StructuredFn:
         block of triples only gathers them by term.  The middle slot's
         profile pairs both terms' middle envelopes, dilated by k, so each
         block codes and samples its own (:func:`_factor_sums`).  Beyond the
-        operands' per-term arrays, memory is O(_BLOCK_TRIPLES)."""
+        operands' per-term arrays, memory is O(_BLOCK_TRIPLES).  A result
+        past the float range (a factor that overflowed, times zero, gives
+        nan) raises ``FloatingPointError``."""
         lat = self.lattice
         blocks = self._star_triples(other)
         mirror = self.convention == "Wt"
@@ -635,7 +667,10 @@ class StructuredFn:
             f1 = _factor_sums(lat, 1, roots1, mid, exps[:, 1])
             f2 = _reduce(lat, 2, rows2, prof2[i_last], exps[:, 2])
             total += np.sum(coeff * f0 * f1 * f2)
-        return complex(total)
+        total = complex(total)
+        if not cmath.isfinite(total):
+            raise FloatingPointError(f"star integral is not finite: {total}")
+        return total
 
     # -- evaluation and integration ----------------------------------------------
 

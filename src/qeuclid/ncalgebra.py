@@ -186,6 +186,16 @@ def _l_mul(a: dict, b: dict) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
+#: one insertion table per (convention, at_end): {(sorted word, letter):
+#: {sorted word: multiplier}}, kept for the process.  A sorted word is fixed
+#: by its four letter counts, so a table grows only with the largest degree
+#: met, and each reduction strategy keeps its own, so the confluence check
+#: still compares two independent reductions.  Entries are never mutated.
+_INSERT_TABLES: dict[tuple[str, bool], dict] = {
+    (convention, at_end): {} for convention in _RANK for at_end in (True, False)
+}
+
+
 def _insert(s: Word, x: str, at_end: bool, convention: str, memo: dict) -> dict:
     """Normal form of ``s x`` (``at_end``) or ``x s``, for a sorted ``s``, as
     {sorted word: multiplier}.
@@ -193,8 +203,9 @@ def _insert(s: Word, x: str, at_end: bool, convention: str, memo: dict) -> dict:
     The one inversion is the pair at the seam, the leftmost redex of ``s x``
     and the rightmost of ``x s``.  Its replacement ``a b`` is inserted one
     letter at a time into the rest of ``s``, the letter next to the rest
-    first.  Results are memoized in ``memo`` per (s, x): equal rewrite states
-    reached along different paths are reduced once.
+    first.  Results are memoized in ``memo``, the insertion table of
+    (convention, at_end), per (s, x): equal rewrite states reached along
+    different paths, or in earlier calls, are reduced once.
     """
     if not s:
         return {(x,): _UNIT}
@@ -229,16 +240,17 @@ def normal_order(f: NCPoly, convention: str = "W", strategy: str = "leftmost") -
     each word from the left, inserting the next letter at the end of the
     normal-ordered prefix, so the redex reduced is always the leftmost one;
     ``"rightmost"`` is its mirror image, folding from the right and inserting
-    at the front of the normal-ordered suffix.  Insertions are memoized for
-    the duration of the call, and multipliers stay integer Laurent
-    polynomials until one scalar per (input word, output word) is built.
+    at the front of the normal-ordered suffix.  Insertions are memoized in
+    the process-wide table of (convention, strategy), and multipliers stay
+    integer Laurent polynomials until one scalar per (input word, output
+    word) is built.
     """
     if convention not in _RANK:
         raise ValueError(f"unknown convention {convention!r}")
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
     at_end = strategy == "leftmost"
-    memo: dict = {}
+    memo = _INSERT_TABLES[convention, at_end]
     out: dict[Word, QScalar] = {}
     for word, coeff in f.terms.items():
         state: dict[Word, dict] = {(): _UNIT}

@@ -27,7 +27,6 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
@@ -39,13 +38,41 @@ class ExactnessError(ArithmeticError):
     instance the division inside a q-binomial) does not."""
 
 
-@dataclass(frozen=True)
-class GRat:
-    """A Gaussian rational a + b*i with exact rational parts: the public
-    coefficient type that ``QScalar`` takes and hands out."""
+class _Frozen:
+    """Base of the immutable value classes of every layer: assigning or
+    deleting an attribute raises ``AttributeError``, so ``__init__`` writes
+    through ``object.__setattr__``."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GRat(_Frozen):
+    """A Gaussian rational a + b*i with exact rational parts: the public
+    coefficient type that ``QScalar`` takes and hands out.  A value:
+    immutable, equal and hashed by its parts."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Fraction = Fraction(0), im: Fraction = Fraction(0)):
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __repr__(self):
+        return f"GRat(re={self.re!r}, im={self.im!r})"
 
     def __str__(self) -> str:
         if self.im == 0:

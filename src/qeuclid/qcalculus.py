@@ -42,33 +42,49 @@ carrier's ordering, ``conjugate`` (keeping the tag), the unit coordinate
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
-from .qarith import KAPPA, QScalar, ONE, LAMBDA
+from .qarith import KAPPA, QScalar, ONE, LAMBDA, _Frozen
 from .starcalc import Metric
 
 SPATIAL = ("+", "3", "-")
 
 
-@dataclass(frozen=True)
-class DerivativeLabel:
+class DerivativeLabel(_Frozen):
     """index in {+, 3, -, 0}; variant plain|hat; side left |> , left_bar,
-    right <| , right_bar; position upper|lower."""
+    right <| , right_bar; position upper|lower.  A value: equal and hashed
+    by its four fields."""
 
-    index: str
-    variant: str = "plain"
-    side: str = "left"
-    position: str = "lower"
+    __slots__ = ("index", "variant", "side", "position")
 
-    def __post_init__(self):
-        if self.index not in ("+", "3", "-", "0"):
-            raise ValueError(f"bad index {self.index!r}")
-        if self.variant not in ("plain", "hat"):
-            raise ValueError(f"bad variant {self.variant!r}")
-        if self.side not in ("left", "left_bar", "right", "right_bar"):
-            raise ValueError(f"bad side {self.side!r}")
-        if self.position not in ("upper", "lower"):
-            raise ValueError(f"bad position {self.position!r}")
+    def __init__(self, index: str, variant: str = "plain", side: str = "left",
+                 position: str = "lower"):
+        if index not in ("+", "3", "-", "0"):
+            raise ValueError(f"bad index {index!r}")
+        if variant not in ("plain", "hat"):
+            raise ValueError(f"bad variant {variant!r}")
+        if side not in ("left", "left_bar", "right", "right_bar"):
+            raise ValueError(f"bad side {side!r}")
+        if position not in ("upper", "lower"):
+            raise ValueError(f"bad position {position!r}")
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "variant", variant)
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "position", position)
+
+    def _fields(self):
+        return self.index, self.variant, self.side, self.position
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "DerivativeLabel(index={!r}, variant={!r}, side={!r}, position={!r})".format(
+            *self._fields()
+        )
 
 
 def d(index, variant="plain", side="left", position="lower") -> DerivativeLabel:
@@ -197,7 +213,7 @@ def _resolve_index(label: DerivativeLabel, kind: str):
     if label.index == "0" or label.position == _natural_position(kind):
         return label, ONE
     partner, g = Metric.lower(label.index)  # g_AB = g^AB, so one map serves
-    return replace(label, index=partner, position=_natural_position(kind)), g
+    return DerivativeLabel(partner, label.variant, label.side, _natural_position(kind)), g
 
 
 def apply_derivative(label: DerivativeLabel, f, sector_index: int = 0):

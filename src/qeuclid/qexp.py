@@ -21,8 +21,6 @@ inversion is the image of the unbarred one under (q -> 1/q, +/- swap).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .qarith import (
     ONE,
     I,
@@ -32,6 +30,7 @@ from .qarith import (
     VARIANTS,  # re-exported: the names build_exponential accepts
     q_factorial,
     q_double_factorial_even,
+    _Frozen,
 )
 from .starcalc import (
     Poly,
@@ -48,11 +47,15 @@ from .qcalculus import DerivativeLabel, apply_derivative, d
 Y_SECTOR = Sector("x", "y")
 
 
-@dataclass(frozen=True)
-class QExponential:
-    variant: str
-    order: int
-    body: Poly  # (x, p) phase-space carrier
+class QExponential(_Frozen):
+    """The exponential ``variant`` truncated at total degree ``order``."""
+
+    __slots__ = ("variant", "order", "body")
+
+    def __init__(self, variant: str, order: int, body: Poly):
+        object.__setattr__(self, "variant", variant)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "body", body)  # (x, p) phase-space carrier
 
 
 def _xp_sectors():
@@ -198,10 +201,15 @@ def exponential_to_json(exp: QExponential) -> dict:
 # -- q-translations ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TranslationResult:
-    kind: str  # "plus" or "plusbar"
-    polynomial: Poly  # sectors (x, y)
+class TranslationResult(_Frozen):
+    """f(x (+) y) for the translation ``kind`` ("plus" or "plusbar"), as a
+    polynomial on the sectors (x, y)."""
+
+    __slots__ = ("kind", "polynomial")
+
+    def __init__(self, kind: str, polynomial: Poly):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "polynomial", polynomial)
 
     def restrict_second_zero(self) -> Poly:
         """f(x (+) y) at y = 0, as a single-sector polynomial again."""

@@ -26,12 +26,15 @@ C(k, l) = -lam_+ q^{4l} C(k-1, l) + q^-2 C(k-1, l-1).
 Momentum-space propagators are carried as formal Laurent series in the
 single opaque symbol (E +- i eps); the defining identity
 (E - p^2/2m) * K = +-i holds below the truncation shell.
+
+The propagators and the phase report need neither derivatives nor
+exponentials, so ``qcalculus`` and ``qexp`` load where H0, a plane wave or
+a position expectation value first needs them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .qarith import (
@@ -44,6 +47,7 @@ from .qarith import (
     LAMBDA_PLUS,
     q_binomial,
     q_factorial,
+    _Frozen,
 )
 from .starcalc import (
     Poly,
@@ -56,8 +60,6 @@ from .starcalc import (
     metric_contract,
     to_phase_space,
 )
-from .qcalculus import DerivativeLabel, apply_derivative, d
-from .qexp import _EIGEN_RULES, _eigen_residual, _star_on, build_exponential
 
 #: plane-wave family -> the deformed exponential it is built on
 PLANE_WAVES = {
@@ -72,15 +74,15 @@ PLANE_WAVE_FAMILIES = tuple(PLANE_WAVES)
 # -- Hamiltonian -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Hamiltonian:
+class Hamiltonian(_Frozen):
     """H0 = -(2m)^-1 d^A d_A with exact rational mass."""
 
-    mass: Fraction = Fraction(1)
+    __slots__ = ("mass",)
 
-    def __post_init__(self):
-        if self.mass <= 0:
+    def __init__(self, mass: Fraction = Fraction(1)):
+        if mass <= 0:
             raise ValueError("mass must be positive")
+        object.__setattr__(self, "mass", mass)
 
     def prefactor(self) -> QScalar:
         return QScalar.from_rational(Fraction(-1, 2) / self.mass)
@@ -94,6 +96,8 @@ class Hamiltonian:
         right sides, because the conjugation that transports a right action
         flips index positions.
         """
+        from .qcalculus import apply_derivative, d
+
         pos = "lower" if side in ("left", "left_bar") else "upper"
 
         def act(index, g):
@@ -109,6 +113,8 @@ class Hamiltonian:
 
 def hamiltonian_momentum_commutator(h: Hamiltonian, f: Poly, index: str) -> Poly:
     """[H0, (1/i) d^A] f = H0 (dA f) - dA (H0 f); vanishes identically."""
+    from .qcalculus import DerivativeLabel, apply_derivative
+
     lab = DerivativeLabel(index, "plain", "left", "upper")
     first = h.apply(apply_derivative(lab, f), "left")
     second = apply_derivative(lab, h.apply(f, "left"))
@@ -207,13 +213,19 @@ def phase_factor(
 # -- plane waves --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlaneWave:
-    family: str
-    order_space: int
-    order_time: int
-    mass: Fraction
-    body: Poly  # (x, p) carrier with t powers
+class PlaneWave(_Frozen):
+    """The plane wave of ``family`` truncated at the given orders in space
+    and time; ``body`` is its (x, p) carrier with t powers."""
+
+    __slots__ = ("family", "order_space", "order_time", "mass", "body")
+
+    def __init__(self, family: str, order_space: int, order_time: int, mass: Fraction,
+                 body: Poly):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "order_space", order_space)
+        object.__setattr__(self, "order_time", order_time)
+        object.__setattr__(self, "mass", mass)
+        object.__setattr__(self, "body", body)
 
 
 def build_plane_wave(
@@ -228,6 +240,8 @@ def build_plane_wave(
     """
     if family not in PLANE_WAVES:
         raise ValueError(f"unknown plane-wave family {family!r}")
+    from .qexp import _EIGEN_RULES, _star_on, build_exponential
+
     variant = PLANE_WAVES[family]
     e = build_exponential(variant, order_space).body
     star_side = _EIGEN_RULES[variant][2]
@@ -280,6 +294,8 @@ def plane_wave_printed(order_space: int, order_time: int, mass: Fraction) -> Pol
 
 def _rule(w: PlaneWave) -> tuple[str, str, str]:
     """The (derivative variant, side, star side) of the wave's exponential."""
+    from .qexp import _EIGEN_RULES
+
     return _EIGEN_RULES[PLANE_WAVES[w.family]]
 
 
@@ -288,6 +304,8 @@ def schrodinger_residual(w: PlaneWave) -> Poly:
 
     Vanishes identically for spatial degree <= N-2 and t-degree <= K-1.
     """
+    from .qcalculus import DerivativeLabel, apply_derivative
+
     side = _rule(w)[1]
     h = Hamiltonian(w.mass)
     t_lab = DerivativeLabel("0", "plain", side, "lower")
@@ -299,12 +317,16 @@ def schrodinger_residual(w: PlaneWave) -> Poly:
 def momentum_residual(w: PlaneWave, index: str, position: str = "lower") -> Poly:
     """(1/i) dA acting on the family's side minus star multiplication by pA
     on the family's side.  Vanishes for spatial degree <= N-1."""
+    from .qexp import _eigen_residual
+
     return _eigen_residual(w.body, PLANE_WAVES[w.family], index, position)
 
 
 def energy_residual(w: PlaneWave) -> Poly:
     """H0 acting on the family's side minus p^2/(2m) on the star side.
     Vanishes for spatial degree <= N-2."""
+    from .qexp import _star_on
+
     _, side, star_side = _rule(w)
     h = Hamiltonian(w.mass)
     acted = h.apply(w.body, side)
@@ -359,19 +381,22 @@ def phase_group_law_residual(
 # -- momentum-space propagators ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MomentumPropagator:
+class MomentumPropagator(_Frozen):
     """Geometric expansion of +-i (E -+ p^2/(2m) +- i eps)^-1.
 
     ``terms[k]`` is the scalar multiplying (E +- i eps)^{-(k+1)} p^{2k};
     for the L families the sign of p^2 flips.  eps never leaves the opaque
-    symbol; no limit is taken.
+    symbol; no limit is taken.  ``family`` is "KR", "KL", "KRstar" or
+    "KLstar"; ``branch`` is +1 (retarded) or -1 (advanced).
     """
 
-    family: str  # "KR" | "KL" | "KRstar" | "KLstar"
-    branch: int  # +1 retarded, -1 advanced
-    order: int
-    mass: Fraction
+    __slots__ = ("family", "branch", "order", "mass")
+
+    def __init__(self, family: str, branch: int, order: int, mass: Fraction):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "branch", branch)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "mass", mass)
 
     def psq_sign(self) -> int:
         return +1 if self.family in ("KR", "KRstar") else -1
@@ -511,7 +536,6 @@ def _phase_term(k: int, t: float, mass, q0: float):
     return [(cq_value(k, l, q0) * pref, (k - l, 2 * l, k - l)) for l in range(k + 1)]
 
 
-@dataclass
 class WavePacket:
     """Lattice-sampled momentum coefficients of a Schroedinger solution.
 
@@ -524,12 +548,12 @@ class WavePacket:
     c(t) = exp(-i t p^2 / 2m) * c, and c*(t) = conj(c(t)).
     """
 
-    c: object
-    mass: Fraction = Fraction(1)
-    phase_order: int = 16
-    support_j: float = 8.0
-
-    def __post_init__(self):
+    def __init__(self, c, mass: Fraction = Fraction(1), phase_order: int = 16,
+                 support_j: float = 8.0):
+        self.c = c
+        self.mass = mass
+        self.phase_order = phase_order
+        self.support_j = support_j
         self._coeff_cache = {}
 
     def boundary_mass(self) -> float:
@@ -615,6 +639,8 @@ class WavePacket:
         (which holds exactly for the integration-adjoint pairing) lands it
         on the bra coefficients, where it is the conjugation-transported
         local operator."""
+        from .qcalculus import DerivativeLabel, apply_derivative
+
         ct, cst = self.coefficients_at(t)
         lab = DerivativeLabel(index, "plain", "right_bar", position)
         acted = apply_derivative(lab, cst)

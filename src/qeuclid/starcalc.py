@@ -28,13 +28,13 @@ image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
 from .qarith import (
     GRat,
+    _Frozen,
     QScalar,
     ZERO,
     ONE,
@@ -47,14 +47,28 @@ Triple = tuple[int, int, int]
 Key = tuple[tuple[Triple, ...], int]
 
 
-@dataclass(frozen=True)
-class Sector:
-    kind: str  # "x" or "p"
-    name: str
+class Sector(_Frozen):
+    """A named variable sector: ``kind`` "x" (position) or "p" (momentum).
+    A value: equal and hashed by kind and name."""
 
-    def __post_init__(self):
-        if self.kind not in ("x", "p"):
-            raise ValueError(f"unknown sector kind {self.kind!r}")
+    __slots__ = ("kind", "name")
+
+    def __init__(self, kind: str, name: str):
+        if kind not in ("x", "p"):
+            raise ValueError(f"unknown sector kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kind == other.kind and self.name == other.name
+
+    def __hash__(self):
+        return hash((self.kind, self.name))
+
+    def __repr__(self):
+        return f"Sector(kind={self.kind!r}, name={self.name!r})"
 
 
 X_SECTOR = Sector("x", "x")

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -34,21 +33,26 @@ if TYPE_CHECKING:
     from .starcalc import Poly
 
 
-@dataclass
 class CaseResult:
-    name: str
-    ok: bool
-    detail: str = ""
-    repro: str = ""
+    __slots__ = ("name", "ok", "detail", "repro")
+
+    def __init__(self, name: str, ok: bool, detail: str = "", repro: str = ""):
+        self.name = name
+        self.ok = ok
+        self.detail = detail
+        self.repro = repro
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    seed: int
-    config: dict
-    cases: list = field(default_factory=list)
-    wall_time: float = 0.0
+    __slots__ = ("suite", "seed", "config", "cases", "wall_time")
+
+    def __init__(self, suite: str, seed: int, config: dict, cases: list | None = None,
+                 wall_time: float = 0.0):
+        self.suite = suite
+        self.seed = seed
+        self.config = config
+        self.cases = [] if cases is None else cases
+        self.wall_time = wall_time
 
     @property
     def failures(self):

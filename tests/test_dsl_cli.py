@@ -235,6 +235,10 @@ NESTED = {
         ["expectation", "--packet", "{tmp}/fractional_j_min.json"],
         ["expectation", "--packet", "{tmp}/true_j_max.json"],
         ["sample", "--grid", "2", "--out", "{tmp}/g.csv", "--width", "inf"],
+        # finite flags whose samples leave the float range
+        ["sample", "--grid", "2", "--out", "{tmp}/g.csv", "--width", "1e-320"],
+        ["sample", "--grid", "2", "--out", "{tmp}/g.csv", "--width", "1e-160"],
+        ["sample", "--grid", "2", "--out", "{tmp}/g.csv", "--center", "1e308"],
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, argv):
@@ -274,6 +278,8 @@ def test_cli_bad_input_exits_2(tmp_path, argv):
     if name.startswith(("true_", "fractional_")):
         entry = name.removesuffix(".json").split("_", 1)[1]
         assert f"{entry} must be an integer" in lines[0], err
+    if argv[0] == "sample" and argv[-1] in ("1e-320", "1e-160", "1e308"):
+        assert "float range" in lines[0], err
     if argv[-1].endswith("nan_odd_fraction.json"):
         assert "odd_fraction must be finite" in lines[0], err
     if argv[-3:-2] == ["{tmp}/huge_order.json"]:
@@ -283,9 +289,10 @@ def test_cli_bad_input_exits_2(tmp_path, argv):
 
 
 #: run in a fresh interpreter: importing the package loads no layer, each
-#: command loads only the layers it runs and checks its arguments first, the
-#: symbolic commands and suites never load numpy, and the re-exported names
-#: load their layer on first access
+#: command loads only the layers it runs and checks its arguments first (a
+#: bad argument loads no layer at all), the symbolic commands and suites
+#: never load numpy, no command loads dataclasses or inspect, and the
+#: re-exported names load their layer on first access
 SYMBOLIC_SCRIPT = """
 import contextlib, io, sys
 import qeuclid
@@ -297,18 +304,22 @@ def run(argv, code=0):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) == code, argv
 
+SLOW_IMPORTS = {"dataclasses", "inspect"}
+assert not SLOW_IMPORTS & set(sys.modules), SLOW_IMPORTS & set(sys.modules)
 assert loaded() == set() and "numpy" not in sys.modules, loaded()
 from qeuclid.cli import main
-run(["parse", "star(x-, x+)"])
-run(["parse", "star(x-,"], 2)
-run(["parse", "exp[nope](2)"], 2)
 for argv in (
+    ["eval", "star(x-, x+)", "--q", "0"],
     ["sample", "--q", "1", "--out", "no-such-dir/g.csv"],
     ["propagator", "--order", "-1"],
     ["heine", "--q", "1"],
     ["expectation", "--packet", "no-such-dir/packet.json"],
 ):
     run(argv, 2)
+assert loaded() == {"cli"} and "numpy" not in sys.modules, loaded()
+run(["parse", "star(x-, x+)"])
+run(["parse", "star(x-,"], 2)
+run(["parse", "exp[nope](2)"], 2)
 assert loaded() == {"cli", "dsl", "qarith"} and "numpy" not in sys.modules, loaded()
 run(["verify", "--suite", "qarith"])
 assert "starcalc" not in loaded(), loaded()
@@ -322,6 +333,8 @@ for argv in (
 ):
     run(argv)
     assert "numpy" not in sys.modules, argv
+assert not loaded() & {"qcalculus", "qexp"}, loaded()
+assert not SLOW_IMPORTS & set(sys.modules), SLOW_IMPORTS & set(sys.modules)
 assert qeuclid.QLattice is qeuclid.lattice.QLattice
 from qeuclid import StructuredFn
 assert StructuredFn is qeuclid.lattice.StructuredFn

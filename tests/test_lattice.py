@@ -11,7 +11,7 @@ import pytest
 
 import qeuclid
 from qeuclid import lattice
-from qeuclid.lattice import QLattice, StructuredFn, _profiles
+from qeuclid.lattice import QLattice, STerm, StructuredFn, _profiles, log_gaussian
 from qeuclid.qcalculus import DerivativeLabel, apply_derivative
 from qeuclid.schrodinger import gaussian_packet
 
@@ -94,6 +94,36 @@ def test_star_integral_of_an_empty_operand_is_zero(operands):
     for a, b, mirror in ((empty, c, False), (acted, empty, False),
                          (c, empty, True), (empty, acted, True), (empty, empty, False)):
         assert _ordered(a, mirror).star_integral(_ordered(b, mirror)) == 0j
+
+
+def test_star_integral_refuses_a_non_finite_result():
+    # slot degree 200 at q0 = 1.5: a star-triple factor overflows, and inf * 0 is nan
+    lat = QLattice(1.5, -12, 12)
+    g = log_gaussian(lat, 0, 1)
+    f = StructuredFn(lat, "x", [STerm(1, (0, 200, 3), (g, g, None))])
+    h = StructuredFn(lat, "x", [STerm(1, (3, 200, 0), (None, g, g))])
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="not finite"):
+        f.star_integral(h)
+
+
+def test_lattice_and_term_are_values():
+    lat = QLattice(1.1)
+    assert (lat.j_min, lat.j_max) == (-20, 20)
+    assert lat == QLattice(1.1, -20, 20) and hash(lat) == hash(QLattice(1.1, -20, 20))
+    assert lat != QLattice(1.1, -20, 19) and lat != QLattice(1.2)
+    env = log_gaussian(lat, 0.5, 1.0)
+    t = STerm(0.5j, (1, 0, 2), (env, None, env))
+    same = STerm(0.5j, tuple([1, 0, 2]), tuple([env, None, env]))
+    assert t == same and hash(t) == hash(same)
+    assert t != STerm(0.5j, (1, 0, 2), (None, None, env)) and t != STerm(1, (1, 0, 2), t.envs)
+    for obj, name in ((lat, "q0"), (lat, "j_max"), (t, "coeff"), (t, "envs")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, getattr(obj, name))
+    for args, message in (((1.0,), "q0 must be > 1"), ((float("nan"),), "q0 must be > 1"),
+                          ((1.1, 3, 2), "empty lattice window"),
+                          ((1.1, -10000, 0), "is not a normal float")):
+        with pytest.raises(ValueError, match=message):
+            QLattice(*args)
 
 
 def test_profiles_decode_to_each_factor():

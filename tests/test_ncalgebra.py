@@ -1,9 +1,12 @@
 import gc
+from math import comb
 
 import pytest
 
 from qeuclid.qarith import QScalar, ONE, LAMBDA
+from qeuclid import ncalgebra
 from qeuclid.ncalgebra import (
+    LETTERS,
     NCPoly,
     XP,
     X3,
@@ -14,8 +17,11 @@ from qeuclid.ncalgebra import (
     weyl_map,
     weyl_unmap,
     star_via_weyl,
+    is_normal_ordered,
+    _INSERT_TABLES,
 )
 from qeuclid.starcalc import Poly, X_SECTOR, star_product
+from qeuclid.verify import run_suite
 
 
 def test_nc_multiply_concatenates():
@@ -68,13 +74,56 @@ def test_long_words(conv):
             assert weyl_unmap(got, X_SECTOR, conv) == want
 
 
+def sorted_pairs(degree: int) -> int:
+    """The (sorted word, letter) pairs with a word of at most ``degree``
+    letters: a sorted word is its four letter counts."""
+    return len(LETTERS) * comb(degree + len(LETTERS), len(LETTERS))
+
+
+def test_insertion_tables_hold_sorted_pairs(monkeypatch):
+    degrees = []
+
+    def recording(f, *args):
+        degrees.extend(f.total_degrees())
+        return normal_order(f, *args)
+
+    monkeypatch.setattr(ncalgebra, "normal_order", recording)
+    for table in _INSERT_TABLES.values():
+        table.clear()
+    run_suite("ncalgebra", seed=2024)
+    for conv in ("W", "Wt"):
+        test_long_words(conv)
+    # s x is never longer than the input word it comes from; test_long_words
+    # calls normal_order directly, on words of 16 letters
+    top = max(degrees + [16])
+    for (conv, _), table in _INSERT_TABLES.items():
+        assert table, conv
+        for s, x in table:
+            assert is_normal_ordered(s, conv) and x in LETTERS and len(s) < top
+        assert len(table) <= sorted_pairs(top - 1)
+    sizes = {key: len(table) for key, table in _INSERT_TABLES.items()}
+    test_long_words("W")
+    assert {key: len(table) for key, table in _INSERT_TABLES.items()} == sizes
+
+
+def test_strategies_keep_separate_tables():
+    for table in _INSERT_TABLES.values():
+        table.clear()
+    prod = NCPoly.word(XM, XM, XP, X3, XP)
+    left = normal_order(prod, "W", "leftmost")
+    assert _INSERT_TABLES["W", True] and not _INSERT_TABLES["W", False]
+    assert normal_order(prod, "W", "rightmost") == left
+    assert _INSERT_TABLES["W", False] and not _INSERT_TABLES["Wt", True]
+
+
 def test_unknown_strategy_rejected():
     with pytest.raises(ValueError, match="strategy"):
         normal_order(NCPoly.word(XM, XP), "W", "leftmots")
 
 
 def test_oracle_leaves_no_cyclic_garbage(rand_poly):
-    # the per-call memo must be freed by reference counting alone
+    # the insertion tables hold no cycles, and what a call builds beside
+    # them must be freed by reference counting alone
     f, g = rand_poly(deg=4, nterm=3), rand_poly(deg=4, nterm=3)
     gc.collect()
     gc.disable()

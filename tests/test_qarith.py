@@ -302,6 +302,19 @@ def test_equal_values_hash_equal():
         assert s.to_json() == {"terms": [[1, "1", "0"]]}
 
 
+def test_grat_is_a_value():
+    a, b = GRat(Fraction(1, 2), Fraction(-3)), GRat(Fraction(1, 2), Fraction(-3))
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert a != GRat(Fraction(1, 2)) and a != (Fraction(1, 2), Fraction(-3))
+    assert GRat() == GRat(Fraction(0), Fraction(0))
+    assert GRat(Fraction(2)).im == 0
+    with pytest.raises(AttributeError):
+        a.re = Fraction(1)
+    with pytest.raises(AttributeError):
+        del a.im
+    assert a == b
+
+
 @given(fraction_case())
 @settings(max_examples=60)
 def test_json_roundtrip_is_canonical(case):

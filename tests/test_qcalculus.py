@@ -5,6 +5,7 @@ from qeuclid.qarith import QScalar, ONE, LAMBDA, q_number
 from qeuclid.starcalc import Poly, X_SECTOR, coord_variable, conjugate
 from qeuclid.qcalculus import (
     ConventionError,
+    DerivativeLabel,
     apply_derivative,
     braiding_operator,
     d,
@@ -30,6 +31,19 @@ def test_derivative_examples():
     assert apply_derivative(d("0"), t2) == tv.scale(QScalar.from_rational(2))
     r = apply_derivative(d("-", "hat", "left_bar"), xm.with_convention("Wt"))
     assert r == Poly.one((X_SECTOR,), "Wt")
+
+
+def test_derivative_label_is_a_value():
+    label = DerivativeLabel("+")
+    assert (label.variant, label.side, label.position) == ("plain", "left", "lower")
+    assert label == d("+", "plain", "left", "lower") and hash(label) == hash(d("+"))
+    assert label != d("+", position="upper") and label != d("-")
+    with pytest.raises(AttributeError):
+        label.index = "3"
+    for args, field in ((("1",), "index"), (("+", "tilde"), "variant"),
+                        (("+", "plain", "up"), "side"), (("+", "plain", "left", "mid"), "position")):
+        with pytest.raises(ValueError, match=f"bad {field}"):
+            DerivativeLabel(*args)
 
 
 def test_convention_guard(lat):

@@ -6,6 +6,7 @@ from qeuclid.qarith import QScalar, I, LAMBDA
 from qeuclid.starcalc import (
     Metric,
     Poly,
+    Sector,
     X_SECTOR,
     SectorMismatch,
     conjugate,
@@ -25,6 +26,16 @@ def test_unit_and_sector_guard():
         star_product(xp, coord_variable("p3"))
     with pytest.raises(SectorMismatch):
         star_product(xp, xm.with_convention("Wt"))
+
+
+def test_sector_is_a_value():
+    s = Sector("x", "y")
+    assert s == Sector("x", "y") and hash(s) == hash(Sector("x", "y"))
+    assert s != X_SECTOR and s != Sector("p", "y") and X_SECTOR == Sector("x", "x")
+    with pytest.raises(AttributeError):
+        s.kind = "p"
+    with pytest.raises(ValueError, match="unknown sector kind 'y'"):
+        Sector("y", "y")
 
 
 def test_momentum_relation():
