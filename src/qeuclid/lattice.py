@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .qarith import QScalar, _Frozen
-from .starcalc import Sector
+from .starcalc import P_SECTOR, X_SECTOR, Sector
 
 #: byte bound on one gathered block of envelope samples in _axis_rows
 _BLOCK_BYTES = 1 << 20
@@ -73,20 +73,7 @@ class QLattice(_Frozen):
                 x = math.inf
             if not sys.float_info.min <= x < math.inf:
                 raise ValueError(f"q0^{j} is not a normal float")
-        object.__setattr__(self, "q0", q0)
-        object.__setattr__(self, "j_min", j_min)
-        object.__setattr__(self, "j_max", j_max)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.q0, self.j_min, self.j_max) == (other.q0, other.j_min, other.j_max)
-
-    def __hash__(self):
-        return hash((self.q0, self.j_min, self.j_max))
-
-    def __repr__(self):
-        return f"QLattice(q0={self.q0!r}, j_min={self.j_min!r}, j_max={self.j_max!r})"
+        super().__init__(q0, j_min, j_max)
 
     def js(self) -> np.ndarray:
         return np.arange(self.j_min, self.j_max + 1)
@@ -366,22 +353,12 @@ class STerm(_Frozen):
 
     __slots__ = ("coeff", "exps", "envs")
 
+    # written out, not the generic loop: a packet builds thousands of terms
     def __init__(self, coeff: complex, exps: tuple[int, int, int],
                  envs: tuple[AxisFn | None, AxisFn | None, AxisFn | None]):
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "exps", exps)
         object.__setattr__(self, "envs", envs)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.coeff, self.exps, self.envs) == (other.coeff, other.exps, other.envs)
-
-    def __hash__(self):
-        return hash((self.coeff, self.exps, self.envs))
-
-    def __repr__(self):
-        return f"STerm(coeff={self.coeff!r}, exps={self.exps!r}, envs={self.envs!r})"
 
 
 class ClassConstraintError(ValueError):
@@ -408,6 +385,8 @@ class StructuredFn:
     def __init__(self, lattice: QLattice, sector_kind: str, terms: Sequence[STerm], convention="W"):
         if convention not in ("W", "Wt"):
             raise ValueError(f"unknown convention {convention!r}")
+        if sector_kind not in ("x", "p"):
+            raise ValueError(f"unknown sector kind {sector_kind!r}")
         self.lattice = lattice
         self.sector_kind = sector_kind
         self.convention = convention
@@ -463,7 +442,7 @@ class StructuredFn:
     @property
     def sectors(self) -> tuple[Sector]:
         """The carrier's one sector, as the symbolic carrier lists its sectors."""
-        return (Sector(self.sector_kind, self.sector_kind),)
+        return (X_SECTOR,) if self.sector_kind == "x" else (P_SECTOR,)
 
     def coordinate(self, sector_index: int, slot: int) -> "StructuredFn":
         """The coordinate variable of one slot, in this carrier's ordering."""
@@ -634,6 +613,9 @@ class StructuredFn:
                 out.append(STerm(c, tuple(exps), (first.envs[0], mid, last.envs[2])))
         return self._new(out)
 
+    # a non-finite result is reported by the FloatingPointError alone, not
+    # preceded by numpy's overflow warnings
+    @np.errstate(over="ignore", invalid="ignore")
     def star_integral(self, other: "StructuredFn") -> complex:
         """Integral over all space of self (star) other, in the operands'
         ordering, reduced over the product's terms without building them.

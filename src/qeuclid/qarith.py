@@ -39,11 +39,39 @@ class ExactnessError(ArithmeticError):
 
 
 class _Frozen:
-    """Base of the immutable value classes of every layer: assigning or
-    deleting an attribute raises ``AttributeError``, so ``__init__`` writes
-    through ``object.__setattr__``."""
+    """Base of the immutable value classes of every layer.
+
+    A subclass lists its fields in ``__slots__``; slot order is the
+    constructor order, so ``__init__(*values)`` writes one value per slot
+    and a subclass with defaults or input checks ends its own ``__init__``
+    with ``super().__init__(...)``.  Instances are values: equal when their
+    class and slot values are equal, hashed by the tuple of slot values,
+    and printed as ``Name(slot=value, ...)``.  Assigning or deleting an
+    attribute raises ``AttributeError``.  No ``dataclasses``: importing it
+    costs every process several milliseconds.  ``lattice.STerm`` writes its
+    three slots itself, because a packet builds thousands of terms and the
+    generic loop made that measurably slower."""
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        for slot, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, slot, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, slot) for slot in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{slot}={getattr(self, slot)!r}" for slot in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -60,19 +88,7 @@ class GRat(_Frozen):
     __slots__ = ("re", "im")
 
     def __init__(self, re: Fraction = Fraction(0), im: Fraction = Fraction(0)):
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __repr__(self):
-        return f"GRat(re={self.re!r}, im={self.im!r})"
+        super().__init__(re, im)
 
     def __str__(self) -> str:
         if self.im == 0:

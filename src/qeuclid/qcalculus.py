@@ -65,26 +65,7 @@ class DerivativeLabel(_Frozen):
             raise ValueError(f"bad side {side!r}")
         if position not in ("upper", "lower"):
             raise ValueError(f"bad position {position!r}")
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "variant", variant)
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "position", position)
-
-    def _fields(self):
-        return self.index, self.variant, self.side, self.position
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return "DerivativeLabel(index={!r}, variant={!r}, side={!r}, position={!r})".format(
-            *self._fields()
-        )
+        super().__init__(index, variant, side, position)
 
 
 def d(index, variant="plain", side="left", position="lower") -> DerivativeLabel:

@@ -50,16 +50,11 @@ Y_SECTOR = Sector("x", "y")
 class QExponential(_Frozen):
     """The exponential ``variant`` truncated at total degree ``order``."""
 
-    __slots__ = ("variant", "order", "body")
-
-    def __init__(self, variant: str, order: int, body: Poly):
-        object.__setattr__(self, "variant", variant)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "body", body)  # (x, p) phase-space carrier
+    __slots__ = ("variant", "order", "body")  # body: the (x, p) phase-space carrier
 
 
-def _xp_sectors():
-    return (X_SECTOR, P_SECTOR)
+#: the sectors of a phase-space carrier
+XP_SECTORS = (X_SECTOR, P_SECTOR)
 
 
 def _degree_triples(n_max: int):
@@ -81,7 +76,7 @@ def _body_x_ip(order: int, base_sign: int) -> Poly:
         coeff = (I ** (np_ + n3 + nm)) / denom
         key = (((np_, n3, nm), (nm, n3, np_)), 0)
         terms[key] = coeff
-    return Poly(_xp_sectors(), terms, "W" if base_sign > 0 else "Wt")
+    return Poly(XP_SECTORS, terms, "W" if base_sign > 0 else "Wt")
 
 
 def _body_ipinv_x(order: int) -> Poly:
@@ -99,7 +94,7 @@ def _body_ipinv_x(order: int) -> Poly:
         coeff = ((I_INV ** (a + b + c)) / denom).shift(2 * (c - a))
         key = (((a, b, c), (c, b, a)), 0)
         terms[key] = coeff
-    return Poly(_xp_sectors(), terms, "W")
+    return Poly(XP_SECTORS, terms, "W")
 
 
 def _rescale_momentum(body: Poly, power_of_q: int) -> Poly:
@@ -178,7 +173,7 @@ def below_shell(poly: Poly, order: int, sector_index: int = 0) -> Poly:
 
 def normalization_residuals(exp: QExponential) -> tuple[Poly, Poly]:
     """Body at x = 0 minus 1, and body at p = 0 minus 1."""
-    one = Poly.one(_xp_sectors(), exp.body.convention)
+    one = Poly.one(XP_SECTORS, exp.body.convention)
     at_x0 = exp.body.set_slot_zero(0) - one
     at_p0 = exp.body.set_slot_zero(1) - one
     return at_x0, at_p0
@@ -206,10 +201,6 @@ class TranslationResult(_Frozen):
     polynomial on the sectors (x, y)."""
 
     __slots__ = ("kind", "polynomial")
-
-    def __init__(self, kind: str, polynomial: Poly):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "polynomial", polynomial)
 
     def restrict_second_zero(self) -> Poly:
         """f(x (+) y) at y = 0, as a single-sector polynomial again."""

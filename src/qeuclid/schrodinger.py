@@ -82,7 +82,7 @@ class Hamiltonian(_Frozen):
     def __init__(self, mass: Fraction = Fraction(1)):
         if mass <= 0:
             raise ValueError("mass must be positive")
-        object.__setattr__(self, "mass", mass)
+        super().__init__(mass)
 
     def prefactor(self) -> QScalar:
         return QScalar.from_rational(Fraction(-1, 2) / self.mass)
@@ -218,14 +218,6 @@ class PlaneWave(_Frozen):
     and time; ``body`` is its (x, p) carrier with t powers."""
 
     __slots__ = ("family", "order_space", "order_time", "mass", "body")
-
-    def __init__(self, family: str, order_space: int, order_time: int, mass: Fraction,
-                 body: Poly):
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "order_space", order_space)
-        object.__setattr__(self, "order_time", order_time)
-        object.__setattr__(self, "mass", mass)
-        object.__setattr__(self, "body", body)
 
 
 def build_plane_wave(
@@ -391,12 +383,6 @@ class MomentumPropagator(_Frozen):
     """
 
     __slots__ = ("family", "branch", "order", "mass")
-
-    def __init__(self, family: str, branch: int, order: int, mass: Fraction):
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "branch", branch)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "mass", mass)
 
     def psq_sign(self) -> int:
         return +1 if self.family in ("KR", "KRstar") else -1

@@ -56,19 +56,7 @@ class Sector(_Frozen):
     def __init__(self, kind: str, name: str):
         if kind not in ("x", "p"):
             raise ValueError(f"unknown sector kind {kind!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "name", name)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.kind == other.kind and self.name == other.name
-
-    def __hash__(self):
-        return hash((self.kind, self.name))
-
-    def __repr__(self):
-        return f"Sector(kind={self.kind!r}, name={self.name!r})"
+        super().__init__(kind, name)
 
 
 X_SECTOR = Sector("x", "x")
@@ -87,16 +75,6 @@ class SectorMismatch(ValueError):
     pass
 
 
-def _metric_entry(a: str, b: str) -> QScalar:
-    if a == "+" and b == "-":
-        return -QScalar.q(1)
-    if a == "-" and b == "+":
-        return -QScalar.q(-1)
-    if a == "3" and b == "3":
-        return ONE
-    return ZERO
-
-
 class Metric:
     """The deformed Euclidean metric g_AB = g^AB, rows/columns in (+, 3, -).
 
@@ -110,7 +88,7 @@ class Metric:
     def lower(a: str) -> tuple[str, QScalar]:
         """X_a = g_{ab} X^b: returns (b, g_{ab}) for the single nonzero b."""
         partner = {"+": "-", "3": "3", "-": "+"}[a]
-        return partner, _metric_entry(a, partner)
+        return partner, Metric.entry(a, partner)
 
     @staticmethod
     def raise_(a: str) -> tuple[str, QScalar]:
@@ -119,7 +97,13 @@ class Metric:
 
     @staticmethod
     def entry(a: str, b: str) -> QScalar:
-        return _metric_entry(a, b)
+        if a == "+" and b == "-":
+            return -QScalar.q(1)
+        if a == "-" and b == "+":
+            return -QScalar.q(-1)
+        if a == "3" and b == "3":
+            return ONE
+        return ZERO
 
 
 def _falling(n: int, k: int, base: int) -> QScalar:

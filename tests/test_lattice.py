@@ -4,6 +4,7 @@ the memory of a process that evaluates many packets."""
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -104,6 +105,23 @@ def test_star_integral_refuses_a_non_finite_result():
     h = StructuredFn(lat, "x", [STerm(1, (3, 200, 0), (None, g, g))])
     with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="not finite"):
         f.star_integral(h)
+
+
+def test_star_integral_reports_only_its_error():
+    # the reproducer above without np.errstate: a numpy RuntimeWarning, raised
+    # under the "error" filter, must not come in place of the FloatingPointError
+    lat = QLattice(1.5, -12, 12)
+    g = log_gaussian(lat, 0, 1)
+    f = StructuredFn(lat, "x", [STerm(1, (0, 200, 3), (g, g, None))])
+    h = StructuredFn(lat, "x", [STerm(1, (3, 200, 0), (None, g, g))])
+    with warnings.catch_warnings(), pytest.raises(FloatingPointError, match="not finite"):
+        warnings.simplefilter("error")
+        f.star_integral(h)
+
+
+def test_carrier_refuses_an_unknown_sector_kind():
+    with pytest.raises(ValueError, match="unknown sector kind 'y'"):
+        StructuredFn(QLattice(1.1), "y", [])
 
 
 def test_lattice_and_term_are_values():

@@ -315,6 +315,54 @@ def test_grat_is_a_value():
     assert a == b
 
 
+def test_every_frozen_class_is_a_value():
+    """Each _Frozen subclass, built twice from equal arguments, gives equal
+    values with equal hashes, a Name(slot=value, ...) repr and refused
+    assignment, all from the base class alone."""
+    import importlib
+    import pkgutil
+
+    import numpy as np
+
+    import qeuclid
+    from qeuclid.starcalc import P_SECTOR, Poly, X_SECTOR
+    from qeuclid.qexp import Y_SECTOR
+    from qeuclid.lattice import AxisFn
+
+    for mod in pkgutil.iter_modules(qeuclid.__path__):
+        importlib.import_module(f"qeuclid.{mod.name}")
+    samples = {
+        "GRat": lambda: (Fraction(1, 2), Fraction(-3)),
+        "Sector": lambda: ("x", "y"),
+        "DerivativeLabel": lambda: ("+", "hat", "right_bar", "upper"),
+        "QLattice": lambda: (1.1, -10, 10),
+        "STerm": lambda: (0.5j, (1, 0, 2), (AxisFn(np.cos), None, AxisFn(np.cos))),
+        "QExponential": lambda: ("x_ip", 2, Poly.one((X_SECTOR, P_SECTOR))),
+        "TranslationResult": lambda: ("plus", Poly.one((X_SECTOR, Y_SECTOR))),
+        "Hamiltonian": lambda: (Fraction(2),),
+        "PlaneWave": lambda: ("u_lower", 2, 1, Fraction(3), Poly.one((X_SECTOR, P_SECTOR))),
+        "MomentumPropagator": lambda: ("KR", -1, 3, Fraction(1, 2)),
+    }
+    classes = qarith._Frozen.__subclasses__()
+    assert sorted(cls.__name__ for cls in classes) == sorted(samples)
+    for cls in classes:
+        assert not {"__eq__", "__hash__", "__repr__"} & set(vars(cls)), cls
+        a, b = cls(*samples[cls.__name__]()), cls(*samples[cls.__name__]())
+        assert a == b and not a != b, cls
+        values = [getattr(a, slot) for slot in cls.__slots__]
+        try:
+            hash(tuple(values))
+        except TypeError:  # a Poly field: unhashable, as the class then is
+            pass
+        else:
+            assert hash(a) == hash(b), cls
+        fields = ", ".join(f"{slot}={value!r}" for slot, value in zip(cls.__slots__, values))
+        assert repr(a) == f"{cls.__name__}({fields})"
+        for slot in cls.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(a, slot, getattr(b, slot))
+
+
 @given(fraction_case())
 @settings(max_examples=60)
 def test_json_roundtrip_is_canonical(case):
