@@ -245,11 +245,6 @@ def cmd_verify(args) -> int:
         raise UsageError(f"the suite leaves the float range at --q {args.q}") from None
     if args.json:
         print(json.dumps(report.to_json(), sort_keys=True))
-    elif args.csv:
-        print("suite,case,ok,detail")
-        for c in report.cases:
-            detail = c.detail.replace(",", ";")
-            print(f"{report.suite},{c.name.replace(',', ';')},{int(c.ok)},{detail}")
     else:
         print(report.render())
     return report.exit_code
@@ -367,8 +362,16 @@ def cmd_sample(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad argument as a ``UsageError``, on one line of stderr;
+    the subcommand parsers inherit the class."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="qeuclid",
         description="Star-product calculus on the q-deformed Euclidean space",
     )
@@ -398,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--grid", type=int, default=12, help="lattice half-width")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("propagator", help="momentum-space propagator series")
@@ -434,8 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except UsageError as exc:
         print(f"{exc.prefix}: {exc}", file=sys.stderr)

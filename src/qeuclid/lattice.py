@@ -422,18 +422,16 @@ class StructuredFn:
         )
 
     @staticmethod
-    def from_poly(lattice: QLattice, poly, t0: complex = 0.0) -> "StructuredFn":
-        """Evaluate a single-sector symbolic Poly's coefficients at q0 (and
-        the central time at t0) and wrap it as an envelope-free carrier in
-        the polynomial's ordering."""
+    def from_poly(lattice: QLattice, poly) -> "StructuredFn":
+        """Evaluate a single-sector symbolic Poly's coefficients at q0 and
+        wrap it as an envelope-free carrier in the polynomial's ordering."""
         if len(poly.sectors) != 1:
             raise ValueError("from_poly needs a single-sector polynomial")
         terms = []
         for (triples, t), coeff in poly.terms.items():
-            c = coeff.eval(lattice.q0)
             if t:
-                c = c * t0**t
-            terms.append(STerm(c, triples[0], (None, None, None)))
+                raise ValueError("lattice carriers hold no symbolic time")
+            terms.append(STerm(coeff.eval(lattice.q0), triples[0], (None, None, None)))
         return StructuredFn(lattice, poly.sectors[0].kind, terms, poly.convention)
 
     def _new(self, terms) -> "StructuredFn":

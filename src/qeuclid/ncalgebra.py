@@ -273,12 +273,6 @@ def is_normal_ordered(word: Word, convention: str) -> bool:
 
 # -- Weyl map -------------------------------------------------------------------
 
-#: the letter carried by each slot of a sector, in slot order.  Momentum
-#: slots map onto the same engine because (p-, p3, p+) satisfies the same
-#: relations as (X+, X3, X-).
-_SLOT_LETTER = (XP, X3, XM)
-
-
 def _word_from_mono(triple, t_exp: int, convention: str) -> Word:
     a, b, c = triple
     if convention == "W":

@@ -43,9 +43,7 @@ carrier's ordering, ``conjugate`` (keeping the tag), the unit coordinate
 from __future__ import annotations
 
 from .qarith import KAPPA, QScalar, ONE, LAMBDA, _Frozen
-from .starcalc import Metric
-
-SPATIAL = ("+", "3", "-")
+from .starcalc import INDEX_OF_SLOT, Metric
 
 
 class DerivativeLabel(_Frozen):
@@ -97,12 +95,9 @@ def _check_convention(f, side: str):
 # -lam.  Both act at the lower index position of a position sector; the
 # momentum sector reuses them at the slot-mirrored index.
 
-_SWAP = {"+": "-", "3": "3", "-": "+", "0": "0"}
-
-
 def _mirror(index: str, m: int):
     """The index and the (low, high) end slots seen through the mirror m."""
-    return (index, 0, 2) if m > 0 else (_SWAP[index], 2, 0)
+    return (index, 0, 2) if m > 0 else (Metric.partner[index], 2, 0)
 
 
 def _left_rep(index: str, f, s: int, m: int):
@@ -173,8 +168,7 @@ def _mirror_label(label: DerivativeLabel) -> DerivativeLabel:
     each at the flipped index position."""
     side = "left" if label.side == "right_bar" else "left_bar"
     variant = "plain" if side == "left" else "hat"
-    flipped = "upper" if label.position == "lower" else "lower"
-    return DerivativeLabel(label.index, variant, side, flipped)
+    return DerivativeLabel(label.index, variant, side, _flip(label.position))
 
 
 def _scaled(f, *factors: QScalar):
@@ -185,16 +179,19 @@ def _scaled(f, *factors: QScalar):
     return f
 
 
-def _natural_position(kind: str) -> str:
-    return "lower" if kind == "x" else "upper"
+def _flip(position: str) -> str:
+    return "upper" if position == "lower" else "lower"
 
 
 def _resolve_index(label: DerivativeLabel, kind: str):
-    """Return (label at the sector's natural index position, metric factor)."""
-    if label.index == "0" or label.position == _natural_position(kind):
+    """Return (label at the sector's natural index position, metric factor).
+
+    A derivative carries its index at the other position than the variable
+    it differentiates by: d_A = d/dx^A, d_p^A = d/dp_A."""
+    if label.index == "0" or label.position != Metric.native[kind]:
         return label, ONE
     partner, g = Metric.lower(label.index)  # g_AB = g^AB, so one map serves
-    return DerivativeLabel(partner, label.variant, label.side, _natural_position(kind)), g
+    return DerivativeLabel(partner, label.variant, label.side, _flip(label.position)), g
 
 
 def apply_derivative(label: DerivativeLabel, f, sector_index: int = 0):
@@ -214,7 +211,7 @@ def apply_derivative(label: DerivativeLabel, f, sector_index: int = 0):
             out = _left_rep(lab.index, f, sector_index, m)
             pref = ONE
         else:
-            out = _left_rep(_SWAP[lab.index], f, sector_index, m)
+            out = _left_rep(Metric.partner[lab.index], f, sector_index, m)
             pref = _P_PREFACTOR[lab.index]
         return _scaled(out, pref, _variant_scale(lab), g)
     # the mirror label's side needs the same ordering as the right side, and
@@ -267,14 +264,12 @@ def inverse_partial(label: DerivativeLabel, f, sector_index: int = 0):
 _ADJ_DIAG_INV = {"+": (-4, -2, 0), "3": (-2, -2, -2), "-": (0, -2, -4)}
 _ADJ_ROWS = {"+": (), "3": ("+",), "-": ("+", "3")}
 
-_SLOT_OF_INDEX = {"+": 0, "3": 1, "-": 2}
-
 
 def braiding_operator(index: str, col: str, f, variant: str = "plain", sector_index: int = 0):
     """O_A^C |> f extracted from its defining Leibniz difference."""
     side = "left" if variant == "plain" else "left_bar"
     lab = DerivativeLabel(index, variant, side, "lower")
-    xc = f.coordinate(sector_index, _SLOT_OF_INDEX[col])
+    xc = f.coordinate(sector_index, INDEX_OF_SLOT["x"].index(col))
     first = apply_derivative(lab, f.star(xc), sector_index)
     second = apply_derivative(lab, f, sector_index).star(xc)
     return first - second
@@ -285,20 +280,18 @@ def integration_adjoint(index: str, f, variant: str = "plain", position: str = "
     integration by parts against the matching left action and star."""
     if index == "0":
         return -f.d_dt()
-    if position == "upper":
-        partner, g = Metric.raise_(index)
-        out = integration_adjoint(partner, f, variant, "lower", sector_index)
-        return out.scale_q(g)
     side = "left" if variant == "plain" else "left_bar"
+    lab, g = _resolve_index(
+        DerivativeLabel(index, variant, side, position), f.sectors[sector_index].kind
+    )
     m = 1 if variant == "plain" else -1
-    plain = _mirror(index, m)[0]
+    plain = _mirror(lab.index, m)[0]
     u = f
     for slot, e in enumerate(_ADJ_DIAG_INV[plain][::m]):
         if e:
             u = u.scale_slot(sector_index, slot, m * e)
-    lab = DerivativeLabel(index, variant, side, "lower")
     out = -apply_derivative(lab, u, sector_index)
     for col in (_mirror(c, m)[0] for c in _ADJ_ROWS[plain]):
-        corr = braiding_operator(index, col, u, variant, sector_index)
+        corr = braiding_operator(lab.index, col, u, variant, sector_index)
         out = out - integration_adjoint(col, corr, variant, "lower", sector_index)
-    return out
+    return _scaled(out, g)

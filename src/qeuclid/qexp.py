@@ -38,8 +38,7 @@ from .starcalc import (
     X_SECTOR,
     P_SECTOR,
     _add_term,
-    coord_lower,
-    coord_upper,
+    coord,
     to_phase_space,
 )
 from .qcalculus import DerivativeLabel, apply_derivative, d
@@ -148,8 +147,7 @@ def _eigen_residual(body: Poly, variant: str, index: str, position: str) -> Poly
     dvariant, side, star_side = _EIGEN_RULES[variant]
     label = DerivativeLabel(index, dvariant, side, position)
     acted = apply_derivative(label, body, sector_index=0).scale(I_INV)
-    coord = coord_upper if position == "upper" else coord_lower
-    p = to_phase_space(coord("p", index, body.convention), "p")
+    p = to_phase_space(coord("p", index, position, body.convention), "p")
     return acted - _star_on(body, p, star_side)
 
 

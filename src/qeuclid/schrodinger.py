@@ -54,10 +54,8 @@ from .starcalc import (
     P_SECTOR,
     X_SECTOR,
     _add_term,
-    coord_lower,
-    coord_upper,
+    coord,
     Metric,
-    metric_contract,
     to_phase_space,
 )
 
@@ -103,12 +101,7 @@ class Hamiltonian(_Frozen):
         def act(index, g):
             return apply_derivative(d(index, "plain", side, pos), g, sector_index)
 
-        out = None
-        for a in Metric.indices:
-            partner, g = Metric.raise_(a)
-            term = act(partner, act(a, f)).scale(g)
-            out = term if out is None else out + term
-        return out.scale(self.prefactor())
+        return Metric.contract(lambda b, a: act(b, act(a, f))).scale(self.prefactor())
 
 
 def hamiltonian_momentum_commutator(h: Hamiltonian, f: Poly, index: str) -> Poly:
@@ -156,9 +149,8 @@ def cq_recurrence_residual(k: int, l: int) -> QScalar:
 
 def psq(convention: str = "W") -> Poly:
     """p^2 = p^A * p_A as a normal-ordered momentum polynomial."""
-    upper = {a: coord_upper("p", a, convention) for a in Metric.indices}
-    lower = {a: coord_lower("p", a, convention) for a in Metric.indices}
-    return metric_contract(upper, lower)
+    p = {a: coord("p", a, "lower", convention) for a in Metric.indices}
+    return Metric.contract(lambda b, a: p[b].star(p[a]))
 
 
 def psq_power(k: int, convention: str = "W") -> Poly:
@@ -613,8 +605,7 @@ class WavePacket:
         from .lattice import StructuredFn
 
         ct, cst = self.coefficients_at(t)
-        build = coord_upper if position == "upper" else coord_lower
-        pA = StructuredFn.from_poly(self.c.lattice, build("p", index))
+        pA = StructuredFn.from_poly(self.c.lattice, coord("p", index, position))
         return cst.star_integral(pA.star(ct))
 
     def _position_term(self, index: str, t: float, position: str) -> complex:

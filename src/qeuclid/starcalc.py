@@ -24,6 +24,12 @@ is the descending one, whose star product is the mirror image of the W star
 under the substitution (q -> 1/q, first <-> last).  One monomial routine
 serves both orderings: the mirror sign selects the formula above or its
 image.
+
+``Metric`` and ``coord`` are the index vocabulary every layer shares:
+which index pairs with which and with what metric entry, which index
+position a sector's own variables carry (x^A and p_A), the contraction
+sum_A g^AB X_B X_A, and the coordinates x^A, x_A, p^A and p_A.
+``INDEX_OF_SLOT`` says which slot carries each index.
 """
 
 from __future__ import annotations
@@ -84,10 +90,17 @@ class Metric:
 
     indices = ("+", "3", "-")
 
+    #: the one index each index pairs with through the metric; the time
+    #: index 0 pairs with itself
+    partner = {"+": "-", "3": "3", "-": "+", "0": "0"}
+
+    #: the index position each sector kind's own variables carry: x^A, p_A
+    native = {"x": "upper", "p": "lower"}
+
     @staticmethod
     def lower(a: str) -> tuple[str, QScalar]:
         """X_a = g_{ab} X^b: returns (b, g_{ab}) for the single nonzero b."""
-        partner = {"+": "-", "3": "3", "-": "+"}[a]
+        partner = Metric.partner[a]
         return partner, Metric.entry(a, partner)
 
     @staticmethod
@@ -104,6 +117,18 @@ class Metric:
         if a == "3" and b == "3":
             return ONE
         return ZERO
+
+    @staticmethod
+    def contract(pair):
+        """sum_A g^{AB} X_B X_A, with ``pair(b, a)`` the product X_B X_A in
+        the operands' own carrier (a star product, or one operator applied
+        after another)."""
+        acc = None
+        for a in Metric.indices:
+            b, g = Metric.raise_(a)
+            term = pair(b, a).scale_q(g)
+            acc = term if acc is None else acc + term
+        return acc
 
 
 def _falling(n: int, k: int, base: int) -> QScalar:
@@ -559,29 +584,15 @@ def coord_variable(name: str, convention: str = "W") -> Poly:
     raise ValueError(f"unknown coordinate {name!r}")
 
 
-def coord_upper(sector_kind: str, index: str, convention: str = "W") -> Poly:
-    """The coordinate with an upper index: x^A or p^A (p^A = g^{AB} p_B)."""
-    names = SLOT_NAMES[sector_kind]
-    idx = INDEX_OF_SLOT[sector_kind]
-    if sector_kind == "x":
-        # x^A is the native variable
-        slot = idx.index(index)
-        return coord_variable(names[slot], convention)
-    partner, g = Metric.raise_(index)
-    slot = idx.index(partner)
-    return coord_variable(names[slot], convention).scale(g)
-
-
-def coord_lower(sector_kind: str, index: str, convention: str = "W") -> Poly:
-    """The coordinate with a lower index: x_A = g_{AB} x^B, or native p_A."""
-    names = SLOT_NAMES[sector_kind]
-    idx = INDEX_OF_SLOT[sector_kind]
-    if sector_kind == "p":
-        slot = idx.index(index)
-        return coord_variable(names[slot], convention)
-    partner, g = Metric.lower(index)
-    slot = idx.index(partner)
-    return coord_variable(names[slot], convention).scale(g)
+def coord(kind: str, index: str, position: str = "upper", convention: str = "W") -> Poly:
+    """The coordinate x^A, x_A, p^A or p_A as a single-sector Poly: the
+    sector's own variable at its native position, else g_AB times the
+    partner's own variable (X_A = g_AB X^B, X^A = g^AB X_B)."""
+    g = ONE
+    if position != Metric.native[kind]:
+        index, g = Metric.lower(index)
+    slot = INDEX_OF_SLOT[kind].index(index)
+    return coord_variable(SLOT_NAMES[kind][slot], convention).scale(g)
 
 
 def to_phase_space(poly: Poly, which: str) -> Poly:
@@ -600,15 +611,6 @@ def star_product(f: Poly, g: Poly) -> Poly:
 
 def conjugate(f: Poly) -> Poly:
     return f.conjugate()
-
-
-def metric_contract(upper: dict[str, Poly], lower: dict[str, Poly]) -> Poly:
-    """sum_A  v^A * w_A  (star product in the carrier of the operands)."""
-    acc = None
-    for a in Metric.indices:
-        term = upper[a].star(lower[a])
-        acc = term if acc is None else acc + term
-    return acc
 
 
 # -- JSON (external interface) ------------------------------------------------

@@ -46,13 +46,12 @@ class CaseResult:
 class SuiteReport:
     __slots__ = ("suite", "seed", "config", "cases", "wall_time")
 
-    def __init__(self, suite: str, seed: int, config: dict, cases: list | None = None,
-                 wall_time: float = 0.0):
+    def __init__(self, suite: str, seed: int, config: dict):
         self.suite = suite
         self.seed = seed
         self.config = config
-        self.cases = [] if cases is None else cases
-        self.wall_time = wall_time
+        self.cases = []
+        self.wall_time = 0.0
 
     @property
     def failures(self):
@@ -260,14 +259,12 @@ def _suite_starcalc(rnd, cfg):
         Poly,
         P_SECTOR,
         Metric,
+        coord,
         coord_variable,
-        coord_upper,
-        coord_lower,
         star_product,
         conjugate,
         coord_poly_to_json,
         coord_poly_from_json,
-        metric_contract,
     )
 
     cases = []
@@ -335,9 +332,8 @@ def _suite_starcalc(rnd, cfg):
     _case(cases, "t is central", central_time)
 
     def metric():
-        upper = {a: coord_upper("p", a) for a in Metric.indices}
-        lower = {a: coord_lower("p", a) for a in Metric.indices}
-        psq = metric_contract(upper, lower)
+        p = {a: coord("p", a, "lower") for a in Metric.indices}
+        psq = Metric.contract(lambda b, a: p[b].star(p[a]))
         want = Poly.monomial((P_SECTOR,), ((0, 2, 0),), 0, QScalar.q(-2)) + Poly.monomial(
             (P_SECTOR,), ((1, 0, 1),), 0, -LAMBDA_PLUS
         )
@@ -377,7 +373,7 @@ def _suite_starcalc(rnd, cfg):
 def _suite_qcalculus(rnd, cfg):
     import numpy as np
 
-    from .starcalc import Poly, X_SECTOR, coord_upper
+    from .starcalc import Metric, Poly, X_SECTOR, coord
     from .qcalculus import apply_derivative, inverse_partial, integration_adjoint, d
     from .lattice import QLattice, AxisFn, StructuredFn, STerm, log_gaussian, odd_log_gaussian
 
@@ -387,7 +383,7 @@ def _suite_qcalculus(rnd, cfg):
     def kronecker():
         for a in ("+", "3", "-"):
             for b in ("+", "3", "-"):
-                xb = coord_upper("x", b)
+                xb = coord("x", b)
                 r = apply_derivative(d(a), xb)
                 want = Poly.one((X_SECTOR,)) if a == b else Poly.zero((X_SECTOR,))
                 if r != want:
@@ -397,12 +393,11 @@ def _suite_qcalculus(rnd, cfg):
     _case(cases, "d_A |> x^B = delta", kronecker, "verify --suite qcalculus")
 
     def family_consistency():
-        sigma = {"+": "-", "3": "3", "-": "+", "0": "0"}
         for trial in range(20):
             f = rand_coord_poly(rnd)
             for a in ("+", "3", "-", "0"):
                 lhs = apply_derivative(
-                    d(sigma[a], "hat", "left_bar"), f.subs_q_inverse_swap()
+                    d(Metric.partner[a], "hat", "left_bar"), f.subs_q_inverse_swap()
                 )
                 rhs = apply_derivative(d(a), f).subs_q_inverse_swap()
                 if lhs != rhs:
@@ -512,7 +507,7 @@ def _suite_qcalculus(rnd, cfg):
 
 def _suite_qexp(rnd, cfg):
     from . import qexp
-    from .starcalc import coord_variable, coord_upper, to_phase_space
+    from .starcalc import coord_variable, coord, to_phase_space
     from .qcalculus import apply_derivative, d
 
     cases = []
@@ -599,19 +594,16 @@ def _suite_qexp(rnd, cfg):
     _case(cases, "inverse exponential collapses to 1 below shell", inverse_exp)
 
     def momentum_eigen():
-        # i d_p^A acts on each family as star multiplication by x^A
-        rules = (
-            ("ipinv_x", "plain", "left", "r"),
-            ("x_ip", "plain", "right_bar", "l"),
-            ("bar_ipinv_x", "hat", "left_bar", "r"),
-            ("bar_x_ip", "hat", "right", "l"),
-        )
-        for variant, family, side, star_side in rules:
+        # i d_p^A acts on each family as star multiplication by x^A, with the
+        # position-space rule of the family's conjugate partner
+        for variant, partner in (("ipinv_x", "x_ip"), ("x_ip", "ipinv_x"),
+                                 ("bar_ipinv_x", "bar_x_ip"), ("bar_x_ip", "bar_ipinv_x")):
+            family, side, star_side = qexp._EIGEN_RULES[partner]
             body = qexp.build_exponential(variant, N).body
             for a in ("+", "3", "-"):
                 acted = apply_derivative(d(a, family, side, "upper"), body, 1).scale(I)
-                xa = to_phase_space(coord_upper("x", a, body.convention), "x")
-                expected = body.star(xa) if star_side == "r" else xa.star(body)
+                xa = to_phase_space(coord("x", a, convention=body.convention), "x")
+                expected = qexp._star_on(body, xa, star_side)
                 if not qexp.below_shell(acted - expected, N, sector_index=1).is_zero():
                     return False, f"{variant} index {a}"
         return True, ""

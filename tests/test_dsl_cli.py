@@ -239,6 +239,11 @@ NESTED = {
         ["sample", "--grid", "2", "--out", "{tmp}/g.csv", "--width", "1e-320"],
         ["sample", "--grid", "2", "--out", "{tmp}/g.csv", "--width", "1e-160"],
         ["sample", "--grid", "2", "--out", "{tmp}/g.csv", "--center", "1e308"],
+        # argparse errors: one line, without the usage block
+        ["verify", "--suite", "nope"],
+        ["verify", "--bogus"],
+        ["propagator", "--order", "x"],
+        [],
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, argv):
@@ -272,6 +277,8 @@ def test_cli_bad_input_exits_2(tmp_path, argv):
     lines = [ln for ln in err.splitlines() if ln.strip()]
     assert code == 2 and out == "" and len(lines) == 1, err
     assert not (tmp_path / "g.csv").exists()
+    if not argv:  # a bare qeuclid
+        return
     if argv[-1] in ("nan", "inf") and argv[-2] in ("--t", "--mass", "--width"):
         assert argv[-2] in lines[0], err
     name = os.path.basename(argv[2]) if argv[0] == "expectation" else ""

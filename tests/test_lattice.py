@@ -14,6 +14,7 @@ import qeuclid
 from qeuclid import lattice
 from qeuclid.lattice import QLattice, STerm, StructuredFn, _profiles, log_gaussian
 from qeuclid.qcalculus import DerivativeLabel, apply_derivative
+from qeuclid.starcalc import coord_variable
 from qeuclid.schrodinger import gaussian_packet
 
 
@@ -122,6 +123,11 @@ def test_star_integral_reports_only_its_error():
 def test_carrier_refuses_an_unknown_sector_kind():
     with pytest.raises(ValueError, match="unknown sector kind 'y'"):
         StructuredFn(QLattice(1.1), "y", [])
+
+
+def test_from_poly_refuses_symbolic_time():
+    with pytest.raises(ValueError, match="no symbolic time"):
+        StructuredFn.from_poly(QLattice(1.1), coord_variable("x+").mul_t())
 
 
 def test_lattice_and_term_are_values():

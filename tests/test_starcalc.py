@@ -1,4 +1,5 @@
 import json
+from itertools import product
 
 import pytest
 
@@ -10,11 +11,13 @@ from qeuclid.starcalc import (
     X_SECTOR,
     SectorMismatch,
     conjugate,
+    coord,
     coord_variable,
     coord_poly_from_json,
     coord_poly_to_json,
     star_product,
 )
+from qeuclid.schrodinger import psq, psq_power, psq_star_power
 
 xp, x3, xm = (coord_variable(v) for v in ("x+", "x3", "x-"))
 
@@ -73,6 +76,29 @@ def test_metric_entries_and_inverse():
         b, g = Metric.lower(a)
         b2, g2 = Metric.raise_(b)
         assert (a, True) == (b2, (g * g2).is_one())
+
+
+@pytest.mark.parametrize("convention", ("W", "Wt"))
+def test_coord_at_either_index_position(convention):
+    # x^A and p_A are the sectors' own variables; the other position is the
+    # partner's variable times the metric entry, X_A = g_AB X^B, X^A = g^AB X_B
+    native = {"x": "upper", "p": "lower"}
+    partner = {"+": "-", "3": "3", "-": "+"}
+    for kind, index, position in product("xp", "+3-", ("upper", "lower")):
+        own = coord_variable(kind + index, convention)
+        b = partner[index]
+        if position == native[kind]:
+            assert coord(kind, index, position, convention) == own
+            continue
+        g = Metric.entry(index, b)
+        assert coord(kind, index, position, convention) == coord_variable(kind + b, convention).scale(g)
+        # lowering twice gives the index back: g_AB X^B = X_A and g^AB X_B = X^A
+        assert coord(kind, b, position, convention).scale(g) == own
+    # p^2 = p^A p_A is the first power of its expansion, and its star powers
+    # are the expansion in either ordering (the twisted plane waves use Wt)
+    assert psq(convention) == psq_power(1, convention)
+    for k in range(4):
+        assert psq_star_power(k, convention) == psq_power(k, convention)
 
 
 def test_classical_limit(rand_poly):
