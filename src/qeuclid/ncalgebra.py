@@ -273,6 +273,7 @@ def is_normal_ordered(word: Word, convention: str) -> bool:
 
 # -- Weyl map -------------------------------------------------------------------
 
+
 def _word_from_mono(triple, t_exp: int, convention: str) -> Word:
     a, b, c = triple
     if convention == "W":

@@ -95,6 +95,7 @@ def _check_convention(f, side: str):
 # -lam.  Both act at the lower index position of a position sector; the
 # momentum sector reuses them at the slot-mirrored index.
 
+
 def _mirror(index: str, m: int):
     """The index and the (low, high) end slots seen through the mirror m."""
     return (index, 0, 2) if m > 0 else (Metric.partner[index], 2, 0)

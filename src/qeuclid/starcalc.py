@@ -588,6 +588,8 @@ def coord(kind: str, index: str, position: str = "upper", convention: str = "W")
     """The coordinate x^A, x_A, p^A or p_A as a single-sector Poly: the
     sector's own variable at its native position, else g_AB times the
     partner's own variable (X_A = g_AB X^B, X^A = g^AB X_B)."""
+    if position not in ("upper", "lower"):
+        raise ValueError(f"bad position {position!r}")
     g = ONE
     if position != Metric.native[kind]:
         index, g = Metric.lower(index)

@@ -94,6 +94,8 @@ def test_coord_at_either_index_position(convention):
         assert coord(kind, index, position, convention) == coord_variable(kind + b, convention).scale(g)
         # lowering twice gives the index back: g_AB X^B = X_A and g^AB X_B = X^A
         assert coord(kind, b, position, convention).scale(g) == own
+    with pytest.raises(ValueError, match="bad position 'uper'"):
+        coord("p", "+", "uper", convention)
     # p^2 = p^A p_A is the first power of its expansion, and its star powers
     # are the expansion in either ordering (the twisted plane waves use Wt)
     assert psq(convention) == psq_power(1, convention)
