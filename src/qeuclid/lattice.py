@@ -410,15 +410,10 @@ class StructuredFn:
 
     @staticmethod
     def from_envelopes(
-        lattice: QLattice,
-        sector_kind: str,
-        envs,
-        exps=(0, 0, 0),
-        coeff: complex = 1.0,
-        convention: str = "W",
+        lattice: QLattice, sector_kind: str, envs, exps=(0, 0, 0), convention: str = "W"
     ) -> "StructuredFn":
         return StructuredFn(
-            lattice, sector_kind, [STerm(coeff, tuple(exps), tuple(envs))], convention
+            lattice, sector_kind, [STerm(1.0, tuple(exps), tuple(envs))], convention
         )
 
     @staticmethod

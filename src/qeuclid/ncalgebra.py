@@ -291,14 +291,13 @@ def _mono_from_word(word: Word, convention: str):
     return (a, b, c), t
 
 
-def weyl_map(f: Poly, convention: str | None = None) -> NCPoly:
+def weyl_map(f: Poly) -> NCPoly:
     """Monomial-by-monomial lift of a single-sector Poly into the word algebra."""
     if len(f.sectors) != 1:
         raise ValueError("weyl_map takes a single-sector polynomial")
-    conv = convention or f.convention
     return NCPoly(
         {
-            _word_from_mono(triples[0], t, conv): coeff
+            _word_from_mono(triples[0], t, f.convention): coeff
             for (triples, t), coeff in f.terms.items()
         }
     )

@@ -6,17 +6,19 @@ below the truncation shell.  Six variants are carried:
 
 * ``x_ip``       exp(x | i p)          left eigenfunction, plain family (W)
 * ``ipinv_x``    exp(1/i p | x)        right eigenfunction, plain family (W)
-* ``bar_x_ip``   the q -> 1/q image of x_ip (Wt)
+* ``bar_x_ip``   the mirror image of x_ip (Wt)
 * ``bar_ipinv_x``                  ... of ipinv_x (Wt)
-* ``star_ip_x``  twisted exponential, realized as bar_ipinv_x with the
-                 momentum rescaled p -> q^6 p
-* ``star_x_ipinv``                 ... as bar_x_ip with p -> q^6 p
+* ``star_x_ipinv``  twisted exponential, realized as bar_x_ip with the
+                    momentum rescaled p -> q^6 p
+* ``star_ip_x``                    ... as bar_ipinv_x with p -> q^6 p
 
 Translations realize the braided coproducts on commutative carriers; the
-unbarred one has a printed closed formula (quadruple sum) and is
-cross-checked against the exponential-of-derivatives route.  Inversions
-realize the braided antipodes via the scaling-operator series; the barred
-inversion is the image of the unbarred one under (q -> 1/q, +/- swap).
+unbarred one has a printed closed formula (quadruple sum), cross-checked
+against the exponential-of-derivatives route.  Inversions realize the
+braided antipodes via the scaling-operator series.  Each barred
+exponential, translation and inversion is the mirror image (q -> 1/q, +/-
+swapped, W <-> Wt; ``Poly.subs_q_inverse_swap``) of its printed unbarred
+partner.
 """
 
 from __future__ import annotations
@@ -63,19 +65,15 @@ def _degree_triples(n_max: int):
                 yield np_, n3, total - np_ - n3
 
 
-def _body_x_ip(order: int, base_sign: int) -> Poly:
-    """Common body of x_ip (base_sign +1) and bar_x_ip (base_sign -1)."""
+def _body_x_ip(order: int) -> Poly:
+    """exp(x | i p) written on the canonical basis."""
     terms = {}
     for np_, n3, nm in _degree_triples(order):
-        denom = (
-            q_factorial(np_, 4 * base_sign)
-            * q_factorial(n3, 2 * base_sign)
-            * q_factorial(nm, 4 * base_sign)
-        )
+        denom = q_factorial(np_, 4) * q_factorial(n3, 2) * q_factorial(nm, 4)
         coeff = (I ** (np_ + n3 + nm)) / denom
         key = (((np_, n3, nm), (nm, n3, np_)), 0)
         terms[key] = coeff
-    return Poly(XP_SECTORS, terms, "W" if base_sign > 0 else "Wt")
+    return Poly(XP_SECTORS, terms, "W")
 
 
 def _body_ipinv_x(order: int) -> Poly:
@@ -102,21 +100,29 @@ def _rescale_momentum(body: Poly, power_of_q: int) -> Poly:
     )
 
 
+_PRINTED = {"x_ip": _body_x_ip, "ipinv_x": _body_ipinv_x}
+
+#: every other family as (plain partner, power of q in p -> q^k p): the
+#: barred families are the mirror images (q -> 1/q, +/- swapped) of their
+#: plain partners, and the twisted ones rescale those images' momenta
+_MIRRORED = {
+    "bar_x_ip": ("x_ip", 0),
+    "bar_ipinv_x": ("ipinv_x", 0),
+    "star_x_ipinv": ("x_ip", 6),
+    "star_ip_x": ("ipinv_x", 6),
+}
+
+
 def build_exponential(variant: str, order: int) -> QExponential:
     if order < 0:
         raise ValueError("truncation order must be >= 0")
-    if variant == "x_ip":
-        body = _body_x_ip(order, +1)
-    elif variant == "bar_x_ip":
-        body = _body_x_ip(order, -1)
-    elif variant == "ipinv_x":
-        body = _body_ipinv_x(order)
-    elif variant == "bar_ipinv_x":
-        body = _body_x_ip(order, -1).conjugate()
-    elif variant == "star_ip_x":
-        body = _rescale_momentum(_body_x_ip(order, -1).conjugate(), 6)
-    elif variant == "star_x_ipinv":
-        body = _rescale_momentum(_body_x_ip(order, -1), 6)
+    if variant in _PRINTED:
+        body = _PRINTED[variant](order)
+    elif variant in _MIRRORED:
+        plain, power = _MIRRORED[variant]
+        body = _PRINTED[plain](order).subs_q_inverse_swap()
+        if power:
+            body = _rescale_momentum(body, power)
     else:
         raise ValueError(f"unknown exponential variant {variant!r}")
     return QExponential(variant, order, body)
@@ -252,69 +258,43 @@ def _translate_plus_formula(f: Poly) -> Poly:
     return total
 
 
-def _exp_action_translate(f: Poly, bar: bool) -> Poly:
-    """g(x (+) y) or g(x (+bar) y) via the exponential-of-derivatives route.
+def q_translate(f: Poly, kind: str = "plus") -> TranslationResult:
+    """Realize f(x (+) y) (kind "plus") or f(x (+bar) y) (kind "plusbar").
 
-    plusbar uses the plain family exp(x | d_y) |> f(y); plus uses the
-    conjugate family with hatted derivatives and the bar action.
+    "plus" uses the printed closed formula; "plusbar" is its image under
+    (q -> 1/q, +/- swap), as the barred inversion is of the unbarred one.
     """
-    conv = f.convention
+    if kind == "plus":
+        return TranslationResult(kind, _translate_plus_formula(f))
+    if kind == "plusbar":
+        flipped = _translate_plus_formula(f.subs_q_inverse_swap())
+        return TranslationResult(kind, flipped.subs_q_inverse_swap())
+    raise ValueError(f"unknown translation kind {kind!r}")
+
+
+def q_translate_oracle_plus(f: Poly) -> TranslationResult:
+    """Second route to f(x (+) y): the conjugate exponential exp(x | d_y)
+    with hatted derivatives and the bar action, acting on f(y)."""
     order = max((sum(tr[0]) for tr, _ in f.terms), default=0)
-    if bar:
-        # relabel: the derivative formulas read only the commutative monomials
-        work = f.rename_sectors((Y_SECTOR,)).with_convention("W")
-        base_sign, variant, side = +1, "plain", "left"
-    else:
-        # relabel: likewise, the hatted formulas read only the monomials
-        work = f.rename_sectors((Y_SECTOR,)).with_convention("Wt")
-        base_sign, variant, side = -1, "hat", "left_bar"
-    total = Poly.zero((X_SECTOR, Y_SECTOR), work.convention)
+    # relabel: the hatted formulas read only the commutative monomials
+    work = f.rename_sectors((Y_SECTOR,)).with_convention("Wt")
+    total = Poly.zero((X_SECTOR, Y_SECTOR), "Wt")
     for np_, n3, nm in _degree_triples(order):
         # The derivative word mirrors the momentum monomial of the
-        # exponential.  One structural composition convention serves both
-        # families; written against each family's printed word order it
-        # reads rightmost-first for the plain family and leftmost-first for
-        # the hatted one (the substitution between the calculi reverses the
-        # letter roles).  Fixed by the printed translation formula on the
-        # hat side and by the counit/addition laws on the plain side.
+        # exponential, read leftmost-first against the hatted family's
+        # printed word order; fixed by the printed translation formula.
         g = work
-        if bar:
-            seq = ["+"] * np_ + ["3"] * n3 + ["-"] * nm
-        else:
-            seq = ["-"] * nm + ["3"] * n3 + ["+"] * np_
-        for idx in seq:
-            g = apply_derivative(d(idx, variant, side), g)
+        for idx in ["-"] * nm + ["3"] * n3 + ["+"] * np_:
+            g = apply_derivative(d(idx, "hat", "left_bar"), g)
         if g.is_zero():
             continue
-        denom = (
-            q_factorial(np_, 4 * base_sign)
-            * q_factorial(n3, 2 * base_sign)
-            * q_factorial(nm, 4 * base_sign)
-        )
+        denom = q_factorial(np_, -4) * q_factorial(n3, -2) * q_factorial(nm, -4)
         g = g.scale(ONE / denom)
         g = g.insert_sector(0, X_SECTOR)
         g = g.mul_slot_var(0, 0, np_).mul_slot_var(0, 1, n3).mul_slot_var(0, 2, nm)
         total = total + g
     # relabel back: a translation of commutative monomials keeps f's tag
-    return total.with_convention(conv)
-
-
-def q_translate(f: Poly, kind: str = "plus") -> TranslationResult:
-    """Realize f(x (+) y) (kind "plus") or f(x (+bar) y) (kind "plusbar").
-
-    "plus" uses the printed closed formula; "plusbar" the exponential
-    route (its closed coefficient formula is not available).
-    """
-    if kind == "plus":
-        return TranslationResult(kind, _translate_plus_formula(f))
-    if kind == "plusbar":
-        return TranslationResult(kind, _exp_action_translate(f, bar=True))
-    raise ValueError(f"unknown translation kind {kind!r}")
-
-
-def q_translate_oracle_plus(f: Poly) -> TranslationResult:
-    """Second route to f(x (+) y), via the conjugate exponential action."""
-    return TranslationResult("plus", _exp_action_translate(f, bar=False))
+    return TranslationResult("plus", total.with_convention(f.convention))
 
 
 # -- q-inversions ------------------------------------------------------------------

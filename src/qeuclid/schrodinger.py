@@ -85,7 +85,7 @@ class Hamiltonian(_Frozen):
     def prefactor(self) -> QScalar:
         return QScalar.from_rational(Fraction(-1, 2) / self.mass)
 
-    def apply(self, f, side: str = "left", sector_index: int = 0):
+    def apply(self, f, side: str = "left"):
         """Act with H0 through the requested action side.
 
         The contraction d^A d_A = sum_A g^AB d_B d_A is composed of plain
@@ -99,7 +99,7 @@ class Hamiltonian(_Frozen):
         pos = "lower" if side in ("left", "left_bar") else "upper"
 
         def act(index, g):
-            return apply_derivative(d(index, "plain", side, pos), g, sector_index)
+            return apply_derivative(d(index, "plain", side, pos), g)
 
         return Metric.contract(lambda b, a: act(b, act(a, f))).scale(self.prefactor())
 
@@ -298,12 +298,12 @@ def schrodinger_residual(w: PlaneWave) -> Poly:
     return left - right
 
 
-def momentum_residual(w: PlaneWave, index: str, position: str = "lower") -> Poly:
+def momentum_residual(w: PlaneWave, index: str) -> Poly:
     """(1/i) dA acting on the family's side minus star multiplication by pA
     on the family's side.  Vanishes for spatial degree <= N-1."""
     from .qexp import _eigen_residual
 
-    return _eigen_residual(w.body, PLANE_WAVES[w.family], index, position)
+    return _eigen_residual(w.body, PLANE_WAVES[w.family], index, "lower")
 
 
 def energy_residual(w: PlaneWave) -> Poly:

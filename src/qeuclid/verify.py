@@ -582,12 +582,13 @@ def _suite_qexp(rnd, cfg):
     _case(cases, "classical limit of the inversion", classical_inversion)
 
     def addition():
-        r = qexp.addition_theorem_residual(min(N, 3))
+        r = qexp.addition_theorem_residual(N)
         return r.is_zero(), "addition theorem residual nonzero"
 
     _case(cases, "addition theorem below shell", addition)
 
     def inverse_exp():
+        # capped: the exact scalar gcds make order 5 take about 10 s
         r = qexp.inverse_exponential_residual(min(N, 3))
         return r.is_zero(), "inverse exponential residual nonzero"
 

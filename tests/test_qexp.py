@@ -1,7 +1,13 @@
-from qeuclid.qarith import I, q_factorial
+from itertools import product
+
+import pytest
+
+from qeuclid.qarith import I, ONE, q_factorial
+from qeuclid.qcalculus import apply_derivative, d
 from qeuclid.starcalc import Poly, P_SECTOR, X_SECTOR, coord_variable
 from qeuclid.qexp import (
     VARIANTS,
+    Y_SECTOR,
     build_exponential,
     exponential_to_json,
     q_invert,
@@ -46,6 +52,40 @@ def test_translation_classical_limit():
     T = q_translate(x3, "plus").polynomial
     v = T.eval_classical(1.0, ((0.3, 0.7, -0.2), (0.11, 0.5, 0.9)))
     assert abs(v - (0.7 + 0.5)) < 1e-12
+
+
+def _plusbar_by_plain_exponential(f: Poly) -> Poly:
+    """f(x (+bar) y) as exp(x | d_y) |> f(y): the plain family, with plain
+    left derivatives, each derivative word applied rightmost letter first."""
+    order = max(sum(triples[0]) for triples, _ in f.terms)
+    # relabel: the plain derivative formulas read only the commutative monomials
+    work = f.rename_sectors((Y_SECTOR,)).with_convention("W")
+    total = Poly.zero((X_SECTOR, Y_SECTOR), "W")
+    for np_, n3, nm in product(range(order + 1), repeat=3):
+        g = work
+        for idx in ["+"] * np_ + ["3"] * n3 + ["-"] * nm:
+            g = apply_derivative(d(idx), g)
+        if g.is_zero():
+            continue
+        denom = q_factorial(np_, 4) * q_factorial(n3, 2) * q_factorial(nm, 4)
+        g = g.scale(ONE / denom).insert_sector(0, X_SECTOR)
+        total = total + g.mul_slot_var(0, 0, np_).mul_slot_var(0, 1, n3).mul_slot_var(0, 2, nm)
+    # relabel back: a translation of commutative monomials keeps f's tag
+    return total.with_convention(f.convention)
+
+
+@pytest.mark.parametrize("conv", ["W", "Wt"])
+def test_plusbar_matches_plain_exponential_route(rand_poly, conv):
+    """The mirrored printed formula against an independent route."""
+    checked = 0
+    while checked < 15:
+        f = rand_poly(deg=3, nterm=4, with_t=False, conv=conv).filter_terms(
+            lambda key: sum(key[0][0]) <= 3
+        )
+        if f.is_zero():
+            continue
+        assert q_translate(f, "plusbar").polynomial == _plusbar_by_plain_exponential(f)
+        checked += 1
 
 
 def test_inversion_values_and_classical():
