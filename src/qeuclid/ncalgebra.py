@@ -16,11 +16,16 @@ X0 <= X- <= X3 <= X+.
 The momentum algebra (p-, p3, p+) satisfies relations of exactly this shape
 under the slot identification used by :mod:`qeuclid.starcalc`, so the same
 engine serves as the oracle for both sectors.
+
+A word combination is a plain dict {word: QScalar} that holds no zero
+coefficient, the invariant ``starcalc._add_term`` keeps.  The rewrite
+multipliers are qarith ``Terms``, the Gaussian-integer Laurent dicts of a
+``QScalar`` numerator, added and multiplied by qarith's own routines.
 """
 
 from __future__ import annotations
 
-from .qarith import QScalar, ONE, _ONE_DEN
+from .qarith import QScalar, Terms, _ONE_DEN, _d_add, _d_mul
 from .starcalc import Poly, Sector, _add_term
 
 XP, X3, XM, X0 = "X+", "X3", "X-", "X0"
@@ -32,165 +37,65 @@ _RANK = {
 }
 
 Word = tuple[str, ...]
+#: a word combination {word: coefficient}; no coefficient is zero
+Words = dict[Word, QScalar]
 
 
-class NCPoly:
-    """Linear combination of words over {X+, X3, X-, X0}; canonical sparse."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[Word, QScalar] | None = None):
-        clean = {}
-        if terms:
-            for w, c in terms.items():
-                if not c.is_zero():
-                    clean[tuple(w)] = c
-        self.terms = clean
-
-    @staticmethod
-    def zero() -> "NCPoly":
-        return NCPoly()
-
-    @staticmethod
-    def one() -> "NCPoly":
-        return NCPoly({(): ONE})
-
-    @staticmethod
-    def word(*letters: str, coeff: QScalar = ONE) -> "NCPoly":
-        return NCPoly({tuple(letters): coeff})
-
-    def __add__(self, other: "NCPoly") -> "NCPoly":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            _add_term(out, w, c)
-        return NCPoly(out)
-
-    def __sub__(self, other: "NCPoly") -> "NCPoly":
-        return self + other.scale(-ONE)
-
-    def scale(self, coeff: QScalar) -> "NCPoly":
-        return NCPoly({w: c * coeff for w, c in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "NCPoly(0)"
-        parts = [
-            f"({c})*{'.'.join(w) if w else '1'}"
-            for w, c in sorted(self.terms.items())
-        ]
-        return "NCPoly(" + " + ".join(parts) + ")"
-
-    def total_degrees(self) -> set[int]:
-        return {len(w) for w in self.terms}
-
-    def to_json(self) -> dict:
-        return {
-            "terms": [
-                {"letters": list(w), "coeff": c.to_json()}
-                for w, c in sorted(self.terms.items())
-            ]
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "NCPoly":
-        return NCPoly(
-            {
-                tuple(item["letters"]): QScalar.from_json(item["coeff"])
-                for item in data["terms"]
-            }
-        )
-
-
-def nc_multiply(a: NCPoly, b: NCPoly) -> NCPoly:
+def nc_multiply(a: Words, b: Words) -> Words:
     """Concatenation product, bilinear; result not normal-ordered."""
-    out: dict[Word, QScalar] = {}
-    for w1, c1 in a.terms.items():
-        for w2, c2 in b.terms.items():
+    out: Words = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
             _add_term(out, w1 + w2, c1 * c2)
-    return NCPoly(out)
-
-
-#: integer Laurent polynomials {exponent: coefficient} carry the multipliers
-#: of the rewriting; none is mutated once built, so results can share them
-_UNIT = {0: 1}
+    return out
 
 
 def _swap_pair(u: str, v: str, convention: str):
     """Rewrite the out-of-order pair u v as a combination of v u (and the
     lam correction when the pair is (X-, X+) or (X+, X-)).
 
-    Each coefficient is an integer Laurent polynomial {exponent: coefficient}
-    (lam = q - 1/q is {1: 1, -1: -1}), so the rewriting stays in integer
-    arithmetic.
+    Each multiplier is a qarith ``Terms`` dict {exponent: (re, im)}, the
+    numerator of a ``QScalar`` over ``_ONE_DEN`` (lam = q - 1/q is
+    {1: (1, 0), -1: (-1, 0)}), so the rewriting stays in integer arithmetic.
     """
     if X0 in (u, v):
-        return (((v, u), _UNIT),)
+        return (((v, u), _ONE_DEN),)
     pair = (u, v)
     if convention == "W":
         if pair == (X3, XP):
-            return (((XP, X3), {2: 1}),)
+            return (((XP, X3), {2: (1, 0)}),)
         if pair == (XM, X3):
-            return (((X3, XM), {2: 1}),)
+            return (((X3, XM), {2: (1, 0)}),)
         if pair == (XM, XP):
-            return (((XP, XM), _UNIT), ((X3, X3), {1: 1, -1: -1}))
+            return (((XP, XM), _ONE_DEN), ((X3, X3), {1: (1, 0), -1: (-1, 0)}))
     else:
         if pair == (XP, X3):
-            return (((X3, XP), {-2: 1}),)
+            return (((X3, XP), {-2: (1, 0)}),)
         if pair == (X3, XM):
-            return (((XM, X3), {-2: 1}),)
+            return (((XM, X3), {-2: (1, 0)}),)
         if pair == (XP, XM):
-            return (((XM, XP), _UNIT), ((X3, X3), {1: -1, -1: 1}))
+            return (((XM, XP), _ONE_DEN), ((X3, X3), {1: (-1, 0), -1: (1, 0)}))
     raise AssertionError(f"pair {pair} is not out of order in {convention}")
 
 
-def _l_add(out: dict, key, m: dict) -> None:
+def _l_add(out: dict, key, m: Terms) -> None:
     """Add the multiplier ``m`` at ``key`` of a sparse sum; drop a cancelled key."""
     old = out.get(key)
     if old is None:
         out[key] = m
-        return
-    s = dict(old)
-    for e, c in m.items():
-        c += s.get(e, 0)
-        if c:
-            s[e] = c
-        else:
-            del s[e]
-    if s:
+    elif s := _d_add(old, m):
         out[key] = s
     else:
         del out[key]
-
-
-def _l_mul(a: dict, b: dict) -> dict:
-    """Product of two multipliers; the unit returns the other operand itself."""
-    if a is _UNIT:
-        return b
-    if b is _UNIT:
-        return a
-    if len(a) == 1:
-        ((ea, ca),) = a.items()
-        return {e + ea: c * ca for e, c in b.items()}
-    out: dict[int, int] = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
 
 
 #: one insertion table per (convention, at_end): {(sorted word, letter):
 #: {sorted word: multiplier}}, kept for the process.  A sorted word is fixed
 #: by its four letter counts, so a table grows only with the largest degree
 #: met, and each reduction strategy keeps its own, so the confluence check
-#: still compares two independent reductions.  Entries are never mutated.
+#: still compares two independent reductions.  Multipliers are qarith
+#: ``Terms``; entries are never mutated, so results and the numerators of
+#: the scalars built from them can share them.
 _INSERT_TABLES: dict[tuple[str, bool], dict] = {
     (convention, at_end): {} for convention in _RANK for at_end in (True, False)
 }
@@ -208,11 +113,11 @@ def _insert(s: Word, x: str, at_end: bool, convention: str, memo: dict) -> dict:
     different paths, or in earlier calls, are reduced once.
     """
     if not s:
-        return {(x,): _UNIT}
+        return {(x,): _ONE_DEN}
     u, v, rest = (s[-1], x, s[:-1]) if at_end else (x, s[0], s[1:])
     rank = _RANK[convention]
     if rank[u] <= rank[v]:
-        return {(s + (x,) if at_end else (x,) + s): _UNIT}
+        return {(s + (x,) if at_end else (x,) + s): _ONE_DEN}
     key = (s, x)
     got = memo.get(key)
     if got is not None:
@@ -221,14 +126,14 @@ def _insert(s: Word, x: str, at_end: bool, convention: str, memo: dict) -> dict:
     for (a, b), c in _swap_pair(u, v, convention):
         first, second = (a, b) if at_end else (b, a)
         for t, m in _insert(rest, first, at_end, convention, memo).items():
-            cm = _l_mul(c, m)
+            cm = _d_mul(c, m)
             for w, n in _insert(t, second, at_end, convention, memo).items():
-                _l_add(got, w, _l_mul(cm, n))
+                _l_add(got, w, _d_mul(cm, n))
     memo[key] = got
     return got
 
 
-def normal_order(f: NCPoly, convention: str = "W", strategy: str = "leftmost") -> NCPoly:
+def normal_order(f: Words, convention: str = "W", strategy: str = "leftmost") -> Words:
     """Rewrite every word into the sorted PBW basis of the convention.
 
     Each rewrite either swaps an out-of-order pair, lowering the number of
@@ -242,8 +147,8 @@ def normal_order(f: NCPoly, convention: str = "W", strategy: str = "leftmost") -
     ``"rightmost"`` is its mirror image, folding from the right and inserting
     at the front of the normal-ordered suffix.  Insertions are memoized in
     the process-wide table of (convention, strategy), and multipliers stay
-    integer Laurent polynomials until one scalar per (input word, output
-    word) is built.
+    qarith ``Terms`` until one scalar per (input word, output word) is
+    built, with the multiplier itself as its numerator.
     """
     if convention not in _RANK:
         raise ValueError(f"unknown convention {convention!r}")
@@ -251,19 +156,18 @@ def normal_order(f: NCPoly, convention: str = "W", strategy: str = "leftmost") -
         raise ValueError(f"unknown strategy {strategy!r}")
     at_end = strategy == "leftmost"
     memo = _INSERT_TABLES[convention, at_end]
-    out: dict[Word, QScalar] = {}
-    for word, coeff in f.terms.items():
-        state: dict[Word, dict] = {(): _UNIT}
+    out: Words = {}
+    for word, coeff in f.items():
+        state: dict[Word, Terms] = {(): _ONE_DEN}
         for x in (word if at_end else reversed(word)):
-            step: dict[Word, dict] = {}
+            step: dict[Word, Terms] = {}
             for s, m in state.items():
                 for t, n in _insert(s, x, at_end, convention, memo).items():
-                    _l_add(step, t, _l_mul(m, n))
+                    _l_add(step, t, _d_mul(m, n))
             state = step
         for t, m in state.items():
-            scalar = QScalar._raw({e: (c, 0) for e, c in m.items()}, _ONE_DEN, True)
-            _add_term(out, t, coeff * scalar)
-    return NCPoly(out)
+            _add_term(out, t, coeff * QScalar._raw(m, _ONE_DEN, True))
+    return out
 
 
 def is_normal_ordered(word: Word, convention: str) -> bool:
@@ -291,22 +195,20 @@ def _mono_from_word(word: Word, convention: str):
     return (a, b, c), t
 
 
-def weyl_map(f: Poly) -> NCPoly:
+def weyl_map(f: Poly) -> Words:
     """Monomial-by-monomial lift of a single-sector Poly into the word algebra."""
     if len(f.sectors) != 1:
         raise ValueError("weyl_map takes a single-sector polynomial")
-    return NCPoly(
-        {
-            _word_from_mono(triples[0], t, f.convention): coeff
-            for (triples, t), coeff in f.terms.items()
-        }
-    )
+    return {
+        _word_from_mono(triples[0], t, f.convention): coeff
+        for (triples, t), coeff in f.terms.items()
+    }
 
 
-def weyl_unmap(F: NCPoly, sector: Sector, convention: str = "W") -> Poly:
+def weyl_unmap(F: Words, sector: Sector, convention: str = "W") -> Poly:
     """Inverse of weyl_map on normal-ordered input; rejects unsorted words."""
     terms = {}
-    for w, coeff in F.terms.items():
+    for w, coeff in F.items():
         mono, t = _mono_from_word(w, convention)
         terms[((mono,), t)] = coeff
     return Poly((sector,), terms, convention)

@@ -38,7 +38,6 @@ import math
 from fractions import Fraction
 
 from .qarith import (
-    GRat,
     QScalar,
     ZERO,
     ONE,
@@ -192,9 +191,9 @@ def phase_factor(
         rat = Fraction(sign) ** k / (
             Fraction(math.factorial(k)) * (2 * mass) ** k
         )
-        coeff = (I**k).scale(GRat(rat))
+        coeff = (I**k).scale(rat)
         if t_value is not None:
-            coeff = coeff.scale(GRat(t_value**k))
+            coeff = coeff.scale(t_value**k)
             term = psq_power(k, convention).scale(coeff)
         else:
             term = psq_power(k, convention).scale(coeff).mul_t(k)
@@ -261,7 +260,7 @@ def plane_wave_printed(order_space: int, order_time: int, mass: Fraction) -> Pol
                             (-LAMBDA_PLUS) ** (k - l) * q_binomial(k, l, 4)
                         ).shift(-2 * l + 2 * n3 * (k - l))
                         rat = Fraction(1, math.factorial(k)) / (2 * mass) ** k
-                        coeff = coeff.scale(GRat(rat)) / base
+                        coeff = coeff.scale(rat) / base
                         ipow = (np_ + n3 + nm + 3 * k) % 4
                         for _ in range(ipow):
                             coeff = coeff * I
@@ -382,7 +381,7 @@ class MomentumPropagator(_Frozen):
     def coefficient(self, k: int) -> QScalar:
         """(+-i) (2m)^-k with the family's p^2 sign folded in."""
         rat = Fraction(self.psq_sign()) ** k / (2 * self.mass) ** k
-        c = QScalar.from_rational(0, Fraction(self.branch)).scale(GRat(rat))
+        c = QScalar.from_rational(0, Fraction(self.branch)).scale(rat)
         return c
 
     def expanded(self) -> dict[int, Poly]:
@@ -691,7 +690,7 @@ def phase_factor_construction_residual(order: int, mass: Fraction) -> Poly:
         rat = Fraction(-1) ** k / (
             Fraction(math.factorial(k)) * (2 * mass) ** k
         )
-        coeff = (I**k).scale(GRat(rat))
+        coeff = (I**k).scale(rat)
         terms = {}
         for l in range(k + 1):
             terms[(((k - l, 2 * l, k - l),), k)] = cq_coefficient(k, l) * coeff

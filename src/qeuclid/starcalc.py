@@ -39,7 +39,6 @@ from functools import lru_cache
 from typing import Iterable
 
 from .qarith import (
-    GRat,
     _Frozen,
     QScalar,
     ZERO,
@@ -104,11 +103,6 @@ class Metric:
         return partner, Metric.entry(a, partner)
 
     @staticmethod
-    def raise_(a: str) -> tuple[str, QScalar]:
-        # g^{ab} = g_{ab}
-        return Metric.lower(a)
-
-    @staticmethod
     def entry(a: str, b: str) -> QScalar:
         if a == "+" and b == "-":
             return -QScalar.q(1)
@@ -125,7 +119,7 @@ class Metric:
         after another)."""
         acc = None
         for a in Metric.indices:
-            b, g = Metric.raise_(a)
+            b, g = Metric.lower(a)  # g^{AB} = g_{AB}
             term = pair(b, a).scale_q(g)
             acc = term if acc is None else acc + term
         return acc
@@ -455,7 +449,7 @@ class Poly:
     def t_integral(self) -> "Poly":
         out = {}
         for (triples, t), coeff in self.terms.items():
-            out[(triples, t + 1)] = coeff.scale(GRat(Fraction(1, t + 1)))
+            out[(triples, t + 1)] = coeff.scale(Fraction(1, t + 1))
         return Poly(self.sectors, out, self.convention)
 
     def mul_t(self, power: int = 1) -> "Poly":

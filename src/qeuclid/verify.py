@@ -220,8 +220,8 @@ def _suite_ncalgebra(rnd, cfg):
             f = rand_coord_poly(rnd, deg=3, nterm=2)
             g = rand_coord_poly(rnd, deg=3, nterm=2)
             prod = ncalgebra.nc_multiply(ncalgebra.weyl_map(f), ncalgebra.weyl_map(g))
-            before = prod.total_degrees()
-            after = ncalgebra.normal_order(prod).total_degrees()
+            before = {len(w) for w in prod}
+            after = {len(w) for w in ncalgebra.normal_order(prod)}
             if not after <= before:
                 return False, f"trial={trial}"
         return True, ""
@@ -344,7 +344,7 @@ def _suite_starcalc(rnd, cfg):
     def raise_lower():
         for a in Metric.indices:
             b, g = Metric.lower(a)
-            b2, g2 = Metric.raise_(b)
+            b2, g2 = Metric.lower(b)  # raising: g^AB = g_AB
             if b2 != a or not (g * g2).is_one():
                 return False, f"index {a}"
         return True, ""

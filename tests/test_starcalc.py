@@ -74,7 +74,7 @@ def test_metric_entries_and_inverse():
     assert Metric.entry("+", "+").is_zero()
     for a in Metric.indices:
         b, g = Metric.lower(a)
-        b2, g2 = Metric.raise_(b)
+        b2, g2 = Metric.lower(b)  # raising: g^AB = g_AB
         assert (a, True) == (b2, (g * g2).is_one())
 
 
