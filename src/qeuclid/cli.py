@@ -237,7 +237,7 @@ def cmd_verify(args) -> int:
 
     try:
         report = run_suite(
-            args.suite, seed=args.seed, q0=q0, N=N, K=K, j_min=-args.grid, j_max=args.grid
+            args.suite, seed=args.seed, q0=q0, N=N, K=K, grid=args.grid
         )
     except ValueError as exc:  # a bad configuration; cases report their own errors
         raise UsageError(f"bad verify configuration: {exc}") from None

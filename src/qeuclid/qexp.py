@@ -5,7 +5,8 @@ truncated at total degree N they satisfy their eigenvalue equations exactly
 below the truncation shell.  Six variants are carried:
 
 * ``x_ip``       exp(x | i p)          left eigenfunction, plain family (W)
-* ``ipinv_x``    exp(1/i p | x)        right eigenfunction, plain family (W)
+* ``ipinv_x``    exp(1/i p | x)        right eigenfunction, plain family (W),
+                 realized as conj exp(x | i p)
 * ``bar_x_ip``   the mirror image of x_ip (Wt)
 * ``bar_ipinv_x``                  ... of ipinv_x (Wt)
 * ``star_x_ipinv``  twisted exponential, realized as bar_x_ip with the
@@ -17,8 +18,9 @@ unbarred one has a printed closed formula (quadruple sum), cross-checked
 against the exponential-of-derivatives route.  Inversions realize the
 braided antipodes via the scaling-operator series.  Each barred
 exponential, translation and inversion is the mirror image (q -> 1/q, +/-
-swapped, W <-> Wt; ``Poly.subs_q_inverse_swap``) of its printed unbarred
-partner.
+swapped, W <-> Wt; ``Poly.subs_q_inverse_swap``) of its unbarred partner,
+and U^-1 is the mirror image of U.  So only four things are written out:
+exp(x | i p), the translation formula, U and the inversion series.
 """
 
 from __future__ import annotations
@@ -76,31 +78,17 @@ def _body_x_ip(order: int) -> Poly:
     return Poly(XP_SECTORS, terms, "W")
 
 
-def _body_ipinv_x(order: int) -> Poly:
-    """exp(1/i p | x) written on the canonical basis.
-
-    The printed form pairs upper-index momenta with lower-index positions;
-    resolving both through the metric gives, at position exponents
-    (a, b, c), the coefficient q^{2(c-a)} (1/i)^{a+b+c} over the factorials
-    [[c]]_{q^4}! [[b]]_{q^2}! [[a]]_{q^4}!, paired with momentum exponents
-    (c, b, a) in slot order.
-    """
-    terms = {}
-    for a, b, c in _degree_triples(order):
-        denom = q_factorial(c, 4) * q_factorial(b, 2) * q_factorial(a, 4)
-        coeff = ((I_INV ** (a + b + c)) / denom).shift(2 * (c - a))
-        key = (((a, b, c), (c, b, a)), 0)
-        terms[key] = coeff
-    return Poly(XP_SECTORS, terms, "W")
-
-
 def _rescale_momentum(body: Poly, power_of_q: int) -> Poly:
     return body.scale_slot(1, 0, power_of_q).scale_slot(1, 1, power_of_q).scale_slot(
         1, 2, power_of_q
     )
 
 
-_PRINTED = {"x_ip": _body_x_ip, "ipinv_x": _body_ipinv_x}
+def _plain_body(variant: str, order: int) -> Poly:
+    """x_ip as printed, or ipinv_x as its conjugate: conj exp(x|ip) = exp(1/i p|x)."""
+    body = _body_x_ip(order)
+    return body if variant == "x_ip" else body.conjugate()
+
 
 #: every other family as (plain partner, power of q in p -> q^k p): the
 #: barred families are the mirror images (q -> 1/q, +/- swapped) of their
@@ -116,11 +104,11 @@ _MIRRORED = {
 def build_exponential(variant: str, order: int) -> QExponential:
     if order < 0:
         raise ValueError("truncation order must be >= 0")
-    if variant in _PRINTED:
-        body = _PRINTED[variant](order)
+    if variant in ("x_ip", "ipinv_x"):
+        body = _plain_body(variant, order)
     elif variant in _MIRRORED:
         plain, power = _MIRRORED[variant]
-        body = _PRINTED[plain](order).subs_q_inverse_swap()
+        body = _plain_body(plain, order).subs_q_inverse_swap()
         if power:
             body = _rescale_momentum(body, power)
     else:
@@ -300,41 +288,38 @@ def q_translate_oracle_plus(f: Poly) -> TranslationResult:
 # -- q-inversions ------------------------------------------------------------------
 
 
-def u_operator(f: Poly, inverse: bool = False) -> Poly:
-    """The scaling operators U (inverse=False) and U^-1 (inverse=True).
+def u_operator(f: Poly) -> Poly:
+    """The scaling operator U, acting on sector 0 of ``f``.
 
-    U   = sum_k (-lam)^k (x3)^{2k}/[[k]]_{q^-4}! q^{-2 n3(n+ + n- + k)} D^k_{q^-4,x+} D^k_{q^-4,x-}
-    U^-1 mirrors with q -> 1/q in the explicit parameters.  The series
-    terminates on polynomials: the double derivative eventually annihilates.
-    It acts on sector 0 of ``f``.
+    U = sum_k (-lam)^k (x3)^{2k}/[[k]]_{q^-4}! q^{-2 n3(n+ + n- + k)} D^k_{q^-4,x+} D^k_{q^-4,x-}
+    The series terminates on polynomials: the double derivative eventually
+    annihilates.  U^-1 is its mirror image,
+    ``u_operator(f.subs_q_inverse_swap()).subs_q_inverse_swap()``.
     """
-    sign = 1 if inverse else -1  # sign of the exponent in the scaling factor
-    base = 4 * sign
     total = Poly.zero(f.sectors, f.convention)
     k = 0
     while True:
         g = f
         for _ in range(k):
-            g = g.jackson_d(0, 0, base)
+            g = g.jackson_d(0, 0, -4)
         for _ in range(k):
-            g = g.jackson_d(0, 2, base)
+            g = g.jackson_d(0, 2, -4)
         if g.is_zero():
-            if k > 0:
-                break
-            k += 1
-            continue
-        terms = {}
-        for (triples, t), coeff in g.terms.items():
-            a, b, c = triples[0]
-            terms[(triples, t)] = coeff.shift(2 * sign * b * (a + c + k))
-        scaled = Poly(f.sectors, terms, f.convention)
-        lam_fac = (LAMBDA if inverse else -LAMBDA) ** k
+            return total
+        scaled = Poly(
+            f.sectors,
+            {
+                key: coeff.shift(-2 * b * (a + c + k))
+                for key, coeff in g.terms.items()
+                for a, b, c in (key[0][0],)
+            },
+            f.convention,
+        )
         term = scaled.mul_slot_var(0, 1, 2 * k).scale(
-            lam_fac / q_factorial(k, base)
+            (-LAMBDA) ** k / q_factorial(k, -4)
         )
         total = total + term
         k += 1
-    return total
 
 
 def _substituted(coeff, triple, outer: int, mid: int):

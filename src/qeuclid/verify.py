@@ -504,6 +504,17 @@ def _suite_qcalculus(rnd, cfg):
 
 # -- qexp ----------------------------------------------------------------------------
 
+#: order caps of the two slowest qexp cases, whose exact scalar gcds grow
+#: steeply with the order: on 2 cores the addition theorem takes about 0.3 s
+#: at order 5 and 18 s at 8, the inverse about 10 s at 5
+ADDITION_MAX_ORDER = 5
+INVERSE_MAX_ORDER = 3
+
+
+def _capped(name: str, N: int, cap: int) -> tuple[str, int]:
+    """A capped case's name and order: past the cap, the name states the order."""
+    return (name, N) if N <= cap else (f"{name} (capped at N={cap})", cap)
+
 
 def _suite_qexp(rnd, cfg):
     from . import qexp
@@ -536,8 +547,9 @@ def _suite_qexp(rnd, cfg):
     _case(cases, "normalization at x=0 and p=0", normalization)
 
     def conj_table():
-        lhs = qexp.build_exponential("x_ip", N).body.conjugate()
-        rhs = qexp.build_exponential("ipinv_x", N).body
+        # ipinv_x is built as conj(x_ip); the barred row can still fail
+        lhs = qexp.build_exponential("bar_x_ip", N).body.conjugate()
+        rhs = qexp.build_exponential("bar_ipinv_x", N).body
         return lhs == rhs, "conjugation table mismatch"
 
     _case(cases, "conjugation table: conj exp(x|ip) = exp(1/i p|x)", conj_table)
@@ -581,18 +593,22 @@ def _suite_qexp(rnd, cfg):
 
     _case(cases, "classical limit of the inversion", classical_inversion)
 
+    name, order = _capped("addition theorem below shell", N, ADDITION_MAX_ORDER)
+
     def addition():
-        r = qexp.addition_theorem_residual(N)
+        r = qexp.addition_theorem_residual(order)
         return r.is_zero(), "addition theorem residual nonzero"
 
-    _case(cases, "addition theorem below shell", addition)
+    _case(cases, name, addition)
+    name, inverse_order = _capped(
+        "inverse exponential collapses to 1 below shell", N, INVERSE_MAX_ORDER
+    )
 
     def inverse_exp():
-        # capped: the exact scalar gcds make order 5 take about 10 s
-        r = qexp.inverse_exponential_residual(min(N, 3))
+        r = qexp.inverse_exponential_residual(inverse_order)
         return r.is_zero(), "inverse exponential residual nonzero"
 
-    _case(cases, "inverse exponential collapses to 1 below shell", inverse_exp)
+    _case(cases, name, inverse_exp)
 
     def momentum_eigen():
         # i d_p^A acts on each family as star multiplication by x^A, with the
@@ -783,8 +799,7 @@ def run_suite(
     q0: float = 1.1,
     N: int = 3,
     K: int = 2,
-    j_min: int = -12,
-    j_max: int = 12,
+    grid: int = 12,
 ) -> SuiteReport:
     if name not in _SUITES and name != "all":
         raise ValueError(f"unknown suite {name!r}")
@@ -793,8 +808,8 @@ def run_suite(
         "N": N,
         "K": K,
         "mass": MASS,
-        "j_min": j_min,
-        "j_max": j_max,
+        "j_min": -grid,
+        "j_max": grid,
         "pairs": PAIRS,
         "triples": TRIPLES,
         "base": BASE,
@@ -803,11 +818,18 @@ def run_suite(
     t0 = time.time()
     report = SuiteReport(name, seed, cfg)
     names = list(_SUITES) if name == "all" else [name]
+    # every flag off its CLI default, so that each repro runs this configuration
+    flags = "".join(
+        f" --{flag} {value}"
+        for flag, value, default in (
+            ("q", q0, 1.1), ("grid", grid, 12), ("N", N, 3), ("K", K, 2)
+        )
+        if value != default
+    )
     for n in names:
         cases = _SUITES[n](rnd, cfg)
         for c in cases:
-            if not c.repro:
-                c.repro = f"qeuclid verify --suite {n} --seed {seed}"
+            c.repro = (c.repro or f"qeuclid verify --suite {n} --seed {seed}") + flags
         report.cases.extend(cases)
     report.wall_time = time.time() - t0
     return report

@@ -23,19 +23,20 @@ from qeuclid.starcalc import coord_variable, star_product
 SRC = os.path.dirname(os.path.dirname(qeuclid.__file__))
 
 
-def run_python(*args):
+def run_python(*args, timeout=None):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
+        timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def run_cli(*argv):
-    return run_python("-m", "qeuclid.cli", *argv)
+def run_cli(*argv, timeout=None):
+    return run_python("-m", "qeuclid.cli", *argv, timeout=timeout)
 
 
 def test_parse_examples():
@@ -125,6 +126,33 @@ def test_cli_verify_json_deterministic():
     assert out1 == out2  # byte-identical reports
     report = json.loads(out1)
     assert report["n_failures"] == 0
+
+
+def _failed_and_repros(text):
+    """The [FAIL] lines of a rendered report and the repro lines under them."""
+    lines = [line.strip() for line in text.splitlines()]
+    failed = [line for line in lines if line.startswith("[FAIL]")]
+    repros = [line[len("repro: "):] for line in lines if line.startswith("repro: ")]
+    return failed, repros
+
+
+def test_cli_verify_repro_reproduces_failure():
+    """A failing case prints a command that runs the failing configuration."""
+    code, out, _ = run_cli("verify", "--suite", "qcalculus", "--q", "1.5", "--grid", "8")
+    failed, repros = _failed_and_repros(out)
+    assert code == 1 and failed and len(repros) == len(failed)
+    argv = repros[0].split()
+    assert argv[:2] == ["qeuclid", "verify"], repros[0]
+    code2, out2, _ = run_cli(*argv[1:])
+    assert code2 == code
+    assert _failed_and_repros(out2) == (failed, repros)
+
+
+def test_cli_verify_qexp_at_order_8_is_bounded():
+    """The two slowest qexp cases are capped, so a large --N stays cheap."""
+    code, out, _ = run_cli("verify", "--suite", "qexp", "--N", "8", timeout=10)
+    assert code == 0, out
+    assert "addition theorem below shell (capped at N=5)" in out
 
 
 def test_cli_propagator_json():

@@ -2,11 +2,12 @@ from itertools import product
 
 import pytest
 
-from qeuclid.qarith import I, ONE, q_factorial
+from qeuclid.qarith import I, I_INV, ONE, q_factorial
 from qeuclid.qcalculus import apply_derivative, d
 from qeuclid.starcalc import Poly, P_SECTOR, X_SECTOR, coord_variable
 from qeuclid.qexp import (
     VARIANTS,
+    XP_SECTORS,
     Y_SECTOR,
     build_exponential,
     exponential_to_json,
@@ -33,6 +34,28 @@ def test_low_order_terms():
     e2 = build_exponential("x_ip", 2)
     coeff = e2.body.terms[(((2, 0, 0), (0, 0, 2)), 0)]
     assert coeff == (I * I) / q_factorial(2, 4)
+
+
+def _printed_ipinv_x(order: int) -> Poly:
+    """exp(1/i p | x) as printed: upper-index momenta paired with lower-index
+    positions, resolved through the metric.  At position exponents (a, b, c)
+    the coefficient is q^{2(c-a)} (1/i)^{a+b+c} over
+    [[c]]_{q^4}! [[b]]_{q^2}! [[a]]_{q^4}!, on momentum exponents (c, b, a)."""
+    terms = {}
+    for total in range(order + 1):
+        for a in range(total + 1):
+            for b in range(total - a + 1):
+                c = total - a - b
+                denom = q_factorial(c, 4) * q_factorial(b, 2) * q_factorial(a, 4)
+                coeff = ((I_INV ** total) / denom).shift(2 * (c - a))
+                terms[(((a, b, c), (c, b, a)), 0)] = coeff
+    return Poly(XP_SECTORS, terms, "W")
+
+
+@pytest.mark.parametrize("order", range(7))
+def test_ipinv_x_matches_printed_formula(order):
+    """ipinv_x is built as conj(x_ip); the printed formula is an independent route."""
+    assert build_exponential("ipinv_x", order).body == _printed_ipinv_x(order)
 
 
 def test_conjugation_table():
@@ -98,5 +121,12 @@ def test_inversion_values_and_classical():
 
 
 def test_u_operators_mutually_inverse(rand_poly):
-    f = rand_poly(deg=2, nterm=3, with_t=False)
-    assert u_operator(u_operator(f, True), False) == f
+    """U^-1 is the mirror image of U, and both compositions are the identity."""
+
+    def u_inverse(g):
+        return u_operator(g.subs_q_inverse_swap()).subs_q_inverse_swap()
+
+    for conv in ("W", "Wt"):
+        f = rand_poly(deg=2, nterm=3, with_t=False, conv=conv)
+        assert u_operator(u_inverse(f)) == f
+        assert u_inverse(u_operator(f)) == f
