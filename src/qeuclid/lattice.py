@@ -16,15 +16,15 @@ exact star product against operands whose coupled axes are envelope-free
 (the pairing classes used by the expectation-value suite), because the
 star's degree-coupled scaling operators then act as such dilations.
 
-One routine, :func:`_axis_rows`, samples envelopes on the integration
-lattice; it keeps nothing between calls.  An integral writes each envelope as
-a root and an offset (the root dilated by q0^offset), so every dilation of
-one envelope shares its root.  :func:`_profiles` codes each factor's dilated
-envelope product as one integer and finds the distinct ones;
-:func:`_factor_sums` samples each of them once and reduces all of them
-against every monomial degree in one matrix product.
-:meth:`StructuredFn.values_on` evaluates a carrier at arbitrary points, for
-export and for pointwise checks.
+Each envelope base keeps its values at +-q0^j on the widest index window
+asked of it (:class:`_Samples`), shared by every dilation of the envelope
+and freed with it, so a packet evaluates each base once per window.  One
+routine, :func:`_axis_rows`, reads the distinct envelopes of a sum from
+those values by index shift; :func:`_moments` reduces them against every
+monomial degree in one matrix product.  A star integral contracts small
+per-slot tables (:func:`_slot_sums`) over the star's k, without building
+the product's terms.  :meth:`StructuredFn.values_on` evaluates a carrier at
+arbitrary points, for export and for pointwise checks.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ import numpy as np
 from .qarith import QScalar, _Frozen
 from .starcalc import P_SECTOR, X_SECTOR, Sector
 
-#: byte bound on one gathered block of envelope samples in _axis_rows
+#: byte bound on one block of per-term samples in a lattice sum
 _BLOCK_BYTES = 1 << 20
-#: bound on the (left term, right term, k) triples a star integral reduces at once
+#: bound on the (left term, right term, k) triples a star product builds at once
 _BLOCK_TRIPLES = 1 << 13
 #: per-slot Jackson bases of the all-space integral, as exponents of q0
 STEPS = (2, 1, 2)
@@ -97,41 +97,90 @@ class QLattice(_Frozen):
 # -- per-axis envelopes ---------------------------------------------------------
 
 
+class _Samples:
+    """One envelope base and its values at +-q0^j on the widest index window
+    asked of it: equal (and hashed) by the base, so that envelopes wrapping
+    one function twice still compare equal."""
+
+    __slots__ = ("fn", "q0", "lo", "vals")
+
+    def __init__(self, fn: Callable[[np.ndarray], np.ndarray]):
+        self.fn, self.q0, self.lo, self.vals = fn, None, 0, np.empty((2, 0), dtype=complex)
+
+    def __eq__(self, other):
+        return isinstance(other, _Samples) and self.fn == other.fn
+
+    def __hash__(self):
+        return hash(self.fn)
+
+    def window(self, q0: float, lo: int, hi: int) -> np.ndarray:
+        """fn(q0^j) (row 0) and fn(-q0^j) (row 1) for lo <= j <= hi; a window
+        past the kept one is sampled anew over the union of both."""
+        have = self.vals.shape[1]
+        if q0 != self.q0 or lo < self.lo or hi >= self.lo + have:
+            if q0 == self.q0 and have:
+                lo_new, hi_new = min(lo, self.lo), max(hi, self.lo + have - 1)
+            else:
+                lo_new, hi_new = lo, hi
+            pts = q0 ** np.arange(lo_new, hi_new + 1).astype(float)
+            vals = np.empty((2, pts.size), dtype=complex)
+            vals[0], vals[1] = self.fn(pts), self.fn(-pts)
+            self.q0, self.lo, self.vals = q0, lo_new, vals
+        return self.vals[:, lo - self.lo : hi + 1 - self.lo]
+
+
 class AxisFn:
     """A per-axis envelope: a product of leaves.
 
     A leaf ``(base, m, sign, conj)`` is the function
     x -> base(sign * q0^m * x), complex-conjugated when ``conj`` is set;
-    ``AxisFn(fn)`` is the single leaf ``(fn, 0, 1, False)``.  Bases must be
+    ``AxisFn(fn)`` is the single leaf ``(fn, 0, 1, False)``, its base held
+    in a :class:`_Samples`.  Bases must be
     vectorized over numpy arrays and defined on the whole real line minus
     zero (they are evaluated at dilated lattice points of either sign).
     Envelopes are values: equal leaf products compare and hash equal, so
     carriers merge equal terms without any identity bookkeeping.
+
+    Every dilation and product of the envelope shares that :class:`_Samples`:
+    on the lattice a base is evaluated once per window, and its samples are
+    freed with the last envelope holding it.
     """
 
-    __slots__ = ("leaves",)
+    __slots__ = ("leaves", "_hash")
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray]):
-        self.leaves = ((fn, 0, 1, False),)
+        self.leaves = ((_Samples(fn), 0, 1, False),)
+        self._hash = hash(self.leaves)
 
     @classmethod
     def _of(cls, leaves) -> "AxisFn":
         env = object.__new__(cls)
-        env.leaves = tuple(sorted(leaves, key=lambda lf: (id(lf[0]),) + lf[1:]))
+        env.leaves = tuple(sorted(leaves, key=lambda lf: (id(lf[0].fn),) + lf[1:]))
+        env._hash = hash(env.leaves)  # a carrier hashes its envelopes at every step
         return env
 
     def __eq__(self, other):
         return isinstance(other, AxisFn) and self.leaves == other.leaves
 
     def __hash__(self):
-        return hash(self.leaves)
+        return self._hash
 
     def values(self, x, q0: float) -> np.ndarray:
         """The envelope at the points x of a lattice with base q0."""
         x = np.asarray(x, dtype=float)
         out = 1.0
         for base, m, sign, conj in self.leaves:
-            v = base(sign * q0**m * x)
+            v = base.fn(sign * q0**m * x)
+            out = out * (np.conjugate(v) if conj else v)
+        return out
+
+    def samples(self, q0: float, lo: int, hi: int) -> np.ndarray:
+        """The envelope at q0^j (row 0) and -q0^j (row 1) for lo <= j <= hi,
+        read from its bases' windows by index shift (and a row swap for a
+        sign-flipped leaf)."""
+        out = 1.0
+        for base, m, sign, conj in self.leaves:
+            v = base.window(q0, lo + m, hi + m)[:: sign]
             out = out * (np.conjugate(v) if conj else v)
         return out
 
@@ -192,144 +241,100 @@ def odd_log_gaussian(lattice: QLattice, center_j=0.0, width_j=2.0) -> AxisFn:
     return AxisFn(fn)
 
 
-def _canonical(envs):
-    """Each envelope as a root and an offset: the offset is its smallest leaf
-    shift m, the root the envelope dilated by q0^-m, so that every dilation
-    of one envelope has the same root.  Returns ``(roots, idx, off)``: the
-    distinct roots as a list whose entry 0 is None (the constant 1), and per
-    envelope its root's index and its offset; the absent envelope is (0, 0).
-    """
-    roots: dict = {}
-    idx = np.zeros(len(envs), dtype=int)
-    off = np.zeros(len(envs), dtype=int)
-    for e, env in enumerate(envs):
+def _blocks(n: int, row_bytes: int) -> list[slice]:
+    """n rows of row_bytes each as consecutive slices of at most
+    _BLOCK_BYTES (and at least one row)."""
+    step = max(1, _BLOCK_BYTES // row_bytes)
+    return [slice(start, start + step) for start in range(0, n, step)]
+
+
+def _axis_rows(lat: QLattice, envs, lo: int, hi: int, step: int = 1):
+    """The distinct envelopes among ``envs`` (None is the constant 1) at
+    +-q0^j for j = lo, lo + step, ... <= hi, as ``(rows, idx)``: rows has
+    shape (distinct, 2, points), its axis 1 the signs +1, -1, and envs[i]
+    is rows[idx[i]].  Each row is read from the bases' sample windows
+    (:meth:`AxisFn.samples`), each base first widened once to every shift
+    its leaves here ask for."""
+    index: dict = {}
+    idx = np.fromiter((index.setdefault(e, len(index)) for e in envs), int, len(envs))
+    shifts: dict = {}
+    for env in index:
+        for base, m, _, _ in env.leaves if env is not None else ():
+            shifts.setdefault(base, []).append(m)
+    for base, ms in shifts.items():
+        base.window(lat.q0, lo + min(ms), hi + max(ms))
+    rows = np.ones((len(index), 2, len(range(lo, hi + 1, step))), dtype=complex)
+    for env, u in index.items():
         if env is not None:
-            m = min(leaf[1] for leaf in env.leaves)
-            idx[e], off[e] = roots.setdefault(_dilate(env, -m), len(roots) + 1), m
-    return [None, *roots], idx, off
+            rows[u] = env.samples(lat.q0, lo, hi)[:, ::step]
+    return rows, idx
 
 
-def _axis_rows(lat: QLattice, slot: int, roots, root_idx, offsets):
-    """Weighted samples of envelope profiles on the slot's integration
-    lattice, yielded as ``(start, rows)`` blocks of consecutive profiles.
-
-    Profile f is the product over p of the envelope ``roots[root_idx[f, p]]``
-    (None is the constant 1) dilated by q0^offsets[f, p].  Its row holds
-    w_j (product)(s x_j) for the signs s = +1, -1 (axis 1) and the
-    integration points x_j with Jackson weights w_j (axis 2); it carries no
-    monomial.  Each distinct base is evaluated once, on the index window the
-    leaves' shifts reach.  A window holding no j of the slot's coset (one
-    exponent only) yields no block: the slot's rows are empty and its
-    integrals 0.
-    """
-    n_f, n_p = root_idx.shape
+def _moments(lat: QLattice, slot: int, envs, ns) -> np.ndarray:
+    """Per term i and entry of ns[i]: the slot's integral of x^n envs[i],
+    the sum over s = +-1 and the integration points x_j of
+    w_j (s x_j)^n envs[i](s x_j).  Each distinct envelope is sampled once
+    and reduced in one matrix product against the degrees present; absent
+    degrees get no column.  A window holding no j of the slot's coset (one
+    exponent only) gives 0."""
     js = lat.integration_js(slot)
-    if n_f == 0 or js.size == 0:
-        return
-    # each root's leaves as integer arrays, padded with base row 0 (= 1)
-    n_l = max([len(e.leaves) for e in roots if e is not None], default=1)
-    lb, lm, ls, lc = (np.zeros((len(roots), n_l), dtype=int) for _ in range(4))
-    bases: dict = {}
-    for e, env in enumerate(roots):
-        for l, (base, m, sign, conj) in enumerate(env.leaves if env is not None else ()):
-            lb[e, l] = bases.setdefault(base, len(bases) + 1)
-            lm[e, l], ls[e, l], lc[e, l] = m, sign < 0, conj
-    lb, ls, lc = lb[root_idx], ls[root_idx], lc[root_idx]
-    m_all = np.where(lb > 0, lm[root_idx] + offsets[:, :, None], 0)
-    lo = js[0] + m_all.min()
-    pts = lat.q0 ** np.arange(lo, js[-1] + m_all.max() + 1).astype(float)
-    table = np.ones((len(bases) + 1, 2, 2, pts.size), dtype=complex)  # base, conj, sign, j
-    for base, b in bases.items():
-        table[b, 0] = base(pts), base(-pts)
-    table[:, 1] = np.conjugate(table[:, 0])
-    weights = lat.integration_weights(slot)
-    step = max(1, _BLOCK_BYTES // (n_p * n_l * 2 * js.size * 16))
-    sign_row = np.arange(2)[:, None]
-    for start in range(0, n_f, step):
-        blk = slice(start, start + step)
-        vals = table[
-            lb[blk, :, :, None, None],
-            lc[blk, :, :, None, None],
-            sign_row ^ ls[blk, :, :, None, None],
-            m_all[blk, :, :, None, None] + (js - lo),
-        ]
-        yield start, np.prod(vals, axis=(1, 2)) * weights
-
-
-def _profiles(columns):
-    """The distinct envelope profiles among n factors, as ``(idx, off, profile)``.
-
-    ``columns`` holds one ``(root_idx, offsets)`` pair of 1-D arrays per
-    envelope position p.  Factor f is coded as one int64 mixed-radix
-    number, built position by position: the digit of p is the root index
-    times the position's offset span, plus the offset above the least of 0
-    and the position's offsets (an absent envelope's offset counts as 0).
-    One ``np.unique`` over the codes finds the distinct profiles; their
-    codes are decoded into the ``(n_u, n_p)`` arrays ``idx`` and ``off``
-    that :func:`_axis_rows` takes, and ``profile[f]`` is factor f's row in
-    them.  The code space, the product of (roots x span) over the
-    positions, stays far inside int64 for the one or two positions of an
-    integral."""
-    code = np.zeros(len(columns[0][0]), dtype=np.int64)
-    radices = []
-    for root, offset in columns:
-        offset = np.where(root > 0, offset, 0)
-        lo = offset.min(initial=0)
-        span = offset.max(initial=0) - lo + 1
-        radix = (root.max(initial=0) + 1) * span
-        code = code * radix + (root * span + (offset - lo))
-        radices.append((lo, span, radix))
-    assert math.prod(int(r) for _, _, r in radices) < 1 << 63
-    codes, profile = np.unique(code, return_inverse=True)
-    idx = np.empty((len(codes), len(columns)), dtype=int)
-    off = np.empty_like(idx)
-    for p in reversed(range(len(columns))):
-        lo, span, radix = radices[p]
-        codes, digit = np.divmod(codes, radix)
-        idx[:, p], off[:, p] = np.divmod(digit, span)
-        off[:, p] += lo
-    return idx, off, profile
-
-
-def _profile_rows(lat: QLattice, slot: int, roots, idx, off) -> np.ndarray:
-    """:func:`_axis_rows` of the profiles ``(idx, off)``, one flat row each."""
-    out = np.empty((len(idx), 2 * lat.integration_js(slot).size), dtype=complex)
-    for start, rows in _axis_rows(lat, slot, roots, idx, off):
-        out[start : start + len(rows)] = rows.reshape(len(rows), -1)
-    return out
-
-
-def _reduce(lat: QLattice, slot: int, rows, profile, ns) -> np.ndarray:
-    """Per-factor integrals: factor f is x^ns[f] times the sampled profile
-    ``rows[profile[f]]``.  Degrees index the range ns.min() .. ns.max();
-    all profiles are reduced in one matrix product against the degrees
-    present, found by counting, without sorting.  Absent degrees get no
-    column: a star's middle-slot degrees b1 + b2 + 2k often take every
-    other value, and a product twice as wide would also cross the size at
-    which the BLAS starts a second thread."""
+    out = np.zeros(ns.shape, dtype=complex)
+    if js.size == 0 or ns.size == 0:
+        return out
+    rows, idx = _axis_rows(lat, envs, js[0], js[-1], STEPS[slot])
+    rows = (rows * lat.integration_weights(slot)).reshape(len(rows), -1)
     lo = ns.min()
     d = ns - lo
-    present = np.bincount(d) > 0
+    present = np.bincount(d.ravel()) > 0
     degrees = lo + np.flatnonzero(present)
     xs = lat.integration_points(slot)
     mono = (np.stack([xs, -xs]) ** degrees[:, None, None]).reshape(len(degrees), -1)
     sums = np.zeros((len(rows), len(present)), dtype=complex)
     sums[:, present] = rows @ mono.T
-    return sums[profile, d]
+    return sums[idx.reshape(idx.shape + (1,) * (ns.ndim - 1)), d]
 
 
-def _factor_sums(lat: QLattice, slot: int, roots, columns, ns) -> np.ndarray:
-    """Per-factor integrals over one axis: factor f is x^ns[f] times the
-    product over positions p of the envelope ``roots[root_idx]`` dilated by
-    q0^offsets, for ``(root_idx, offsets) = columns[p]`` at f.
-
-    Each distinct profile (:func:`_profiles`) is sampled once.  For n
-    factors the arrays held are O(n): the codes, and at most n sampled rows
-    of 2 x (integration points) values, reduced in :func:`_reduce`."""
-    if not len(ns):
-        return np.zeros(0, dtype=complex)
-    idx, off, profile = _profiles(columns)
-    return _reduce(lat, slot, _profile_rows(lat, slot, roots, idx, off), profile, ns)
+def _slot_sums(f: "StructuredFn", outer: int, span: int, sgn: int) -> np.ndarray:
+    """The per-slot tables of one star-integral operand, shape
+    (D + 1, span + 1, 2, J): entry [d, v, s, j] is the sum over f's terms i
+    of degree d on the coupled slot 2 - outer of
+    c_i M_i(n_i + v) g_i(s q0^(j + 2 sgn v)), where n_i is the term's degree
+    on the ``outer`` slot, M_i its moment there (:func:`_moments`),
+    g_i(y) = y^b_i e_i(y) its middle factor and j runs over the middle
+    slot's integration exponents.  Terms are summed by segments: grouped by
+    (d, middle factor), sorted by d, in blocks of _BLOCK_BYTES."""
+    lat, terms = f.lattice, f.terms
+    exps = np.array([t.exps for t in terms], dtype=int)
+    v = np.arange(span + 1)
+    m = np.array([t.coeff for t in terms], dtype=complex)[:, None] * _moments(
+        lat, outer, [t.envs[outer] for t in terms], exps[:, outer, None] + v
+    )
+    js = lat.integration_js(1)
+    lo, hi = js[0] + min(0, 2 * sgn * span), js[-1] + max(0, 2 * sgn * span)
+    factors: dict = {}
+    g_idx = np.fromiter(
+        (factors.setdefault((t.envs[1], t.exps[1]), len(factors)) for t in terms), int, len(terms)
+    )
+    rows, e_idx = _axis_rows(lat, [env for env, _ in factors], lo, hi)
+    pts = lat.q0 ** np.arange(lo, hi + 1).astype(float)
+    b = np.array([b for _, b in factors], dtype=int)
+    g = rows[e_idx] * np.stack([pts, -pts]) ** b[:, None, None]
+    # groups of terms with one degree and one middle factor, sorted by degree
+    key = exps[:, 2 - outer] * len(factors) + g_idx
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+    cm = np.add.reduceat(m[order], starts, axis=0)
+    deg, fac = np.divmod(key[starts], len(factors))
+    first = js[0] - lo + 2 * sgn * v  # each v's window into g's columns
+    out = np.zeros((deg[-1] + 1, span + 1, 2, js.size), dtype=complex)
+    for blk in _blocks(len(deg), 2 * js.size * 16):
+        d = deg[blk]
+        seg = np.flatnonzero(np.concatenate([[True], d[1:] != d[:-1]]))
+        for vi, j0 in enumerate(first):
+            vals = cm[blk, vi, None, None] * g[fac[blk], :, j0 : j0 + js.size]
+            out[d[seg], vi] += np.add.reduceat(vals, seg, axis=0)
+    return out
 
 
 def _falling(dmax: int, Q: float) -> np.ndarray:
@@ -538,6 +543,19 @@ class StructuredFn:
 
     # -- star product -----------------------------------------------------------
 
+    def _coupling(self, other: "StructuredFn") -> bool:
+        """Check that the operands can be star-multiplied exactly and return
+        whether their ordering is the mirrored one (Wt)."""
+        self._check_compatible(other)
+        mirror = self.convention == "Wt"
+        l_slot, r_slot = (0, 2) if mirror else (2, 0)
+        for side, f, slot in (("left", self, l_slot), ("right", other, r_slot)):
+            if any(t.envs[slot] is not None for t in f.terms):
+                raise ClassConstraintError(
+                    f"{side} star operand must be polynomial on its coupled axis"
+                )
+        return mirror
+
     def _star_triples(self, other: "StructuredFn"):
         """The star of the operands' ordering (the W star, or for Wt its
         mirror image) term by term, as arrays over the triples (left term,
@@ -552,14 +570,8 @@ class StructuredFn:
         indices, the product term's coefficient and degrees (shape (N, 3)),
         and the powers of q0 dilating the left and right middle envelopes.
         """
-        self._check_compatible(other)
-        mirror = self.convention == "Wt"
+        mirror = self._coupling(other)
         l_slot, r_slot = (0, 2) if mirror else (2, 0)
-        for side, f, slot in (("left", self, l_slot), ("right", other, r_slot)):
-            if any(t.envs[slot] is not None for t in f.terms):
-                raise ClassConstraintError(
-                    f"{side} star operand must be polynomial on its coupled axis"
-                )
         if not self.terms or not other.terms:
             return iter(())
         q0 = self.lattice.q0
@@ -611,37 +623,55 @@ class StructuredFn:
     @np.errstate(over="ignore", invalid="ignore")
     def star_integral(self, other: "StructuredFn") -> complex:
         """Integral over all space of self (star) other, in the operands'
-        ordering, reduced over the product's terms without building them.
+        ordering, contracted slot by slot without building the product.
 
-        Each operand's envelopes are written as roots and offsets once.  An
-        outer slot's envelope is one operand term's, so each term's outer
-        profile is found and every distinct one sampled once per call; a
-        block of triples only gathers them by term.  The middle slot's
-        profile pairs both terms' middle envelopes, dilated by k, so each
-        block codes and samples its own (:func:`_factor_sums`).  Beyond the
-        operands' per-term arrays, memory is O(_BLOCK_TRIPLES).  A result
-        past the float range (a factor that overflowed, times zero, gives
-        nan) raises ``FloatingPointError``."""
+        "first" is the operand carrying the slot-0 envelopes (self for W,
+        other for Wt), polynomial in slot 2 with degree d_F; "last" is the
+        other one, polynomial in slot 0 with degree d_L.  With
+        sgn = +1 (W) or -1 (Wt), lam = sgn (q0 - 1/q0) and the falling
+        factorials fall[d, k] = [[d]]_Q ... [[d-k+1]]_Q, Q = q0^(4 sgn), the
+        integral is
+
+            sum_k lam^k / fall[k, k] sum_(u, v) fall[u+k, k] fall[v+k, k]
+                sum_(s = +-1, j in slot 1) w_j x_j^(2k)
+                    S_F[u+k, v](s, j) S_L[v+k, u](s, j),
+
+        where S_F[d, v](s, j) sums, over first's terms i with d_F = d,
+        c_i M0_i(a_i + v) g_i(s q0^(j + 2 sgn v)): M0_i is the term's slot-0
+        moment, a_i its slot-0 degree and g_i(y) = y^b_i e_i(y) its middle
+        factor; S_L is the mirror image with the slot-2 moments
+        (:func:`_slot_sums`).  The star's q0^(2 sgn (b1 k2 + k1 b2)) factor
+        lives in the dilated arguments of g.  The cost is
+        O((n_F + n_L) D J + D^3 J) for D the largest coupled degree and J
+        the middle slot's points.  Beyond the tables and one sampled row per
+        distinct middle factor, every temporary stays within _BLOCK_BYTES.
+        A result past the float range (a factor that
+        overflowed, times zero, gives nan) raises ``FloatingPointError``."""
+        mirror = self._coupling(other)
+        if not self.terms or not other.terms:
+            return 0j
         lat = self.lattice
-        blocks = self._star_triples(other)
-        mirror = self.convention == "Wt"
+        sgn = -1 if mirror else 1
         first, last = (other, self) if mirror else (self, other)
-        outer = []
-        for slot, f in ((0, first), (2, last)):
-            roots, idx, off = _canonical([t.envs[slot] for t in f.terms])
-            u_idx, u_off, profile = _profiles([(idx, off)])
-            outer.append((_profile_rows(lat, slot, roots, u_idx, u_off), profile))
-        (rows0, prof0), (rows2, prof2) = outer
-        roots1, idx1, off1 = _canonical([t.envs[1] for t in self.terms + other.terms])
-        n1 = len(self.terms)
+        # the coupled degrees present: only their entries of the tables are
+        # read, so an entry no pair of terms needs cannot overflow into nan
+        d_first = np.unique([t.exps[2] for t in first.terms])
+        d_last = np.unique([t.exps[0] for t in last.terms])
+        s_first = _slot_sums(first, 0, d_last[-1], sgn)
+        s_last = _slot_sums(last, 2, d_first[-1], sgn)
+        fall = _falling(max(d_first[-1], d_last[-1]), lat.q0 ** (4 * sgn))
+        lam = sgn * (lat.q0 - 1.0 / lat.q0)
+        xs, weights = lat.integration_points(1), lat.integration_weights(1)
         total = 0j
-        for i1, i2, coeff, exps, s1, s2 in blocks:
-            i_first, i_last = (i2, i1) if mirror else (i1, i2)
-            mid = [(idx1[i1], off1[i1] + s1), (idx1[n1 + i2], off1[n1 + i2] + s2)]
-            f0 = _reduce(lat, 0, rows0, prof0[i_first], exps[:, 0])
-            f1 = _factor_sums(lat, 1, roots1, mid, exps[:, 1])
-            f2 = _reduce(lat, 2, rows2, prof2[i_last], exps[:, 2])
-            total += np.sum(coeff * f0 * f1 * f2)
+        for k in range(min(d_first[-1], d_last[-1]) + 1):
+            df, dl = d_first[d_first >= k], d_last[d_last >= k]
+            per_j = np.einsum(
+                "uv,uvsj,vusj->j",
+                np.outer(fall[df, k], fall[dl, k]),
+                s_first[df][:, dl - k],
+                s_last[dl][:, df - k],
+            )
+            total += lam**k / fall[k, k] * (per_j @ (weights * xs ** (2 * k)))
         total = complex(total)
         if not cmath.isfinite(total):
             raise FloatingPointError(f"star integral is not finite: {total}")
@@ -649,19 +679,12 @@ class StructuredFn:
 
     # -- evaluation and integration ----------------------------------------------
 
-    def _slot_factors(self, slot: int):
-        """Each term's envelope on one slot as a root index and an offset
-        into the slot's roots (:func:`_canonical`), and its degree."""
-        roots, idx, off = _canonical([t.envs[slot] for t in self.terms])
-        ns = np.array([t.exps[slot] for t in self.terms], dtype=int)
-        return roots, idx, off, ns
-
     def integral_all_space(self) -> complex:
         """Nested smaller-lattice Jackson sums; separable per term."""
         total = np.array([t.coeff for t in self.terms], dtype=complex)
         for slot in range(3):
-            roots, idx, off, ns = self._slot_factors(slot)
-            total = total * _factor_sums(self.lattice, slot, roots, [(idx, off)], ns)
+            ns = np.array([t.exps[slot] for t in self.terms], dtype=int)
+            total = total * _moments(self.lattice, slot, [t.envs[slot] for t in self.terms], ns)
         return complex(total.sum())
 
     def boundary_mass(self) -> float:
@@ -669,11 +692,19 @@ class StructuredFn:
         axis; small values certify that the window truncation is harmless."""
         worst = 0.0
         for slot in range(3):
-            roots, idx, off, ns = self._slot_factors(slot)
+            js = self.lattice.integration_js(slot)
+            if js.size == 0:
+                continue
+            rows, idx = _axis_rows(
+                self.lattice, [t.envs[slot] for t in self.terms], js[0], js[-1], STEPS[slot]
+            )
+            ns = np.array([t.exps[slot] for t in self.terms], dtype=int)
             xs = self.lattice.integration_points(slot)
-            for start, rows in _axis_rows(self.lattice, slot, roots, idx[:, None], off[:, None]):
-                rows = rows * np.stack([xs, -xs]) ** ns[start : start + len(rows), None, None]
-                prof = np.abs(rows).sum(axis=1)
+            weights = self.lattice.integration_weights(slot)
+            for blk in _blocks(len(ns), 2 * js.size * 16):
+                prof = np.abs(
+                    rows[idx[blk]] * weights * np.stack([xs, -xs]) ** ns[blk, None, None]
+                ).sum(axis=1)
                 total = prof.sum(axis=1)
                 edge = prof[:, 0] + prof[:, -1]
                 nz = total != 0.0

@@ -531,7 +531,7 @@ class WavePacket:
         self.mass = mass
         self.phase_order = phase_order
         self.support_j = support_j
-        self._coeff_cache = {}
+        self._cache = {}  # t -> (c(t), c*(t), {index: position terms})
 
     def boundary_mass(self) -> float:
         c, cst = self.coefficients_at(0.0)
@@ -573,13 +573,15 @@ class WavePacket:
         Conjugation is antimultiplicative and maps exp(-i t p^2 / 2m) to
         exp(+i t p^2 / 2m), so conj(c(t)) is c* * phase(+) without a second
         series or star product."""
-        cached = self._coeff_cache.get(t)
-        if cached is not None:
-            return cached
-        ct = self.c if t == 0.0 else self._phase(t).star(self.c)
-        out = (ct, ct.conjugate())
-        self._coeff_cache[t] = out
-        return out
+        return self._at(t)[:2]
+
+    def _at(self, t: float):
+        """The per-t cache entry: c(t), c*(t) and the position terms so far."""
+        cached = self._cache.get(t)
+        if cached is None:
+            ct = self.c if t == 0.0 else self._phase(t).star(self.c)
+            cached = self._cache[t] = (ct, ct.conjugate(), {})
+        return cached
 
     # -- integrals -------------------------------------------------------------
 
@@ -630,11 +632,15 @@ class WavePacket:
 
         So the value at ``position="lower"`` is, bit for bit, the complex
         conjugate of the value at ``"upper"``: a comparison of the two holds
-        by construction and pins nothing about <X^A>(t)."""
+        by construction and pins nothing about <X^A>(t).  Both positions
+        read one pair T(A, upper), T(A, lower), kept per (A, t) beside c(t),
+        so the second position costs no integral."""
         flipped = "lower" if position == "upper" else "upper"
-        t1 = self._position_term(index, t, position)
-        t2 = self._position_term(index, t, flipped).conjugate()
-        return 0.5 * (t1 + t2)
+        terms = self._at(t)[2].setdefault(index, {})
+        for p in (position, flipped):
+            if p not in terms:
+                terms[p] = self._position_term(index, t, p)
+        return 0.5 * (terms[position] + terms[flipped].conjugate())
 
     def inner(self, other: "WavePacket", t: float = 0.0) -> complex:
         """Bra-ket pairing of this packet's conjugate family with another

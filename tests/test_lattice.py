@@ -12,10 +12,12 @@ import pytest
 
 import qeuclid
 from qeuclid import lattice
-from qeuclid.lattice import QLattice, STerm, StructuredFn, _profiles, log_gaussian
+from qeuclid.lattice import (
+    AxisFn, QLattice, STerm, StructuredFn, _dilate, _times, log_gaussian, odd_log_gaussian,
+)
 from qeuclid.qcalculus import DerivativeLabel, apply_derivative
 from qeuclid.starcalc import coord_variable
-from qeuclid.schrodinger import gaussian_packet
+from qeuclid.schrodinger import WavePacket, gaussian_packet
 
 
 def dense_integral(f) -> complex:
@@ -79,14 +81,87 @@ def test_star_integral_is_dense_jackson_sum(operands, left, right, mirror):
                                                  ("c", "right_bar_lower", True)])
 def test_star_integral_does_not_depend_on_blocks(operands, monkeypatch, left, right, mirror,
                                                  block):
-    """Blocks hold whole left terms: at 1 each holds one, at 100 and 2000 the
-    block edges fall between left terms at other places than by default."""
+    """The block bound is set to ``block`` complex numbers.  A block row
+    (one term group at one dilation: two signs by 13 middle points) holds
+    26, so at 1 each block holds one group, at 100 three and at 2000 76 of
+    the acted operand's 209: the block edges fall at other places than at
+    the default bound, under which each table is one block."""
     a, b = (_ordered(operands[k], mirror) for k in (left, right))
     want = a.star_integral(b)
-    monkeypatch.setattr(lattice, "_BLOCK_TRIPLES", block)
-    assert len(list(a._star_triples(b))) > 1
+    blocks, counts = lattice._blocks, []
+
+    def spy(n, row_bytes):
+        out = blocks(n, row_bytes)
+        counts.append(len(out))
+        return out
+
+    monkeypatch.setattr(lattice, "_BLOCK_BYTES", 16 * block)
+    monkeypatch.setattr(lattice, "_blocks", spy)
     got = a.star_integral(b)
+    assert max(counts) > 1
     assert abs(got - want) <= 1e-13 * abs(want), (got, want)
+
+
+def _random_envelope(rng, bases):
+    """A product of 1-3 leaves: each a base dilated by q0^m, m in -3..3,
+    sign-flipped and conjugated at random."""
+    env = None
+    for _ in range(rng.integers(1, 4)):
+        leaf = _dilate(bases[rng.integers(len(bases))], int(rng.integers(-3, 4)),
+                       int(rng.choice([1, -1])), bool(rng.integers(2)))
+        env = _times(env, leaf)
+    return env
+
+
+def _random_operand(rng, lat, bases, coupled, convention):
+    """1-12 terms with degrees -2..6 on the enveloped slots and 0..4 on the
+    envelope-free ``coupled`` slot; a fifth of the middle envelopes are
+    absent (the constant 1)."""
+    terms = []
+    for _ in range(rng.integers(1, 13)):
+        coeff = complex(rng.normal(), rng.normal())
+        exps = [int(d) for d in rng.integers(-2, 7, 3)]
+        envs = [_random_envelope(rng, bases) for _ in range(3)]
+        if rng.random() < 0.2:
+            envs[1] = None
+        exps[coupled], envs[coupled] = int(rng.integers(0, 5)), None
+        terms.append(STerm(coeff, tuple(exps), tuple(envs)))
+    return StructuredFn(lat, "p", terms, convention)
+
+
+def _random_bases(rng, lat):
+    """Two log-Gaussian bases, each with a sign-odd part, so that no
+    envelope is sign-even or sign-odd and no integral vanishes by parity."""
+    bases = []
+    for mix in (0.5, -0.7j):
+        even = log_gaussian(lat, rng.uniform(-1, 1), rng.uniform(0.8, 1.6), complex(1, 0.5))
+        odd = odd_log_gaussian(lat, rng.uniform(-1, 1), rng.uniform(0.8, 1.6))
+        bases.append(AxisFn(lambda x, even=even, odd=odd, mix=mix: even(x) + mix * odd(x)))
+    return bases
+
+
+def test_star_integral_matches_dense_sum_on_random_carriers():
+    """Seeded random carrier pairs of both orderings on windows +-3..+-8 and
+    on one-exponent windows, whose slot-0 or slot-2 coset is empty.  The
+    lattice is the packets' q0 = 1.1: middle-slot degrees reach 20, and at
+    q0 = 1.3 such sums cancel by up to 1e16, past what the dense reference
+    resolves."""
+    rng = np.random.default_rng(2027)
+    windows = [(-w, w) for w in range(3, 9)] + [(2, 2), (3, 3)]
+    for case in range(56):
+        lo, hi = windows[case % len(windows)]
+        lat = QLattice(1.1, lo, hi)
+        bases = _random_bases(rng, lat)
+        mirror = bool(case % 2)
+        convention = "Wt" if mirror else "W"
+        a = _random_operand(rng, lat, bases, 0 if mirror else 2, convention)
+        b = _random_operand(rng, lat, bases, 2 if mirror else 0, convention)
+        want = dense_integral(a.star(b))
+        got = a.star_integral(b)
+        if lo == hi:
+            assert want == 0 and got == 0, (case, got, want)
+        else:
+            assert abs(got - want) <= 1e-12 * abs(want), (case, got, want)
 
 
 def test_star_integral_of_an_empty_operand_is_zero(operands):
@@ -150,19 +225,35 @@ def test_lattice_and_term_are_values():
             QLattice(*args)
 
 
-def test_profiles_decode_to_each_factor():
-    """Each factor's decoded profile is its own (root, offset) per position,
-    with an absent envelope's offset read as 0, and equal profiles share a
-    row."""
-    rng = np.random.default_rng(7)
-    n = 500
-    columns = [(rng.integers(0, 4, n), rng.integers(-9, 7, n)),
-               (rng.integers(0, 3, n), rng.integers(2, 5, n))]
-    idx, off, profile = _profiles(columns)
-    for p, (root, offset) in enumerate(columns):
-        assert np.array_equal(idx[profile, p], root)
-        assert np.array_equal(off[profile, p], np.where(root > 0, offset, 0))
-    assert len(np.unique(np.concatenate([idx, off], axis=1), axis=0)) == len(idx)
+def test_packet_samples_each_base_once_per_window():
+    """The test packet's two envelope bases, wrapped in counting callables,
+    are evaluated at most 8 times over a norm and three expectation values
+    at t = 0.1: twice per base for the window of c(t), and at most twice
+    more when a derivative's dilations widen it."""
+    lat = QLattice(1.1, -6, 6)
+    wp = gaussian_packet(
+        lat, Fraction(2), center_j=0.3, width_j=0.9, odd_fraction=0.35, phase_order=20
+    )
+    calls = []
+
+    def counted(env):
+        if env is None:
+            return None
+
+        def fn(x):
+            calls.append(np.shape(x))
+            return env(x)
+
+        return AxisFn(fn)
+
+    c = StructuredFn(lat, "p", [STerm(t.coeff, t.exps, tuple(map(counted, t.envs)))
+                                for t in wp.c.terms])
+    counting = WavePacket(c, wp.mass, wp.phase_order, wp.support_j)
+    assert counting.norm_check(0.1) <= 1e-10
+    for index in ("+", "-"):
+        assert counting.expectation_position(index, 0.1) == wp.expectation_position(index, 0.1)
+    assert counting.expectation_momentum("+", 0.1) == wp.expectation_momentum("+", 0.1)
+    assert 0 < len(calls) <= 8, calls
 
 
 #: run in a fresh interpreter: ten packets with distinct centres, each with
@@ -171,7 +262,7 @@ MEMORY_SCRIPT = """
 import resource
 from fractions import Fraction
 from qeuclid.lattice import QLattice
-from qeuclid.schrodinger import gaussian_packet
+from qeuclid.schrodinger import WavePacket, gaussian_packet
 
 lat = QLattice(1.1, -12, 12)
 peaks = []
