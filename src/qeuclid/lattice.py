@@ -15,6 +15,8 @@ the lattice, an index shift plus a branch swap.  The carrier supports an
 exact star product against operands whose coupled axes are envelope-free
 (the pairing classes used by the expectation-value suite), because the
 star's degree-coupled scaling operators then act as such dilations.
+:meth:`StructuredFn.star` builds it pair by pair: each left term, right term
+and k up to the smaller coupled degree gives one product term.
 
 Each envelope base keeps its values at +-q0^j on the widest index window
 asked of it (:class:`_Samples`), shared by every dilation of the envelope
@@ -41,8 +43,6 @@ from .starcalc import P_SECTOR, X_SECTOR, Sector
 
 #: byte bound on one block of per-term samples in a lattice sum
 _BLOCK_BYTES = 1 << 20
-#: bound on the (left term, right term, k) triples a star product builds at once
-_BLOCK_TRIPLES = 1 << 13
 #: per-slot Jackson bases of the all-space integral, as exponents of q0
 STEPS = (2, 1, 2)
 #: the residue class of j (mod the slot's step) each slot sums over
@@ -556,66 +556,47 @@ class StructuredFn:
                 )
         return mirror
 
-    def _star_triples(self, other: "StructuredFn"):
-        """The star of the operands' ordering (the W star, or for Wt its
-        mirror image) term by term, as arrays over the triples (left term,
-        right term, k) in blocks of left terms.
-
-        The left operand must be polynomial on the axis its Jackson
-        derivatives act on (last slot for W, first for Wt) and likewise the
-        right operand on its own coupled axis; the coupled scaling operators
-        act on the middle envelopes as dilations.  The operands are checked
-        and the q-factorials computed on the call, which returns an iterator
-        of blocks ``(i1, i2, coeff, exps, shift1, shift2)``: the term
-        indices, the product term's coefficient and degrees (shape (N, 3)),
-        and the powers of q0 dilating the left and right middle envelopes.
-        """
-        mirror = self._coupling(other)
-        l_slot, r_slot = (0, 2) if mirror else (2, 0)
-        if not self.terms or not other.terms:
-            return iter(())
-        q0 = self.lattice.q0
-        sgn = -1 if mirror else 1
-        lam = sgn * (q0 - 1.0 / q0)
-        c1 = np.array([t.coeff for t in self.terms], dtype=complex)
-        c2 = np.array([t.coeff for t in other.terms], dtype=complex)
-        e1 = np.array([t.exps for t in self.terms], dtype=int)
-        e2 = np.array([t.exps for t in other.terms], dtype=int)
-        d1, d2 = e1[:, l_slot], e2[:, r_slot]
-        fall = _falling(int(max(d1.max(), d2.max())), q0 ** (4 * sgn))
-        counts = np.minimum.outer(d1, d2) + 1  # k = 0 .. min(d1, d2)
-        step = max(1, _BLOCK_TRIPLES // int(counts.sum(axis=1).max()))
-
-        def blocks():
-            for lo in range(0, len(c1), step):
-                n = counts[lo : lo + step].ravel()
-                pair = np.repeat(np.arange(n.size), n)
-                k = np.arange(pair.size) - np.repeat(np.cumsum(n) - n, n)
-                i1, i2 = np.divmod(pair, len(c2))
-                i1 += lo
-                (a1, b1, x1), (a2, b2, x2) = e1[i1].T, e2[i2].T
-                k1, k2 = d1[i1] - k, d2[i2] - k
-                coeff = (
-                    c1[i1] * c2[i2] * lam**k / fall[k, k] * fall[d1[i1], k] * fall[d2[i2], k]
-                )
-                coeff *= q0 ** (2.0 * sgn * (b1 * k2 + k1 * b2))
-                exps = np.stack([a1 + a2 - k, b1 + b2 + 2 * k, x1 + x2 - k], axis=1)
-                yield i1, i2, coeff, exps, 2 * sgn * k2, 2 * sgn * k1
-
-        return blocks()
-
     def star(self, other: "StructuredFn") -> "StructuredFn":
         """The deformed product of the operands' ordering, exact on the
         pairing classes: the W star, or for Wt its mirror image (the hatted
-        calculus' product)."""
-        mirror = self.convention == "Wt"
+        calculus' product), built pair by pair.
+
+        A left term c1, degrees (a1, b1, x1), and a right term c2, degrees
+        (a2, b2, x2), give one product term per k <= min(d1, d2), with d1
+        the left degree on the axis its Jackson derivatives act on (last
+        slot for W, first for Wt), d2 the right one on its own coupled axis,
+        k1 = d1 - k and k2 = d2 - k:
+
+            c1 c2 lam^k / fall[k, k] fall[d1, k] fall[d2, k] q0^(2 sgn (b1 k2 + k1 b2))
+
+        of degrees (a1 + a2 - k, b1 + b2 + 2k, x1 + x2 - k), where sgn = +1
+        (W) or -1 (Wt), lam = sgn (q0 - 1/q0) and ``fall`` holds the
+        q-falling factorials of base q0^(4 sgn).  The coupled scaling
+        operators dilate the middle envelopes, the left by q0^(2 sgn k2) and
+        the right by q0^(2 sgn k1); the outer envelopes pass through."""
+        mirror = self._coupling(other)
+        l_slot, r_slot = (0, 2) if mirror else (2, 0)
+        q0 = self.lattice.q0
+        sgn = -1 if mirror else 1
+        lam = sgn * (q0 - 1.0 / q0)
+        dmax = max(
+            (t.exps[s] for f, s in ((self, l_slot), (other, r_slot)) for t in f.terms), default=0
+        )
+        fall = _falling(dmax, q0 ** (4 * sgn)).tolist()
         out = []
-        for block in self._star_triples(other):
-            for i1, i2, c, exps, s1, s2 in zip(*(a.tolist() for a in block)):
-                t1, t2 = self.terms[i1], other.terms[i2]
+        for t1 in self.terms:
+            (a1, b1, x1), d1, c1 = t1.exps, t1.exps[l_slot], complex(t1.coeff)
+            for t2 in other.terms:
+                (a2, b2, x2), d2, c2 = t2.exps, t2.exps[r_slot], complex(t2.coeff)
                 first, last = (t2, t1) if mirror else (t1, t2)
-                mid = _times(_dilate(t1.envs[1], s1), _dilate(t2.envs[1], s2))
-                out.append(STerm(c, tuple(exps), (first.envs[0], mid, last.envs[2])))
+                for k in range(min(d1, d2) + 1):
+                    k1, k2 = d1 - k, d2 - k
+                    coeff = c1 * c2 * lam**k / fall[k][k] * fall[d1][k] * fall[d2][k]
+                    coeff *= q0 ** (2.0 * sgn * (b1 * k2 + k1 * b2))
+                    mid = _times(_dilate(t1.envs[1], 2 * sgn * k2),
+                                 _dilate(t2.envs[1], 2 * sgn * k1))
+                    out.append(STerm(coeff, (a1 + a2 - k, b1 + b2 + 2 * k, x1 + x2 - k),
+                                     (first.envs[0], mid, last.envs[2])))
         return self._new(out)
 
     # a non-finite result is reported by the FloatingPointError alone, not

@@ -32,6 +32,8 @@ def run_python(*args, timeout=None):
         env={**os.environ, "PYTHONPATH": path},
         timeout=timeout,
     )
+    # the "error" warnings filter does not reach a subprocess: fail on any warning
+    assert "Warning" not in proc.stderr, proc.stderr
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -137,15 +139,20 @@ def _failed_and_repros(text):
 
 
 def test_cli_verify_repro_reproduces_failure():
-    """A failing case prints a command that runs the failing configuration."""
-    code, out, _ = run_cli("verify", "--suite", "qcalculus", "--q", "1.5", "--grid", "8")
-    failed, repros = _failed_and_repros(out)
-    assert code == 1 and failed and len(repros) == len(failed)
-    argv = repros[0].split()
-    assert argv[:2] == ["qeuclid", "verify"], repros[0]
-    code2, out2, _ = run_cli(*argv[1:])
-    assert code2 == code
-    assert _failed_and_repros(out2) == (failed, repros)
+    """A failing case prints a command that runs the failing configuration:
+    under "all" the whole run, whose one random stream feeds every suite.
+    At q = 2 and grid 30 the dense Jackson case fails on a nan residual,
+    which must print no numpy warning."""
+    for suite, q, grid in (("qcalculus", "1.5", "8"), ("all", "1.5", "8"),
+                           ("qcalculus", "2", "30")):
+        code, out, _ = run_cli("verify", "--suite", suite, "--q", q, "--grid", grid)
+        failed, repros = _failed_and_repros(out)
+        assert code == 1 and failed and len(repros) == len(failed)
+        argv = repros[0].split()
+        assert argv[:2] == ["qeuclid", "verify"], repros[0]
+        code2, out2, _ = run_cli(*argv[1:])
+        assert code2 == code
+        assert _failed_and_repros(out2) == (failed, repros), suite
 
 
 def test_cli_verify_qexp_at_order_8_is_bounded():

@@ -13,7 +13,8 @@ import pytest
 import qeuclid
 from qeuclid import lattice
 from qeuclid.lattice import (
-    AxisFn, QLattice, STerm, StructuredFn, _dilate, _times, log_gaussian, odd_log_gaussian,
+    AxisFn, ClassConstraintError, QLattice, STerm, StructuredFn, _dilate, _times, log_gaussian,
+    odd_log_gaussian,
 )
 from qeuclid.qcalculus import DerivativeLabel, apply_derivative
 from qeuclid.starcalc import coord_variable
@@ -165,12 +166,29 @@ def test_star_integral_matches_dense_sum_on_random_carriers():
 
 
 def test_star_integral_of_an_empty_operand_is_zero(operands):
+    """So is the star product: the empty carrier of the operands' ordering."""
     c, acted = operands["c"], operands["right_bar_lower"]
     empty = c - c
     assert empty.is_zero()
     for a, b, mirror in ((empty, c, False), (acted, empty, False),
                          (c, empty, True), (empty, acted, True), (empty, empty, False)):
-        assert _ordered(a, mirror).star_integral(_ordered(b, mirror)) == 0j
+        a, b = _ordered(a, mirror), _ordered(b, mirror)
+        assert a.star_integral(b) == 0j
+        product = a.star(b)
+        assert product.is_zero() and product.convention == a.convention
+
+
+@pytest.mark.parametrize("method", ["star", "star_integral"])
+def test_star_refuses_an_envelope_on_a_coupled_axis(operands, method):
+    """c carries envelopes on slots 1 and 2, c* = conj(c) on slots 0 and 1.
+    The W star couples the left operand's slot 2 to the right one's slot 0,
+    the Wt star slot 0 to slot 2."""
+    c, cst = operands["c"], operands["cstar"]
+    for a, b, mirror, side in ((c, c, False, "left"), (cst, cst, False, "right"),
+                               (cst, cst, True, "left"), (c, c, True, "right")):
+        a, b = _ordered(a, mirror), _ordered(b, mirror)
+        with pytest.raises(ClassConstraintError, match=f"^{side} star operand"):
+            getattr(a, method)(b)
 
 
 def test_star_integral_refuses_a_non_finite_result():
