@@ -10,7 +10,9 @@ byte-identical reports.
 Each command checks its arguments first and then imports the layers it
 runs: ``parse`` needs only ``dsl`` and ``qarith``, a bad argument is
 reported before any other qeuclid module loads, and numpy loads only where
-a lattice is sampled.
+a lattice is sampled.  Only the invoked command's parser is built; every
+command's is built when the first argument names none (``--help``, a bad
+command, no command), so help and errors read as they always have.
 """
 
 from __future__ import annotations
@@ -370,74 +372,94 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+#: the commands, in the order ``qeuclid --help`` lists them
+COMMANDS = ("parse", "expand", "eval", "verify", "propagator", "expectation", "heine",
+            "sample")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with the subparser of ``command`` only, or of every
+    command when ``command`` names none: only then can a help or error
+    message list them all."""
     ap = _Parser(
         prog="qeuclid",
         description="Star-product calculus on the q-deformed Euclidean space",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    wanted = {command} if command in COMMANDS else set(COMMANDS)
 
-    p = sub.add_parser("parse", help="parse an expression and print its AST")
-    p.add_argument("expr")
-    p.set_defaults(fn=cmd_parse)
+    if "parse" in wanted:
+        p = sub.add_parser("parse", help="parse an expression and print its AST")
+        p.add_argument("expr")
+        p.set_defaults(fn=cmd_parse)
 
-    p = sub.add_parser("expand", help="evaluate an expression symbolically")
-    p.add_argument("expr")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_expand)
+    if "expand" in wanted:
+        p = sub.add_parser("expand", help="evaluate an expression symbolically")
+        p.add_argument("expr")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(fn=cmd_expand)
 
-    p = sub.add_parser("eval", help="evaluate coefficients numerically at q")
-    p.add_argument("expr")
-    p.add_argument("--q", default="1.1", help="deformation parameter (rational or float)")
-    p.set_defaults(fn=cmd_eval)
+    if "eval" in wanted:
+        p = sub.add_parser("eval", help="evaluate coefficients numerically at q")
+        p.add_argument("expr")
+        p.add_argument("--q", default="1.1", help="deformation parameter (rational or float)")
+        p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("verify", help="run a property suite")
-    p.add_argument("--suite", default="all",
-                   choices=["qarith", "ncalgebra", "starcalc", "qcalculus",
-                            "qexp", "schrodinger", "all"])
-    p.add_argument("--q", default="11/10")
-    p.add_argument("--N", type=int, default=3)
-    p.add_argument("--K", type=int, default=2)
-    p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--grid", type=int, default=12, help="lattice half-width")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_verify)
+    if "verify" in wanted:
+        p = sub.add_parser("verify", help="run a property suite")
+        p.add_argument("--suite", default="all",
+                       choices=["qarith", "ncalgebra", "starcalc", "qcalculus",
+                                "qexp", "schrodinger", "all"])
+        p.add_argument("--q", default="11/10")
+        p.add_argument("--N", type=int, default=3)
+        p.add_argument("--K", type=int, default=2)
+        p.add_argument("--seed", type=int, default=2024)
+        p.add_argument("--grid", type=int, default=12, help="lattice half-width")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("propagator", help="momentum-space propagator series")
-    p.add_argument("--family", default="KR",
-                   choices=["KR", "KL", "KRstar", "KLstar"])
-    p.add_argument("--branch", default="retarded",
-                   choices=["retarded", "advanced"])
-    p.add_argument("--order", type=int, default=6)
-    p.add_argument("--mass", default="1")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_propagator)
+    if "propagator" in wanted:
+        p = sub.add_parser("propagator", help="momentum-space propagator series")
+        p.add_argument("--family", default="KR",
+                       choices=["KR", "KL", "KRstar", "KLstar"])
+        p.add_argument("--branch", default="retarded",
+                       choices=["retarded", "advanced"])
+        p.add_argument("--order", type=int, default=6)
+        p.add_argument("--mass", default="1")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(fn=cmd_propagator)
 
-    p = sub.add_parser("expectation", help="wave-packet expectation values")
-    p.add_argument("--packet", required=True, help="packet JSON file")
-    p.add_argument("--t", type=float, default=0.0)
-    p.set_defaults(fn=cmd_expectation)
+    if "expectation" in wanted:
+        p = sub.add_parser("expectation", help="wave-packet expectation values")
+        p.add_argument("--packet", required=True, help="packet JSON file")
+        p.add_argument("--t", type=float, default=0.0)
+        p.set_defaults(fn=cmd_expectation)
 
-    p = sub.add_parser("heine", help="per-order phase-factor comparison report")
-    p.add_argument("--order", type=int, default=6)
-    p.add_argument("--q", default="11/10")
-    p.add_argument("--t", type=float, default=0.3)
-    p.add_argument("--mass", type=float, default=1.0)
-    p.set_defaults(fn=cmd_heine)
+    if "heine" in wanted:
+        p = sub.add_parser("heine", help="per-order phase-factor comparison report")
+        p.add_argument("--order", type=int, default=6)
+        p.add_argument("--q", default="11/10")
+        p.add_argument("--t", type=float, default=0.3)
+        p.add_argument("--mass", type=float, default=1.0)
+        p.set_defaults(fn=cmd_heine)
 
-    p = sub.add_parser("sample", help="sample a Gaussian on the lattice to CSV")
-    p.add_argument("--q", default="11/10")
-    p.add_argument("--grid", type=int, default=8)
-    p.add_argument("--center", type=float, default=0.0)
-    p.add_argument("--width", type=float, default=1.2)
-    p.add_argument("--out", default="lattice.csv")
-    p.set_defaults(fn=cmd_sample)
+    if "sample" in wanted:
+        p = sub.add_parser("sample", help="sample a Gaussian on the lattice to CSV")
+        p.add_argument("--q", default="11/10")
+        p.add_argument("--grid", type=int, default=8)
+        p.add_argument("--center", type=float, default=0.0)
+        p.add_argument("--width", type=float, default=1.2)
+        p.add_argument("--out", default="lattice.csv")
+        p.set_defaults(fn=cmd_sample)
     return ap
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        # the command comes first; anything else (--help, a bad name, none)
+        # is answered by the parser of every command
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         return args.fn(args)
     except UsageError as exc:
         print(f"{exc.prefix}: {exc}", file=sys.stderr)

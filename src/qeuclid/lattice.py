@@ -25,8 +25,12 @@ routine, :func:`_axis_rows`, reads the distinct envelopes of a sum from
 those values by index shift; :func:`_moments` reduces them against every
 monomial degree in one matrix product.  A star integral contracts small
 per-slot tables (:func:`_slot_sums`) over the star's k, without building
-the product's terms.  :meth:`StructuredFn.values_on` evaluates a carrier at
-arbitrary points, for export and for pointwise checks.
+the product's terms.  Each carrier keeps the tables it builds, one per
+outer slot and sign, and slices a kept one for a later integral that asks
+no wider span, so a packet's bra c*(t) is tabled once for all its pairings
+at t; an entry does not depend on the span, and the tables are freed with
+the carrier, as the samples are.  :meth:`StructuredFn.values_on` evaluates
+a carrier at arbitrary points, for export and for pointwise checks.
 """
 
 from __future__ import annotations
@@ -248,6 +252,20 @@ def _blocks(n: int, row_bytes: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, n, step)]
 
 
+def _widen(lat: QLattice, reads) -> None:
+    """Widen each base once to the union of the windows asked of it:
+    ``reads`` holds (envelopes, lo, hi), each envelope (None is the constant
+    1) read at +-q0^j for lo <= j <= hi."""
+    need: dict = {}
+    for envs, lo, hi in reads:
+        for env in envs:
+            for base, m, _, _ in env.leaves if env is not None else ():
+                a, b = need.get(base, (lo + m, hi + m))
+                need[base] = min(a, lo + m), max(b, hi + m)
+    for base, (lo, hi) in need.items():
+        base.window(lat.q0, lo, hi)
+
+
 def _axis_rows(lat: QLattice, envs, lo: int, hi: int, step: int = 1):
     """The distinct envelopes among ``envs`` (None is the constant 1) at
     +-q0^j for j = lo, lo + step, ... <= hi, as ``(rows, idx)``: rows has
@@ -257,12 +275,7 @@ def _axis_rows(lat: QLattice, envs, lo: int, hi: int, step: int = 1):
     its leaves here ask for."""
     index: dict = {}
     idx = np.fromiter((index.setdefault(e, len(index)) for e in envs), int, len(envs))
-    shifts: dict = {}
-    for env in index:
-        for base, m, _, _ in env.leaves if env is not None else ():
-            shifts.setdefault(base, []).append(m)
-    for base, ms in shifts.items():
-        base.window(lat.q0, lo + min(ms), hi + max(ms))
+    _widen(lat, [(index, lo, hi)])
     rows = np.ones((len(index), 2, len(range(lo, hi + 1, step))), dtype=complex)
     for env, u in index.items():
         if env is not None:
@@ -294,6 +307,22 @@ def _moments(lat: QLattice, slot: int, envs, ns) -> np.ndarray:
     return sums[idx.reshape(idx.shape + (1,) * (ns.ndim - 1)), d]
 
 
+def _middle_window(lat: QLattice, span: int, sgn: int) -> tuple[int, int]:
+    """The index window a slot-sum table reads its middle factors on: the
+    middle slot's integration exponents, dilated by 2 sgn v for v <= span."""
+    js = lat.integration_js(1)
+    return js[0] + min(0, 2 * sgn * span), js[-1] + max(0, 2 * sgn * span)
+
+
+def _table_reads(f: "StructuredFn", outer: int, span: int, sgn: int) -> list:
+    """The (envelopes, lo, hi) windows :func:`_slot_sums` reads for f."""
+    lat, js = f.lattice, f.lattice.integration_js(outer)
+    reads = [({t.envs[1] for t in f.terms}, *_middle_window(lat, span, sgn))]
+    if js.size:
+        reads.append(({t.envs[outer] for t in f.terms}, js[0], js[-1]))
+    return reads
+
+
 def _slot_sums(f: "StructuredFn", outer: int, span: int, sgn: int) -> np.ndarray:
     """The per-slot tables of one star-integral operand, shape
     (D + 1, span + 1, 2, J): entry [d, v, s, j] is the sum over f's terms i
@@ -310,7 +339,7 @@ def _slot_sums(f: "StructuredFn", outer: int, span: int, sgn: int) -> np.ndarray
         lat, outer, [t.envs[outer] for t in terms], exps[:, outer, None] + v
     )
     js = lat.integration_js(1)
-    lo, hi = js[0] + min(0, 2 * sgn * span), js[-1] + max(0, 2 * sgn * span)
+    lo, hi = _middle_window(lat, span, sgn)
     factors: dict = {}
     g_idx = np.fromiter(
         (factors.setdefault((t.envs[1], t.exps[1]), len(factors)) for t in terms), int, len(terms)
@@ -385,7 +414,7 @@ class StructuredFn:
     selects the star formula, and operands of ``+`` and ``star`` share it.
     """
 
-    __slots__ = ("lattice", "sector_kind", "convention", "terms")
+    __slots__ = ("lattice", "sector_kind", "convention", "terms", "_tables")
 
     def __init__(self, lattice: QLattice, sector_kind: str, terms: Sequence[STerm], convention="W"):
         if convention not in ("W", "Wt"):
@@ -410,6 +439,7 @@ class StructuredFn:
                 else:
                     acc[key] = STerm(c, prev.exps, prev.envs)
         self.terms = list(acc.values())
+        self._tables = {}  # (outer slot, sgn) -> the widest _slot_sums table built
 
     # -- construction ------------------------------------------------------
 
@@ -626,7 +656,11 @@ class StructuredFn:
         O((n_F + n_L) D J + D^3 J) for D the largest coupled degree and J
         the middle slot's points.  Beyond the tables and one sampled row per
         distinct middle factor, every temporary stays within _BLOCK_BYTES.
-        A result past the float range (a factor that
+        Each operand keeps its table (:meth:`_slot_table`): a later integral
+        that asks the same operand for no wider span slices it instead of
+        summing the terms again, and the table is freed with the operand.
+        Each envelope base is widened once, to the windows of both tables,
+        before either samples.  A result past the float range (a factor that
         overflowed, times zero, gives nan) raises ``FloatingPointError``."""
         mirror = self._coupling(other)
         if not self.terms or not other.terms:
@@ -636,10 +670,12 @@ class StructuredFn:
         first, last = (other, self) if mirror else (self, other)
         # the coupled degrees present: only their entries of the tables are
         # read, so an entry no pair of terms needs cannot overflow into nan
-        d_first = np.unique([t.exps[2] for t in first.terms])
-        d_last = np.unique([t.exps[0] for t in last.terms])
-        s_first = _slot_sums(first, 0, d_last[-1], sgn)
-        s_last = _slot_sums(last, 2, d_first[-1], sgn)
+        d_first = np.array(sorted({t.exps[2] for t in first.terms}))
+        d_last = np.array(sorted({t.exps[0] for t in last.terms}))
+        tables = ((first, 0, d_last[-1]), (last, 2, d_first[-1]))
+        # each base is widened once to both tables' windows before either samples
+        _widen(lat, [read for args in tables for read in _table_reads(*args, sgn)])
+        s_first, s_last = (f._slot_table(outer, span, sgn) for f, outer, span in tables)
         fall = _falling(max(d_first[-1], d_last[-1]), lat.q0 ** (4 * sgn))
         lam = sgn * (lat.q0 - 1.0 / lat.q0)
         xs, weights = lat.integration_points(1), lat.integration_weights(1)
@@ -657,6 +693,14 @@ class StructuredFn:
         if not cmath.isfinite(total):
             raise FloatingPointError(f"star integral is not finite: {total}")
         return total
+
+    def _slot_table(self, outer: int, span: int, sgn: int) -> np.ndarray:
+        """:func:`_slot_sums` of this carrier for dilations up to ``span``,
+        sliced from the kept table when that is no narrower."""
+        kept = self._tables.get((outer, sgn))
+        if kept is None or kept.shape[1] <= span:
+            kept = self._tables[outer, sgn] = _slot_sums(self, outer, span, sgn)
+        return kept[:, : span + 1]
 
     # -- evaluation and integration ----------------------------------------------
 

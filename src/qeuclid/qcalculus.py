@@ -205,20 +205,29 @@ def apply_derivative(label: DerivativeLabel, f, sector_index: int = 0):
     """
     kind = f.sectors[sector_index].kind
     _check_convention(f, label.side)
+    if label.side in ("right", "right_bar"):
+        # the mirror label's side needs the same ordering as the right side,
+        # and conjugation keeps the tag
+        mirror, s = right_transport(label, kind)
+        acted = apply_derivative(mirror, f.conjugate(), sector_index)
+        return _scaled(-acted.conjugate(), s)
     lab, g = _resolve_index(label, kind)
-    if lab.side in ("left", "left_bar"):
-        m = 1 if lab.side == "left" else -1
-        if kind == "x":
-            out = _left_rep(lab.index, f, sector_index, m)
-            pref = ONE
-        else:
-            out = _left_rep(Metric.partner[lab.index], f, sector_index, m)
-            pref = _P_PREFACTOR[lab.index]
-        return _scaled(out, pref, _variant_scale(lab), g)
-    # the mirror label's side needs the same ordering as the right side, and
-    # conjugation keeps the tag
-    acted = apply_derivative(_mirror_label(lab), f.conjugate(), sector_index)
-    return _scaled(-acted.conjugate(), g, _variant_scale(lab))
+    m = 1 if lab.side == "left" else -1
+    if kind == "x":
+        out = _left_rep(lab.index, f, sector_index, m)
+        pref = ONE
+    else:
+        out = _left_rep(Metric.partner[lab.index], f, sector_index, m)
+        pref = _P_PREFACTOR[lab.index]
+    return _scaled(out, pref, _variant_scale(lab), g)
+
+
+def right_transport(label: DerivativeLabel, kind: str) -> tuple[DerivativeLabel, QScalar]:
+    """The left label d' and the scale s of a right action on a sector of
+    ``kind``: f <| d = -s conj(d' |> conj(f)), s the metric factor of the
+    label's index times its variant scale, a real number at real q."""
+    lab, g = _resolve_index(label, kind)
+    return _mirror_label(lab), g * _variant_scale(lab)
 
 
 def inverse_partial(label: DerivativeLabel, f, sector_index: int = 0):

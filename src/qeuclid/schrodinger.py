@@ -610,19 +610,27 @@ class WavePacket:
         return cst.star_integral(pA.star(ct))
 
     def _position_term(self, index: str, t: float, position: str) -> complex:
-        """i Int ((c*)(t) <|bar d_p^A) * c(t).
+        """T(A) = i Int ((c*)(t) <|bar d_p^A) * c(t).
 
         Star multiplication by x^A on the plane-wave side becomes the
         right-bar momentum action under the integral; integration by parts
         (which holds exactly for the integration-adjoint pairing) lands it
         on the bra coefficients, where it is the conjugation-transported
-        local operator."""
-        from .qcalculus import DerivativeLabel, apply_derivative
+        local operator  f <|bar d = -s conj(d' |> conj(f))  (d' the mirror
+        left label, s real; :func:`~qeuclid.qcalculus.right_transport`).
+        With conj(c*(t)) = c(t) and  Int conj(Y) * X = conj(Int conj(X) * Y),
+        which holds up to rounding and the window's edge shells, this is
+
+            T(A) = -i s conj(Int c*(t) * (d' |> c(t))):
+
+        c*(t) stays the bra of every pairing at t, and no carrier is
+        conjugated."""
+        from .qcalculus import DerivativeLabel, apply_derivative, right_transport
 
         ct, cst = self.coefficients_at(t)
-        lab = DerivativeLabel(index, "plain", "right_bar", position)
-        acted = apply_derivative(lab, cst)
-        return 1j * acted.star_integral(ct)
+        mirror, s = right_transport(DerivativeLabel(index, "plain", "right_bar", position), "p")
+        pairing = cst.star_integral(apply_derivative(mirror, ct))
+        return 1j * (-s.eval(self.c.lattice.q0).real * pairing).conjugate()
 
     def expectation_position(self, index: str, t: float = 0.0, position: str = "upper") -> complex:
         """(1/2)[T(A) + conj(T(A, flipped))]: the two coefficient-family
@@ -634,7 +642,10 @@ class WavePacket:
         conjugate of the value at ``"upper"``: a comparison of the two holds
         by construction and pins nothing about <X^A>(t).  Both positions
         read one pair T(A, upper), T(A, lower), kept per (A, t) beside c(t),
-        so the second position costs no integral."""
+        so the second position costs no integral.  Each T is the conjugate
+        of a pairing with c*(t) as its bra, Int conj(Y) * X =
+        conj(Int conj(X) * Y) (:meth:`_position_term`), so c*(t)'s kept slot
+        table serves it as it serves the norm and <P^A>."""
         flipped = "lower" if position == "upper" else "upper"
         terms = self._at(t)[2].setdefault(index, {})
         for p in (position, flipped):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import qeuclid
 from qeuclid import dsl
-from qeuclid.cli import main
+from qeuclid.cli import COMMANDS, build_parser, main
 from qeuclid.qarith import QScalar, LAMBDA
 from qeuclid.qexp import VARIANTS
 from qeuclid.starcalc import coord_variable, star_product
@@ -205,6 +205,23 @@ def test_main_entry_direct(capsys):
     assert "p+" in captured.out
 
 
+def _help(run, argv) -> str:
+    out = io.StringIO()
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stdout(out):
+        run(argv)
+    assert exc.value.code == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_help_is_the_full_parsers(command):
+    """``main`` builds only the invoked command's parser; its help is the
+    one the parser of every command prints, and ``--help`` lists them all."""
+    assert _help(main, [command, "--help"]) == _help(build_parser().parse_args,
+                                                     [command, "--help"])
+    assert f" {command} " in _help(main, ["--help"])
+
+
 #: expressions whose syntax tree is n levels high
 NESTED = {
     "parens": lambda n: "(" * (n - 1) + "x3" + ")" * (n - 1),
@@ -393,6 +410,31 @@ for name in qeuclid.__all__:
 
 def test_symbolic_commands_load_no_numpy():
     code, out, err = run_python("-c", SYMBOLIC_SCRIPT)
+    assert code == 0 and out == "" and err == "", err
+
+
+#: run in a fresh interpreter: the lattice commands never load numpy.ma,
+#: whose first import (through np.unique) costs a cold process about 15 ms
+LATTICE_SCRIPT = """
+import contextlib, io, json, os, sys, tempfile
+from qeuclid.cli import main
+
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "packet.json")
+    with open(path, "w") as fh:
+        json.dump({"lattice": {"q0": 1.1, "j_min": -6, "j_max": 6}, "mass": "2",
+                   "phase_order": 20,
+                   "packet": {"center_j": 0.3, "width_j": 0.9, "odd_fraction": 0.35}}, fh)
+    for argv in (["expectation", "--packet", path, "--t", "0.1"],
+                 ["verify", "--suite", "qcalculus"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
+assert "numpy.ma" not in sys.modules
+"""
+
+
+def test_lattice_commands_load_no_numpy_ma():
+    code, out, err = run_python("-c", LATTICE_SCRIPT)
     assert code == 0 and out == "" and err == "", err
 
 

@@ -86,7 +86,8 @@ def test_star_integral_does_not_depend_on_blocks(operands, monkeypatch, left, ri
     (one term group at one dilation: two signs by 13 middle points) holds
     26, so at 1 each block holds one group, at 100 three and at 2000 76 of
     the acted operand's 209: the block edges fall at other places than at
-    the default bound, under which each table is one block."""
+    the default bound, under which each table is one block.  Each side is
+    a fresh pair of carriers, since a carrier keeps the tables it built."""
     a, b = (_ordered(operands[k], mirror) for k in (left, right))
     want = a.star_integral(b)
     blocks, counts = lattice._blocks, []
@@ -98,6 +99,7 @@ def test_star_integral_does_not_depend_on_blocks(operands, monkeypatch, left, ri
 
     monkeypatch.setattr(lattice, "_BLOCK_BYTES", 16 * block)
     monkeypatch.setattr(lattice, "_blocks", spy)
+    a, b = (_ordered(operands[k], mirror) for k in (left, right))
     got = a.star_integral(b)
     assert max(counts) > 1
     assert abs(got - want) <= 1e-13 * abs(want), (got, want)
@@ -272,6 +274,38 @@ def test_packet_samples_each_base_once_per_window():
         assert counting.expectation_position(index, 0.1) == wp.expectation_position(index, 0.1)
     assert counting.expectation_momentum("+", 0.1) == wp.expectation_momentum("+", 0.1)
     assert 0 < len(calls) <= 8, calls
+
+
+def test_packet_pairings_build_the_bra_table_once_per_span():
+    """c*(0.1) is the bra of the norm, of <P^+> at both positions and of
+    both <X^+> terms.  Its slot table is built once per span increase: twice,
+    at span 10 for the norm and at 11 for p^+ * c(0.1), whose first-slot
+    degree is one higher; the other four pairings slice the kept one.
+    c(0.1)'s own table is built once, by the norm.  An integral read from a
+    kept, wider table equals the one of freshly built carriers."""
+    lat = QLattice(1.1, -6, 6)
+    wp = gaussian_packet(
+        lat, Fraction(2), center_j=0.3, width_j=0.9, odd_fraction=0.35, phase_order=20
+    )
+    ct, cst = wp.coefficients_at(0.1)
+    slot_sums, built = lattice._slot_sums, {"c": [], "cstar": []}
+
+    def spy(f, outer, span, sgn):
+        for name, g in (("c", ct), ("cstar", cst)):
+            if f is g:
+                built[name].append((outer, span))
+        return slot_sums(f, outer, span, sgn)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "_slot_sums", spy)
+        wp.norm(0.1)
+        for position in ("upper", "lower"):
+            wp.expectation_momentum("+", 0.1, position)
+        wp.expectation_position("+", 0.1)
+        kept = cst.star_integral(ct)
+    assert built == {"c": [(2, 10)], "cstar": [(0, 10), (0, 11)]}, built
+    fresh = cst._new(cst.terms).star_integral(ct._new(ct.terms))
+    assert abs(kept - fresh) <= 1e-14 * abs(fresh), (kept, fresh)
 
 
 #: run in a fresh interpreter: ten packets with distinct centres, each with

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qeuclid.qarith import QScalar, LAMBDA_PLUS
+from qeuclid.qcalculus import DerivativeLabel, apply_derivative
 from qeuclid.starcalc import Poly, P_SECTOR
 from qeuclid.schrodinger import (
     PacketError,
@@ -128,6 +129,22 @@ def test_position_expectations(packet):
         packet.expectation_position("3", 0.2) - packet.expectation_position("3", 0.0)
     )
     assert abs(drift) > 1e-6  # position genuinely evolves
+
+
+def test_position_term_is_the_right_bar_action_on_the_bra(packet):
+    """The position term is computed as -i s conj(Int c*(t) * (d' |> c(t)))
+    (d' the mirror left label, s real).  Here it is restated as it is
+    derived: i Int ((c*)(t) <|bar d_p^A) * c(t), the right-bar action applied
+    to c*(t) itself.  The two are equal up to rounding and the window's
+    truncation, which on this packet is negligible."""
+    for t in (0.0, 0.1, 0.2):
+        ct, cst = packet.coefficients_at(t)
+        for a in ("+", "3", "-"):
+            for position in ("upper", "lower"):
+                label = DerivativeLabel(a, "plain", "right_bar", position)
+                want = 1j * apply_derivative(label, cst).star_integral(ct)
+                got = packet._position_term(a, t, position)
+                assert abs(got - want) <= 1e-13 * abs(want), (a, position, t, got, want)
 
 
 @pytest.mark.parametrize("t", [0.1, 0.2])
