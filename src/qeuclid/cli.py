@@ -235,12 +235,11 @@ def cmd_verify(args) -> int:
     q0 = _parse_q(args.q)
     N = _order(args.N, "--N", MAX_ORDER)
     K = _order(args.K, "--K", MAX_ORDER)
+    grid = _order(args.grid, "--grid")  # every suite, also those that ignore it
     from .verify import run_suite
 
     try:
-        report = run_suite(
-            args.suite, seed=args.seed, q0=q0, N=N, K=K, grid=args.grid
-        )
+        report = run_suite(args.suite, seed=args.seed, q0=q0, N=N, K=K, grid=grid)
     except ValueError as exc:  # a bad configuration; cases report their own errors
         raise UsageError(f"bad verify configuration: {exc}") from None
     except OverflowError:  # a power of q0 past the float range

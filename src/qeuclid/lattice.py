@@ -22,15 +22,14 @@ Each envelope base keeps its values at +-q0^j on the widest index window
 asked of it (:class:`_Samples`), shared by every dilation of the envelope
 and freed with it, so a packet evaluates each base once per window.  One
 routine, :func:`_axis_rows`, reads the distinct envelopes of a sum from
-those values by index shift; :func:`_moments` reduces them against every
-monomial degree in one matrix product.  A star integral contracts small
-per-slot tables (:func:`_slot_sums`) over the star's k, without building
-the product's terms.  Each carrier keeps the tables it builds, one per
-outer slot and sign, and slices a kept one for a later integral that asks
-no wider span, so a packet's bra c*(t) is tabled once for all its pairings
-at t; an entry does not depend on the span, and the tables are freed with
-the carrier, as the samples are.  :meth:`StructuredFn.values_on` evaluates
-a carrier at arbitrary points, for export and for pointwise checks.
+those values by index shift; :func:`_moments` reduces each against each
+monomial degree.  A star integral contracts small per-slot tables
+(:func:`_slot_sums`) over the star's k, without building the product's
+terms.  Each carrier keeps one table per outer slot and sign, freed with
+it, that only grows (a wider span appends its missing columns); as no
+entry depends on the span, a packet's bra c*(t) is summed once for all
+its pairings at t, and no integral depends on the ones before it.
+:meth:`StructuredFn.values_on` evaluates a carrier at arbitrary points.
 """
 
 from __future__ import annotations
@@ -287,9 +286,9 @@ def _moments(lat: QLattice, slot: int, envs, ns) -> np.ndarray:
     """Per term i and entry of ns[i]: the slot's integral of x^n envs[i],
     the sum over s = +-1 and the integration points x_j of
     w_j (s x_j)^n envs[i](s x_j).  Each distinct envelope is sampled once
-    and reduced in one matrix product against the degrees present; absent
-    degrees get no column.  A window holding no j of the slot's coset (one
-    exponent only) gives 0."""
+    and reduced against each degree present by ``einsum``, whose entries,
+    unlike a matrix product's, do not depend on the operands' shapes.  A
+    window holding no j of the slot's coset (one exponent only) gives 0."""
     js = lat.integration_js(slot)
     out = np.zeros(ns.shape, dtype=complex)
     if js.size == 0 or ns.size == 0:
@@ -303,7 +302,7 @@ def _moments(lat: QLattice, slot: int, envs, ns) -> np.ndarray:
     xs = lat.integration_points(slot)
     mono = (np.stack([xs, -xs]) ** degrees[:, None, None]).reshape(len(degrees), -1)
     sums = np.zeros((len(rows), len(present)), dtype=complex)
-    sums[:, present] = rows @ mono.T
+    sums[:, present] = np.einsum("ep,dp->ed", rows, mono)
     return sums[idx.reshape(idx.shape + (1,) * (ns.ndim - 1)), d]
 
 
@@ -323,18 +322,18 @@ def _table_reads(f: "StructuredFn", outer: int, span: int, sgn: int) -> list:
     return reads
 
 
-def _slot_sums(f: "StructuredFn", outer: int, span: int, sgn: int) -> np.ndarray:
-    """The per-slot tables of one star-integral operand, shape
-    (D + 1, span + 1, 2, J): entry [d, v, s, j] is the sum over f's terms i
-    of degree d on the coupled slot 2 - outer of
-    c_i M_i(n_i + v) g_i(s q0^(j + 2 sgn v)), where n_i is the term's degree
-    on the ``outer`` slot, M_i its moment there (:func:`_moments`),
-    g_i(y) = y^b_i e_i(y) its middle factor and j runs over the middle
-    slot's integration exponents.  Terms are summed by segments: grouped by
-    (d, middle factor), sorted by d, in blocks of _BLOCK_BYTES."""
+def _slot_sums(f: "StructuredFn", outer: int, start: int, span: int, sgn: int) -> np.ndarray:
+    """Columns v = start..span of one star-integral operand's per-slot
+    table: entry [d, v - start, s, j] is the sum over f's terms i of degree d
+    on the coupled slot 2 - outer of c_i M_i(n_i + v) g_i(s q0^(j + 2 sgn v)),
+    where n_i is the term's degree on the ``outer`` slot, M_i its moment
+    there (:func:`_moments`), g_i(y) = y^b_i e_i(y) its middle factor and j
+    runs over the middle slot's integration exponents.  Terms are summed by
+    segments: grouped by (d, middle factor), sorted by d, in blocks of
+    _BLOCK_BYTES; no entry depends on start or span."""
     lat, terms = f.lattice, f.terms
     exps = np.array([t.exps for t in terms], dtype=int)
-    v = np.arange(span + 1)
+    v = np.arange(start, span + 1)
     m = np.array([t.coeff for t in terms], dtype=complex)[:, None] * _moments(
         lat, outer, [t.envs[outer] for t in terms], exps[:, outer, None] + v
     )
@@ -356,7 +355,7 @@ def _slot_sums(f: "StructuredFn", outer: int, span: int, sgn: int) -> np.ndarray
     cm = np.add.reduceat(m[order], starts, axis=0)
     deg, fac = np.divmod(key[starts], len(factors))
     first = js[0] - lo + 2 * sgn * v  # each v's window into g's columns
-    out = np.zeros((deg[-1] + 1, span + 1, 2, js.size), dtype=complex)
+    out = np.zeros((deg[-1] + 1, v.size, 2, js.size), dtype=complex)
     for blk in _blocks(len(deg), 2 * js.size * 16):
         d = deg[blk]
         seg = np.flatnonzero(np.concatenate([[True], d[1:] != d[:-1]]))
@@ -439,7 +438,7 @@ class StructuredFn:
                 else:
                     acc[key] = STerm(c, prev.exps, prev.envs)
         self.terms = list(acc.values())
-        self._tables = {}  # (outer slot, sgn) -> the widest _slot_sums table built
+        self._tables = {}  # (outer slot, sgn) -> _slot_sums columns 0..widest span asked
 
     # -- construction ------------------------------------------------------
 
@@ -656,9 +655,8 @@ class StructuredFn:
         O((n_F + n_L) D J + D^3 J) for D the largest coupled degree and J
         the middle slot's points.  Beyond the tables and one sampled row per
         distinct middle factor, every temporary stays within _BLOCK_BYTES.
-        Each operand keeps its table (:meth:`_slot_table`): a later integral
-        that asks the same operand for no wider span slices it instead of
-        summing the terms again, and the table is freed with the operand.
+        Each operand keeps its table (:meth:`_slot_table`), which a later
+        integral reads a prefix of, and which is freed with the operand.
         Each envelope base is widened once, to the windows of both tables,
         before either samples.  A result past the float range (a factor that
         overflowed, times zero, gives nan) raises ``FloatingPointError``."""
@@ -696,10 +694,13 @@ class StructuredFn:
 
     def _slot_table(self, outer: int, span: int, sgn: int) -> np.ndarray:
         """:func:`_slot_sums` of this carrier for dilations up to ``span``,
-        sliced from the kept table when that is no narrower."""
+        a prefix of the table kept per (outer, sgn).  The table only grows:
+        a wider span appends the missing columns."""
         kept = self._tables.get((outer, sgn))
-        if kept is None or kept.shape[1] <= span:
-            kept = self._tables[outer, sgn] = _slot_sums(self, outer, span, sgn)
+        have = 0 if kept is None else kept.shape[1]
+        if have <= span:
+            new = _slot_sums(self, outer, have, span, sgn)
+            kept = self._tables[outer, sgn] = new if not have else np.concatenate([kept, new], 1)
         return kept[:, : span + 1]
 
     # -- evaluation and integration ----------------------------------------------

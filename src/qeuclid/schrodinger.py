@@ -522,7 +522,8 @@ class WavePacket:
     c* = conj(c) (mirrored class).  The two remaining families, conj(c) and
     conj(c*), are then c* and c again, so the pair (c, c*) carries every
     integral.  In time the packet evolves by one phase series,
-    c(t) = exp(-i t p^2 / 2m) * c, and c*(t) = conj(c(t)).
+    c(t) = exp(-i t p^2 / 2m) * c, and c*(t) = conj(c(t)).  The norm, <P^A>
+    and <X^A> are scalar maps of one routine, :meth:`_pairing`.
     """
 
     def __init__(self, c, mass: Fraction = Fraction(1), phase_order: int = 16,
@@ -531,7 +532,7 @@ class WavePacket:
         self.mass = mass
         self.phase_order = phase_order
         self.support_j = support_j
-        self._cache = {}  # t -> (c(t), c*(t), {index: position terms})
+        self._cache = {}  # t -> (c(t), c*(t), {operator: pairing})
 
     def boundary_mass(self) -> float:
         c, cst = self.coefficients_at(0.0)
@@ -576,7 +577,7 @@ class WavePacket:
         return self._at(t)[:2]
 
     def _at(self, t: float):
-        """The per-t cache entry: c(t), c*(t) and the position terms so far."""
+        """The per-t cache entry: c(t), c*(t) and the pairings so far."""
         cached = self._cache.get(t)
         if cached is None:
             ct = self.c if t == 0.0 else self._phase(t).star(self.c)
@@ -585,9 +586,29 @@ class WavePacket:
 
     # -- integrals -------------------------------------------------------------
 
+    def _pairing(self, t: float, op=None) -> complex:
+        """Int c*(t) * (op c(t)), kept per (t, op) beside c(t) and c*(t).
+        ``op`` is None (the identity), an (index, position) pair (the
+        momentum coordinate, star-multiplied from the left) or a
+        :class:`~qeuclid.qcalculus.DerivativeLabel`."""
+        ct, cst, kept = self._at(t)
+        if op not in kept:
+            if op is None:
+                ket = ct
+            elif isinstance(op, tuple):
+                from .lattice import StructuredFn
+
+                ket = StructuredFn.from_poly(self.c.lattice, coord("p", *op)).star(ct)
+            else:
+                from .qcalculus import apply_derivative
+
+                ket = apply_derivative(op, ct)
+            kept[op] = cst.star_integral(ket)
+        return kept[op]
+
     def norm(self, t: float = 0.0) -> complex:
         """Int c*(t) * c(t)."""
-        return self.inner(self, t)
+        return self._pairing(t)
 
     def norm_check(self, t: float = 0.0) -> float:
         return abs(1.0 - self.norm(t))
@@ -603,62 +624,44 @@ class WavePacket:
 
     def expectation_momentum(self, index: str, t: float = 0.0, position: str = "upper") -> complex:
         """Int c*(t) * (p^A * c(t)), or p_A at ``position="lower"``."""
-        from .lattice import StructuredFn
-
-        ct, cst = self.coefficients_at(t)
-        pA = StructuredFn.from_poly(self.c.lattice, coord("p", index, position))
-        return cst.star_integral(pA.star(ct))
+        return self._pairing(t, (index, position))
 
     def _position_term(self, index: str, t: float, position: str) -> complex:
         """T(A) = i Int ((c*)(t) <|bar d_p^A) * c(t).
 
         Star multiplication by x^A on the plane-wave side becomes the
         right-bar momentum action under the integral; integration by parts
-        (which holds exactly for the integration-adjoint pairing) lands it
-        on the bra coefficients, where it is the conjugation-transported
-        local operator  f <|bar d = -s conj(d' |> conj(f))  (d' the mirror
-        left label, s real; :func:`~qeuclid.qcalculus.right_transport`).
-        With conj(c*(t)) = c(t) and  Int conj(Y) * X = conj(Int conj(X) * Y),
-        which holds up to rounding and the window's edge shells, this is
-
-            T(A) = -i s conj(Int c*(t) * (d' |> c(t))):
-
-        c*(t) stays the bra of every pairing at t, and no carrier is
+        (exact for the integration-adjoint pairing) lands it on the bra,
+        where it is the conjugation-transported local operator
+        f <|bar d = -s conj(d' |> conj(f))  (d' the mirror left label, s
+        real; :func:`~qeuclid.qcalculus.right_transport`).  With
+        conj(c*(t)) = c(t) and  Int conj(Y) * X = conj(Int conj(X) * Y), which
+        holds up to rounding and the window's edge shells, T(A) is
+        -i s conj(Int c*(t) * (d' |> c(t))), the pairing of d'; no carrier is
         conjugated."""
-        from .qcalculus import DerivativeLabel, apply_derivative, right_transport
+        from .qcalculus import DerivativeLabel, right_transport
 
-        ct, cst = self.coefficients_at(t)
         mirror, s = right_transport(DerivativeLabel(index, "plain", "right_bar", position), "p")
-        pairing = cst.star_integral(apply_derivative(mirror, ct))
-        return 1j * (-s.eval(self.c.lattice.q0).real * pairing).conjugate()
+        return 1j * (-s.eval(self.c.lattice.q0).real * self._pairing(t, mirror)).conjugate()
 
     def expectation_position(self, index: str, t: float = 0.0, position: str = "upper") -> complex:
         """(1/2)[T(A) + conj(T(A, flipped))]: the two coefficient-family
         terms of the position expectation are exact conjugate mirrors, so
-        the second is computed as the conjugate of the first at the flipped
-        index position.
-
-        So the value at ``position="lower"`` is, bit for bit, the complex
-        conjugate of the value at ``"upper"``: a comparison of the two holds
-        by construction and pins nothing about <X^A>(t).  Both positions
-        read one pair T(A, upper), T(A, lower), kept per (A, t) beside c(t),
-        so the second position costs no integral.  Each T is the conjugate
-        of a pairing with c*(t) as its bra, Int conj(Y) * X =
-        conj(Int conj(X) * Y) (:meth:`_position_term`), so c*(t)'s kept slot
-        table serves it as it serves the norm and <P^A>."""
+        the second is the conjugate of the first at the flipped position.
+        The value at ``position="lower"`` is thus, bit for bit, the conjugate
+        of the value at ``"upper"``, and comparing them pins nothing.
+        T(A, lower) and T(A-bar, upper) (+ and - swapped) transport to one
+        left label d', so the six <X> values at one t read three pairings."""
         flipped = "lower" if position == "upper" else "upper"
-        terms = self._at(t)[2].setdefault(index, {})
-        for p in (position, flipped):
-            if p not in terms:
-                terms[p] = self._position_term(index, t, p)
-        return 0.5 * (terms[position] + terms[flipped].conjugate())
+        return 0.5 * (
+            self._position_term(index, t, position)
+            + self._position_term(index, t, flipped).conjugate()
+        )
 
-    def inner(self, other: "WavePacket", t: float = 0.0) -> complex:
-        """Bra-ket pairing of this packet's conjugate family with another
-        packet's coefficients (the orthogonality surrogate)."""
-        ct = other.coefficients_at(t)[0]
-        cst = self.coefficients_at(t)[1]
-        return cst.star_integral(ct)
+    def inner(self, other: "WavePacket") -> complex:
+        """Bra-ket pairing at t = 0 of this packet's conjugate family with
+        another packet's coefficients (the orthogonality surrogate)."""
+        return self.coefficients_at(0.0)[1].star_integral(other.c)
 
 
 def gaussian_packet(
@@ -684,16 +687,12 @@ def gaussian_packet(
     if phase_order < 0:
         raise PacketError(f"phase_order must be >= 0, got {phase_order}")
 
-    def env():
-        base = log_gaussian(lattice, center_j, width_j)
-        if odd_fraction == 0.0:
-            return base
-        odd = odd_log_gaussian(lattice, center_j, width_j)
-        return AxisFn(lambda x: base(x) + odd_fraction * odd(x))
-
-    c = StructuredFn(
-        lattice, "p", [STerm(1.0, (0, 0, 0), (None, env(), env()))]
-    )
+    env = log_gaussian(lattice, center_j, width_j)
+    if odd_fraction != 0.0:
+        base, odd = env, odd_log_gaussian(lattice, center_j, width_j)
+        env = AxisFn(lambda x: base(x) + odd_fraction * odd(x))
+    # one envelope on both slots: its base is sampled once per window
+    c = StructuredFn(lattice, "p", [STerm(1.0, (0, 0, 0), (None, env, env))])
     support = abs(center_j) + 6.0 * width_j
     return WavePacket(c, mass, phase_order, support).normalized()
 

@@ -246,6 +246,9 @@ NESTED = {
         ["expectation", "--packet", "{tmp}/zero_mass.json", "--t", "0.1"],
         ["verify", "--suite", "qcalculus", "--q", "1"],
         ["verify", "--suite", "schrodinger", "--grid", "-3"],
+        # suites that read no lattice refuse a negative window too
+        ["verify", "--suite", "qarith", "--grid", "-2"],
+        ["verify", "--suite", "qcalculus", "--grid", "-1"],
         ["verify", "--suite", "qexp", "--N", "-1"],
         *(["expand", nested(dsl.MAX_DEPTH + 1)] for nested in NESTED.values()),
         *([cmd, "1/0"] for cmd in ("parse", "expand", "eval")),

@@ -276,13 +276,46 @@ def test_packet_samples_each_base_once_per_window():
     assert 0 < len(calls) <= 8, calls
 
 
+def test_packet_envelope_is_sampled_once_for_both_slots():
+    """The test packet carries one envelope on both enveloped slots.  Wrapped
+    in one counting callable per distinct envelope, its base is evaluated at
+    most 4 times over a norm and three expectation values at t = 0.1: twice
+    for the window of c(t), and at most twice more when a derivative's
+    dilations widen it."""
+    lat = QLattice(1.1, -6, 6)
+    wp = gaussian_packet(
+        lat, Fraction(2), center_j=0.3, width_j=0.9, odd_fraction=0.35, phase_order=20
+    )
+    calls, wrapped = [], {}
+
+    def counted(env):
+        if env is not None and env not in wrapped:
+            def fn(x):
+                calls.append(np.shape(x))
+                return env(x)
+
+            wrapped[env] = AxisFn(fn)
+        return wrapped.get(env)
+
+    c = StructuredFn(lat, "p", [STerm(t.coeff, t.exps, tuple(map(counted, t.envs)))
+                                for t in wp.c.terms])
+    assert len(wrapped) == 1
+    counting = WavePacket(c, wp.mass, wp.phase_order, wp.support_j)
+    assert counting.norm_check(0.1) <= 1e-10
+    for index in ("+", "-"):
+        assert counting.expectation_position(index, 0.1) == wp.expectation_position(index, 0.1)
+    assert counting.expectation_momentum("+", 0.1) == wp.expectation_momentum("+", 0.1)
+    assert 0 < len(calls) <= 4, calls
+
+
 def test_packet_pairings_build_the_bra_table_once_per_span():
     """c*(0.1) is the bra of the norm, of <P^+> at both positions and of
-    both <X^+> terms.  Its slot table is built once per span increase: twice,
-    at span 10 for the norm and at 11 for p^+ * c(0.1), whose first-slot
-    degree is one higher; the other four pairings slice the kept one.
-    c(0.1)'s own table is built once, by the norm.  An integral read from a
-    kept, wider table equals the one of freshly built carriers."""
+    both <X^+> terms.  Its slot table only grows: it is summed for columns
+    0 to 10 by the norm, then for column 11 alone by p^+ * c(0.1), whose
+    first-slot degree is one higher; the other four pairings read a prefix.
+    c(0.1)'s own table is summed once, by the norm.  An integral read from
+    kept, extended tables equals the one of freshly built carriers, bit for
+    bit."""
     lat = QLattice(1.1, -6, 6)
     wp = gaussian_packet(
         lat, Fraction(2), center_j=0.3, width_j=0.9, odd_fraction=0.35, phase_order=20
@@ -290,11 +323,11 @@ def test_packet_pairings_build_the_bra_table_once_per_span():
     ct, cst = wp.coefficients_at(0.1)
     slot_sums, built = lattice._slot_sums, {"c": [], "cstar": []}
 
-    def spy(f, outer, span, sgn):
+    def spy(f, outer, start, span, sgn):
         for name, g in (("c", ct), ("cstar", cst)):
             if f is g:
-                built[name].append((outer, span))
-        return slot_sums(f, outer, span, sgn)
+                built[name].append((outer, start, span))
+        return slot_sums(f, outer, start, span, sgn)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lattice, "_slot_sums", spy)
@@ -303,9 +336,29 @@ def test_packet_pairings_build_the_bra_table_once_per_span():
             wp.expectation_momentum("+", 0.1, position)
         wp.expectation_position("+", 0.1)
         kept = cst.star_integral(ct)
-    assert built == {"c": [(2, 10)], "cstar": [(0, 10), (0, 11)]}, built
+    assert built == {"c": [(2, 0, 10)], "cstar": [(0, 0, 10), (0, 11, 11)]}, built
     fresh = cst._new(cst.terms).star_integral(ct._new(ct.terms))
-    assert abs(kept - fresh) <= 1e-14 * abs(fresh), (kept, fresh)
+    assert kept == fresh, (kept, fresh)
+
+
+def test_extended_slot_table_equals_a_fresh_build():
+    """A table summed in pieces (columns 0..s, then s+1..S) equals, bit for
+    bit, the table summed at once, and each entry equals its own one-column
+    build: no entry depends on the span asked or on the other columns."""
+    lat = QLattice(1.1, -8, 8)
+    wp = gaussian_packet(
+        lat, Fraction(2), center_j=0.3, width_j=0.9, odd_fraction=0.35, phase_order=20
+    )
+    ct, cst = wp.coefficients_at(0.1)
+    for f, outer in ((cst, 0), (ct, 2)):
+        for sgn in (1, -1):
+            whole = lattice._slot_sums(f, outer, 0, 12, sgn)
+            grown = f._new(f.terms)
+            for span in (3, 9, 12):
+                grown._slot_table(outer, span, sgn)
+            assert np.array_equal(grown._slot_table(outer, 12, sgn), whole)
+            for v in (0, 5, 12):
+                assert np.array_equal(lattice._slot_sums(f, outer, v, v, sgn)[:, 0], whole[:, v])
 
 
 #: run in a fresh interpreter: ten packets with distinct centres, each with

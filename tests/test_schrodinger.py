@@ -147,6 +147,58 @@ def test_position_term_is_the_right_bar_action_on_the_bra(packet):
                 assert abs(got - want) <= 1e-13 * abs(want), (a, position, t, got, want)
 
 
+def _criterion_10_packet():
+    return gaussian_packet(
+        QLattice(1.1, -12, 12), MASS, center_j=0.3, width_j=0.9, odd_fraction=0.35,
+        phase_order=20,
+    )
+
+
+def test_six_position_values_make_three_star_integrals(monkeypatch):
+    """T(A, lower) and T(A-bar, upper) transport to one left label, so <X^A>
+    for all three indices at both positions pairs c*(t) three times."""
+    wp = _criterion_10_packet()
+    calls, star_integral = [], StructuredFn.star_integral
+
+    def spy(self, other):
+        calls.append(len(other.terms))
+        return star_integral(self, other)
+
+    monkeypatch.setattr(StructuredFn, "star_integral", spy)
+    for a in ("+", "3", "-"):
+        for position in ("upper", "lower"):
+            wp.expectation_position(a, 0.1, position)
+    assert len(calls) == 3, calls
+
+
+#: every packet value: (method, index, position), the norm first
+PACKET_QUERIES = [("norm", None, None)] + [
+    (method, a, position)
+    for method in ("expectation_momentum", "expectation_position")
+    for a in ("+", "3", "-")
+    for position in ("upper", "lower")
+]
+
+
+def _ask(wp, query, t):
+    method, a, position = query
+    return wp.norm(t) if a is None else getattr(wp, method)(a, t, position)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.1])
+def test_packet_values_do_not_depend_on_query_order(t):
+    """Each norm, <P^A> and <X^A> is bit-identical whether it is asked first
+    on a fresh packet or after all the others, which widen the kept slot
+    tables first (<P^+> asks c*(t) for one more column than the norm)."""
+    for query in PACKET_QUERIES:
+        first = _ask(_criterion_10_packet(), query, t)
+        wp = _criterion_10_packet()
+        for other in PACKET_QUERIES:
+            if other != query:
+                _ask(wp, other, t)
+        assert _ask(wp, query, t) == first, query
+
+
 @pytest.mark.parametrize("t", [0.1, 0.2])
 def test_conjugate_family_is_evolved_by_the_conjugate_phase(packet, t):
     """c*(t) = conj(phase(-) * c) is c* * phase(+): conjugation is
