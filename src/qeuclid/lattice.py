@@ -9,7 +9,8 @@ quantum space conjugation.
 
 The carrier, :class:`StructuredFn`, is a finite sum  coeff * monomial *
 per-axis envelopes, each envelope (:class:`AxisFn`) a product of leaves
-x -> base(+-q0^m x).  Every envelope operation (slot scalings, conjugation,
+x -> base(+-q0^m x), each base a log-Gaussian value (:func:`log_gaussian`)
+or an opaque callable.  Every envelope operation (slot scalings, conjugation,
 Jackson shifts) dilates by +-q0^m, which is arithmetic on the leaves and, on
 the lattice, an index shift plus a branch swap.  The carrier supports an
 exact star product against operands whose coupled axes are envelope-free
@@ -29,7 +30,8 @@ terms.  Each carrier keeps one table per outer slot and sign, freed with
 it, that only grows (a wider span appends its missing columns); as no
 entry depends on the span, a packet's bra c*(t) is summed once for all
 its pairings at t, and no integral depends on the ones before it.
-:meth:`StructuredFn.values_on` evaluates a carrier at arbitrary points.
+An envelope is evaluated only through :meth:`AxisFn.samples` and, at
+arbitrary points (:meth:`StructuredFn.values_on`), :meth:`AxisFn.values`.
 """
 
 from __future__ import annotations
@@ -102,19 +104,20 @@ class QLattice(_Frozen):
 
 class _Samples:
     """One envelope base and its values at +-q0^j on the widest index window
-    asked of it: equal (and hashed) by the base, so that envelopes wrapping
-    one function twice still compare equal."""
+    asked of it: equal and hashed by the base (hashed once: envelopes sort
+    their leaves by it), so that equal bases give equal envelopes."""
 
-    __slots__ = ("fn", "q0", "lo", "vals")
+    __slots__ = ("fn", "_hash", "q0", "lo", "vals")
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray]):
-        self.fn, self.q0, self.lo, self.vals = fn, None, 0, np.empty((2, 0), dtype=complex)
+        self.fn, self._hash, self.q0, self.lo = fn, hash(fn), None, 0
+        self.vals = np.empty((2, 0), dtype=complex)
 
     def __eq__(self, other):
         return isinstance(other, _Samples) and self.fn == other.fn
 
     def __hash__(self):
-        return hash(self.fn)
+        return self._hash
 
     def window(self, q0: float, lo: int, hi: int) -> np.ndarray:
         """fn(q0^j) (row 0) and fn(-q0^j) (row 1) for lo <= j <= hi; a window
@@ -138,11 +141,13 @@ class AxisFn:
     A leaf ``(base, m, sign, conj)`` is the function
     x -> base(sign * q0^m * x), complex-conjugated when ``conj`` is set;
     ``AxisFn(fn)`` is the single leaf ``(fn, 0, 1, False)``, its base held
-    in a :class:`_Samples`.  Bases must be
-    vectorized over numpy arrays and defined on the whole real line minus
-    zero (they are evaluated at dilated lattice points of either sign).
-    Envelopes are values: equal leaf products compare and hash equal, so
-    carriers merge equal terms without any identity bookkeeping.
+    in a :class:`_Samples`.  A base is a log-Gaussian value
+    (:func:`log_gaussian`) or an opaque callable, vectorized over numpy
+    arrays and defined on the whole real line minus zero (it is evaluated
+    at dilated lattice points of either sign).  Envelopes are values:
+    equal leaf products compare and hash equal, so carriers merge equal
+    terms without any identity bookkeeping.  An envelope is evaluated only
+    on its lattice, through :meth:`values` and :meth:`samples`.
 
     Every dilation and product of the envelope shares that :class:`_Samples`:
     on the lattice a base is evaluated once per window, and its samples are
@@ -158,7 +163,7 @@ class AxisFn:
     @classmethod
     def _of(cls, leaves) -> "AxisFn":
         env = object.__new__(cls)
-        env.leaves = tuple(sorted(leaves, key=lambda lf: (id(lf[0].fn),) + lf[1:]))
+        env.leaves = tuple(sorted(leaves, key=lambda lf: (lf[0]._hash,) + lf[1:]))
         env._hash = hash(env.leaves)  # a carrier hashes its envelopes at every step
         return env
 
@@ -187,12 +192,6 @@ class AxisFn:
             out = out * (np.conjugate(v) if conj else v)
         return out
 
-    def __call__(self, x):
-        """Values of an envelope no carrier has dilated."""
-        if any(m for _, m, _, _ in self.leaves):
-            raise ValueError("a dilated envelope needs its lattice: use values(x, q0)")
-        return self.values(x, 1.0)
-
 
 def _dilate(env, m: int, sign: int = 1, conj: bool = False):
     """x -> env(sign * q0^m * x), complex-conjugated if ``conj``; the
@@ -216,32 +215,33 @@ def _with(items: tuple, slot: int, value) -> tuple:
     return items[:slot] + (value,) + items[slot + 1 :]
 
 
-def log_gaussian(
-    lattice: QLattice,
-    center_j: float = 0.0,
-    width_j: float = 2.0,
-    amplitude: complex = 1.0,
-) -> AxisFn:
-    """exp(-((ln|x|/ln q0 - center)^2) / (2 width^2)): a Gaussian in the
-    lattice index, decaying toward both 0 and infinity; sign-symmetric."""
-    lnq = np.log(lattice.q0)
-    c, w = float(center_j), float(width_j)
+class _LogGaussian(_Frozen):
+    """The envelope base amplitude e(x) + odd_fraction sign(x) e(x), where
+    e(x) = exp(-((ln|x|/ln q0 - center_j)^2) / (2 width_j^2)) is a Gaussian
+    in the lattice index: a value, equal and hashed by its five fields."""
 
-    def fn(x):
-        j = np.log(np.abs(x)) / lnq
-        return amplitude * np.exp(-((j - c) ** 2) / (2.0 * w * w))
+    __slots__ = ("q0", "center_j", "width_j", "amplitude", "odd_fraction")
 
-    return AxisFn(fn)
+    def __call__(self, x):
+        j = np.log(np.abs(x)) / np.log(self.q0)
+        e = np.exp(-((j - self.center_j) ** 2) / (2.0 * self.width_j * self.width_j))
+        if not self.odd_fraction:
+            return self.amplitude * e
+        odd = self.odd_fraction * (np.sign(x) * e)
+        return self.amplitude * e + odd if self.amplitude else odd
+
+
+def log_gaussian(lattice: QLattice, center_j: float = 0.0, width_j: float = 2.0,
+                 amplitude: complex = 1.0, odd_fraction: float = 0.0) -> AxisFn:
+    """The one-leaf envelope of a :class:`_LogGaussian` base: sign-symmetric
+    unless ``odd_fraction`` admixes its sign-odd part."""
+    base = _LogGaussian(lattice.q0, float(center_j), float(width_j), amplitude, odd_fraction)
+    return AxisFn(base)
 
 
 def odd_log_gaussian(lattice: QLattice, center_j=0.0, width_j=2.0) -> AxisFn:
-    """Sign-odd variant (vanishing integral by symmetry)."""
-    base = log_gaussian(lattice, center_j, width_j)
-
-    def fn(x):
-        return np.sign(x) * base(x)
-
-    return AxisFn(fn)
+    """The sign-odd log-Gaussian sign(x) e(x) (vanishing integral by symmetry)."""
+    return log_gaussian(lattice, center_j, width_j, 0.0, 1.0)
 
 
 def _blocks(n: int, row_bytes: int) -> list[slice]:

@@ -533,6 +533,7 @@ class WavePacket:
         self.phase_order = phase_order
         self.support_j = support_j
         self._cache = {}  # t -> (c(t), c*(t), {operator: pairing})
+        self._transports = {}  # (index, position) -> (d', s at q0)
 
     def boundary_mass(self) -> float:
         c, cst = self.coefficients_at(0.0)
@@ -638,11 +639,15 @@ class WavePacket:
         conj(c*(t)) = c(t) and  Int conj(Y) * X = conj(Int conj(X) * Y), which
         holds up to rounding and the window's edge shells, T(A) is
         -i s conj(Int c*(t) * (d' |> c(t))), the pairing of d'; no carrier is
-        conjugated."""
-        from .qcalculus import DerivativeLabel, right_transport
+        conjugated.  (d', s) is kept per (index, position)."""
+        kept = self._transports.get((index, position))
+        if kept is None:
+            from .qcalculus import DerivativeLabel, right_transport
 
-        mirror, s = right_transport(DerivativeLabel(index, "plain", "right_bar", position), "p")
-        return 1j * (-s.eval(self.c.lattice.q0).real * self._pairing(t, mirror)).conjugate()
+            mirror, s = right_transport(DerivativeLabel(index, "plain", "right_bar", position), "p")
+            kept = self._transports[index, position] = mirror, s.eval(self.c.lattice.q0).real
+        mirror, s = kept
+        return 1j * (-s * self._pairing(t, mirror)).conjugate()
 
     def expectation_position(self, index: str, t: float = 0.0, position: str = "upper") -> complex:
         """(1/2)[T(A) + conj(T(A, flipped))]: the two coefficient-family
@@ -680,17 +685,14 @@ def gaussian_packet(
     ``width_j`` must be positive and ``phase_order`` non-negative; the
     phase-series guard works on the support shell |center_j| + 6 width_j.
     """
-    from .lattice import StructuredFn, STerm, AxisFn, log_gaussian, odd_log_gaussian
+    from .lattice import StructuredFn, STerm, log_gaussian
 
     if not width_j > 0:
         raise PacketError(f"width_j must be positive, got {width_j}")
     if phase_order < 0:
         raise PacketError(f"phase_order must be >= 0, got {phase_order}")
 
-    env = log_gaussian(lattice, center_j, width_j)
-    if odd_fraction != 0.0:
-        base, odd = env, odd_log_gaussian(lattice, center_j, width_j)
-        env = AxisFn(lambda x: base(x) + odd_fraction * odd(x))
+    env = log_gaussian(lattice, center_j, width_j, odd_fraction=odd_fraction)
     # one envelope on both slots: its base is sampled once per window
     c = StructuredFn(lattice, "p", [STerm(1.0, (0, 0, 0), (None, env, env))])
     support = abs(center_j) + 6.0 * width_j

@@ -375,7 +375,7 @@ def _suite_qcalculus(rnd, cfg):
 
     from .starcalc import Metric, Poly, X_SECTOR, coord
     from .qcalculus import apply_derivative, inverse_partial, integration_adjoint, d
-    from .lattice import QLattice, AxisFn, StructuredFn, STerm, log_gaussian, odd_log_gaussian
+    from .lattice import QLattice, AxisFn, StructuredFn, STerm, log_gaussian
 
     cases = []
     lat = QLattice(cfg["q0"], cfg["j_min"], cfg["j_max"])
@@ -421,10 +421,7 @@ def _suite_qcalculus(rnd, cfg):
         # keep the support well inside the window so boundary truncation
         # stays below the asserted tolerances
         c, w = rnd.uniform(-0.6, 0.6), rnd.uniform(0.8, 1.2)
-        of = rnd.uniform(-0.6, 0.6)
-        base = log_gaussian(lat, c, w)
-        odd = odd_log_gaussian(lat, c, w)
-        return AxisFn(lambda x: base(x) + of * odd(x))
+        return log_gaussian(lat, c, w, odd_fraction=rnd.uniform(-0.6, 0.6))
 
     def stokes():
         worst = 0.0

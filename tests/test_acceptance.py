@@ -25,14 +25,7 @@ from qeuclid.ncalgebra import star_via_weyl
 from qeuclid.qcalculus import apply_derivative, d, integration_adjoint
 from qeuclid import qexp
 from qeuclid import schrodinger as srd
-from qeuclid.lattice import (
-    AxisFn,
-    QLattice,
-    StructuredFn,
-    STerm,
-    log_gaussian,
-    odd_log_gaussian,
-)
+from qeuclid.lattice import QLattice, StructuredFn, STerm, log_gaussian
 from qeuclid.verify import rand_coord_poly
 
 MASS = Fraction(2)
@@ -164,10 +157,7 @@ def test_criterion_09_lattice_stokes_by_parts():
 
         def mix():
             c, w = rng.uniform(-0.6, 0.6), rng.uniform(0.8, 1.2)
-            of = rng.uniform(-0.6, 0.6)
-            base = log_gaussian(lat, c, w)
-            odd = odd_log_gaussian(lat, c, w)
-            return AxisFn(lambda x: base(x) + of * odd(x))
+            return log_gaussian(lat, c, w, odd_fraction=rng.uniform(-0.6, 0.6))
 
         # Stokes, both families, Gaussian data on all axes
         envs = (mix(), mix(), mix())

@@ -134,12 +134,16 @@ def _random_operand(rng, lat, bases, coupled, convention):
 
 def _random_bases(rng, lat):
     """Two log-Gaussian bases, each with a sign-odd part, so that no
-    envelope is sign-even or sign-odd and no integral vanishes by parity."""
+    envelope is sign-even or sign-odd and no integral vanishes by parity.
+    Each stays an opaque callable: its even and odd parts have different
+    centres and widths and a complex amplitude, which no one log-Gaussian
+    leaf holds."""
     bases = []
     for mix in (0.5, -0.7j):
         even = log_gaussian(lat, rng.uniform(-1, 1), rng.uniform(0.8, 1.6), complex(1, 0.5))
         odd = odd_log_gaussian(lat, rng.uniform(-1, 1), rng.uniform(0.8, 1.6))
-        bases.append(AxisFn(lambda x, even=even, odd=odd, mix=mix: even(x) + mix * odd(x)))
+        bases.append(AxisFn(lambda x, even=even, odd=odd, mix=mix:
+                            even.values(x, lat.q0) + mix * odd.values(x, lat.q0)))
     return bases
 
 
@@ -245,6 +249,114 @@ def test_lattice_and_term_are_values():
             QLattice(*args)
 
 
+#: (center_j, width_j, amplitude, odd_fraction) of three distinct leaves
+LEAVES = ((0.3, 0.9, 1.0, 0.35), (-0.2, 1.1, 0.6 - 0.8j, 0.0), (0.0, 0.7, 0.0, 1.0))
+
+
+def test_log_gaussian_leaves_are_values():
+    """A log-Gaussian envelope is equal and hashed by its parameters, the
+    lattice's q0 included but not its window, and differs when any one
+    parameter differs."""
+    lat = QLattice(1.1, -8, 8)
+    env = log_gaussian(lat, *LEAVES[0])
+    same = log_gaussian(QLattice(1.1, -4, 4), *LEAVES[0])
+    assert env == same and hash(env) == hash(same)
+    assert env != log_gaussian(QLattice(1.2, -8, 8), *LEAVES[0])
+    for i in range(4):
+        other = list(LEAVES[0])
+        other[i] += 0.25
+        assert env != log_gaussian(lat, *other), other
+    assert odd_log_gaussian(lat, 0.3, 0.9) == log_gaussian(lat, 0.3, 0.9, 0.0, 1.0)
+
+
+def test_equal_leaf_products_are_one_value():
+    """A three-leaf product of dilated, sign-flipped and conjugated leaves,
+    built again from new leaf objects in reverse order, compares and hashes
+    equal and samples bit-identically: leaves sort by their parameters'
+    hash, not by object identity."""
+    lat = QLattice(1.1, -8, 8)
+    dilations = ((2, 1, False), (-1, -1, True), (0, -1, False))
+
+    def product(order):
+        env = None
+        for i in order:
+            env = _times(env, _dilate(log_gaussian(lat, *LEAVES[i]), *dilations[i]))
+        return env
+
+    env, rebuilt = product((0, 1, 2)), product((2, 1, 0))
+    assert len(env.leaves) == 3
+    assert env == rebuilt and hash(env) == hash(rebuilt)
+    assert np.array_equal(env.samples(lat.q0, -5, 5), rebuilt.samples(lat.q0, -5, 5))
+
+
+def test_inner_of_equal_packets_is_the_norm():
+    """Two packets built separately from equal parameters hold equal, not
+    identical, envelopes; their pairing is the norm, bit for bit."""
+    def build():
+        return gaussian_packet(QLattice(1.1, -8, 8), Fraction(2), center_j=0.3, width_j=0.9,
+                               odd_fraction=0.35, phase_order=20)
+
+    a, b = build(), build()
+    assert a.c.terms[0].envs[1] is not b.c.terms[0].envs[1]
+    assert a.c.terms[0].envs[1] == b.c.terms[0].envs[1]
+    assert a.inner(b) == a.norm(0.0)
+
+
+def test_log_gaussian_leaf_keeps_the_formula_bit_for_bit():
+    """The envelope formulas as written out before the log-Gaussian became
+    a value (an even part with a complex amplitude, the sign-odd part, and
+    their mix e + f sign(x) e), against the leaf at +-q0^j, through
+    ``samples`` and ``values_on``."""
+    lat = QLattice(1.1, -8, 8)
+    lnq = np.log(lat.q0)
+
+    def e(x, c, w):
+        j = np.log(np.abs(x)) / lnq
+        return np.exp(-((j - c) ** 2) / (2.0 * w * w))
+
+    cases = (
+        (log_gaussian(lat, 0.2, 1.0, amplitude=0.6 - 0.8j),
+         lambda x: (0.6 - 0.8j) * e(x, 0.2, 1.0)),
+        (odd_log_gaussian(lat, -0.3, 1.2), lambda x: np.sign(x) * e(x, -0.3, 1.2)),
+        (log_gaussian(lat, 0.3, 0.9, odd_fraction=0.35),
+         lambda x: e(x, 0.3, 0.9) + 0.35 * (np.sign(x) * e(x, 0.3, 0.9))),
+    )
+    pts = lat.axis_values()
+    signed = np.concatenate([pts, -pts])
+    for env, want in cases:
+        assert np.array_equal(env.samples(lat.q0, lat.j_min, lat.j_max),
+                              np.stack([want(pts), want(-pts)]))
+        f = StructuredFn.from_envelopes(lat, "x", (None, env, None))
+        assert np.array_equal(f.values_on([1.0], signed, [1.0])[0, :, 0], want(signed))
+
+
+def test_every_envelope_read_is_log_gaussian(monkeypatch):
+    """Whole-lattice sums need to know that each leaf they read is a
+    Gaussian.  Behind every integral, boundary mass and star integral of
+    the qcalculus and schrodinger suites and of one criterion-10 packet
+    group, each envelope read by ``_axis_rows`` is made of log-Gaussian
+    leaves only."""
+    from qeuclid.verify import run_suite
+
+    bases, axis_rows = [], lattice._axis_rows
+
+    def spy(lat, envs, *window):
+        bases.extend(type(base.fn) for env in envs if env is not None for base, *_ in env.leaves)
+        return axis_rows(lat, envs, *window)
+
+    monkeypatch.setattr(lattice, "_axis_rows", spy)
+    for name in ("qcalculus", "schrodinger"):
+        assert run_suite(name).exit_code == 0, name
+    wp = gaussian_packet(QLattice(1.1, -12, 12), Fraction(2), center_j=0.3, width_j=0.9,
+                         odd_fraction=0.35, phase_order=20)
+    wp.norm(0.1)
+    for a in ("+", "3", "-"):
+        wp.expectation_momentum(a, 0.1)
+        wp.expectation_position(a, 0.1)
+    wp.boundary_mass()
+    assert bases and set(bases) == {lattice._LogGaussian}, set(bases)
+
+
 def test_packet_samples_each_base_once_per_window():
     """The test packet's two envelope bases, wrapped in counting callables,
     are evaluated at most 8 times over a norm and three expectation values
@@ -262,7 +374,7 @@ def test_packet_samples_each_base_once_per_window():
 
         def fn(x):
             calls.append(np.shape(x))
-            return env(x)
+            return env.values(x, lat.q0)
 
         return AxisFn(fn)
 
@@ -292,7 +404,7 @@ def test_packet_envelope_is_sampled_once_for_both_slots():
         if env is not None and env not in wrapped:
             def fn(x):
                 calls.append(np.shape(x))
-                return env(x)
+                return env.values(x, lat.q0)
 
             wrapped[env] = AxisFn(fn)
         return wrapped.get(env)

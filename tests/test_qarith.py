@@ -336,6 +336,7 @@ def test_every_frozen_class_is_a_value():
         "Sector": lambda: ("x", "y"),
         "DerivativeLabel": lambda: ("+", "hat", "right_bar", "upper"),
         "QLattice": lambda: (1.1, -10, 10),
+        "_LogGaussian": lambda: (1.1, 0.3, 0.9, 0.6 - 0.8j, 0.35),
         "STerm": lambda: (0.5j, (1, 0, 2), (AxisFn(np.cos), None, AxisFn(np.cos))),
         "QExponential": lambda: ("x_ip", 2, Poly.one((X_SECTOR, P_SECTOR))),
         "TranslationResult": lambda: ("plus", Poly.one((X_SECTOR, Y_SECTOR))),

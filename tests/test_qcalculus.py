@@ -13,7 +13,6 @@ from qeuclid.qcalculus import (
     inverse_partial,
 )
 from qeuclid.lattice import (
-    AxisFn,
     QLattice,
     StructuredFn,
     STerm,
@@ -121,10 +120,7 @@ def lat():
 
 def _mix(lat, rng):
     c, w = rng.uniform(-0.6, 0.6), rng.uniform(0.8, 1.2)
-    of = rng.uniform(-0.6, 0.6)
-    base = log_gaussian(lat, c, w)
-    odd = odd_log_gaussian(lat, c, w)
-    return AxisFn(lambda x: base(x) + of * odd(x))
+    return log_gaussian(lat, c, w, odd_fraction=rng.uniform(-0.6, 0.6))
 
 
 def test_structured_matches_symbolic(lat, rand_poly):

@@ -171,6 +171,28 @@ def test_six_position_values_make_three_star_integrals(monkeypatch):
     assert len(calls) == 3, calls
 
 
+def test_position_transports_are_kept_per_index_and_position(monkeypatch):
+    """The six <X> values at t = 0 and again at t = 0.1 transport each
+    (index, position) once: at most six ``right_transport`` calls in all,
+    and every value equals a fresh packet's, bit for bit."""
+    from qeuclid import qcalculus
+
+    wp = _criterion_10_packet()
+    calls, right_transport = [], qcalculus.right_transport
+
+    def spy(label, kind):
+        calls.append(label)
+        return right_transport(label, kind)
+
+    monkeypatch.setattr(qcalculus, "right_transport", spy)
+    asked = [(a, t, position) for t in (0.0, 0.1) for a in ("+", "3", "-")
+             for position in ("upper", "lower")]
+    got = [wp.expectation_position(*query) for query in asked]
+    assert 0 < len(calls) <= 6, calls
+    for query, value in zip(asked, got):
+        assert value == _criterion_10_packet().expectation_position(*query), query
+
+
 #: every packet value: (method, index, position), the norm first
 PACKET_QUERIES = [("norm", None, None)] + [
     (method, a, position)
