@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import MAX_ORDER  # the cap on exp[...](N), also read as dsl.MAX_ORDER
-from .qarith import QScalar, I, GRat, VARIANTS
+from .qarith import QScalar, I, VARIANTS
 
 if TYPE_CHECKING:
     from .starcalc import Poly
@@ -295,12 +295,13 @@ def print_expression(node) -> str:
         s = node[1]
         if s == I:
             return "i"
-        if s.is_polynomial() and len(s.numerator_terms()) == 1:
-            ((e, c),) = s.numerator_terms().items()
-            if c == GRat(Fraction(1)) and e != 0:
+        terms = s.to_json().get("terms", ())
+        if len(terms) == 1:
+            ((e, real, imag),) = terms
+            if (real, imag) == ("1", "0") and e != 0:
                 return "q" if e == 1 else f"q^{e}"
-            if e == 0 and c.im == 0:
-                return str(c.re)
+            if e == 0 and imag == "0":
+                return real
         return f"({s})"
     if kind == "neg":
         return f"-{_operand(node[1], 3)}"

@@ -239,11 +239,6 @@ def log_gaussian(lattice: QLattice, center_j: float = 0.0, width_j: float = 2.0,
     return AxisFn(base)
 
 
-def odd_log_gaussian(lattice: QLattice, center_j=0.0, width_j=2.0) -> AxisFn:
-    """The sign-odd log-Gaussian sign(x) e(x) (vanishing integral by symmetry)."""
-    return log_gaussian(lattice, center_j, width_j, 0.0, 1.0)
-
-
 def _blocks(n: int, row_bytes: int) -> list[slice]:
     """n rows of row_bytes each as consecutive slices of at most
     _BLOCK_BYTES (and at least one row)."""

@@ -10,10 +10,11 @@ the plain ``{"terms": [[exp, re, im], ...]}`` form.  Genuine fractions only
 enter through series coefficients such as ``1/[[n]]_q!`` in exponentials
 and antiderivatives.  Everything is canonical, so identity checking is
 equality of normal forms; there is no floating point in the symbolic layer
-and ``i`` is a first-class scalar.  ``to_json`` and ``str`` write each
-coefficient a/L straight from the integers, reduced by one integer gcd;
-``Fraction`` is built only where ``GRat`` coefficients go in or come out
-(constructors, ``terms``, ``numerator_terms``).
+and ``i`` is a first-class scalar.  A scalar is read out through ``str``,
+``to_json``, ``eval`` and ``==``; ``to_json`` and ``str`` write each
+coefficient a/L straight from the integers, reduced by one integer gcd.
+``Fraction`` is built only where ``GRat`` coefficients go in (the
+constructors and ``from_json``).
 
 Conventions:
 
@@ -30,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
-from typing import Iterator, Mapping
+from typing import Mapping
 
 
 class ExactnessError(ArithmeticError):
@@ -136,12 +137,6 @@ def _from_grats(terms: Mapping[int, GRat]) -> tuple[Terms, int]:
         for e, (l, (a, b)) in pairs.items()
         if a or b
     }, den
-
-
-def _to_grats(terms: Terms, den: int) -> dict[int, GRat]:
-    return {
-        e: GRat(Fraction(a, den), Fraction(b, den)) for e, (a, b) in terms.items()
-    }
 
 
 def _fmt_ratio(a: int, lead: int) -> str:
@@ -374,18 +369,6 @@ class QScalar:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero() -> "QScalar":
-        return QScalar()
-
-    @staticmethod
-    def one() -> "QScalar":
-        return QScalar._raw({0: (1, 0)}, _ONE_DEN, True)
-
-    @staticmethod
-    def i() -> "QScalar":
-        return QScalar._raw({0: (0, 1)}, _ONE_DEN, True)
-
-    @staticmethod
     def q(exponent: int = 1) -> "QScalar":
         return QScalar._raw({exponent: (1, 0)}, _ONE_DEN, True)
 
@@ -404,27 +387,11 @@ class QScalar:
         self._reduce_inplace()
         return self._den[max(self._den)][0]
 
-    @property
-    def terms(self) -> dict[int, GRat]:
-        if not self.is_polynomial():
-            raise ExactnessError("terms requested on a non-polynomial scalar")
-        return _to_grats(self._num, self._den[0][0])
-
-    def numerator_terms(self) -> dict[int, GRat]:
-        return _to_grats(self._num, self._lead_den())
-
-    def is_polynomial(self) -> bool:
-        self._reduce_inplace()
-        return len(self._den) == 1
-
     def is_zero(self) -> bool:
         return not self._num
 
     def is_one(self) -> bool:
         return self._num == self._den
-
-    def items(self) -> Iterator[tuple[int, GRat]]:
-        return iter(sorted(self.terms.items()))
 
     def __bool__(self) -> bool:
         return bool(self._num)
@@ -503,8 +470,8 @@ class QScalar:
 
     def __pow__(self, n: int) -> "QScalar":
         if n < 0:
-            return (QScalar.one() / self) ** (-n)
-        out = QScalar.one()
+            return (ONE / self) ** (-n)
+        out = ONE
         base = self
         while n:
             if n & 1:
@@ -512,24 +479,6 @@ class QScalar:
             base = base * base
             n >>= 1
         return out
-
-    def exact_div(self, other: "QScalar") -> "QScalar":
-        """Division that must stay in the Laurent ring; raises otherwise.
-
-        One dense divmod of ``num * other.den`` by ``den * other.num``; a
-        nonzero remainder raises ``ExactnessError``.
-        """
-        if other.is_zero():
-            raise ZeroDivisionError("QScalar division by zero")
-        top = _d_mul(self._num, other._den)
-        if not top:
-            return ZERO
-        lo_t, dt = _dense(top)
-        lo_b, db = _dense(_d_mul(self._den, other._num))
-        quot, rem, s = _poly_divmod(dt, db)
-        if rem:
-            raise ExactnessError("non-exact QScalar division")
-        return QScalar._make(_sparse(lo_t - lo_b, quot), {0: (s, 0)})
 
     # -- structure maps ----------------------------------------------------
 
@@ -623,8 +572,8 @@ class QScalar:
 
 
 ZERO = QScalar._raw({}, _ONE_DEN, True)
-ONE = QScalar.one()
-I = QScalar.i()
+ONE = QScalar._raw({0: (1, 0)}, _ONE_DEN, True)
+I = QScalar._raw({0: (0, 1)}, _ONE_DEN, True)
 I_INV = QScalar._raw({0: (0, -1)}, _ONE_DEN, True)  # 1/i = -i
 
 #: lambda = q - 1/q
@@ -667,7 +616,7 @@ def q_factorial(n: int, base_exponent: int = 1) -> QScalar:
     """[[n]]! in base q**base_exponent, with [[0]]! = 1."""
     if n < 0:
         raise ValueError("q_factorial requires n >= 0")
-    out = QScalar.one()
+    out = ONE
     for k in range(1, n + 1):
         out = out * q_number(k, base_exponent)
     return out
@@ -729,7 +678,7 @@ def q_pochhammer(z: QScalar, k: int) -> QScalar:
     """(z; q)_k = (1 - z)(1 - z q)...(1 - z q^(k-1)) expanded exactly."""
     if k < 0:
         raise ValueError("q_pochhammer requires k >= 0")
-    out = QScalar.one()
+    out = ONE
     for j in range(k):
         out = out * (ONE - z.shift(j))
     return out
@@ -739,7 +688,7 @@ def q_double_factorial_even(k: int, base_exponent: int = 1) -> QScalar:
     """[[2k]]!! = [[2]].[[4]]...[[2k]] in the given base; [[0]]!! = 1."""
     if k < 0:
         raise ValueError("q_double_factorial_even requires k >= 0")
-    out = QScalar.one()
+    out = ONE
     for j in range(1, k + 1):
         out = out * q_number(2 * j, base_exponent)
     return out

@@ -42,7 +42,7 @@ carrier's ordering, ``conjugate`` (keeping the tag), the unit coordinate
 
 from __future__ import annotations
 
-from .qarith import KAPPA, QScalar, ONE, LAMBDA, _Frozen
+from .qarith import KAPPA, QScalar, ZERO, ONE, LAMBDA, _Frozen
 from .starcalc import INDEX_OF_SLOT, Metric
 
 
@@ -141,7 +141,7 @@ def _left_rep_inverse(index: str, f, s: int, m: int):
                 break
             total = term if total is None else total + term
             k += 1
-        return total if total is not None else f.scale_q(QScalar.zero())
+        return total if total is not None else f.scale_q(ZERO)
     if index == "0":
         return f.t_integral()
     raise AssertionError(index)

@@ -45,6 +45,7 @@ from .qarith import (
     ONE,
     LAMBDA,
     q_number,
+    q_binomial,
     q_factorial,
 )
 
@@ -125,24 +126,14 @@ class Metric:
         return acc
 
 
-def _falling(n: int, k: int, base: int) -> QScalar:
-    out = ONE
-    for j in range(k):
-        out = out * q_number(n - j, base)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _star_coeff(c1: int, a2: int, k: int, m: int) -> QScalar:
-    """lam^k FF(c1,k) FF(a2,k) / [[k]]_{q^4}!  (a Laurent polynomial; the
-    falling factorials against [[k]]! form a binomial-type quotient), or
-    its q -> 1/q image for the mirror sign ``m = -1``."""
+    """lam^k FF(c1,k) FF(a2,k) / [[k]]_{q^4}!, which is the Laurent
+    polynomial lam^k [c1 choose k] [a2 choose k] [[k]]! in base q^4, or its
+    q -> 1/q image for the mirror sign ``m = -1``."""
     if m < 0:
         return _star_coeff(c1, a2, k, 1).subs_q_inverse()
-    coeff = (_falling(c1, k, 4) * _falling(a2, k, 4)).exact_div(
-        q_factorial(k, 4)
-    )
-    return coeff * LAMBDA**k
+    return q_binomial(c1, k, 4) * q_binomial(a2, k, 4) * q_factorial(k, 4) * LAMBDA**k
 
 
 def _star_mono(m1: Triple, m2: Triple, m: int) -> list[tuple[QScalar, Triple]]:

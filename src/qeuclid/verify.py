@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING
 from .qarith import (
     GRat,
     QScalar,
+    ZERO,
     I,
     ONE,
     LAMBDA,
@@ -144,11 +145,11 @@ def _suite_qarith(rnd, cfg):
         for n in range(1, 11):
             for k in range(0, n + 1):
                 lhs = q_binomial(n, k, cfg["base"])
-                first = q_binomial(n - 1, k - 1, cfg["base"]) if k >= 1 else QScalar.zero()
+                first = q_binomial(n - 1, k - 1, cfg["base"]) if k >= 1 else ZERO
                 second = (
                     q_binomial(n - 1, k, cfg["base"]).shift(cfg["base"] * k)
                     if k <= n - 1
-                    else QScalar.zero()
+                    else ZERO
                 )
                 if lhs != first + second:
                     return False, f"n={n} k={k}"
@@ -169,8 +170,8 @@ def _suite_qarith(rnd, cfg):
     def hom():
         q0 = cfg["q0"]
         for trial in range(40):
-            a = sum((_rand_scalar(rnd) for _ in range(4)), QScalar.zero())
-            b = sum((_rand_scalar(rnd) for _ in range(4)), QScalar.zero())
+            a = sum((_rand_scalar(rnd) for _ in range(4)), ZERO)
+            b = sum((_rand_scalar(rnd) for _ in range(4)), ZERO)
             lhs = (a * b).eval(q0)
             rhs = a.eval(q0) * b.eval(q0)
             if abs(lhs - rhs) > 1e-12 * max(1.0, abs(lhs)):

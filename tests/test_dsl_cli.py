@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import qeuclid
 from qeuclid import dsl
 from qeuclid.cli import COMMANDS, build_parser, main
-from qeuclid.qarith import QScalar, LAMBDA
+from qeuclid.qarith import QScalar, I, LAMBDA
 from qeuclid.qexp import VARIANTS
 from qeuclid.starcalc import coord_variable, star_product
 
@@ -70,6 +70,29 @@ def test_print_parse_roundtrip():
 
 
 @pytest.mark.parametrize(
+    "src, text",
+    [
+        ("i", "i"),
+        ("q", "q"),
+        ("q^0", "1"),
+        ("q^-3", "q^-3"),
+        ("q^7", "q^7"),
+        ("0", "(0)"),
+        ("7", "7"),
+        ("3/4", "3/4"),
+        ("6/4", "3/2"),
+    ],
+)
+def test_print_literal_forms(src, text):
+    """The printed text of each literal form the parser makes, which
+    parses back to the same node."""
+    node = dsl.parse_expression(src)
+    assert node[0] == "lit"
+    assert dsl.print_expression(node) == text
+    assert dsl.parse_expression(text) == node
+
+
+@pytest.mark.parametrize(
     "src",
     [
         "x3 * d[+](x+)",
@@ -103,12 +126,12 @@ def test_evaluate_scalars():
     v = dsl.evaluate(dsl.parse_expression("q^2 + 3/2 - i"))
     want = QScalar.q(2) + QScalar.from_rational(3, 0).scale(
         __import__("fractions").Fraction(1, 2)
-    ) - QScalar.i()
+    ) - I
     # simpler: build directly
     from fractions import Fraction
     from qeuclid.qarith import GRat
 
-    want = QScalar.q(2) + QScalar.from_rational(Fraction(3, 2)) - QScalar.i()
+    want = QScalar.q(2) + QScalar.from_rational(Fraction(3, 2)) - I
     assert v == want
 
 

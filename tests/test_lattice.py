@@ -14,7 +14,6 @@ import qeuclid
 from qeuclid import lattice
 from qeuclid.lattice import (
     AxisFn, ClassConstraintError, QLattice, STerm, StructuredFn, _dilate, _times, log_gaussian,
-    odd_log_gaussian,
 )
 from qeuclid.qcalculus import DerivativeLabel, apply_derivative
 from qeuclid.starcalc import coord_variable
@@ -141,7 +140,7 @@ def _random_bases(rng, lat):
     bases = []
     for mix in (0.5, -0.7j):
         even = log_gaussian(lat, rng.uniform(-1, 1), rng.uniform(0.8, 1.6), complex(1, 0.5))
-        odd = odd_log_gaussian(lat, rng.uniform(-1, 1), rng.uniform(0.8, 1.6))
+        odd = log_gaussian(lat, rng.uniform(-1, 1), rng.uniform(0.8, 1.6), 0.0, 1.0)
         bases.append(AxisFn(lambda x, even=even, odd=odd, mix=mix:
                             even.values(x, lat.q0) + mix * odd.values(x, lat.q0)))
     return bases
@@ -266,7 +265,6 @@ def test_log_gaussian_leaves_are_values():
         other = list(LEAVES[0])
         other[i] += 0.25
         assert env != log_gaussian(lat, *other), other
-    assert odd_log_gaussian(lat, 0.3, 0.9) == log_gaussian(lat, 0.3, 0.9, 0.0, 1.0)
 
 
 def test_equal_leaf_products_are_one_value():
@@ -317,7 +315,7 @@ def test_log_gaussian_leaf_keeps_the_formula_bit_for_bit():
     cases = (
         (log_gaussian(lat, 0.2, 1.0, amplitude=0.6 - 0.8j),
          lambda x: (0.6 - 0.8j) * e(x, 0.2, 1.0)),
-        (odd_log_gaussian(lat, -0.3, 1.2), lambda x: np.sign(x) * e(x, -0.3, 1.2)),
+        (log_gaussian(lat, -0.3, 1.2, 0.0, 1.0), lambda x: np.sign(x) * e(x, -0.3, 1.2)),
         (log_gaussian(lat, 0.3, 0.9, odd_fraction=0.35),
          lambda x: e(x, 0.3, 0.9) + 0.35 * (np.sign(x) * e(x, 0.3, 0.9))),
     )

@@ -17,7 +17,6 @@ from qeuclid.lattice import (
     StructuredFn,
     STerm,
     log_gaussian,
-    odd_log_gaussian,
 )
 
 xp, x3, xm, tv = (coord_variable(v) for v in ("x+", "x3", "x-", "t"))
@@ -256,7 +255,7 @@ def test_dense_lattice_roundtrip(lat):
         x = lat.q0 ** lat.integration_js(slot).astype(float)
         pts.append(np.concatenate([x, -x]))
         weights.append(np.tile(lat.integration_weights(slot), 2))
-    env, odd = log_gaussian(lat, 0.0, 1.4), odd_log_gaussian(lat, 0.0, 1.6)
+    env, odd = log_gaussian(lat, 0.0, 1.4), log_gaussian(lat, 0.0, 1.6, 0.0, 1.0)
     # x1 odd(x1) is even: its negative branch needs both signs sampled right
     s = StructuredFn(lat, "x", [STerm(1.0, (0, 0, 0), (env, env, env)),
                                 STerm(0.5, (1, 2, 0), (odd, env, env))])

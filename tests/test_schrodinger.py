@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qeuclid.qarith import QScalar, LAMBDA_PLUS
+from qeuclid.qarith import QScalar, I, LAMBDA_PLUS
 from qeuclid.qcalculus import DerivativeLabel, apply_derivative
 from qeuclid.starcalc import Poly, P_SECTOR
 from qeuclid.schrodinger import (
@@ -83,7 +83,7 @@ def test_propagators():
     for fam, sign in (("KR", 1), ("KL", -1)):
         assert propagator_momentum(fam, 1, 6, MASS).psq_sign() == sign
     k0 = propagator_momentum("KR", 1, 0, MASS)
-    assert k0.expanded()[-1] == Poly.scalar((P_SECTOR,), QScalar.i())
+    assert k0.expanded()[-1] == Poly.scalar((P_SECTOR,), I)
 
 
 def test_propagator_json():

@@ -3,7 +3,8 @@ from itertools import product
 
 import pytest
 
-from qeuclid.qarith import QScalar, I, LAMBDA
+from qeuclid.qarith import QScalar, I, ONE, LAMBDA, q_factorial, q_number
+from qeuclid import starcalc
 from qeuclid.starcalc import (
     Metric,
     Poly,
@@ -128,3 +129,22 @@ def test_json_roundtrip_byte_stable(rand_poly):
         back = coord_poly_from_json(json.loads(s1))
         assert back == f
         assert json.dumps(coord_poly_to_json(back), sort_keys=True) == s1
+
+
+def test_star_coeff_is_the_falling_factorial_quotient():
+    """The monomial star coefficient against the paper's form
+    lam^k [[c1]]...[[c1-k+1]] [[a2]]...[[a2-k+1]] / [[k]]! in base q^4, and
+    its q -> 1/q image for the mirror sign: equal values and equal JSON."""
+
+    def falling(n, k):
+        out = ONE
+        for j in range(k):
+            out = out * q_number(n - j, 4)
+        return out
+
+    for c1, a2 in product(range(9), repeat=2):
+        for k in range(min(c1, a2) + 1):
+            want = LAMBDA**k * falling(c1, k) * falling(a2, k) / q_factorial(k, 4)
+            for m, image in ((1, want), (-1, want.subs_q_inverse())):
+                got = starcalc._star_coeff(c1, a2, k, m)
+                assert got == image and got.to_json() == image.to_json(), (c1, a2, k, m)
