@@ -26,10 +26,15 @@ routine, :func:`_axis_rows`, reads the distinct envelopes of a sum from
 those values by index shift; :func:`_moments` reduces each against each
 monomial degree.  A star integral contracts small per-slot tables
 (:func:`_slot_sums`) over the star's k, without building the product's
-terms.  Each carrier keeps one table per outer slot and sign, freed with
-it, that only grows (a wider span appends its missing columns); as no
-entry depends on the span, a packet's bra c*(t) is summed once for all
-its pairings at t, and no integral depends on the ones before it.
+terms.  Each carrier keeps, freed with it: one table per outer slot and
+sign, that only grows (a wider span appends its missing columns, from a
+term grouping kept per outer slot, :class:`_TermGroups`); and its table
+contracted over k against each coupled degree e of the operands it was
+paired with (:func:`_contracted_rows`), one row per e up to the largest
+degree asked.  As no entry depends on the span or on the other rows, a
+packet's bra c*(t) is summed and contracted once for all its pairings at
+t, each later pairing costs its ket's table and one product-sum, and no
+integral depends on the ones before it.
 An envelope is evaluated only through :meth:`AxisFn.samples` and, at
 arbitrary points (:meth:`StructuredFn.values_on`), :meth:`AxisFn.values`.
 """
@@ -203,6 +208,18 @@ def _dilate(env, m: int, sign: int = 1, conj: bool = False):
     )
 
 
+class _Dilations(dict):
+    """x -> env(q0^m x) for one m, each distinct envelope dilated once."""
+
+    def __init__(self, m: int):
+        super().__init__()
+        self.m = m
+
+    def __missing__(self, env):
+        out = self[env] = _dilate(env, self.m)
+        return out
+
+
 def _times(e1, e2):
     if e1 is None:
         return e2
@@ -301,20 +318,49 @@ def _moments(lat: QLattice, slot: int, envs, ns) -> np.ndarray:
     return sums[idx.reshape(idx.shape + (1,) * (ns.ndim - 1)), d]
 
 
-def _middle_window(lat: QLattice, span: int, sgn: int) -> tuple[int, int]:
-    """The index window a slot-sum table reads its middle factors on: the
-    middle slot's integration exponents, dilated by 2 sgn v for v <= span."""
+def _middle_window(lat: QLattice, start: int, span: int, sgn: int) -> tuple[int, int]:
+    """The index window slot-sum columns start..span read their middle
+    factors on: the middle slot's integration exponents, dilated by
+    2 sgn v for start <= v <= span."""
     js = lat.integration_js(1)
-    return js[0] + min(0, 2 * sgn * span), js[-1] + max(0, 2 * sgn * span)
+    lo, hi = sorted((2 * sgn * start, 2 * sgn * span))
+    return js[0] + lo, js[-1] + hi
 
 
-def _table_reads(f: "StructuredFn", outer: int, span: int, sgn: int) -> list:
-    """The (envelopes, lo, hi) windows :func:`_slot_sums` reads for f."""
-    lat, js = f.lattice, f.lattice.integration_js(outer)
-    reads = [({t.envs[1] for t in f.terms}, *_middle_window(lat, span, sgn))]
-    if js.size:
-        reads.append(({t.envs[outer] for t in f.terms}, js[0], js[-1]))
-    return reads
+class _TermGroups:
+    """What :func:`_slot_sums` derives from a carrier's terms for one outer
+    slot, kept so that an append computes only its columns' moments and
+    middle rows: the terms' coefficients, outer degrees and envelopes; the
+    distinct middle factors (envelope, degree b), with each b's index
+    ``b_idx`` into the distinct exponents ``powers``; and the groups of
+    terms with one coupled degree and one middle factor, sorted by degree
+    (``order`` sorts the terms, ``starts`` opens each group, ``deg`` and
+    ``fac`` are its degree and factor).  ``degrees`` lists the coupled
+    degrees present, ascending."""
+
+    __slots__ = ("coeffs", "outer_degs", "outer_envs", "mid_envs", "powers", "b_idx",
+                 "order", "starts", "deg", "fac", "degrees")
+
+    def __init__(self, f: "StructuredFn", outer: int):
+        terms = f.terms
+        exps = np.array([t.exps for t in terms], dtype=int)
+        self.coeffs = np.array([t.coeff for t in terms], dtype=complex)
+        self.outer_degs = exps[:, outer]
+        self.outer_envs = [t.envs[outer] for t in terms]
+        factors: dict = {}
+        g_idx = np.fromiter((factors.setdefault((t.envs[1], t.exps[1]), len(factors))
+                             for t in terms), int, len(terms))
+        self.mid_envs = [env for env, _ in factors]
+        # np.unique would load numpy.ma on its first call
+        bs = [b for _, b in factors]
+        self.powers = np.array(sorted(set(bs)), dtype=int)
+        self.b_idx = np.searchsorted(self.powers, bs)
+        key = exps[:, 2 - outer] * len(factors) + g_idx
+        self.order = np.argsort(key, kind="stable")
+        key = key[self.order]
+        self.starts = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+        self.deg, self.fac = np.divmod(key[self.starts], len(factors))
+        self.degrees = self.deg[np.concatenate([[True], self.deg[1:] != self.deg[:-1]])]
 
 
 def _slot_sums(f: "StructuredFn", outer: int, start: int, span: int, sgn: int) -> np.ndarray:
@@ -325,30 +371,21 @@ def _slot_sums(f: "StructuredFn", outer: int, start: int, span: int, sgn: int) -
     there (:func:`_moments`), g_i(y) = y^b_i e_i(y) its middle factor and j
     runs over the middle slot's integration exponents.  Terms are summed by
     segments: grouped by (d, middle factor), sorted by d, in blocks of
-    _BLOCK_BYTES; no entry depends on start or span."""
-    lat, terms = f.lattice, f.terms
-    exps = np.array([t.exps for t in terms], dtype=int)
+    _BLOCK_BYTES.  The grouping is derived once per carrier and outer slot
+    (:class:`_TermGroups`); the moments and middle rows are computed for
+    these columns only, each +-y raised once per distinct exponent b; no
+    entry depends on start or span."""
+    lat, grp = f.lattice, f._term_groups(outer)
     v = np.arange(start, span + 1)
-    m = np.array([t.coeff for t in terms], dtype=complex)[:, None] * _moments(
-        lat, outer, [t.envs[outer] for t in terms], exps[:, outer, None] + v
-    )
+    m = grp.coeffs[:, None] * _moments(lat, outer, grp.outer_envs, grp.outer_degs[:, None] + v)
     js = lat.integration_js(1)
-    lo, hi = _middle_window(lat, span, sgn)
-    factors: dict = {}
-    g_idx = np.fromiter(
-        (factors.setdefault((t.envs[1], t.exps[1]), len(factors)) for t in terms), int, len(terms)
-    )
-    rows, e_idx = _axis_rows(lat, [env for env, _ in factors], lo, hi)
+    lo, hi = _middle_window(lat, start, span, sgn)
+    rows, e_idx = _axis_rows(lat, grp.mid_envs, lo, hi)
     pts = lat.q0 ** np.arange(lo, hi + 1).astype(float)
-    b = np.array([b for _, b in factors], dtype=int)
-    g = rows[e_idx] * np.stack([pts, -pts]) ** b[:, None, None]
-    # groups of terms with one degree and one middle factor, sorted by degree
-    key = exps[:, 2 - outer] * len(factors) + g_idx
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    starts = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
-    cm = np.add.reduceat(m[order], starts, axis=0)
-    deg, fac = np.divmod(key[starts], len(factors))
+    powers = np.stack([pts, -pts]) ** grp.powers[:, None, None]
+    g = rows[e_idx] * powers[grp.b_idx]
+    cm = np.add.reduceat(m[grp.order], grp.starts, axis=0)
+    deg, fac = grp.deg, grp.fac
     first = js[0] - lo + 2 * sgn * v  # each v's window into g's columns
     out = np.zeros((deg[-1] + 1, v.size, 2, js.size), dtype=complex)
     for blk in _blocks(len(deg), 2 * js.size * 16):
@@ -358,6 +395,37 @@ def _slot_sums(f: "StructuredFn", outer: int, start: int, span: int, sgn: int) -
             vals = cm[blk, vi, None, None] * g[fac[blk], :, j0 : j0 + js.size]
             out[d[seg], vi] += np.add.reduceat(vals, seg, axis=0)
     return out
+
+
+def _contracted_rows(f: "StructuredFn", outer: int, sgn: int, es: list) -> list:
+    """f's slot table S on the ``outer`` slot contracted over the star's k
+    against each coupled degree e in ``es`` (ascending) of the other
+    operand, lam and fall as in :meth:`StructuredFn.star_integral`:
+
+        B_e[u](s, j) = sum_k lam^k / fall[k, k] fall[u+k, k] fall[e, k]
+                           w_j x_j^(2k) S[u+k, e-k](s, j)
+
+    over f's coupled degrees present, d = u + k, and k <= min(d, e).  Each
+    B_e is returned as ``(us, B_e[us])``, us the u that some (d, k)
+    reaches: only these entries of the other operand's table are read, so
+    an entry that no present degree pair needs cannot overflow into nan.
+    Each entry is summed over k in ascending order, so no row depends on
+    which others are built with it."""
+    lat, degrees = f.lattice, f._term_groups(outer).degrees
+    table = f._slot_table(outer, es[-1], sgn)
+    fall = _falling(max(degrees[-1], es[-1]), lat.q0 ** (4 * sgn))
+    lam = sgn * (lat.q0 - 1.0 / lat.q0)
+    xs, weights = lat.integration_points(1), lat.integration_weights(1)
+    es = np.asarray(es)
+    rows = np.zeros((es.size, degrees[-1] + 1, 2, xs.size), dtype=complex)
+    read = np.zeros(rows.shape[:2], dtype=bool)
+    for k in range(min(es[-1], degrees[-1]) + 1):
+        e, d = np.flatnonzero(es >= k), degrees[degrees >= k]
+        c = (lam**k / fall[k, k] * fall[d, k])[None, :] * fall[es[e], k][:, None]
+        vals = c[:, :, None, None] * table[d[None, :], es[e, None] - k]
+        rows[e[:, None], d - k] += vals * (weights * xs ** (2 * k))
+        read[e[:, None], d - k] = True
+    return [(np.flatnonzero(r), row[r]) for r, row in zip(read, rows)]
 
 
 def _falling(dmax: int, Q: float) -> np.ndarray:
@@ -408,7 +476,7 @@ class StructuredFn:
     selects the star formula, and operands of ``+`` and ``star`` share it.
     """
 
-    __slots__ = ("lattice", "sector_kind", "convention", "terms", "_tables")
+    __slots__ = ("lattice", "sector_kind", "convention", "terms", "_tables", "_groups", "_rows")
 
     def __init__(self, lattice: QLattice, sector_kind: str, terms: Sequence[STerm], convention="W"):
         if convention not in ("W", "Wt"):
@@ -434,6 +502,8 @@ class StructuredFn:
                     acc[key] = STerm(c, prev.exps, prev.envs)
         self.terms = list(acc.values())
         self._tables = {}  # (outer slot, sgn) -> _slot_sums columns 0..widest span asked
+        self._groups = {}  # outer slot -> the _TermGroups the table is summed by
+        self._rows = {}  # (outer slot, sgn, e) -> the table contracted against degree e
 
     # -- construction ------------------------------------------------------
 
@@ -511,11 +581,12 @@ class StructuredFn:
         [[n]]_Q x^(n-1), and cancel for n = 0."""
         assert sector_index == 0
         Q = self.lattice.q0**base_exp
+        dilated = _Dilations(base_exp)
         out = []
         for t in self.terms:
             n = t.exps[slot]
             exps = _with(t.exps, slot, n - 1)
-            shifted = _with(t.envs, slot, _dilate(t.envs[slot], base_exp))
+            shifted = _with(t.envs, slot, dilated[t.envs[slot]])
             out.append(STerm(t.coeff * Q**n / (Q - 1.0), exps, shifted))
             out.append(STerm(-t.coeff / (Q - 1.0), exps, t.envs))
         return self._new(out)
@@ -526,9 +597,10 @@ class StructuredFn:
     def scale_slot(self, sector_index: int, slot: int, q_exp: int) -> "StructuredFn":
         assert sector_index == 0
         factor = self.lattice.q0**q_exp
+        dilated = _Dilations(q_exp)
         out = []
         for t in self.terms:
-            envs = _with(t.envs, slot, _dilate(t.envs[slot], q_exp))
+            envs = _with(t.envs, slot, dilated[t.envs[slot]])
             out.append(STerm(t.coeff * factor ** t.exps[slot], t.exps, envs))
         return self._new(out)
 
@@ -646,46 +718,67 @@ class StructuredFn:
         moment, a_i its slot-0 degree and g_i(y) = y^b_i e_i(y) its middle
         factor; S_L is the mirror image with the slot-2 moments
         (:func:`_slot_sums`).  The star's q0^(2 sgn (b1 k2 + k1 b2)) factor
-        lives in the dilated arguments of g.  The cost is
-        O((n_F + n_L) D J + D^3 J) for D the largest coupled degree and J
-        the middle slot's points.  Beyond the tables and one sampled row per
+        lives in the dilated arguments of g.  The sum is symmetric in the
+        operands and is taken as sum_(e, u, s, j) S_other[e, u](s, j)
+        B_e[u](s, j), B_e being self's table contracted over k against the
+        other's coupled degree e (:func:`_contracted_rows`).
+
+        Self keeps its table (:meth:`_slot_table`) and its rows B_e, the
+        other operand its table, all freed with the carrier.  In a packet
+        self is the bra c*(t) of every pairing at t, so a pairing costs the
+        ket's table, O(n D J) for n terms, D the largest coupled degree and
+        J the middle slot's points, and a product-sum over O(D^2 J)
+        entries.  Beyond the tables, the rows and one sampled row per
         distinct middle factor, every temporary stays within _BLOCK_BYTES.
-        Each operand keeps its table (:meth:`_slot_table`), which a later
-        integral reads a prefix of, and which is freed with the operand.
-        Each envelope base is widened once, to the windows of both tables,
-        before either samples.  A result past the float range (a factor that
+        Each base is widened once, to the windows still to be summed,
+        before any samples.  A result past the float range (a factor that
         overflowed, times zero, gives nan) raises ``FloatingPointError``."""
         mirror = self._coupling(other)
         if not self.terms or not other.terms:
             return 0j
-        lat = self.lattice
         sgn = -1 if mirror else 1
-        first, last = (other, self) if mirror else (self, other)
-        # the coupled degrees present: only their entries of the tables are
-        # read, so an entry no pair of terms needs cannot overflow into nan
-        d_first = np.array(sorted({t.exps[2] for t in first.terms}))
-        d_last = np.array(sorted({t.exps[0] for t in last.terms}))
-        tables = ((first, 0, d_last[-1]), (last, 2, d_first[-1]))
-        # each base is widened once to both tables' windows before either samples
-        _widen(lat, [read for args in tables for read in _table_reads(*args, sgn)])
-        s_first, s_last = (f._slot_table(outer, span, sgn) for f, outer, span in tables)
-        fall = _falling(max(d_first[-1], d_last[-1]), lat.q0 ** (4 * sgn))
-        lam = sgn * (lat.q0 - 1.0 / lat.q0)
-        xs, weights = lat.integration_points(1), lat.integration_weights(1)
-        total = 0j
-        for k in range(min(d_first[-1], d_last[-1]) + 1):
-            df, dl = d_first[d_first >= k], d_last[d_last >= k]
-            per_j = np.einsum(
-                "uv,uvsj,vusj->j",
-                np.outer(fall[df, k], fall[dl, k]),
-                s_first[df][:, dl - k],
-                s_last[dl][:, df - k],
-            )
-            total += lam**k / fall[k, k] * (per_j @ (weights * xs ** (2 * k)))
-        total = complex(total)
+        mine, theirs = (2, 0) if mirror else (0, 2)  # each operand's outer slot
+        d_self = self._term_groups(mine).degrees
+        d_other = other._term_groups(theirs).degrees
+        missing = [e for e in d_other if (mine, sgn, e) not in self._rows]
+        # each base is widened once to the windows of the columns still to sum
+        reads = other._unsummed(theirs, d_self[-1], sgn)
+        if missing:
+            reads += self._unsummed(mine, missing[-1], sgn)
+        if reads:
+            _widen(self.lattice, reads)
+        s_other = other._slot_table(theirs, d_self[-1], sgn)
+        if missing:
+            built = _contracted_rows(self, mine, sgn, missing)
+            self._rows.update(((mine, sgn, e), row) for e, row in zip(missing, built))
+        rows = [self._rows[mine, sgn, e] for e in d_other]
+        us = np.concatenate([u for u, _ in rows])
+        es = np.repeat(d_other, [len(u) for u, _ in rows])
+        # only the entries some B_e reads enter the sum (see _contracted_rows);
+        # np.sum adds them pairwise, which keeps cancelling pairings accurate
+        total = complex(np.sum(s_other[es, us] * np.concatenate([b for _, b in rows])))
         if not cmath.isfinite(total):
             raise FloatingPointError(f"star integral is not finite: {total}")
         return total
+
+    def _term_groups(self, outer: int) -> _TermGroups:
+        """The kept :class:`_TermGroups` for one outer slot."""
+        grp = self._groups.get(outer)
+        if grp is None:
+            grp = self._groups[outer] = _TermGroups(self, outer)
+        return grp
+
+    def _unsummed(self, outer: int, span: int, sgn: int) -> list:
+        """The (envelopes, lo, hi) windows :func:`_slot_sums` reads to extend
+        the kept table to ``span``: none when it is wide enough."""
+        have = self._tables[outer, sgn].shape[1] if (outer, sgn) in self._tables else 0
+        if have > span:
+            return []
+        lat, js, grp = self.lattice, self.lattice.integration_js(outer), self._term_groups(outer)
+        reads = [(grp.mid_envs, *_middle_window(lat, have, span, sgn))]
+        if js.size:
+            reads.append((set(grp.outer_envs), js[0], js[-1]))
+        return reads
 
     def _slot_table(self, outer: int, span: int, sgn: int) -> np.ndarray:
         """:func:`_slot_sums` of this carrier for dilations up to ``span``,

@@ -42,6 +42,8 @@ carrier's ordering, ``conjugate`` (keeping the tag), the unit coordinate
 
 from __future__ import annotations
 
+import math
+
 from .qarith import KAPPA, QScalar, ZERO, ONE, LAMBDA, _Frozen
 from .starcalc import INDEX_OF_SLOT, Metric
 
@@ -173,11 +175,9 @@ def _mirror_label(label: DerivativeLabel) -> DerivativeLabel:
 
 
 def _scaled(f, *factors: QScalar):
-    """f scaled by each factor in turn, skipping unit factors."""
-    for c in factors:
-        if not c.is_one():
-            f = f.scale_q(c)
-    return f
+    """f scaled once by the product of the factors, or f itself when that is 1."""
+    c = math.prod(factors, start=ONE)
+    return f if c.is_one() else f.scale_q(c)
 
 
 def _flip(position: str) -> str:

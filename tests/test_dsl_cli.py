@@ -123,14 +123,9 @@ def test_evaluate_star():
 
 
 def test_evaluate_scalars():
-    v = dsl.evaluate(dsl.parse_expression("q^2 + 3/2 - i"))
-    want = QScalar.q(2) + QScalar.from_rational(3, 0).scale(
-        __import__("fractions").Fraction(1, 2)
-    ) - I
-    # simpler: build directly
     from fractions import Fraction
-    from qeuclid.qarith import GRat
 
+    v = dsl.evaluate(dsl.parse_expression("q^2 + 3/2 - i"))
     want = QScalar.q(2) + QScalar.from_rational(Fraction(3, 2)) - I
     assert v == want
 

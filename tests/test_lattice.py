@@ -471,6 +471,142 @@ def test_extended_slot_table_equals_a_fresh_build():
                 assert np.array_equal(lattice._slot_sums(f, outer, v, v, sgn)[:, 0], whole[:, v])
 
 
+def per_k_integral(a, b) -> complex:
+    """Int a * b as the per-k contraction of both operands' slot tables,
+    written out pair by pair of present coupled degrees (u of the first
+    operand, v of the last)."""
+    lat, mirror = a.lattice, a.convention == "Wt"
+    sgn = -1 if mirror else 1
+    first, last = (b, a) if mirror else (a, b)
+    d_first = sorted({t.exps[2] for t in first.terms})
+    d_last = sorted({t.exps[0] for t in last.terms})
+    s_first = lattice._slot_sums(first, 0, 0, d_last[-1], sgn)
+    s_last = lattice._slot_sums(last, 2, 0, d_first[-1], sgn)
+    fall = lattice._falling(max(d_first[-1], d_last[-1]), lat.q0 ** (4 * sgn))
+    lam = sgn * (lat.q0 - 1.0 / lat.q0)
+    xs, weights = lat.integration_points(1), lat.integration_weights(1)
+    total = 0j
+    for k in range(min(d_first[-1], d_last[-1]) + 1):
+        for u in (d for d in d_first if d >= k):
+            for v in (d for d in d_last if d >= k):
+                total += lam**k / fall[k, k] * fall[u, k] * fall[v, k] * np.sum(
+                    weights * xs ** (2 * k) * s_first[u, v - k] * s_last[v, u - k])
+    return total
+
+
+#: (ordering mirrored, bra, kets in the order they pair with one kept bra):
+#: each ket after the first asks for coupled degrees the ones before did not
+PAIRINGS = [
+    (False, "cstar", ("c", "x c")),
+    (False, "right_bar_lower", ("c", "x c")),
+    (True, "c", ("right_bar", "cstar", "right_bar_lower")),
+]
+
+
+@pytest.mark.parametrize("mirror, bra, kets", PAIRINGS)
+def test_pairing_through_kept_rows_is_a_fresh_pairing(operands, mirror, bra, kets):
+    """One kept bra pairs with kets whose coupled degree sets grow, so each
+    ket adds contracted rows to the bra.  Each pairing equals, bit for bit,
+    the pairing of a fresh copy of the bra, and within 1e-14 relative the
+    per-k contraction written out above; each row built in pieces equals,
+    bit for bit, the row a fresh bra builds with all the others at once."""
+    ops = dict(operands, **{"x c": operands["c"].mul_slot_var(0, 0, 1)})
+    kept = _ordered(ops[bra], mirror)
+    rows = []
+    for name in kets:
+        ket = _ordered(ops[name], mirror)
+        got = kept.star_integral(ket)
+        rows.append(len(kept._rows))
+        assert got == _ordered(ops[bra], mirror).star_integral(_ordered(ops[name], mirror)), name
+        want = per_k_integral(_ordered(ops[bra], mirror), _ordered(ops[name], mirror))
+        assert abs(got - want) <= 1e-14 * abs(want), (name, got, want)
+    assert rows == sorted(set(rows)), rows  # every ket after the first added rows
+    # the rows built in pieces equal those a fresh bra builds at once
+    fresh = _ordered(ops[bra], mirror)
+    fresh.star_integral(_ordered(ops[kets[-1]], mirror))
+    for key, (us, b) in fresh._rows.items():
+        assert np.array_equal(kept._rows[key][0], us) and np.array_equal(kept._rows[key][1], b), key
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_pairing_reads_no_entry_that_no_degree_pair_needs(mirror):
+    """A bra with coupled degrees {0, 3} against a ket of degree 1 reads the
+    ket's table at columns u = d - k for d in {0, 3} and k <= min(d, 1):
+    0, 2 and 3.  With nan put into the kept tables at every entry no
+    present degree pair reads (the ket's column 1 and its absent degree 0,
+    the bra's absent degrees 1 and 2), the pairing is still the one of
+    fresh carriers, bit for bit."""
+    lat = QLattice(1.1, -6, 6)
+    g = log_gaussian(lat, 0.3, 0.9, odd_fraction=0.35)
+    h = log_gaussian(lat, -0.2, 1.1, 0.6 - 0.8j)
+    if mirror:  # the bra is the last operand, coupled on slot 0
+        bra_terms = [STerm(1.0, (0, 2, 1), (None, g, h)), STerm(0.5j, (3, 1, 0), (None, h, g))]
+        ket_terms = [STerm(0.7, (1, 0, 1), (g, h, None))]
+    else:
+        bra_terms = [STerm(1.0, (1, 2, 0), (h, g, None)), STerm(0.5j, (0, 1, 3), (g, h, None))]
+        ket_terms = [STerm(0.7, (1, 0, 1), (None, h, g))]
+    convention = "Wt" if mirror else "W"
+    mine, theirs, sgn = (2, 0, -1) if mirror else (0, 2, 1)
+
+    def pair():
+        return (StructuredFn(lat, "x", bra_terms, convention),
+                StructuredFn(lat, "x", ket_terms, convention))
+
+    want = per_k_integral(*pair())
+    bra, ket = pair()
+    fresh = bra.star_integral(ket)
+    assert abs(fresh - want) <= 1e-14 * abs(want), (fresh, want)
+    bra, ket = pair()
+    ket._slot_table(theirs, 3, sgn)[1, 1] = np.nan
+    ket._slot_table(theirs, 3, sgn)[0] = np.nan
+    bra._slot_table(mine, 1, sgn)[1:3] = np.nan
+    assert bra.star_integral(ket) == fresh
+
+
+def test_packet_group_builds_each_table_and_row_once():
+    """On one criterion-10 packet, the norm, the three <P^A> and the six
+    <X^A> at t = 0 and t = 0.1 sum each bra c*(t)'s table for each column
+    range once (at t = 0.1 columns 0-10 for the norm, then 11 for
+    p^+ * c(t); at t = 0, where c(0) has degree 0 only, column 0, then 1),
+    each ket's table once, and each contracted row of a bra, one per
+    coupled degree of its kets, once.  The kets are c(t), three p^A * c(t)
+    and three d' |> c(t) per t; at t = 0 one d' |> c(0) is empty and pairs
+    to 0 without a table.  The counts are pinned: a pairing that rebuilt a
+    kept table or row would raise them."""
+    wp = gaussian_packet(QLattice(1.1, -12, 12), Fraction(2), center_j=0.3, width_j=0.9,
+                         odd_fraction=0.35, phase_order=20)
+    slot_sums, contracted_rows = lattice._slot_sums, lattice._contracted_rows
+    tables, rows, now = [], [], []
+
+    def sums_spy(f, outer, start, span, sgn):
+        tables.append((now[-1], f, start, span))
+        return slot_sums(f, outer, start, span, sgn)
+
+    def rows_spy(f, outer, sgn, es):
+        rows.extend((now[-1], f, e) for e in es)
+        return contracted_rows(f, outer, sgn, es)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "_slot_sums", sums_spy)
+        mp.setattr(lattice, "_contracted_rows", rows_spy)
+        for t in (0.0, 0.1):
+            now.append(t)
+            wp.norm(t)
+            for a in ("+", "3", "-"):
+                wp.expectation_momentum(a, t)
+                for position in ("upper", "lower"):
+                    wp.expectation_position(a, t, position)
+    bras = {t: wp.coefficients_at(t)[1] for t in now}
+    spans = {t: [(start, span) for s, f, start, span in tables if s == t and f is bras[t]]
+             for t in now}
+    assert spans == {0.0: [(0, 0), (1, 1)], 0.1: [(0, 10), (11, 11)]}, spans
+    kets = {t: [f for s, f, _, _ in tables if s == t and f is not bras[t]] for t in now}
+    assert {t: len({id(f) for f in fs}) for t, fs in kets.items()} == {0.0: 6, 0.1: 7}, kets
+    assert {t: len(fs) for t, fs in kets.items()} == {0.0: 6, 0.1: 7}, kets
+    assert all(f is bras[t] for t, f, _ in rows)
+    assert [(t, e) for t, _, e in rows] == [(0.0, 0), (0.0, 1)] + [(0.1, e) for e in range(12)]
+
+
 #: run in a fresh interpreter: ten packets with distinct centres, each with
 #: one norm and one position expectation at t > 0
 MEMORY_SCRIPT = """
