@@ -26,15 +26,18 @@ routine, :func:`_axis_rows`, reads the distinct envelopes of a sum from
 those values by index shift; :func:`_moments` reduces each against each
 monomial degree.  A star integral contracts small per-slot tables
 (:func:`_slot_sums`) over the star's k, without building the product's
-terms.  Each carrier keeps, freed with it: one table per outer slot and
-sign, that only grows (a wider span appends its missing columns, from a
+terms.  Each carrier keeps, freed with it: one table per outer slot, sign
+and outer-window shift, that only grows (wider columns are added, from a
 term grouping kept per outer slot, :class:`_TermGroups`); and its table
 contracted over k against each coupled degree e of the operands it was
 paired with (:func:`_contracted_rows`), one row per e up to the largest
-degree asked.  As no entry depends on the span or on the other rows, a
-packet's bra c*(t) is summed and contracted once for all its pairings at
-t, each later pairing costs its ket's table and one product-sum, and no
-integral depends on the ones before it.
+degree asked.  A :class:`TableView` is a ket derived from one carrier c
+by slot operations and a left coordinate, held as index shifts and
+factors of c's kept tables: it pairs like a carrier and builds no terms.
+As no entry depends on the range asked or on the other rows, a packet's
+bra c*(t) is summed and contracted once, and c(t) once per window shift,
+for all its pairings at t; each later pairing costs a rewrite of c(t)'s
+tables and one product-sum, and no integral depends on the ones before it.
 An envelope is evaluated only through :meth:`AxisFn.samples` and, at
 arbitrary points (:meth:`StructuredFn.values_on`), :meth:`AxisFn.values`.
 """
@@ -294,37 +297,40 @@ def _axis_rows(lat: QLattice, envs, lo: int, hi: int, step: int = 1):
     return rows, idx
 
 
-def _moments(lat: QLattice, slot: int, envs, ns) -> np.ndarray:
+def _moments(lat: QLattice, slot: int, envs, ns, shift: int = 0) -> np.ndarray:
     """Per term i and entry of ns[i]: the slot's integral of x^n envs[i],
     the sum over s = +-1 and the integration points x_j of
-    w_j (s x_j)^n envs[i](s x_j).  Each distinct envelope is sampled once
-    and reduced against each degree present by ``einsum``, whose entries,
-    unlike a matrix product's, do not depend on the operands' shapes.  A
-    window holding no j of the slot's coset (one exponent only) gives 0."""
-    js = lat.integration_js(slot)
+    w_j (s x_j)^n envs[i](s x_j), on the slot's window of exponents j
+    shifted by ``shift`` (x_j = q0^(j + shift), w_j = (Q - 1) x_j).  Each
+    distinct envelope is sampled once and reduced against each degree
+    present by ``einsum``, whose entries, unlike a matrix product's, do not
+    depend on the operands' shapes.  A window holding no j of the slot's
+    coset (one exponent only) gives 0."""
+    js = lat.integration_js(slot) + shift
     out = np.zeros(ns.shape, dtype=complex)
     if js.size == 0 or ns.size == 0:
         return out
     rows, idx = _axis_rows(lat, envs, js[0], js[-1], STEPS[slot])
-    rows = (rows * lat.integration_weights(slot)).reshape(len(rows), -1)
+    xs = lat.q0 ** js.astype(float)
+    rows = (rows * ((lat.q0 ** STEPS[slot] - 1.0) * xs)).reshape(len(rows), -1)
     lo = ns.min()
     d = ns - lo
     present = np.bincount(d.ravel()) > 0
     degrees = lo + np.flatnonzero(present)
-    xs = lat.integration_points(slot)
     mono = (np.stack([xs, -xs]) ** degrees[:, None, None]).reshape(len(degrees), -1)
     sums = np.zeros((len(rows), len(present)), dtype=complex)
     sums[:, present] = np.einsum("ep,dp->ed", rows, mono)
     return sums[idx.reshape(idx.shape + (1,) * (ns.ndim - 1)), d]
 
 
-def _middle_window(lat: QLattice, start: int, span: int, sgn: int) -> tuple[int, int]:
+def _middle_window(lat: QLattice, start: int, span: int, sgn: int,
+                   reach: tuple[int, int] = (0, 0)) -> tuple[int, int]:
     """The index window slot-sum columns start..span read their middle
-    factors on: the middle slot's integration exponents, dilated by
-    2 sgn v for start <= v <= span."""
+    factors on: the middle slot's integration exponents, extended by
+    reach = (below, above), dilated by 2 sgn v for start <= v <= span."""
     js = lat.integration_js(1)
     lo, hi = sorted((2 * sgn * start, 2 * sgn * span))
-    return js[0] + lo, js[-1] + hi
+    return js[0] - reach[0] + lo, js[-1] + reach[1] + hi
 
 
 class _TermGroups:
@@ -363,37 +369,44 @@ class _TermGroups:
         self.degrees = self.deg[np.concatenate([[True], self.deg[1:] != self.deg[:-1]])]
 
 
-def _slot_sums(f: "StructuredFn", outer: int, start: int, span: int, sgn: int) -> np.ndarray:
+def _slot_sums(f: "StructuredFn", outer: int, start: int, span: int, sgn: int,
+               shift: int = 0, reach: tuple[int, int] = (0, 0)) -> np.ndarray:
     """Columns v = start..span of one star-integral operand's per-slot
-    table: entry [d, v - start, s, j] is the sum over f's terms i of degree d
+    table: entry [d, v - start, s, i] is the sum over f's terms i of degree d
     on the coupled slot 2 - outer of c_i M_i(n_i + v) g_i(s q0^(j + 2 sgn v)),
     where n_i is the term's degree on the ``outer`` slot, M_i its moment
-    there (:func:`_moments`), g_i(y) = y^b_i e_i(y) its middle factor and j
-    runs over the middle slot's integration exponents.  Terms are summed by
-    segments: grouped by (d, middle factor), sorted by d, in blocks of
-    _BLOCK_BYTES.  The grouping is derived once per carrier and outer slot
+    there (:func:`_moments`) on the outer window shifted by ``shift``,
+    g_i(y) = y^b_i e_i(y) its middle factor and j = j_0 - reach[0] + i runs
+    over the middle slot's integration exponents j_0..j_1, extended by
+    reach = (below, above).  Terms are summed by segments: grouped by
+    (d, middle factor), sorted by d, in blocks of _BLOCK_BYTES.  The
+    grouping is derived once per carrier and outer slot
     (:class:`_TermGroups`); the moments and middle rows are computed for
     these columns only, each +-y raised once per distinct exponent b; no
-    entry depends on start or span."""
+    entry depends on start, span or reach."""
     lat, grp = f.lattice, f._term_groups(outer)
     v = np.arange(start, span + 1)
-    m = grp.coeffs[:, None] * _moments(lat, outer, grp.outer_envs, grp.outer_degs[:, None] + v)
+    m = grp.coeffs[:, None] * _moments(lat, outer, grp.outer_envs,
+                                       grp.outer_degs[:, None] + v, shift)
     js = lat.integration_js(1)
-    lo, hi = _middle_window(lat, start, span, sgn)
+    width = js.size + reach[0] + reach[1]
+    lo, hi = _middle_window(lat, start, span, sgn, reach)
     rows, e_idx = _axis_rows(lat, grp.mid_envs, lo, hi)
     pts = lat.q0 ** np.arange(lo, hi + 1).astype(float)
     powers = np.stack([pts, -pts]) ** grp.powers[:, None, None]
     g = rows[e_idx] * powers[grp.b_idx]
     cm = np.add.reduceat(m[grp.order], grp.starts, axis=0)
     deg, fac = grp.deg, grp.fac
-    first = js[0] - lo + 2 * sgn * v  # each v's window into g's columns
-    out = np.zeros((deg[-1] + 1, v.size, 2, js.size), dtype=complex)
+    first = js[0] - reach[0] - lo + 2 * sgn * v  # each v's window into g's columns
+    out = np.zeros((deg[-1] + 1, v.size, 2, width), dtype=complex)
+    # blocks sized on the window alone, so that no entry depends on the reach
     for blk in _blocks(len(deg), 2 * js.size * 16):
         d = deg[blk]
         seg = np.flatnonzero(np.concatenate([[True], d[1:] != d[:-1]]))
+        ds, gb = d[seg], g[fac[blk]]
         for vi, j0 in enumerate(first):
-            vals = cm[blk, vi, None, None] * g[fac[blk], :, j0 : j0 + js.size]
-            out[d[seg], vi] += np.add.reduceat(vals, seg, axis=0)
+            vals = cm[blk, vi, None, None] * gb[:, :, j0 : j0 + width]
+            out[ds, vi] += np.add.reduceat(vals, seg, axis=0)
     return out
 
 
@@ -409,22 +422,30 @@ def _contracted_rows(f: "StructuredFn", outer: int, sgn: int, es: list) -> list:
     B_e is returned as ``(us, B_e[us])``, us the u that some (d, k)
     reaches: only these entries of the other operand's table are read, so
     an entry that no present degree pair needs cannot overflow into nan.
-    Each entry is summed over k in ascending order, so no row depends on
-    which others are built with it."""
-    lat, degrees = f.lattice, f._term_groups(outer).degrees
+    The (e, d, k) terms are indexed once and added k by k, so each entry
+    is summed over k in ascending order and no row depends on which others
+    are built with it."""
+    lat, degrees = f.lattice, f._degrees(outer)
     table = f._slot_table(outer, es[-1], sgn)
     fall = _falling(max(degrees[-1], es[-1]), lat.q0 ** (4 * sgn))
     lam = sgn * (lat.q0 - 1.0 / lat.q0)
     xs, weights = lat.integration_points(1), lat.integration_weights(1)
+    ks = range(min(es[-1], degrees[-1]) + 1)
+    lead = np.array([lam**k / fall[k, k] for k in ks])
+    wk = [weights * xs ** (2 * k) for k in ks]
     es = np.asarray(es)
-    rows = np.zeros((es.size, degrees[-1] + 1, 2, xs.size), dtype=complex)
-    read = np.zeros(rows.shape[:2], dtype=bool)
-    for k in range(min(es[-1], degrees[-1]) + 1):
-        e, d = np.flatnonzero(es >= k), degrees[degrees >= k]
-        c = (lam**k / fall[k, k] * fall[d, k])[None, :] * fall[es[e], k][:, None]
-        vals = c[:, :, None, None] * table[d[None, :], es[e, None] - k]
-        rows[e[:, None], d - k] += vals * (weights * xs ** (2 * k))
-        read[e[:, None], d - k] = True
+    # each (row, degree, k) with k <= min(d, e), ordered by k
+    k, i, di = np.nonzero(np.arange(len(ks))[:, None, None] <= np.minimum.outer(es, degrees))
+    d = degrees[di]
+    coef = ((lead[k] * fall[d, k]) * fall[es[i], k])[:, None, None]
+    entry = i * (degrees[-1] + 1) + d - k
+    rows = np.zeros((es.size * (degrees[-1] + 1), 2, xs.size), dtype=complex)
+    bounds = np.searchsorted(k, range(len(ks) + 1))
+    for kk, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        rows[entry[a:b]] += coef[a:b] * table[d[a:b], es[i[a:b]] - kk] * wk[kk]
+    read = np.zeros(rows.shape[0], dtype=bool)
+    read[entry] = True
+    rows, read = rows.reshape(es.size, -1, 2, xs.size), read.reshape(es.size, -1)
     return [(np.flatnonzero(r), row[r]) for r, row in zip(read, rows)]
 
 
@@ -436,6 +457,26 @@ def _falling(dmax: int, Q: float) -> np.ndarray:
     for d in range(dmax + 1):
         fall[d, : d + 1] = np.cumprod(np.concatenate([[1.0], qn[d:0:-1]]))
     return fall
+
+
+#: (first, last) column and (first, last) middle exponent shifts that every
+#: momentum coordinate and left derivative label of a table view reads on
+#: its carrier's unshifted window
+_KET_REACH = (-1, 1, 0, 4)
+
+
+def _request(span: int, first: int, last: int, lo: int, hi: int) -> tuple:
+    """(columns, middle reach) that reads at column shifts first..last and
+    middle exponent shifts lo..hi ask of a table for columns 0..span."""
+    return (first, span + last), (max(0, -lo), max(0, hi))
+
+
+def _kept_request(outer: int, span: int, sgn: int) -> tuple:
+    """(columns, middle reach) a carrier sums for a star integral asking
+    columns 0..span: as the last operand of a W integral, at least what
+    its table views read (:data:`_KET_REACH`), so that its own pairings and
+    all its views share one summation of its table."""
+    return _request(span, *_KET_REACH) if (outer, sgn) == (2, 1) else ((0, span), (0, 0))
 
 
 # -- structured carrier -----------------------------------------------------------
@@ -486,22 +527,22 @@ class StructuredFn:
         self.lattice = lattice
         self.sector_kind = sector_kind
         self.convention = convention
-        acc: dict = {}
+        # each (degrees, envelopes) key is hashed once: envelopes hash in Python
+        index: dict = {}
+        firsts, coeffs = [], []
         for t in terms:
             if t.coeff == 0:
                 continue
-            key = (t.exps, t.envs)
-            prev = acc.get(key)
-            if prev is None:
-                acc[key] = t
+            i = index.setdefault((t.exps, t.envs), len(firsts))
+            if i == len(firsts):
+                firsts.append(t)
+                coeffs.append(t.coeff)
             else:
-                c = prev.coeff + t.coeff
-                if c == 0:
-                    del acc[key]
-                else:
-                    acc[key] = STerm(c, prev.exps, prev.envs)
-        self.terms = list(acc.values())
-        self._tables = {}  # (outer slot, sgn) -> _slot_sums columns 0..widest span asked
+                coeffs[i] = coeffs[i] + t.coeff
+        self.terms = [t if c is t.coeff else STerm(c, t.exps, t.envs)
+                      for t, c in zip(firsts, coeffs) if c != 0]
+        # (outer slot, sgn, outer window shift) -> (first column, reach, _slot_sums table)
+        self._tables = {}
         self._groups = {}  # outer slot -> the _TermGroups the table is summed by
         self._rows = {}  # (outer slot, sgn, e) -> the table contracted against degree e
 
@@ -646,7 +687,7 @@ class StructuredFn:
         mirror = self.convention == "Wt"
         l_slot, r_slot = (0, 2) if mirror else (2, 0)
         for side, f, slot in (("left", self, l_slot), ("right", other, r_slot)):
-            if any(t.envs[slot] is not None for t in f.terms):
+            if f._enveloped(slot):
                 raise ClassConstraintError(
                     f"{side} star operand must be polynomial on its coupled axis"
                 )
@@ -698,7 +739,7 @@ class StructuredFn:
     # a non-finite result is reported by the FloatingPointError alone, not
     # preceded by numpy's overflow warnings
     @np.errstate(over="ignore", invalid="ignore")
-    def star_integral(self, other: "StructuredFn") -> complex:
+    def star_integral(self, other: "StructuredFn | TableView") -> complex:
         """Integral over all space of self (star) other, in the operands'
         ordering, contracted slot by slot without building the product.
 
@@ -724,22 +765,26 @@ class StructuredFn:
         other's coupled degree e (:func:`_contracted_rows`).
 
         Self keeps its table (:meth:`_slot_table`) and its rows B_e, the
-        other operand its table, all freed with the carrier.  In a packet
-        self is the bra c*(t) of every pairing at t, so a pairing costs the
-        ket's table, O(n D J) for n terms, D the largest coupled degree and
+        other operand its table, all freed with the carrier.  The other
+        operand of a W integral may be a :class:`TableView`, whose table
+        is a rewrite of its carrier's kept tables.  In a packet self is the
+        bra c*(t) and the other a view of c(t) in every pairing at t, so
+        once both carriers' tables are kept a pairing costs the view's
+        rewrite, O(r D^2 J) for r reads, D the largest coupled degree and
         J the middle slot's points, and a product-sum over O(D^2 J)
-        entries.  Beyond the tables, the rows and one sampled row per
-        distinct middle factor, every temporary stays within _BLOCK_BYTES.
+        entries; a ket carrier of n terms costs O(n D J) for its table.
+        Beyond the tables, the rows and one sampled row per distinct middle
+        factor, every temporary stays within _BLOCK_BYTES.
         Each base is widened once, to the windows still to be summed,
         before any samples.  A result past the float range (a factor that
         overflowed, times zero, gives nan) raises ``FloatingPointError``."""
         mirror = self._coupling(other)
-        if not self.terms or not other.terms:
+        if self.is_zero() or other.is_zero():
             return 0j
         sgn = -1 if mirror else 1
         mine, theirs = (2, 0) if mirror else (0, 2)  # each operand's outer slot
-        d_self = self._term_groups(mine).degrees
-        d_other = other._term_groups(theirs).degrees
+        d_self = self._degrees(mine)
+        d_other = other._degrees(theirs)
         missing = [e for e in d_other if (mine, sgn, e) not in self._rows]
         # each base is widened once to the windows of the columns still to sum
         reads = other._unsummed(theirs, d_self[-1], sgn)
@@ -768,28 +813,73 @@ class StructuredFn:
             grp = self._groups[outer] = _TermGroups(self, outer)
         return grp
 
-    def _unsummed(self, outer: int, span: int, sgn: int) -> list:
-        """The (envelopes, lo, hi) windows :func:`_slot_sums` reads to extend
-        the kept table to ``span``: none when it is wide enough."""
-        have = self._tables[outer, sgn].shape[1] if (outer, sgn) in self._tables else 0
-        if have > span:
-            return []
-        lat, js, grp = self.lattice, self.lattice.integration_js(outer), self._term_groups(outer)
-        reads = [(grp.mid_envs, *_middle_window(lat, have, span, sgn))]
-        if js.size:
-            reads.append((set(grp.outer_envs), js[0], js[-1]))
+    def _degrees(self, outer: int) -> np.ndarray:
+        """The degrees present on the coupled slot 2 - outer, ascending."""
+        return self._term_groups(outer).degrees
+
+    def _enveloped(self, slot: int) -> bool:
+        return any(t.envs[slot] is not None for t in self.terms)
+
+    def _missing(self, key: tuple, cols: tuple, reach: tuple) -> list:
+        """The (columns, reach) pieces :func:`_slot_sums` sums for the table
+        kept under key = (outer, sgn, shift) to cover columns
+        cols[0]..cols[1] at ``reach``: the columns it lacks, at its own
+        reach; or, for a wider reach, the union of both, summed anew."""
+        kept = self._tables.get(key)
+        if kept is None:
+            return [(cols, reach)]
+        c0, have, table = kept
+        c1 = c0 + table.shape[1] - 1
+        if reach[0] > have[0] or reach[1] > have[1]:
+            return [((min(c0, cols[0]), max(c1, cols[1])),
+                     (max(reach[0], have[0]), max(reach[1], have[1])))]
+        return [((a, b), have) for a, b in ((cols[0], c0 - 1), (c1 + 1, cols[1])) if a <= b]
+
+    def _table_reads(self, outer: int, sgn: int, shift: int, cols: tuple, reach: tuple) -> list:
+        """The (envelopes, lo, hi) windows :func:`_slot_sums` reads for
+        :meth:`_table` to sum what the kept table lacks: none when it
+        covers the request."""
+        lat, grp = self.lattice, self._term_groups(outer)
+        js = lat.integration_js(outer) + shift
+        reads = []
+        for (a, b), r in self._missing((outer, sgn, shift), cols, reach):
+            reads.append((grp.mid_envs, *_middle_window(lat, a, b, sgn, r)))
+            if js.size:
+                reads.append((set(grp.outer_envs), js[0], js[-1]))
         return reads
+
+    def _table(self, outer: int, sgn: int, shift: int, cols: tuple, reach: tuple) -> np.ndarray:
+        """:func:`_slot_sums` of this carrier for columns cols[0]..cols[1]
+        at middle ``reach``, on the outer window shifted by ``shift``: a
+        slice of the one table kept per (outer, sgn, shift).  The table only
+        grows: a wider column range adds the missing columns, a wider
+        reach sums the union anew; as no entry depends on the range, every
+        slice equals a fresh build."""
+        key = (outer, sgn, shift)
+        for (a, b), r in self._missing(key, cols, reach):
+            new = _slot_sums(self, outer, a, b, sgn, shift, r)
+            kept = self._tables.get(key)
+            if kept is not None and kept[1] == r:
+                c0, _, table = kept
+                new, a = (np.concatenate([new, table], 1), a) if a < c0 else (
+                    np.concatenate([table, new], 1), c0)
+            self._tables[key] = (a, r, new)
+        c0, have, table = self._tables[key]
+        lo = have[0] - reach[0]
+        return table[:, cols[0] - c0 : cols[1] + 1 - c0, :,
+                     lo : table.shape[3] - (have[1] - reach[1])]
+
+    def _unsummed(self, outer: int, span: int, sgn: int) -> list:
+        """The windows :meth:`_slot_table` reads to sum columns up to
+        ``span`` that are not kept: none when the kept table covers them."""
+        return self._table_reads(outer, sgn, 0, *_kept_request(outer, span, sgn))
 
     def _slot_table(self, outer: int, span: int, sgn: int) -> np.ndarray:
         """:func:`_slot_sums` of this carrier for dilations up to ``span``,
-        a prefix of the table kept per (outer, sgn).  The table only grows:
-        a wider span appends the missing columns."""
-        kept = self._tables.get((outer, sgn))
-        have = 0 if kept is None else kept.shape[1]
-        if have <= span:
-            new = _slot_sums(self, outer, have, span, sgn)
-            kept = self._tables[outer, sgn] = new if not have else np.concatenate([kept, new], 1)
-        return kept[:, : span + 1]
+        on its own window: a slice of the kept table (:meth:`_table`),
+        summed over at least :func:`_kept_request`."""
+        self._table(outer, sgn, 0, *_kept_request(outer, span, sgn))
+        return self._table(outer, sgn, 0, (0, span), (0, 0))
 
     # -- evaluation and integration ----------------------------------------------
 
@@ -842,3 +932,232 @@ class StructuredFn:
                 rows[i] = x ** t.exps[slot] * sampled[env]
             factors.append(rows)
         return np.einsum("t,ti,tj,tk->ijk", coeff, *factors)
+
+
+# -- table views --------------------------------------------------------------------
+
+
+class _Read:
+    """One summand of a :class:`TableView`'s table: at the view's coupled
+    degree d, column v, sign s and middle exponent j it reads
+
+        coef fac[d + dd] y^p q0^(e v) T_w[d + dd, v + dv](s, j + dj),
+
+    where y = s q0^(j + 2v) is the middle point the column reads, T_w the
+    source carrier's slot table on its outer window shifted by w
+    (:meth:`StructuredFn._table`), and ``fac`` runs over the source's
+    coupled degrees."""
+
+    __slots__ = ("coef", "fac", "p", "e", "dd", "dv", "dj", "w")
+
+    def __init__(self, coef: complex, fac: np.ndarray, p: int, e: int, dd: int, dv: int,
+                 dj: int, w: int):
+        self.coef, self.fac, self.p, self.e = coef, fac, p, e
+        self.dd, self.dv, self.dj, self.w = dd, dv, dj, w
+
+    def mapped(self, q0: float, coef: complex = 1.0, dfac=None, a: int = 0, b: int = 0,
+               c: int = 0, p: int = 0, e: int = 0, w: int = 0) -> "_Read":
+        """This read put into one summand of a table map,
+        T'[d, v](s, j) = coef dfac(d) y^p q0^(e v) T_w[d + a, v + b](s, j + c):
+        read at column v + b and exponent j + c, its own y is
+        q0^(c + 2b) y.  ``dfac`` maps an array of degrees d to factors."""
+        dd = self.dd + a
+        fac = self.fac if dfac is None else self.fac * dfac(np.arange(self.fac.size) - dd)
+        coef = self.coef * coef * q0 ** (self.p * (c + 2 * b) + self.e * b)
+        return _Read(coef, fac, self.p + p, self.e + e, dd, self.dv + b, self.dj + c, self.w + w)
+
+
+def _qnum(n, Q: float):
+    """The q-numbers [[n]]_Q = (Q^n - 1) / (Q - 1), elementwise."""
+    return (Q ** np.asarray(n, dtype=float) - 1.0) / (Q - 1.0)
+
+
+def _qfall(n, k: int, Q: float):
+    """[[n]]_Q [[n-1]]_Q ... [[n-k+1]]_Q, elementwise: 0 for 0 <= n < k."""
+    return math.prod((_qnum(np.asarray(n) - i, Q) for i in range(k)), start=1.0)
+
+
+class TableView:
+    """A ket derived from one W-ordered carrier c, envelope-free on slot 0,
+    by the slot operations of :mod:`qeuclid.qcalculus` and left star
+    multiplication by one envelope-free term, held as exact rewrites of c's
+    slot table instead of as carrier terms.
+
+    As the last operand of a W star integral, c has the table
+    T[d, v](s, j) = sum_i c_i M_i(n_i + v) g_i(y), y = s q0^(j + 2v)
+    (:func:`_slot_sums`, outer slot 2, coupled slot 0), and each operation
+    on the ket reindexes the same finite sum, so that the ket's table is the
+    sum of the view's ``terms``, each a :class:`_Read` of c's table:
+
+    * slot 0, envelope-free: D_Q gives T'[d] = [[d+1]]_Q T[d+1],
+      a scaling by q0^m gives q0^(m d) T[d], and x gives T[d-1];
+    * slot 1: a scaling by q0^m gives T(j + m), D_Q with Q = q0^m gives
+      (T(j + m) - T(j)) / ((Q - 1) y), and x gives y T;
+    * slot 2: D_Q with Q = q0^b gives (Q^-v T^(W+b)[v-1](j+2) -
+      T[v-1](j+2)) / (Q - 1), T^(W+b) the table on the outer window shifted
+      by b, since the sum of w_j x_j^n e(Q x_j) over a window is Q^-(n+1)
+      times that over the window shifted by b; a scaling by q0^m gives
+      q0^(-m(v+1)) T^(W+m)[v], and x gives T[v+1](j-2);
+    * a left factor c_1 x^(a, b, x) gives, per k <= x, c_1 lam^k / [[k]]!
+      fall[x, k] fall[d - a + k, k] q0^(2b(d - a)) y^(b + 2k)
+      T[d - a + k, v + x - k], the star's terms in base q0^4.
+
+    Only rounding differs from building the ket's terms.  The view pairs
+    as the ket of :meth:`StructuredFn.star_integral`: it reports the
+    windows c's table still needs (:meth:`_unsummed`), reads c's kept
+    tables (one per outer-window shift, extended by the columns and middle
+    exponents its reads reach) and builds no carrier.  Operations on
+    another ordering, slot 0 envelopes or two-term left factors are not
+    represented and raise."""
+
+    __slots__ = ("src", "terms", "_kept")
+
+    def __init__(self, src: StructuredFn):
+        if src.convention != "W":
+            raise ValueError("a table view reads a W-ordered carrier")
+        if src._enveloped(0):
+            raise ClassConstraintError("a table view needs its carrier polynomial on slot 0")
+        size = 0 if src.is_zero() else src._degrees(2)[-1] + 1
+        self.src, self._kept = src, None
+        self.terms = [_Read(1.0, np.ones(size), 0, 0, 0, 0, 0, 0)] if size else []
+
+    def _new(self, terms) -> "TableView":
+        view = object.__new__(TableView)
+        view.src, view.terms, view._kept = self.src, terms, None
+        return view
+
+    def _map(self, *summands) -> "TableView":
+        """Each read put into each summand (keywords of :meth:`_Read.mapped`)."""
+        q0 = self.src.lattice.q0
+        return self._new([r.mapped(q0, **m) for r in self.terms for m in summands])
+
+    @property
+    def sector_kind(self) -> str:
+        return self.src.sector_kind
+
+    @property
+    def convention(self) -> str:
+        return self.src.convention
+
+    @property
+    def sectors(self) -> tuple[Sector]:
+        return self.src.sectors
+
+    # -- operand interface for the derivative representations ----------------
+
+    def jackson_d(self, sector_index: int, slot: int, base_exp: int) -> "TableView":
+        assert sector_index == 0
+        Q = self.src.lattice.q0**base_exp
+        if slot == 0:
+            return self._map(dict(dfac=lambda d: _qnum(d + 1, Q), a=1))
+        if slot == 1:
+            return self._map(dict(coef=1.0 / (Q - 1.0), c=base_exp, p=-1),
+                             dict(coef=-1.0 / (Q - 1.0), p=-1))
+        return self._map(dict(coef=1.0 / (Q - 1.0), b=-1, c=2, e=-base_exp, w=base_exp),
+                         dict(coef=-1.0 / (Q - 1.0), b=-1, c=2))
+
+    def scale_slot(self, sector_index: int, slot: int, q_exp: int) -> "TableView":
+        assert sector_index == 0
+        factor = self.src.lattice.q0**q_exp
+        if slot == 0:
+            return self._map(dict(dfac=lambda d: factor ** d.astype(float)))
+        if slot == 1:
+            return self._map(dict(c=q_exp))
+        return self._map(dict(coef=1.0 / factor, e=-q_exp, w=q_exp))
+
+    def mul_slot_var(self, sector_index: int, slot: int, power: int = 1) -> "TableView":
+        assert sector_index == 0
+        if slot == 0:
+            return self._map(dict(a=-power))
+        if slot == 1:
+            return self._map(dict(p=power))
+        return self._map(dict(b=power, c=-2 * power))
+
+    def scale_q(self, s: QScalar) -> "TableView":
+        return self._map(dict(coef=s.eval(self.src.lattice.q0)))
+
+    def __add__(self, other: "TableView") -> "TableView":
+        if other.src is not self.src:
+            raise ValueError("table views of different carriers")
+        return self._new(self.terms + other.terms)
+
+    def is_zero(self) -> bool:
+        return not self._live()
+
+    def left_star(self, f: StructuredFn) -> "TableView":
+        """f * (this ket) in the W ordering, for f one envelope-free term."""
+        self.src._check_compatible(f)
+        if len(f.terms) != 1 or any(map(f._enveloped, range(3))):
+            raise ClassConstraintError("a table view is star-multiplied by one envelope-free term")
+        (t,) = f.terms
+        a1, b1, x1 = t.exps
+        q0 = self.src.lattice.q0
+        Q, lam = q0**4, q0 - 1.0 / q0
+        return self._map(*(
+            dict(coef=t.coeff * lam**k / _qfall(k, k, Q) * _qfall(x1, k, Q),
+                 dfac=lambda d, k=k: _qfall(d - a1 + k, k, Q) * q0 ** (2.0 * b1 * (d - a1)),
+                 a=k - a1, b=x1 - k, p=b1 + 2 * k)
+            for k in range(x1 + 1)))
+
+    # -- the ket side of a star integral --------------------------------------
+
+    def _enveloped(self, slot: int) -> bool:
+        return self.src._enveloped(slot)
+
+    def _live(self) -> list:
+        """(read, source degrees it reads), kept: the degrees present in the
+        source whose factor is nonzero and whose coupled degree d >= 0."""
+        if self._kept is None:
+            ds = self.src._degrees(2) if self.terms else None
+            self._kept = [(r, rows) for r in self.terms
+                          for rows in [ds[(r.fac[ds] != 0) & (ds >= r.dd)]] if rows.size]
+        return self._kept
+
+    def _degrees(self, outer: int) -> np.ndarray:
+        _check_ket_slot(outer)
+        return np.array(sorted({int(d) for r, rows in self._live() for d in rows - r.dd}), dtype=int)
+
+    def _needs(self, span: int) -> dict:
+        """Per outer-window shift w: the source columns and the middle reach
+        that the live reads ask for columns 0..span of the view's table;
+        on the unshifted window at least :data:`_KET_REACH`."""
+        need: dict = {0: _KET_REACH}
+        for r, _ in self._live():
+            c0, c1, lo, hi = need.get(r.w, (r.dv, r.dv, r.dj, r.dj))
+            need[r.w] = min(c0, r.dv), max(c1, r.dv), min(lo, r.dj), max(hi, r.dj)
+        return {w: _request(span, *shifts) for w, shifts in need.items()}
+
+    def _unsummed(self, outer: int, span: int, sgn: int) -> list:
+        """The windows the source's tables still need for this view's table
+        up to ``span``: none when they are kept."""
+        _check_ket_slot(outer, sgn)
+        return [read for w, (cols, reach) in self._needs(span).items()
+                for read in self.src._table_reads(2, 1, w, cols, reach)]
+
+    def _slot_table(self, outer: int, span: int, sgn: int) -> np.ndarray:
+        """The view's table for columns 0..span: each live read of the
+        source's kept tables over the range of source degrees it reads,
+        weighted and added in read order."""
+        _check_ket_slot(outer, sgn)
+        lat = self.src.lattice
+        js = lat.integration_js(1)
+        v = np.arange(span + 1)
+        y = lat.q0 ** (js[None, :] + 2 * v[:, None]).astype(float)
+        ys = np.stack([y, -y], axis=1)  # [v, s, j]
+        tables = {w: (cols[0], reach[0], self.src._table(2, 1, w, cols, reach))
+                  for w, (cols, reach) in self._needs(span).items()}
+        out = np.zeros((self._degrees(outer)[-1] + 1, v.size, 2, js.size), dtype=complex)
+        for r, rows in self._live():
+            c0, below, table = tables[r.w]
+            lo, hi, col, mid = rows[0], rows[-1] + 1, r.dv - c0, below + r.dj
+            # degrees absent from the source have zero rows in its table
+            part = table[lo:hi, col : col + v.size, :, mid : mid + js.size]
+            weight = ys**r.p * (lat.q0 ** (r.e * v.astype(float)))[:, None, None]
+            out[lo - r.dd : hi - r.dd] += part * ((r.coef * r.fac[lo:hi])[:, None, None, None] * weight)
+        return out
+
+
+def _check_ket_slot(outer: int, sgn: int = 1):
+    """A table view pairs only as the last operand of a W star integral."""
+    if outer != 2 or sgn != 1:
+        raise ValueError("a table view pairs as the last operand of a W star integral")

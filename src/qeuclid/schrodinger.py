@@ -591,19 +591,23 @@ class WavePacket:
         """Int c*(t) * (op c(t)), kept per (t, op) beside c(t) and c*(t).
         ``op`` is None (the identity), an (index, position) pair (the
         momentum coordinate, star-multiplied from the left) or a
-        :class:`~qeuclid.qcalculus.DerivativeLabel`."""
+        :class:`~qeuclid.qcalculus.DerivativeLabel`.  Any other ket than
+        c(t) is a :class:`~qeuclid.lattice.TableView` of c(t):
+        ``apply_derivative`` and the star act on it as rewrites of c(t)'s
+        kept slot tables, so no ket carrier is built and every pairing at t
+        reads the tables c(t) keeps."""
         ct, cst, kept = self._at(t)
         if op not in kept:
-            if op is None:
-                ket = ct
-            elif isinstance(op, tuple):
-                from .lattice import StructuredFn
+            from .lattice import StructuredFn, TableView
 
-                ket = StructuredFn.from_poly(self.c.lattice, coord("p", *op)).star(ct)
-            else:
+            ket = ct
+            if isinstance(op, tuple):
+                coordinate = StructuredFn.from_poly(self.c.lattice, coord("p", *op))
+                ket = TableView(ct).left_star(coordinate)
+            elif op is not None:
                 from .qcalculus import apply_derivative
 
-                ket = apply_derivative(op, ct)
+                ket = apply_derivative(op, TableView(ct))
             kept[op] = cst.star_integral(ket)
         return kept[op]
 

@@ -13,7 +13,8 @@ import pytest
 import qeuclid
 from qeuclid import lattice
 from qeuclid.lattice import (
-    AxisFn, ClassConstraintError, QLattice, STerm, StructuredFn, _dilate, _times, log_gaussian,
+    AxisFn, ClassConstraintError, QLattice, STerm, StructuredFn, TableView, _dilate, _times,
+    log_gaussian,
 )
 from qeuclid.qcalculus import DerivativeLabel, apply_derivative
 from qeuclid.starcalc import coord_variable
@@ -423,21 +424,24 @@ def test_packet_pairings_build_the_bra_table_once_per_span():
     both <X^+> terms.  Its slot table only grows: it is summed for columns
     0 to 10 by the norm, then for column 11 alone by p^+ * c(0.1), whose
     first-slot degree is one higher; the other four pairings read a prefix.
-    c(0.1)'s own table is summed once, by the norm.  An integral read from
-    kept, extended tables equals the one of freshly built carriers, bit for
-    bit."""
+    c(0.1) sums one table per outer window shift, once: the norm, which
+    pairs c(0.1) itself as the last operand of a W integral, sums the
+    unshifted one over columns -1 to 11 and 4 middle exponents past the
+    window, the reach of its table views, and <X^+>'s slot-2 Jackson
+    derivative the one shifted by 4; every other ket is a view that reads
+    them.  An integral read from kept, extended tables equals the one of
+    freshly built carriers, bit for bit."""
     lat = QLattice(1.1, -6, 6)
     wp = gaussian_packet(
         lat, Fraction(2), center_j=0.3, width_j=0.9, odd_fraction=0.35, phase_order=20
     )
     ct, cst = wp.coefficients_at(0.1)
-    slot_sums, built = lattice._slot_sums, {"c": [], "cstar": []}
+    slot_sums, built = lattice._slot_sums, {"c": [], "cstar": [], "other": []}
 
-    def spy(f, outer, start, span, sgn):
-        for name, g in (("c", ct), ("cstar", cst)):
-            if f is g:
-                built[name].append((outer, start, span))
-        return slot_sums(f, outer, start, span, sgn)
+    def spy(f, outer, start, span, sgn, shift, reach):
+        name = "c" if f is ct else "cstar" if f is cst else "other"
+        built[name].append((outer, start, span, shift, reach))
+        return slot_sums(f, outer, start, span, sgn, shift, reach)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lattice, "_slot_sums", spy)
@@ -446,7 +450,9 @@ def test_packet_pairings_build_the_bra_table_once_per_span():
             wp.expectation_momentum("+", 0.1, position)
         wp.expectation_position("+", 0.1)
         kept = cst.star_integral(ct)
-    assert built == {"c": [(2, 0, 10)], "cstar": [(0, 0, 10), (0, 11, 11)]}, built
+    assert built == {"c": [(2, -1, 11, 0, (0, 4)), (2, -1, 9, 4, (0, 4))],
+                     "cstar": [(0, 0, 10, 0, (0, 0)), (0, 11, 11, 0, (0, 0))],
+                     "other": []}, built
     fresh = cst._new(cst.terms).star_integral(ct._new(ct.terms))
     assert kept == fresh, (kept, fresh)
 
@@ -469,6 +475,24 @@ def test_extended_slot_table_equals_a_fresh_build():
             assert np.array_equal(grown._slot_table(outer, 12, sgn), whole)
             for v in (0, 5, 12):
                 assert np.array_equal(lattice._slot_sums(f, outer, v, v, sgn)[:, 0], whole[:, v])
+
+
+def test_kept_table_grows_both_ways_as_a_fresh_build():
+    """A kept table asked for columns before and after it, for a wider
+    middle reach and on a shifted outer window equals, bit for bit, each
+    piece summed afresh: columns are prepended and appended at the kept
+    reach, a wider reach sums the union anew."""
+    lat = QLattice(1.1, -8, 8)
+    ct = gaussian_packet(lat, Fraction(2), center_j=0.3, width_j=0.9, odd_fraction=0.35,
+                         phase_order=20).coefficients_at(0.1)[0]
+    grown = ct._new(ct.terms)
+    for shift, cols, reach in ((0, (0, 3), (0, 0)), (0, (-2, 3), (0, 0)), (0, (-2, 6), (0, 0)),
+                               (0, (0, 7), (1, 2)), (0, (-2, 2), (0, 1)), (4, (-1, 2), (0, 4))):
+        got = grown._table(2, 1, shift, cols, reach)
+        want = lattice._slot_sums(ct, 2, *cols, 1, shift, reach)
+        assert np.array_equal(got, want), (shift, cols, reach)
+    assert [(k, c0, r, t.shape[1]) for k, (c0, r, t) in grown._tables.items()] == [
+        ((2, 1, 0), -2, (1, 2), 10), ((2, 1, 4), -1, (0, 4), 4)]
 
 
 def per_k_integral(a, b) -> complex:
@@ -568,19 +592,22 @@ def test_packet_group_builds_each_table_and_row_once():
     <X^A> at t = 0 and t = 0.1 sum each bra c*(t)'s table for each column
     range once (at t = 0.1 columns 0-10 for the norm, then 11 for
     p^+ * c(t); at t = 0, where c(0) has degree 0 only, column 0, then 1),
-    each ket's table once, and each contracted row of a bra, one per
-    coupled degree of its kets, once.  The kets are c(t), three p^A * c(t)
-    and three d' |> c(t) per t; at t = 0 one d' |> c(0) is empty and pairs
-    to 0 without a table.  The counts are pinned: a pairing that rebuilt a
-    kept table or row would raise them."""
+    and each contracted row of a bra, one per coupled degree of its kets,
+    once.  c(t) sums one table per outer window shift, once: unshifted
+    over columns -1 to span + 1, shifted by 4 over columns -1 to span - 1,
+    each 4 middle exponents past the window.  Every other ket (three
+    p^A * c(t) and three d' |> c(t) per t) is a table view of c(t), so no
+    other carrier is summed; at t = 0 one d' |> c(0) is empty and pairs to
+    0 without a table.  The counts are pinned: a pairing that rebuilt a kept table or
+    row, or built a ket carrier's table, would raise them."""
     wp = gaussian_packet(QLattice(1.1, -12, 12), Fraction(2), center_j=0.3, width_j=0.9,
                          odd_fraction=0.35, phase_order=20)
     slot_sums, contracted_rows = lattice._slot_sums, lattice._contracted_rows
     tables, rows, now = [], [], []
 
-    def sums_spy(f, outer, start, span, sgn):
-        tables.append((now[-1], f, start, span))
-        return slot_sums(f, outer, start, span, sgn)
+    def sums_spy(f, outer, start, span, sgn, shift, reach):
+        tables.append((now[-1], f, start, span, shift, reach))
+        return slot_sums(f, outer, start, span, sgn, shift, reach)
 
     def rows_spy(f, outer, sgn, es):
         rows.extend((now[-1], f, e) for e in es)
@@ -596,15 +623,77 @@ def test_packet_group_builds_each_table_and_row_once():
                 wp.expectation_momentum(a, t)
                 for position in ("upper", "lower"):
                     wp.expectation_position(a, t, position)
-    bras = {t: wp.coefficients_at(t)[1] for t in now}
-    spans = {t: [(start, span) for s, f, start, span in tables if s == t and f is bras[t]]
+    kets, bras = ({t: wp.coefficients_at(t)[i] for t in now} for i in (0, 1))
+    spans = {t: [(start, span) for s, f, start, span, _, _ in tables if s == t and f is bras[t]]
              for t in now}
     assert spans == {0.0: [(0, 0), (1, 1)], 0.1: [(0, 10), (11, 11)]}, spans
-    kets = {t: [f for s, f, _, _ in tables if s == t and f is not bras[t]] for t in now}
-    assert {t: len({id(f) for f in fs}) for t, fs in kets.items()} == {0.0: 6, 0.1: 7}, kets
-    assert {t: len(fs) for t, fs in kets.items()} == {0.0: 6, 0.1: 7}, kets
+    views = {t: [(start, span, shift, reach) for s, f, start, span, shift, reach in tables
+                 if s == t and f is kets[t]] for t in now}
+    assert views == {0.0: [(-1, 1, 0, (0, 4)), (-1, -1, 4, (0, 4))],
+                     0.1: [(-1, 11, 0, (0, 4)), (-1, 9, 4, (0, 4))]}, views
+    assert len(tables) == 8, tables
     assert all(f is bras[t] for t, f, _ in rows)
     assert [(t, e) for t, _, e in rows] == [(0.0, 0), (0.0, 1)] + [(0.1, e) for e in range(12)]
+
+
+def test_merging_a_carrier_with_itself_doubles_each_term():
+    """f + f repeats each of f's terms, the same objects: each key is
+    merged once, so the sum is f scaled by 2 term for term, in f's order,
+    and f + (-f) cancels every term."""
+    f = gaussian_packet(QLattice(1.1, -6, 6), Fraction(2), center_j=0.3, width_j=0.9,
+                        odd_fraction=0.35, phase_order=20).coefficients_at(0.1)[0]
+    assert len(f.terms) > 1
+    assert (f + f).terms == f.scale_complex(2).terms
+    assert (f + (-f)).is_zero()
+
+
+#: each operand-interface call a table view answers, by slot: (name, args)
+VIEW_OPS = [(name, slot, arg) for slot in range(3)
+            for name, arg in (("jackson_d", 2), ("jackson_d", -4), ("scale_slot", 2),
+                              ("scale_slot", -1), ("mul_slot_var", 1))]
+
+
+@pytest.mark.parametrize("first, then", [(op, VIEW_OPS[(i * 7 + 3) % len(VIEW_OPS)])
+                                         for i, op in enumerate(VIEW_OPS)])
+def test_table_view_rewrites_the_carrier_table(first, then):
+    """Two slot operations on a seeded random W carrier, polynomial on slot
+    0: the table view's table (a rewrite of the carrier's kept tables) equals,
+    within 1e-12 of its largest entry, the table of the carrier the same
+    operations build, at each coupled degree; so does each coordinate's left
+    star product, and the view reports the same degrees."""
+    rng = np.random.default_rng(35)
+    lat = QLattice(1.1, -5, 5)
+    bases = _random_bases(rng, lat)
+    f = _random_operand(rng, lat, bases, 0, "W")
+    view, carrier = TableView(f), f
+    for name, slot, arg in (first, then):
+        view, carrier = (getattr(g, name)(0, slot, arg) for g in (view, carrier))
+    kets = [(view, carrier)] + [
+        (view.left_star(x), x.star(carrier))
+        for x in (StructuredFn.from_poly(lat, coord_variable(v, "W")) for v in ("p-", "p3", "p+"))]
+    for view, carrier in kets:
+        assert np.array_equal(view._degrees(2), carrier._degrees(2))
+        got, want = view._slot_table(2, 4, 1), carrier._slot_table(2, 4, 1)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (first, then)
+
+
+def test_table_view_refuses_what_it_does_not_represent():
+    """A view reads one W carrier polynomial on slot 0, is multiplied from
+    the left by one envelope-free term, pairs only as the last operand of a
+    W integral and adds only to views of the same carrier."""
+    lat = QLattice(1.1, -4, 4)
+    env = log_gaussian(lat, 0.2, 1.0)
+    w = StructuredFn(lat, "p", [STerm(1.0, (1, 0, 2), (None, env, env))])
+    with pytest.raises(ValueError):
+        TableView(_ordered(w, True))
+    with pytest.raises(ClassConstraintError):
+        TableView(StructuredFn(lat, "p", [STerm(1.0, (1, 0, 2), (env, env, None))]))
+    with pytest.raises(ClassConstraintError):
+        TableView(w).left_star(w)
+    with pytest.raises(ValueError):
+        TableView(w)._slot_table(0, 2, 1)
+    with pytest.raises(ValueError):
+        TableView(w) + TableView(w._new(w.terms))
 
 
 #: run in a fresh interpreter: ten packets with distinct centres, each with

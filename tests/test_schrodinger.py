@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from qeuclid.qarith import QScalar, I, LAMBDA_PLUS
-from qeuclid.qcalculus import DerivativeLabel, apply_derivative
-from qeuclid.starcalc import Poly, P_SECTOR
+from qeuclid.qcalculus import DerivativeLabel, apply_derivative, right_transport
+from qeuclid.starcalc import Poly, P_SECTOR, coord
 from qeuclid.schrodinger import (
     PacketError,
     build_plane_wave,
@@ -20,7 +20,8 @@ from qeuclid.schrodinger import (
     psq_power,
     zwischen_reorder_residual,
 )
-from qeuclid.lattice import QLattice, StructuredFn, STerm
+from qeuclid import lattice
+from qeuclid.lattice import QLattice, StructuredFn, STerm, TableView
 
 MASS = Fraction(2)
 
@@ -219,6 +220,46 @@ def test_packet_values_do_not_depend_on_query_order(t):
             if other != query:
                 _ask(wp, other, t)
         assert _ask(wp, query, t) == first, query
+
+
+@pytest.mark.parametrize("half_width", [6, 12])
+def test_table_routed_pairings_match_the_carrier_route(half_width):
+    """Every pairing of a criterion-10 packet at t = 0, 0.05 and 0.1 (the
+    norm, p^A * c(t) at every index and position, and the left label d' of
+    every <X^A> term) pairs a table view of c(t).  Each agrees within 1e-13
+    relative with c*(t) paired against the ket built as a carrier: the
+    coordinate's star product, or ``apply_derivative`` on c(t)."""
+    wp = gaussian_packet(QLattice(1.1, -half_width, half_width), MASS, center_j=0.3,
+                         width_j=0.9, odd_fraction=0.35, phase_order=20)
+    ops = [None] + [(a, position) for a in ("+", "3", "-") for position in ("upper", "lower")]
+    ops += [right_transport(DerivativeLabel(a, "plain", "right_bar", position), "p")[0]
+            for a in ("+", "3", "-") for position in ("upper", "lower")]
+    for t in (0.0, 0.05, 0.1):
+        got = [wp._pairing(t, op) for op in ops]
+        ct, cst = wp.coefficients_at(t)
+        for op, value in zip(ops, got):
+            if op is None:
+                ket = ct
+            elif isinstance(op, tuple):
+                ket = StructuredFn.from_poly(ct.lattice, coord("p", *op)).star(ct)
+            else:
+                ket = apply_derivative(op, ct)
+            want = cst.star_integral(ket)
+            assert abs(value - want) <= 1e-13 * abs(want), (t, op, value, want)
+
+
+def test_empty_ket_pairs_to_zero_without_a_table(monkeypatch):
+    """d'+ lowers the degree of the envelope-free first slot, on which c(0)
+    has degree 0 only: the ket is empty as a carrier and as a table view, and
+    its pairing is 0 without summing any table."""
+    wp = _criterion_10_packet()
+    c0, cst0 = wp.coefficients_at(0.0)
+    label = DerivativeLabel("+", "plain", "left", "lower")
+    assert apply_derivative(label, c0).is_zero()
+    ket = apply_derivative(label, TableView(c0))
+    assert ket.is_zero()
+    monkeypatch.setattr(lattice, "_slot_sums", None)
+    assert cst0.star_integral(ket) == 0
 
 
 @pytest.mark.parametrize("t", [0.1, 0.2])
