@@ -27,17 +27,19 @@ those values by index shift; :func:`_moments` reduces each against each
 monomial degree.  A star integral contracts small per-slot tables
 (:func:`_slot_sums`) over the star's k, without building the product's
 terms.  Each carrier keeps, freed with it: one table per outer slot, sign
-and outer-window shift, that only grows (wider columns are added, from a
-term grouping kept per outer slot, :class:`_TermGroups`); and its table
-contracted over k against each coupled degree e of the operands it was
-paired with (:func:`_contracted_rows`), one row per e up to the largest
-degree asked.  A :class:`TableView` is a ket derived from one carrier c
-by slot operations and a left coordinate, held as index shifts and
-factors of c's kept tables: it pairs like a carrier and builds no terms.
-As no entry depends on the range asked or on the other rows, a packet's
-bra c*(t) is summed and contracted once, and c(t) once per window shift,
-for all its pairings at t; each later pairing costs a rewrite of c(t)'s
-tables and one product-sum, and no integral depends on the ones before it.
+and outer-window shift, summed once over a little more than asked
+(:data:`_REACH`) and sliced for any request it covers, else summed anew
+over the union (from a term grouping kept per outer slot,
+:class:`_TermGroups`); and its table contracted over k against each
+coupled degree e of the operands it was paired with, and one degree past
+them (:func:`_contracted_rows`).  A :class:`TableView` is a ket derived
+from one carrier c by slot operations and a left coordinate, held as
+index shifts and factors of c's kept tables: it pairs like a carrier and
+builds no terms.  As no entry depends on the range asked or on the other
+rows, a packet's bra c*(t) is summed and contracted once, and c(t) once
+per window shift, for all its pairings at t; each later pairing costs a
+rewrite of c(t)'s tables and one product-sum, and no integral depends on
+the ones before it.
 An envelope is evaluated only through :meth:`AxisFn.samples` and, at
 arbitrary points (:meth:`StructuredFn.values_on`), :meth:`AxisFn.values`.
 """
@@ -266,20 +268,6 @@ def _blocks(n: int, row_bytes: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, n, step)]
 
 
-def _widen(lat: QLattice, reads) -> None:
-    """Widen each base once to the union of the windows asked of it:
-    ``reads`` holds (envelopes, lo, hi), each envelope (None is the constant
-    1) read at +-q0^j for lo <= j <= hi."""
-    need: dict = {}
-    for envs, lo, hi in reads:
-        for env in envs:
-            for base, m, _, _ in env.leaves if env is not None else ():
-                a, b = need.get(base, (lo + m, hi + m))
-                need[base] = min(a, lo + m), max(b, hi + m)
-    for base, (lo, hi) in need.items():
-        base.window(lat.q0, lo, hi)
-
-
 def _axis_rows(lat: QLattice, envs, lo: int, hi: int, step: int = 1):
     """The distinct envelopes among ``envs`` (None is the constant 1) at
     +-q0^j for j = lo, lo + step, ... <= hi, as ``(rows, idx)``: rows has
@@ -289,7 +277,13 @@ def _axis_rows(lat: QLattice, envs, lo: int, hi: int, step: int = 1):
     its leaves here ask for."""
     index: dict = {}
     idx = np.fromiter((index.setdefault(e, len(index)) for e in envs), int, len(envs))
-    _widen(lat, [(index, lo, hi)])
+    need: dict = {}
+    for env in index:
+        for base, m, _, _ in env.leaves if env is not None else ():
+            a, b = need.get(base, (lo + m, hi + m))
+            need[base] = min(a, lo + m), max(b, hi + m)
+    for base, (a, b) in need.items():
+        base.window(lat.q0, a, b)
     rows = np.ones((len(index), 2, len(range(lo, hi + 1, step))), dtype=complex)
     for env, u in index.items():
         if env is not None:
@@ -323,20 +317,10 @@ def _moments(lat: QLattice, slot: int, envs, ns, shift: int = 0) -> np.ndarray:
     return sums[idx.reshape(idx.shape + (1,) * (ns.ndim - 1)), d]
 
 
-def _middle_window(lat: QLattice, start: int, span: int, sgn: int,
-                   reach: tuple[int, int] = (0, 0)) -> tuple[int, int]:
-    """The index window slot-sum columns start..span read their middle
-    factors on: the middle slot's integration exponents, extended by
-    reach = (below, above), dilated by 2 sgn v for start <= v <= span."""
-    js = lat.integration_js(1)
-    lo, hi = sorted((2 * sgn * start, 2 * sgn * span))
-    return js[0] - reach[0] + lo, js[-1] + reach[1] + hi
-
-
 class _TermGroups:
     """What :func:`_slot_sums` derives from a carrier's terms for one outer
-    slot, kept so that an append computes only its columns' moments and
-    middle rows: the terms' coefficients, outer degrees and envelopes; the
+    slot, kept so that a table summed anew over a wider range derives it
+    no more: the terms' coefficients, outer degrees and envelopes; the
     distinct middle factors (envelope, degree b), with each b's index
     ``b_idx`` into the distinct exponents ``powers``; and the groups of
     terms with one coupled degree and one middle factor, sorted by degree
@@ -390,7 +374,9 @@ def _slot_sums(f: "StructuredFn", outer: int, start: int, span: int, sgn: int,
                                        grp.outer_degs[:, None] + v, shift)
     js = lat.integration_js(1)
     width = js.size + reach[0] + reach[1]
-    lo, hi = _middle_window(lat, start, span, sgn, reach)
+    # the middle window the columns read: js, extended by reach, dilated by 2 sgn v
+    a, b = sorted((2 * sgn * start, 2 * sgn * span))
+    lo, hi = js[0] - reach[0] + a, js[-1] + reach[1] + b
     rows, e_idx = _axis_rows(lat, grp.mid_envs, lo, hi)
     pts = lat.q0 ** np.arange(lo, hi + 1).astype(float)
     powers = np.stack([pts, -pts]) ** grp.powers[:, None, None]
@@ -424,9 +410,10 @@ def _contracted_rows(f: "StructuredFn", outer: int, sgn: int, es: list) -> list:
     an entry that no present degree pair needs cannot overflow into nan.
     The (e, d, k) terms are indexed once and added k by k, so each entry
     is summed over k in ascending order and no row depends on which others
-    are built with it."""
+    are built with it.  S is a slice of f's kept table over the columns
+    the rows read, 0..es[-1] (:meth:`StructuredFn._table`)."""
     lat, degrees = f.lattice, f._degrees(outer)
-    table = f._slot_table(outer, es[-1], sgn)
+    table = f._table(outer, sgn, 0, (0, es[-1]), (0, 0))
     fall = _falling(max(degrees[-1], es[-1]), lat.q0 ** (4 * sgn))
     lam = sgn * (lat.q0 - 1.0 / lat.q0)
     xs, weights = lat.integration_points(1), lat.integration_weights(1)
@@ -452,31 +439,27 @@ def _contracted_rows(f: "StructuredFn", outer: int, sgn: int, es: list) -> list:
 def _falling(dmax: int, Q: float) -> np.ndarray:
     """The q-falling factorials [[d]]_Q [[d-1]]_Q ... [[d-k+1]]_Q at [d, k]
     for 0 <= k <= d <= dmax; [k, k] is [[k]]_Q!."""
-    qn = np.concatenate([[0.0], np.cumsum(Q ** np.arange(dmax, dtype=float))])
-    fall = np.zeros((dmax + 1, dmax + 1))
-    for d in range(dmax + 1):
-        fall[d, : d + 1] = np.cumprod(np.concatenate([[1.0], qn[d:0:-1]]))
-    return fall
+    # [[n]]_Q at dmax + n for n >= 1, and 1 below
+    qn = np.concatenate([np.ones(dmax + 1), np.cumsum(Q ** np.arange(dmax, dtype=float))])
+    n = np.arange(dmax + 1)
+    fall = np.ones((dmax + 1, dmax + 1))
+    # row d multiplies [[d]], [[d-1]], ..., [[1]], then 1s, in turn: one cumprod
+    np.cumprod(qn[n[:, None] - n[1:] + dmax + 1], axis=1, out=fall[:, 1:])
+    return np.tril(fall)
 
 
-#: (first, last) column and (first, last) middle exponent shifts that every
-#: momentum coordinate and left derivative label of a table view reads on
-#: its carrier's unshifted window
-_KET_REACH = (-1, 1, 0, 4)
+#: (first, last) column and (first, last) middle exponent shifts past the
+#: columns 0..span asked that a carrier's kept table is summed over: what
+#: every momentum coordinate and left derivative label of a table view reads
+#: on its carrier's unshifted window, and the column the bra's row one
+#: degree past reads (:meth:`StructuredFn.star_integral`)
+_REACH = (-1, 1, 0, 4)
 
 
 def _request(span: int, first: int, last: int, lo: int, hi: int) -> tuple:
     """(columns, middle reach) that reads at column shifts first..last and
     middle exponent shifts lo..hi ask of a table for columns 0..span."""
     return (first, span + last), (max(0, -lo), max(0, hi))
-
-
-def _kept_request(outer: int, span: int, sgn: int) -> tuple:
-    """(columns, middle reach) a carrier sums for a star integral asking
-    columns 0..span: as the last operand of a W integral, at least what
-    its table views read (:data:`_KET_REACH`), so that its own pairings and
-    all its views share one summation of its table."""
-    return _request(span, *_KET_REACH) if (outer, sgn) == (2, 1) else ((0, span), (0, 0))
 
 
 # -- structured carrier -----------------------------------------------------------
@@ -765,35 +748,36 @@ class StructuredFn:
         other's coupled degree e (:func:`_contracted_rows`).
 
         Self keeps its table (:meth:`_slot_table`) and its rows B_e, the
-        other operand its table, all freed with the carrier.  The other
-        operand of a W integral may be a :class:`TableView`, whose table
-        is a rewrite of its carrier's kept tables.  In a packet self is the
+        other operand its table, all freed with the carrier.  Each table is
+        summed one column past the span asked (:data:`_REACH`), so self
+        contracts the row one degree past the other's too, from columns its
+        kept table covers: a later ket one degree higher (p^+ * c(t)) finds
+        its row and table kept.  The other operand of a W integral may be a
+        :class:`TableView`, whose table is a rewrite of its carrier's kept
+        tables.  In a packet self is the
         bra c*(t) and the other a view of c(t) in every pairing at t, so
         once both carriers' tables are kept a pairing costs the view's
         rewrite, O(r D^2 J) for r reads, D the largest coupled degree and
         J the middle slot's points, and a product-sum over O(D^2 J)
         entries; a ket carrier of n terms costs O(n D J) for its table.
         Beyond the tables, the rows and one sampled row per distinct middle
-        factor, every temporary stays within _BLOCK_BYTES.
-        Each base is widened once, to the windows still to be summed,
-        before any samples.  A result past the float range (a factor that
-        overflowed, times zero, gives nan) raises ``FloatingPointError``."""
+        factor, every temporary stays within _BLOCK_BYTES.  A result past
+        the float range (a factor that overflowed, times zero, gives nan)
+        raises ``FloatingPointError``."""
         mirror = self._coupling(other)
         if self.is_zero() or other.is_zero():
             return 0j
         sgn = -1 if mirror else 1
         mine, theirs = (2, 0) if mirror else (0, 2)  # each operand's outer slot
-        d_self = self._degrees(mine)
         d_other = other._degrees(theirs)
+        s_other = other._slot_table(theirs, self._degrees(mine)[-1], sgn)
         missing = [e for e in d_other if (mine, sgn, e) not in self._rows]
-        # each base is widened once to the windows of the columns still to sum
-        reads = other._unsummed(theirs, d_self[-1], sgn)
         if missing:
-            reads += self._unsummed(mine, missing[-1], sgn)
-        if reads:
-            _widen(self.lattice, reads)
-        s_other = other._slot_table(theirs, d_self[-1], sgn)
-        if missing:
+            # the kept table covers one column past these rows (_REACH), all
+            # that the row one degree past reads: it is built with them
+            self._slot_table(mine, missing[-1], sgn)
+            if (mine, sgn, missing[-1] + 1) not in self._rows:
+                missing.append(missing[-1] + 1)
             built = _contracted_rows(self, mine, sgn, missing)
             self._rows.update(((mine, sgn, e), row) for e, row in zip(missing, built))
         rows = [self._rows[mine, sgn, e] for e in d_other]
@@ -820,65 +804,33 @@ class StructuredFn:
     def _enveloped(self, slot: int) -> bool:
         return any(t.envs[slot] is not None for t in self.terms)
 
-    def _missing(self, key: tuple, cols: tuple, reach: tuple) -> list:
-        """The (columns, reach) pieces :func:`_slot_sums` sums for the table
-        kept under key = (outer, sgn, shift) to cover columns
-        cols[0]..cols[1] at ``reach``: the columns it lacks, at its own
-        reach; or, for a wider reach, the union of both, summed anew."""
-        kept = self._tables.get(key)
-        if kept is None:
-            return [(cols, reach)]
-        c0, have, table = kept
-        c1 = c0 + table.shape[1] - 1
-        if reach[0] > have[0] or reach[1] > have[1]:
-            return [((min(c0, cols[0]), max(c1, cols[1])),
-                     (max(reach[0], have[0]), max(reach[1], have[1])))]
-        return [((a, b), have) for a, b in ((cols[0], c0 - 1), (c1 + 1, cols[1])) if a <= b]
-
-    def _table_reads(self, outer: int, sgn: int, shift: int, cols: tuple, reach: tuple) -> list:
-        """The (envelopes, lo, hi) windows :func:`_slot_sums` reads for
-        :meth:`_table` to sum what the kept table lacks: none when it
-        covers the request."""
-        lat, grp = self.lattice, self._term_groups(outer)
-        js = lat.integration_js(outer) + shift
-        reads = []
-        for (a, b), r in self._missing((outer, sgn, shift), cols, reach):
-            reads.append((grp.mid_envs, *_middle_window(lat, a, b, sgn, r)))
-            if js.size:
-                reads.append((set(grp.outer_envs), js[0], js[-1]))
-        return reads
-
     def _table(self, outer: int, sgn: int, shift: int, cols: tuple, reach: tuple) -> np.ndarray:
         """:func:`_slot_sums` of this carrier for columns cols[0]..cols[1]
         at middle ``reach``, on the outer window shifted by ``shift``: a
-        slice of the one table kept per (outer, sgn, shift).  The table only
-        grows: a wider column range adds the missing columns, a wider
-        reach sums the union anew; as no entry depends on the range, every
-        slice equals a fresh build."""
+        slice of the one table kept per (outer, sgn, shift).  A kept table
+        that does not cover the request is replaced by the union of both,
+        summed anew; as no entry depends on the range, every slice equals a
+        fresh build."""
         key = (outer, sgn, shift)
-        for (a, b), r in self._missing(key, cols, reach):
-            new = _slot_sums(self, outer, a, b, sgn, shift, r)
-            kept = self._tables.get(key)
-            if kept is not None and kept[1] == r:
-                c0, _, table = kept
-                new, a = (np.concatenate([new, table], 1), a) if a < c0 else (
-                    np.concatenate([table, new], 1), c0)
-            self._tables[key] = (a, r, new)
-        c0, have, table = self._tables[key]
+        c0, have, table = self._tables.get(key, (cols[0], reach, None))
+        c1 = cols[1] if table is None else c0 + table.shape[1] - 1
+        union = ((min(c0, cols[0]), max(c1, cols[1])),
+                 (max(have[0], reach[0]), max(have[1], reach[1])))
+        if table is None or union != ((c0, c1), have):
+            (c0, c1), have = union
+            table = _slot_sums(self, outer, c0, c1, sgn, shift, have)
+            self._tables[key] = (c0, have, table)
         lo = have[0] - reach[0]
         return table[:, cols[0] - c0 : cols[1] + 1 - c0, :,
                      lo : table.shape[3] - (have[1] - reach[1])]
 
-    def _unsummed(self, outer: int, span: int, sgn: int) -> list:
-        """The windows :meth:`_slot_table` reads to sum columns up to
-        ``span`` that are not kept: none when the kept table covers them."""
-        return self._table_reads(outer, sgn, 0, *_kept_request(outer, span, sgn))
-
     def _slot_table(self, outer: int, span: int, sgn: int) -> np.ndarray:
         """:func:`_slot_sums` of this carrier for dilations up to ``span``,
         on its own window: a slice of the kept table (:meth:`_table`),
-        summed over at least :func:`_kept_request`."""
-        self._table(outer, sgn, 0, *_kept_request(outer, span, sgn))
+        summed over at least :data:`_REACH` past them, so that a carrier's
+        own pairings, its row one degree past and all its table views share
+        one summation."""
+        self._table(outer, sgn, 0, *_request(span, *_REACH))
         return self._table(outer, sgn, 0, (0, span), (0, 0))
 
     # -- evaluation and integration ----------------------------------------------
@@ -1003,12 +955,11 @@ class TableView:
       T[d - a + k, v + x - k], the star's terms in base q0^4.
 
     Only rounding differs from building the ket's terms.  The view pairs
-    as the ket of :meth:`StructuredFn.star_integral`: it reports the
-    windows c's table still needs (:meth:`_unsummed`), reads c's kept
-    tables (one per outer-window shift, extended by the columns and middle
-    exponents its reads reach) and builds no carrier.  Operations on
-    another ordering, slot 0 envelopes or two-term left factors are not
-    represented and raise."""
+    as the ket of :meth:`StructuredFn.star_integral`: it reads c's kept
+    tables (one per outer-window shift, summed at least over the columns
+    and middle exponents its reads reach) and builds no carrier.
+    Operations on another ordering, slot 0 envelopes or two-term left
+    factors are not represented and raise."""
 
     __slots__ = ("src", "terms", "_kept")
 
@@ -1120,24 +1071,19 @@ class TableView:
     def _needs(self, span: int) -> dict:
         """Per outer-window shift w: the source columns and the middle reach
         that the live reads ask for columns 0..span of the view's table;
-        on the unshifted window at least :data:`_KET_REACH`."""
-        need: dict = {0: _KET_REACH}
+        on the unshifted window at least :data:`_REACH`, what the source
+        sums when it pairs itself."""
+        need: dict = {0: _REACH}
         for r, _ in self._live():
             c0, c1, lo, hi = need.get(r.w, (r.dv, r.dv, r.dj, r.dj))
             need[r.w] = min(c0, r.dv), max(c1, r.dv), min(lo, r.dj), max(hi, r.dj)
         return {w: _request(span, *shifts) for w, shifts in need.items()}
 
-    def _unsummed(self, outer: int, span: int, sgn: int) -> list:
-        """The windows the source's tables still need for this view's table
-        up to ``span``: none when they are kept."""
-        _check_ket_slot(outer, sgn)
-        return [read for w, (cols, reach) in self._needs(span).items()
-                for read in self.src._table_reads(2, 1, w, cols, reach)]
-
     def _slot_table(self, outer: int, span: int, sgn: int) -> np.ndarray:
         """The view's table for columns 0..span: each live read of the
         source's kept tables over the range of source degrees it reads,
-        weighted and added in read order."""
+        weighted and added in read order; each weight y^p q0^(e v) is
+        computed once per distinct (p, e)."""
         _check_ket_slot(outer, sgn)
         lat = self.src.lattice
         js = lat.integration_js(1)
@@ -1147,13 +1093,17 @@ class TableView:
         tables = {w: (cols[0], reach[0], self.src._table(2, 1, w, cols, reach))
                   for w, (cols, reach) in self._needs(span).items()}
         out = np.zeros((self._degrees(outer)[-1] + 1, v.size, 2, js.size), dtype=complex)
+        weights: dict = {}
         for r, rows in self._live():
             c0, below, table = tables[r.w]
             lo, hi, col, mid = rows[0], rows[-1] + 1, r.dv - c0, below + r.dj
             # degrees absent from the source have zero rows in its table
             part = table[lo:hi, col : col + v.size, :, mid : mid + js.size]
-            weight = ys**r.p * (lat.q0 ** (r.e * v.astype(float)))[:, None, None]
-            out[lo - r.dd : hi - r.dd] += part * ((r.coef * r.fac[lo:hi])[:, None, None, None] * weight)
+            key = r.p, r.e
+            if key not in weights:
+                weights[key] = ys**r.p * (lat.q0 ** (r.e * v.astype(float)))[:, None, None]
+            out[lo - r.dd : hi - r.dd] += part * ((r.coef * r.fac[lo:hi])[:, None, None, None]
+                                                  * weights[key])
         return out
 
 

@@ -421,38 +421,46 @@ def test_packet_envelope_is_sampled_once_for_both_slots():
 
 def test_packet_pairings_build_the_bra_table_once_per_span():
     """c*(0.1) is the bra of the norm, of <P^+> at both positions and of
-    both <X^+> terms.  Its slot table only grows: it is summed for columns
-    0 to 10 by the norm, then for column 11 alone by p^+ * c(0.1), whose
-    first-slot degree is one higher; the other four pairings read a prefix.
+    both <X^+> terms.  Its slot table is summed once, by the norm, over
+    columns -1 to 11 and 4 middle exponents past the window: one column
+    past the degree 10 of the norm's ket c(0.1), so that p^+ * c(0.1),
+    whose first-slot degree is one higher, reads a slice.  The norm also
+    contracts every row any of these pairings reads, 0 to 11, in one call.
     c(0.1) sums one table per outer window shift, once: the norm, which
     pairs c(0.1) itself as the last operand of a W integral, sums the
-    unshifted one over columns -1 to 11 and 4 middle exponents past the
-    window, the reach of its table views, and <X^+>'s slot-2 Jackson
-    derivative the one shifted by 4; every other ket is a view that reads
-    them.  An integral read from kept, extended tables equals the one of
-    freshly built carriers, bit for bit."""
+    unshifted one at that same reach, the reach of its table views, and
+    <X^+>'s slot-2 Jackson derivative the one shifted by 4; every other ket
+    is a view that reads them.  An integral read from kept tables equals
+    the one of freshly built carriers, bit for bit."""
     lat = QLattice(1.1, -6, 6)
     wp = gaussian_packet(
         lat, Fraction(2), center_j=0.3, width_j=0.9, odd_fraction=0.35, phase_order=20
     )
     ct, cst = wp.coefficients_at(0.1)
     slot_sums, built = lattice._slot_sums, {"c": [], "cstar": [], "other": []}
+    contracted_rows, rows = lattice._contracted_rows, []
 
     def spy(f, outer, start, span, sgn, shift, reach):
         name = "c" if f is ct else "cstar" if f is cst else "other"
         built[name].append((outer, start, span, shift, reach))
         return slot_sums(f, outer, start, span, sgn, shift, reach)
 
+    def rows_spy(f, outer, sgn, es):
+        rows.append((f is cst, list(es)))
+        return contracted_rows(f, outer, sgn, es)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lattice, "_slot_sums", spy)
+        mp.setattr(lattice, "_contracted_rows", rows_spy)
         wp.norm(0.1)
         for position in ("upper", "lower"):
             wp.expectation_momentum("+", 0.1, position)
         wp.expectation_position("+", 0.1)
         kept = cst.star_integral(ct)
     assert built == {"c": [(2, -1, 11, 0, (0, 4)), (2, -1, 9, 4, (0, 4))],
-                     "cstar": [(0, 0, 10, 0, (0, 0)), (0, 11, 11, 0, (0, 0))],
+                     "cstar": [(0, -1, 11, 0, (0, 4))],
                      "other": []}, built
+    assert rows == [(True, list(range(12)))], rows
     fresh = cst._new(cst.terms).star_integral(ct._new(ct.terms))
     assert kept == fresh, (kept, fresh)
 
@@ -480,8 +488,9 @@ def test_extended_slot_table_equals_a_fresh_build():
 def test_kept_table_grows_both_ways_as_a_fresh_build():
     """A kept table asked for columns before and after it, for a wider
     middle reach and on a shifted outer window equals, bit for bit, each
-    piece summed afresh: columns are prepended and appended at the kept
-    reach, a wider reach sums the union anew."""
+    piece summed afresh: a wider ask sums the union of the kept table and
+    the request anew and keeps it in place of the old one, a narrower ask
+    reads a slice, and every slice equals a fresh build."""
     lat = QLattice(1.1, -8, 8)
     ct = gaussian_packet(lat, Fraction(2), center_j=0.3, width_j=0.9, odd_fraction=0.35,
                          phase_order=20).coefficients_at(0.1)[0]
@@ -518,23 +527,41 @@ def per_k_integral(a, b) -> complex:
     return total
 
 
+@pytest.mark.parametrize("Q", [1.1**4, 1.1**-4])
+def test_falling_factorials_are_the_running_products(Q):
+    """Row d of the falling-factorial table is, bit for bit, the running
+    product of 1, [[d]]_Q, [[d-1]]_Q, ..., [[1]]_Q taken one row at a
+    time, and 0 past k = d, for every dmax up to 20."""
+    for dmax in range(21):
+        qn = np.concatenate([[0.0], np.cumsum(Q ** np.arange(dmax, dtype=float))])
+        want = np.zeros((dmax + 1, dmax + 1))
+        for d in range(dmax + 1):
+            want[d, : d + 1] = np.cumprod(np.concatenate([[1.0], qn[d:0:-1]]))
+        got = lattice._falling(dmax, Q)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), dmax
+
+
 #: (ordering mirrored, bra, kets in the order they pair with one kept bra):
-#: each ket after the first asks for coupled degrees the ones before did not
+#: each ket after the first reaches at least two coupled degrees past the
+#: ones before, so that it asks for rows past the one degree past them that
+#: the bra builds too
 PAIRINGS = [
-    (False, "cstar", ("c", "x c")),
-    (False, "right_bar_lower", ("c", "x c")),
-    (True, "c", ("right_bar", "cstar", "right_bar_lower")),
+    (False, "cstar", ("c", "x^2 c")),
+    (False, "right_bar_lower", ("c", "x^2 c")),
+    (True, "c", ("right_bar", "right_bar_lower", "cstar z^3")),
 ]
 
 
 @pytest.mark.parametrize("mirror, bra, kets", PAIRINGS)
 def test_pairing_through_kept_rows_is_a_fresh_pairing(operands, mirror, bra, kets):
     """One kept bra pairs with kets whose coupled degree sets grow, so each
-    ket adds contracted rows to the bra.  Each pairing equals, bit for bit,
-    the pairing of a fresh copy of the bra, and within 1e-14 relative the
-    per-k contraction written out above; each row built in pieces equals,
-    bit for bit, the row a fresh bra builds with all the others at once."""
-    ops = dict(operands, **{"x c": operands["c"].mul_slot_var(0, 0, 1)})
+    ket adds contracted rows to the bra: those of its degrees and one degree
+    past them.  Each pairing equals, bit for bit, the pairing of a fresh
+    copy of the bra, and within 1e-14 relative the per-k contraction
+    written out above; each row built in pieces equals, bit for bit, the
+    row a fresh bra builds with all the others at once."""
+    ops = dict(operands, **{"x^2 c": operands["c"].mul_slot_var(0, 0, 2),
+                            "cstar z^3": operands["cstar"].mul_slot_var(0, 2, 3)})
     kept = _ordered(ops[bra], mirror)
     rows = []
     for name in kets:
@@ -559,7 +586,9 @@ def test_pairing_reads_no_entry_that_no_degree_pair_needs(mirror):
     0, 2 and 3.  With nan put into the kept tables at every entry no
     present degree pair reads (the ket's column 1 and its absent degree 0,
     the bra's absent degrees 1 and 2), the pairing is still the one of
-    fresh carriers, bit for bit."""
+    fresh carriers, bit for bit, and reads those very tables: the row one
+    degree past the ket's, which the bra builds too, reads only columns
+    its kept table covers, so nothing is summed anew."""
     lat = QLattice(1.1, -6, 6)
     g = log_gaussian(lat, 0.3, 0.9, odd_fraction=0.35)
     h = log_gaussian(lat, -0.2, 1.1, 0.6 - 0.8j)
@@ -584,26 +613,32 @@ def test_pairing_reads_no_entry_that_no_degree_pair_needs(mirror):
     ket._slot_table(theirs, 3, sgn)[1, 1] = np.nan
     ket._slot_table(theirs, 3, sgn)[0] = np.nan
     bra._slot_table(mine, 1, sgn)[1:3] = np.nan
+    handed = {(f, key): table for f in (bra, ket) for key, (_, _, table) in f._tables.items()}
     assert bra.star_integral(ket) == fresh
+    kept = {(f, key): table for f in (bra, ket) for key, (_, _, table) in f._tables.items()}
+    assert kept.keys() == handed.keys() and all(kept[k] is handed[k] for k in kept)
+    assert (mine, sgn, 2) in bra._rows
 
 
 def test_packet_group_builds_each_table_and_row_once():
     """On one criterion-10 packet, the norm, the three <P^A> and the six
-    <X^A> at t = 0 and t = 0.1 sum each bra c*(t)'s table for each column
-    range once (at t = 0.1 columns 0-10 for the norm, then 11 for
-    p^+ * c(t); at t = 0, where c(0) has degree 0 only, column 0, then 1),
-    and each contracted row of a bra, one per coupled degree of its kets,
-    once.  c(t) sums one table per outer window shift, once: unshifted
-    over columns -1 to span + 1, shifted by 4 over columns -1 to span - 1,
-    each 4 middle exponents past the window.  Every other ket (three
-    p^A * c(t) and three d' |> c(t) per t) is a table view of c(t), so no
-    other carrier is summed; at t = 0 one d' |> c(0) is empty and pairs to
-    0 without a table.  The counts are pinned: a pairing that rebuilt a kept table or
-    row, or built a ket carrier's table, would raise them."""
+    <X^A> at t = 0 and t = 0.1 sum each bra c*(t)'s table once, in the
+    norm, one column past the norm's ket c(t) (at t = 0.1 columns -1 to 11;
+    at t = 0, where c(0) has degree 0 only, -1 to 1), so that p^+ * c(t)
+    reads a slice.  The norm also contracts every row of the bra that a
+    ket at t reads, one per coupled degree up to one past c(t)'s, in one
+    call, and no later pairing contracts any.  c(t) sums one table per
+    outer window shift, once: unshifted over columns -1 to span + 1,
+    shifted by 4 over columns -1 to span - 1, each 4 middle exponents past
+    the window.  Every other ket (three p^A * c(t) and three d' |> c(t) per
+    t) is a table view of c(t), so no other carrier is summed; at t = 0 one
+    d' |> c(0) is empty and pairs to 0 without a table.  The counts are
+    pinned: a pairing that summed a kept table anew, rebuilt a row, or
+    built a ket carrier's table would raise them."""
     wp = gaussian_packet(QLattice(1.1, -12, 12), Fraction(2), center_j=0.3, width_j=0.9,
                          odd_fraction=0.35, phase_order=20)
     slot_sums, contracted_rows = lattice._slot_sums, lattice._contracted_rows
-    tables, rows, now = [], [], []
+    tables, rows, calls, now, norm = [], [], [], [], []
 
     def sums_spy(f, outer, start, span, sgn, shift, reach):
         tables.append((now[-1], f, start, span, shift, reach))
@@ -611,6 +646,7 @@ def test_packet_group_builds_each_table_and_row_once():
 
     def rows_spy(f, outer, sgn, es):
         rows.extend((now[-1], f, e) for e in es)
+        calls.append((now[-1], norm[-1]))
         return contracted_rows(f, outer, sgn, es)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -618,7 +654,9 @@ def test_packet_group_builds_each_table_and_row_once():
         mp.setattr(lattice, "_contracted_rows", rows_spy)
         for t in (0.0, 0.1):
             now.append(t)
+            norm.append(True)
             wp.norm(t)
+            norm.append(False)
             for a in ("+", "3", "-"):
                 wp.expectation_momentum(a, t)
                 for position in ("upper", "lower"):
@@ -626,14 +664,15 @@ def test_packet_group_builds_each_table_and_row_once():
     kets, bras = ({t: wp.coefficients_at(t)[i] for t in now} for i in (0, 1))
     spans = {t: [(start, span) for s, f, start, span, _, _ in tables if s == t and f is bras[t]]
              for t in now}
-    assert spans == {0.0: [(0, 0), (1, 1)], 0.1: [(0, 10), (11, 11)]}, spans
+    assert spans == {0.0: [(-1, 1)], 0.1: [(-1, 11)]}, spans
     views = {t: [(start, span, shift, reach) for s, f, start, span, shift, reach in tables
                  if s == t and f is kets[t]] for t in now}
     assert views == {0.0: [(-1, 1, 0, (0, 4)), (-1, -1, 4, (0, 4))],
                      0.1: [(-1, 11, 0, (0, 4)), (-1, 9, 4, (0, 4))]}, views
-    assert len(tables) == 8, tables
+    assert len(tables) == 6, tables
     assert all(f is bras[t] for t, f, _ in rows)
     assert [(t, e) for t, _, e in rows] == [(0.0, 0), (0.0, 1)] + [(0.1, e) for e in range(12)]
+    assert calls == [(0.0, True), (0.1, True)], calls
 
 
 def test_merging_a_carrier_with_itself_doubles_each_term():
