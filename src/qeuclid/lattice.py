@@ -26,20 +26,21 @@ routine, :func:`_axis_rows`, reads the distinct envelopes of a sum from
 those values by index shift; :func:`_moments` reduces each against each
 monomial degree.  A star integral contracts small per-slot tables
 (:func:`_slot_sums`) over the star's k, without building the product's
-terms.  Each carrier keeps, freed with it: one table per outer slot, sign
-and outer-window shift, summed once over a little more than asked
+terms.  Each carrier keeps, freed with it, a term grouping per outer slot
+(:class:`_TermGroups`) and, per role: as a ket, one table per outer slot,
+sign and outer-window shift, summed once over a little more than asked
 (:data:`_REACH`) and sliced for any request it covers, else summed anew
-over the union (from a term grouping kept per outer slot,
-:class:`_TermGroups`); and its table contracted over k against each
-coupled degree e of the operands it was paired with, and one degree past
-them (:func:`_contracted_rows`).  A :class:`TableView` is a ket derived
-from one carrier c by slot operations and a left coordinate, held as
-index shifts and factors of c's kept tables: it pairs like a carrier and
-builds no terms.  As no entry depends on the range asked or on the other
-rows, a packet's bra c*(t) is summed and contracted once, and c(t) once
-per window shift, for all its pairings at t; each later pairing costs a
-rewrite of c(t)'s tables and one product-sum, and no integral depends on
-the ones before it.
+over the union; as a bra, no table but one row set per outer slot and
+sign, its table contracted over k against every coupled degree e up to
+the larger of its widest ket's and its own plus one
+(:func:`_contracted_rows`).
+A :class:`TableView` is a ket derived from one carrier c by slot
+operations and a left coordinate, held as index shifts and factors of c's
+kept tables: it pairs like a carrier and builds no terms.  As no entry
+depends on the range asked or on the other rows, a packet's bra c*(t) is
+summed and contracted once, and c(t) once per window shift, for all its
+pairings at t; each later pairing costs a rewrite of c(t)'s tables and
+one product-sum, and no integral depends on the ones before it.
 An envelope is evaluated only through :meth:`AxisFn.samples` and, at
 arbitrary points (:meth:`StructuredFn.values_on`), :meth:`AxisFn.values`.
 """
@@ -213,18 +214,6 @@ def _dilate(env, m: int, sign: int = 1, conj: bool = False):
     )
 
 
-class _Dilations(dict):
-    """x -> env(q0^m x) for one m, each distinct envelope dilated once."""
-
-    def __init__(self, m: int):
-        super().__init__()
-        self.m = m
-
-    def __missing__(self, env):
-        out = self[env] = _dilate(env, self.m)
-        return out
-
-
 def _times(e1, e2):
     if e1 is None:
         return e2
@@ -396,43 +385,44 @@ def _slot_sums(f: "StructuredFn", outer: int, start: int, span: int, sgn: int,
     return out
 
 
-def _contracted_rows(f: "StructuredFn", outer: int, sgn: int, es: list) -> list:
+def _contracted_rows(f: "StructuredFn", outer: int, sgn: int, top: int) -> list:
     """f's slot table S on the ``outer`` slot contracted over the star's k
-    against each coupled degree e in ``es`` (ascending) of the other
-    operand, lam and fall as in :meth:`StructuredFn.star_integral`:
+    against each coupled degree e = 0..top of the other operand, lam and
+    fall as in :meth:`StructuredFn.star_integral`:
 
         B_e[u](s, j) = sum_k lam^k / fall[k, k] fall[u+k, k] fall[e, k]
                            w_j x_j^(2k) S[u+k, e-k](s, j)
 
-    over f's coupled degrees present, d = u + k, and k <= min(d, e).  Each
-    B_e is returned as ``(us, B_e[us])``, us the u that some (d, k)
+    over f's coupled degrees present, d = u + k, and k <= min(d, e).  Row e
+    of the returned list is ``(us, B_e[us])``, us the u that some (d, k)
     reaches: only these entries of the other operand's table are read, so
     an entry that no present degree pair needs cannot overflow into nan.
     The (e, d, k) terms are indexed once and added k by k, so each entry
     is summed over k in ascending order and no row depends on which others
-    are built with it.  S is a slice of f's kept table over the columns
-    the rows read, 0..es[-1] (:meth:`StructuredFn._table`)."""
+    are built with it.  S is summed here over the columns 0..top the rows
+    read, on the middle slot's own window (:func:`_slot_sums`), and not
+    kept."""
     lat, degrees = f.lattice, f._degrees(outer)
-    table = f._table(outer, sgn, 0, (0, es[-1]), (0, 0))
-    fall = _falling(max(degrees[-1], es[-1]), lat.q0 ** (4 * sgn))
+    table = _slot_sums(f, outer, 0, top, sgn)
+    fall = _falling(max(degrees[-1], top), lat.q0 ** (4 * sgn))
     lam = sgn * (lat.q0 - 1.0 / lat.q0)
     xs, weights = lat.integration_points(1), lat.integration_weights(1)
-    ks = range(min(es[-1], degrees[-1]) + 1)
+    ks = range(min(top, degrees[-1]) + 1)
     lead = np.array([lam**k / fall[k, k] for k in ks])
     wk = [weights * xs ** (2 * k) for k in ks]
-    es = np.asarray(es)
-    # each (row, degree, k) with k <= min(d, e), ordered by k
-    k, i, di = np.nonzero(np.arange(len(ks))[:, None, None] <= np.minimum.outer(es, degrees))
+    # each (row e, degree, k) with k <= min(d, e), ordered by k
+    k, e, di = np.nonzero(np.arange(len(ks))[:, None, None]
+                          <= np.minimum.outer(np.arange(top + 1), degrees))
     d = degrees[di]
-    coef = ((lead[k] * fall[d, k]) * fall[es[i], k])[:, None, None]
-    entry = i * (degrees[-1] + 1) + d - k
-    rows = np.zeros((es.size * (degrees[-1] + 1), 2, xs.size), dtype=complex)
+    coef = ((lead[k] * fall[d, k]) * fall[e, k])[:, None, None]
+    entry = e * (degrees[-1] + 1) + d - k
+    rows = np.zeros(((top + 1) * (degrees[-1] + 1), 2, xs.size), dtype=complex)
     bounds = np.searchsorted(k, range(len(ks) + 1))
     for kk, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-        rows[entry[a:b]] += coef[a:b] * table[d[a:b], es[i[a:b]] - kk] * wk[kk]
+        rows[entry[a:b]] += coef[a:b] * table[d[a:b], e[a:b] - kk] * wk[kk]
     read = np.zeros(rows.shape[0], dtype=bool)
     read[entry] = True
-    rows, read = rows.reshape(es.size, -1, 2, xs.size), read.reshape(es.size, -1)
+    rows, read = rows.reshape(top + 1, -1, 2, xs.size), read.reshape(top + 1, -1)
     return [(np.flatnonzero(r), row[r]) for r, row in zip(read, rows)]
 
 
@@ -449,10 +439,9 @@ def _falling(dmax: int, Q: float) -> np.ndarray:
 
 
 #: (first, last) column and (first, last) middle exponent shifts past the
-#: columns 0..span asked that a carrier's kept table is summed over: what
-#: every momentum coordinate and left derivative label of a table view reads
-#: on its carrier's unshifted window, and the column the bra's row one
-#: degree past reads (:meth:`StructuredFn.star_integral`)
+#: columns 0..span asked that a ket's kept table is summed over: what every
+#: momentum coordinate and left derivative label of a table view reads on
+#: its carrier's unshifted window
 _REACH = (-1, 1, 0, 4)
 
 
@@ -524,10 +513,10 @@ class StructuredFn:
                 coeffs[i] = coeffs[i] + t.coeff
         self.terms = [t if c is t.coeff else STerm(c, t.exps, t.envs)
                       for t, c in zip(firsts, coeffs) if c != 0]
-        # (outer slot, sgn, outer window shift) -> (first column, reach, _slot_sums table)
+        # as a ket: (outer slot, sgn, window shift) -> (first column, reach, _slot_sums table)
         self._tables = {}
-        self._groups = {}  # outer slot -> the _TermGroups the table is summed by
-        self._rows = {}  # (outer slot, sgn, e) -> the table contracted against degree e
+        self._groups = {}  # outer slot -> the _TermGroups the sums are taken by
+        self._rows = {}  # as a bra: (outer slot, sgn) -> _contracted_rows for e = 0..top
 
     # -- construction ------------------------------------------------------
 
@@ -605,12 +594,11 @@ class StructuredFn:
         [[n]]_Q x^(n-1), and cancel for n = 0."""
         assert sector_index == 0
         Q = self.lattice.q0**base_exp
-        dilated = _Dilations(base_exp)
         out = []
         for t in self.terms:
             n = t.exps[slot]
             exps = _with(t.exps, slot, n - 1)
-            shifted = _with(t.envs, slot, dilated[t.envs[slot]])
+            shifted = _with(t.envs, slot, _dilate(t.envs[slot], base_exp))
             out.append(STerm(t.coeff * Q**n / (Q - 1.0), exps, shifted))
             out.append(STerm(-t.coeff / (Q - 1.0), exps, t.envs))
         return self._new(out)
@@ -621,10 +609,9 @@ class StructuredFn:
     def scale_slot(self, sector_index: int, slot: int, q_exp: int) -> "StructuredFn":
         assert sector_index == 0
         factor = self.lattice.q0**q_exp
-        dilated = _Dilations(q_exp)
         out = []
         for t in self.terms:
-            envs = _with(t.envs, slot, dilated[t.envs[slot]])
+            envs = _with(t.envs, slot, _dilate(t.envs[slot], q_exp))
             out.append(STerm(t.coeff * factor ** t.exps[slot], t.exps, envs))
         return self._new(out)
 
@@ -747,40 +734,37 @@ class StructuredFn:
         B_e[u](s, j), B_e being self's table contracted over k against the
         other's coupled degree e (:func:`_contracted_rows`).
 
-        Self keeps its table (:meth:`_slot_table`) and its rows B_e, the
-        other operand its table, all freed with the carrier.  Each table is
-        summed one column past the span asked (:data:`_REACH`), so self
-        contracts the row one degree past the other's too, from columns its
-        kept table covers: a later ket one degree higher (p^+ * c(t)) finds
-        its row and table kept.  The other operand of a W integral may be a
-        :class:`TableView`, whose table is a rewrite of its carrier's kept
-        tables.  In a packet self is the
+        Self keeps no table, only one row set per outer slot and sign: B_e
+        for e = 0..top, top the larger of the widest coupled degree its
+        other operands had so far and its own coupled degree plus one.  A
+        wider ket sums and contracts the set anew over the union
+        (:func:`_contracted_rows`); a later ket one degree higher than
+        self (p^+ * c(t)) finds its row kept, and the set does not depend
+        on the order of the kets.  The other operand keeps its table
+        (:meth:`_slot_table`), freed with it; it may be a
+        :class:`TableView` of a W integral, whose table is a rewrite of its
+        carrier's kept tables.  In a packet self is the
         bra c*(t) and the other a view of c(t) in every pairing at t, so
-        once both carriers' tables are kept a pairing costs the view's
-        rewrite, O(r D^2 J) for r reads, D the largest coupled degree and
-        J the middle slot's points, and a product-sum over O(D^2 J)
-        entries; a ket carrier of n terms costs O(n D J) for its table.
-        Beyond the tables, the rows and one sampled row per distinct middle
-        factor, every temporary stays within _BLOCK_BYTES.  A result past
-        the float range (a factor that overflowed, times zero, gives nan)
-        raises ``FloatingPointError``."""
+        once the bra's rows and c(t)'s tables are kept a pairing costs the
+        view's rewrite, O(r D^2 J) for r reads, D the largest coupled
+        degree and J the middle slot's points, and a product-sum over
+        O(D^2 J) entries; a ket carrier of n terms costs O(n D J) for its
+        table.  Beyond the tables, the rows and one sampled row per
+        distinct middle factor, every temporary stays within _BLOCK_BYTES.
+        A result past the float range (a factor that overflowed, times
+        zero, gives nan) raises ``FloatingPointError``."""
         mirror = self._coupling(other)
         if self.is_zero() or other.is_zero():
             return 0j
         sgn = -1 if mirror else 1
         mine, theirs = (2, 0) if mirror else (0, 2)  # each operand's outer slot
-        d_other = other._degrees(theirs)
-        s_other = other._slot_table(theirs, self._degrees(mine)[-1], sgn)
-        missing = [e for e in d_other if (mine, sgn, e) not in self._rows]
-        if missing:
-            # the kept table covers one column past these rows (_REACH), all
-            # that the row one degree past reads: it is built with them
-            self._slot_table(mine, missing[-1], sgn)
-            if (mine, sgn, missing[-1] + 1) not in self._rows:
-                missing.append(missing[-1] + 1)
-            built = _contracted_rows(self, mine, sgn, missing)
-            self._rows.update(((mine, sgn, e), row) for e, row in zip(missing, built))
-        rows = [self._rows[mine, sgn, e] for e in d_other]
+        d_other, d_mine = other._degrees(theirs), self._degrees(mine)
+        s_other = other._slot_table(theirs, d_mine[-1], sgn)
+        rows = self._rows.get((mine, sgn), ())
+        if len(rows) <= d_other[-1]:
+            top = max(d_other[-1], d_mine[-1] + 1)
+            rows = self._rows[mine, sgn] = _contracted_rows(self, mine, sgn, top)
+        rows = [rows[e] for e in d_other]
         us = np.concatenate([u for u, _ in rows])
         es = np.repeat(d_other, [len(u) for u, _ in rows])
         # only the entries some B_e reads enter the sum (see _contracted_rows);
@@ -825,11 +809,12 @@ class StructuredFn:
                      lo : table.shape[3] - (have[1] - reach[1])]
 
     def _slot_table(self, outer: int, span: int, sgn: int) -> np.ndarray:
-        """:func:`_slot_sums` of this carrier for dilations up to ``span``,
-        on its own window: a slice of the kept table (:meth:`_table`),
-        summed over at least :data:`_REACH` past them, so that a carrier's
-        own pairings, its row one degree past and all its table views share
-        one summation."""
+        """:func:`_slot_sums` of this carrier as the ket of a star integral,
+        for dilations up to ``span``, on its own window: a slice of the kept
+        table (:meth:`_table`), summed over at least :data:`_REACH` past
+        them, so that the carrier's own pairings and all its table views
+        share one summation.  A bra reads no kept table
+        (:func:`_contracted_rows`)."""
         self._table(outer, sgn, 0, *_request(span, *_REACH))
         return self._table(outer, sgn, 0, (0, span), (0, 0))
 

@@ -419,52 +419,6 @@ def test_packet_envelope_is_sampled_once_for_both_slots():
     assert 0 < len(calls) <= 4, calls
 
 
-def test_packet_pairings_build_the_bra_table_once_per_span():
-    """c*(0.1) is the bra of the norm, of <P^+> at both positions and of
-    both <X^+> terms.  Its slot table is summed once, by the norm, over
-    columns -1 to 11 and 4 middle exponents past the window: one column
-    past the degree 10 of the norm's ket c(0.1), so that p^+ * c(0.1),
-    whose first-slot degree is one higher, reads a slice.  The norm also
-    contracts every row any of these pairings reads, 0 to 11, in one call.
-    c(0.1) sums one table per outer window shift, once: the norm, which
-    pairs c(0.1) itself as the last operand of a W integral, sums the
-    unshifted one at that same reach, the reach of its table views, and
-    <X^+>'s slot-2 Jackson derivative the one shifted by 4; every other ket
-    is a view that reads them.  An integral read from kept tables equals
-    the one of freshly built carriers, bit for bit."""
-    lat = QLattice(1.1, -6, 6)
-    wp = gaussian_packet(
-        lat, Fraction(2), center_j=0.3, width_j=0.9, odd_fraction=0.35, phase_order=20
-    )
-    ct, cst = wp.coefficients_at(0.1)
-    slot_sums, built = lattice._slot_sums, {"c": [], "cstar": [], "other": []}
-    contracted_rows, rows = lattice._contracted_rows, []
-
-    def spy(f, outer, start, span, sgn, shift, reach):
-        name = "c" if f is ct else "cstar" if f is cst else "other"
-        built[name].append((outer, start, span, shift, reach))
-        return slot_sums(f, outer, start, span, sgn, shift, reach)
-
-    def rows_spy(f, outer, sgn, es):
-        rows.append((f is cst, list(es)))
-        return contracted_rows(f, outer, sgn, es)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lattice, "_slot_sums", spy)
-        mp.setattr(lattice, "_contracted_rows", rows_spy)
-        wp.norm(0.1)
-        for position in ("upper", "lower"):
-            wp.expectation_momentum("+", 0.1, position)
-        wp.expectation_position("+", 0.1)
-        kept = cst.star_integral(ct)
-    assert built == {"c": [(2, -1, 11, 0, (0, 4)), (2, -1, 9, 4, (0, 4))],
-                     "cstar": [(0, -1, 11, 0, (0, 4))],
-                     "other": []}, built
-    assert rows == [(True, list(range(12)))], rows
-    fresh = cst._new(cst.terms).star_integral(ct._new(ct.terms))
-    assert kept == fresh, (kept, fresh)
-
-
 def test_extended_slot_table_equals_a_fresh_build():
     """A table summed in pieces (columns 0..s, then s+1..S) equals, bit for
     bit, the table summed at once, and each entry equals its own one-column
@@ -542,53 +496,58 @@ def test_falling_factorials_are_the_running_products(Q):
 
 
 #: (ordering mirrored, bra, kets in the order they pair with one kept bra):
-#: each ket after the first reaches at least two coupled degrees past the
-#: ones before, so that it asks for rows past the one degree past them that
-#: the bra builds too
+#: the last ket reaches a coupled degree past the bra's own plus one and
+#: past the kets before, so that it widens the bra's row set
 PAIRINGS = [
-    (False, "cstar", ("c", "x^2 c")),
-    (False, "right_bar_lower", ("c", "x^2 c")),
+    (False, "cstar", ("c", "x^3 c")),
+    (False, "right_bar_lower", ("c", "x^3 c")),
     (True, "c", ("right_bar", "right_bar_lower", "cstar z^3")),
 ]
 
 
 @pytest.mark.parametrize("mirror, bra, kets", PAIRINGS)
 def test_pairing_through_kept_rows_is_a_fresh_pairing(operands, mirror, bra, kets):
-    """One kept bra pairs with kets whose coupled degree sets grow, so each
-    ket adds contracted rows to the bra: those of its degrees and one degree
-    past them.  Each pairing equals, bit for bit, the pairing of a fresh
-    copy of the bra, and within 1e-14 relative the per-k contraction
-    written out above; each row built in pieces equals, bit for bit, the
-    row a fresh bra builds with all the others at once."""
-    ops = dict(operands, **{"x^2 c": operands["c"].mul_slot_var(0, 0, 2),
+    """One kept bra pairs with kets whose widest coupled degree grows: its
+    one row set covers rows 0 to the larger of the widest ket degree so far
+    and one past the bra's own, the last ket widens it, and the bra keeps
+    no table.  Each pairing equals, bit for bit, the pairing of a fresh copy
+    of the bra, and within 1e-14 relative the per-k contraction written out
+    above; the rows kept after all the kets equal, bit for bit, the rows a
+    fresh bra builds against the widest ket alone."""
+    ops = dict(operands, **{"x^3 c": operands["c"].mul_slot_var(0, 0, 3),
                             "cstar z^3": operands["cstar"].mul_slot_var(0, 2, 3)})
     kept = _ordered(ops[bra], mirror)
-    rows = []
+    key, tops, widest = ((2, -1) if mirror else (0, 1)), [], 0
+    own = kept._degrees(key[0])[-1]
     for name in kets:
         ket = _ordered(ops[name], mirror)
         got = kept.star_integral(ket)
-        rows.append(len(kept._rows))
+        assert list(kept._rows) == [key] and not kept._tables
+        widest = max(widest, ket._degrees(2 - key[0])[-1])
+        tops.append(len(kept._rows[key]) - 1)
+        assert tops[-1] == max(widest, own + 1), (name, tops)
         assert got == _ordered(ops[bra], mirror).star_integral(_ordered(ops[name], mirror)), name
         want = per_k_integral(_ordered(ops[bra], mirror), _ordered(ops[name], mirror))
         assert abs(got - want) <= 1e-14 * abs(want), (name, got, want)
-    assert rows == sorted(set(rows)), rows  # every ket after the first added rows
-    # the rows built in pieces equal those a fresh bra builds at once
+    assert tops[-1] > tops[-2], tops
     fresh = _ordered(ops[bra], mirror)
     fresh.star_integral(_ordered(ops[kets[-1]], mirror))
-    for key, (us, b) in fresh._rows.items():
-        assert np.array_equal(kept._rows[key][0], us) and np.array_equal(kept._rows[key][1], b), key
+    assert len(fresh._rows[key]) == len(kept._rows[key])
+    for e, ((us, b), (kept_us, kept_b)) in enumerate(zip(fresh._rows[key], kept._rows[key])):
+        assert np.array_equal(kept_us, us) and np.array_equal(kept_b, b), e
 
 
 @pytest.mark.parametrize("mirror", [False, True])
-def test_pairing_reads_no_entry_that_no_degree_pair_needs(mirror):
+def test_pairing_reads_no_entry_that_no_degree_pair_needs(mirror, monkeypatch):
     """A bra with coupled degrees {0, 3} against a ket of degree 1 reads the
     ket's table at columns u = d - k for d in {0, 3} and k <= min(d, 1):
-    0, 2 and 3.  With nan put into the kept tables at every entry no
-    present degree pair reads (the ket's column 1 and its absent degree 0,
-    the bra's absent degrees 1 and 2), the pairing is still the one of
-    fresh carriers, bit for bit, and reads those very tables: the row one
-    degree past the ket's, which the bra builds too, reads only columns
-    its kept table covers, so nothing is summed anew."""
+    0, 2 and 3.  With nan put at every entry no present degree pair reads
+    (into the ket's kept table at its column 1 and its absent degree 0, and
+    into the bra's table, as it is summed, at its absent degrees 1 and 2),
+    the pairing is still the one of fresh carriers, bit for bit, and reads
+    those very tables: the ket's kept table objects stay, and the bra sums
+    its table once, for its rows 0 to 4 (one past its own degree), and
+    keeps the rows only."""
     lat = QLattice(1.1, -6, 6)
     g = log_gaussian(lat, 0.3, 0.9, odd_fraction=0.35)
     h = log_gaussian(lat, -0.2, 1.1, 0.6 - 0.8j)
@@ -612,42 +571,54 @@ def test_pairing_reads_no_entry_that_no_degree_pair_needs(mirror):
     bra, ket = pair()
     ket._slot_table(theirs, 3, sgn)[1, 1] = np.nan
     ket._slot_table(theirs, 3, sgn)[0] = np.nan
-    bra._slot_table(mine, 1, sgn)[1:3] = np.nan
-    handed = {(f, key): table for f in (bra, ket) for key, (_, _, table) in f._tables.items()}
+    handed = dict(ket._tables)
+    slot_sums, bra_sums = lattice._slot_sums, []
+
+    def poison(f, *args, **kwargs):
+        out = slot_sums(f, *args, **kwargs)
+        if f is bra:
+            bra_sums.append(args)
+            out[1:3] = np.nan
+        return out
+
+    monkeypatch.setattr(lattice, "_slot_sums", poison)
     assert bra.star_integral(ket) == fresh
-    kept = {(f, key): table for f in (bra, ket) for key, (_, _, table) in f._tables.items()}
-    assert kept.keys() == handed.keys() and all(kept[k] is handed[k] for k in kept)
-    assert (mine, sgn, 2) in bra._rows
+    assert bra_sums == [(mine, 0, 4, sgn)], bra_sums
+    assert ket._tables.keys() == handed.keys()
+    assert all(ket._tables[k][2] is handed[k][2] for k in handed)
+    assert not bra._tables and list(bra._rows) == [(mine, sgn)] and len(bra._rows[mine, sgn]) == 5
 
 
 def test_packet_group_builds_each_table_and_row_once():
     """On one criterion-10 packet, the norm, the three <P^A> and the six
-    <X^A> at t = 0 and t = 0.1 sum each bra c*(t)'s table once, in the
-    norm, one column past the norm's ket c(t) (at t = 0.1 columns -1 to 11;
-    at t = 0, where c(0) has degree 0 only, -1 to 1), so that p^+ * c(t)
-    reads a slice.  The norm also contracts every row of the bra that a
-    ket at t reads, one per coupled degree up to one past c(t)'s, in one
-    call, and no later pairing contracts any.  c(t) sums one table per
-    outer window shift, once: unshifted over columns -1 to span + 1,
-    shifted by 4 over columns -1 to span - 1, each 4 middle exponents past
-    the window.  Every other ket (three p^A * c(t) and three d' |> c(t) per
-    t) is a table view of c(t), so no other carrier is summed; at t = 0 one
-    d' |> c(0) is empty and pairs to 0 without a table.  The counts are
-    pinned: a pairing that summed a kept table anew, rebuilt a row, or
-    built a ket carrier's table would raise them."""
+    <X^A> at both positions, at t = 0 and t = 0.1, sum each bra c*(t)'s
+    table once, in the norm, over the columns 0 to one past c*(t)'s own
+    coupled degree (at t = 0.1 0 to 11, at t = 0, where c*(0) has degree 0
+    only, 0 to 1), on the middle slot's own window, and contract its rows
+    0 to that column in the same call: p^+ * c(t), whose first-slot degree
+    is one higher than c(t)'s, finds its row kept, and no later pairing
+    sums or contracts any.  The bra keeps the rows only, no table.  c(t)
+    sums one table per outer window shift, once: unshifted over columns
+    -1 to span + 1, shifted by 4 over columns -1 to span - 1, each 4 middle
+    exponents past the window.  Every other ket (six p^A * c(t) and three
+    d' |> c(t) per t) is a table view of c(t), so no other carrier is
+    summed; at t = 0 one d' |> c(0) is empty and pairs to 0 without a
+    table.  The counts are pinned: a pairing that summed a kept table anew,
+    rebuilt the rows, or built a ket carrier's table would raise them.  An
+    integral read from kept tables and rows equals the one of freshly built
+    carriers, bit for bit."""
     wp = gaussian_packet(QLattice(1.1, -12, 12), Fraction(2), center_j=0.3, width_j=0.9,
                          odd_fraction=0.35, phase_order=20)
     slot_sums, contracted_rows = lattice._slot_sums, lattice._contracted_rows
-    tables, rows, calls, now, norm = [], [], [], [], []
+    tables, rows, now, norm = [], [], [], []
 
-    def sums_spy(f, outer, start, span, sgn, shift, reach):
+    def sums_spy(f, outer, start, span, sgn, shift=0, reach=(0, 0)):
         tables.append((now[-1], f, start, span, shift, reach))
         return slot_sums(f, outer, start, span, sgn, shift, reach)
 
-    def rows_spy(f, outer, sgn, es):
-        rows.extend((now[-1], f, e) for e in es)
-        calls.append((now[-1], norm[-1]))
-        return contracted_rows(f, outer, sgn, es)
+    def rows_spy(f, outer, sgn, top):
+        rows.append((now[-1], norm[-1], f, top))
+        return contracted_rows(f, outer, sgn, top)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lattice, "_slot_sums", sums_spy)
@@ -658,21 +629,27 @@ def test_packet_group_builds_each_table_and_row_once():
             wp.norm(t)
             norm.append(False)
             for a in ("+", "3", "-"):
-                wp.expectation_momentum(a, t)
                 for position in ("upper", "lower"):
+                    wp.expectation_momentum(a, t, position)
                     wp.expectation_position(a, t, position)
     kets, bras = ({t: wp.coefficients_at(t)[i] for t in now} for i in (0, 1))
-    spans = {t: [(start, span) for s, f, start, span, _, _ in tables if s == t and f is bras[t]]
-             for t in now}
-    assert spans == {0.0: [(-1, 1)], 0.1: [(-1, 11)]}, spans
+    spans = {t: [(start, span, shift, reach) for s, f, start, span, shift, reach in tables
+                 if s == t and f is bras[t]] for t in now}
+    assert spans == {0.0: [(0, 1, 0, (0, 0))], 0.1: [(0, 11, 0, (0, 0))]}, spans
     views = {t: [(start, span, shift, reach) for s, f, start, span, shift, reach in tables
                  if s == t and f is kets[t]] for t in now}
     assert views == {0.0: [(-1, 1, 0, (0, 4)), (-1, -1, 4, (0, 4))],
                      0.1: [(-1, 11, 0, (0, 4)), (-1, 9, 4, (0, 4))]}, views
     assert len(tables) == 6, tables
-    assert all(f is bras[t] for t, f, _ in rows)
-    assert [(t, e) for t, _, e in rows] == [(0.0, 0), (0.0, 1)] + [(0.1, e) for e in range(12)]
-    assert calls == [(0.0, True), (0.1, True)], calls
+    assert [(t, in_norm, f is bras[t], top) for t, in_norm, f, top in rows] == [
+        (0.0, True, True, 1), (0.1, True, True, 11)], rows
+    for t in now:
+        assert not bras[t]._tables and {k: len(v) for k, v in bras[t]._rows.items()} == {
+            (0, 1): 2 if t == 0.0 else 12}
+    ct, cst = kets[0.1], bras[0.1]
+    kept = cst.star_integral(ct)
+    fresh = cst._new(cst.terms).star_integral(ct._new(ct.terms))
+    assert kept == fresh, (kept, fresh)
 
 
 def test_merging_a_carrier_with_itself_doubles_each_term():

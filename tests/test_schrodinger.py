@@ -211,15 +211,24 @@ def _ask(wp, query, t):
 @pytest.mark.parametrize("t", [0.0, 0.1])
 def test_packet_values_do_not_depend_on_query_order(t):
     """Each norm, <P^A> and <X^A> is bit-identical whether it is asked first
-    on a fresh packet or after all the others, which widen the kept slot
-    tables first (<P^+> asks c*(t) for one more column than the norm)."""
+    on a fresh packet or after all the others, which sum c(t)'s kept slot
+    tables first.  After either order the bra c*(t) keeps no slot table
+    and one row set, rows 0 to one past its own coupled degree (0 to 11 at
+    t = 0.1, 0 to 1 at t = 0, where it has degree 0 only), though <P^+>
+    pairs a ket one degree above the norm's."""
+    top = {0.0: 1, 0.1: 11}[t]
     for query in PACKET_QUERIES:
-        first = _ask(_criterion_10_packet(), query, t)
+        fresh = _criterion_10_packet()
+        first = _ask(fresh, query, t)
         wp = _criterion_10_packet()
         for other in PACKET_QUERIES:
             if other != query:
                 _ask(wp, other, t)
         assert _ask(wp, query, t) == first, query
+        for packet in (fresh, wp):
+            cst = packet.coefficients_at(t)[1]
+            assert not cst._tables, query
+            assert {key: len(rows) for key, rows in cst._rows.items()} == {(0, 1): top + 1}, query
 
 
 @pytest.mark.parametrize("half_width", [6, 12])
