@@ -26,14 +26,18 @@ routine, :func:`_axis_rows`, reads the distinct envelopes of a sum from
 those values by index shift; :func:`_moments` reduces each against each
 monomial degree.  A star integral contracts small per-slot tables
 (:func:`_slot_sums`) over the star's k, without building the product's
-terms.  Each carrier keeps, freed with it, a term grouping per outer slot
-(:class:`_TermGroups`) and, per role: as a ket, one table per outer slot,
-sign and outer-window shift, summed once over a little more than asked
-(:data:`_REACH`) and sliced for any request it covers, else summed anew
-over the union; as a bra, no table but one row set per outer slot and
-sign, its table contracted over k against every coupled degree e up to
-the larger of its widest ket's and its own plus one
-(:func:`_contracted_rows`).
+terms.  A table is summed by outer factor: the terms sharing a coupled
+degree, an outer degree and an outer envelope fold into one sampled middle
+row, so c(t) = phase * c, whose terms of one coupled degree share both,
+sums one row per degree.  Each carrier keeps, freed with it, that grouping
+per outer slot (:class:`_TermGroups`) and, per role: as a ket, one table
+per outer slot, sign and outer-window shift, summed once over what is
+asked (for a W ket a little more, :data:`_REACH`) and sliced for any
+request it covers, else summed anew over the union; as a bra, no table
+but one row set per outer slot and sign, its table contracted over k
+against every coupled degree e up to the larger of its widest ket's and
+its own plus one (:func:`_contracted_rows`).  A scaled carrier keeps both
+scaled, so a normalized packet pairs at t = 0 what its norm summed.
 A :class:`TableView` is a ket derived from one carrier c by slot
 operations and a left coordinate, held as index shifts and factors of c's
 kept tables: it pairs like a carrier and builds no terms.  As no entry
@@ -57,8 +61,6 @@ import numpy as np
 from .qarith import QScalar, _Frozen
 from .starcalc import P_SECTOR, X_SECTOR, Sector
 
-#: byte bound on one block of per-term samples in a lattice sum
-_BLOCK_BYTES = 1 << 20
 #: per-slot Jackson bases of the all-space integral, as exponents of q0
 STEPS = (2, 1, 2)
 #: the residue class of j (mod the slot's step) each slot sums over
@@ -250,13 +252,6 @@ def log_gaussian(lattice: QLattice, center_j: float = 0.0, width_j: float = 2.0,
     return AxisFn(base)
 
 
-def _blocks(n: int, row_bytes: int) -> list[slice]:
-    """n rows of row_bytes each as consecutive slices of at most
-    _BLOCK_BYTES (and at least one row)."""
-    step = max(1, _BLOCK_BYTES // row_bytes)
-    return [slice(start, start + step) for start in range(0, n, step)]
-
-
 def _axis_rows(lat: QLattice, envs, lo: int, hi: int, step: int = 1):
     """The distinct envelopes among ``envs`` (None is the constant 1) at
     +-q0^j for j = lo, lo + step, ... <= hi, as ``(rows, idx)``: rows has
@@ -280,6 +275,14 @@ def _axis_rows(lat: QLattice, envs, lo: int, hi: int, step: int = 1):
     return rows, idx
 
 
+def _signed_powers(x: np.ndarray, ns: np.ndarray) -> np.ndarray:
+    """(s x)^n at [i, 0] (s = 1) and [i, 1] (s = -1) for each n = ns[i]
+    and points x > 0: x^n, its sign flipped for odd n.  A float power of a
+    negative base takes a path many times slower."""
+    pos = x ** ns[:, None]
+    return np.stack([pos, pos * (1 - 2 * (ns[:, None] % 2))], axis=1)
+
+
 def _moments(lat: QLattice, slot: int, envs, ns, shift: int = 0) -> np.ndarray:
     """Per term i and entry of ns[i]: the slot's integral of x^n envs[i],
     the sum over s = +-1 and the integration points x_j of
@@ -300,46 +303,54 @@ def _moments(lat: QLattice, slot: int, envs, ns, shift: int = 0) -> np.ndarray:
     d = ns - lo
     present = np.bincount(d.ravel()) > 0
     degrees = lo + np.flatnonzero(present)
-    mono = (np.stack([xs, -xs]) ** degrees[:, None, None]).reshape(len(degrees), -1)
+    mono = _signed_powers(xs, degrees).reshape(len(degrees), -1)
     sums = np.zeros((len(rows), len(present)), dtype=complex)
     sums[:, present] = np.einsum("ep,dp->ed", rows, mono)
     return sums[idx.reshape(idx.shape + (1,) * (ns.ndim - 1)), d]
 
 
 class _TermGroups:
-    """What :func:`_slot_sums` derives from a carrier's terms for one outer
-    slot, kept so that a table summed anew over a wider range derives it
-    no more: the terms' coefficients, outer degrees and envelopes; the
-    distinct middle factors (envelope, degree b), with each b's index
-    ``b_idx`` into the distinct exponents ``powers``; and the groups of
-    terms with one coupled degree and one middle factor, sorted by degree
-    (``order`` sorts the terms, ``starts`` opens each group, ``deg`` and
-    ``fac`` are its degree and factor).  ``degrees`` lists the coupled
+    """How :func:`_slot_sums` sums a carrier's terms for one outer slot,
+    kept so that a table summed anew over a wider range derives it no
+    more.  Terms of one coupled degree d (on slot 2 - outer), one outer
+    degree n and one outer envelope share their outer moment M(n + v) at
+    every column v: they form one group, and their middle factors fold
+    into one row.  ``order`` sorts the terms by group and ``starts`` opens
+    each group's run; in that order ``coeffs`` are the coefficients,
+    ``e_idx`` index the distinct middle envelopes ``mid_envs`` and
+    ``b_idx`` the distinct middle exponents ``powers``.  The groups are
+    sorted by d: ``outer_degs`` and ``outer_envs`` are each group's outer
+    factor, ``seg`` opens each run of one degree and ``degrees`` lists the
     degrees present, ascending."""
 
-    __slots__ = ("coeffs", "outer_degs", "outer_envs", "mid_envs", "powers", "b_idx",
-                 "order", "starts", "deg", "fac", "degrees")
+    __slots__ = ("order", "starts", "coeffs", "e_idx", "mid_envs", "b_idx", "powers",
+                 "outer_degs", "outer_envs", "seg", "degrees")
 
     def __init__(self, f: "StructuredFn", outer: int):
         terms = f.terms
-        exps = np.array([t.exps for t in terms], dtype=int)
-        self.coeffs = np.array([t.coeff for t in terms], dtype=complex)
-        self.outer_degs = exps[:, outer]
-        self.outer_envs = [t.envs[outer] for t in terms]
-        factors: dict = {}
-        g_idx = np.fromiter((factors.setdefault((t.envs[1], t.exps[1]), len(factors))
-                             for t in terms), int, len(terms))
-        self.mid_envs = [env for env, _ in factors]
+        groups: dict = {}
+        g_idx = np.fromiter((groups.setdefault((t.exps[2 - outer], t.exps[outer], t.envs[outer]),
+                                               len(groups)) for t in terms), int, len(terms))
+        deg = np.array([t.exps[2 - outer] for t in terms], dtype=int)
+        self.order = np.lexsort((g_idx, deg))
+        g_idx = g_idx[self.order]
+        self.starts = np.flatnonzero(np.concatenate([[True], g_idx[1:] != g_idx[:-1]]))
+        ordered = [terms[i] for i in self.order]
+        self.coeffs = np.array([t.coeff for t in ordered], dtype=complex)
+        mids: dict = {}
+        self.e_idx = np.fromiter((mids.setdefault(t.envs[1], len(mids)) for t in ordered), int,
+                                 len(ordered))
+        self.mid_envs = list(mids)
         # np.unique would load numpy.ma on its first call
-        bs = [b for _, b in factors]
+        bs = [t.exps[1] for t in ordered]
         self.powers = np.array(sorted(set(bs)), dtype=int)
         self.b_idx = np.searchsorted(self.powers, bs)
-        key = exps[:, 2 - outer] * len(factors) + g_idx
-        self.order = np.argsort(key, kind="stable")
-        key = key[self.order]
-        self.starts = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
-        self.deg, self.fac = np.divmod(key[self.starts], len(factors))
-        self.degrees = self.deg[np.concatenate([[True], self.deg[1:] != self.deg[:-1]])]
+        firsts = [ordered[i] for i in self.starts]
+        self.outer_degs = np.array([t.exps[outer] for t in firsts], dtype=int)
+        self.outer_envs = [t.envs[outer] for t in firsts]
+        deg = deg[self.order[self.starts]]
+        self.seg = np.flatnonzero(np.concatenate([[True], deg[1:] != deg[:-1]]))
+        self.degrees = deg[self.seg]
 
 
 def _slot_sums(f: "StructuredFn", outer: int, start: int, span: int, sgn: int,
@@ -351,37 +362,39 @@ def _slot_sums(f: "StructuredFn", outer: int, start: int, span: int, sgn: int,
     there (:func:`_moments`) on the outer window shifted by ``shift``,
     g_i(y) = y^b_i e_i(y) its middle factor and j = j_0 - reach[0] + i runs
     over the middle slot's integration exponents j_0..j_1, extended by
-    reach = (below, above).  Terms are summed by segments: grouped by
-    (d, middle factor), sorted by d, in blocks of _BLOCK_BYTES.  The
-    grouping is derived once per carrier and outer slot
-    (:class:`_TermGroups`); the moments and middle rows are computed for
-    these columns only, each +-y raised once per distinct exponent b; no
-    entry depends on start, span or reach."""
+    reach = (below, above).
+
+    The sum is taken by outer factor (:class:`_TermGroups`, derived once
+    per carrier and outer slot): a group g of terms sharing d, n and the
+    outer envelope folds into one row h_g(y) = sum_i c_i y^b_i e_i(y),
+    sampled once on the middle window all the columns read, each +-y
+    raised once per distinct exponent b.  Then entry [d, v] is
+    sum_g M_g(n_g + v) h_g(s q0^(j + 2 sgn v)) over the groups of degree
+    d: one windowed gather of the rows, one product with the moments and
+    one segment sum over each degree's groups.  The moments and rows are
+    computed for these columns only, and every sum runs over terms or
+    groups in a fixed order, elementwise, so no entry depends on start,
+    span or reach."""
     lat, grp = f.lattice, f._term_groups(outer)
     v = np.arange(start, span + 1)
-    m = grp.coeffs[:, None] * _moments(lat, outer, grp.outer_envs,
-                                       grp.outer_degs[:, None] + v, shift)
+    m = _moments(lat, outer, grp.outer_envs, grp.outer_degs[:, None] + v, shift)
     js = lat.integration_js(1)
     width = js.size + reach[0] + reach[1]
     # the middle window the columns read: js, extended by reach, dilated by 2 sgn v
     a, b = sorted((2 * sgn * start, 2 * sgn * span))
     lo, hi = js[0] - reach[0] + a, js[-1] + reach[1] + b
-    rows, e_idx = _axis_rows(lat, grp.mid_envs, lo, hi)
+    rows, _ = _axis_rows(lat, grp.mid_envs, lo, hi)
     pts = lat.q0 ** np.arange(lo, hi + 1).astype(float)
-    powers = np.stack([pts, -pts]) ** grp.powers[:, None, None]
-    g = rows[e_idx] * powers[grp.b_idx]
-    cm = np.add.reduceat(m[grp.order], grp.starts, axis=0)
-    deg, fac = grp.deg, grp.fac
-    first = js[0] - reach[0] - lo + 2 * sgn * v  # each v's window into g's columns
-    out = np.zeros((deg[-1] + 1, v.size, 2, width), dtype=complex)
-    # blocks sized on the window alone, so that no entry depends on the reach
-    for blk in _blocks(len(deg), 2 * js.size * 16):
-        d = deg[blk]
-        seg = np.flatnonzero(np.concatenate([[True], d[1:] != d[:-1]]))
-        ds, gb = d[seg], g[fac[blk]]
-        for vi, j0 in enumerate(first):
-            vals = cm[blk, vi, None, None] * gb[:, :, j0 : j0 + width]
-            out[ds, vi] += np.add.reduceat(vals, seg, axis=0)
+    powers = _signed_powers(pts, grp.powers)
+    h = np.add.reduceat(grp.coeffs[:, None, None] * powers[grp.b_idx] * rows[grp.e_idx],
+                        grp.starts, axis=0)
+    # each column's window into h, gathered as [group, v, s, i]; np.take
+    # lays the gather out in C order, which the product reads faster than
+    # the strided result of h[:, :, cols]
+    cols = (js[0] - reach[0] - lo + 2 * sgn * v)[:, None] + np.arange(width)
+    vals = m[:, :, None, None] * np.take(h, cols, axis=2).transpose(0, 2, 1, 3)
+    out = np.zeros((grp.degrees[-1] + 1, v.size, 2, width), dtype=complex)
+    out[grp.degrees] = np.add.reduceat(vals, grp.seg, axis=0)
     return out
 
 
@@ -575,9 +588,14 @@ class StructuredFn:
         )
 
     def scale_complex(self, c: complex) -> "StructuredFn":
-        return self._new(
-            [STerm(t.coeff * c, t.exps, t.envs) for t in self.terms]
-        )
+        """c times self.  The product keeps self's kept ket tables and bra
+        rows times c: each is linear in the coefficients, so only rounding
+        differs from summing the product's anew."""
+        out = self._new([STerm(t.coeff * c, t.exps, t.envs) for t in self.terms])
+        out._tables = {key: (c0, reach, c * table)
+                       for key, (c0, reach, table) in self._tables.items()}
+        out._rows = {key: [(us, c * b) for us, b in rows] for key, rows in self._rows.items()}
+        return out
 
     def scale_q(self, s: QScalar) -> "StructuredFn":
         return self.scale_complex(s.eval(self.lattice.q0))
@@ -635,16 +653,20 @@ class StructuredFn:
             first_fac, first_m, last_fac, last_m = -q0, 1, -1.0 / q0, -1
         else:  # p- -> -p+/q, p+ -> -q p-
             first_fac, first_m, last_fac, last_m = -1.0 / q0, -1, -q0, 1
+        images: dict = {}  # each envelope dilation is built once per call
+
+        def image(env, m: int, sign: int):
+            key = env, m, sign
+            if key not in images:
+                images[key] = _dilate(env, m, sign, True)
+            return images[key]
+
         out = []
         for t in self.terms:
             a, b, c = t.exps
             e1, e2, e3 = t.envs
             coeff = np.conjugate(t.coeff) * first_fac**a * last_fac**c
-            envs = (
-                _dilate(e3, last_m, -1, True),
-                _dilate(e2, 0, 1, True),
-                _dilate(e1, first_m, -1, True),
-            )
+            envs = (image(e3, last_m, -1), image(e2, 0, 1), image(e1, first_m, -1))
             out.append(STerm(coeff, (c, b, a), envs))
         return self._new(out)
 
@@ -690,6 +712,7 @@ class StructuredFn:
             (t.exps[s] for f, s in ((self, l_slot), (other, r_slot)) for t in f.terms), default=0
         )
         fall = _falling(dmax, q0 ** (4 * sgn)).tolist()
+        mids: dict = {}  # each middle envelope product is built once per call
         out = []
         for t1 in self.terms:
             (a1, b1, x1), d1, c1 = t1.exps, t1.exps[l_slot], complex(t1.coeff)
@@ -700,10 +723,12 @@ class StructuredFn:
                     k1, k2 = d1 - k, d2 - k
                     coeff = c1 * c2 * lam**k / fall[k][k] * fall[d1][k] * fall[d2][k]
                     coeff *= q0 ** (2.0 * sgn * (b1 * k2 + k1 * b2))
-                    mid = _times(_dilate(t1.envs[1], 2 * sgn * k2),
-                                 _dilate(t2.envs[1], 2 * sgn * k1))
+                    key = t1.envs[1], k2, t2.envs[1], k1
+                    if key not in mids:
+                        mids[key] = _times(_dilate(t1.envs[1], 2 * sgn * k2),
+                                           _dilate(t2.envs[1], 2 * sgn * k1))
                     out.append(STerm(coeff, (a1 + a2 - k, b1 + b2 + 2 * k, x1 + x2 - k),
-                                     (first.envs[0], mid, last.envs[2])))
+                                     (first.envs[0], mids[key], last.envs[2])))
         return self._new(out)
 
     # a non-finite result is reported by the FloatingPointError alone, not
@@ -748,9 +773,11 @@ class StructuredFn:
         once the bra's rows and c(t)'s tables are kept a pairing costs the
         view's rewrite, O(r D^2 J) for r reads, D the largest coupled
         degree and J the middle slot's points, and a product-sum over
-        O(D^2 J) entries; a ket carrier of n terms costs O(n D J) for its
-        table.  Beyond the tables, the rows and one sampled row per
-        distinct middle factor, every temporary stays within _BLOCK_BYTES.
+        O(D^2 J) entries.  A ket carrier of n terms in g groups
+        (:class:`_TermGroups`) costs O(n (J + D)) to fold its middle rows
+        and O(g D J) for its table; its largest temporaries are the folded
+        terms' samples, n x 2 x (J + 2D) numbers, and the gathered
+        product, g x D x 2 x J (130 KB for the 66-term c(0.1) on +-12).
         A result past the float range (a factor that overflowed, times
         zero, gives nan) raises ``FloatingPointError``."""
         mirror = self._coupling(other)
@@ -811,11 +838,13 @@ class StructuredFn:
     def _slot_table(self, outer: int, span: int, sgn: int) -> np.ndarray:
         """:func:`_slot_sums` of this carrier as the ket of a star integral,
         for dilations up to ``span``, on its own window: a slice of the kept
-        table (:meth:`_table`), summed over at least :data:`_REACH` past
-        them, so that the carrier's own pairings and all its table views
-        share one summation.  A bra reads no kept table
-        (:func:`_contracted_rows`)."""
-        self._table(outer, sgn, 0, *_request(span, *_REACH))
+        table (:meth:`_table`).  A W carrier's is summed over at least
+        :data:`_REACH` past them, so that its own pairings and all its
+        table views share one summation; a Wt carrier has no table views
+        (:class:`TableView` refuses it), so its table covers what is asked.
+        A bra reads no kept table (:func:`_contracted_rows`)."""
+        if self.convention == "W":
+            self._table(outer, sgn, 0, *_request(span, *_REACH))
         return self._table(outer, sgn, 0, (0, span), (0, 0))
 
     # -- evaluation and integration ----------------------------------------------
@@ -842,14 +871,12 @@ class StructuredFn:
             ns = np.array([t.exps[slot] for t in self.terms], dtype=int)
             xs = self.lattice.integration_points(slot)
             weights = self.lattice.integration_weights(slot)
-            for blk in _blocks(len(ns), 2 * js.size * 16):
-                prof = np.abs(
-                    rows[idx[blk]] * weights * np.stack([xs, -xs]) ** ns[blk, None, None]
-                ).sum(axis=1)
-                total = prof.sum(axis=1)
-                edge = prof[:, 0] + prof[:, -1]
-                nz = total != 0.0
-                worst = max(worst, float(np.max(edge[nz] / total[nz], initial=0.0)))
+            prof = np.abs(rows[idx] * weights * _signed_powers(xs, ns))
+            prof = prof.sum(axis=1)
+            total = prof.sum(axis=1)
+            edge = prof[:, 0] + prof[:, -1]
+            nz = total != 0.0
+            worst = max(worst, float(np.max(edge[nz] / total[nz], initial=0.0)))
         return worst
 
     def values_on(self, pts1, pts2, pts3) -> np.ndarray:

@@ -619,13 +619,23 @@ class WavePacket:
         return abs(1.0 - self.norm(t))
 
     def normalized(self) -> "WavePacket":
+        """The packet of s c, s = 1/sqrt(n) for the norm n at t = 0.
+
+        The norm kept c's ket tables and the rows of c* (see
+        :meth:`~qeuclid.lattice.StructuredFn.star_integral`); the new packet
+        starts with s c and s c* at t = 0, which keep them times s
+        (:meth:`~qeuclid.lattice.StructuredFn.scale_complex`), so no pairing
+        at t = 0 sums them again.  Its values at t = 0 differ from those of
+        ``WavePacket(c.scale_complex(s))`` by rounding only; from t > 0 on,
+        c(t) and c*(t) are built from s c as there, and agree bit for bit."""
         n = self.norm(0.0)
         if not (abs(n.imag) < 1e-10 * max(abs(n), 1.0) and n.real > 0):
             raise PacketError(f"norm pairing is not positive ({n:.3e})")
         s = 1.0 / (n.real**0.5)
-        return WavePacket(
-            self.c.scale_complex(s), self.mass, self.phase_order, self.support_j
-        )
+        c, cst, _ = self._at(0.0)
+        out = WavePacket(c.scale_complex(s), self.mass, self.phase_order, self.support_j)
+        out._cache[0.0] = (out.c, cst.scale_complex(s), {})
+        return out
 
     def expectation_momentum(self, index: str, t: float = 0.0, position: str = "upper") -> complex:
         """Int c*(t) * (p^A * c(t)), or p_A at ``position="lower"``."""
@@ -682,7 +692,8 @@ def gaussian_packet(
     phase_order: int = 16,
 ) -> WavePacket:
     """A normalized packet with log-Gaussian envelopes on the enveloped
-    momentum slots and the constant 1 on the first.
+    momentum slots and the constant 1 on the first.  Its c(0) and c*(0)
+    keep the tables and rows its norm summed (:meth:`WavePacket.normalized`).
 
     Its coefficient pair is c and c* = conj(c).  ``odd_fraction`` admixes a
     sign-odd component so expectation values are not killed by parity.

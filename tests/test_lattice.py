@@ -77,34 +77,6 @@ def test_star_integral_is_dense_jackson_sum(operands, left, right, mirror):
     assert abs(got - want) <= 1e-12 * abs(want), (got, want)
 
 
-@pytest.mark.parametrize("block", [1, 100, 2000])
-@pytest.mark.parametrize("left, right, mirror", [("right_bar_lower", "c", False),
-                                                 ("c", "right_bar_lower", True)])
-def test_star_integral_does_not_depend_on_blocks(operands, monkeypatch, left, right, mirror,
-                                                 block):
-    """The block bound is set to ``block`` complex numbers.  A block row
-    (one term group at one dilation: two signs by 13 middle points) holds
-    26, so at 1 each block holds one group, at 100 three and at 2000 76 of
-    the acted operand's 209: the block edges fall at other places than at
-    the default bound, under which each table is one block.  Each side is
-    a fresh pair of carriers, since a carrier keeps the tables it built."""
-    a, b = (_ordered(operands[k], mirror) for k in (left, right))
-    want = a.star_integral(b)
-    blocks, counts = lattice._blocks, []
-
-    def spy(n, row_bytes):
-        out = blocks(n, row_bytes)
-        counts.append(len(out))
-        return out
-
-    monkeypatch.setattr(lattice, "_BLOCK_BYTES", 16 * block)
-    monkeypatch.setattr(lattice, "_blocks", spy)
-    a, b = (_ordered(operands[k], mirror) for k in (left, right))
-    got = a.star_integral(b)
-    assert max(counts) > 1
-    assert abs(got - want) <= 1e-13 * abs(want), (got, want)
-
-
 def _random_envelope(rng, bases):
     """A product of 1-3 leaves: each a base dilated by q0^m, m in -3..3,
     sign-flipped and conjugated at random."""
@@ -591,17 +563,19 @@ def test_pairing_reads_no_entry_that_no_degree_pair_needs(mirror, monkeypatch):
 
 def test_packet_group_builds_each_table_and_row_once():
     """On one criterion-10 packet, the norm, the three <P^A> and the six
-    <X^A> at both positions, at t = 0 and t = 0.1, sum each bra c*(t)'s
-    table once, in the norm, over the columns 0 to one past c*(t)'s own
-    coupled degree (at t = 0.1 0 to 11, at t = 0, where c*(0) has degree 0
-    only, 0 to 1), on the middle slot's own window, and contract its rows
-    0 to that column in the same call: p^+ * c(t), whose first-slot degree
-    is one higher than c(t)'s, finds its row kept, and no later pairing
-    sums or contracts any.  The bra keeps the rows only, no table.  c(t)
-    sums one table per outer window shift, once: unshifted over columns
-    -1 to span + 1, shifted by 4 over columns -1 to span - 1, each 4 middle
-    exponents past the window.  Every other ket (six p^A * c(t) and three
-    d' |> c(t) per t) is a table view of c(t), so no other carrier is
+    <X^A> at both positions, at t = 0 and t = 0.1, sum the bra c*(0.1)'s
+    table once, in the norm, over the columns 0 to 11, one past c*(0.1)'s
+    own coupled degree, on the middle slot's own window, and contract its
+    rows 0 to 11 in the same call: p^+ * c(t), whose first-slot degree is
+    one higher than c(t)'s, finds its row kept, and no later pairing sums
+    or contracts any.  The bra keeps the rows only, no table.  c(0.1) sums
+    one table per outer window shift, once: unshifted over columns -1 to
+    12, shifted by 4 over columns -1 to 9, each 4 middle exponents past the
+    window.  At t = 0 the packet pairs what ``gaussian_packet``'s norm
+    kept (rows 0 to 1 of c*(0), c(0)'s unshifted table over columns -1 to
+    1), scaled to the normalized packet, and sums only c(0)'s table on the
+    shifted window (columns -1 to -1).  Every other ket (six p^A * c(t) and
+    three d' |> c(t) per t) is a table view of c(t), so no other carrier is
     summed; at t = 0 one d' |> c(0) is empty and pairs to 0 without a
     table.  The counts are pinned: a pairing that summed a kept table anew,
     rebuilt the rows, or built a ket carrier's table would raise them.  An
@@ -635,14 +609,17 @@ def test_packet_group_builds_each_table_and_row_once():
     kets, bras = ({t: wp.coefficients_at(t)[i] for t in now} for i in (0, 1))
     spans = {t: [(start, span, shift, reach) for s, f, start, span, shift, reach in tables
                  if s == t and f is bras[t]] for t in now}
-    assert spans == {0.0: [(0, 1, 0, (0, 0))], 0.1: [(0, 11, 0, (0, 0))]}, spans
+    assert spans == {0.0: [], 0.1: [(0, 11, 0, (0, 0))]}, spans
     views = {t: [(start, span, shift, reach) for s, f, start, span, shift, reach in tables
                  if s == t and f is kets[t]] for t in now}
-    assert views == {0.0: [(-1, 1, 0, (0, 4)), (-1, -1, 4, (0, 4))],
+    assert views == {0.0: [(-1, -1, 4, (0, 4))],
                      0.1: [(-1, 11, 0, (0, 4)), (-1, 9, 4, (0, 4))]}, views
-    assert len(tables) == 6, tables
+    assert len(tables) == 4, tables
     assert [(t, in_norm, f is bras[t], top) for t, in_norm, f, top in rows] == [
-        (0.0, True, True, 1), (0.1, True, True, 11)], rows
+        (0.1, True, True, 11)], rows
+    assert [(key, c0, reach, table.shape[1]) for key, (c0, reach, table)
+            in kets[0.0]._tables.items()] == [((2, 1, 0), -1, (0, 4), 3),
+                                              ((2, 1, 4), -1, (0, 4), 1)]
     for t in now:
         assert not bras[t]._tables and {k: len(v) for k, v in bras[t]._rows.items()} == {
             (0, 1): 2 if t == 0.0 else 12}
@@ -650,6 +627,33 @@ def test_packet_group_builds_each_table_and_row_once():
     kept = cst.star_integral(ct)
     fresh = cst._new(cst.terms).star_integral(ct._new(ct.terms))
     assert kept == fresh, (kept, fresh)
+
+
+def test_packet_coefficients_fold_into_one_group_per_degree():
+    """c(0.1) = phase * c has 66 terms (p-)^a (p3)^(2l) (p+)^a e(q0^(2a) p3)
+    e(p+), a + l <= 10: the terms of one coupled degree a share the outer
+    degree a and the outer envelope, so as the ket (outer slot 2) they fold
+    into 11 groups, one per degree, and so do the 66 terms of the bra
+    c*(0.1) (outer slot 0).  A seeded random carrier forms one group per
+    distinct (coupled degree, outer degree, outer envelope), and each
+    group's terms share these three."""
+    ct, cst = gaussian_packet(QLattice(1.1, -12, 12), Fraction(2), center_j=0.3, width_j=0.9,
+                              odd_fraction=0.35, phase_order=20).coefficients_at(0.1)
+    for f, outer in ((ct, 2), (cst, 0)):
+        grp = lattice._TermGroups(f, outer)
+        assert len(f.terms) == 66 and len(grp.starts) == 11
+        assert np.array_equal(grp.degrees, np.arange(11))
+        assert np.array_equal(grp.seg, np.arange(11))
+    rng = np.random.default_rng(38)
+    lat = QLattice(1.1, -5, 5)
+    f = _random_operand(rng, lat, _random_bases(rng, lat), 0, "W")
+    grp = lattice._TermGroups(f, 2)
+    keys = [(t.exps[0], t.exps[2], t.envs[2]) for t in (f.terms[i] for i in grp.order)]
+    bounds = list(grp.starts) + [len(keys)]
+    runs = [set(keys[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    assert all(len(run) == 1 for run in runs)
+    assert len(runs) == len(set(keys)) and len(grp.starts) > 1
+    assert [d for d, _, _ in (run.pop() for run in runs)] == sorted(d for d, _, _ in set(keys))
 
 
 def test_merging_a_carrier_with_itself_doubles_each_term():

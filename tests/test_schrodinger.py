@@ -9,6 +9,7 @@ from qeuclid.qcalculus import DerivativeLabel, apply_derivative, right_transport
 from qeuclid.starcalc import Poly, P_SECTOR, coord
 from qeuclid.schrodinger import (
     PacketError,
+    WavePacket,
     build_plane_wave,
     cq_coefficient,
     cq_value,
@@ -231,6 +232,47 @@ def test_packet_values_do_not_depend_on_query_order(t):
             assert {key: len(rows) for key, rows in cst._rows.items()} == {(0, 1): top + 1}, query
 
 
+def test_normalized_packet_sums_nothing_anew_at_t0(monkeypatch):
+    """``gaussian_packet`` hands the normalized packet what its norm kept:
+    c(0) starts with c's unshifted ket table and c*(0) with c*'s rows, each
+    times 1/sqrt(n).  No t = 0 query sums or widens either: the one table
+    summed at t = 0 is c(0)'s on the outer window shifted by 4, which only
+    the <X^A> labels read, and no row set is contracted."""
+    wp = _criterion_10_packet()
+    c0, cst0 = wp.coefficients_at(0.0)
+    table, rows = c0._tables[2, 1, 0], cst0._rows[0, 1]
+    slot_sums, sums = lattice._slot_sums, []
+
+    def spy(f, outer, start, span, sgn, shift=0, reach=(0, 0)):
+        sums.append((f is c0, shift))
+        return slot_sums(f, outer, start, span, sgn, shift, reach)
+
+    monkeypatch.setattr(lattice, "_slot_sums", spy)
+    monkeypatch.setattr(lattice, "_contracted_rows", None)
+    for query in PACKET_QUERIES:
+        _ask(wp, query, 0.0)
+    assert sums == [(True, 4)], sums
+    assert c0._tables[2, 1, 0] is table and cst0._rows[0, 1] is rows
+    assert list(c0._tables) == [(2, 1, 0), (2, 1, 4)] and list(cst0._rows) == [(0, 1)]
+
+
+def test_normalized_packet_is_the_packet_of_its_coefficients():
+    """A normalized packet's values equal those of a packet built afresh
+    from its coefficients s c: within 1e-15 relative at t = 0, where it
+    pairs the tables and rows its norm kept, times s, and bit for bit at
+    t = 0.1, where both build c(t) and c*(t) from s c."""
+    wp = _criterion_10_packet()
+    fresh = WavePacket(StructuredFn(wp.c.lattice, "p", wp.c.terms), MASS, wp.phase_order,
+                       wp.support_j)
+    for t in (0.0, 0.1):
+        for query in PACKET_QUERIES:
+            got, want = _ask(wp, query, t), _ask(fresh, query, t)
+            if t:
+                assert got == want, (t, query, got, want)
+            else:
+                assert abs(got - want) <= 1e-15 * abs(want), (t, query, got, want)
+
+
 @pytest.mark.parametrize("half_width", [6, 12])
 def test_table_routed_pairings_match_the_carrier_route(half_width):
     """Every pairing of a criterion-10 packet at t = 0, 0.05 and 0.1 (the
@@ -319,9 +361,6 @@ def test_unconverged_phase_rejected(packet):
 
 
 def test_degenerate_packet_rejected():
-    from qeuclid.lattice import StructuredFn
-    from qeuclid.schrodinger import WavePacket
-
     lat = QLattice(1.1, -12, 12)
     zero = StructuredFn(lat, "p", [])
     wp = WavePacket(zero, MASS)
