@@ -89,7 +89,7 @@ def _lattice(q0: float, j_min: int, j_max: int) -> QLattice:
         raise UsageError(f"{where}: {exc}") from None
 
 
-def _order(order: int, flag: str = "--order", cap: int | None = None) -> int:
+def _order(order: int, flag: str = "--order", cap: int | None = None, least: int = 0) -> int:
     # keep the error on one short line: int(1e300) alone has 301 digits
     if abs(order) < 10**20:
         shown = order
@@ -97,8 +97,8 @@ def _order(order: int, flag: str = "--order", cap: int | None = None) -> int:
         from decimal import Decimal
 
         shown = f"{Decimal(order):.3g}"
-    if order < 0:
-        raise UsageError(f"{flag} must be >= 0, got {shown}")
+    if order < least:
+        raise UsageError(f"{flag} must be >= {least}, got {shown}")
     if cap is not None and order > cap:
         raise UsageError(f"{flag} must be <= {cap}, got {shown}")
     return order
@@ -235,7 +235,9 @@ def cmd_verify(args) -> int:
     q0 = _parse_q(args.q)
     N = _order(args.N, "--N", MAX_ORDER)
     K = _order(args.K, "--K", MAX_ORDER)
-    grid = _order(args.grid, "--grid")  # every suite, also those that ignore it
+    # every suite, also those that ignore it: a grid of 0 is a one-exponent
+    # window, on which no Jackson derivative or packet is defined
+    grid = _order(args.grid, "--grid", least=1)
     from .verify import run_suite
 
     try:
@@ -311,7 +313,7 @@ def cmd_heine(args) -> int:
     try:
         rows = heine_phase_report(order, q0, t, mass, samples)
         text = json.dumps(rows, sort_keys=True, allow_nan=False)
-    except (OverflowError, ValueError):  # k! past k = 170, or a nan or inf row
+    except (OverflowError, ValueError, ZeroDivisionError):  # k! past 170, nan or inf, q0^2 -> 0
         raise UsageError(
             f"the phase report leaves the float range at --order {order}, --q {args.q}"
         ) from None

@@ -34,10 +34,11 @@ per outer slot (:class:`_TermGroups`) and, per role: as a ket, one table
 per outer slot, sign and outer-window shift, summed once over what is
 asked (for a W ket a little more, :data:`_REACH`) and sliced for any
 request it covers, else summed anew over the union; as a bra, no table
-but one row set per outer slot and sign, its table contracted over k
-against every coupled degree e up to the larger of its widest ket's and
-its own plus one (:func:`_contracted_rows`).  A scaled carrier keeps both
-scaled, so a normalized packet pairs at t = 0 what its norm summed.
+but one array of rows and its read mask per outer slot and sign, its
+table contracted over k against every coupled degree e up to the larger
+of its widest ket's and its own plus one (:func:`_contracted_rows`).  A
+scaled carrier keeps both scaled, so a normalized packet pairs at t = 0
+what its norm summed.
 A :class:`TableView` is a ket derived from one carrier c by slot
 operations and a left coordinate, held as index shifts and factors of c's
 kept tables: it pairs like a carrier and builds no terms.  As no entry
@@ -398,45 +399,39 @@ def _slot_sums(f: "StructuredFn", outer: int, start: int, span: int, sgn: int,
     return out
 
 
-def _contracted_rows(f: "StructuredFn", outer: int, sgn: int, top: int) -> list:
+def _contracted_rows(f: "StructuredFn", outer: int, sgn: int, top: int) -> tuple:
     """f's slot table S on the ``outer`` slot contracted over the star's k
     against each coupled degree e = 0..top of the other operand, lam and
     fall as in :meth:`StructuredFn.star_integral`:
 
-        B_e[u](s, j) = sum_k lam^k / fall[k, k] fall[u+k, k] fall[e, k]
-                           w_j x_j^(2k) S[u+k, e-k](s, j)
+        rows[e, u](s, j) = sum_k lam^k / fall[k, k] fall[u+k, k] fall[e, k]
+                               w_j x_j^(2k) S[u+k, e-k](s, j)
 
-    over f's coupled degrees present, d = u + k, and k <= min(d, e).  Row e
-    of the returned list is ``(us, B_e[us])``, us the u that some (d, k)
-    reaches: only these entries of the other operand's table are read, so
-    an entry that no present degree pair needs cannot overflow into nan.
-    The (e, d, k) terms are indexed once and added k by k, so each entry
-    is summed over k in ascending order and no row depends on which others
-    are built with it.  S is summed here over the columns 0..top the rows
-    read, on the middle slot's own window (:func:`_slot_sums`), and not
-    kept."""
+    for u = 0..D, D f's largest coupled degree, over k <= e and u + k <=
+    D.  Returns ``(rows, read)``, read[e, u] true where some degree d
+    present in f reaches (e, u): only these entries of the other operand's
+    table are read, so an entry that no present degree pair needs cannot
+    overflow into nan.  One step per k adds into the slice rows[k:, :D+1-k]
+    from the slice S[k:, :top+1-k], S's absent degrees zeroed first, so
+    each entry is summed over k in ascending order and no row depends on
+    which others are built with it.  S is summed here over the columns
+    0..top the rows read, on the middle slot's own window
+    (:func:`_slot_sums`), and not kept."""
     lat, degrees = f.lattice, f._degrees(outer)
+    dmax, present = degrees[-1], np.bincount(degrees) > 0
     table = _slot_sums(f, outer, 0, top, sgn)
-    fall = _falling(max(degrees[-1], top), lat.q0 ** (4 * sgn))
+    table[~present] = 0
+    fall = _falling(max(dmax, top), lat.q0 ** (4 * sgn))
     lam = sgn * (lat.q0 - 1.0 / lat.q0)
     xs, weights = lat.integration_points(1), lat.integration_weights(1)
-    ks = range(min(top, degrees[-1]) + 1)
-    lead = np.array([lam**k / fall[k, k] for k in ks])
-    wk = [weights * xs ** (2 * k) for k in ks]
-    # each (row e, degree, k) with k <= min(d, e), ordered by k
-    k, e, di = np.nonzero(np.arange(len(ks))[:, None, None]
-                          <= np.minimum.outer(np.arange(top + 1), degrees))
-    d = degrees[di]
-    coef = ((lead[k] * fall[d, k]) * fall[e, k])[:, None, None]
-    entry = e * (degrees[-1] + 1) + d - k
-    rows = np.zeros(((top + 1) * (degrees[-1] + 1), 2, xs.size), dtype=complex)
-    bounds = np.searchsorted(k, range(len(ks) + 1))
-    for kk, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-        rows[entry[a:b]] += coef[a:b] * table[d[a:b], e[a:b] - kk] * wk[kk]
-    read = np.zeros(rows.shape[0], dtype=bool)
-    read[entry] = True
-    rows, read = rows.reshape(top + 1, -1, 2, xs.size), read.reshape(top + 1, -1)
-    return [(np.flatnonzero(r), row[r]) for r, row in zip(read, rows)]
+    rows = np.zeros((top + 1, dmax + 1, 2, xs.size), dtype=complex)
+    read = np.zeros((top + 1, dmax + 1), dtype=bool)
+    for k in range(min(top, dmax) + 1):  # each term at [e - k, u] of rows[k:]
+        coef = (lam**k / fall[k, k] * fall[k : dmax + 1, k]) * fall[k : top + 1, k, None]
+        part = table[k:, : top + 1 - k].swapaxes(0, 1)
+        rows[k:, : dmax + 1 - k] += coef[:, :, None, None] * part * (weights * xs ** (2 * k))
+        read[k:, : dmax + 1 - k] |= present[k:]
+    return rows, read
 
 
 def _falling(dmax: int, Q: float) -> np.ndarray:
@@ -594,7 +589,7 @@ class StructuredFn:
         out = self._new([STerm(t.coeff * c, t.exps, t.envs) for t in self.terms])
         out._tables = {key: (c0, reach, c * table)
                        for key, (c0, reach, table) in self._tables.items()}
-        out._rows = {key: [(us, c * b) for us, b in rows] for key, rows in self._rows.items()}
+        out._rows = {key: (c * rows, read) for key, (rows, read) in self._rows.items()}
         return out
 
     def scale_q(self, s: QScalar) -> "StructuredFn":
@@ -756,16 +751,16 @@ class StructuredFn:
         (:func:`_slot_sums`).  The star's q0^(2 sgn (b1 k2 + k1 b2)) factor
         lives in the dilated arguments of g.  The sum is symmetric in the
         operands and is taken as sum_(e, u, s, j) S_other[e, u](s, j)
-        B_e[u](s, j), B_e being self's table contracted over k against the
-        other's coupled degree e (:func:`_contracted_rows`).
+        rows[e, u](s, j) over the entries read[e, u] of the other's
+        degrees e, rows[e] being self's table contracted over k against e.
 
-        Self keeps no table, only one row set per outer slot and sign: B_e
-        for e = 0..top, top the larger of the widest coupled degree its
-        other operands had so far and its own coupled degree plus one.  A
-        wider ket sums and contracts the set anew over the union
-        (:func:`_contracted_rows`); a later ket one degree higher than
-        self (p^+ * c(t)) finds its row kept, and the set does not depend
-        on the order of the kets.  The other operand keeps its table
+        Self keeps no table, only one array of rows and its read mask per
+        outer slot and sign (:func:`_contracted_rows`) for e = 0..top, top
+        the larger of the widest coupled degree its other operands had so
+        far and its own coupled degree plus one.  A wider ket sums and
+        contracts them anew over the union; a later ket one degree higher
+        than self (p^+ * c(t)) finds its row kept, and the rows do not
+        depend on the order of the kets.  The other operand keeps its table
         (:meth:`_slot_table`), freed with it; it may be a
         :class:`TableView` of a W integral, whose table is a rewrite of its
         carrier's kept tables.  In a packet self is the
@@ -787,16 +782,15 @@ class StructuredFn:
         mine, theirs = (2, 0) if mirror else (0, 2)  # each operand's outer slot
         d_other, d_mine = other._degrees(theirs), self._degrees(mine)
         s_other = other._slot_table(theirs, d_mine[-1], sgn)
-        rows = self._rows.get((mine, sgn), ())
-        if len(rows) <= d_other[-1]:
+        kept = self._rows.get((mine, sgn))
+        if kept is None or kept[0].shape[0] <= d_other[-1]:
             top = max(d_other[-1], d_mine[-1] + 1)
-            rows = self._rows[mine, sgn] = _contracted_rows(self, mine, sgn, top)
-        rows = [rows[e] for e in d_other]
-        us = np.concatenate([u for u, _ in rows])
-        es = np.repeat(d_other, [len(u) for u, _ in rows])
-        # only the entries some B_e reads enter the sum (see _contracted_rows);
-        # np.sum adds them pairwise, which keeps cancelling pairings accurate
-        total = complex(np.sum(s_other[es, us] * np.concatenate([b for _, b in rows])))
+            kept = self._rows[mine, sgn] = _contracted_rows(self, mine, sgn, top)
+        rows, read = kept
+        # only the entries read enter the sum, in (e, u, s, j) order; np.sum
+        # adds them pairwise, which keeps cancelling pairings accurate
+        m = read[d_other]
+        total = complex(np.sum(s_other[d_other][m] * rows[d_other][m]))
         if not cmath.isfinite(total):
             raise FloatingPointError(f"star integral is not finite: {total}")
         return total

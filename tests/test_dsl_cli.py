@@ -317,6 +317,11 @@ NESTED = {
         ["verify", "--bogus"],
         ["propagator", "--order", "x"],
         [],
+        # a one-exponent window, which no Jackson derivative or packet reads
+        ["verify", "--suite", "qcalculus", "--grid", "0"],
+        # q0^2 underflows to 0 in the product form's denominator
+        ["heine", "--order", "3", "--q", "1e-200", "--t", "1"],
+        ["heine", "--order", "3", "--q", "1e-300", "--t", "1"],
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, argv):

@@ -496,7 +496,7 @@ def test_pairing_through_kept_rows_is_a_fresh_pairing(operands, mirror, bra, ket
         got = kept.star_integral(ket)
         assert list(kept._rows) == [key] and not kept._tables
         widest = max(widest, ket._degrees(2 - key[0])[-1])
-        tops.append(len(kept._rows[key]) - 1)
+        tops.append(kept._rows[key][0].shape[0] - 1)
         assert tops[-1] == max(widest, own + 1), (name, tops)
         assert got == _ordered(ops[bra], mirror).star_integral(_ordered(ops[name], mirror)), name
         want = per_k_integral(_ordered(ops[bra], mirror), _ordered(ops[name], mirror))
@@ -504,9 +504,9 @@ def test_pairing_through_kept_rows_is_a_fresh_pairing(operands, mirror, bra, ket
     assert tops[-1] > tops[-2], tops
     fresh = _ordered(ops[bra], mirror)
     fresh.star_integral(_ordered(ops[kets[-1]], mirror))
-    assert len(fresh._rows[key]) == len(kept._rows[key])
-    for e, ((us, b), (kept_us, kept_b)) in enumerate(zip(fresh._rows[key], kept._rows[key])):
-        assert np.array_equal(kept_us, us) and np.array_equal(kept_b, b), e
+    (rows, read), (kept_rows, kept_read) = fresh._rows[key], kept._rows[key]
+    assert rows.shape == kept_rows.shape
+    assert np.array_equal(kept_read, read) and np.array_equal(kept_rows, rows)
 
 
 @pytest.mark.parametrize("mirror", [False, True])
@@ -558,7 +558,50 @@ def test_pairing_reads_no_entry_that_no_degree_pair_needs(mirror, monkeypatch):
     assert bra_sums == [(mine, 0, 4, sgn)], bra_sums
     assert ket._tables.keys() == handed.keys()
     assert all(ket._tables[k][2] is handed[k][2] for k in handed)
-    assert not bra._tables and list(bra._rows) == [(mine, sgn)] and len(bra._rows[mine, sgn]) == 5
+    assert not bra._tables and list(bra._rows) == [(mine, sgn)]
+    assert bra._rows[mine, sgn][0].shape[0] == 5
+
+
+def per_k_rows(f, outer, sgn, top):
+    """:func:`lattice._contracted_rows` written out term by term: for k
+    ascending, each row e >= k and each present coupled degree d >= k adds
+    its term at (e, d - k) and marks that entry read."""
+    lat, degrees = f.lattice, f._degrees(outer)
+    table = lattice._slot_sums(f, outer, 0, top, sgn)
+    fall = lattice._falling(max(degrees[-1], top), lat.q0 ** (4 * sgn))
+    lam = sgn * (lat.q0 - 1.0 / lat.q0)
+    xs, weights = lat.integration_points(1), lat.integration_weights(1)
+    rows = np.zeros((top + 1, degrees[-1] + 1, 2, xs.size), dtype=complex)
+    read = np.zeros((top + 1, degrees[-1] + 1), dtype=bool)
+    for k in range(min(top, degrees[-1]) + 1):
+        for e in range(k, top + 1):
+            for d in degrees[degrees >= k]:
+                coef = lam**k / fall[k, k] * fall[d, k] * fall[e, k]
+                rows[e, d - k] += coef * table[d, e - k] * (weights * xs ** (2 * k))
+                read[e, d - k] = True
+    return rows, read
+
+
+def test_contracted_rows_are_the_per_k_terms_summed_in_order():
+    """On seeded random bras of both orderings, whose coupled degrees 0..4
+    leave some absent, the contracted rows and their read mask equal, bit
+    for bit, the term-by-term sum above, k ascending, for rows 0 to one past
+    the bra's own degree and to three past it."""
+    rng, gaps = np.random.default_rng(39), 0
+    for case in range(12):
+        lat = QLattice(1.1, -4 - case % 3, 5)
+        mirror = case % 2 == 1
+        outer, sgn = (2, -1) if mirror else (0, 1)
+        f = _random_operand(rng, lat, _random_bases(rng, lat), 2 - outer,
+                            "Wt" if mirror else "W")
+        own = f._degrees(outer)[-1]
+        gaps += len(f._degrees(outer)) < own + 1
+        for top in (own + 1, own + 3):
+            rows, read = lattice._contracted_rows(f, outer, sgn, top)
+            want_rows, want_read = per_k_rows(f, outer, sgn, top)
+            assert rows.shape == want_rows.shape and np.array_equal(read, want_read), case
+            assert np.array_equal(rows, want_rows), (case, top)
+    assert gaps, "no bra with an absent coupled degree"
 
 
 def test_packet_group_builds_each_table_and_row_once():
@@ -621,8 +664,8 @@ def test_packet_group_builds_each_table_and_row_once():
             in kets[0.0]._tables.items()] == [((2, 1, 0), -1, (0, 4), 3),
                                               ((2, 1, 4), -1, (0, 4), 1)]
     for t in now:
-        assert not bras[t]._tables and {k: len(v) for k, v in bras[t]._rows.items()} == {
-            (0, 1): 2 if t == 0.0 else 12}
+        assert not bras[t]._tables and {k: rows.shape[0] for k, (rows, _)
+                                        in bras[t]._rows.items()} == {(0, 1): 2 if t == 0.0 else 12}
     ct, cst = kets[0.1], bras[0.1]
     kept = cst.star_integral(ct)
     fresh = cst._new(cst.terms).star_integral(ct._new(ct.terms))

@@ -229,7 +229,8 @@ def test_packet_values_do_not_depend_on_query_order(t):
         for packet in (fresh, wp):
             cst = packet.coefficients_at(t)[1]
             assert not cst._tables, query
-            assert {key: len(rows) for key, rows in cst._rows.items()} == {(0, 1): top + 1}, query
+            assert {key: rows.shape[0] for key, (rows, _) in cst._rows.items()} == {
+                (0, 1): top + 1}, query
 
 
 def test_normalized_packet_sums_nothing_anew_at_t0(monkeypatch):
