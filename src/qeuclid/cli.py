@@ -198,10 +198,11 @@ def cmd_parse(args) -> int:
 
 def cmd_expand(args) -> int:
     value = _evaluate(args.expr)
-    if args.json:
-        print(json.dumps(_poly_json(value), sort_keys=True))
-    else:
-        print(value)
+    try:
+        text = json.dumps(_poly_json(value), sort_keys=True) if args.json else str(value)
+    except ValueError:  # an integer longer than Python converts to a string
+        raise UsageError("the value holds an integer too long to print") from None
+    print(text)
     return 0
 
 

@@ -194,15 +194,16 @@ class Parser:
             return ("lit", QScalar.q(e))
         if tok is not None and tok.isdigit():
             self.next()
-            num = int(tok)
+            num = _integer(tok, pos)
             if self.peek() == "/":
                 self.next()
                 dtok, dpos = self.next()
                 if not (dtok or "").isdigit():
                     raise SyntaxErr("expected denominator", dpos)
-                if int(dtok) == 0:
+                den = _integer(dtok, dpos)
+                if den == 0:
                     raise SyntaxErr("zero denominator", dpos)
-                return ("lit", QScalar.from_rational(Fraction(num, int(dtok))))
+                return ("lit", QScalar.from_rational(Fraction(num, den)))
             return ("lit", QScalar.from_rational(num))
         if tok in OPS:
             op, index = self.operator()
@@ -254,10 +255,11 @@ class Parser:
             ntok, npos = self.next()
             if not (ntok or "").isdigit():
                 raise SyntaxErr("expected truncation order", npos)
-            if int(ntok) > MAX_ORDER:
+            order = _integer(ntok, npos)
+            if order > MAX_ORDER:
                 raise SyntaxErr(f"truncation order above {MAX_ORDER}", npos)
             self.expect(")")
-            return ("exp", variant, int(ntok))
+            return ("exp", variant, order)
         raise SyntaxErr(f"unexpected token {tok!r}", pos)
 
     def signed_int(self):
@@ -268,7 +270,16 @@ class Parser:
             tok, pos = self.next()
         if not (tok or "").isdigit():
             raise SyntaxErr("expected integer exponent", pos)
-        return sign * int(tok)
+        return sign * _integer(tok, pos)
+
+
+def _integer(tok: str, pos: int) -> int:
+    """The digit token ``tok`` as an int; one longer than Python converts
+    (``sys.get_int_max_str_digits``) is a syntax error."""
+    try:
+        return int(tok)
+    except ValueError:
+        raise SyntaxErr(f"integer of {len(tok)} digits is too long", pos) from None
 
 
 def parse_expression(src: str):

@@ -30,15 +30,15 @@ terms.  A table is summed by outer factor: the terms sharing a coupled
 degree, an outer degree and an outer envelope fold into one sampled middle
 row, so c(t) = phase * c, whose terms of one coupled degree share both,
 sums one row per degree.  Each carrier keeps, freed with it, that grouping
-per outer slot (:class:`_TermGroups`) and, per role: as a ket, one table
-per outer slot, sign and outer-window shift, summed once over what is
-asked (for a W ket a little more, :data:`_REACH`) and sliced for any
-request it covers, else summed anew over the union; as a bra, no table
-but one array of rows and its read mask per outer slot and sign, its
-table contracted over k against every coupled degree e up to the larger
-of its widest ket's and its own plus one (:func:`_contracted_rows`).  A
-scaled carrier keeps both scaled, so a normalized packet pairs at t = 0
-what its norm summed.
+per outer slot (:class:`_TermGroups`) and, per role: as a W ket, one table
+per outer-window shift and extent (the columns and middle exponents it
+covers), summed once and returned whole, its own pairing a slice of the
+extent its table views ask on the unshifted window (:data:`_REACH`); as
+a Wt ket, none; as a bra, no table but one array of rows and its read
+mask per outer slot and sign, its table contracted over k against every
+coupled degree e up to the larger of its widest ket's and its own plus
+one (:func:`_contracted_rows`).  A scaled carrier keeps both scaled, so
+a normalized packet pairs at t = 0 what its norm summed.
 A :class:`TableView` is a ket derived from one carrier c by slot
 operations and a left coordinate, held as index shifts and factors of c's
 kept tables: it pairs like a carrier and builds no terms.  As no entry
@@ -312,8 +312,8 @@ def _moments(lat: QLattice, slot: int, envs, ns, shift: int = 0) -> np.ndarray:
 
 class _TermGroups:
     """How :func:`_slot_sums` sums a carrier's terms for one outer slot,
-    kept so that a table summed anew over a wider range derives it no
-    more.  Terms of one coupled degree d (on slot 2 - outer), one outer
+    kept so that every table and row set of the carrier derives it
+    once.  Terms of one coupled degree d (on slot 2 - outer), one outer
     degree n and one outer envelope share their outer moment M(n + v) at
     every column v: they form one group, and their middle factors fold
     into one row.  ``order`` sorts the terms by group and ``starts`` opens
@@ -447,16 +447,10 @@ def _falling(dmax: int, Q: float) -> np.ndarray:
 
 
 #: (first, last) column and (first, last) middle exponent shifts past the
-#: columns 0..span asked that a ket's kept table is summed over: what every
-#: momentum coordinate and left derivative label of a table view reads on
-#: its carrier's unshifted window
+#: columns 0..span asked that a W ket's table is summed over on its
+#: unshifted window: what every momentum coordinate and left derivative
+#: label of a table view reads there
 _REACH = (-1, 1, 0, 4)
-
-
-def _request(span: int, first: int, last: int, lo: int, hi: int) -> tuple:
-    """(columns, middle reach) that reads at column shifts first..last and
-    middle exponent shifts lo..hi ask of a table for columns 0..span."""
-    return (first, span + last), (max(0, -lo), max(0, hi))
 
 
 # -- structured carrier -----------------------------------------------------------
@@ -521,7 +515,7 @@ class StructuredFn:
                 coeffs[i] = coeffs[i] + t.coeff
         self.terms = [t if c is t.coeff else STerm(c, t.exps, t.envs)
                       for t, c in zip(firsts, coeffs) if c != 0]
-        # as a ket: (outer slot, sgn, window shift) -> (first column, reach, _slot_sums table)
+        # as a W ket: (window shift, extent) -> _slot_sums table (StructuredFn._table)
         self._tables = {}
         self._groups = {}  # outer slot -> the _TermGroups the sums are taken by
         self._rows = {}  # as a bra: (outer slot, sgn) -> _contracted_rows for e = 0..top
@@ -587,8 +581,7 @@ class StructuredFn:
         rows times c: each is linear in the coefficients, so only rounding
         differs from summing the product's anew."""
         out = self._new([STerm(t.coeff * c, t.exps, t.envs) for t in self.terms])
-        out._tables = {key: (c0, reach, c * table)
-                       for key, (c0, reach, table) in self._tables.items()}
+        out._tables = {key: c * table for key, table in self._tables.items()}
         out._rows = {key: (c * rows, read) for key, (rows, read) in self._rows.items()}
         return out
 
@@ -760,10 +753,11 @@ class StructuredFn:
         far and its own coupled degree plus one.  A wider ket sums and
         contracts them anew over the union; a later ket one degree higher
         than self (p^+ * c(t)) finds its row kept, and the rows do not
-        depend on the order of the kets.  The other operand keeps its table
-        (:meth:`_slot_table`), freed with it; it may be a
-        :class:`TableView` of a W integral, whose table is a rewrite of its
-        carrier's kept tables.  In a packet self is the
+        depend on the order of the kets.  The other operand, a W ket, keeps
+        its table per outer-window shift and extent (:meth:`_table`),
+        freed with it, and a Wt ket sums its own anew (:meth:`_slot_table`);
+        it may be a :class:`TableView` of a W integral, whose table is a
+        rewrite of its carrier's kept tables.  In a packet self is the
         bra c*(t) and the other a view of c(t) in every pairing at t, so
         once the bra's rows and c(t)'s tables are kept a pairing costs the
         view's rewrite, O(r D^2 J) for r reads, D the largest coupled
@@ -809,37 +803,34 @@ class StructuredFn:
     def _enveloped(self, slot: int) -> bool:
         return any(t.envs[slot] is not None for t in self.terms)
 
-    def _table(self, outer: int, sgn: int, shift: int, cols: tuple, reach: tuple) -> np.ndarray:
-        """:func:`_slot_sums` of this carrier for columns cols[0]..cols[1]
-        at middle ``reach``, on the outer window shifted by ``shift``: a
-        slice of the one table kept per (outer, sgn, shift).  A kept table
-        that does not cover the request is replaced by the union of both,
-        summed anew; as no entry depends on the range, every slice equals a
-        fresh build."""
-        key = (outer, sgn, shift)
-        c0, have, table = self._tables.get(key, (cols[0], reach, None))
-        c1 = cols[1] if table is None else c0 + table.shape[1] - 1
-        union = ((min(c0, cols[0]), max(c1, cols[1])),
-                 (max(have[0], reach[0]), max(have[1], reach[1])))
-        if table is None or union != ((c0, c1), have):
-            (c0, c1), have = union
-            table = _slot_sums(self, outer, c0, c1, sgn, shift, have)
-            self._tables[key] = (c0, have, table)
-        lo = have[0] - reach[0]
-        return table[:, cols[0] - c0 : cols[1] + 1 - c0, :,
-                     lo : table.shape[3] - (have[1] - reach[1])]
+    def _table(self, shift: int, extent: tuple) -> np.ndarray:
+        """:func:`_slot_sums` of this carrier as the ket of a W star integral
+        (outer slot 2, sign +1) on the outer window shifted by ``shift``,
+        over extent = (first column, last column, middle exponents below,
+        above the window): summed once per (shift, extent), kept and
+        returned whole."""
+        table = self._tables.get((shift, extent))
+        if table is None:
+            first, last, below, above = extent
+            table = self._tables[shift, extent] = _slot_sums(self, 2, first, last, 1, shift,
+                                                             (below, above))
+        return table
 
     def _slot_table(self, outer: int, span: int, sgn: int) -> np.ndarray:
         """:func:`_slot_sums` of this carrier as the ket of a star integral,
-        for dilations up to ``span``, on its own window: a slice of the kept
-        table (:meth:`_table`).  A W carrier's is summed over at least
-        :data:`_REACH` past them, so that its own pairings and all its
-        table views share one summation; a Wt carrier has no table views
-        (:class:`TableView` refuses it), so its table covers what is asked.
-        A bra reads no kept table (:func:`_contracted_rows`)."""
-        if self.convention == "W":
-            self._table(outer, sgn, 0, *_request(span, *_REACH))
-        return self._table(outer, sgn, 0, (0, span), (0, 0))
+        for dilations up to ``span``, on its own window.  A W carrier's is a
+        slice of its kept table over the extent a table view with no read
+        past :data:`_REACH` asks (:meth:`TableView._needs`), so that its own
+        pairings and all its table views share one summation; a Wt carrier
+        has no table views (:class:`TableView` refuses it), so its table is
+        summed anew and not kept.  A bra reads no kept table
+        (:func:`_contracted_rows`)."""
+        if self.convention == "Wt":
+            return _slot_sums(self, outer, 0, span, sgn)
+        _check_ket_slot(outer, sgn)
+        first, _, below, above = extent = TableView._needs(span)[0]
+        table = self._table(0, extent)
+        return table[:, -first : span + 1 - first, :, below : table.shape[3] - above]
 
     # -- evaluation and integration ----------------------------------------------
 
@@ -962,7 +953,7 @@ class TableView:
 
     Only rounding differs from building the ket's terms.  The view pairs
     as the ket of :meth:`StructuredFn.star_integral`: it reads c's kept
-    tables (one per outer-window shift, summed at least over the columns
+    tables (one per outer-window shift and extent, covering the columns
     and middle exponents its reads reach) and builds no carrier.
     Operations on another ordering, slot 0 envelopes or two-term left
     factors are not represented and raise."""
@@ -1074,16 +1065,19 @@ class TableView:
         _check_ket_slot(outer)
         return np.array(sorted({int(d) for r, rows in self._live() for d in rows - r.dd}), dtype=int)
 
-    def _needs(self, span: int) -> dict:
-        """Per outer-window shift w: the source columns and the middle reach
-        that the live reads ask for columns 0..span of the view's table;
-        on the unshifted window at least :data:`_REACH`, what the source
-        sums when it pairs itself."""
+    @staticmethod
+    def _needs(span: int, reads=()) -> dict:
+        """Per outer-window shift w: the extent (first column, last column,
+        middle exponents below, above the window) of the source's table that
+        reads at (w, column shift, middle exponent shift) ask for columns
+        0..span of a view's table; on the unshifted window at least
+        :data:`_REACH`, the extent the source sums when it pairs itself."""
         need: dict = {0: _REACH}
-        for r, _ in self._live():
-            c0, c1, lo, hi = need.get(r.w, (r.dv, r.dv, r.dj, r.dj))
-            need[r.w] = min(c0, r.dv), max(c1, r.dv), min(lo, r.dj), max(hi, r.dj)
-        return {w: _request(span, *shifts) for w, shifts in need.items()}
+        for w, dv, dj in reads:
+            c0, c1, lo, hi = need.get(w, (dv, dv, dj, dj))
+            need[w] = min(c0, dv), max(c1, dv), min(lo, dj), max(hi, dj)
+        return {w: (c0, span + c1, max(0, -lo), max(0, hi))
+                for w, (c0, c1, lo, hi) in need.items()}
 
     def _slot_table(self, outer: int, span: int, sgn: int) -> np.ndarray:
         """The view's table for columns 0..span: each live read of the
@@ -1096,12 +1090,12 @@ class TableView:
         v = np.arange(span + 1)
         y = lat.q0 ** (js[None, :] + 2 * v[:, None]).astype(float)
         ys = np.stack([y, -y], axis=1)  # [v, s, j]
-        tables = {w: (cols[0], reach[0], self.src._table(2, 1, w, cols, reach))
-                  for w, (cols, reach) in self._needs(span).items()}
+        needs = self._needs(span, ((r.w, r.dv, r.dj) for r, _ in self._live()))
+        tables = {w: (extent, self.src._table(w, extent)) for w, extent in needs.items()}
         out = np.zeros((self._degrees(outer)[-1] + 1, v.size, 2, js.size), dtype=complex)
         weights: dict = {}
         for r, rows in self._live():
-            c0, below, table = tables[r.w]
+            (c0, _, below, _), table = tables[r.w]
             lo, hi, col, mid = rows[0], rows[-1] + 1, r.dv - c0, below + r.dj
             # degrees absent from the source have zero rows in its table
             part = table[lo:hi, col : col + v.size, :, mid : mid + js.size]
@@ -1114,6 +1108,7 @@ class TableView:
 
 
 def _check_ket_slot(outer: int, sgn: int = 1):
-    """A table view pairs only as the last operand of a W star integral."""
+    """A W ket's kept tables and its table views pair only as the last
+    operand of a W star integral."""
     if outer != 2 or sgn != 1:
-        raise ValueError("a table view pairs as the last operand of a W star integral")
+        raise ValueError("a W ket pairs as the last operand of a W star integral")

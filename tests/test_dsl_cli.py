@@ -322,6 +322,12 @@ NESTED = {
         # q0^2 underflows to 0 in the product form's denominator
         ["heine", "--order", "3", "--q", "1e-200", "--t", "1"],
         ["heine", "--order", "3", "--q", "1e-300", "--t", "1"],
+        # integers longer than Python converts between str and int: a
+        # literal, an exponent and an order, and a product too long to print
+        *([cmd, text] for cmd in ("parse", "expand")
+          for text in ("9" * 5000, "q^" + "9" * 5000, f"exp[x_ip]({'9' * 5000})")),
+        ["expand", "9" * 3000 + "*" + "9" * 3000],
+        ["expand", "--json", "9" * 3000 + "*" + "9" * 3000],
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, argv):

@@ -392,9 +392,14 @@ def test_packet_envelope_is_sampled_once_for_both_slots():
 
 
 def test_extended_slot_table_equals_a_fresh_build():
-    """A table summed in pieces (columns 0..s, then s+1..S) equals, bit for
-    bit, the table summed at once, and each entry equals its own one-column
-    build: no entry depends on the span asked or on the other columns."""
+    """Each entry of either operand's table, on every outer slot and sign,
+    equals its own one-column build; and in each ket role, a W carrier on
+    outer slot 2 with sign +1 (read from its kept tables) and a Wt carrier
+    on outer slot 0 with sign -1 (summed anew, keeping nothing), the table
+    for columns 0..s equals, bit for bit, the first s + 1 columns of the
+    table summed at once for 0..12: no entry depends on the span asked or
+    on the other columns.  A W carrier asked for its table on another
+    outer slot or sign raises."""
     lat = QLattice(1.1, -8, 8)
     wp = gaussian_packet(
         lat, Fraction(2), center_j=0.3, width_j=0.9, odd_fraction=0.35, phase_order=20
@@ -403,31 +408,44 @@ def test_extended_slot_table_equals_a_fresh_build():
     for f, outer in ((cst, 0), (ct, 2)):
         for sgn in (1, -1):
             whole = lattice._slot_sums(f, outer, 0, 12, sgn)
-            grown = f._new(f.terms)
-            for span in (3, 9, 12):
-                grown._slot_table(outer, span, sgn)
-            assert np.array_equal(grown._slot_table(outer, 12, sgn), whole)
             for v in (0, 5, 12):
                 assert np.array_equal(lattice._slot_sums(f, outer, v, v, sgn)[:, 0], whole[:, v])
+    for f, outer, sgn in ((ct, 2, 1), (_ordered(cst, True), 0, -1)):
+        whole = lattice._slot_sums(f, outer, 0, 12, sgn)
+        ket = f._new(f.terms)
+        for span in (3, 9, 12):
+            assert np.array_equal(ket._slot_table(outer, span, sgn), whole[:, : span + 1]), span
+        assert len(ket._tables) == (3 if f is ct else 0), list(ket._tables)
+    for outer, sgn in ((0, 1), (0, -1), (2, -1)):
+        with pytest.raises(ValueError, match="last operand of a W star integral"):
+            ct._slot_table(outer, 3, sgn)
 
 
-def test_kept_table_grows_both_ways_as_a_fresh_build():
-    """A kept table asked for columns before and after it, for a wider
-    middle reach and on a shifted outer window equals, bit for bit, each
-    piece summed afresh: a wider ask sums the union of the kept table and
-    the request anew and keeps it in place of the old one, a narrower ask
-    reads a slice, and every slice equals a fresh build."""
+def test_kept_table_per_extent_is_a_fresh_build(monkeypatch):
+    """Each table a W ket keeps, per outer-window shift and extent (first
+    column, last column, middle exponents below, above the window), is
+    returned whole and equals, bit for bit, the table summed afresh over it;
+    two extents on one shift are kept side by side, and asking for an
+    extent again returns its kept table without summing it anew."""
     lat = QLattice(1.1, -8, 8)
     ct = gaussian_packet(lat, Fraction(2), center_j=0.3, width_j=0.9, odd_fraction=0.35,
                          phase_order=20).coefficients_at(0.1)[0]
-    grown = ct._new(ct.terms)
-    for shift, cols, reach in ((0, (0, 3), (0, 0)), (0, (-2, 3), (0, 0)), (0, (-2, 6), (0, 0)),
-                               (0, (0, 7), (1, 2)), (0, (-2, 2), (0, 1)), (4, (-1, 2), (0, 4))):
-        got = grown._table(2, 1, shift, cols, reach)
-        want = lattice._slot_sums(ct, 2, *cols, 1, shift, reach)
-        assert np.array_equal(got, want), (shift, cols, reach)
-    assert [(k, c0, r, t.shape[1]) for k, (c0, r, t) in grown._tables.items()] == [
-        ((2, 1, 0), -2, (1, 2), 10), ((2, 1, 4), -1, (0, 4), 4)]
+    ket = ct._new(ct.terms)
+    asked = [(0, (0, 3, 0, 0)), (0, (-2, 6, 1, 2)), (4, (-1, 2, 0, 4))]
+    slot_sums, sums = lattice._slot_sums, []
+
+    def spy(f, *args):
+        sums.append(args)
+        return slot_sums(f, *args)
+
+    monkeypatch.setattr(lattice, "_slot_sums", spy)
+    for shift, (first, last, below, above) in asked + asked:
+        got = ket._table(shift, (first, last, below, above))
+        want = slot_sums(ct, 2, first, last, 1, shift, (below, above))
+        assert np.array_equal(got, want), (shift, first, last, below, above)
+    assert sums == [(2, first, last, 1, shift, (below, above))
+                    for shift, (first, last, below, above) in asked], sums
+    assert list(ket._tables) == asked
 
 
 def per_k_integral(a, b) -> complex:
@@ -513,13 +531,13 @@ def test_pairing_through_kept_rows_is_a_fresh_pairing(operands, mirror, bra, ket
 def test_pairing_reads_no_entry_that_no_degree_pair_needs(mirror, monkeypatch):
     """A bra with coupled degrees {0, 3} against a ket of degree 1 reads the
     ket's table at columns u = d - k for d in {0, 3} and k <= min(d, 1):
-    0, 2 and 3.  With nan put at every entry no present degree pair reads
-    (into the ket's kept table at its column 1 and its absent degree 0, and
-    into the bra's table, as it is summed, at its absent degrees 1 and 2),
-    the pairing is still the one of fresh carriers, bit for bit, and reads
-    those very tables: the ket's kept table objects stay, and the bra sums
-    its table once, for its rows 0 to 4 (one past its own degree), and
-    keeps the rows only."""
+    0, 2 and 3.  With nan put, as the tables are summed, at every entry no
+    present degree pair reads (into the ket's table at its column 1 and its
+    absent degree 0, and into the bra's table at its absent degrees 1 and
+    2), the pairing is still the one of fresh carriers, bit for bit, and
+    reads those very tables: the ket sums its table once (a W ket keeps it,
+    a Wt ket keeps nothing), and the bra sums its table once, for its rows
+    0 to 4 (one past its own degree), and keeps the rows only."""
     lat = QLattice(1.1, -6, 6)
     g = log_gaussian(lat, 0.3, 0.9, odd_fraction=0.35)
     h = log_gaussian(lat, -0.2, 1.1, 0.6 - 0.8j)
@@ -541,23 +559,23 @@ def test_pairing_reads_no_entry_that_no_degree_pair_needs(mirror, monkeypatch):
     fresh = bra.star_integral(ket)
     assert abs(fresh - want) <= 1e-14 * abs(want), (fresh, want)
     bra, ket = pair()
-    ket._slot_table(theirs, 3, sgn)[1, 1] = np.nan
-    ket._slot_table(theirs, 3, sgn)[0] = np.nan
-    handed = dict(ket._tables)
-    slot_sums, bra_sums = lattice._slot_sums, []
+    slot_sums, bra_sums, ket_sums = lattice._slot_sums, [], []
 
     def poison(f, *args, **kwargs):
         out = slot_sums(f, *args, **kwargs)
         if f is bra:
             bra_sums.append(args)
             out[1:3] = np.nan
+        else:  # the ket's column 1 at degree 1, and its absent degree 0
+            ket_sums.append(args)
+            out[1, 1 - args[1]] = out[0] = np.nan
         return out
 
     monkeypatch.setattr(lattice, "_slot_sums", poison)
     assert bra.star_integral(ket) == fresh
     assert bra_sums == [(mine, 0, 4, sgn)], bra_sums
-    assert ket._tables.keys() == handed.keys()
-    assert all(ket._tables[k][2] is handed[k][2] for k in handed)
+    assert [args[:2] for args in ket_sums] == [(theirs, 0 if mirror else -1)], ket_sums
+    assert list(ket._tables) == ([] if mirror else [(0, (-1, 4, 0, 4))])
     assert not bra._tables and list(bra._rows) == [(mine, sgn)]
     assert bra._rows[mine, sgn][0].shape[0] == 5
 
@@ -660,9 +678,8 @@ def test_packet_group_builds_each_table_and_row_once():
     assert len(tables) == 4, tables
     assert [(t, in_norm, f is bras[t], top) for t, in_norm, f, top in rows] == [
         (0.1, True, True, 11)], rows
-    assert [(key, c0, reach, table.shape[1]) for key, (c0, reach, table)
-            in kets[0.0]._tables.items()] == [((2, 1, 0), -1, (0, 4), 3),
-                                              ((2, 1, 4), -1, (0, 4), 1)]
+    assert [(key, table.shape[1]) for key, table in kets[0.0]._tables.items()] == [
+        ((0, (-1, 1, 0, 4)), 3), ((4, (-1, -1, 0, 4)), 1)]
     for t in now:
         assert not bras[t]._tables and {k: rows.shape[0] for k, (rows, _)
                                         in bras[t]._rows.items()} == {(0, 1): 2 if t == 0.0 else 12}

@@ -1,4 +1,6 @@
+import json
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -241,7 +243,7 @@ def test_normalized_packet_sums_nothing_anew_at_t0(monkeypatch):
     the <X^A> labels read, and no row set is contracted."""
     wp = _criterion_10_packet()
     c0, cst0 = wp.coefficients_at(0.0)
-    table, rows = c0._tables[2, 1, 0], cst0._rows[0, 1]
+    table, rows = c0._tables[0, (-1, 1, 0, 4)], cst0._rows[0, 1]
     slot_sums, sums = lattice._slot_sums, []
 
     def spy(f, outer, start, span, sgn, shift=0, reach=(0, 0)):
@@ -253,8 +255,9 @@ def test_normalized_packet_sums_nothing_anew_at_t0(monkeypatch):
     for query in PACKET_QUERIES:
         _ask(wp, query, 0.0)
     assert sums == [(True, 4)], sums
-    assert c0._tables[2, 1, 0] is table and cst0._rows[0, 1] is rows
-    assert list(c0._tables) == [(2, 1, 0), (2, 1, 4)] and list(cst0._rows) == [(0, 1)]
+    assert c0._tables[0, (-1, 1, 0, 4)] is table and cst0._rows[0, 1] is rows
+    assert list(c0._tables) == [(0, (-1, 1, 0, 4)), (4, (-1, -1, 0, 4))]
+    assert list(cst0._rows) == [(0, 1)]
 
 
 def test_normalized_packet_is_the_packet_of_its_coefficients():
@@ -272,6 +275,53 @@ def test_normalized_packet_is_the_packet_of_its_coefficients():
                 assert got == want, (t, query, got, want)
             else:
                 assert abs(got - want) <= 1e-15 * abs(want), (t, query, got, want)
+
+
+#: the benchmark's packet pool: packets on lattices of base 1.1, each with
+#: reference values recorded by name (``name`` or ``name:index``)
+PACKET_POOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "perfbench", "data", "packet_pool.json")
+
+
+def _pool_value(wp, t: float, key: str) -> list:
+    """The value a pool reference records under ``key``: c(t)'s term count
+    (build), the integral of c*(t) * c(t), the norm check at t or 0, or
+    <P^A> (p_...) or <X^A> (x_...) at t (_t) or 0 (_0), at the lower index
+    if the name ends in _lower and else at the upper one."""
+    name, _, a = key.partition(":")
+    ct, cst = wp.coefficients_at(t)
+    if name == "build":
+        return [float(len(ct.terms))]
+    if name in ("norm_t", "norm_0"):
+        return [wp.norm_check(t if name == "norm_t" else 0.0)]
+    if name == "star_integral":
+        v = cst.star_integral(ct)
+    else:
+        what, when, *lower = name.split("_")
+        ask = wp.expectation_momentum if what == "p" else wp.expectation_position
+        v = ask(a, t if when == "t" else 0.0, position="lower" if lower else "upper")
+    return [v.real, v.imag]
+
+
+def test_packet_pool_references_hold():
+    """Every reference of the benchmark's packet pool, 25 for each of its
+    24 packets (the lower-index <P^A> at t = 0, which no benchmark op
+    reads, among them), is met through the public API within the pool's
+    1e-10, relative past magnitude 1."""
+    with open(PACKET_POOL) as fh:
+        packets = json.load(fh)["packets"]
+    checked = 0
+    for i, spec in enumerate(packets):
+        wp = gaussian_packet(QLattice(1.1, -spec["half_width"], spec["half_width"]),
+                             Fraction(spec["mass"]), center_j=spec["center_j"],
+                             width_j=spec["width_j"], odd_fraction=spec["odd_fraction"],
+                             phase_order=spec["phase_order"])
+        for key, ref in spec["ref"].items():
+            got = _pool_value(wp, spec["t"], key)
+            assert len(got) == len(ref) and all(
+                abs(g - r) <= 1e-10 * max(1.0, abs(r)) for g, r in zip(got, ref)), (i, key, got, ref)
+            checked += 1
+    assert checked == 600
 
 
 @pytest.mark.parametrize("half_width", [6, 12])
