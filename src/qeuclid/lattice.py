@@ -40,12 +40,13 @@ coupled degree e up to the larger of its widest ket's and its own plus
 one (:func:`_contracted_rows`).  A scaled carrier keeps both scaled, so
 a normalized packet pairs at t = 0 what its norm summed.
 A :class:`TableView` is a ket derived from one carrier c by slot
-operations and a left coordinate, held as index shifts and factors of c's
-kept tables: it pairs like a carrier and builds no terms.  As no entry
-depends on the range asked or on the other rows, a packet's bra c*(t) is
-summed and contracted once, and c(t) once per window shift, for all its
-pairings at t; each later pairing costs a rewrite of c(t)'s tables and
-one product-sum, and no integral depends on the ones before it.
+operations and envelope-free left factors, held as one map of merged
+index shifts and factors of c's kept tables: it pairs like a carrier and
+builds no terms.  As no entry depends on the range asked or on the other
+rows, a packet's bra c*(t) is summed and contracted once, and c(t) once
+per window shift, for all its pairings at t; each later pairing costs a
+rewrite of c(t)'s tables and one product-sum, and no integral depends on
+the ones before it.
 An envelope is evaluated only through :meth:`AxisFn.samples` and, at
 arbitrary points (:meth:`StructuredFn.values_on`), :meth:`AxisFn.values`.
 """
@@ -844,7 +845,7 @@ class StructuredFn:
 
     def boundary_mass(self) -> float:
         """Relative weight carried by the outermost included shell of each
-        axis; small values certify that the window truncation is harmless."""
+        axis: the window's edge share of this carrier, not of any built from it."""
         worst = 0.0
         for slot in range(3):
             js = self.lattice.integration_js(slot)
@@ -886,34 +887,29 @@ class StructuredFn:
 # -- table views --------------------------------------------------------------------
 
 
-class _Read:
-    """One summand of a :class:`TableView`'s table: at the view's coupled
-    degree d, column v, sign s and middle exponent j it reads
+def _mapped(q0: float, key: tuple, rcoef: complex, rfac: np.ndarray, coef: complex = 1.0,
+            dfac=None, a=0, b=0, c=0, p=0, e=0, w=0) -> tuple:
+    """The :class:`TableView` read (key, (rcoef, rfac)) put into one summand
+    of a table map, T'[d, v](s, j) = coef dfac(d) y^p q0^(e v) T_w[d + a,
+    v + b](s, j + c): read at column v + b and exponent j + c, its own y is
+    q0^(c + 2b) y.  ``dfac`` maps an array of degrees d to factors."""
+    rp, re, rdd, rdv, rdj, rw = key
+    dd = rdd + a
+    fac = rfac if dfac is None else rfac * dfac(np.arange(rfac.size) - dd)
+    coef = rcoef * coef * q0 ** (rp * (c + 2 * b) + re * b)
+    return (rp + p, re + e, dd, rdv + b, rdj + c, rw + w), (coef, fac)
 
-        coef fac[d + dd] y^p q0^(e v) T_w[d + dd, v + dv](s, j + dj),
 
-    where y = s q0^(j + 2v) is the middle point the column reads, T_w the
-    source carrier's slot table on its outer window shifted by w
-    (:meth:`StructuredFn._table`), and ``fac`` runs over the source's
-    coupled degrees."""
-
-    __slots__ = ("coef", "fac", "p", "e", "dd", "dv", "dj", "w")
-
-    def __init__(self, coef: complex, fac: np.ndarray, p: int, e: int, dd: int, dv: int,
-                 dj: int, w: int):
-        self.coef, self.fac, self.p, self.e = coef, fac, p, e
-        self.dd, self.dv, self.dj, self.w = dd, dv, dj, w
-
-    def mapped(self, q0: float, coef: complex = 1.0, dfac=None, a: int = 0, b: int = 0,
-               c: int = 0, p: int = 0, e: int = 0, w: int = 0) -> "_Read":
-        """This read put into one summand of a table map,
-        T'[d, v](s, j) = coef dfac(d) y^p q0^(e v) T_w[d + a, v + b](s, j + c):
-        read at column v + b and exponent j + c, its own y is
-        q0^(c + 2b) y.  ``dfac`` maps an array of degrees d to factors."""
-        dd = self.dd + a
-        fac = self.fac if dfac is None else self.fac * dfac(np.arange(self.fac.size) - dd)
-        coef = self.coef * coef * q0 ** (self.p * (c + 2 * b) + self.e * b)
-        return _Read(coef, fac, self.p + p, self.e + e, dd, self.dv + b, self.dj + c, self.w + w)
+def _merged(reads) -> dict:
+    """Reads (key, (coef, fac)) as one map in first-seen order: a key read
+    again becomes (1, sum of coef fac)."""
+    out: dict = {}
+    for key, (coef, fac) in reads:
+        if key in out:
+            c0, f0 = out[key]
+            coef, fac = 1.0, c0 * f0 + coef * fac
+        out[key] = coef, fac
+    return out
 
 
 def _qnum(n, Q: float):
@@ -929,14 +925,18 @@ def _qfall(n, k: int, Q: float):
 class TableView:
     """A ket derived from one W-ordered carrier c, envelope-free on slot 0,
     by the slot operations of :mod:`qeuclid.qcalculus` and left star
-    multiplication by one envelope-free term, held as exact rewrites of c's
+    multiplication by envelope-free factors, held as exact rewrites of c's
     slot table instead of as carrier terms.
 
     As the last operand of a W star integral, c has the table
     T[d, v](s, j) = sum_i c_i M_i(n_i + v) g_i(y), y = s q0^(j + 2v)
     (:func:`_slot_sums`, outer slot 2, coupled slot 0), and each operation
     on the ket reindexes the same finite sum, so that the ket's table is the
-    sum of the view's ``terms``, each a :class:`_Read` of c's table:
+    sum of the view's reads: ``terms`` maps (p, e, dd, dv, dj, w) to (coef,
+    fac), read at (d, v, s, j) as coef fac[d + dd] y^p q0^(e v) T_w[d + dd,
+    v + dv](s, j + dj), T_w the table on the outer window shifted by w and
+    ``fac`` over c's coupled degrees.  Reads of one key merge
+    (:func:`_merged`), and each operation maps every read:
 
     * slot 0, envelope-free: D_Q gives T'[d] = [[d+1]]_Q T[d+1],
       a scaling by q0^m gives q0^(m d) T[d], and x gives T[d-1];
@@ -947,16 +947,14 @@ class TableView:
       by b, since the sum of w_j x_j^n e(Q x_j) over a window is Q^-(n+1)
       times that over the window shifted by b; a scaling by q0^m gives
       q0^(-m(v+1)) T^(W+m)[v], and x gives T[v+1](j-2);
-    * a left factor c_1 x^(a, b, x) gives, per k <= x, c_1 lam^k / [[k]]!
-      fall[x, k] fall[d - a + k, k] q0^(2b(d - a)) y^(b + 2k)
-      T[d - a + k, v + x - k], the star's terms in base q0^4.
+    * each term c_1 x^(a, b, x) of a left factor gives, per k <= x,
+      c_1 lam^k / [[k]]! fall[x, k] fall[d - a + k, k] q0^(2b(d - a))
+      y^(b + 2k) T[d - a + k, v + x - k], the star's terms in base q0^4.
 
-    Only rounding differs from building the ket's terms.  The view pairs
-    as the ket of :meth:`StructuredFn.star_integral`: it reads c's kept
-    tables (one per outer-window shift and extent, covering the columns
-    and middle exponents its reads reach) and builds no carrier.
-    Operations on another ordering, slot 0 envelopes or two-term left
-    factors are not represented and raise."""
+    Only rounding differs from building the ket's terms.  The view pairs as
+    the ket of :meth:`StructuredFn.star_integral` from c's kept tables and
+    builds no carrier; past the float range it pairs to "not finite".
+    Another ordering, slot 0 envelopes or enveloped left factors raise."""
 
     __slots__ = ("src", "terms", "_kept")
 
@@ -967,7 +965,7 @@ class TableView:
             raise ClassConstraintError("a table view needs its carrier polynomial on slot 0")
         size = 0 if src.is_zero() else src._degrees(2)[-1] + 1
         self.src, self._kept = src, None
-        self.terms = [_Read(1.0, np.ones(size), 0, 0, 0, 0, 0, 0)] if size else []
+        self.terms = {(0,) * 6: (1.0, np.ones(size))} if size else {}
 
     def _new(self, terms) -> "TableView":
         view = object.__new__(TableView)
@@ -975,9 +973,10 @@ class TableView:
         return view
 
     def _map(self, *summands) -> "TableView":
-        """Each read put into each summand (keywords of :meth:`_Read.mapped`)."""
+        """Each read put into each summand (keywords of :func:`_mapped`)."""
         q0 = self.src.lattice.q0
-        return self._new([r.mapped(q0, **m) for r in self.terms for m in summands])
+        return self._new(_merged(_mapped(q0, key, *read, **m)
+                                 for key, read in self.terms.items() for m in summands))
 
     @property
     def sector_kind(self) -> str:
@@ -1027,25 +1026,24 @@ class TableView:
     def __add__(self, other: "TableView") -> "TableView":
         if other.src is not self.src:
             raise ValueError("table views of different carriers")
-        return self._new(self.terms + other.terms)
+        return self._new(_merged([*self.terms.items(), *other.terms.items()]))
 
     def is_zero(self) -> bool:
         return not self._live()
 
     def left_star(self, f: StructuredFn) -> "TableView":
-        """f * (this ket) in the W ordering, for f one envelope-free term."""
+        """f * (this ket) in the W ordering, for f envelope-free."""
         self.src._check_compatible(f)
-        if len(f.terms) != 1 or any(map(f._enveloped, range(3))):
-            raise ClassConstraintError("a table view is star-multiplied by one envelope-free term")
-        (t,) = f.terms
-        a1, b1, x1 = t.exps
+        if any(map(f._enveloped, range(3))):
+            raise ClassConstraintError("a table view is star-multiplied by an envelope-free factor")
         q0 = self.src.lattice.q0
         Q, lam = q0**4, q0 - 1.0 / q0
         return self._map(*(
             dict(coef=t.coeff * lam**k / _qfall(k, k, Q) * _qfall(x1, k, Q),
-                 dfac=lambda d, k=k: _qfall(d - a1 + k, k, Q) * q0 ** (2.0 * b1 * (d - a1)),
+                 dfac=lambda d, k=k, a1=a1, b1=b1: (_qfall(d - a1 + k, k, Q)
+                                                    * q0 ** (2.0 * b1 * (d - a1))),
                  a=k - a1, b=x1 - k, p=b1 + 2 * k)
-            for k in range(x1 + 1)))
+            for t in f.terms for a1, b1, x1 in [t.exps] for k in range(x1 + 1)))
 
     # -- the ket side of a star integral --------------------------------------
 
@@ -1053,17 +1051,18 @@ class TableView:
         return self.src._enveloped(slot)
 
     def _live(self) -> list:
-        """(read, source degrees it reads), kept: the degrees present in the
-        source whose factor is nonzero and whose coupled degree d >= 0."""
+        """(key, coef, fac, source degrees read) per read, kept: the degrees
+        present in the source whose factor is nonzero and whose coupled degree d >= 0."""
         if self._kept is None:
             ds = self.src._degrees(2) if self.terms else None
-            self._kept = [(r, rows) for r in self.terms
-                          for rows in [ds[(r.fac[ds] != 0) & (ds >= r.dd)]] if rows.size]
+            self._kept = [(key, coef, fac, rows) for key, (coef, fac) in self.terms.items()
+                          for rows in [ds[(fac[ds] != 0) & (ds >= key[2])]] if rows.size]
         return self._kept
 
     def _degrees(self, outer: int) -> np.ndarray:
         _check_ket_slot(outer)
-        return np.array(sorted({int(d) for r, rows in self._live() for d in rows - r.dd}), dtype=int)
+        ds = {int(d) for key, *_, rows in self._live() for d in rows - key[2]}
+        return np.array(sorted(ds), dtype=int)
 
     @staticmethod
     def _needs(span: int, reads=()) -> dict:
@@ -1090,20 +1089,19 @@ class TableView:
         v = np.arange(span + 1)
         y = lat.q0 ** (js[None, :] + 2 * v[:, None]).astype(float)
         ys = np.stack([y, -y], axis=1)  # [v, s, j]
-        needs = self._needs(span, ((r.w, r.dv, r.dj) for r, _ in self._live()))
+        needs = self._needs(span, ((w, dv, dj) for (*_, dv, dj, w), *_ in self._live()))
         tables = {w: (extent, self.src._table(w, extent)) for w, extent in needs.items()}
         out = np.zeros((self._degrees(outer)[-1] + 1, v.size, 2, js.size), dtype=complex)
         weights: dict = {}
-        for r, rows in self._live():
-            (c0, _, below, _), table = tables[r.w]
-            lo, hi, col, mid = rows[0], rows[-1] + 1, r.dv - c0, below + r.dj
+        for (p, e, dd, dv, dj, w), coef, fac, rows in self._live():
+            (c0, _, below, _), table = tables[w]
+            lo, hi, col, mid = rows[0], rows[-1] + 1, dv - c0, below + dj
             # degrees absent from the source have zero rows in its table
             part = table[lo:hi, col : col + v.size, :, mid : mid + js.size]
-            key = r.p, r.e
-            if key not in weights:
-                weights[key] = ys**r.p * (lat.q0 ** (r.e * v.astype(float)))[:, None, None]
-            out[lo - r.dd : hi - r.dd] += part * ((r.coef * r.fac[lo:hi])[:, None, None, None]
-                                                  * weights[key])
+            if (p, e) not in weights:
+                weights[p, e] = ys**p * (lat.q0 ** (e * v.astype(float)))[:, None, None]
+            out[lo - dd : hi - dd] += part * ((coef * fac[lo:hi])[:, None, None, None]
+                                              * weights[p, e])
         return out
 
 

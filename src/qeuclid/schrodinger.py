@@ -536,6 +536,7 @@ class WavePacket:
         self._transports = {}  # (index, position) -> (d', s at q0)
 
     def boundary_mass(self) -> float:
+        """The t = 0 edge-shell share of c*(0) * c(0); it certifies nothing at t > 0."""
         c, cst = self.coefficients_at(0.0)
         return cst.star(c).boundary_mass()
 

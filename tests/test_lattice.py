@@ -18,7 +18,7 @@ from qeuclid.lattice import (
 )
 from qeuclid.qcalculus import DerivativeLabel, apply_derivative
 from qeuclid.starcalc import coord_variable
-from qeuclid.schrodinger import WavePacket, gaussian_packet
+from qeuclid.schrodinger import WavePacket, gaussian_packet, psq
 
 
 def dense_integral(f) -> complex:
@@ -739,8 +739,9 @@ def test_table_view_rewrites_the_carrier_table(first, then):
     """Two slot operations on a seeded random W carrier, polynomial on slot
     0: the table view's table (a rewrite of the carrier's kept tables) equals,
     within 1e-12 of its largest entry, the table of the carrier the same
-    operations build, at each coupled degree; so does each coordinate's left
-    star product, and the view reports the same degrees."""
+    operations build, at each coupled degree; so does the left star product
+    by each coordinate and by the two-term p^2, and the view reports the
+    same degrees."""
     rng = np.random.default_rng(35)
     lat = QLattice(1.1, -5, 5)
     bases = _random_bases(rng, lat)
@@ -750,17 +751,42 @@ def test_table_view_rewrites_the_carrier_table(first, then):
         view, carrier = (getattr(g, name)(0, slot, arg) for g in (view, carrier))
     kets = [(view, carrier)] + [
         (view.left_star(x), x.star(carrier))
-        for x in (StructuredFn.from_poly(lat, coord_variable(v, "W")) for v in ("p-", "p3", "p+"))]
+        for x in [StructuredFn.from_poly(lat, p) for p in (
+            *(coord_variable(v, "W") for v in ("p-", "p3", "p+")), psq())]]
     for view, carrier in kets:
         assert np.array_equal(view._degrees(2), carrier._degrees(2))
         got, want = view._slot_table(2, 4, 1), carrier._slot_table(2, 4, 1)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (first, then)
 
 
+def test_left_star_by_a_sum_is_the_sum_of_left_stars():
+    """Two p^2 steps after each slot operation on a seeded random W carrier:
+    at each, the view star-multiplied by the two-term p^2 equals the sum of
+    the view star-multiplied by each term, each with its own degrees: the
+    same read keys and degrees and, within 1e-13 of its largest entry, the
+    same table."""
+    rng = np.random.default_rng(48)
+    lat = QLattice(1.1, -5, 5)
+    f = _random_operand(rng, lat, _random_bases(rng, lat), 0, "W")
+    p2 = StructuredFn.from_poly(lat, psq())
+    assert len(p2.terms) == 2
+    for name, slot, arg in VIEW_OPS:
+        view = getattr(TableView(f), name)(0, slot, arg)
+        for _ in range(2):
+            whole = view.left_star(p2)
+            parts = [view.left_star(StructuredFn(lat, "p", [t])) for t in p2.terms]
+            summed = parts[0] + parts[1]
+            assert set(whole.terms) == set(summed.terms), (name, slot, arg)
+            assert np.array_equal(whole._degrees(2), summed._degrees(2)), (name, slot, arg)
+            got, want = whole._slot_table(2, 4, 1), summed._slot_table(2, 4, 1)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (name, slot, arg)
+            view = whole
+
+
 def test_table_view_refuses_what_it_does_not_represent():
     """A view reads one W carrier polynomial on slot 0, is multiplied from
-    the left by one envelope-free term, pairs only as the last operand of a
-    W integral and adds only to views of the same carrier."""
+    the left by envelope-free factors only, pairs only as the last operand
+    of a W integral and adds only to views of the same carrier."""
     lat = QLattice(1.1, -4, 4)
     env = log_gaussian(lat, 0.2, 1.0)
     w = StructuredFn(lat, "p", [STerm(1.0, (1, 0, 2), (None, env, env))])

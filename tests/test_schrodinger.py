@@ -1,6 +1,8 @@
+import cmath
 import json
 import math
 import os
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +22,7 @@ from qeuclid.schrodinger import (
     phase_factor,
     phase_factor_construction_residual,
     propagator_momentum,
+    psq,
     psq_power,
     zwischen_reorder_residual,
 )
@@ -362,6 +365,90 @@ def test_empty_ket_pairs_to_zero_without_a_table(monkeypatch):
     assert ket.is_zero()
     monkeypatch.setattr(lattice, "_slot_sums", None)
     assert cst0.star_integral(ket) == 0
+
+
+def _position_labels():
+    """The three left labels d' that the six <X^A> values pair, in first-seen
+    order: those of <X^+, upper>, <X^+, lower> (shared with <X^-, upper>)
+    and <X^3>."""
+    return list(dict.fromkeys(
+        right_transport(DerivativeLabel(a, "plain", "right_bar", position), "p")[0]
+        for a in ("+", "3", "-") for position in ("upper", "lower")))
+
+
+def _p2_chain(c, label):
+    """The table views (p^2)^m * u of c for m = 0, 1, ..., u = [p^2, d'] c,
+    each p^2 step one ``left_star`` by the two-term psq."""
+    p2 = StructuredFn.from_poly(c.lattice, psq())
+    view = TableView(c)
+    u = (apply_derivative(label, view).left_star(p2)
+         + apply_derivative(label, view.left_star(p2)).scale_q(QScalar.from_rational(-1)))
+    while True:
+        yield u
+        u = u.left_star(p2)
+
+
+class _Unmerged(tuple):
+    """A read key equal only to itself: views built with it merge no reads."""
+
+    __hash__ = object.__hash__
+
+    def __eq__(self, other):
+        return self is other
+
+
+def test_p2_chain_reads_grow_linearly(monkeypatch):
+    """A view merges reads of one key, so after m p^2 steps on u = [p^2, d']
+    c(0) each <X> label's view has at most 4m + 9 reads for m <= 20 (it
+    has m + 2, 4m + 9 and 2m + 4; unmerged, the reads triple per step).  At
+    t = 0.1 only the mirror label of <X^+, lower> and <X^-, upper> reads a
+    key twice: d' c(t) is 6 reads in 5 keys there, so no other packet value
+    changes by merging."""
+    wp = _criterion_10_packet()
+    c0, ct = (wp.coefficients_at(t)[0] for t in (0.0, 0.1))
+    for label in _position_labels():
+        for m, view in zip(range(21), _p2_chain(c0, label)):
+            assert len(view.terms) <= 4 * m + 9, (label, m, len(view.terms))
+    keys = {label.index: len(apply_derivative(label, TableView(ct)).terms)
+            for label in _position_labels()}
+    monkeypatch.setattr(lattice, "_merged", lambda reads: {_Unmerged(key): read
+                                                           for key, read in reads})
+    reads = {label.index: len(apply_derivative(label, TableView(ct)).terms)
+             for label in _position_labels()}
+    assert {a: (reads[a], keys[a]) for a in keys} == {"+": (1, 1), "-": (6, 5), "3": (2, 2)}
+
+
+def test_p2_chain_overflow_is_the_not_finite_error():
+    """A chain keeps no scale apart from its reads' factors: for the mirror
+    label on the criterion-10 packet, R_m = Int c*(0) * (p^2)^m * u is
+    finite up to m = 78, and at m = 79, past the float range, star_integral
+    raises its "not finite" error, with no numpy warning before it."""
+    c0, cst0 = _criterion_10_packet().coefficients_at(0.0)
+    label = _position_labels()[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        chain = _p2_chain(c0, label)
+        for m, view in zip(range(79), chain):
+            assert len(view.terms) <= 4 * m + 9, m  # merged, or the chain outgrows memory
+            assert cmath.isfinite(cst0.star_integral(view)), m
+        with pytest.raises(FloatingPointError, match="not finite"):
+            cst0.star_integral(next(chain))
+
+
+def test_p2_chain_of_views_matches_the_carrier_route():
+    """For m <= 4 and every <X> label, Int c*(0) * (p^2)^m * (d' c(0))
+    through table views equals the carrier route, psq star-multiplied m
+    times onto d' c(0), within 1e-13 of the larger magnitude.  The label of
+    <X^+, upper> lowers c(0)'s only slot-0 degree, so it pairs to 0."""
+    c0, cst0 = _criterion_10_packet().coefficients_at(0.0)
+    p2 = StructuredFn.from_poly(c0.lattice, psq())
+    for label in _position_labels():
+        view, carrier = apply_derivative(label, TableView(c0)), apply_derivative(label, c0)
+        for m in range(5):
+            got, want = cst0.star_integral(view), cst0.star_integral(carrier)
+            assert abs(got - want) <= 1e-13 * max(abs(got), abs(want)), (label, m, got, want)
+            assert (got == 0) == (label.index == "+"), (label, m, got)
+            view, carrier = view.left_star(p2), p2.star(carrier)
 
 
 @pytest.mark.parametrize("t", [0.1, 0.2])
