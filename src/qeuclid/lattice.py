@@ -1082,7 +1082,8 @@ class TableView:
         """The view's table for columns 0..span: each live read of the
         source's kept tables over the range of source degrees it reads,
         weighted and added in read order; each weight y^p q0^(e v) is
-        computed once per distinct (p, e)."""
+        computed once per distinct (p, e).  A zero view's table has no
+        degree rows."""
         _check_ket_slot(outer, sgn)
         lat = self.src.lattice
         js = lat.integration_js(1)
@@ -1091,7 +1092,8 @@ class TableView:
         ys = np.stack([y, -y], axis=1)  # [v, s, j]
         needs = self._needs(span, ((w, dv, dj) for (*_, dv, dj, w), *_ in self._live()))
         tables = {w: (extent, self.src._table(w, extent)) for w, extent in needs.items()}
-        out = np.zeros((self._degrees(outer)[-1] + 1, v.size, 2, js.size), dtype=complex)
+        out = np.zeros((self._degrees(outer).max(initial=-1) + 1, v.size, 2, js.size),
+                       dtype=complex)
         weights: dict = {}
         for (p, e, dd, dv, dj, w), coef, fac, rows in self._live():
             (c0, _, below, _), table = tables[w]

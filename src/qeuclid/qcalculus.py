@@ -118,7 +118,20 @@ def _left_rep(index: str, f, s: int, m: int):
     raise AssertionError(index)
 
 
+def _orbit(g, step):
+    """g, step(g), step(step(g)), ... up to the first zero: the terms of a
+    series whose term k is one step from term k - 1, each built once."""
+    while not g.is_zero():
+        yield g
+        g = step(g)
+
+
 def _left_rep_inverse(index: str, f, s: int, m: int):
+    """F with _left_rep(index, F, s, m) = f.  For d-, the series
+    F = sum_k q^(-2mk(k+1)) S_(-2m(k+1)) A^k D_hi^-1 f, A = -m lam x_lo
+    D_hi^-1 D3^2 and S_e the dilation x3 -> q^e x3: each dilation is moved
+    left of A^k by D_Q[g(mu x)] = mu (D_Q g)(mu x), so that term k is one A
+    from term k - 1 (two x3 derivatives, not 2k) and the first zero ends it."""
     index, lo, hi = _mirror(index, m)
     if index == "+":
         return f.jackson_d_inv(s, lo, 4 * m)
@@ -126,24 +139,15 @@ def _left_rep_inverse(index: str, f, s: int, m: int):
         return f.scale_slot(s, lo, -2 * m).jackson_d_inv(s, 1, 2 * m)
     if index == "-":
         neg_lam = -LAMBDA if m > 0 else LAMBDA
-        total = None
-        k = 0
-        while True:
-            term = f.scale_slot(s, 1, -2 * m * (k + 1)).jackson_d_inv(s, hi, 4 * m)
-            for _ in range(k):
-                term = (
-                    term.jackson_d(s, 1, 2 * m)
-                    .jackson_d(s, 1, 2 * m)
-                    .jackson_d_inv(s, hi, 4 * m)
-                    .mul_slot_var(s, lo)
-                    .scale_q(neg_lam)
-                )
-            term = term.scale_q(QScalar.q(2 * m * k * (k + 1)))
-            if term.is_zero():
-                break
-            total = term if total is None else total + term
-            k += 1
-        return total if total is not None else f.scale_q(ZERO)
+        terms = [
+            g.scale_slot(s, 1, -2 * m * (k + 1)).scale_q(QScalar.q(-2 * m * k * (k + 1)))
+            for k, g in enumerate(_orbit(
+                f.jackson_d_inv(s, hi, 4 * m),
+                lambda g: g.jackson_d(s, 1, 2 * m).jackson_d(s, 1, 2 * m)
+                .jackson_d_inv(s, hi, 4 * m).mul_slot_var(s, lo).scale_q(neg_lam),
+            ))
+        ]
+        return sum(terms[1:], terms[0]) if terms else f.scale_q(ZERO)
     if index == "0":
         return f.t_integral()
     raise AssertionError(index)
@@ -234,9 +238,9 @@ def inverse_partial(label: DerivativeLabel, f, sector_index: int = 0):
     """Solve  apply_derivative(label, F) = f  for F (no integration constant).
 
     Defined for position-sector actions.  The d- family (d+ for the hatted
-    bar action) is the terminating series of nested antiderivatives;
-    termination is guaranteed because each loop applies a double Jackson
-    derivative in x3.
+    bar action) is a series of nested antiderivatives, each term one step
+    from the last (:func:`_left_rep_inverse`); it terminates on polynomials
+    because each step lowers the x3 degree by two.
     """
     kind = f.sectors[sector_index].kind
     if kind != "x":

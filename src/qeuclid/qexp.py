@@ -25,6 +25,8 @@ exp(x | i p), the translation formula, U and the inversion series.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .qarith import (
     ONE,
     I,
@@ -45,7 +47,7 @@ from .starcalc import (
     coord,
     to_phase_space,
 )
-from .qcalculus import DerivativeLabel, apply_derivative, d
+from .qcalculus import DerivativeLabel, _orbit, apply_derivative, d
 
 Y_SECTOR = Sector("x", "y")
 
@@ -209,25 +211,26 @@ def _as_xy(f: Poly) -> Poly:
     return f.rename_sectors((Y_SECTOR,)).insert_sector(0, X_SECTOR)
 
 
+def _chain(g: Poly, slot: int, base_exp: int, n: int) -> list[Poly]:
+    """[g, D g, ..., D^n g] for the Jackson derivative D on one y slot."""
+    return list(accumulate(range(n), lambda h, _: h.jackson_d(1, slot, base_exp),
+                           initial=g))
+
+
 def _translate_plus_formula(f: Poly) -> Poly:
-    """The printed quadruple-sum realization of f(x (+) y)."""
+    """The printed quadruple-sum realization of f(x (+) y); its y-side
+    derivatives act on distinct slots and commute, so each is one step of a chain."""
     fxy = _as_xy(f)
     deg3 = max((tr[0][1] for tr, _ in f.terms), default=0)
     degm = max((tr[0][2] for tr, _ in f.terms), default=0)
     degp = max((tr[0][0] for tr, _ in f.terms), default=0)
     total = Poly.zero((X_SECTOR, Y_SECTOR), f.convention)
-    for i_p in range(degp + 1):
-        for i_m in range(degm + 1):
+    for i_p, gp in enumerate(_chain(fxy, 0, -4, degp)):
+        for i_m, gm in enumerate(_chain(gp, 2, -4, degm)):
+            d3 = _chain(gm, 1, -2, deg3)
             for i_3 in range(deg3 + 1):
                 for k in range(0, min(i_3, deg3 - i_3) + 1):
-                    # y-side derivatives, rightmost first
-                    g = fxy
-                    for _ in range(i_p):
-                        g = g.jackson_d(1, 0, -4)
-                    for _ in range(i_3 + k):
-                        g = g.jackson_d(1, 1, -2)
-                    for _ in range(i_m):
-                        g = g.jackson_d(1, 2, -4)
+                    g = d3[i_3 + k]
                     if g.is_zero():
                         continue
                     g = g.scale_slot(1, 2, 2 * (k - i_3)).scale_slot(1, 1, -2 * i_p)
@@ -292,20 +295,14 @@ def u_operator(f: Poly) -> Poly:
     """The scaling operator U, acting on sector 0 of ``f``.
 
     U = sum_k (-lam)^k (x3)^{2k}/[[k]]_{q^-4}! q^{-2 n3(n+ + n- + k)} D^k_{q^-4,x+} D^k_{q^-4,x-}
-    The series terminates on polynomials: the double derivative eventually
+    with n the exponents after the derivatives, which commute: term k is one
+    step D_x+ D_x- from term k - 1, two derivatives, not 2k.  The series
+    terminates on polynomials, where the double derivative eventually
     annihilates.  U^-1 is its mirror image,
     ``u_operator(f.subs_q_inverse_swap()).subs_q_inverse_swap()``.
     """
     total = Poly.zero(f.sectors, f.convention)
-    k = 0
-    while True:
-        g = f
-        for _ in range(k):
-            g = g.jackson_d(0, 0, -4)
-        for _ in range(k):
-            g = g.jackson_d(0, 2, -4)
-        if g.is_zero():
-            return total
+    for k, g in enumerate(_orbit(f, lambda g: g.jackson_d(0, 0, -4).jackson_d(0, 2, -4))):
         scaled = Poly(
             f.sectors,
             {
@@ -315,11 +312,9 @@ def u_operator(f: Poly) -> Poly:
             },
             f.convention,
         )
-        term = scaled.mul_slot_var(0, 1, 2 * k).scale(
-            (-LAMBDA) ** k / q_factorial(k, -4)
-        )
-        total = total + term
-        k += 1
+        coeff = (-LAMBDA) ** k / q_factorial(k, -4)
+        total = total + scaled.mul_slot_var(0, 1, 2 * k).scale(coeff)
+    return total
 
 
 def _substituted(coeff, triple, outer: int, mid: int):
@@ -331,41 +326,25 @@ def _substituted(coeff, triple, outer: int, mid: int):
 
 
 def _inversion_series(f: Poly) -> Poly:
-    """The composite scaling series S with  f(minus x) = U[S[f]]."""
+    """The composite scaling series S with  f(minus x) = U[S[f]].  Term i
+    takes D3^(2i) of f after x+- -> -q^(2-4i) x+-, x3 -> -q^(1-2i) x3; by
+    D_Q[g(mu x)] = mu (D_Q g)(mu x) it substitutes into D3^(2i) f instead,
+    times q^(2i(1-2i)), so D3^(2i) f is one step D3^2 from term i - 1."""
     total = Poly.zero(f.sectors, f.convention)
-    i = 0
-    while True:
-        # argument substitution (read by variable name): x- -> -q^(2-4i) x-,
-        # x3 -> -q^(1-2i) x3, x+ -> -q^(2-4i) x+
-        g = Poly(
-            f.sectors,
-            {
-                key: _substituted(coeff, key[0][0], 2 - 4 * i, 1 - 2 * i)
-                for key, coeff in f.terms.items()
-            },
-            f.convention,
-        )
-        for _ in range(2 * i):
-            g = g.jackson_d(0, 1, -2)
-        if g.is_zero() and i > 0:
-            break
+    for i, h in enumerate(_orbit(f, lambda h: h.jackson_d(0, 1, -2).jackson_d(0, 1, -2))):
         out = Poly(
             f.sectors,
             {
-                key: coeff.shift(-2 * a * (a + b) - 2 * c * (c + b) - b * b)
-                for key, coeff in g.terms.items()
+                key: _substituted(coeff, (a, b, c), 2 - 4 * i, 1 - 2 * i).shift(
+                    2 * i * (1 - 2 * i) - 2 * a * (a + b) - 2 * c * (c + b) - b * b
+                )
+                for key, coeff in h.terms.items()
                 for a, b, c in (key[0][0],)
             },
             f.convention,
         )
-        coeff = ((-LAMBDA * LAMBDA_PLUS).shift(1)) ** i / q_double_factorial_even(
-            i, -2
-        )
-        term = out.mul_slot_var(0, 0, i).mul_slot_var(0, 2, i).scale(coeff)
-        total = total + term
-        i += 1
-        if 2 * i > max((tr[0][1] for tr, _ in f.terms), default=0):
-            break
+        coeff = ((-LAMBDA * LAMBDA_PLUS).shift(1)) ** i / q_double_factorial_even(i, -2)
+        total = total + out.mul_slot_var(0, 0, i).mul_slot_var(0, 2, i).scale(coeff)
     return total
 
 
@@ -389,12 +368,18 @@ def q_invert(f: Poly, kind: str = "minus") -> Poly:
 
 
 def _apply_to_sector(xy: Poly, sector_index: int, fn) -> Poly:
-    """Map a per-monomial operator over one sector of a two-sector carrier."""
+    """Map a per-monomial operator over one sector of a two-sector carrier,
+    once per distinct monomial: many terms share one (an exponential's
+    position monomials recur under each momentum monomial)."""
     i = sector_index
+    images: dict = {}
     out: dict = {}
     for (triples, t), coeff in xy.terms.items():
-        single = Poly((xy.sectors[i],), {((triples[i],), 0): ONE}, xy.convention)
-        for (mt, _), w in fn(single).terms.items():
+        image = images.get(triples[i])
+        if image is None:
+            single = Poly((xy.sectors[i],), {((triples[i],), 0): ONE}, xy.convention)
+            image = images[triples[i]] = fn(single).terms.items()
+        for (mt, _), w in image:
             _add_term(out, (triples[:i] + mt + triples[i + 1 :], t), coeff * w)
     return Poly(xy.sectors, out, xy.convention)
 

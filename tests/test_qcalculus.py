@@ -109,6 +109,18 @@ def test_inverse_roundtrips(rand_poly):
                 assert apply_derivative(lab, inverse_partial(lab, g)) == g
 
 
+@pytest.mark.parametrize("label, conv", [(d("-"), "W"), (d("-", "hat", "left_bar"), "Wt"),
+                                         (d("+", "hat", "left_bar"), "Wt")])
+def test_d_minus_inverse_roundtrips_up_to_x3_degree_12(rand_poly, label, conv):
+    """The d- series (d+ for the hatted bar action, through the mirror)
+    inverts its derivative exactly at every x3 degree up to 12, seven terms
+    deep there; the random carriers above stay at degree 3 per slot."""
+    for b in range(13):
+        f = rand_poly(deg=2, nterm=2, conv=conv) + Poly.monomial(
+            (X_SECTOR,), ((b % 3, b, 2 - b % 3),), b % 2, QScalar.q(b - 6), conv)
+        assert apply_derivative(label, inverse_partial(label, f)) == f, b
+
+
 # -- lattice layer -------------------------------------------------------------
 
 

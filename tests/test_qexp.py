@@ -3,16 +3,21 @@ from itertools import product
 import pytest
 
 from qeuclid.qarith import I, I_INV, ONE, q_factorial
-from qeuclid.qcalculus import apply_derivative, d
+from qeuclid import qexp
+from qeuclid.qcalculus import apply_derivative, d, inverse_partial
 from qeuclid.starcalc import Poly, P_SECTOR, X_SECTOR, coord_variable
 from qeuclid.qexp import (
     VARIANTS,
     XP_SECTORS,
     Y_SECTOR,
     build_exponential,
+    counit_residuals,
     exponential_to_json,
+    hopf_antipode_residuals,
+    inverse_exponential_residual,
     q_invert,
     q_translate,
+    q_translate_oracle_plus,
     u_operator,
 )
 
@@ -130,3 +135,62 @@ def test_u_operators_mutually_inverse(rand_poly):
         f = rand_poly(deg=2, nterm=3, with_t=False, conv=conv)
         assert u_operator(u_inverse(f)) == f
         assert u_inverse(u_operator(f)) == f
+
+
+def _mono(triple, conv="W"):
+    return Poly.monomial((X_SECTOR,), (triple,), 0, ONE, conv)
+
+
+#: (series, its run on a degree-12 monomial, Jackson derivatives it takes):
+#: each series steps term k from term k - 1, two derivatives per term plus
+#: the step that finds the first zero term, and the translation takes one
+#: derivative chain per slot
+SERIES_STEPS = [
+    ("d- inverse", lambda: inverse_partial(d("-"), _mono((2, 12, 1))), 2 * 7),
+    ("hatted d+ inverse",
+     lambda: inverse_partial(d("+", "hat", "left_bar"), _mono((1, 12, 2), "Wt")), 2 * 7),
+    ("U", lambda: u_operator(_mono((6, 1, 6))), 2 * 7),
+    ("inversion", lambda: q_invert(_mono((1, 12, 1))), 2 * 7 + 2 * 8),
+    ("translation", lambda: q_translate(_mono((2, 6, 2))), 2 + 3 * 2 + 9 * 6),
+]
+
+
+@pytest.mark.parametrize("run, calls", [case[1:] for case in SERIES_STEPS],
+                         ids=[case[0] for case in SERIES_STEPS])
+def test_each_series_term_steps_from_the_last(monkeypatch, run, calls):
+    """The exact series take Jackson derivatives linear in their length,
+    not one chain from the input per term (56, 56, 114 and 846 calls)."""
+    counted = []
+    jackson_d = Poly.jackson_d
+    monkeypatch.setattr(Poly, "jackson_d",
+                        lambda self, *args: counted.append(args) or jackson_d(self, *args))
+    run()
+    assert len(counted) == calls
+
+
+def test_sector_map_images_each_monomial_once(monkeypatch):
+    """The inverse exponential inverts the y sector of exp(x | exp(y|ip) *
+    ip), whose monomials recur under many (x, p) monomials: each distinct
+    monomial is inverted once per kind, and the residual still vanishes."""
+    seen = []
+    invert = qexp.q_invert
+
+    def spy(g, kind="minus"):
+        seen.append((kind, *g.terms))
+        return invert(g, kind)
+
+    monkeypatch.setattr(qexp, "q_invert", spy)
+    assert inverse_exponential_residual(3).is_zero()
+    assert seen and len(seen) == len(set(seen))
+
+
+@pytest.mark.parametrize("triple", [(1, 6, 1), (0, 6, 0), (6, 1, 0), (0, 2, 6)])
+def test_translation_and_hopf_laws_at_slot_degree_6(rand_poly, triple):
+    """At slot degree 6, past the 4 that the other checks reach, the printed
+    translation equals the exponential route, and the counit and antipode
+    laws hold exactly, barred and unbarred."""
+    f = _mono(triple) + rand_poly(deg=2, nterm=2, with_t=False)
+    assert q_translate(f, "plus").polynomial == q_translate_oracle_plus(f).polynomial
+    for barred in (False, True):
+        assert all(r.is_zero() for r in counit_residuals(f, barred)), barred
+        assert all(r.is_zero() for r in hopf_antipode_residuals(f, barred)), barred

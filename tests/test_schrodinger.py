@@ -367,6 +367,16 @@ def test_empty_ket_pairs_to_zero_without_a_table(monkeypatch):
     assert cst0.star_integral(ket) == 0
 
 
+def test_zero_view_has_a_table_with_no_degree_rows():
+    """The <X^+, upper> label's view of the one-term c(0) is zero: it has no
+    degrees, its table has no degree rows, and it pairs to 0j."""
+    c0, cst0 = _criterion_10_packet().coefficients_at(0.0)
+    view = apply_derivative(_position_labels()[0], TableView(c0))
+    assert view.is_zero() and view._degrees(2).size == 0
+    assert view._slot_table(2, 3, 1).shape[:2] == (0, 4)
+    assert cst0.star_integral(view) == 0j
+
+
 def _position_labels():
     """The three left labels d' that the six <X^A> values pair, in first-seen
     order: those of <X^+, upper>, <X^+, lower> (shared with <X^-, upper>)
