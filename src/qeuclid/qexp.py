@@ -424,67 +424,64 @@ def counit_residuals(f: Poly, barred: bool = False) -> tuple[Poly, Poly]:
 
 # -- addition theorem and inverse exponentials -----------------------------------
 
+XYP_SECTORS = (X_SECTOR, Y_SECTOR, P_SECTOR)
+
 
 def _substituted_exponential(order: int) -> Poly:
-    """exp(x | exp(y|ip) * ip) as an (x, y, p) carrier.
+    """exp(x | exp(y|ip) * ip) as an (x, y, p) carrier, below the shell:
+    only the terms of x-degree + y-degree <= order - 1.
 
     The momentum argument of the outer exponential is fed the composite
     exp(y|ip) * ip: each body term keeps its position monomial, and its
     momentum monomial is left star-multiplied by one copy of exp(y|ip).
+    That star acts on the p sector alone and keeps y, so a body term of
+    x-degree n needs only the terms of exp(y|ip) of y-degree <= order - 1 - n.
     At x = 0 this reduces to exp(y|ip), as the normalization demands.
     """
-    e = build_exponential("x_ip", order)
-    Q = e.body.rename_sectors((Y_SECTOR, P_SECTOR))
-    acc = Poly.zero((X_SECTOR, Y_SECTOR, P_SECTOR), "W")
-    for (triples, t), coeff in e.body.terms.items():
-        xm, pm = triples
+    body = below_shell(build_exponential("x_ip", order).body, order)
+    Q = body.rename_sectors((Y_SECTOR, P_SECTOR))
+    out: dict = {}
+    for ((xm, pm), _), coeff in body.terms.items():
         pmono = Poly.monomial((Y_SECTOR, P_SECTOR), ((0, 0, 0), pm), 0, ONE)
-        qp = Q.star(pmono)
-        lifted = qp.insert_sector(0, X_SECTOR)
-        lifted = (
-            lifted.mul_slot_var(0, 0, xm[0])
-            .mul_slot_var(0, 1, xm[1])
-            .mul_slot_var(0, 2, xm[2])
-        )
-        acc = acc + lifted.scale(coeff)
-    return acc
+        qp = below_shell(Q, order - sum(xm)).star(pmono)
+        for ((ym, pm2), _), c2 in qp.terms.items():
+            _add_term(out, ((xm, ym, pm2), 0), coeff * c2)
+    return Poly(XYP_SECTORS, out, "W")
 
 
 def addition_theorem_residual(order: int) -> Poly:
-    """exp(x (+bar) y | ip)  minus  exp(x | exp(y|ip) * ip); every term with
-    x-degree + y-degree <= order - 1 must vanish."""
-    sectors3 = (X_SECTOR, Y_SECTOR, P_SECTOR)
-    e = build_exponential("x_ip", order)
-    lhs_terms: dict = {}
-    for (triples, t), coeff in e.body.terms.items():
-        xm, pm = triples
-        T = q_translate(
-            Poly.monomial((X_SECTOR,), (xm,), 0, ONE), "plusbar"
-        ).polynomial
-        for (tr2, _), c2 in T.terms.items():
-            _add_term(lhs_terms, ((tr2[0], tr2[1], pm), 0), coeff * c2)
-    lhs = Poly(sectors3, lhs_terms, "W")
-    diff = lhs - _substituted_exponential(order)
-    return diff.filter_terms(
-        lambda key: sum(key[0][0]) + sum(key[0][1]) <= order - 1
-    )
+    """exp(x (+bar) y | ip)  minus  exp(x | exp(y|ip) * ip) below the shell,
+    which must vanish.
+
+    A translation keeps the degree: x (+bar) y maps a monomial of degree n
+    to terms of x-degree + y-degree n, so only the body terms of x-degree
+    <= order - 1 are translated, and both sides hold no term on or above
+    the shell.
+    """
+    body = below_shell(build_exponential("x_ip", order).body, order)
+    lhs: dict = {}
+    for ((xm, pm), _), coeff in body.terms.items():
+        T = q_translate(Poly.monomial((X_SECTOR,), (xm,), 0, ONE), "plusbar")
+        for ((xt, yt), _), c2 in T.polynomial.terms.items():
+            _add_term(lhs, ((xt, yt, pm), 0), coeff * c2)
+    return Poly(XYP_SECTORS, lhs, "W") - _substituted_exponential(order)
 
 
 def inverse_exponential_residual(order: int) -> Poly:
     """The composed exponential with inverted second argument collapses to 1.
 
-    Takes exp(x | exp(y|ip) * ip), substitutes y -> (minusbar x), merges the
-    two position copies with the star product (realizing the translation
-    argument x (+bar) (minusbar x) = 0), and subtracts 1; every term of
-    x-degree <= order - 1 must vanish.
+    Takes exp(x | exp(y|ip) * ip) below the shell, substitutes y -> (minusbar
+    x), merges the two position copies with the star product (realizing the
+    translation argument x (+bar) (minusbar x) = 0), and subtracts 1; every
+    term of x-degree <= order - 1 must vanish.  The inversion keeps the
+    y-degree and the star merge adds the x- and y-degrees, so the merge sees
+    only terms below the shell and makes none above it.
     """
-    acc = _substituted_exponential(order)
     inverted = _apply_to_sector(
-        acc,
+        _substituted_exponential(order),
         1,
         lambda g: q_invert(g.rename_sectors((X_SECTOR,)), "minusbar")
         .rename_sectors((Y_SECTOR,)),
     )
     merged = inverted.merge_sectors_star(0, 1)
-    out = merged - Poly.one((X_SECTOR, P_SECTOR), "W")
-    return out.filter_terms(lambda key: sum(key[0][0]) <= order - 1)
+    return merged - below_shell(Poly.one((X_SECTOR, P_SECTOR), "W"), order)

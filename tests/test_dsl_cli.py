@@ -174,10 +174,12 @@ def test_cli_verify_repro_reproduces_failure():
 
 
 def test_cli_verify_qexp_at_order_8_is_bounded():
-    """The two slowest qexp cases are capped, so a large --N stays cheap."""
+    """The addition-theorem and inverse-exponential cases share one order
+    cap, so a large --N stays cheap."""
     code, out, _ = run_cli("verify", "--suite", "qexp", "--N", "8", timeout=10)
     assert code == 0, out
-    assert "addition theorem below shell (capped at N=5)" in out
+    assert "addition theorem below shell (capped at N=6)" in out
+    assert "inverse exponential collapses to 1 below shell (capped at N=6)" in out
 
 
 def test_cli_propagator_json():

@@ -10,6 +10,7 @@ from qeuclid.qexp import (
     VARIANTS,
     XP_SECTORS,
     Y_SECTOR,
+    addition_theorem_residual,
     build_exponential,
     counit_residuals,
     exponential_to_json,
@@ -194,3 +195,48 @@ def test_translation_and_hopf_laws_at_slot_degree_6(rand_poly, triple):
     for barred in (False, True):
         assert all(r.is_zero() for r in counit_residuals(f, barred)), barred
         assert all(r.is_zero() for r in hopf_antipode_residuals(f, barred)), barred
+
+
+def test_hopf_residuals_build_only_below_their_shell(monkeypatch):
+    """The inverse exponential's star merge sees only its 104 terms below the
+    shell at order 4 (2,338 when every term was built and filtered), and the
+    addition theorem translates only monomials below the shell."""
+    merged = []
+    merge = Poly.merge_sectors_star
+
+    def merge_spy(self, i, j):
+        merged.extend(self.terms)
+        return merge(self, i, j)
+
+    monkeypatch.setattr(Poly, "merge_sectors_star", merge_spy)
+    assert inverse_exponential_residual(4).is_zero()
+    assert len(merged) == 104
+    assert all(sum(tr[0]) + sum(tr[1]) <= 3 for tr, _ in merged)
+
+    translated = []
+    translate = qexp.q_translate
+
+    def translate_spy(f, kind="plus"):
+        translated.extend(tr[0] for tr, _ in f.terms)
+        return translate(f, kind)
+
+    monkeypatch.setattr(qexp, "q_translate", translate_spy)
+    assert addition_theorem_residual(4).is_zero()
+    assert translated and max(sum(m) for m in translated) == 3
+
+
+def test_hopf_residuals_catch_the_wrong_partner(monkeypatch):
+    """Each residual can fail: the unbarred inversion or translation in place
+    of the barred one leaves terms below the shell."""
+    invert, translate = qexp.q_invert, qexp.q_translate
+    monkeypatch.setattr(qexp, "q_invert", lambda g, kind="minus": invert(g, "minus"))
+    assert not inverse_exponential_residual(3).is_zero()
+    monkeypatch.setattr(qexp, "q_invert", invert)
+    monkeypatch.setattr(qexp, "q_translate", lambda f, kind="plus": translate(f, "plus"))
+    assert not addition_theorem_residual(3).is_zero()
+
+
+@pytest.mark.parametrize("residual", [addition_theorem_residual,
+                                      inverse_exponential_residual])
+def test_hopf_residuals_vanish_at_order_6(residual):
+    assert residual(6).is_zero()
