@@ -968,8 +968,12 @@ class TableView:
         self.terms = {(0,) * 6: (1.0, np.ones(size))} if size else {}
 
     def _new(self, terms) -> "TableView":
+        """A view of the same source holding ``terms`` but the reads whose factor is
+        zero at every source degree: operations keep it zero, so it never pairs."""
+        ds = self.src._degrees(2)
         view = object.__new__(TableView)
-        view.src, view.terms, view._kept = self.src, terms, None
+        view.src, view._kept = self.src, None
+        view.terms = {key: read for key, read in terms.items() if read[1][ds].any()}
         return view
 
     def _map(self, *summands) -> "TableView":

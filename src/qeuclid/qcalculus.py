@@ -154,8 +154,9 @@ def _left_rep_inverse(index: str, f, s: int, m: int):
 
 
 #: momentum prefactors by upper index, forced by the eigenvalue equations of
-#: the deformed exponentials (they make i d_p^A act on the second exponential
-#: family exactly as right star multiplication by x^A)
+#: the deformed exponentials: i d_p^A acts on each family as star
+#: multiplication by x^A, which the qexp suite's case "momentum derivatives:
+#: exponentials are eigenfunctions" checks for all six families
 _P_PREFACTOR = {"-": QScalar.q(-2), "3": ONE, "+": QScalar.q(2), "0": ONE}
 
 

@@ -92,43 +92,44 @@ def _plain_body(variant: str, order: int) -> Poly:
     return body if variant == "x_ip" else body.conjugate()
 
 
-#: every other family as (plain partner, power of q in p -> q^k p): the
-#: barred families are the mirror images (q -> 1/q, +/- swapped) of their
-#: plain partners, and the twisted ones rescale those images' momenta
-_MIRRORED = {
-    "bar_x_ip": ("x_ip", 0),
-    "bar_ipinv_x": ("ipinv_x", 0),
-    "star_x_ipinv": ("x_ip", 6),
-    "star_ip_x": ("ipinv_x", 6),
+class Family(_Frozen):
+    """One exponential family: ``mirror`` is (plain family, k) for the mirror
+    image (q -> 1/q, +/- swapped) of a plain family with momenta p -> q^k p,
+    None for the two plain ones; the eigen ``rule`` is (derivative variant,
+    action side, star side "r" or "l" of the eigenvalue); ``partner`` is the
+    conjugate partner."""
+
+    __slots__ = ("mirror", "rule", "partner")
+
+
+#: the six families, in the order of ``VARIANTS``
+FAMILIES = {
+    "x_ip": Family(None, ("plain", "left", "r"), "ipinv_x"),
+    "ipinv_x": Family(None, ("plain", "right_bar", "l"), "x_ip"),
+    "bar_x_ip": Family(("x_ip", 0), ("hat", "left_bar", "r"), "bar_ipinv_x"),
+    "bar_ipinv_x": Family(("ipinv_x", 0), ("hat", "right", "l"), "bar_x_ip"),
+    "star_ip_x": Family(("ipinv_x", 6), ("plain", "right", "l"), "star_x_ipinv"),
+    "star_x_ipinv": Family(("x_ip", 6), ("plain", "left_bar", "r"), "star_ip_x"),
 }
+
+#: each conjugate pair once, as (family, its partner later in ``FAMILIES``)
+CONJUGATE_PAIRS = tuple((v, f.partner) for i, (v, f) in enumerate(FAMILIES.items())
+                        if f.partner in list(FAMILIES)[i + 1 :])
 
 
 def build_exponential(variant: str, order: int) -> QExponential:
     if order < 0:
         raise ValueError("truncation order must be >= 0")
-    if variant in ("x_ip", "ipinv_x"):
-        body = _plain_body(variant, order)
-    elif variant in _MIRRORED:
-        plain, power = _MIRRORED[variant]
-        body = _plain_body(plain, order).subs_q_inverse_swap()
-        if power:
-            body = _rescale_momentum(body, power)
-    else:
+    if variant not in FAMILIES:
         raise ValueError(f"unknown exponential variant {variant!r}")
+    mirror = FAMILIES[variant].mirror
+    if mirror is None:
+        return QExponential(variant, order, _plain_body(variant, order))
+    plain, power = mirror
+    body = _plain_body(plain, order).subs_q_inverse_swap()
+    if power:
+        body = _rescale_momentum(body, power)
     return QExponential(variant, order, body)
-
-
-#: (derivative variant, action side, momentum-star side) per exponential
-#: family.  "r" means the eigenvalue is star-multiplied from the right,
-#: "l" from the left.
-_EIGEN_RULES = {
-    "x_ip": ("plain", "left", "r"),
-    "ipinv_x": ("plain", "right_bar", "l"),
-    "bar_x_ip": ("hat", "left_bar", "r"),
-    "bar_ipinv_x": ("hat", "right", "l"),
-    "star_ip_x": ("plain", "right", "l"),
-    "star_x_ipinv": ("plain", "left_bar", "r"),
-}
 
 
 def _star_on(body: Poly, factor: Poly, star_side: str) -> Poly:
@@ -136,26 +137,35 @@ def _star_on(body: Poly, factor: Poly, star_side: str) -> Poly:
     return body.star(factor) if star_side == "r" else factor.star(body)
 
 
-def _eigen_residual(body: Poly, variant: str, index: str, position: str) -> Poly:
-    """(1/i) d_A acting on the variant's side minus p_A star-multiplied on
-    its star side, at either index position of A.  ``body`` is the
+def _eigen_residual(body: Poly, variant: str, index: str, position: str,
+                    sector: int = 0) -> Poly:
+    """One eigen equation of the variant's family on ``body`` at either index
+    position of A, below the shell (the body's top degree in the acted sector).
+
+    On the position sector (0): (1/i) d_A acting on the family's side minus
+    p_A star-multiplied on its star side.  On the momentum sector (1):
+    i d_p^A acting on the conjugate partner's side minus x^A on that
+    partner's star side.  The derivative lowers the acted sector's degree
+    and the star keeps it, so only the body terms below the shell are
+    star-multiplied and every term returned must vanish.  ``body`` is the
     exponential or any product of it with a central factor."""
-    dvariant, side, star_side = _EIGEN_RULES[variant]
+    family = FAMILIES[variant]
+    dvariant, side, star_side = (family if sector == 0 else FAMILIES[family.partner]).rule
+    scale, kind = (I_INV, "p") if sector == 0 else (I, "x")
     label = DerivativeLabel(index, dvariant, side, position)
-    acted = apply_derivative(label, body, sector_index=0).scale(I_INV)
-    p = to_phase_space(coord("p", index, position, body.convention), "p")
-    return acted - _star_on(body, p, star_side)
+    acted = apply_derivative(label, body, sector).scale(scale)
+    value = to_phase_space(coord(kind, index, position, body.convention), kind)
+    shell = max((sum(triples[sector]) for triples, _ in body.terms), default=0)
+    return acted - _star_on(below_shell(body, shell, sector), value, star_side)
 
 
-def eigen_residual(exp: QExponential, index: str) -> Poly:
-    """Residual of the defining eigenvalue equation for one index.
-
-    For left eigenfunctions:  (1/i) d^A |> e  -  e * p^A; the other families
-    mirror the action side and the side of the momentum factor.  All terms
-    of position degree <= N-1 cancel exactly; only the truncation shell
-    survives.
-    """
-    return _eigen_residual(exp.body, exp.variant, index, "upper")
+def eigen_residual(exp: QExponential, index: str, sector: int = 0) -> Poly:
+    """The terms of one eigenvalue equation below the truncation shell, all
+    of which must vanish.  On the position sector, for left eigenfunctions,
+    (1/i) d^A |> e - e * p^A, the other families mirroring the action side
+    and the star side; on the momentum sector, i d_p^A acting with the
+    conjugate partner's rule minus x^A on that partner's star side."""
+    return _eigen_residual(exp.body, exp.variant, index, "upper", sector)
 
 
 def below_shell(poly: Poly, order: int, sector_index: int = 0) -> Poly:

@@ -16,7 +16,7 @@ normalization is treated as 1 in symbolic mode)
 
 ``PLANE_WAVES`` names each family's exponential; the action side, the star
 side and the ordering are those of the exponential's eigenvalue rule in
-``qexp``.
+``qexp.FAMILIES``.
 
 Powers of p^2 expand over normal-ordered momentum monomials with the
 coefficient family C(k, l) = q^{-2l} (-lam_+)^{k-l} [k choose l]_{q^4},
@@ -223,11 +223,11 @@ def build_plane_wave(
     """
     if family not in PLANE_WAVES:
         raise ValueError(f"unknown plane-wave family {family!r}")
-    from .qexp import _EIGEN_RULES, _star_on, build_exponential
+    from .qexp import FAMILIES, _star_on, build_exponential
 
     variant = PLANE_WAVES[family]
     e = build_exponential(variant, order_space).body
-    star_side = _EIGEN_RULES[variant][2]
+    star_side = FAMILIES[variant].rule[2]
     sign = -1 if star_side == "r" else 1
     ph = phase_factor(sign, order_time, mass, convention=e.convention)
     body = _star_on(e, to_phase_space(ph, "p"), star_side)
@@ -277,9 +277,9 @@ def plane_wave_printed(order_space: int, order_time: int, mass: Fraction) -> Pol
 
 def _rule(w: PlaneWave) -> tuple[str, str, str]:
     """The (derivative variant, side, star side) of the wave's exponential."""
-    from .qexp import _EIGEN_RULES
+    from .qexp import FAMILIES
 
-    return _EIGEN_RULES[PLANE_WAVES[w.family]]
+    return FAMILIES[PLANE_WAVES[w.family]].rule
 
 
 def schrodinger_residual(w: PlaneWave) -> Poly:
@@ -299,7 +299,7 @@ def schrodinger_residual(w: PlaneWave) -> Poly:
 
 def momentum_residual(w: PlaneWave, index: str) -> Poly:
     """(1/i) dA acting on the family's side minus star multiplication by pA
-    on the family's side.  Vanishes for spatial degree <= N-1."""
+    on the family's side, at spatial degree <= N-1, where it vanishes."""
     from .qexp import _eigen_residual
 
     return _eigen_residual(w.body, PLANE_WAVES[w.family], index, "lower")

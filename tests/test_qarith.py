@@ -315,6 +315,7 @@ def test_every_frozen_class_is_a_value():
         "_LogGaussian": lambda: (1.1, 0.3, 0.9, 0.6 - 0.8j, 0.35),
         "STerm": lambda: (0.5j, (1, 0, 2), (AxisFn(np.cos), None, AxisFn(np.cos))),
         "QExponential": lambda: ("x_ip", 2, Poly.one((X_SECTOR, P_SECTOR))),
+        "Family": lambda: (("x_ip", 6), ("plain", "left_bar", "r"), "star_ip_x"),
         "TranslationResult": lambda: ("plus", Poly.one((X_SECTOR, Y_SECTOR))),
         "Hamiltonian": lambda: (Fraction(2),),
         "PlaneWave": lambda: ("u_lower", 2, 1, Fraction(3), Poly.one((X_SECTOR, P_SECTOR))),

@@ -3,16 +3,20 @@ from itertools import product
 import pytest
 
 from qeuclid.qarith import I, I_INV, ONE, q_factorial
-from qeuclid import qexp
+from qeuclid import qarith, qexp
 from qeuclid.qcalculus import apply_derivative, d, inverse_partial
 from qeuclid.starcalc import Poly, P_SECTOR, X_SECTOR, coord_variable
 from qeuclid.qexp import (
+    CONJUGATE_PAIRS,
+    FAMILIES,
     VARIANTS,
     XP_SECTORS,
     Y_SECTOR,
+    Family,
     addition_theorem_residual,
     build_exponential,
     counit_residuals,
+    eigen_residual,
     exponential_to_json,
     hopf_antipode_residuals,
     inverse_exponential_residual,
@@ -21,6 +25,7 @@ from qeuclid.qexp import (
     q_translate_oracle_plus,
     u_operator,
 )
+from qeuclid.verify import run_suite
 
 N = 3
 
@@ -64,9 +69,48 @@ def test_ipinv_x_matches_printed_formula(order):
     assert build_exponential("ipinv_x", order).body == _printed_ipinv_x(order)
 
 
-def test_conjugation_table():
-    lhs = build_exponential("bar_x_ip", N).body.conjugate()
-    assert lhs == build_exponential("bar_ipinv_x", N).body
+def test_family_table_names_the_parsers_six_families():
+    """The expression parser checks names against ``qarith.VARIANTS``, which
+    must name the families of qexp's table, in its order, each the partner
+    of its partner."""
+    assert qarith.VARIANTS == tuple(FAMILIES)
+    assert all(FAMILIES[f.partner].partner == v for v, f in FAMILIES.items())
+    assert sorted(sum(CONJUGATE_PAIRS, ())) == sorted(VARIANTS)
+
+
+@pytest.mark.parametrize("variant, partner", CONJUGATE_PAIRS)
+def test_conjugation_table(variant, partner):
+    lhs = build_exponential(variant, N).body.conjugate()
+    assert lhs == build_exponential(partner, N).body
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_momentum_residual_fails_with_the_familys_own_rule(monkeypatch, variant):
+    """i d_p^A acts on a family with its conjugate partner's rule: with the
+    family's own rule instead, the momentum residual below the shell is
+    nonzero at N = 4."""
+    family = FAMILIES[variant]
+    monkeypatch.setitem(FAMILIES, variant, Family(family.mirror, family.rule, variant))
+    e = build_exponential(variant, 4)
+    assert any(not eigen_residual(e, a, 1).is_zero() for a in ("+", "3", "-"))
+
+
+_MOMENTUM_CASE = "momentum derivatives: exponentials are eigenfunctions (N=3)"
+_CONJUGATION_CASE = "conjugation table: conj exp(x|ip) = exp(1/i p|x)"
+
+
+@pytest.mark.parametrize("variant, row, case", [
+    ("bar_x_ip", Family(("x_ip", 0), ("hat", "left_bar", "r"), "bar_x_ip"), _MOMENTUM_CASE),
+    ("star_x_ipinv", Family(("ipinv_x", 6), ("plain", "left_bar", "r"), "star_ip_x"),
+     _CONJUGATION_CASE),
+], ids=["own rule", "wrong plain partner"])
+def test_verify_eigen_and_conjugation_cases_can_fail(monkeypatch, variant, row, case):
+    """A family's own rule in place of its partner's fails the momentum case;
+    a twisted family mirrored from the wrong plain family fails the
+    conjugation case."""
+    monkeypatch.setitem(FAMILIES, variant, row)
+    failed = {c.name for c in run_suite("qexp").failures}
+    assert case in failed
 
 
 def test_exponential_json():

@@ -11,7 +11,9 @@ import pytest
 from qeuclid.qarith import QScalar, I, LAMBDA_PLUS
 from qeuclid.qcalculus import DerivativeLabel, apply_derivative, right_transport
 from qeuclid.starcalc import Poly, P_SECTOR, coord
+from qeuclid.qexp import CONJUGATE_PAIRS
 from qeuclid.schrodinger import (
+    PLANE_WAVES,
     PacketError,
     WavePacket,
     build_plane_wave,
@@ -64,13 +66,14 @@ def test_plane_wave_time_slice_is_exponential():
 
 
 def test_plane_wave_conjugation_pairs():
-    for N, K in ((2, 2),):
-        u = build_plane_wave("u_lower", N, K, MASS)
-        uu = build_plane_wave("u_upper", N, K, MASS)
-        assert u.body.conjugate() == uu.body
-        us = build_plane_wave("ustar_lower", N, K, MASS)
-        usu = build_plane_wave("ustar_upper", N, K, MASS)
-        assert us.body.conjugate() == usu.body
+    """The plane waves on conjugate exponentials are conjugate: u_lower and
+    u_upper, and ustar_lower and ustar_upper."""
+    wave_of = {variant: family for family, variant in PLANE_WAVES.items()}
+    pairs = [(wave_of[a], wave_of[b]) for a, b in CONJUGATE_PAIRS if a in wave_of]
+    assert len(pairs) == 2
+    for family, partner in pairs:
+        u = build_plane_wave(family, 2, 2, MASS)
+        assert u.body.conjugate() == build_plane_wave(partner, 2, 2, MASS).body
 
 
 def test_reordering_rule():
@@ -377,6 +380,18 @@ def test_zero_view_has_a_table_with_no_degree_rows():
     assert cst0.star_integral(view) == 0j
 
 
+def test_view_drops_only_reads_that_never_pair():
+    """A read whose factor is zero at every degree of the source stays zero
+    under every operation, so a view drops it: the <X^+, upper> label's view
+    of the one-term c(0) holds no key.  A read only shifted past the
+    source's degrees stays, since a later x can shift it back."""
+    c0 = _criterion_10_packet().coefficients_at(0.0)[0]
+    assert apply_derivative(_position_labels()[0], TableView(c0)).terms == {}
+    shifted = TableView(c0).mul_slot_var(0, 0, -1)
+    assert shifted.is_zero() and len(shifted.terms) == 1
+    assert not shifted.mul_slot_var(0, 0, 1).is_zero()
+
+
 def _position_labels():
     """The three left labels d' that the six <X^A> values pair, in first-seen
     order: those of <X^+, upper>, <X^+, lower> (shared with <X^-, upper>)
@@ -410,7 +425,7 @@ class _Unmerged(tuple):
 def test_p2_chain_reads_grow_linearly(monkeypatch):
     """A view merges reads of one key, so after m p^2 steps on u = [p^2, d']
     c(0) each <X> label's view has at most 4m + 9 reads for m <= 20 (it
-    has m + 2, 4m + 9 and 2m + 4; unmerged, the reads triple per step).  At
+    has m + 1, 4m + 9 and 2m + 3; unmerged, the reads triple per step).  At
     t = 0.1 only the mirror label of <X^+, lower> and <X^-, upper> reads a
     key twice: d' c(t) is 6 reads in 5 keys there, so no other packet value
     changes by merging."""
