@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 from .qarith import (
     QScalar,
@@ -175,6 +176,25 @@ def psq_star_power(k: int, convention: str = "W") -> Poly:
     return out
 
 
+def _phase_terms(sign: int, order: int, mass: Fraction, t_value, convention: str):
+    """The terms k = 0..order of the phase factor, each (sign i t / 2m)^k / k!
+    p^{2k}, of momentum degree 2k."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    if order < 0:
+        raise ValueError("truncation order must be >= 0")
+    for k in range(order + 1):
+        rat = Fraction(sign) ** k / (
+            Fraction(math.factorial(k)) * (2 * mass) ** k
+        )
+        coeff = (I**k).scale(rat)
+        if t_value is not None:
+            coeff = coeff.scale(t_value**k)
+            yield psq_power(k, convention).scale(coeff)
+        else:
+            yield psq_power(k, convention).scale(coeff).mul_t(k)
+
+
 def phase_factor(
     sign: int,
     order: int,
@@ -184,21 +204,8 @@ def phase_factor(
 ) -> Poly:
     """Sum_{k<=order} (sign i t / 2m)^k / k! p^{2k}, a momentum polynomial
     with symbolic t powers (or with an exact rational t absorbed)."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    acc = Poly.zero((P_SECTOR,), convention)
-    for k in range(order + 1):
-        rat = Fraction(sign) ** k / (
-            Fraction(math.factorial(k)) * (2 * mass) ** k
-        )
-        coeff = (I**k).scale(rat)
-        if t_value is not None:
-            coeff = coeff.scale(t_value**k)
-            term = psq_power(k, convention).scale(coeff)
-        else:
-            term = psq_power(k, convention).scale(coeff).mul_t(k)
-        acc = acc + term
-    return acc
+    return sum(_phase_terms(sign, order, mass, t_value, convention),
+               Poly.zero((P_SECTOR,), convention))
 
 
 # -- plane waves --------------------------------------------------------------------
@@ -244,6 +251,8 @@ def plane_wave_printed(order_space: int, order_time: int, mass: Fraction) -> Pol
     on the momentum monomial (p-)^{n- + k-l} (p3)^{n3+2l} (p+)^{n+ + k-l}.
     """
     N, K = order_space, order_time
+    if N < 0 or K < 0:
+        raise ValueError("truncation order must be >= 0")
     terms = {}
     for total in range(N + 1):
         for np_ in range(total + 1):
@@ -283,47 +292,59 @@ def _rule(w: PlaneWave) -> tuple[str, str, str]:
 
 
 def schrodinger_residual(w: PlaneWave) -> Poly:
-    """i d_t acting on the family's side minus H0 acting the same way.
+    """i d_t acting on the family's side minus H0 acting the same way, below
+    the shell (spatial degree <= N-2 and t-degree <= K-1), where every term
+    must vanish.
 
-    Vanishes identically for spatial degree <= N-2 and t-degree <= K-1.
+    H0 lowers the spatial degree by exactly two and keeps t, and d_t lowers
+    t by one and keeps the spatial degree, so d_t acts only on the body terms
+    of spatial degree <= N-2 and H0 only on those of t-degree <= K-1.
     """
     from .qcalculus import DerivativeLabel, apply_derivative
 
     side = _rule(w)[1]
-    h = Hamiltonian(w.mass)
     t_lab = DerivativeLabel("0", "plain", side, "lower")
-    left = apply_derivative(t_lab, w.body, 0).scale(I)
-    right = h.apply(w.body, side)
-    return left - right
+    low_space = wave_below_shell(w.body, w.order_space, drop=1)
+    left = apply_derivative(t_lab, low_space, 0).scale(I)
+    low_time = w.body.filter_terms(lambda key: key[1] <= w.order_time - 1)
+    return left - Hamiltonian(w.mass).apply(low_time, side)
 
 
 def momentum_residual(w: PlaneWave, index: str) -> Poly:
     """(1/i) dA acting on the family's side minus star multiplication by pA
-    on the family's side, at spatial degree <= N-1, where it vanishes."""
+    on the family's star side, below the shell (spatial degree <= N-1),
+    where every term must vanish."""
     from .qexp import _eigen_residual
 
     return _eigen_residual(w.body, PLANE_WAVES[w.family], index, "lower")
 
 
 def energy_residual(w: PlaneWave) -> Poly:
-    """H0 acting on the family's side minus p^2/(2m) on the star side.
-    Vanishes for spatial degree <= N-2."""
+    """H0 acting on the family's side minus p^2/(2m) on the star side, below
+    the shell (spatial degree <= N-2), where every term must vanish.
+
+    H0 lowers the spatial degree by two and the momentum star keeps it, so
+    p^2/(2m) multiplies only the body terms of spatial degree <= N-2."""
     from .qexp import _star_on
 
     _, side, star_side = _rule(w)
-    h = Hamiltonian(w.mass)
-    acted = h.apply(w.body, side)
+    acted = Hamiltonian(w.mass).apply(w.body, side)
     p2 = to_phase_space(psq(w.body.convention), "p").scale(
         QScalar.from_rational(Fraction(1, 2) / w.mass)
     )
-    return acted - _star_on(w.body, p2, star_side)
+    low = wave_below_shell(w.body, w.order_space, drop=1)
+    return acted - _star_on(low, p2, star_side)
 
 
 def wave_below_shell(
     poly: Poly, order_space: int, order_time: int | None = None, drop: int = 0
 ) -> Poly:
     """Terms with spatial degree <= order_space - 1 - drop (and, if given,
-    t-degree <= order_time - 1)."""
+    t-degree <= order_time - 1).
+
+    The residuals build only the terms below their shells, so on them this
+    keeps every term; it cuts a plane-wave body down to the terms an
+    operator's image below the shell needs."""
     def keep(key):
         if sum(key[0][0]) > order_space - 1 - drop:
             return False
@@ -352,13 +373,16 @@ def zwischen_reorder_residual(k: int, n: tuple[int, int, int]) -> Poly:
 def phase_group_law_residual(
     order: int, mass: Fraction, t1: Fraction, t2: Fraction
 ) -> Poly:
-    """phase(t1) * phase(t2) - phase(t1 + t2), truncated below the shell
-    (momentum degree <= 2 * order)."""
-    a = phase_factor(-1, order, mass, t_value=t1)
-    b = phase_factor(-1, order, mass, t_value=t2)
-    c = phase_factor(-1, order, mass, t_value=t1 + t2)
-    diff = a.star(b) - c
-    return diff.filter_terms(lambda key: sum(key[0][0]) <= 2 * order)
+    """phase(t1) * phase(t2) - phase(t1 + t2) below the shell (momentum
+    degree <= 2 * order), where every term must vanish.
+
+    The momentum star adds degrees, so term k of phase(t1), of degree 2k, is
+    star-multiplied only by the terms of phase(t2) up to k' = order - k."""
+    a = _phase_terms(-1, order, mass, t1, "W")
+    b = list(accumulate(_phase_terms(-1, order, mass, t2, "W")))
+    low = sum((a_k.star(b[order - k]) for k, a_k in enumerate(a)),
+              Poly.zero((P_SECTOR,), "W"))
+    return low - phase_factor(-1, order, mass, t_value=t1 + t2)
 
 
 # -- momentum-space propagators ---------------------------------------------------
@@ -420,31 +444,29 @@ def propagator_momentum(
         raise ValueError(f"unknown propagator family {family!r}")
     if branch not in (1, -1):
         raise ValueError("branch must be +1 (retarded) or -1 (advanced)")
+    if order < 0:
+        raise ValueError("truncation order must be >= 0")
     return MomentumPropagator(family, branch, order, mass)
 
 
 def propagator_defining_residual(prop: MomentumPropagator) -> dict[int, Poly]:
-    """(E - s p^2/(2m)) * K  minus  branch * i, as a map over powers of the
-    opaque energy symbol.  Everything must cancel except the single
-    truncation term at power -(order+1) with momentum degree 2(order+1).
+    """(E - s p^2/(2m)) * K  minus  branch * i below the shell, as a map over
+    powers of the opaque energy symbol; empty when the identity holds.
+
+    The truncation term -s p^2/(2m) K_order at power -(order+1) is all that
+    survives in the full product, so it is not built.
     """
-    s = prop.psq_sign()
-    half = QScalar.from_rational(Fraction(s, 2) / prop.mass)
-    series = prop.expanded()
-    out: dict[int, Poly] = {}
-    for power, poly in series.items():
-        # E * K : shifts the energy power up by one
-        out[power + 1] = out.get(
-            power + 1, Poly.zero((P_SECTOR,), "W")
-        ) + poly
-        # -s p^2/(2m) * K
-        out[power] = out.get(power, Poly.zero((P_SECTOR,), "W")) - psq().scale(
-            half
-        ).star(poly)
+    p2 = psq().scale(QScalar.from_rational(Fraction(prop.psq_sign(), 2) / prop.mass))
     target = Poly.scalar(
         (P_SECTOR,), QScalar.from_rational(0, Fraction(prop.branch))
     )
-    out[0] = out.get(0, Poly.zero((P_SECTOR,), "W")) - target
+    out: dict[int, Poly] = {0: -target}
+    for power, poly in prop.expanded().items():
+        # E * K : shifts the energy power up by one
+        out[power + 1] = out.get(power + 1, Poly.zero((P_SECTOR,), "W")) + poly
+        # -s p^2/(2m) * K, below the truncation term
+        if power > -(prop.order + 1):
+            out[power] = out.get(power, Poly.zero((P_SECTOR,), "W")) - p2.star(poly)
     return {p: v for p, v in out.items() if not v.is_zero()}
 
 

@@ -113,6 +113,39 @@ def test_verify_eigen_and_conjugation_cases_can_fail(monkeypatch, variant, row, 
     assert case in failed
 
 
+def test_qexp_suite_builds_each_series_once(monkeypatch):
+    """A qexp run builds each of the six families once, for the cases that
+    read them, and x_ip three more times inside the addition-theorem and
+    inverse-exponential residuals: 9 builds."""
+    calls, build = [], qexp.build_exponential
+
+    def spy(variant, order):
+        calls.append(variant)
+        return build(variant, order)
+
+    monkeypatch.setattr(qexp, "build_exponential", spy)
+    assert run_suite("qexp").exit_code == 0
+    assert sorted(calls) == sorted(VARIANTS + ("x_ip",) * 3)
+
+
+def test_qexp_suite_build_failure_fails_only_the_cases_reading_it(monkeypatch):
+    """A build that raises fails the cases that read the family and no other."""
+    build = qexp.build_exponential
+
+    def broken(variant, order):
+        if variant == "star_ip_x":
+            raise ArithmeticError("broken build")
+        return build(variant, order)
+
+    monkeypatch.setattr(qexp, "build_exponential", broken)
+    assert [c.name for c in run_suite("qexp").failures] == [
+        "eigen residuals vanish below shell (all variants, N=3)",
+        "normalization at x=0 and p=0",
+        _CONJUGATION_CASE,
+        _MOMENTUM_CASE,
+    ]
+
+
 def test_exponential_json():
     data = exponential_to_json(build_exponential("x_ip", 2))
     assert data["variant"] == "x_ip"

@@ -2,32 +2,44 @@ import cmath
 import json
 import math
 import os
+import random
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qeuclid.qarith import QScalar, I, LAMBDA_PLUS
+from qeuclid import schrodinger
+from qeuclid.qarith import GRat, QScalar, I, LAMBDA_PLUS
 from qeuclid.qcalculus import DerivativeLabel, apply_derivative, right_transport
-from qeuclid.starcalc import Poly, P_SECTOR, coord
-from qeuclid.qexp import CONJUGATE_PAIRS
+from qeuclid.starcalc import Poly, P_SECTOR, coord, to_phase_space
+from qeuclid.qexp import CONJUGATE_PAIRS, FAMILIES, XP_SECTORS, Family, _star_on
 from qeuclid.schrodinger import (
     PLANE_WAVES,
+    Hamiltonian,
+    MomentumPropagator,
     PacketError,
+    PlaneWave,
     WavePacket,
     build_plane_wave,
     cq_coefficient,
     cq_value,
+    energy_residual,
     gaussian_packet,
     heine_phase_report,
     phase_factor,
     phase_factor_construction_residual,
+    phase_group_law_residual,
+    plane_wave_printed,
+    propagator_defining_residual,
     propagator_momentum,
     psq,
     psq_power,
+    schrodinger_residual,
+    wave_below_shell,
     zwischen_reorder_residual,
 )
+from qeuclid.verify import run_suite
 from qeuclid import lattice
 from qeuclid.lattice import QLattice, StructuredFn, STerm, TableView
 
@@ -87,6 +99,152 @@ def test_phase_group_law():
     b = phase_factor(-1, 2, MASS, Fraction(1, 2))
     prod = a.star(b) - Poly.one((P_SECTOR,))
     assert prod.filter_terms(lambda key: sum(key[0][0]) <= 4).is_zero()
+
+
+def _random_wave(family: str, N: int, K: int, rnd) -> PlaneWave:
+    """A plane wave of ``family``'s rule on a random (x, p) body inside the
+    truncation box (spatial degree <= N, t-degree <= K), one term on the top
+    corner (degree N, t^K) among them, in the family's ordering."""
+    def triple(total):
+        a = rnd.randint(0, total)
+        b = rnd.randint(0, total - a)
+        return a, b, total - a - b
+
+    convention = build_plane_wave(family, 0, 0, MASS).body.convention
+    body = Poly.zero(XP_SECTORS, convention)
+    for i in range(8):
+        total, t = (N, K) if i == 0 else (rnd.randint(0, N), rnd.randint(0, K))
+        coeff = QScalar.monomial(rnd.randint(-2, 2), GRat(Fraction(rnd.randint(1, 3)),
+                                                          Fraction(rnd.randint(-1, 1))))
+        body = body + Poly.monomial(XP_SECTORS, (triple(total), triple(rnd.randint(0, 2))),
+                                    t, coeff, convention)
+    return PlaneWave(family, N, K, MASS, body)
+
+
+@pytest.mark.parametrize("N, K", [(3, 2), (6, 3)])
+@pytest.mark.parametrize("family", PLANE_WAVES)
+def test_residuals_are_the_full_residuals_below_the_shell(family, N, K):
+    """On a random body, each residual equals the full residual, built on
+    the whole body, cut to its shell: spatial degree <= N-2 and t-degree
+    <= K-1 for the Schrodinger residual, spatial degree <= N-2 for the
+    energy residual.  Both are nonzero here, and the full residuals hold
+    terms above the shell, so a cut too deep or too shallow fails."""
+    w = _random_wave(family, N, K, random.Random(f"{family} {N} {K}"))
+    _, side, star_side = FAMILIES[PLANE_WAVES[family]].rule
+    h = Hamiltonian(MASS)
+    acted = h.apply(w.body, side)
+    dt = apply_derivative(DerivativeLabel("0", "plain", side, "lower"), w.body, 0).scale(I)
+    p2 = to_phase_space(psq(w.body.convention), "p").scale(
+        QScalar.from_rational(Fraction(1, 2) / MASS))
+    for got, full, cut in (
+        (schrodinger_residual(w), dt - acted, wave_below_shell(dt - acted, N, K, drop=1)),
+        (energy_residual(w), acted - _star_on(w.body, p2, star_side),
+         wave_below_shell(acted - _star_on(w.body, p2, star_side), N, None, drop=1)),
+    ):
+        assert got == cut and not got.is_zero()
+        assert full != cut
+
+
+def test_group_law_residual_stars_only_the_pairs_below_the_shell():
+    """At order 3 the full product phase(t1) * phase(t2) has 28 terms, 10 of
+    momentum degree <= 6; the residual plus phase(t1 + t2) is exactly those
+    10, and the residual itself vanishes."""
+    t1, t2 = Fraction(1, 3), Fraction(1, 5)
+    full = phase_factor(-1, 3, MASS, t1).star(phase_factor(-1, 3, MASS, t2))
+    cut = full.filter_terms(lambda key: sum(key[0][0]) <= 6)
+    assert (len(cut.terms), len(full.terms)) == (10, 28)
+    residual = phase_group_law_residual(3, MASS, t1, t2)
+    assert residual.is_zero()
+    assert residual + phase_factor(-1, 3, MASS, t1 + t2) == cut
+
+
+@pytest.mark.parametrize("family", ["KR", "KL", "KRstar", "KLstar"])
+def test_propagator_residual_is_empty_when_the_identity_holds(monkeypatch, family):
+    """The defining residual is {} for both branches at orders 0 to 8, and
+    nonzero from order 1 on when the series carries the other p^2 sign."""
+    for branch in (1, -1):
+        for order in range(9):
+            prop = propagator_momentum(family, branch, order, MASS)
+            assert propagator_defining_residual(prop) == {}, (branch, order)
+    coefficient = MomentumPropagator.coefficient
+    monkeypatch.setattr(MomentumPropagator, "coefficient",
+                        lambda self, k: coefficient(self, k).scale(Fraction(-1) ** k))
+    for branch in (1, -1):
+        for order in range(1, 9):
+            prop = propagator_momentum(family, branch, order, MASS)
+            assert propagator_defining_residual(prop), (branch, order)
+
+
+def test_phase_factor_rejects_a_negative_order():
+    with pytest.raises(ValueError):
+        phase_factor(-1, -1, MASS)
+    with pytest.raises(ValueError):
+        build_plane_wave("u_lower", 3, -1, MASS)
+
+
+def test_propagator_rejects_a_negative_order():
+    with pytest.raises(ValueError):
+        propagator_momentum("KR", 1, -1, MASS)
+
+
+def test_printed_plane_wave_rejects_a_negative_order():
+    for orders in ((3, -1), (-1, 2)):
+        with pytest.raises(ValueError):
+            plane_wave_printed(*orders, MASS)
+
+
+_RESIDUALS_CASE = "Schrodinger / momentum / energy residuals below shell"
+_PACKET_CASE = "wave packet suite: norms, <P>, <X> (1e-10)"
+
+
+def _failed(suite: str) -> dict:
+    return {c.name: c.detail for c in run_suite(suite).failures}
+
+
+def test_verify_residuals_case_fails_with_a_wrong_mass_in_h0(monkeypatch):
+    """H0 with mass 2m leaves both the Schrodinger and the energy residual
+    of every family nonzero, and the verify case fails."""
+    monkeypatch.setattr(Hamiltonian, "prefactor",
+                        lambda self: QScalar.from_rational(Fraction(-1, 4) / self.mass))
+    for family in PLANE_WAVES:
+        w = build_plane_wave(family, 3, 2, MASS)
+        assert not schrodinger_residual(w).is_zero(), family
+        assert not energy_residual(w).is_zero(), family
+    assert _failed("schrodinger")[_RESIDUALS_CASE] == "u_lower schrodinger"
+
+
+@pytest.mark.parametrize("family", PLANE_WAVES)
+def test_verify_residuals_case_fails_with_the_partners_star_side(monkeypatch, family):
+    """A plane wave whose exponential takes its conjugate partner's star
+    side fails the residuals case, at that family."""
+    variant = PLANE_WAVES[family]
+    row = FAMILIES[variant]
+    partner_star_side = FAMILIES[row.partner].rule[2]
+    monkeypatch.setitem(FAMILIES, variant,
+                        Family(row.mirror, row.rule[:2] + (partner_star_side,), row.partner))
+    assert _failed("schrodinger")[_RESIDUALS_CASE].startswith(family + " ")
+
+
+def test_verify_packet_case_fails_with_a_mutated_table_view_rule(monkeypatch):
+    """A slot-0 scaling off by one power of q0 in table views changes the
+    <X^3> pairing but not its carrier route, and the packet case fails."""
+    scale_slot = TableView.scale_slot
+    monkeypatch.setattr(TableView, "scale_slot", lambda self, s, slot, q_exp: scale_slot(
+        self, s, slot, q_exp + (slot == 0)))
+    assert _failed("schrodinger") == {
+        _PACKET_CASE: "<X^3> pairing differs from the carrier route"}
+
+
+def test_schrodinger_suite_builds_each_plane_wave_once(monkeypatch):
+    calls, build = [], schrodinger.build_plane_wave
+
+    def spy(family, *orders):
+        calls.append(family)
+        return build(family, *orders)
+
+    monkeypatch.setattr(schrodinger, "build_plane_wave", spy)
+    assert not _failed("schrodinger")
+    assert sorted(calls) == sorted(PLANE_WAVES)
 
 
 def test_propagators():
