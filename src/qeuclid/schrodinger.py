@@ -16,7 +16,10 @@ normalization is treated as 1 in symbolic mode)
 
 ``PLANE_WAVES`` names each family's exponential; the action side, the star
 side and the ordering are those of the exponential's eigenvalue rule in
-``qexp.FAMILIES``.
+``qexp.FAMILIES``.  Each plane wave solves i d_t u = H0 u and is an H0
+eigenfunction with eigenvalue p^2/2m; ``schrodinger_energy_residuals``
+checks both below the truncation shell from one H0 image of the body, and
+``momentum_residual`` checks the momentum eigenvalue.
 
 Powers of p^2 expand over normal-ordered momentum monomials with the
 coefficient family C(k, l) = q^{-2l} (-lam_+)^{k-l} [k choose l]_{q^4},
@@ -137,7 +140,10 @@ def cq_value(k: int, l: int, q0: float) -> float:
 
 
 def cq_recurrence_residual(k: int, l: int) -> QScalar:
-    """C(k,l) + lam_+ q^{4l} C(k-1,l) - q^-2 C(k-1,l-1) (must be zero)."""
+    """C(k,l) + lam_+ q^{4l} C(k-1,l) - q^-2 C(k-1,l-1) (must be zero); the
+    recurrence holds for k >= 1."""
+    if k < 1:
+        raise ValueError("the recurrence requires k >= 1")
     first = cq_coefficient(k - 1, l) if l <= k - 1 else ZERO
     second = cq_coefficient(k - 1, l - 1) if 1 <= l else ZERO
     return (
@@ -169,6 +175,8 @@ def psq_power(k: int, convention: str = "W") -> Poly:
 
 def psq_star_power(k: int, convention: str = "W") -> Poly:
     """The k-fold star power of p^2 (the brute-force route)."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
     base = psq(convention)
     out = Poly.one((P_SECTOR,), convention)
     for _ in range(k):
@@ -284,30 +292,29 @@ def plane_wave_printed(order_space: int, order_time: int, mass: Fraction) -> Pol
     return Poly((X_SECTOR, P_SECTOR), terms, "W")
 
 
-def _rule(w: PlaneWave) -> tuple[str, str, str]:
-    """The (derivative variant, side, star side) of the wave's exponential."""
-    from .qexp import FAMILIES
+def schrodinger_energy_residuals(w: PlaneWave) -> tuple[Poly, Poly]:
+    """The Schrodinger and energy residuals below the shell, where every
+    term must vanish: i d_t acting on the family's side minus H0 acting the
+    same way (spatial degree <= N-2, t-degree <= K-1), and H0 minus p^2/(2m)
+    on the star side (spatial degree <= N-2).
 
-    return FAMILIES[PLANE_WAVES[w.family]].rule
-
-
-def schrodinger_residual(w: PlaneWave) -> Poly:
-    """i d_t acting on the family's side minus H0 acting the same way, below
-    the shell (spatial degree <= N-2 and t-degree <= K-1), where every term
-    must vanish.
-
-    H0 lowers the spatial degree by exactly two and keeps t, and d_t lowers
-    t by one and keeps the spatial degree, so d_t acts only on the body terms
-    of spatial degree <= N-2 and H0 only on those of t-degree <= K-1.
-    """
+    H0 lowers the spatial degree by exactly two and keeps t, d_t lowers t by
+    one and keeps the spatial degree, and the momentum star keeps both.  So
+    one H0 image of the whole body serves both residuals, cut by t for the
+    first, and d_t and p^2/(2m) act only on the body terms of spatial degree
+    <= N-2."""
     from .qcalculus import DerivativeLabel, apply_derivative
+    from .qexp import FAMILIES, _star_on, below_shell
 
-    side = _rule(w)[1]
-    t_lab = DerivativeLabel("0", "plain", side, "lower")
-    low_space = wave_below_shell(w.body, w.order_space, drop=1)
-    left = apply_derivative(t_lab, low_space, 0).scale(I)
-    low_time = w.body.filter_terms(lambda key: key[1] <= w.order_time - 1)
-    return left - Hamiltonian(w.mass).apply(low_time, side)
+    _, side, star_side = FAMILIES[PLANE_WAVES[w.family]].rule
+    acted = Hamiltonian(w.mass).apply(w.body, side)
+    low = below_shell(w.body, w.order_space - 1)
+    dt = apply_derivative(DerivativeLabel("0", "plain", side, "lower"), low, 0)
+    below_time = acted.filter_terms(lambda key: key[1] <= w.order_time - 1)
+    p2 = to_phase_space(psq(w.body.convention), "p").scale(
+        QScalar.from_rational(Fraction(1, 2) / w.mass)
+    )
+    return dt.scale(I) - below_time, acted - _star_on(low, p2, star_side)
 
 
 def momentum_residual(w: PlaneWave, index: str) -> Poly:
@@ -317,42 +324,6 @@ def momentum_residual(w: PlaneWave, index: str) -> Poly:
     from .qexp import _eigen_residual
 
     return _eigen_residual(w.body, PLANE_WAVES[w.family], index, "lower")
-
-
-def energy_residual(w: PlaneWave) -> Poly:
-    """H0 acting on the family's side minus p^2/(2m) on the star side, below
-    the shell (spatial degree <= N-2), where every term must vanish.
-
-    H0 lowers the spatial degree by two and the momentum star keeps it, so
-    p^2/(2m) multiplies only the body terms of spatial degree <= N-2."""
-    from .qexp import _star_on
-
-    _, side, star_side = _rule(w)
-    acted = Hamiltonian(w.mass).apply(w.body, side)
-    p2 = to_phase_space(psq(w.body.convention), "p").scale(
-        QScalar.from_rational(Fraction(1, 2) / w.mass)
-    )
-    low = wave_below_shell(w.body, w.order_space, drop=1)
-    return acted - _star_on(low, p2, star_side)
-
-
-def wave_below_shell(
-    poly: Poly, order_space: int, order_time: int | None = None, drop: int = 0
-) -> Poly:
-    """Terms with spatial degree <= order_space - 1 - drop (and, if given,
-    t-degree <= order_time - 1).
-
-    The residuals build only the terms below their shells, so on them this
-    keeps every term; it cuts a plane-wave body down to the terms an
-    operator's image below the shell needs."""
-    def keep(key):
-        if sum(key[0][0]) > order_space - 1 - drop:
-            return False
-        if order_time is not None and key[1] > order_time - 1:
-            return False
-        return True
-
-    return poly.filter_terms(keep)
 
 
 def zwischen_reorder_residual(k: int, n: tuple[int, int, int]) -> Poly:

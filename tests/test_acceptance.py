@@ -108,13 +108,11 @@ def test_criterion_06_plane_waves():
     N, K = 3, 2
     for fam in srd.PLANE_WAVE_FAMILIES:
         w = srd.build_plane_wave(fam, N, K, MASS)
-        if not srd.wave_below_shell(srd.schrodinger_residual(w), N, K, drop=1).is_zero():
+        if not all(r.is_zero() for r in srd.schrodinger_energy_residuals(w)):
             ok = False
         for a in ("+", "3", "-"):
-            if not srd.wave_below_shell(srd.momentum_residual(w, a), N).is_zero():
+            if not srd.momentum_residual(w, a).is_zero():
                 ok = False
-        if not srd.wave_below_shell(srd.energy_residual(w), N, None, drop=1).is_zero():
-            ok = False
     _report(6, ok, "plane waves match the printed coefficients (N,K<=3); Schrodinger/momentum/energy residuals vanish below shell, exact")
 
 

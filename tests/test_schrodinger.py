@@ -23,8 +23,8 @@ from qeuclid.schrodinger import (
     WavePacket,
     build_plane_wave,
     cq_coefficient,
+    cq_recurrence_residual,
     cq_value,
-    energy_residual,
     gaussian_packet,
     heine_phase_report,
     phase_factor,
@@ -35,8 +35,8 @@ from qeuclid.schrodinger import (
     propagator_momentum,
     psq,
     psq_power,
-    schrodinger_residual,
-    wave_below_shell,
+    psq_star_power,
+    schrodinger_energy_residuals,
     zwischen_reorder_residual,
 )
 from qeuclid.verify import run_suite
@@ -124,10 +124,10 @@ def _random_wave(family: str, N: int, K: int, rnd) -> PlaneWave:
 @pytest.mark.parametrize("N, K", [(3, 2), (6, 3)])
 @pytest.mark.parametrize("family", PLANE_WAVES)
 def test_residuals_are_the_full_residuals_below_the_shell(family, N, K):
-    """On a random body, each residual equals the full residual, built on
-    the whole body, cut to its shell: spatial degree <= N-2 and t-degree
-    <= K-1 for the Schrodinger residual, spatial degree <= N-2 for the
-    energy residual.  Both are nonzero here, and the full residuals hold
+    """On a random body, each half of the pair equals the full residual,
+    built on the whole body, cut to its shell: spatial degree <= N-2 and
+    t-degree <= K-1 for the Schrodinger residual, spatial degree <= N-2 for
+    the energy residual.  Both are nonzero here, and the full residuals hold
     terms above the shell, so a cut too deep or too shallow fails."""
     w = _random_wave(family, N, K, random.Random(f"{family} {N} {K}"))
     _, side, star_side = FAMILIES[PLANE_WAVES[family]].rule
@@ -136,11 +136,11 @@ def test_residuals_are_the_full_residuals_below_the_shell(family, N, K):
     dt = apply_derivative(DerivativeLabel("0", "plain", side, "lower"), w.body, 0).scale(I)
     p2 = to_phase_space(psq(w.body.convention), "p").scale(
         QScalar.from_rational(Fraction(1, 2) / MASS))
-    for got, full, cut in (
-        (schrodinger_residual(w), dt - acted, wave_below_shell(dt - acted, N, K, drop=1)),
-        (energy_residual(w), acted - _star_on(w.body, p2, star_side),
-         wave_below_shell(acted - _star_on(w.body, p2, star_side), N, None, drop=1)),
-    ):
+    fulls = (dt - acted, acted - _star_on(w.body, p2, star_side))
+    shells = (lambda key: sum(key[0][0]) <= N - 2 and key[1] <= K - 1,
+              lambda key: sum(key[0][0]) <= N - 2)
+    for got, full, shell in zip(schrodinger_energy_residuals(w), fulls, shells):
+        cut = full.filter_terms(shell)
         assert got == cut and not got.is_zero()
         assert full != cut
 
@@ -202,14 +202,13 @@ def _failed(suite: str) -> dict:
 
 
 def test_verify_residuals_case_fails_with_a_wrong_mass_in_h0(monkeypatch):
-    """H0 with mass 2m leaves both the Schrodinger and the energy residual
+    """H0 with mass 2m leaves both halves of the Schrodinger / energy pair
     of every family nonzero, and the verify case fails."""
     monkeypatch.setattr(Hamiltonian, "prefactor",
                         lambda self: QScalar.from_rational(Fraction(-1, 4) / self.mass))
     for family in PLANE_WAVES:
         w = build_plane_wave(family, 3, 2, MASS)
-        assert not schrodinger_residual(w).is_zero(), family
-        assert not energy_residual(w).is_zero(), family
+        assert not any(r.is_zero() for r in schrodinger_energy_residuals(w)), family
     assert _failed("schrodinger")[_RESIDUALS_CASE] == "u_lower schrodinger"
 
 
@@ -245,6 +244,31 @@ def test_schrodinger_suite_builds_each_plane_wave_once(monkeypatch):
     monkeypatch.setattr(schrodinger, "build_plane_wave", spy)
     assert not _failed("schrodinger")
     assert sorted(calls) == sorted(PLANE_WAVES)
+
+
+def test_schrodinger_suite_applies_h0_once_per_plane_wave(monkeypatch):
+    """The Schrodinger and energy residuals share one H0 image of each
+    plane-wave body.  Only calls on (x, p) carriers count; the centrality
+    and reality cases act on one-sector polynomials."""
+    bodies, apply = [], Hamiltonian.apply
+
+    def spy(self, f, *args):
+        if f.sectors == XP_SECTORS:
+            bodies.append(f)
+        return apply(self, f, *args)
+
+    monkeypatch.setattr(Hamiltonian, "apply", spy)
+    assert not _failed("schrodinger")
+    assert len(bodies) == len(PLANE_WAVES)
+
+
+def test_recurrence_and_star_power_refuse_orders_outside_their_domain():
+    with pytest.raises(ValueError):
+        cq_recurrence_residual(0, 0)
+    with pytest.raises(ValueError):
+        psq_star_power(-1)
+    assert cq_recurrence_residual(1, 0).is_zero()
+    assert psq_star_power(0) == psq_power(0)
 
 
 def test_propagators():
