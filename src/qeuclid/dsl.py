@@ -376,12 +376,9 @@ def evaluate(node):
     if kind in ("add", "sub", "mul", "star"):
         a, b = _coerce_pair(evaluate(node[1]), evaluate(node[2]))
         if isinstance(a, QScalar):
-            return {
-                "add": a + b,
-                "sub": a - b,
-                "mul": a * b,
-                "star": a * b,
-            }[kind]
+            if kind == "add":
+                return a + b
+            return a - b if kind == "sub" else a * b
         if a.sectors != b.sectors:
             a, b = _unify_sectors(a, b)
         if a.convention != b.convention:

@@ -860,7 +860,8 @@ class StructuredFn:
             prof = np.abs(rows[idx] * weights * _signed_powers(xs, ns))
             prof = prof.sum(axis=1)
             total = prof.sum(axis=1)
-            edge = prof[:, 0] + prof[:, -1]
+            # a one-shell sub-lattice's edge is that shell, counted once
+            edge = prof[:, 0] + prof[:, -1] if js.size > 1 else prof[:, 0]
             nz = total != 0.0
             worst = max(worst, float(np.max(edge[nz] / total[nz], initial=0.0)))
         return worst

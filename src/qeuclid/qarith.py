@@ -13,8 +13,8 @@ equality of normal forms; there is no floating point in the symbolic layer
 and ``i`` is a first-class scalar.  A scalar is read out through ``str``,
 ``to_json``, ``eval`` and ``==``; ``to_json`` and ``str`` write each
 coefficient a/L straight from the integers, reduced by one integer gcd.
-``Fraction`` is built only where ``GRat`` coefficients go in (the
-constructors and ``from_json``).
+``Fraction`` is built only where ``GRat`` coefficients go in
+(``from_rational``, ``monomial`` and ``from_json``).
 
 Conventions:
 
@@ -100,14 +100,6 @@ class GRat(_Frozen):
         return f"({self.re}{sign}{abs(self.im)}*i)"
 
 
-def _coerce_grat(value) -> GRat:
-    if isinstance(value, GRat):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return GRat(Fraction(value))
-    raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
-
-
 # -- Gaussian-integer Laurent dictionaries ---------------------------------------
 
 #: a Gaussian integer a + b*i as the pair (a, b)
@@ -118,9 +110,14 @@ _ONE_DEN: Terms = {0: (1, 0)}
 
 
 def _gauss(value) -> tuple[int, GInt]:
-    """``(L, (a, b))`` with ``value = (a + b*i)/L`` and ``L > 0`` minimal."""
-    c = _coerce_grat(value)
-    re, im = Fraction(c.re), Fraction(c.im)
+    """``(L, (a, b))`` with ``value = (a + b*i)/L`` and ``L > 0`` minimal,
+    for a ``GRat``, an ``int`` or a ``Fraction``."""
+    if isinstance(value, GRat):
+        re, im = Fraction(value.re), Fraction(value.im)
+    elif isinstance(value, (int, Fraction)):
+        re, im = Fraction(value), Fraction(0)
+    else:
+        raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
     den = lcm(re.denominator, im.denominator)
     return den, (
         re.numerator * (den // re.denominator),
@@ -321,18 +318,6 @@ class QScalar:
     #: denominators larger than this are reduced eagerly to bound growth
     _REDUCE_THRESHOLD = 24
 
-    def __init__(self, terms: Mapping[int, GRat] | None = None, den=None):
-        num, num_den = _from_grats(terms or {})
-        d, den_den = _from_grats(den) if den else (_ONE_DEN, 1)
-        if not d:
-            raise ZeroDivisionError("zero denominator")
-        # (num/num_den) / (d/den_den)
-        made = QScalar._make(
-            _d_scale(num, 0, (den_den, 0)), _d_scale(d, 0, (num_den, 0))
-        )
-        for slot in QScalar.__slots__:
-            object.__setattr__(self, slot, getattr(made, slot))
-
     def __setattr__(self, *a):
         raise AttributeError("QScalar is immutable")
 
@@ -374,11 +359,12 @@ class QScalar:
 
     @staticmethod
     def from_rational(value, imag=0) -> "QScalar":
-        return QScalar({0: GRat(Fraction(value), Fraction(imag))})
+        return QScalar.monomial(0, GRat(Fraction(value), Fraction(imag)))
 
     @staticmethod
     def monomial(exponent: int, coeff) -> "QScalar":
-        return QScalar({exponent: _coerce_grat(coeff)})
+        den, c = _gauss(coeff)
+        return QScalar._make({int(exponent): c} if any(c) else {}, {0: (den, 0)})
 
     # -- inspection --------------------------------------------------------
 
@@ -560,15 +546,20 @@ class QScalar:
 
     @staticmethod
     def from_json(data: dict) -> "QScalar":
-        def load(obj):
-            return {
+        def load(obj) -> tuple[Terms, int]:
+            return _from_grats({
                 int(e): GRat(Fraction(re_s), Fraction(im_s))
                 for e, re_s, im_s in obj["terms"]
-            }
+            })
 
         if "terms" in data:
-            return QScalar(load(data))
-        return QScalar(load(data["num"]), load(data["den"]))
+            num, d = load(data)
+            return QScalar._make(num, {0: (d, 0)})
+        (num, num_den), (d, den_den) = load(data["num"]), load(data["den"])
+        if not d:
+            raise ZeroDivisionError("zero denominator")
+        # (num/num_den) / (d/den_den)
+        return QScalar._make(_d_scale(num, 0, (den_den, 0)), _d_scale(d, 0, (num_den, 0)))
 
 
 ZERO = QScalar._raw({}, _ONE_DEN, True)

@@ -206,14 +206,6 @@ class TranslationResult(_Frozen):
 
     __slots__ = ("kind", "polynomial")
 
-    def restrict_second_zero(self) -> Poly:
-        """f(x (+) y) at y = 0, as a single-sector polynomial again."""
-        return self.polynomial.set_slot_zero(1).drop_sector(1)
-
-    def restrict_first_zero(self) -> Poly:
-        out = self.polynomial.set_slot_zero(0).drop_sector(0)
-        return out.rename_sectors((X_SECTOR,))
-
 
 def _as_xy(f: Poly) -> Poly:
     if len(f.sectors) != 1 or f.sectors[0].kind != "x":
@@ -409,10 +401,7 @@ def hopf_antipode_residuals(f: Poly, barred: bool = False) -> tuple[Poly, Poly]:
     eps = f.set_slot_zero(0)  # the counit value f(0), still a Poly
     out = []
     for side in (0, 1):
-        flipped = _apply_to_sector(
-            T, side, lambda g: q_invert(g.rename_sectors((X_SECTOR,)), kind_s)
-            .rename_sectors((T.sectors[side],))
-        )
+        flipped = _apply_to_sector(T, side, lambda g: q_invert(g, kind_s))
         # relabel: the matched pair fixes its product m, whatever f's tag
         merged = flipped.with_convention(merge_conv).merge_sectors_star(0, 1)
         # relabel back: m (S (x) id) Delta f = f(0), a constant in every ordering
@@ -424,12 +413,12 @@ def hopf_antipode_residuals(f: Poly, barred: bool = False) -> tuple[Poly, Poly]:
 
 
 def counit_residuals(f: Poly, barred: bool = False) -> tuple[Poly, Poly]:
-    """f(x (+) y)|_{y=0} - f  and  f(y (+) x)|_{y=0} - f."""
-    kind = "plusbar" if barred else "plus"
-    T = q_translate(f, kind)
-    first = T.restrict_second_zero() - f
-    second = T.restrict_first_zero() - f
-    return first, second
+    """f(x (+) y)|_{y=0} - f  and  f(y (+) x)|_{y=0} - f, each read on a
+    single position sector again."""
+    T = q_translate(f, "plusbar" if barred else "plus").polynomial
+    first = T.set_slot_zero(1).drop_sector(1)
+    second = T.set_slot_zero(0).drop_sector(0).rename_sectors((X_SECTOR,))
+    return first - f, second - f
 
 
 # -- addition theorem and inverse exponentials -----------------------------------
@@ -488,10 +477,7 @@ def inverse_exponential_residual(order: int) -> Poly:
     only terms below the shell and makes none above it.
     """
     inverted = _apply_to_sector(
-        _substituted_exponential(order),
-        1,
-        lambda g: q_invert(g.rename_sectors((X_SECTOR,)), "minusbar")
-        .rename_sectors((Y_SECTOR,)),
+        _substituted_exponential(order), 1, lambda g: q_invert(g, "minusbar")
     )
     merged = inverted.merge_sectors_star(0, 1)
     return merged - below_shell(Poly.one((X_SECTOR, P_SECTOR), "W"), order)

@@ -16,10 +16,13 @@ normalization is treated as 1 in symbolic mode)
 
 ``PLANE_WAVES`` names each family's exponential; the action side, the star
 side and the ordering are those of the exponential's eigenvalue rule in
-``qexp.FAMILIES``.  Each plane wave solves i d_t u = H0 u and is an H0
-eigenfunction with eigenvalue p^2/2m; ``schrodinger_energy_residuals``
-checks both below the truncation shell from one H0 image of the body, and
-``momentum_residual`` checks the momentum eigenvalue.
+``qexp.FAMILIES``.  The phase factor and p^2 are built once, in W; the
+twisted families and their p^2/2m read them in Wt through the mirror
+``Poly.subs_q_inverse_swap``, as every Wt series is read.  Each plane wave
+solves i d_t u = H0 u and is an H0 eigenfunction with eigenvalue p^2/2m;
+``schrodinger_energy_residuals`` checks both below the truncation shell
+from one H0 image of the body, and ``momentum_residual`` checks the
+momentum eigenvalue.
 
 Powers of p^2 expand over normal-ordered momentum monomials with the
 coefficient family C(k, l) = q^{-2l} (-lam_+)^{k-l} [k choose l]_{q^4},
@@ -153,38 +156,32 @@ def cq_recurrence_residual(k: int, l: int) -> QScalar:
     )
 
 
-def psq(convention: str = "W") -> Poly:
+def psq() -> Poly:
     """p^2 = p^A * p_A as a normal-ordered momentum polynomial."""
-    p = {a: coord("p", a, "lower", convention) for a in Metric.indices}
+    p = {a: coord("p", a, "lower") for a in Metric.indices}
     return Metric.contract(lambda b, a: p[b].star(p[a]))
 
 
-def psq_power(k: int, convention: str = "W") -> Poly:
-    """Sum_l C(k,l) (p-)^{k-l} (p3)^{2l} (p+)^{k-l}; the Wt form carries the
-    substituted coefficients."""
+def psq_power(k: int) -> Poly:
+    """Sum_l C(k,l) (p-)^{k-l} (p3)^{2l} (p+)^{k-l}."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    terms = {}
-    for l in range(k + 1):
-        c = cq_coefficient(k, l)
-        if convention == "Wt":
-            c = c.subs_q_inverse()
-        terms[(((k - l, 2 * l, k - l),), 0)] = c
-    return Poly((P_SECTOR,), terms, convention)
+    terms = {(((k - l, 2 * l, k - l),), 0): cq_coefficient(k, l) for l in range(k + 1)}
+    return Poly((P_SECTOR,), terms, "W")
 
 
-def psq_star_power(k: int, convention: str = "W") -> Poly:
+def psq_star_power(k: int) -> Poly:
     """The k-fold star power of p^2 (the brute-force route)."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    base = psq(convention)
-    out = Poly.one((P_SECTOR,), convention)
+    base = psq()
+    out = Poly.one((P_SECTOR,))
     for _ in range(k):
         out = out.star(base)
     return out
 
 
-def _phase_terms(sign: int, order: int, mass: Fraction, t_value, convention: str):
+def _phase_terms(sign: int, order: int, mass: Fraction, t_value):
     """The terms k = 0..order of the phase factor, each (sign i t / 2m)^k / k!
     p^{2k}, of momentum degree 2k."""
     if sign not in (1, -1):
@@ -198,22 +195,22 @@ def _phase_terms(sign: int, order: int, mass: Fraction, t_value, convention: str
         coeff = (I**k).scale(rat)
         if t_value is not None:
             coeff = coeff.scale(t_value**k)
-            yield psq_power(k, convention).scale(coeff)
+            yield psq_power(k).scale(coeff)
         else:
-            yield psq_power(k, convention).scale(coeff).mul_t(k)
+            yield psq_power(k).scale(coeff).mul_t(k)
 
 
 def phase_factor(
-    sign: int,
-    order: int,
-    mass: Fraction,
-    t_value: Fraction | None = None,
-    convention: str = "W",
+    sign: int, order: int, mass: Fraction, t_value: Fraction | None = None
 ) -> Poly:
     """Sum_{k<=order} (sign i t / 2m)^k / k! p^{2k}, a momentum polynomial
     with symbolic t powers (or with an exact rational t absorbed)."""
-    return sum(_phase_terms(sign, order, mass, t_value, convention),
-               Poly.zero((P_SECTOR,), convention))
+    return sum(_phase_terms(sign, order, mass, t_value), Poly.zero((P_SECTOR,), "W"))
+
+
+def _in_ordering(f: Poly, convention: str) -> Poly:
+    """A W series read in ``convention``: itself, or its Wt mirror."""
+    return f.subs_q_inverse_swap() if convention == "Wt" else f
 
 
 # -- plane waves --------------------------------------------------------------------
@@ -232,9 +229,9 @@ def build_plane_wave(
     """The family's exponential star-multiplied by its phase factor.
 
     The phase sits on the exponential's star side, with sign -1 on the
-    right and +1 on the left, in the exponential's ordering (the twisted
-    families use the substituted Wt coefficients); the formal volume factor
-    is 1.
+    right and +1 on the left, in the exponential's ordering: the twisted
+    families read the W phase factor through its Wt mirror.  The formal
+    volume factor is 1.
     """
     if family not in PLANE_WAVES:
         raise ValueError(f"unknown plane-wave family {family!r}")
@@ -244,7 +241,7 @@ def build_plane_wave(
     e = build_exponential(variant, order_space).body
     star_side = FAMILIES[variant].rule[2]
     sign = -1 if star_side == "r" else 1
-    ph = phase_factor(sign, order_time, mass, convention=e.convention)
+    ph = _in_ordering(phase_factor(sign, order_time, mass), e.convention)
     body = _star_on(e, to_phase_space(ph, "p"), star_side)
     return PlaneWave(family, order_space, order_time, mass, body)
 
@@ -311,7 +308,7 @@ def schrodinger_energy_residuals(w: PlaneWave) -> tuple[Poly, Poly]:
     low = below_shell(w.body, w.order_space - 1)
     dt = apply_derivative(DerivativeLabel("0", "plain", side, "lower"), low, 0)
     below_time = acted.filter_terms(lambda key: key[1] <= w.order_time - 1)
-    p2 = to_phase_space(psq(w.body.convention), "p").scale(
+    p2 = to_phase_space(_in_ordering(psq(), w.body.convention), "p").scale(
         QScalar.from_rational(Fraction(1, 2) / w.mass)
     )
     return dt.scale(I) - below_time, acted - _star_on(low, p2, star_side)
@@ -349,8 +346,8 @@ def phase_group_law_residual(
 
     The momentum star adds degrees, so term k of phase(t1), of degree 2k, is
     star-multiplied only by the terms of phase(t2) up to k' = order - k."""
-    a = _phase_terms(-1, order, mass, t1, "W")
-    b = list(accumulate(_phase_terms(-1, order, mass, t2, "W")))
+    a = _phase_terms(-1, order, mass, t1)
+    b = list(accumulate(_phase_terms(-1, order, mass, t2)))
     low = sum((a_k.star(b[order - k]) for k, a_k in enumerate(a)),
               Poly.zero((P_SECTOR,), "W"))
     return low - phase_factor(-1, order, mass, t_value=t1 + t2)

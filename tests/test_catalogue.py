@@ -31,3 +31,20 @@ def test_suite(suite):
     assert not report.failures, report.render()
     text = json.dumps(report.to_json(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[suite], text
+
+
+#: sha256 of json.dumps(report.to_json(), sort_keys=True) for ``--suite all``,
+#: where one random stream feeds every suite in turn (the stdout of
+#: ``qeuclid verify --json`` is this string and a newline)
+ALL_DIGESTS = {
+    2024: "fe9fefdf954e210295afe7341df947a95f6283fa71cf6ee0837f649652f57a8e",
+    1: "6104df16144605f96f769a3dc1ee2e6a727fba1c5146df1d8912710e60c390c1",
+}
+
+
+@pytest.mark.parametrize("seed", ALL_DIGESTS)
+def test_all_suites_in_one_stream(seed):
+    report = run_suite("all", seed=seed)
+    assert not report.failures, report.render()
+    text = json.dumps(report.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == ALL_DIGESTS[seed], text

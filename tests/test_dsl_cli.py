@@ -130,6 +130,24 @@ def test_evaluate_scalars():
     assert v == want
 
 
+def test_evaluate_runs_only_the_scalar_operation_asked(monkeypatch):
+    """A scalar binary node computes its own operation alone: q + q^2 makes
+    no subtraction and no product."""
+    node = dsl.parse_expression("q + q^2")
+    calls = []
+    for name in ("__sub__", "__mul__"):
+        def spy(a, b, name=name, original=getattr(QScalar, name)):
+            calls.append(name)
+            return original(a, b)
+
+        monkeypatch.setattr(QScalar, name, spy)
+    value = dsl.evaluate(node)
+    seen = list(calls)
+    monkeypatch.undo()
+    assert seen == []
+    assert value == QScalar.q(1) + QScalar.q(2)
+
+
 def test_cli_expand_and_exit_codes():
     code, out, _ = run_cli("expand", "star(x-, x+)")
     assert code == 0 and "x+*x-" in out

@@ -328,6 +328,16 @@ def test_every_envelope_read_is_log_gaussian(monkeypatch):
     assert bases and set(bases) == {lattice._LogGaussian}, set(bases)
 
 
+@pytest.mark.parametrize("j_min", [-1, -2])
+def test_boundary_mass_counts_a_one_shell_slot_once(j_min):
+    """On j in [j_min, 0] the last slot's sub-lattice is the one shell -1,
+    which is both its edges: it holds all of that slot's weight, a share of
+    1, not 2."""
+    lat = QLattice(1.1, j_min, 0)
+    assert lat.integration_js(2).tolist() == [-1]
+    assert gaussian_packet(lat).boundary_mass() == 1.0
+
+
 def test_packet_samples_each_base_once_per_window():
     """The test packet's two envelope bases, wrapped in counting callables,
     are evaluated at most 8 times over a norm and three expectation values

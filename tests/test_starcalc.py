@@ -7,6 +7,7 @@ from qeuclid.qarith import QScalar, I, ONE, LAMBDA, q_factorial, q_number
 from qeuclid import starcalc
 from qeuclid.starcalc import (
     Metric,
+    P_SECTOR,
     Poly,
     Sector,
     X_SECTOR,
@@ -97,11 +98,24 @@ def test_coord_at_either_index_position(convention):
         assert coord(kind, b, position, convention).scale(g) == own
     with pytest.raises(ValueError, match="bad position 'uper'"):
         coord("p", "+", "uper", convention)
-    # p^2 = p^A p_A is the first power of its expansion, and its star powers
-    # are the expansion in either ordering (the twisted plane waves use Wt)
-    assert psq(convention) == psq_power(1, convention)
+    # p^2 = p^A p_A through this ordering's star of its coordinates, and its
+    # star powers, are the expansion read in this ordering: the W series
+    # itself, or its mirror in Wt (the twisted plane waves read it so)
+    p = {a: coord("p", a, "lower", convention) for a in Metric.indices}
+    p2 = Metric.contract(lambda b, a: p[b].star(p[a]))
+
+    def expansion(k):
+        w = psq_power(k)
+        return w if convention == "W" else w.subs_q_inverse_swap()
+
+    assert p2 == expansion(1)
+    power = Poly.one((P_SECTOR,), convention)
     for k in range(4):
-        assert psq_star_power(k, convention) == psq_power(k, convention)
+        assert power == expansion(k)
+        power = power.star(p2)
+    if convention == "W":
+        assert psq() == p2
+        assert all(psq_star_power(k) == psq_power(k) for k in range(4))
 
 
 def test_classical_limit(rand_poly):
