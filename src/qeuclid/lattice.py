@@ -29,13 +29,14 @@ monomial degree.  A star integral contracts small per-slot tables
 terms.  A table is summed by outer factor: the terms sharing a coupled
 degree, an outer degree and an outer envelope fold into one sampled middle
 row, so c(t) = phase * c, whose terms of one coupled degree share both,
-sums one row per degree.  Each carrier keeps, freed with it, that grouping
-per outer slot (:class:`_TermGroups`) and, per role: as a W ket, one table
-per outer-window shift and extent (the columns and middle exponents it
-covers), summed once and returned whole, its own pairing a slice of the
-extent its table views ask on the unshifted window (:data:`_REACH`); as
-a Wt ket, none; as a bra, no table but one array of rows and its read
-mask per outer slot and sign, its table contracted over k against every
+sums one row per degree.  The contraction serves W pairs, the ordering of
+every packet value; a Wt pair integrates its star product.  Each carrier
+keeps, freed with it, that grouping per outer slot (:class:`_TermGroups`)
+and, per role: as a ket, one table per outer-window shift and extent (the
+columns and middle exponents it covers), summed once and returned whole,
+its own pairing a slice of the extent its table views ask on the
+unshifted window (:data:`_REACH`); as a bra, no table but one array of
+rows and its read mask, its table contracted over k against every
 coupled degree e up to the larger of its widest ket's and its own plus
 one (:func:`_contracted_rows`).  A scaled carrier keeps both scaled, so
 a normalized packet pairs at t = 0 what its norm summed.
@@ -55,6 +56,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import sys
 from typing import Callable, Sequence
 
@@ -75,8 +77,9 @@ class QLattice(_Frozen):
     The all-space integral sums slot s over the window's j with
     j = COSETS[s] mod STEPS[s], weighted by the Jackson weights of base
     q0^STEPS[s]: the smaller-lattice integral with conjugation-compatible
-    offsets.  The window's end points q0^j_min and q0^j_max must be normal
-    floats.  A value: equal and hashed by (q0, j_min, j_max).
+    offsets.  The window's ends are integers (Python or numpy), and its end
+    points q0^j_min and q0^j_max must be normal floats.  A value: equal and
+    hashed by (q0, j_min, j_max).
     """
 
     __slots__ = ("q0", "j_min", "j_max")
@@ -84,6 +87,10 @@ class QLattice(_Frozen):
     def __init__(self, q0: float, j_min: int = -20, j_max: int = 20):
         if not q0 > 1:
             raise ValueError("q0 must be > 1")
+        try:
+            j_min, j_max = operator.index(j_min), operator.index(j_max)
+        except TypeError:
+            raise ValueError(f"window ends must be integers: {j_min!r}, {j_max!r}") from None
         if j_min > j_max:
             raise ValueError("empty lattice window")
         for j in (j_min, j_max):
@@ -355,11 +362,11 @@ class _TermGroups:
         self.degrees = deg[self.seg]
 
 
-def _slot_sums(f: "StructuredFn", outer: int, start: int, span: int, sgn: int,
-               shift: int = 0, reach: tuple[int, int] = (0, 0)) -> np.ndarray:
-    """Columns v = start..span of one star-integral operand's per-slot
+def _slot_sums(f: "StructuredFn", outer: int, start: int, span: int, shift: int = 0,
+               reach: tuple[int, int] = (0, 0)) -> np.ndarray:
+    """Columns v = start..span of one W star-integral operand's per-slot
     table: entry [d, v - start, s, i] is the sum over f's terms i of degree d
-    on the coupled slot 2 - outer of c_i M_i(n_i + v) g_i(s q0^(j + 2 sgn v)),
+    on the coupled slot 2 - outer of c_i M_i(n_i + v) g_i(s q0^(j + 2v)),
     where n_i is the term's degree on the ``outer`` slot, M_i its moment
     there (:func:`_moments`) on the outer window shifted by ``shift``,
     g_i(y) = y^b_i e_i(y) its middle factor and j = j_0 - reach[0] + i runs
@@ -371,7 +378,7 @@ def _slot_sums(f: "StructuredFn", outer: int, start: int, span: int, sgn: int,
     outer envelope folds into one row h_g(y) = sum_i c_i y^b_i e_i(y),
     sampled once on the middle window all the columns read, each +-y
     raised once per distinct exponent b.  Then entry [d, v] is
-    sum_g M_g(n_g + v) h_g(s q0^(j + 2 sgn v)) over the groups of degree
+    sum_g M_g(n_g + v) h_g(s q0^(j + 2v)) over the groups of degree
     d: one windowed gather of the rows, one product with the moments and
     one segment sum over each degree's groups.  The moments and rows are
     computed for these columns only, and every sum runs over terms or
@@ -382,9 +389,8 @@ def _slot_sums(f: "StructuredFn", outer: int, start: int, span: int, sgn: int,
     m = _moments(lat, outer, grp.outer_envs, grp.outer_degs[:, None] + v, shift)
     js = lat.integration_js(1)
     width = js.size + reach[0] + reach[1]
-    # the middle window the columns read: js, extended by reach, dilated by 2 sgn v
-    a, b = sorted((2 * sgn * start, 2 * sgn * span))
-    lo, hi = js[0] - reach[0] + a, js[-1] + reach[1] + b
+    # the middle window the columns read: js, extended by reach, dilated by 2v
+    lo, hi = js[0] - reach[0] + 2 * start, js[-1] + reach[1] + 2 * span
     rows, _ = _axis_rows(lat, grp.mid_envs, lo, hi)
     pts = lat.q0 ** np.arange(lo, hi + 1).astype(float)
     powers = _signed_powers(pts, grp.powers)
@@ -393,37 +399,37 @@ def _slot_sums(f: "StructuredFn", outer: int, start: int, span: int, sgn: int,
     # each column's window into h, gathered as [group, v, s, i]; np.take
     # lays the gather out in C order, which the product reads faster than
     # the strided result of h[:, :, cols]
-    cols = (js[0] - reach[0] - lo + 2 * sgn * v)[:, None] + np.arange(width)
+    cols = (js[0] - reach[0] - lo + 2 * v)[:, None] + np.arange(width)
     vals = m[:, :, None, None] * np.take(h, cols, axis=2).transpose(0, 2, 1, 3)
     out = np.zeros((grp.degrees[-1] + 1, v.size, 2, width), dtype=complex)
     out[grp.degrees] = np.add.reduceat(vals, grp.seg, axis=0)
     return out
 
 
-def _contracted_rows(f: "StructuredFn", outer: int, sgn: int, top: int) -> tuple:
-    """f's slot table S on the ``outer`` slot contracted over the star's k
-    against each coupled degree e = 0..top of the other operand, lam and
-    fall as in :meth:`StructuredFn.star_integral`:
+def _contracted_rows(f: "StructuredFn", top: int) -> tuple:
+    """f's slot table S as the bra of a W star integral (outer slot 0)
+    contracted over the star's k against each coupled degree e = 0..top of
+    the ket, lam and fall as in :meth:`StructuredFn.star_integral`:
 
         rows[e, u](s, j) = sum_k lam^k / fall[k, k] fall[u+k, k] fall[e, k]
                                w_j x_j^(2k) S[u+k, e-k](s, j)
 
     for u = 0..D, D f's largest coupled degree, over k <= e and u + k <=
     D.  Returns ``(rows, read)``, read[e, u] true where some degree d
-    present in f reaches (e, u): only these entries of the other operand's
-    table are read, so an entry that no present degree pair needs cannot
+    present in f reaches (e, u): only these entries of the ket's table
+    are read, so an entry that no present degree pair needs cannot
     overflow into nan.  One step per k adds into the slice rows[k:, :D+1-k]
     from the slice S[k:, :top+1-k], S's absent degrees zeroed first, so
     each entry is summed over k in ascending order and no row depends on
     which others are built with it.  S is summed here over the columns
     0..top the rows read, on the middle slot's own window
     (:func:`_slot_sums`), and not kept."""
-    lat, degrees = f.lattice, f._degrees(outer)
+    lat, degrees = f.lattice, f._degrees(0)
     dmax, present = degrees[-1], np.bincount(degrees) > 0
-    table = _slot_sums(f, outer, 0, top, sgn)
+    table = _slot_sums(f, 0, 0, top)
     table[~present] = 0
-    fall = _falling(max(dmax, top), lat.q0 ** (4 * sgn))
-    lam = sgn * (lat.q0 - 1.0 / lat.q0)
+    fall = _falling(max(dmax, top), lat.q0**4)
+    lam = lat.q0 - 1.0 / lat.q0
     xs, weights = lat.integration_points(1), lat.integration_weights(1)
     rows = np.zeros((top + 1, dmax + 1, 2, xs.size), dtype=complex)
     read = np.zeros((top + 1, dmax + 1), dtype=bool)
@@ -516,10 +522,10 @@ class StructuredFn:
                 coeffs[i] = coeffs[i] + t.coeff
         self.terms = [t if c is t.coeff else STerm(c, t.exps, t.envs)
                       for t, c in zip(firsts, coeffs) if c != 0]
-        # as a W ket: (window shift, extent) -> _slot_sums table (StructuredFn._table)
+        # as a ket: (window shift, extent) -> _slot_sums table (StructuredFn._table)
         self._tables = {}
         self._groups = {}  # outer slot -> the _TermGroups the sums are taken by
-        self._rows = {}  # as a bra: (outer slot, sgn) -> _contracted_rows for e = 0..top
+        self._rows = None  # as a bra: _contracted_rows for e = 0..top
 
     # -- construction ------------------------------------------------------
 
@@ -557,7 +563,9 @@ class StructuredFn:
         assert sector_index == 0
         return self._new([STerm(1.0, _with((0, 0, 0), slot, 1), (None, None, None))])
 
-    def _check_compatible(self, other: "StructuredFn"):
+    def _check_compatible(self, other: "StructuredFn | TableView"):
+        if other.lattice != self.lattice:
+            raise ValueError(f"lattice mismatch: {self.lattice} vs {other.lattice}")
         if other.sector_kind != self.sector_kind:
             raise ValueError("sector mismatch")
         if other.convention != self.convention:
@@ -583,7 +591,8 @@ class StructuredFn:
         differs from summing the product's anew."""
         out = self._new([STerm(t.coeff * c, t.exps, t.envs) for t in self.terms])
         out._tables = {key: c * table for key, table in self._tables.items()}
-        out._rows = {key: (c * rows, read) for key, (rows, read) in self._rows.items()}
+        if self._rows is not None:
+            out._rows = c * self._rows[0], self._rows[1]
         return out
 
     def scale_q(self, s: QScalar) -> "StructuredFn":
@@ -724,42 +733,40 @@ class StructuredFn:
     # preceded by numpy's overflow warnings
     @np.errstate(over="ignore", invalid="ignore")
     def star_integral(self, other: "StructuredFn | TableView") -> complex:
-        """Integral over all space of self (star) other, in the operands'
-        ordering, contracted slot by slot without building the product.
+        """Integral over all space of self (star) other, for W operands
+        contracted slot by slot without building the product.
 
-        "first" is the operand carrying the slot-0 envelopes (self for W,
-        other for Wt), polynomial in slot 2 with degree d_F; "last" is the
-        other one, polynomial in slot 0 with degree d_L.  With
-        sgn = +1 (W) or -1 (Wt), lam = sgn (q0 - 1/q0) and the falling
-        factorials fall[d, k] = [[d]]_Q ... [[d-k+1]]_Q, Q = q0^(4 sgn), the
-        integral is
+        Self, the bra, carries the slot-0 envelopes and is polynomial in
+        slot 2 with degree d_F; other, the ket, is polynomial in slot 0 with
+        degree d_L.  With lam = q0 - 1/q0 and the falling factorials
+        fall[d, k] = [[d]]_Q ... [[d-k+1]]_Q, Q = q0^4, the integral is
 
             sum_k lam^k / fall[k, k] sum_(u, v) fall[u+k, k] fall[v+k, k]
                 sum_(s = +-1, j in slot 1) w_j x_j^(2k)
                     S_F[u+k, v](s, j) S_L[v+k, u](s, j),
 
-        where S_F[d, v](s, j) sums, over first's terms i with d_F = d,
-        c_i M0_i(a_i + v) g_i(s q0^(j + 2 sgn v)): M0_i is the term's slot-0
+        where S_F[d, v](s, j) sums, over the bra's terms i with d_F = d,
+        c_i M0_i(a_i + v) g_i(s q0^(j + 2v)): M0_i is the term's slot-0
         moment, a_i its slot-0 degree and g_i(y) = y^b_i e_i(y) its middle
         factor; S_L is the mirror image with the slot-2 moments
-        (:func:`_slot_sums`).  The star's q0^(2 sgn (b1 k2 + k1 b2)) factor
-        lives in the dilated arguments of g.  The sum is symmetric in the
-        operands and is taken as sum_(e, u, s, j) S_other[e, u](s, j)
-        rows[e, u](s, j) over the entries read[e, u] of the other's
-        degrees e, rows[e] being self's table contracted over k against e.
+        (:func:`_slot_sums`).  The star's q0^(2 (b1 k2 + k1 b2)) factor
+        lives in the dilated arguments of g.  The sum is taken as
+        sum_(e, u, s, j) S_L[e, u](s, j) rows[e, u](s, j) over the entries
+        read[e, u] of the ket's degrees e, rows[e] being the bra's table
+        contracted over k against e.  A Wt pair integrates its star
+        product (:meth:`integral_all_space`), as no caller pairs Wt
+        carriers.
 
-        Self keeps no table, only one array of rows and its read mask per
-        outer slot and sign (:func:`_contracted_rows`) for e = 0..top, top
-        the larger of the widest coupled degree its other operands had so
-        far and its own coupled degree plus one.  A wider ket sums and
-        contracts them anew over the union; a later ket one degree higher
-        than self (p^+ * c(t)) finds its row kept, and the rows do not
-        depend on the order of the kets.  The other operand, a W ket, keeps
-        its table per outer-window shift and extent (:meth:`_table`),
-        freed with it, and a Wt ket sums its own anew (:meth:`_slot_table`);
-        it may be a :class:`TableView` of a W integral, whose table is a
-        rewrite of its carrier's kept tables.  In a packet self is the
-        bra c*(t) and the other a view of c(t) in every pairing at t, so
+        The bra keeps no table, only one array of rows and its read mask
+        (:func:`_contracted_rows`) for e = 0..top, top the larger of the
+        widest coupled degree its kets had so far and its own coupled
+        degree plus one.  A wider ket sums and contracts them anew over the
+        union; a later ket one degree higher than the bra (p^+ * c(t))
+        finds its row kept, and the rows do not depend on the order of the
+        kets.  A carrier ket keeps its table per outer-window shift and
+        extent (:meth:`_table`), freed with it; a :class:`TableView` ket's
+        table is a rewrite of its carrier's kept tables.  In a packet the
+        bra is c*(t) and the ket a view of c(t) in every pairing at t, so
         once the bra's rows and c(t)'s tables are kept a pairing costs the
         view's rewrite, O(r D^2 J) for r reads, D the largest coupled
         degree and J the middle slot's points, and a product-sum over
@@ -770,22 +777,20 @@ class StructuredFn:
         product, g x D x 2 x J (130 KB for the 66-term c(0.1) on +-12).
         A result past the float range (a factor that overflowed, times
         zero, gives nan) raises ``FloatingPointError``."""
-        mirror = self._coupling(other)
-        if self.is_zero() or other.is_zero():
+        if self._coupling(other):
+            total = self.star(other).integral_all_space()
+        elif self.is_zero() or other.is_zero():
             return 0j
-        sgn = -1 if mirror else 1
-        mine, theirs = (2, 0) if mirror else (0, 2)  # each operand's outer slot
-        d_other, d_mine = other._degrees(theirs), self._degrees(mine)
-        s_other = other._slot_table(theirs, d_mine[-1], sgn)
-        kept = self._rows.get((mine, sgn))
-        if kept is None or kept[0].shape[0] <= d_other[-1]:
-            top = max(d_other[-1], d_mine[-1] + 1)
-            kept = self._rows[mine, sgn] = _contracted_rows(self, mine, sgn, top)
-        rows, read = kept
-        # only the entries read enter the sum, in (e, u, s, j) order; np.sum
-        # adds them pairwise, which keeps cancelling pairings accurate
-        m = read[d_other]
-        total = complex(np.sum(s_other[d_other][m] * rows[d_other][m]))
+        else:
+            d_other, d_mine = other._degrees(2), self._degrees(0)
+            s_other = other._slot_table(d_mine[-1])
+            if self._rows is None or self._rows[0].shape[0] <= d_other[-1]:
+                self._rows = _contracted_rows(self, max(d_other[-1], d_mine[-1] + 1))
+            rows, read = self._rows
+            # only the entries read enter the sum, in (e, u, s, j) order; np.sum
+            # adds them pairwise, which keeps cancelling pairings accurate
+            m = read[d_other]
+            total = complex(np.sum(s_other[d_other][m] * rows[d_other][m]))
         if not cmath.isfinite(total):
             raise FloatingPointError(f"star integral is not finite: {total}")
         return total
@@ -806,29 +811,24 @@ class StructuredFn:
 
     def _table(self, shift: int, extent: tuple) -> np.ndarray:
         """:func:`_slot_sums` of this carrier as the ket of a W star integral
-        (outer slot 2, sign +1) on the outer window shifted by ``shift``,
+        (outer slot 2) on the outer window shifted by ``shift``,
         over extent = (first column, last column, middle exponents below,
         above the window): summed once per (shift, extent), kept and
         returned whole."""
         table = self._tables.get((shift, extent))
         if table is None:
             first, last, below, above = extent
-            table = self._tables[shift, extent] = _slot_sums(self, 2, first, last, 1, shift,
+            table = self._tables[shift, extent] = _slot_sums(self, 2, first, last, shift,
                                                              (below, above))
         return table
 
-    def _slot_table(self, outer: int, span: int, sgn: int) -> np.ndarray:
-        """:func:`_slot_sums` of this carrier as the ket of a star integral,
-        for dilations up to ``span``, on its own window.  A W carrier's is a
-        slice of its kept table over the extent a table view with no read
-        past :data:`_REACH` asks (:meth:`TableView._needs`), so that its own
-        pairings and all its table views share one summation; a Wt carrier
-        has no table views (:class:`TableView` refuses it), so its table is
-        summed anew and not kept.  A bra reads no kept table
-        (:func:`_contracted_rows`)."""
-        if self.convention == "Wt":
-            return _slot_sums(self, outer, 0, span, sgn)
-        _check_ket_slot(outer, sgn)
+    def _slot_table(self, span: int) -> np.ndarray:
+        """:func:`_slot_sums` of this carrier as the ket of a W star
+        integral, for dilations up to ``span``, on its own window: a slice
+        of its kept table over the extent a table view with no read past
+        :data:`_REACH` asks (:meth:`TableView._needs`), so that its own
+        pairings and all its table views share one summation.  A bra reads
+        no kept table (:func:`_contracted_rows`)."""
         first, _, below, above = extent = TableView._needs(span)[0]
         table = self._table(0, extent)
         return table[:, -first : span + 1 - first, :, below : table.shape[3] - above]
@@ -984,6 +984,10 @@ class TableView:
                                  for key, read in self.terms.items() for m in summands))
 
     @property
+    def lattice(self) -> QLattice:
+        return self.src.lattice
+
+    @property
     def sector_kind(self) -> str:
         return self.src.sector_kind
 
@@ -1065,7 +1069,7 @@ class TableView:
         return self._kept
 
     def _degrees(self, outer: int) -> np.ndarray:
-        _check_ket_slot(outer)
+        assert outer == 2  # a view pairs only as the ket
         ds = {int(d) for key, *_, rows in self._live() for d in rows - key[2]}
         return np.array(sorted(ds), dtype=int)
 
@@ -1083,13 +1087,12 @@ class TableView:
         return {w: (c0, span + c1, max(0, -lo), max(0, hi))
                 for w, (c0, c1, lo, hi) in need.items()}
 
-    def _slot_table(self, outer: int, span: int, sgn: int) -> np.ndarray:
+    def _slot_table(self, span: int) -> np.ndarray:
         """The view's table for columns 0..span: each live read of the
         source's kept tables over the range of source degrees it reads,
         weighted and added in read order; each weight y^p q0^(e v) is
         computed once per distinct (p, e).  A zero view's table has no
         degree rows."""
-        _check_ket_slot(outer, sgn)
         lat = self.src.lattice
         js = lat.integration_js(1)
         v = np.arange(span + 1)
@@ -1097,7 +1100,7 @@ class TableView:
         ys = np.stack([y, -y], axis=1)  # [v, s, j]
         needs = self._needs(span, ((w, dv, dj) for (*_, dv, dj, w), *_ in self._live()))
         tables = {w: (extent, self.src._table(w, extent)) for w, extent in needs.items()}
-        out = np.zeros((self._degrees(outer).max(initial=-1) + 1, v.size, 2, js.size),
+        out = np.zeros((self._degrees(2).max(initial=-1) + 1, v.size, 2, js.size),
                        dtype=complex)
         weights: dict = {}
         for (p, e, dd, dv, dj, w), coef, fac, rows in self._live():
@@ -1111,9 +1114,3 @@ class TableView:
                                               * weights[p, e])
         return out
 
-
-def _check_ket_slot(outer: int, sgn: int = 1):
-    """A W ket's kept tables and its table views pair only as the last
-    operand of a W star integral."""
-    if outer != 2 or sgn != 1:
-        raise ValueError("a W ket pairs as the last operand of a W star integral")

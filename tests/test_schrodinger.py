@@ -419,9 +419,7 @@ def test_packet_values_do_not_depend_on_query_order(t):
         assert _ask(wp, query, t) == first, query
         for packet in (fresh, wp):
             cst = packet.coefficients_at(t)[1]
-            assert not cst._tables, query
-            assert {key: rows.shape[0] for key, (rows, _) in cst._rows.items()} == {
-                (0, 1): top + 1}, query
+            assert not cst._tables and cst._rows[0].shape[0] == top + 1, query
 
 
 def test_normalized_packet_sums_nothing_anew_at_t0(monkeypatch):
@@ -432,21 +430,20 @@ def test_normalized_packet_sums_nothing_anew_at_t0(monkeypatch):
     the <X^A> labels read, and no row set is contracted."""
     wp = _criterion_10_packet()
     c0, cst0 = wp.coefficients_at(0.0)
-    table, rows = c0._tables[0, (-1, 1, 0, 4)], cst0._rows[0, 1]
+    table, rows = c0._tables[0, (-1, 1, 0, 4)], cst0._rows
     slot_sums, sums = lattice._slot_sums, []
 
-    def spy(f, outer, start, span, sgn, shift=0, reach=(0, 0)):
+    def spy(f, outer, start, span, shift=0, reach=(0, 0)):
         sums.append((f is c0, shift))
-        return slot_sums(f, outer, start, span, sgn, shift, reach)
+        return slot_sums(f, outer, start, span, shift, reach)
 
     monkeypatch.setattr(lattice, "_slot_sums", spy)
     monkeypatch.setattr(lattice, "_contracted_rows", None)
     for query in PACKET_QUERIES:
         _ask(wp, query, 0.0)
     assert sums == [(True, 4)], sums
-    assert c0._tables[0, (-1, 1, 0, 4)] is table and cst0._rows[0, 1] is rows
+    assert c0._tables[0, (-1, 1, 0, 4)] is table and cst0._rows is rows
     assert list(c0._tables) == [(0, (-1, 1, 0, 4)), (4, (-1, -1, 0, 4))]
-    assert list(cst0._rows) == [(0, 1)]
 
 
 def test_normalized_packet_is_the_packet_of_its_coefficients():
@@ -559,7 +556,7 @@ def test_zero_view_has_a_table_with_no_degree_rows():
     c0, cst0 = _criterion_10_packet().coefficients_at(0.0)
     view = apply_derivative(_position_labels()[0], TableView(c0))
     assert view.is_zero() and view._degrees(2).size == 0
-    assert view._slot_table(2, 3, 1).shape[:2] == (0, 4)
+    assert view._slot_table(3).shape[:2] == (0, 4)
     assert cst0.star_integral(view) == 0j
 
 
