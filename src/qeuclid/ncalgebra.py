@@ -166,7 +166,7 @@ def normal_order(f: Words, convention: str = "W", strategy: str = "leftmost") ->
                     _l_add(step, t, _d_mul(m, n))
             state = step
         for t, m in state.items():
-            _add_term(out, t, coeff * QScalar._raw(m, _ONE_DEN, True))
+            _add_term(out, t, coeff * QScalar._make(m, _ONE_DEN))
     return out
 
 

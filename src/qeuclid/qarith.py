@@ -2,17 +2,18 @@
 
 The coefficient scalars used everywhere in this package are exact rational
 expressions in the deformation parameter ``q`` over the Gaussian rationals,
-stored as a reduced fraction of Laurent polynomials with Gaussian integer
+stored as a fraction of Laurent polynomials with Gaussian integer
 coefficients.  A rational coefficient's denominator lives in the
 denominator polynomial, so a ring element (the overwhelmingly common case)
 is an integer polynomial over a positive integer constant; it serializes in
 the plain ``{"terms": [[exp, re, im], ...]}`` form.  Genuine fractions only
 enter through series coefficients such as ``1/[[n]]_q!`` in exponentials
-and antiderivatives.  Everything is canonical, so identity checking is
-equality of normal forms; there is no floating point in the symbolic layer
-and ``i`` is a first-class scalar.  A scalar is read out through ``str``,
-``to_json``, ``eval`` and ``==``; ``to_json`` and ``str`` write each
-coefficient a/L straight from the integers, reduced by one integer gcd.
+and antiderivatives.  A fraction is put in normal form when first read
+(``str``, ``to_json``, ``eval``, ``hash``), or when built over more than
+``QScalar._REDUCE_THRESHOLD`` denominator terms; ``==`` cross-multiplies.
+There is no floating point in the symbolic layer and ``i`` is a first-class
+scalar.  ``to_json`` and ``str`` write each coefficient a/L straight from
+the integers, reduced by one integer gcd.
 ``Fraction`` is built only where ``GRat`` coefficients go in
 (``from_rational``, ``monomial`` and ``from_json``).
 
@@ -276,11 +277,11 @@ def _poly_gcd(a: list[GInt], b: list[GInt]) -> list[GInt]:
     return a
 
 
-def _reduce(num: Terms, den: Terms, coprime: bool = False) -> tuple[Terms, Terms]:
+def _reduce(num: Terms, den: Terms) -> tuple[Terms, Terms]:
     """Canonicalize a fraction: coprime, denominator with lowest exponent 0
     and a positive integer leading coefficient, joint integer content 1.
-    ``coprime`` skips the gcd when the caller knows there is none."""
-    if not coprime and len(num) > 1 and len(den) > 1:
+    Run on a value's first read, or past the size bound in ``_make``."""
+    if len(num) > 1 and len(den) > 1:
         lo_n, dn = _dense(num)
         lo_d, dd = _dense(den)
         g = _poly_gcd(dn, dd)
@@ -306,9 +307,10 @@ class QScalar:
     """Fraction of Laurent polynomials in q over the Gaussian integers.
 
     Values compare by cross-multiplication, so fractions are reduced lazily:
-    canonicalization (see ``_reduce``) happens on demand and is cached.  A
-    denominator of one term is reduced at once, so ring elements are always
-    canonical; those with integer coefficients have ``_den == {0: (1, 0)}``.
+    canonicalization (see ``_reduce``) happens on a value's first read and is
+    kept, or in ``_make`` past ``_REDUCE_THRESHOLD`` denominator terms.
+    Scalars built over ``_ONE_DEN`` are canonical; negation, ``shift`` and
+    ``conjugate`` keep a canonical value canonical.
     Instances behave as immutable values; all arithmetic returns fresh
     objects.
     """
@@ -339,16 +341,16 @@ class QScalar:
         return out
 
     @staticmethod
-    def _make(num: Terms, den: Terms, coprime: bool = False) -> "QScalar":
+    def _make(num: Terms, den: Terms) -> "QScalar":
         """Internal constructor for clean integer dictionaries, ``den``
-        nonzero; ``coprime`` promises that num and den have no common
-        factor of positive degree."""
+        nonzero.  The one place a fraction is reduced at construction: past
+        ``_REDUCE_THRESHOLD`` denominator terms; else it waits for a read."""
         if not num:
             return ZERO
         if den == _ONE_DEN:
             return QScalar._raw(num, _ONE_DEN, True)
-        if coprime or len(den) == 1 or len(den) > QScalar._REDUCE_THRESHOLD:
-            return QScalar._raw(*_reduce(num, den, coprime), True)
+        if len(den) > QScalar._REDUCE_THRESHOLD:
+            return QScalar._raw(*_reduce(num, den), True)
         return QScalar._raw(num, den, False)
 
     # -- constructors ------------------------------------------------------
@@ -419,13 +421,7 @@ class QScalar:
         )
 
     def __mul__(self, other: "QScalar") -> "QScalar":
-        # a factor c q^e brings no common factor into the other's fraction
-        coprime = (
-            self._canonical and other._den == _ONE_DEN and len(other._num) == 1
-        ) or (other._canonical and self._den == _ONE_DEN and len(self._num) == 1)
-        return QScalar._make(
-            _d_mul(self._num, other._num), _d_mul(self._den, other._den), coprime
-        )
+        return QScalar._make(_d_mul(self._num, other._num), _d_mul(self._den, other._den))
 
     def __truediv__(self, other: "QScalar") -> "QScalar":
         if other.is_zero():
@@ -435,14 +431,7 @@ class QScalar:
         )
 
     def scale(self, value) -> "QScalar":
-        den, c = _gauss(value)
-        if c == (0, 0):
-            return ZERO
-        return QScalar._make(
-            _d_scale(self._num, 0, c),
-            _d_scale(self._den, 0, (den, 0)),
-            self._canonical,
-        )
+        return self * QScalar.monomial(0, value)
 
     def shift(self, exponent: int) -> "QScalar":
         """Multiply by q**exponent."""
@@ -473,7 +462,6 @@ class QScalar:
         return QScalar._make(
             {-e: c for e, c in self._num.items()},
             {-e: c for e, c in self._den.items()},
-            self._canonical,
         )
 
     def conjugate(self) -> "QScalar":

@@ -492,6 +492,12 @@ class PacketError(ValueError):
     pass
 
 
+def _check_index(index: str) -> None:
+    """Refuse an expectation index that is not spatial (+, 3 or -)."""
+    if index not in Metric.indices:
+        raise PacketError(f"expectation index must be one of {Metric.indices}, got {index!r}")
+
+
 def _phase_term(k: int, t: float, mass, q0: float):
     """Term k of the numeric phase series of exp(-i t p^2 / 2m): the pairs
     (coefficient, degrees) of (-i t / 2m)^k / k! C(k, l) on the momentum
@@ -630,6 +636,7 @@ class WavePacket:
 
     def expectation_momentum(self, index: str, t: float = 0.0, position: str = "upper") -> complex:
         """Int c*(t) * (p^A * c(t)), or p_A at ``position="lower"``."""
+        _check_index(index)
         return self._pairing(t, (index, position))
 
     def _position_term(self, index: str, t: float, position: str) -> complex:
@@ -662,6 +669,7 @@ class WavePacket:
         of the value at ``"upper"``, and comparing them pins nothing.
         T(A, lower) and T(A-bar, upper) (+ and - swapped) transport to one
         left label d', so the six <X> values at one t read three pairings."""
+        _check_index(index)
         flipped = "lower" if position == "upper" else "upper"
         return 0.5 * (
             self._position_term(index, t, position)

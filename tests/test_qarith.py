@@ -1,4 +1,6 @@
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -252,6 +254,16 @@ PINNED = [
      / (LAMBDA_PLUS.scale(Fraction(3, 4)) + ONE),
      {"den": {"terms": [[0, "1", "0"], [1, "4/3", "0"], [2, "1", "0"]]},
       "num": {"terms": [[1, "8/27", "0"], [2, "8/27", "0"], [3, "8/27", "0"]]}}),
+    # built with unreduced one-term denominators, reduced when read
+    (lambda: QScalar.q(3).scale(Fraction(2, 4)),
+     {"terms": [[3, "1/2", "0"]]}),
+    (lambda: (QScalar.from_rational(Fraction(1, 3)) + QScalar.monomial(2, Fraction(5, 6)))
+     .scale(Fraction(6, 4)),
+     {"terms": [[0, "1/2", "0"], [2, "5/4", "0"]]}),
+    (lambda: (QScalar.monomial(1, Fraction(2, 3))
+              * QScalar.from_rational(Fraction(3, 4), Fraction(1, 2)))
+     .subs_q_inverse().conjugate(),
+     {"terms": [[-1, "1/2", "-1/3"]]}),
 ]
 
 
@@ -276,6 +288,71 @@ def test_equal_values_hash_equal():
     for s in forms:
         assert s == forms[0] and hash(s) == hash(forms[0])
         assert s.to_json() == {"terms": [[1, "1", "0"]]}
+
+
+def _count_reductions(monkeypatch) -> list:
+    calls = []
+    reduce = qarith._reduce
+
+    def counting(*args):
+        calls.append(1)
+        return reduce(*args)
+
+    monkeypatch.setattr(qarith, "_reduce", counting)
+    return calls
+
+
+@pytest.mark.parametrize("read", [
+    QScalar.to_json, str, hash, lambda s: s.eval(1.5),
+], ids=["to_json", "str", "hash", "eval"])
+def test_a_fraction_is_reduced_when_read(monkeypatch, read):
+    """The one reduction rule: building, adding, multiplying and scaling
+    over one-term denominators reduces nothing; a value's first read
+    reduces it once and a second read not again."""
+    calls = _count_reductions(monkeypatch)
+    third = QScalar.from_rational(Fraction(1, 3))
+    five_sixths_q2 = QScalar.monomial(2, Fraction(5, 6))
+    half_q = QScalar.q(1).scale(Fraction(2, 4))
+    built = [
+        third, five_sixths_q2, half_q,
+        third + five_sixths_q2, third * five_sixths_q2,
+        (third + half_q) * five_sixths_q2, half_q.scale(Fraction(3, 5)),
+    ]
+    assert calls == []
+    for s in built:
+        read(s)
+        assert len(calls) == 1
+        read(s)
+        assert len(calls) == 1
+        calls.clear()
+
+
+def test_a_fraction_past_the_size_bound_is_reduced_at_once(monkeypatch):
+    calls = _count_reductions(monkeypatch)
+    assert len(q_number(30)._num) > QScalar._REDUCE_THRESHOLD
+    s = ONE / q_number(30)
+    assert len(calls) == 1
+    s.to_json()
+    hash(s)
+    assert len(calls) == 1
+    ONE / q_number(3)
+    assert len(calls) == 1
+
+
+def test_reduction_internals_stay_in_qarith():
+    """No module but ``qarith`` names the constructors and the reduction
+    that the one reduction rule is written with."""
+    internals = {"_raw", "_reduce", "_canonical", "_reduce_inplace"}
+    package = Path(__file__).resolve().parent.parent / "src" / "qeuclid"
+    found = [
+        f"{path.name}:{lineno} {word}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "qarith.py"
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        for word in re.findall(r"\w+", line)
+        if word in internals
+    ]
+    assert not found, "qarith internals named outside qarith:\n  " + "\n  ".join(found)
 
 
 def test_grat_is_a_value():

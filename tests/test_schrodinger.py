@@ -324,6 +324,17 @@ def test_position_expectations(packet):
     assert abs(drift) > 1e-6  # position genuinely evolves
 
 
+@pytest.mark.parametrize("index", ["0", "x", ""])
+def test_expectations_refuse_a_non_spatial_index(monkeypatch, index):
+    """Both expectation values take a spatial index only and refuse any
+    other, naming it, before any pairing."""
+    wp = gaussian_packet(QLattice(1.1, -6, 6))
+    monkeypatch.setattr(WavePacket, "_pairing", lambda *a: pytest.fail("paired"))
+    for method in (wp.expectation_momentum, wp.expectation_position):
+        with pytest.raises(ValueError, match=f"got {index!r}"):
+            method(index)
+
+
 def test_position_term_is_the_right_bar_action_on_the_bra(packet):
     """The position term is computed as -i s conj(Int c*(t) * (d' |> c(t)))
     (d' the mirror left label, s real).  Here it is restated as it is
