@@ -118,8 +118,8 @@ def _mass(text) -> Fraction:
         mass = Fraction(text)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         mass = 0
-    if mass == 0:
-        raise UsageError(f"mass must be a nonzero rational, got {text!r}")
+    if not mass > 0:
+        raise UsageError(f"mass must be a positive rational, got {text!r}")
     return mass
 
 
@@ -304,8 +304,8 @@ def cmd_expectation(args) -> int:
 def cmd_heine(args) -> int:
     q0 = _parse_q(args.q)
     mass = _finite(args.mass, "--mass")
-    if q0 in (1.0, -1.0) or mass == 0:
-        raise UsageError("the phase report needs --q not in {1, -1} and a nonzero --mass")
+    if q0 in (1.0, -1.0) or not mass > 0:
+        raise UsageError("the phase report needs --q not in {1, -1} and a positive --mass")
     order = _order(args.order)
     t = _finite(args.t, "--t")
     from .schrodinger import heine_phase_report

@@ -5,21 +5,19 @@ Grammar (LL(1), whitespace-insensitive, ASCII only):
     pipeline := sum | operator '|>' pipeline
     sum      := product (('+' | '-') product)*
     product  := atom ('*' atom)*
-    atom     := coordinate | literal | call | operator '(' pipeline ')'
-              | '(' pipeline ')' | '-' atom
-    call     := 'star' '(' pipeline ',' pipeline ')'
-              | 'exp' '[' NAME ']' '(' INT ')'
-              | 'conj' '(' pipeline ')'
-              | 'translate' ['[' NAME ']'] '(' pipeline ')'
-              | 'invert' ['[' NAME ']'] '(' pipeline ')'
-    operator := ('d' | 'dhat' | 'dinv') '[' INDEX ']'
+    atom     := coordinate | literal | call | '(' pipeline ')' | '-' atom
+    call     := NAME ['[' WORD ']'] '(' arg (',' arg)* ')'
+    operator := NAME '[' WORD ']'
     coordinate := x+ | x3 | x- | t | p- | p3 | p+
     literal  := INT | INT '/' INT | 'i' | 'q' ['^' SIGNED_INT]
 
-``op |> expr`` and ``op(expr)`` both apply an operator.  Syntax errors
-carry the offending position.  Parsing then printing a canonical-form
-expression is the identity.  Expressions nest at most ``MAX_DEPTH`` deep,
-and an exponential is truncated at order ``MAX_ORDER`` at most.
+Each call form is declared once, in ``FORMS``: the words its bracket takes,
+the word an omitted bracket stands for, its args (pipelines, or exp's INT
+order) and whether it is an operator.  ``op |> expr`` and ``op(expr)`` both
+apply an operator.  A syntax error names the offset of the offending word.
+Parsing then printing a canonical-form expression is the identity.
+Expressions nest at most ``MAX_DEPTH`` deep, and an exponential is
+truncated at order ``MAX_ORDER`` at most.
 
 Parsing and printing need only ``qarith``; ``evaluate`` loads the layer a
 node needs (``starcalc``, ``qcalculus``, ``qexp``) when it meets one.
@@ -32,7 +30,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import MAX_ORDER  # the cap on exp[...](N), also read as dsl.MAX_ORDER
-from .qarith import QScalar, I, VARIANTS
+from .qarith import QScalar, I, VARIANTS, _Frozen
 
 if TYPE_CHECKING:
     from .starcalc import Poly
@@ -49,13 +47,34 @@ _TOKEN = re.compile(
 )
 
 COORDS = ("x+", "x3", "x-", "t", "p-", "p3", "p+")
-OPS = ("d", "dhat", "dinv")
-CALLS = ("star", "conj", "translate", "invert", "exp")
-INDICES = ("+", "3", "-", "0")
+
+
+class Form(_Frozen):
+    """A call form NAME[WORD](args): what its bracket names, its words (none:
+    no bracket), the word an omitted bracket stands for (None: required),
+    its args ("expr" or exp's "order") and whether it is an operator, whose
+    node is ("apply", NAME, WORD, arg) and which may head a pipeline."""
+
+    __slots__ = ("bracket", "words", "default", "args", "operator")
+
+
+_DERIVATIVE = Form("derivative index", ("+", "3", "-", "0"), None, ("expr",), True)
+
+#: every call form, by name
+FORMS = {
+    "d": _DERIVATIVE,
+    "dhat": _DERIVATIVE,
+    "dinv": _DERIVATIVE,
+    "star": Form(None, (), None, ("expr", "expr"), False),
+    "conj": Form(None, (), None, ("expr",), False),
+    "translate": Form("translation kind", ("plus", "plusbar"), "plus", ("expr",), False),
+    "invert": Form("inversion kind", ("minus", "minusbar"), "minus", ("expr",), False),
+    "exp": Form("exponential variant", VARIANTS, None, ("order",), False),
+}
 
 #: the deepest nesting the parser accepts, both in brackets, calls and
 #: operators around a token and in syntax-tree height (a chain a + b + c
-#: nests to the left).  It keeps the parser (four frames per bracket),
+#: nests to the left).  It keeps the parser (six frames per level),
 #: ``evaluate`` and the printers well inside Python's recursion limit.
 MAX_DEPTH = 100
 
@@ -133,23 +152,52 @@ class Parser:
         return node
 
     def pipeline(self):
-        if self.peek() in OPS:
-            save, pos = self.k, self.pos()
-            op, index = self.operator()
+        form = FORMS.get(self.peek())
+        if form is not None and form.operator:
+            save = self.k
+            pos, head = self.head()
             if self.peek() == "|>":
                 self.next()
-                return self.node(pos, "apply", op, index, self.nested(self.pipeline))
+                return self.node(pos, *head, self.nested(self.pipeline))
             self.k = save  # operator used in call form; re-parse as atom
         return self.sum()
 
-    def operator(self):
-        op, _ = self.next()
-        self.expect("[")
+    def head(self):
+        """The call form at the cursor up to its args: its offset and the
+        node's leading parts, its bracket word among them."""
+        name, pos = self.next()
+        form = FORMS[name]
+        head = ("apply", name) if form.operator else (name,)
+        if form.words:
+            word = form.default
+            if word is None or self.peek() == "[":
+                self.expect("[")
+                word, wpos = self.next()
+                if word not in form.words:
+                    raise SyntaxErr(f"bad {form.bracket} {word!r}", wpos)
+                self.expect("]")
+            head += (word,)
+        return pos, head
+
+    def call(self):
+        form = FORMS[self.peek()]
+        pos, node = self.head()
+        self.expect("(")
+        for n, arg in enumerate(form.args):
+            if n:
+                self.expect(",")
+            node += (self.order() if arg == "order" else self.pipeline(),)
+        self.expect(")")
+        return self.node(pos, *node)
+
+    def order(self):
         tok, pos = self.next()
-        if tok not in INDICES:
-            raise SyntaxErr(f"bad derivative index {tok!r}", pos)
-        self.expect("]")
-        return op, tok
+        if not (tok or "").isdigit():
+            raise SyntaxErr("expected truncation order", pos)
+        order = _integer(tok, pos)
+        if order > MAX_ORDER:
+            raise SyntaxErr(f"truncation order above {MAX_ORDER}", pos)
+        return order
 
     def sum(self):
         node = self.product()
@@ -166,7 +214,7 @@ class Parser:
         return node
 
     def atom(self):
-        return self.nested(self._atom)
+        return self.nested(self.call if self.peek() in FORMS else self._atom)
 
     def _atom(self):
         tok = self.peek()
@@ -205,61 +253,6 @@ class Parser:
                     raise SyntaxErr("zero denominator", dpos)
                 return ("lit", QScalar.from_rational(Fraction(num, den)))
             return ("lit", QScalar.from_rational(num))
-        if tok in OPS:
-            op, index = self.operator()
-            self.expect("(")
-            inner = self.pipeline()
-            self.expect(")")
-            return self.node(pos, "apply", op, index, inner)
-        if tok == "star":
-            self.next()
-            self.expect("(")
-            a = self.pipeline()
-            self.expect(",")
-            b = self.pipeline()
-            self.expect(")")
-            return self.node(pos, "star", a, b)
-        if tok == "conj":
-            self.next()
-            self.expect("(")
-            a = self.pipeline()
-            self.expect(")")
-            return self.node(pos, "conj", a)
-        if tok in ("translate", "invert"):
-            self.next()
-            kind = None
-            if self.peek() == "[":
-                self.next()
-                kind, kpos = self.next()
-                self.expect("]")
-            if tok == "translate":
-                kind = kind or "plus"
-                if kind not in ("plus", "plusbar"):
-                    raise SyntaxErr(f"bad translation kind {kind!r}", pos)
-            else:
-                kind = kind or "minus"
-                if kind not in ("minus", "minusbar"):
-                    raise SyntaxErr(f"bad inversion kind {kind!r}", pos)
-            self.expect("(")
-            a = self.pipeline()
-            self.expect(")")
-            return self.node(pos, tok, kind, a)
-        if tok == "exp":
-            self.next()
-            self.expect("[")
-            variant, vpos = self.next()
-            if variant not in VARIANTS:
-                raise SyntaxErr(f"unknown exponential variant {variant!r}", vpos)
-            self.expect("]")
-            self.expect("(")
-            ntok, npos = self.next()
-            if not (ntok or "").isdigit():
-                raise SyntaxErr("expected truncation order", npos)
-            order = _integer(ntok, npos)
-            if order > MAX_ORDER:
-                raise SyntaxErr(f"truncation order above {MAX_ORDER}", npos)
-            self.expect(")")
-            return ("exp", variant, order)
         raise SyntaxErr(f"unexpected token {tok!r}", pos)
 
     def signed_int(self):
@@ -321,14 +314,11 @@ def print_expression(node) -> str:
         return f"{_operand(node[1], 1)} {op} {_operand(node[2], 2)}"
     if kind == "mul":
         return f"{_operand(node[1], 2)}*{_operand(node[2], 3)}"
-    if kind == "star":
-        return f"star({print_expression(node[1])}, {print_expression(node[2])})"
-    if kind == "conj":
-        return f"conj({print_expression(node[1])})"
-    if kind in ("translate", "invert"):
-        return f"{kind}[{node[1]}]({print_expression(node[2])})"
-    if kind == "exp":
-        return f"exp[{node[1]}]({node[2]})"
+    if kind in FORMS:
+        n = 2 if FORMS[kind].words else 1
+        bracket = f"[{node[1]}]" if n == 2 else ""
+        args = (print_expression(a) if isinstance(a, tuple) else str(a) for a in node[n:])
+        return f"{kind}{bracket}({', '.join(args)})"
     if kind == "apply":
         return f"{node[1]}[{node[2]}] |> {print_expression(node[3])}"
     raise ValueError(f"unknown node {kind!r}")

@@ -78,14 +78,19 @@ PLANE_WAVE_FAMILIES = tuple(PLANE_WAVES)
 # -- Hamiltonian -----------------------------------------------------------------
 
 
+def _check_mass(mass, error=ValueError) -> None:
+    """The one mass rule of every builder: m > 0."""
+    if not mass > 0:
+        raise error(f"mass must be positive, got {mass}")
+
+
 class Hamiltonian(_Frozen):
     """H0 = -(2m)^-1 d^A d_A with exact rational mass."""
 
     __slots__ = ("mass",)
 
     def __init__(self, mass: Fraction = Fraction(1)):
-        if mass <= 0:
-            raise ValueError("mass must be positive")
+        _check_mass(mass)
         super().__init__(mass)
 
     def prefactor(self) -> QScalar:
@@ -235,6 +240,7 @@ def build_plane_wave(
     """
     if family not in PLANE_WAVES:
         raise ValueError(f"unknown plane-wave family {family!r}")
+    _check_mass(mass)
     from .qexp import FAMILIES, _star_on, build_exponential
 
     variant = PLANE_WAVES[family]
@@ -414,6 +420,7 @@ def propagator_momentum(
         raise ValueError("branch must be +1 (retarded) or -1 (advanced)")
     if order < 0:
         raise ValueError("truncation order must be >= 0")
+    _check_mass(mass)
     return MomentumPropagator(family, branch, order, mass)
 
 
@@ -705,6 +712,7 @@ def gaussian_packet(
         raise PacketError(f"width_j must be positive, got {width_j}")
     if phase_order < 0:
         raise PacketError(f"phase_order must be >= 0, got {phase_order}")
+    _check_mass(mass, PacketError)
 
     env = log_gaussian(lattice, center_j, width_j, odd_fraction=odd_fraction)
     # one envelope on both slots: its base is sampled once per window

@@ -15,7 +15,6 @@ import qeuclid
 from qeuclid import dsl
 from qeuclid.cli import COMMANDS, build_parser, main
 from qeuclid.qarith import QScalar, I, LAMBDA
-from qeuclid.qexp import VARIANTS
 from qeuclid.starcalc import coord_variable, star_product
 
 
@@ -112,6 +111,34 @@ def test_print_parse_roundtrip_brackets(src, capsys):
     assert main(["parse", "--", src]) == 0
     out, err = capsys.readouterr()
     assert out.strip() == dsl.to_sexp(node) and err == ""
+
+
+@pytest.mark.parametrize("name", dsl.FORMS)
+def test_call_form_offsets_and_round_trips(name):
+    """Every call form of the table: a bad bracket word (an unknown one, an
+    empty bracket, the end of input), or a bracket on a form that takes
+    none, is reported at its own offset; each valid spelling prints in
+    canonical form, an omitted bracket as its default word, and parses back
+    to the same tree."""
+    form = dsl.FORMS[name]
+    args = ", ".join("2" if arg == "order" else "x3" for arg in form.args)
+    for src in (f"{name}[nope]({args})", f"{name}[]({args})", f"{name}["):
+        with pytest.raises(dsl.SyntaxErr) as err:
+            dsl.parse_expression(src)
+        assert err.value.position == len(name) + bool(form.words), (src, str(err.value))
+    spellings = [(word, f"[{word}]") for word in form.words]
+    if form.default:
+        spellings.append((form.default, ""))
+    if not form.words:
+        spellings.append((None, ""))
+    for word, bracket in spellings:
+        node = dsl.parse_expression(f"{name}{bracket}({args})")
+        head = f"{name}[{word}]" if word else name
+        text = f"{head} |> {args}" if form.operator else f"{head}({args})"
+        assert dsl.print_expression(node) == text
+        assert dsl.parse_expression(text) == node
+        if form.operator:
+            assert dsl.parse_expression(f"{name}{bracket} |> {args}") == node
 
 
 def test_evaluate_star():
@@ -348,6 +375,10 @@ NESTED = {
           for text in ("9" * 5000, "q^" + "9" * 5000, f"exp[x_ip]({'9' * 5000})")),
         ["expand", "9" * 3000 + "*" + "9" * 3000],
         ["expand", "--json", "9" * 3000 + "*" + "9" * 3000],
+        # a mass must be positive, on every command that takes one
+        ["propagator", "--mass", "-1"],
+        ["heine", "--mass", "-1"],
+        ["expectation", "--packet", "{tmp}/negative_mass.json", "--t", "0.1"],
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, argv):
@@ -356,6 +387,7 @@ def test_cli_bad_input_exits_2(tmp_path, argv):
     files = {
         "no_j_min": {"lattice": {"q0": 1.1, "j_max": 10}, "packet": {}},
         "zero_mass": {"lattice": window, "mass": "0", "packet": {}},
+        "negative_mass": {"lattice": window, "mass": "-2", "packet": {}},
         "negative_order": {"lattice": window, "phase_order": -3, "packet": packet},
         "zero_width": {"lattice": window, "packet": {**packet, "width_j": 0}},
         "negative_width": {"lattice": window, "packet": {**packet, "width_j": -0.9}},
@@ -522,18 +554,39 @@ def test_nesting_cap(shape):
 
 # -- DSL fuzz through the CLI ---------------------------------------------------------
 
+
+def call_forms(sub):
+    """Strings of every call form of ``dsl.FORMS``: with each bracket word,
+    and with no bracket where one may be omitted; ``sub`` for each
+    expression argument and orders up to 3; an operator also in its
+    pipeline form.  With ``sub`` None, only the forms that take no
+    expression."""
+    forms = []
+    for name, form in dsl.FORMS.items():
+        if sub is None and "expr" in form.args:
+            continue
+        brackets = [f"[{word}]" for word in form.words]
+        if form.default or not form.words:
+            brackets.append("")
+        bracket = st.sampled_from(brackets)
+        args = [st.integers(0, 3).map(str) if arg == "order" else sub for arg in form.args]
+        forms.append(st.tuples(bracket, *args).map(
+            lambda c, name=name: f"{name}{c[0]}({', '.join(c[1:])})"))
+        if form.operator:
+            forms.append(st.tuples(bracket, sub).map(
+                lambda c, name=name: f"{name}{c[0]} |> {c[1]}"))
+    return forms
+
+
 #: the leaves of the grammar: coordinates, literals (zero denominators
-#: included) and exponentials of order at most 3
+#: included) and the call forms without expression arguments
 LEAVES = st.one_of(
     st.sampled_from([*dsl.COORDS, "i", "q"]),
     st.integers(0, 5).map(str),
     st.tuples(st.integers(0, 5), st.integers(0, 4)).map(lambda nd: f"{nd[0]}/{nd[1]}"),
     st.integers(-3, 3).map(lambda e: f"q^{e}"),
-    st.tuples(st.sampled_from(VARIANTS), st.integers(0, 3)).map(
-        lambda vn: f"exp[{vn[0]}]({vn[1]})"
-    ),
+    *call_forms(None),
 )
-KINDS = ("plus", "plusbar", "minus", "minusbar")
 
 
 def dsl_text(depth: int):
@@ -541,24 +594,19 @@ def dsl_text(depth: int):
     if depth == 0:
         return LEAVES
     sub = dsl_text(depth - 1)
-    op = st.tuples(st.sampled_from(dsl.OPS), st.sampled_from(dsl.INDICES))
     return st.one_of(
         LEAVES,
         sub.map(lambda a: f"({a})"),
         sub.map(lambda a: f"-{a}"),
-        sub.map(lambda a: f"conj({a})"),
         st.tuples(sub, st.sampled_from((" + ", " - ", " * ")), sub).map("".join),
-        st.tuples(sub, sub).map(lambda ab: f"star({ab[0]}, {ab[1]})"),
-        st.tuples(st.sampled_from(("translate", "invert")), st.sampled_from(KINDS), sub)
-        .map(lambda c: f"{c[0]}[{c[1]}]({c[2]})"),
-        st.tuples(op, sub).map(lambda o: f"{o[0][0]}[{o[0][1]}]({o[1]})"),
-        st.tuples(op, sub).map(lambda o: f"{o[0][0]}[{o[0][1]}] |> {o[1]}"),
+        *call_forms(sub),
     )
 
 
 #: token soup: the grammar's tokens in any order, mostly syntax errors
 TOKEN_SOUP = st.lists(
-    st.sampled_from([*dsl.COORDS, *dsl.OPS, *dsl.CALLS, *dsl.INDICES, *VARIANTS, *KINDS,
+    st.sampled_from([*dsl.COORDS, *dsl.FORMS,
+                     *dict.fromkeys(word for form in dsl.FORMS.values() for word in form.words),
                      "i", "q", "^", "2", "1/2", "(", ")", "[", "]", ",", "+", "-", "*", "|>"]),
     max_size=8,
 ).map(" ".join)
@@ -613,7 +661,7 @@ GOOD_PACKET_FILE = st.fixed_dictionaries(
         }),
     },
     optional={
-        "mass": st.sampled_from(["1", "2", "3/2", "-2", 2, 0.5]),
+        "mass": st.sampled_from(["1", "2", "3/2", 2, 0.5]),
         "phase_order": st.integers(0, 24),
     },
 )
@@ -626,7 +674,8 @@ BAD_ENTRY = st.tuples(
         ("packet", "odd_fraction"), ("packet", "centre_j"), ("mass",), ("phase_order",),
     ]),
     JUNK | st.sampled_from(
-        [0, -1, 7, 1e-300, 1e300, 1.0, 0.5, 2.5, "0", "1/0", "abc", "1e400", "20", -3, 10**30]
+        [0, -1, 7, 1e-300, 1e300, 1.0, 0.5, 2.5, "0", "-2", "1/0", "abc", "1e400", "20", -3,
+         10**30]
     ),
 )
 

@@ -397,6 +397,7 @@ def test_every_frozen_class_is_a_value():
         "Hamiltonian": lambda: (Fraction(2),),
         "PlaneWave": lambda: ("u_lower", 2, 1, Fraction(3), Poly.one((X_SECTOR, P_SECTOR))),
         "MomentumPropagator": lambda: ("KR", -1, 3, Fraction(1, 2)),
+        "Form": lambda: ("translation kind", ("plus", "plusbar"), "plus", ("expr",), False),
     }
     classes = qarith._Frozen.__subclasses__()
     assert sorted(cls.__name__ for cls in classes) == sorted(samples)

@@ -335,6 +335,21 @@ def test_expectations_refuse_a_non_spatial_index(monkeypatch, index):
             method(index)
 
 
+@pytest.mark.parametrize("build", [
+    lambda m: Hamiltonian(m),
+    lambda m: build_plane_wave("u_lower", 1, 1, m),
+    lambda m: propagator_momentum("KR", 1, 2, m),
+    lambda m: gaussian_packet(QLattice(1.1, -6, 6), m),
+], ids=["Hamiltonian", "build_plane_wave", "propagator_momentum", "gaussian_packet"])
+@pytest.mark.parametrize("mass", [Fraction(-2), Fraction(0)], ids=["-2", "0"])
+def test_builders_refuse_a_mass_that_is_not_positive(build, mass):
+    """One mass rule: H0 and every builder that takes a mass refuse m <= 0
+    with the error it raises for its other bad inputs (a ``PacketError``,
+    a ``ValueError``, for a packet)."""
+    with pytest.raises(ValueError, match=f"mass must be positive, got {mass}"):
+        build(mass)
+
+
 def test_position_term_is_the_right_bar_action_on_the_bra(packet):
     """The position term is computed as -i s conj(Int c*(t) * (d' |> c(t)))
     (d' the mirror left label, s real).  Here it is restated as it is
