@@ -123,13 +123,14 @@ def _mass(text) -> Fraction:
     return mass
 
 
-#: the entries a packet file's ``packet`` object may hold, with their defaults
-_PACKET_ENTRIES = {"center_j": 0.0, "width_j": 1.0, "odd_fraction": 0.0}
+#: the entries a packet file's ``packet`` object may hold
+_PACKET_ENTRIES = ("center_j", "width_j", "odd_fraction")
 
 
 def _read_packet(path: str):
-    """The lattice and the gaussian_packet arguments of a packet file; every
-    entry is checked before the lattice layer loads."""
+    """The lattice and the gaussian_packet arguments the packet file holds
+    (``gaussian_packet`` owns the defaults of the others); every entry is
+    checked before the lattice layer loads."""
     try:
         with open(path) as fh:
             config = json.load(fh)
@@ -140,15 +141,14 @@ def _read_packet(path: str):
                 f"packet file {path}: unknown packet entry {unknown[0]!r} "
                 f"(accepted: {', '.join(_PACKET_ENTRIES)})"
             )
-        kwargs = {
-            key: _finite(float(pk.get(key, default)), f"packet file {path}: {key}")
-            for key, default in _PACKET_ENTRIES.items()
-        }
-        kwargs["mass"] = _mass(config.get("mass", "1"))
-        flag = f"packet file {path}: phase_order"
-        kwargs["phase_order"] = _order(
-            _integer(config.get("phase_order", 16), flag), flag, MAX_ORDER
-        )
+        kwargs = {key: _finite(float(value), f"packet file {path}: {key}")
+                  for key, value in pk.items()}
+        if "mass" in config:
+            kwargs["mass"] = _mass(config["mass"])
+        if "phase_order" in config:
+            flag = f"packet file {path}: phase_order"
+            kwargs["phase_order"] = _order(_integer(config["phase_order"], flag), flag,
+                                           MAX_ORDER)
         j_min, j_max = (_integer(lat[key], f"packet file {path}: {key}")
                         for key in ("j_min", "j_max"))
         return _lattice(float(lat["q0"]), j_min, j_max), kwargs
@@ -279,7 +279,6 @@ def cmd_expectation(args) -> int:
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             wp = gaussian_packet(lat, **kwargs)
-            wp.coefficients_at(t)  # rejects a t the phase series does not reach
             out = {
                 "t": t,
                 "norm_check": wp.norm_check(t),

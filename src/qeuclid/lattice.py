@@ -9,8 +9,9 @@ quantum space conjugation.
 
 The carrier, :class:`StructuredFn`, is a finite sum  coeff * monomial *
 per-axis envelopes, each envelope (:class:`AxisFn`) a product of leaves
-x -> base(+-q0^m x), each base a log-Gaussian value (:func:`log_gaussian`)
-or an opaque callable.  Every envelope operation (slot scalings, conjugation,
+x -> base(+-q0^m x), each base a real function, a log-Gaussian value
+(:func:`log_gaussian`) or an opaque callable: phases live in the
+coefficients.  Every envelope operation (slot scalings, conjugation,
 Jackson shifts) dilates by +-q0^m, which is arithmetic on the leaves and, on
 the lattice, an index shift plus a branch swap.  The carrier supports an
 exact star product against operands whose coupled axes are envelope-free
@@ -125,21 +126,26 @@ class QLattice(_Frozen):
 
 
 class _Samples:
-    """One envelope base and its values at +-q0^j on the widest index window
-    asked of it: equal and hashed by the base (hashed once: envelopes sort
-    their leaves by it), so that equal bases give equal envelopes."""
+    """One envelope base and its real values at +-q0^j on the widest index
+    window asked of it: equal and hashed by the base (hashed once: envelopes
+    sort their leaves by it), so that equal bases give equal envelopes."""
 
     __slots__ = ("fn", "_hash", "q0", "lo", "vals")
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray]):
         self.fn, self._hash, self.q0, self.lo = fn, hash(fn), None, 0
-        self.vals = np.empty((2, 0), dtype=complex)
+        self.vals = np.empty((2, 0))
 
     def __eq__(self, other):
         return isinstance(other, _Samples) and self.fn == other.fn
 
     def __hash__(self):
         return self._hash
+
+    def __call__(self, x: np.ndarray):
+        if np.iscomplexobj(v := self.fn(x)):
+            raise TypeError("an envelope base is real: put its phase in the coefficient")
+        return v
 
     def window(self, q0: float, lo: int, hi: int) -> np.ndarray:
         """fn(q0^j) (row 0) and fn(-q0^j) (row 1) for lo <= j <= hi; a window
@@ -151,8 +157,8 @@ class _Samples:
             else:
                 lo_new, hi_new = lo, hi
             pts = q0 ** np.arange(lo_new, hi_new + 1).astype(float)
-            vals = np.empty((2, pts.size), dtype=complex)
-            vals[0], vals[1] = self.fn(pts), self.fn(-pts)
+            vals = np.empty((2, pts.size))
+            vals[0], vals[1] = self(pts), self(-pts)
             self.q0, self.lo, self.vals = q0, lo_new, vals
         return self.vals[:, lo - self.lo : hi + 1 - self.lo]
 
@@ -160,16 +166,17 @@ class _Samples:
 class AxisFn:
     """A per-axis envelope: a product of leaves.
 
-    A leaf ``(base, m, sign, conj)`` is the function
-    x -> base(sign * q0^m * x), complex-conjugated when ``conj`` is set;
-    ``AxisFn(fn)`` is the single leaf ``(fn, 0, 1, False)``, its base held
-    in a :class:`_Samples`.  A base is a log-Gaussian value
-    (:func:`log_gaussian`) or an opaque callable, vectorized over numpy
-    arrays and defined on the whole real line minus zero (it is evaluated
-    at dilated lattice points of either sign).  Envelopes are values:
-    equal leaf products compare and hash equal, so carriers merge equal
-    terms without any identity bookkeeping.  An envelope is evaluated only
-    on its lattice, through :meth:`values` and :meth:`samples`.
+    A leaf ``(base, m, sign)`` is the function x -> base(sign * q0^m * x);
+    ``AxisFn(fn)`` is the single leaf ``(fn, 0, 1)``, its base held in a
+    :class:`_Samples`.  A base is a log-Gaussian value
+    (:func:`log_gaussian`) or an opaque callable, real-valued (a complex
+    value raises ``TypeError``: a phase belongs in the term's coefficient),
+    vectorized over numpy arrays and defined on the whole real line minus
+    zero (it is evaluated at dilated lattice points of either sign).
+    Envelopes are values: equal leaf products compare and hash equal, so
+    carriers merge equal terms without any identity bookkeeping.  An
+    envelope is evaluated only on its lattice, through :meth:`values` and
+    :meth:`samples`.
 
     Every dilation and product of the envelope shares that :class:`_Samples`:
     on the lattice a base is evaluated once per window, and its samples are
@@ -179,7 +186,7 @@ class AxisFn:
     __slots__ = ("leaves", "_hash")
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray]):
-        self.leaves = ((_Samples(fn), 0, 1, False),)
+        self.leaves = ((_Samples(fn), 0, 1),)
         self._hash = hash(self.leaves)
 
     @classmethod
@@ -198,31 +205,22 @@ class AxisFn:
     def values(self, x, q0: float) -> np.ndarray:
         """The envelope at the points x of a lattice with base q0."""
         x = np.asarray(x, dtype=float)
-        out = 1.0
-        for base, m, sign, conj in self.leaves:
-            v = base.fn(sign * q0**m * x)
-            out = out * (np.conjugate(v) if conj else v)
-        return out
+        return math.prod((base(sign * q0**m * x) for base, m, sign in self.leaves), start=1.0)
 
     def samples(self, q0: float, lo: int, hi: int) -> np.ndarray:
         """The envelope at q0^j (row 0) and -q0^j (row 1) for lo <= j <= hi,
         read from its bases' windows by index shift (and a row swap for a
         sign-flipped leaf)."""
-        out = 1.0
-        for base, m, sign, conj in self.leaves:
-            v = base.window(q0, lo + m, hi + m)[:: sign]
-            out = out * (np.conjugate(v) if conj else v)
-        return out
+        return math.prod((base.window(q0, lo + m, hi + m)[::sign]
+                          for base, m, sign in self.leaves), start=1.0)
 
 
-def _dilate(env, m: int, sign: int = 1, conj: bool = False):
-    """x -> env(sign * q0^m * x), complex-conjugated if ``conj``; the
-    absent envelope (None, the constant 1) stays absent."""
-    if env is None or (m == 0 and sign == 1 and not conj):
+def _dilate(env, m: int, sign: int = 1):
+    """x -> env(sign * q0^m * x); the absent envelope (None, the constant 1)
+    stays absent."""
+    if env is None or (m == 0 and sign == 1):
         return env
-    return AxisFn._of(
-        (base, bm + m, bs * sign, bc != conj) for base, bm, bs, bc in env.leaves
-    )
+    return AxisFn._of((base, bm + m, bs * sign) for base, bm, bs in env.leaves)
 
 
 def _times(e1, e2):
@@ -238,27 +236,23 @@ def _with(items: tuple, slot: int, value) -> tuple:
 
 
 class _LogGaussian(_Frozen):
-    """The envelope base amplitude e(x) + odd_fraction sign(x) e(x), where
+    """The envelope base e(x) + odd_fraction sign(x) e(x), where
     e(x) = exp(-((ln|x|/ln q0 - center_j)^2) / (2 width_j^2)) is a Gaussian
-    in the lattice index: a value, equal and hashed by its five fields."""
+    in the lattice index: a value, equal and hashed by its four fields."""
 
-    __slots__ = ("q0", "center_j", "width_j", "amplitude", "odd_fraction")
+    __slots__ = ("q0", "center_j", "width_j", "odd_fraction")
 
     def __call__(self, x):
         j = np.log(np.abs(x)) / np.log(self.q0)
         e = np.exp(-((j - self.center_j) ** 2) / (2.0 * self.width_j * self.width_j))
-        if not self.odd_fraction:
-            return self.amplitude * e
-        odd = self.odd_fraction * (np.sign(x) * e)
-        return self.amplitude * e + odd if self.amplitude else odd
+        return e + self.odd_fraction * (np.sign(x) * e) if self.odd_fraction else e
 
 
 def log_gaussian(lattice: QLattice, center_j: float = 0.0, width_j: float = 2.0,
-                 amplitude: complex = 1.0, odd_fraction: float = 0.0) -> AxisFn:
+                 odd_fraction: float = 0.0) -> AxisFn:
     """The one-leaf envelope of a :class:`_LogGaussian` base: sign-symmetric
     unless ``odd_fraction`` admixes its sign-odd part."""
-    base = _LogGaussian(lattice.q0, float(center_j), float(width_j), amplitude, odd_fraction)
-    return AxisFn(base)
+    return AxisFn(_LogGaussian(lattice.q0, float(center_j), float(width_j), odd_fraction))
 
 
 def _axis_rows(lat: QLattice, envs, lo: int, hi: int, step: int = 1):
@@ -272,7 +266,7 @@ def _axis_rows(lat: QLattice, envs, lo: int, hi: int, step: int = 1):
     idx = np.fromiter((index.setdefault(e, len(index)) for e in envs), int, len(envs))
     need: dict = {}
     for env in index:
-        for base, m, _, _ in env.leaves if env is not None else ():
+        for base, m, _ in env.leaves if env is not None else ():
             a, b = need.get(base, (lo + m, hi + m))
             need[base] = min(a, lo + m), max(b, hi + m)
     for base, (a, b) in need.items():
@@ -644,8 +638,8 @@ class StructuredFn:
 
     def conjugate(self) -> "StructuredFn":
         """Quantum space conjugation; swaps the outer axes with the metric's
-        sign and scale factors and conjugates envelopes at dilated
-        arguments."""
+        sign and scale factors, conjugates the coefficients and dilates and
+        sign-flips the outer envelopes: the real middle one stays."""
         q0 = self.lattice.q0
         if self.sector_kind == "x":  # x+ -> -q x-, x- -> -x+/q
             first_fac, first_m, last_fac, last_m = -q0, 1, -1.0 / q0, -1
@@ -653,10 +647,10 @@ class StructuredFn:
             first_fac, first_m, last_fac, last_m = -1.0 / q0, -1, -q0, 1
         images: dict = {}  # each envelope dilation is built once per call
 
-        def image(env, m: int, sign: int):
-            key = env, m, sign
+        def image(env, m: int):
+            key = env, m
             if key not in images:
-                images[key] = _dilate(env, m, sign, True)
+                images[key] = _dilate(env, m, -1)
             return images[key]
 
         out = []
@@ -664,7 +658,7 @@ class StructuredFn:
             a, b, c = t.exps
             e1, e2, e3 = t.envs
             coeff = np.conjugate(t.coeff) * first_fac**a * last_fac**c
-            envs = (image(e3, last_m, -1), image(e2, 0, 1), image(e1, first_m, -1))
+            envs = (image(e3, last_m), e2, image(e1, first_m))
             out.append(STerm(coeff, (c, b, a), envs))
         return self._new(out)
 

@@ -693,7 +693,7 @@ def gaussian_packet(
     lattice,
     mass: Fraction = Fraction(1),
     center_j: float = 0.0,
-    width_j: float = 1.1,
+    width_j: float = 1.0,
     odd_fraction: float = 0.0,
     phase_order: int = 16,
 ) -> WavePacket:

@@ -252,6 +252,24 @@ def test_cli_expectation(tmp_path):
     assert "P^3" in data and "X^3" in data
 
 
+def test_cli_expectation_takes_its_defaults_from_gaussian_packet(tmp_path, capsys):
+    """A packet file naming no packet entry, mass or phase order prints the
+    values of ``gaussian_packet(lattice)``, bit for bit: the builder owns
+    every default."""
+    from qeuclid.lattice import QLattice
+    from qeuclid.schrodinger import gaussian_packet
+
+    path = tmp_path / "packet.json"
+    path.write_text(json.dumps({"lattice": {"q0": 1.1, "j_min": -8, "j_max": 8}, "packet": {}}))
+    assert main(["expectation", "--packet", str(path), "--t", "0.1"]) == 0
+    wp = gaussian_packet(QLattice(1.1, -8, 8))
+    want = {"t": 0.1, "norm_check": wp.norm_check(0.1), "boundary_mass": wp.boundary_mass()}
+    for a in ("+", "3", "-"):
+        p, x = wp.expectation_momentum(a, 0.1), wp.expectation_position(a, 0.1)
+        want[f"P^{a}"], want[f"X^{a}"] = [p.real, p.imag], [x.real, x.imag]
+    assert json.loads(capsys.readouterr().out) == want
+
+
 def test_cli_heine_and_sample(tmp_path):
     code, out, _ = run_cli("heine", "--order", "3", "--t", "0.2")
     assert code == 0

@@ -79,11 +79,11 @@ def test_star_integral_is_dense_jackson_sum(operands, left, right, mirror):
 
 def _random_envelope(rng, bases):
     """A product of 1-3 leaves: each a base dilated by q0^m, m in -3..3,
-    sign-flipped and conjugated at random."""
+    and sign-flipped at random."""
     env = None
     for _ in range(rng.integers(1, 4)):
         leaf = _dilate(bases[rng.integers(len(bases))], int(rng.integers(-3, 4)),
-                       int(rng.choice([1, -1])), bool(rng.integers(2)))
+                       int(rng.choice([1, -1])))
         env = _times(env, leaf)
     return env
 
@@ -105,17 +105,17 @@ def _random_operand(rng, lat, bases, coupled, convention):
 
 
 def _random_bases(rng, lat):
-    """Two log-Gaussian bases, each with a sign-odd part, so that no
-    envelope is sign-even or sign-odd and no integral vanishes by parity.
-    Each stays an opaque callable: its even and odd parts have different
-    centres and widths and a complex amplitude, which no one log-Gaussian
-    leaf holds."""
+    """Two real bases, each with a sign-odd part, so that no envelope is
+    sign-even or sign-odd and no integral vanishes by parity; the complex
+    phases are the terms' coefficients.  Each stays an opaque callable: its
+    even and odd parts have different centres and widths, which no one
+    log-Gaussian leaf holds."""
     bases = []
-    for mix in (0.5, -0.7j):
-        even = log_gaussian(lat, rng.uniform(-1, 1), rng.uniform(0.8, 1.6), complex(1, 0.5))
-        odd = log_gaussian(lat, rng.uniform(-1, 1), rng.uniform(0.8, 1.6), 0.0, 1.0)
-        bases.append(AxisFn(lambda x, even=even, odd=odd, mix=mix:
-                            even.values(x, lat.q0) + mix * odd.values(x, lat.q0)))
+    for mix in (0.5, -0.7):
+        even = log_gaussian(lat, rng.uniform(-1, 1), rng.uniform(0.8, 1.6))
+        odd = log_gaussian(lat, rng.uniform(-1, 1), rng.uniform(0.8, 1.6))
+        bases.append(AxisFn(lambda x, even=even, odd=odd, mix=mix: even.values(x, lat.q0)
+                            + mix * np.sign(x) * odd.values(x, lat.q0)))
     return bases
 
 
@@ -272,8 +272,8 @@ def test_carriers_on_different_lattices_do_not_combine():
                 combine()
 
 
-#: (center_j, width_j, amplitude, odd_fraction) of three distinct leaves
-LEAVES = ((0.3, 0.9, 1.0, 0.35), (-0.2, 1.1, 0.6 - 0.8j, 0.0), (0.0, 0.7, 0.0, 1.0))
+#: (center_j, width_j, odd_fraction) of three distinct leaves
+LEAVES = ((0.3, 0.9, 0.35), (-0.2, 1.1, 0.0), (0.0, 0.7, 1.0))
 
 
 def test_log_gaussian_leaves_are_values():
@@ -285,19 +285,19 @@ def test_log_gaussian_leaves_are_values():
     same = log_gaussian(QLattice(1.1, -4, 4), *LEAVES[0])
     assert env == same and hash(env) == hash(same)
     assert env != log_gaussian(QLattice(1.2, -8, 8), *LEAVES[0])
-    for i in range(4):
+    for i in range(3):
         other = list(LEAVES[0])
         other[i] += 0.25
         assert env != log_gaussian(lat, *other), other
 
 
 def test_equal_leaf_products_are_one_value():
-    """A three-leaf product of dilated, sign-flipped and conjugated leaves,
+    """A three-leaf product of dilated and sign-flipped leaves,
     built again from new leaf objects in reverse order, compares and hashes
     equal and samples bit-identically: leaves sort by their parameters'
     hash, not by object identity."""
     lat = QLattice(1.1, -8, 8)
-    dilations = ((2, 1, False), (-1, -1, True), (0, -1, False))
+    dilations = ((2, 1), (-1, -1), (0, -1))
 
     def product(order):
         env = None
@@ -326,9 +326,9 @@ def test_inner_of_equal_packets_is_the_norm():
 
 def test_log_gaussian_leaf_keeps_the_formula_bit_for_bit():
     """The envelope formulas as written out before the log-Gaussian became
-    a value (an even part with a complex amplitude, the sign-odd part, and
-    their mix e + f sign(x) e), against the leaf at +-q0^j, through
-    ``samples`` and ``values_on``."""
+    a value (the even part e and its mix e + f sign(x) e with a sign-odd
+    part, f = -1 zeroing the positive branch), against the leaf at +-q0^j,
+    through ``samples`` and ``values_on``."""
     lat = QLattice(1.1, -8, 8)
     lnq = np.log(lat.q0)
 
@@ -337,9 +337,9 @@ def test_log_gaussian_leaf_keeps_the_formula_bit_for_bit():
         return np.exp(-((j - c) ** 2) / (2.0 * w * w))
 
     cases = (
-        (log_gaussian(lat, 0.2, 1.0, amplitude=0.6 - 0.8j),
-         lambda x: (0.6 - 0.8j) * e(x, 0.2, 1.0)),
-        (log_gaussian(lat, -0.3, 1.2, 0.0, 1.0), lambda x: np.sign(x) * e(x, -0.3, 1.2)),
+        (log_gaussian(lat, 0.2, 1.0), lambda x: e(x, 0.2, 1.0)),
+        (log_gaussian(lat, -0.3, 1.2, -1.0),
+         lambda x: e(x, -0.3, 1.2) + -1.0 * (np.sign(x) * e(x, -0.3, 1.2))),
         (log_gaussian(lat, 0.3, 0.9, odd_fraction=0.35),
          lambda x: e(x, 0.3, 0.9) + 0.35 * (np.sign(x) * e(x, 0.3, 0.9))),
     )
@@ -350,6 +350,55 @@ def test_log_gaussian_leaf_keeps_the_formula_bit_for_bit():
                               np.stack([want(pts), want(-pts)]))
         f = StructuredFn.from_envelopes(lat, "x", (None, env, None))
         assert np.array_equal(f.values_on([1.0], signed, [1.0])[0, :, 0], want(signed))
+
+
+def _criterion_10_coefficients(t):
+    wp = gaussian_packet(QLattice(1.1, -12, 12), Fraction(2), center_j=0.3, width_j=0.9,
+                         odd_fraction=0.35, phase_order=20)
+    return wp, *wp.coefficients_at(t)
+
+
+def test_conjugation_keeps_the_middle_envelopes():
+    """An envelope is real, so conjugation only dilates and sign-flips the
+    outer ones: on the criterion-10 packet at t = 0.1, c(t) and c*(t) hold
+    the same 11 distinct middle envelopes, and c*(t) * c(t) has 220 terms."""
+    _, ct, cst = _criterion_10_coefficients(0.1)
+    mids = {t.envs[1] for t in ct.terms}
+    assert len(mids) == 11 and {t.envs[1] for t in cst.terms} == mids
+    assert len(cst.star(ct).terms) == 220
+
+
+def test_envelope_samples_are_float():
+    """After a norm and the expectation values at t = 0.1, every base of
+    c(t) and c*(t) keeps a float window, and every envelope reads float
+    samples from it."""
+    wp, ct, cst = _criterion_10_coefficients(0.1)
+    wp.norm(0.1)
+    for a in ("+", "3", "-"):
+        wp.expectation_momentum(a, 0.1)
+        wp.expectation_position(a, 0.1)
+    envs = {env for f in (ct, cst) for t in f.terms for env in t.envs if env is not None}
+    bases = {base for env in envs for base, *_ in env.leaves}
+    assert bases and all(base.vals.dtype == float and base.vals.size for base in bases)
+    assert all(env.samples(1.1, -12, 12).dtype == float for env in envs)
+
+
+@pytest.mark.parametrize("env", [
+    lambda lat: AxisFn(lambda x: np.exp(1j * x) / (1.0 + x * x)),
+    lambda lat: log_gaussian(lat, 0.2, 1.0, 0.5j),
+], ids=["opaque", "log_gaussian"])
+@pytest.mark.parametrize("read", [
+    lambda f: f.integral_all_space(),
+    lambda f: f.values_on([1.0], [1.0, -2.0], [1.0]),
+], ids=["samples", "values"])
+def test_a_complex_base_is_refused(env, read):
+    """A base returning complex values, on the lattice or off it, raises the
+    one TypeError: its phase belongs in the term's coefficient."""
+    lat = QLattice(1.1, -6, 6)
+    f = StructuredFn.from_envelopes(lat, "x", (None, env(lat), None))
+    with pytest.raises(TypeError, match="^an envelope base is real: put its phase in the "
+                                        "coefficient$"):
+        read(f)
 
 
 def test_every_envelope_read_is_log_gaussian(monkeypatch):
@@ -591,9 +640,9 @@ def test_pairing_reads_no_entry_that_no_degree_pair_needs(monkeypatch):
     degree), and keeps the rows only."""
     lat = QLattice(1.1, -6, 6)
     g = log_gaussian(lat, 0.3, 0.9, odd_fraction=0.35)
-    h = log_gaussian(lat, -0.2, 1.1, 0.6 - 0.8j)
-    bra_terms = [STerm(1.0, (1, 2, 0), (h, g, None)), STerm(0.5j, (0, 1, 3), (g, h, None))]
-    ket_terms = [STerm(0.7, (1, 0, 1), (None, h, g))]
+    h, mix = log_gaussian(lat, -0.2, 1.1), 0.6 - 0.8j  # h's complex mix is in the coefficients
+    bra_terms = [STerm(mix, (1, 2, 0), (h, g, None)), STerm(0.5j * mix, (0, 1, 3), (g, h, None))]
+    ket_terms = [STerm(0.7 * mix, (1, 0, 1), (None, h, g))]
 
     def pair():
         return StructuredFn(lat, "x", bra_terms), StructuredFn(lat, "x", ket_terms)

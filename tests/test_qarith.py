@@ -389,7 +389,7 @@ def test_every_frozen_class_is_a_value():
         "Sector": lambda: ("x", "y"),
         "DerivativeLabel": lambda: ("+", "hat", "right_bar", "upper"),
         "QLattice": lambda: (1.1, -10, 10),
-        "_LogGaussian": lambda: (1.1, 0.3, 0.9, 0.6 - 0.8j, 0.35),
+        "_LogGaussian": lambda: (1.1, 0.3, 0.9, 0.35),
         "STerm": lambda: (0.5j, (1, 0, 2), (AxisFn(np.cos), None, AxisFn(np.cos))),
         "QExponential": lambda: ("x_ip", 2, Poly.one((X_SECTOR, P_SECTOR))),
         "Family": lambda: (("x_ip", 6), ("plain", "left_bar", "r"), "star_ip_x"),

@@ -13,6 +13,7 @@ from qeuclid.qcalculus import (
     inverse_partial,
 )
 from qeuclid.lattice import (
+    AxisFn,
     QLattice,
     StructuredFn,
     STerm,
@@ -246,9 +247,11 @@ def test_conjugation_of_integrals(lat):
         lhs = np.conjugate(f.integral_all_space())
         rhs = f.conjugate().integral_all_space()
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
-    # complex envelope values, which conjugation has to reach
-    env = log_gaussian(lat, 0.2, 1.0, amplitude=0.6 - 0.8j)
-    f = StructuredFn(lat, "x", [STerm(0.5 + 0.1j, (2, 0, 2), (env, env, env))])
+    # a complex mix of the three envelopes, which conjugation has to reach,
+    # lives in the coefficient
+    env = log_gaussian(lat, 0.2, 1.0)
+    f = StructuredFn(lat, "x", [STerm((0.5 + 0.1j) * (0.6 - 0.8j) ** 3, (2, 0, 2),
+                                      (env, env, env))])
     lhs = np.conjugate(f.integral_all_space())
     rhs = f.conjugate().integral_all_space()
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
@@ -267,7 +270,8 @@ def test_dense_lattice_roundtrip(lat):
         x = lat.q0 ** lat.integration_js(slot).astype(float)
         pts.append(np.concatenate([x, -x]))
         weights.append(np.tile(lat.integration_weights(slot), 2))
-    env, odd = log_gaussian(lat, 0.0, 1.4), log_gaussian(lat, 0.0, 1.6, 0.0, 1.0)
+    env, wide = log_gaussian(lat, 0.0, 1.4), log_gaussian(lat, 0.0, 1.6)
+    odd = AxisFn(lambda x: np.sign(x) * wide.values(x, lat.q0))  # no leaf is sign-odd
     # x1 odd(x1) is even: its negative branch needs both signs sampled right
     s = StructuredFn(lat, "x", [STerm(1.0, (0, 0, 0), (env, env, env)),
                                 STerm(0.5, (1, 2, 0), (odd, env, env))])
