@@ -111,53 +111,83 @@ def _integer(value, what: str) -> int:
     return value
 
 
-def _mass(text) -> Fraction:
+def _mass(value, what: str = "mass") -> Fraction:
+    """A positive rational: a string such as "3/2" or a JSON number, not
+    true or false (which ``Fraction`` reads as 1 and 0)."""
     from fractions import Fraction
 
     try:
-        mass = Fraction(text)
+        mass = 0 if type(value) is bool else Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         mass = 0
     if not mass > 0:
-        raise UsageError(f"mass must be a positive rational, got {text!r}")
+        raise UsageError(f"{what} must be a positive rational, got {json.dumps(value)}")
     return mass
 
 
-#: the entries a packet file's ``packet`` object may hold
-_PACKET_ENTRIES = ("center_j", "width_j", "odd_fraction")
+#: how JSON names the kind of a parsed value
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+               type(None): "null", int: "a number", float: "a number"}
+
+
+def _number(value, what: str) -> float:
+    # a JSON number: float() would read true as 1.0 and "0.9" as 0.9
+    if type(value) not in (int, float):
+        raise UsageError(f"{what} must be a JSON number, got {_JSON_KINDS[type(value)]}")
+    return _finite(float(value), what)
+
+
+#: the entries a packet file may hold, per JSON object: the top level, its
+#: ``lattice`` and its ``packet``
+_PACKET_FILE_ENTRIES = {
+    "top-level": ("lattice", "packet", "mass", "phase_order"),
+    "lattice": ("q0", "j_min", "j_max"),
+    "packet": ("center_j", "width_j", "odd_fraction"),
+}
+
+
+def _entries(value, where: str, name: str) -> dict:
+    """The packet file's ``name`` object, a JSON object holding only the
+    entries ``_PACKET_FILE_ENTRIES`` accepts there."""
+    if type(value) is not dict:
+        raise UsageError(f"{where}: the {name} value must be a JSON object, "
+                         f"got {_JSON_KINDS[type(value)]}")
+    accepted = _PACKET_FILE_ENTRIES[name]
+    unknown = sorted(set(value) - set(accepted))
+    if unknown:
+        raise UsageError(f"{where}: unknown {name} entry {unknown[0]!r} "
+                         f"(accepted: {', '.join(accepted)})")
+    return value
 
 
 def _read_packet(path: str):
     """The lattice and the gaussian_packet arguments the packet file holds
-    (``gaussian_packet`` owns the defaults of the others); every entry is
-    checked before the lattice layer loads."""
+    (``gaussian_packet`` owns the defaults of the others).  Every entry is
+    checked before the lattice layer loads: each object holds only the
+    entries it accepts, q0 and the packet entries are JSON numbers, j_min,
+    j_max and phase_order JSON integers, and the mass a JSON number or a
+    rational string."""
+    where = f"packet file {path}"
     try:
         with open(path) as fh:
-            config = json.load(fh)
-        lat, pk = config["lattice"], config["packet"]
-        unknown = sorted(set(pk) - set(_PACKET_ENTRIES))
-        if unknown:
-            raise UsageError(
-                f"packet file {path}: unknown packet entry {unknown[0]!r} "
-                f"(accepted: {', '.join(_PACKET_ENTRIES)})"
-            )
-        kwargs = {key: _finite(float(value), f"packet file {path}: {key}")
-                  for key, value in pk.items()}
+            config = _entries(json.load(fh), where, "top-level")
+        lat = _entries(config["lattice"], where, "lattice")
+        kwargs = {key: _number(value, f"{where}: {key}")
+                  for key, value in _entries(config["packet"], where, "packet").items()}
         if "mass" in config:
-            kwargs["mass"] = _mass(config["mass"])
+            kwargs["mass"] = _mass(config["mass"], f"{where}: mass")
         if "phase_order" in config:
-            flag = f"packet file {path}: phase_order"
+            flag = f"{where}: phase_order"
             kwargs["phase_order"] = _order(_integer(config["phase_order"], flag), flag,
                                            MAX_ORDER)
-        j_min, j_max = (_integer(lat[key], f"packet file {path}: {key}")
-                        for key in ("j_min", "j_max"))
-        return _lattice(float(lat["q0"]), j_min, j_max), kwargs
+        j_min, j_max = (_integer(lat[key], f"{where}: {key}") for key in ("j_min", "j_max"))
+        return _lattice(_number(lat["q0"], f"{where}: q0"), j_min, j_max), kwargs
     except OSError as exc:
         raise UsageError(f"cannot read packet file {path}: {exc.strerror}") from None
     except KeyError as exc:
-        raise UsageError(f"packet file {path}: missing entry {exc}") from None
-    except (AttributeError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise UsageError(f"packet file {path}: {exc}") from None
+        raise UsageError(f"{where}: missing entry {exc}") from None
+    except (ValueError, OverflowError) as exc:  # not JSON; an integer past the float range
+        raise UsageError(f"{where}: {exc}") from None
 
 
 def _poly_json(value):
@@ -343,7 +373,7 @@ def cmd_sample(args) -> int:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             env = log_gaussian(lat, args.center, args.width)
             f = StructuredFn.from_envelopes(lat, "x", (env, env, env))
-            values = f.values_on(pts, pts, pts)
+            values = f.values_on(lat.js(), lat.js(), lat.js())
     except FloatingPointError:  # say, a width so small that 1/w^2 overflows
         raise UsageError(
             f"the sample leaves the float range at --center {args.center}, "

@@ -49,8 +49,9 @@ rows, a packet's bra c*(t) is summed and contracted once, and c(t) once
 per window shift, for all its pairings at t; each later pairing costs a
 rewrite of c(t)'s tables and one product-sum, and no integral depends on
 the ones before it.
-An envelope is evaluated only through :meth:`AxisFn.samples` and, at
-arbitrary points (:meth:`StructuredFn.values_on`), :meth:`AxisFn.values`.
+An envelope is evaluated only through :meth:`AxisFn.samples`, and a
+carrier only on its lattice: :meth:`StructuredFn.values_on` reads the
+samples its integrals sum.
 """
 
 from __future__ import annotations
@@ -142,11 +143,6 @@ class _Samples:
     def __hash__(self):
         return self._hash
 
-    def __call__(self, x: np.ndarray):
-        if np.iscomplexobj(v := self.fn(x)):
-            raise TypeError("an envelope base is real: put its phase in the coefficient")
-        return v
-
     def window(self, q0: float, lo: int, hi: int) -> np.ndarray:
         """fn(q0^j) (row 0) and fn(-q0^j) (row 1) for lo <= j <= hi; a window
         past the kept one is sampled anew over the union of both."""
@@ -158,7 +154,10 @@ class _Samples:
                 lo_new, hi_new = lo, hi
             pts = q0 ** np.arange(lo_new, hi_new + 1).astype(float)
             vals = np.empty((2, pts.size))
-            vals[0], vals[1] = self(pts), self(-pts)
+            for row, x in enumerate((pts, -pts)):
+                if np.iscomplexobj(v := self.fn(x)):
+                    raise TypeError("an envelope base is real: put its phase in the coefficient")
+                vals[row] = v
             self.q0, self.lo, self.vals = q0, lo_new, vals
         return self.vals[:, lo - self.lo : hi + 1 - self.lo]
 
@@ -175,8 +174,7 @@ class AxisFn:
     zero (it is evaluated at dilated lattice points of either sign).
     Envelopes are values: equal leaf products compare and hash equal, so
     carriers merge equal terms without any identity bookkeeping.  An
-    envelope is evaluated only on its lattice, through :meth:`values` and
-    :meth:`samples`.
+    envelope is evaluated only on its lattice, through :meth:`samples`.
 
     Every dilation and product of the envelope shares that :class:`_Samples`:
     on the lattice a base is evaluated once per window, and its samples are
@@ -201,11 +199,6 @@ class AxisFn:
 
     def __hash__(self):
         return self._hash
-
-    def values(self, x, q0: float) -> np.ndarray:
-        """The envelope at the points x of a lattice with base q0."""
-        x = np.asarray(x, dtype=float)
-        return math.prod((base(sign * q0**m * x) for base, m, sign in self.leaves), start=1.0)
 
     def samples(self, q0: float, lo: int, hi: int) -> np.ndarray:
         """The envelope at q0^j (row 0) and -q0^j (row 1) for lo <= j <= hi,
@@ -860,22 +853,22 @@ class StructuredFn:
             worst = max(worst, float(np.max(edge[nz] / total[nz], initial=0.0)))
         return worst
 
-    def values_on(self, pts1, pts2, pts3) -> np.ndarray:
-        """Evaluate on a meshgrid of per-axis point arrays: the sum over terms
-        of the outer product of their per-axis factors, each distinct
-        envelope sampled once per axis."""
+    def values_on(self, js1, js2, js3) -> np.ndarray:
+        """The carrier on a meshgrid of lattice points: slot s takes +q0^j
+        for the exponents j of js_s in order, then -q0^j.  The sum over terms
+        of the outer product of their per-slot factors, each envelope read by
+        :func:`_axis_rows` on the window its slot's exponents span, as every
+        integral reads it."""
+        lat, n = self.lattice, len(self.terms)
         coeff = np.array([t.coeff for t in self.terms], dtype=complex)
         factors = []
-        for slot, pts in enumerate((pts1, pts2, pts3)):
-            x = np.asarray(pts, dtype=float)
-            sampled = {None: 1.0}
-            rows = np.empty((len(self.terms), x.size), dtype=complex)
-            for i, t in enumerate(self.terms):
-                env = t.envs[slot]
-                if env not in sampled:
-                    sampled[env] = env.values(x, self.lattice.q0)
-                rows[i] = x ** t.exps[slot] * sampled[env]
-            factors.append(rows)
+        for slot, js in enumerate((js1, js2, js3)):
+            js = np.asarray(js, dtype=int)
+            lo, hi = (js.min(), js.max()) if js.size else (0, -1)
+            rows, idx = _axis_rows(lat, [t.envs[slot] for t in self.terms], lo, hi)
+            ns = np.array([t.exps[slot] for t in self.terms], dtype=int)
+            mono = _signed_powers(lat.q0 ** js.astype(float), ns)
+            factors.append((mono * rows.real[idx][:, :, js - lo]).reshape(n, 2 * js.size))
         return np.einsum("t,ti,tj,tk->ijk", coeff, *factors)
 
 

@@ -486,9 +486,9 @@ def _suite_qcalculus(rnd, cfg):
         # formed exactly at the float sample points: the residual is the engine's
         env = AxisFn(lambda x: 1.0 / (1.0 + x * x))
         f = StructuredFn.from_envelopes(lat, "x", (env, env, env), exps=(2, 0, 0))
-        axis = lat.axis_values()
+        axis, js = lat.axis_values(), lat.js()
         x, y, z = np.concatenate([axis, -axis]), axis[1:2], axis[2:3]
-        got = f.jackson_d(0, 0, 4).values_on(x, y, z)[:, 0, 0]
+        got = f.jackson_d(0, 0, 4).values_on(js, js[1:2], js[2:3])[:, 0, 0]
         Q = Fraction(lat.q0) ** 4
         yz = 1 / ((1 + Fraction(y[0]) ** 2) * (1 + Fraction(z[0]) ** 2))
 

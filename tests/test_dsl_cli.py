@@ -313,6 +313,37 @@ NESTED = {
 }
 
 
+_WINDOW = {"q0": 1.1, "j_min": -10, "j_max": 10}
+#: packet files refused with a line that names the offending entry: the
+#: file's content and a part of that line
+PACKET_FILE_ERRORS = {
+    "top_array": ([1], "the top-level value must be a JSON object, got an array"),
+    "top_null": (None, "the top-level value must be a JSON object, got null"),
+    "lattice_array": ({"lattice": [], "packet": {}},
+                      "the lattice value must be a JSON object, got an array"),
+    "packet_array": ({"lattice": _WINDOW, "packet": []},
+                     "the packet value must be a JSON object, got an array"),
+    "packet_null": ({"lattice": _WINDOW, "packet": None},
+                    "the packet value must be a JSON object, got null"),
+    "string_q0": ({"lattice": {**_WINDOW, "q0": "1.1"}, "packet": {}},
+                  "q0 must be a JSON number, got a string"),
+    "boolean_q0": ({"lattice": {**_WINDOW, "q0": True}, "packet": {}},
+                   "q0 must be a JSON number, got a boolean"),
+    "string_width_j": ({"lattice": _WINDOW, "packet": {"width_j": "0.9"}},
+                       "width_j must be a JSON number, got a string"),
+    "boolean_center_j": ({"lattice": _WINDOW, "packet": {"center_j": True}},
+                         "center_j must be a JSON number, got a boolean"),
+    "boolean_mass": ({"lattice": _WINDOW, "mass": True, "packet": {}},
+                     "mass must be a positive rational, got true"),
+    "undefined_mass": ({"lattice": _WINDOW, "mass": "1/0", "packet": {}},
+                       "undefined_mass.json: mass must be a positive rational"),
+    "unknown_top_entry": ({"lattice": _WINDOW, "phase_ordr": 20, "packet": {}},
+                          "unknown top-level entry 'phase_ordr'"),
+    "unknown_lattice_entry": ({"lattice": {**_WINDOW, "qo": 1.2}, "packet": {}},
+                              "unknown lattice entry 'qo'"),
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -397,10 +428,12 @@ NESTED = {
         ["propagator", "--mass", "-1"],
         ["heine", "--mass", "-1"],
         ["expectation", "--packet", "{tmp}/negative_mass.json", "--t", "0.1"],
+        # a packet file is read entry by entry, and each refusal names its entry
+        *(["expectation", "--packet", f"{{tmp}}/{name}.json"] for name in PACKET_FILE_ERRORS),
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, argv):
-    window = {"q0": 1.1, "j_min": -10, "j_max": 10}
+    window = _WINDOW
     packet = {"center_j": 0.3, "width_j": 0.9}
     files = {
         "no_j_min": {"lattice": {"q0": 1.1, "j_max": 10}, "packet": {}},
@@ -425,6 +458,7 @@ def test_cli_bad_input_exits_2(tmp_path, argv):
         "fractional_j_min": {"lattice": {**window, "j_min": -8.7}, "packet": packet},
         "true_j_max": {"lattice": {**window, "j_max": True}, "packet": packet},
     }
+    files.update((name, config) for name, (config, _) in PACKET_FILE_ERRORS.items())
     for name, config in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(config))
     code, out, err = run_cli(*(a.format(tmp=tmp_path) for a in argv))
@@ -441,6 +475,8 @@ def test_cli_bad_input_exits_2(tmp_path, argv):
         assert f"{entry} must be an integer" in lines[0], err
     if argv[0] == "sample" and argv[-1] in ("1e-320", "1e-160", "1e308"):
         assert "float range" in lines[0], err
+    if name.removesuffix(".json") in PACKET_FILE_ERRORS:
+        assert PACKET_FILE_ERRORS[name.removesuffix(".json")][1] in lines[0], err
     if argv[-1].endswith("nan_odd_fraction.json"):
         assert "odd_fraction must be finite" in lines[0], err
     if argv[-3:-2] == ["{tmp}/huge_order.json"]:
@@ -554,7 +590,8 @@ def test_sample_csv_matches_row_by_row_formula(tmp_path, center, capsys):
     env = log_gaussian(lat, float(center), 1.2)
     axis = lat.axis_values()
     pts = [*axis, *-axis]
-    values = StructuredFn.from_envelopes(lat, "x", (env, env, env)).values_on(pts, pts, pts)
+    js = lat.js()
+    values = StructuredFn.from_envelopes(lat, "x", (env, env, env)).values_on(js, js, js)
     want = "x1,x2,x3,re,im\n" + "".join(
         f"{x1},{x2},{x3},{v.real},{v.imag}\n"
         for (x1, x2, x3), v in zip(product(pts, repeat=3), values.flat)
@@ -690,6 +727,7 @@ BAD_ENTRY = st.tuples(
         (), ("lattice",), ("lattice", "q0"), ("lattice", "j_min"), ("lattice", "j_max"),
         ("packet",), ("packet", "center_j"), ("packet", "width_j"),
         ("packet", "odd_fraction"), ("packet", "centre_j"), ("mass",), ("phase_order",),
+        ("phase_ordr",), ("lattice", "qo"),
     ]),
     JUNK | st.sampled_from(
         [0, -1, 7, 1e-300, 1e300, 1.0, 0.5, 2.5, "0", "-2", "1/0", "abc", "1e400", "20", -3,
@@ -721,6 +759,25 @@ def corrupt(config: dict, bad: list) -> object:
 
 PACKET_FILE = st.builds(corrupt, GOOD_PACKET_FILE, st.lists(BAD_ENTRY, max_size=2))
 
+NUMBER, INTEGER = (int, float), (int,)
+#: the documented packet file: each entry and the JSON kinds its value may
+#: take, per object; ``type`` tells a bool from a number
+DOCUMENTED = {
+    "lattice": {"q0": NUMBER, "j_min": INTEGER, "j_max": INTEGER},
+    "packet": {"center_j": NUMBER, "width_j": NUMBER, "odd_fraction": NUMBER},
+    "mass": NUMBER + (str,),
+    "phase_order": INTEGER,
+}
+
+
+def documented(value, kinds=DOCUMENTED) -> bool:
+    """Whether ``value`` is a JSON object holding only entries ``kinds``
+    names, each of a kind it allows (a nested object checked alike)."""
+    if isinstance(kinds, tuple):
+        return type(value) in kinds
+    return type(value) is dict and all(
+        key in kinds and documented(entry, kinds[key]) for key, entry in value.items())
+
 
 @pytest.fixture(scope="module")
 def packet_dir(tmp_path_factory):
@@ -732,8 +789,9 @@ def packet_dir(tmp_path_factory):
 def test_expectation_fuzz_packet_files(packet_dir, config, t):
     """``expectation`` on packet files with windows up to +-6, with up to
     two entries (or the whole file) replaced by wrong types, non-finite
-    numbers, out-of-range values or nothing: no exception escapes ``main``,
-    exit codes stay in {0, 1, 2} and exit 2 prints one line."""
+    numbers, out-of-range values or nothing, or an unknown entry added: no
+    exception escapes ``main``, exit codes stay in {0, 1, 2}, exit 2 prints
+    one line, and a file that exits 0 is a documented one."""
     fd, path = tempfile.mkstemp(suffix=".json", dir=packet_dir)
     with os.fdopen(fd, "w") as fh:
         fh.write(json.dumps(config))
@@ -743,3 +801,5 @@ def test_expectation_fuzz_packet_files(packet_dir, config, t):
     assert code in (0, 1, 2), (config, code)
     if code == 2:
         assert len(err.getvalue().splitlines()) == 1, (config, err.getvalue())
+    if code == 0:
+        assert documented(config), config

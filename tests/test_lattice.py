@@ -1,6 +1,7 @@
 """Lattice star integrals against a dense Jackson sum of the star product, and
 the memory of a process that evaluates many packets."""
 
+import math
 import os
 import subprocess
 import sys
@@ -13,8 +14,8 @@ import pytest
 import qeuclid
 from qeuclid import lattice
 from qeuclid.lattice import (
-    AxisFn, ClassConstraintError, QLattice, STerm, StructuredFn, TableView, _dilate, _times,
-    log_gaussian,
+    AxisFn, ClassConstraintError, QLattice, STerm, StructuredFn, TableView, _dilate,
+    _LogGaussian, _times, log_gaussian,
 )
 from qeuclid.qcalculus import DerivativeLabel, apply_derivative
 from qeuclid.starcalc import coord_variable
@@ -23,14 +24,14 @@ from qeuclid.schrodinger import WavePacket, gaussian_packet, psq
 
 def dense_integral(f) -> complex:
     """Jackson sum of f's values over the signed integration points of each
-    slot, weighted by the slot's Jackson weights."""
+    slot, weighted by the slot's Jackson weights.  The weighted values
+    cancel by up to about 1e3 on the random carriers below, so they are
+    summed exactly: a float sum of them is off by up to about 1.5e-12."""
     lat = f.lattice
-    pts, weights = [], []
-    for slot in range(3):
-        x, w = lat.integration_points(slot), lat.integration_weights(slot)
-        pts.append(np.concatenate([x, -x]))
-        weights.append(np.concatenate([w, w]))
-    return complex(np.einsum("ijk,i,j,k->", f.values_on(*pts), *weights))
+    js = [lat.integration_js(slot) for slot in range(3)]
+    weights = [np.tile(lat.integration_weights(slot), 2) for slot in range(3)]
+    summands = (f.values_on(*js) * np.einsum("i,j,k->ijk", *weights)).ravel()
+    return complex(math.fsum(summands.real), math.fsum(summands.imag))
 
 
 def _ordered(f, mirror):
@@ -112,10 +113,10 @@ def _random_bases(rng, lat):
     log-Gaussian leaf holds."""
     bases = []
     for mix in (0.5, -0.7):
-        even = log_gaussian(lat, rng.uniform(-1, 1), rng.uniform(0.8, 1.6))
-        odd = log_gaussian(lat, rng.uniform(-1, 1), rng.uniform(0.8, 1.6))
-        bases.append(AxisFn(lambda x, even=even, odd=odd, mix=mix: even.values(x, lat.q0)
-                            + mix * np.sign(x) * odd.values(x, lat.q0)))
+        even = _LogGaussian(lat.q0, rng.uniform(-1, 1), rng.uniform(0.8, 1.6), 0.0)
+        odd = _LogGaussian(lat.q0, rng.uniform(-1, 1), rng.uniform(0.8, 1.6), 0.0)
+        bases.append(AxisFn(lambda x, even=even, odd=odd, mix=mix: even(x)
+                            + mix * np.sign(x) * odd(x)))
     return bases
 
 
@@ -349,7 +350,22 @@ def test_log_gaussian_leaf_keeps_the_formula_bit_for_bit():
         assert np.array_equal(env.samples(lat.q0, lat.j_min, lat.j_max),
                               np.stack([want(pts), want(-pts)]))
         f = StructuredFn.from_envelopes(lat, "x", (None, env, None))
-        assert np.array_equal(f.values_on([1.0], signed, [1.0])[0, :, 0], want(signed))
+        assert np.array_equal(f.values_on([0], lat.js(), [0])[0, :, 0], want(signed))
+
+
+def test_values_on_reads_the_samples_its_integrals_sum():
+    """``values_on`` is its envelope's ``samples``, bit for bit, at each of
+    the 50 signed points of +-12: a log-Gaussian leaf with a sign-odd part
+    dilated by q0^m, m = 1, 4, -2, and the opaque 1/(1 + x^2) dilated by
+    q0^4.  A dilated point formed as q0^m x rounds twice, and the values at
+    it differ from the samples at 22, 18, 14 and 16 of the points."""
+    lat = QLattice(1.1, -12, 12)
+    leaf = log_gaussian(lat, 0.3, 0.9, odd_fraction=0.35)
+    opaque = AxisFn(lambda x: 1.0 / (1.0 + x * x))
+    for env in (_dilate(leaf, 1), _dilate(leaf, 4), _dilate(leaf, -2), _dilate(opaque, 4)):
+        f = StructuredFn.from_envelopes(lat, "x", (env, None, None))
+        got = f.values_on(lat.js(), [0], [0])[:, 0, 0]
+        assert np.array_equal(got, env.samples(lat.q0, lat.j_min, lat.j_max).ravel())
 
 
 def _criterion_10_coefficients(t):
@@ -389,11 +405,12 @@ def test_envelope_samples_are_float():
 ], ids=["opaque", "log_gaussian"])
 @pytest.mark.parametrize("read", [
     lambda f: f.integral_all_space(),
-    lambda f: f.values_on([1.0], [1.0, -2.0], [1.0]),
+    lambda f: f.values_on([0], [0, 3], [0]),
 ], ids=["samples", "values"])
 def test_a_complex_base_is_refused(env, read):
-    """A base returning complex values, on the lattice or off it, raises the
-    one TypeError: its phase belongs in the term's coefficient."""
+    """A base returning complex values, read by an integral or by
+    ``values_on``, raises the one TypeError: its phase belongs in the term's
+    coefficient."""
     lat = QLattice(1.1, -6, 6)
     f = StructuredFn.from_envelopes(lat, "x", (None, env(lat), None))
     with pytest.raises(TypeError, match="^an envelope base is real: put its phase in the "
@@ -405,17 +422,28 @@ def test_every_envelope_read_is_log_gaussian(monkeypatch):
     """Whole-lattice sums need to know that each leaf they read is a
     Gaussian.  Behind every integral, boundary mass and star integral of
     the qcalculus and schrodinger suites and of one criterion-10 packet
-    group, each envelope read by ``_axis_rows`` is made of log-Gaussian
-    leaves only."""
+    group, each envelope an integral reads is made of log-Gaussian leaves
+    only: the envelopes of the moments (``_moments``), the middle rows of
+    the star integral's tables (``_slot_sums``) and the boundary mass.
+    (``values_on`` reads an opaque envelope in the dense Jackson case; it
+    integrates nothing.)"""
     from qeuclid.verify import run_suite
 
-    bases, axis_rows = [], lattice._axis_rows
+    bases = []
 
-    def spy(lat, envs, *window):
-        bases.extend(type(base.fn) for env in envs if env is not None for base, *_ in env.leaves)
-        return axis_rows(lat, envs, *window)
+    def spy(owner, name, envs_of):
+        original = getattr(owner, name)
 
-    monkeypatch.setattr(lattice, "_axis_rows", spy)
+        def read(*args):
+            bases.extend(type(base.fn) for env in envs_of(*args) if env is not None
+                         for base, *_ in env.leaves)
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, read)
+
+    spy(lattice, "_moments", lambda lat, slot, envs, *_: envs)
+    spy(lattice, "_slot_sums", lambda f, outer, *_: f._term_groups(outer).mid_envs)
+    spy(StructuredFn, "boundary_mass", lambda f: [env for t in f.terms for env in t.envs])
     for name in ("qcalculus", "schrodinger"):
         assert run_suite(name).exit_code == 0, name
     wp = gaussian_packet(QLattice(1.1, -12, 12), Fraction(2), center_j=0.3, width_j=0.9,
@@ -453,9 +481,11 @@ def test_packet_samples_each_base_once_per_window():
         if env is None:
             return None
 
+        base = env.leaves[0][0].fn  # the packet's one leaf, undilated
+
         def fn(x):
             calls.append(np.shape(x))
-            return env.values(x, lat.q0)
+            return base(x)
 
         return AxisFn(fn)
 
@@ -483,9 +513,11 @@ def test_packet_envelope_is_sampled_once_for_both_slots():
 
     def counted(env):
         if env is not None and env not in wrapped:
+            base = env.leaves[0][0].fn  # the packet's one leaf, undilated
+
             def fn(x):
                 calls.append(np.shape(x))
-                return env.values(x, lat.q0)
+                return base(x)
 
             wrapped[env] = AxisFn(fn)
         return wrapped.get(env)

@@ -6,14 +6,19 @@ looks the function up (``verify.q_number``, not ``qarith.q_number``; a
 ``QScalar`` method on its class), the suite runs at its defaults, and the
 named case must fail with a nonempty detail.  The mutants mutate the
 engine, never the check.  The ``ncalgebra`` suite looks its names up in
-``ncalgebra``, and the ``starcalc`` suite imports from ``starcalc`` when it
-runs, so both are patched there.  Covered so far: the ``qarith``,
-``ncalgebra`` and ``starcalc`` suites.
+``ncalgebra``, and the ``starcalc`` and ``qcalculus`` suites import from
+their modules (and ``lattice``) when they run, so each is patched there.
+Covered so far: the ``qarith``, ``ncalgebra``, ``starcalc`` and
+``qcalculus`` suites.
 """
 
+from itertools import islice
+
+import numpy as np
 import pytest
 
-from qeuclid import ncalgebra, qarith, starcalc, verify
+from qeuclid import ncalgebra, qarith, qcalculus, starcalc, verify
+from qeuclid.lattice import StructuredFn
 from qeuclid.ncalgebra import X3, XP
 from qeuclid.qarith import ONE, ZERO, QScalar
 from qeuclid.starcalc import Metric
@@ -75,6 +80,30 @@ MUTANTS = [
      starcalc, "coord_poly_from_json",
      lambda from_json: lambda data: from_json(
          {**data, "terms": [[[c, b, a, t], coeff] for (a, b, c, t), coeff in data["terms"]]})),
+    # d_+ acts as d_-: a swapped index partner
+    ("qcalculus", "d_A |> x^B = delta",
+     qcalculus, "_left_rep",
+     lambda rep: lambda index, f, s, m: rep({"+": "-"}.get(index, index), f, s, m)),
+    # the mirror keeps the index: the hatted family acts at the unswapped one
+    ("qcalculus", "hat family is the substituted plain family",
+     qcalculus, "_mirror",
+     lambda mirror: lambda index, m: (index, 2, 0) if m < 0 else mirror(index, m)),
+    # the d- series stops after its first term
+    ("qcalculus", "inverse derivatives: round trips",
+     qcalculus, "_orbit", lambda orbit: lambda g, step: islice(orbit(g, step), 1)),
+    # D_Q steps by q0^(k+1) on a lattice of base q0^k: its sum no longer telescopes
+    ("qcalculus", "lattice Stokes theorem (both families, 1e-10)",
+     StructuredFn, "jackson_d",
+     lambda jd: lambda f, s, slot, base_exp: jd(f, s, slot, base_exp + 1)),
+    # the inverse diagonal of O_3^3 loses its last slot's q^-2
+    ("qcalculus", "lattice integration by parts (plain family, 1e-9)",
+     qcalculus, "_ADJ_DIAG_INV", lambda diag: {**diag, "3": (-2, -2, 0)}),
+    ("qcalculus", "conjugation of integrals (1e-10)",
+     StructuredFn, "conjugate", lambda conj: lambda f: -conj(f)),
+    # the first slot read one shell further out than asked
+    ("qcalculus", "dense Jackson derivative is the exact difference quotient",
+     StructuredFn, "values_on",
+     lambda values_on: lambda f, js1, js2, js3: values_on(f, np.add(js1, 1), js2, js3)),
 ]
 
 

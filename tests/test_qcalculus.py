@@ -17,6 +17,7 @@ from qeuclid.lattice import (
     QLattice,
     StructuredFn,
     STerm,
+    _LogGaussian,
     log_gaussian,
 )
 
@@ -136,18 +137,17 @@ def _mix(lat, rng):
 
 
 def test_structured_matches_symbolic(lat, rand_poly):
-    pts = np.array([lat.q0**j for j in (-2, 0, 3)])
-    ptsm = np.concatenate([pts, -pts])
+    js = np.array([-2, 0, 3])
     for conv in ("W", "Wt"):
         for _ in range(6):
             f, g = rand_poly(with_t=False, conv=conv), rand_poly(with_t=False, conv=conv)
             sf = StructuredFn.from_poly(lat, f)
             sg = StructuredFn.from_poly(lat, g)
-            lhs = sf.star(sg).values_on(ptsm, ptsm, ptsm)
-            rhs = StructuredFn.from_poly(lat, f.star(g)).values_on(ptsm, ptsm, ptsm)
+            lhs = sf.star(sg).values_on(js, js, js)
+            rhs = StructuredFn.from_poly(lat, f.star(g)).values_on(js, js, js)
             assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
-            lhs = sf.conjugate().values_on(ptsm, ptsm, ptsm)
-            rhs = StructuredFn.from_poly(lat, conjugate(f)).values_on(ptsm, ptsm, ptsm)
+            lhs = sf.conjugate().values_on(js, js, js)
+            rhs = StructuredFn.from_poly(lat, conjugate(f)).values_on(js, js, js)
             assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
@@ -155,14 +155,13 @@ def test_leibniz_closure_on_class_data(lat):
     rng = np.random.default_rng(3)
     f = StructuredFn(lat, "x", [STerm(0.7 + 0.2j, (1, 1, 0), (_mix(lat, rng), _mix(lat, rng), None))])
     g = StructuredFn(lat, "x", [STerm(1.0 - 0.4j, (1, 0, 1), (None, _mix(lat, rng), _mix(lat, rng)))])
-    pts = np.array([lat.q0**j for j in (-3, 0, 2)])
-    ptsm = np.concatenate([pts, -pts])
+    js = np.array([-3, 0, 2])
     for a in ("+", "3", "-"):
-        lhs = apply_derivative(d(a), f.star(g)).values_on(ptsm, ptsm, ptsm)
-        rhs = apply_derivative(d(a), f).star(g).values_on(ptsm, ptsm, ptsm)
+        lhs = apply_derivative(d(a), f.star(g)).values_on(js, js, js)
+        rhs = apply_derivative(d(a), f).star(g).values_on(js, js, js)
         for c in ("+", "3", "-"):
             Of = braiding_operator(a, c, f, "plain")
-            rhs = rhs + Of.star(apply_derivative(d(c), g)).values_on(ptsm, ptsm, ptsm)
+            rhs = rhs + Of.star(apply_derivative(d(c), g)).values_on(js, js, js)
         assert np.max(np.abs(lhs - rhs)) <= 1e-13 * max(1.0, np.max(np.abs(lhs)))
 
 
@@ -265,17 +264,14 @@ def test_boundary_rejection(lat):
 def test_dense_lattice_roundtrip(lat):
     """integral_all_space against the nested Jackson sum written out: samples
     on each slot's integration points of both signs, times their weights."""
-    pts, weights = [], []
-    for slot in range(3):
-        x = lat.q0 ** lat.integration_js(slot).astype(float)
-        pts.append(np.concatenate([x, -x]))
-        weights.append(np.tile(lat.integration_weights(slot), 2))
-    env, wide = log_gaussian(lat, 0.0, 1.4), log_gaussian(lat, 0.0, 1.6)
-    odd = AxisFn(lambda x: np.sign(x) * wide.values(x, lat.q0))  # no leaf is sign-odd
+    js = [lat.integration_js(slot) for slot in range(3)]
+    weights = [np.tile(lat.integration_weights(slot), 2) for slot in range(3)]
+    env, wide = log_gaussian(lat, 0.0, 1.4), _LogGaussian(lat.q0, 0.0, 1.6, 0.0)
+    odd = AxisFn(lambda x: np.sign(x) * wide(x))  # no leaf is sign-odd
     # x1 odd(x1) is even: its negative branch needs both signs sampled right
     s = StructuredFn(lat, "x", [STerm(1.0, (0, 0, 0), (env, env, env)),
                                 STerm(0.5, (1, 2, 0), (odd, env, env))])
-    brute = np.einsum("ijk,i,j,k->", s.values_on(*pts), *weights)
+    brute = np.einsum("ijk,i,j,k->", s.values_on(*js), *weights)
     assert abs(brute - s.integral_all_space()) <= 1e-12 * abs(s.integral_all_space())
     g = StructuredFn.from_envelopes(lat, "x", (env, odd, env))
     assert abs(g.integral_all_space()) <= 1e-12
